@@ -24,7 +24,7 @@ from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import INF, SpaceSpec, besov_norm, lp_norm, sequence_norm, \
     triebel_norm
-from .paraproduct import dealiased_product, decompose_product
+from .paraproduct import _support_radius, decompose_product, min_gap
 from .testbank import standard_bank, tuple_bank
 
 __all__ = [
@@ -258,19 +258,12 @@ def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
 # Nikolskii inequality
 
 
-def _support_radius(f, tol=1e-12):
-    mag = np.abs(f.spectral)
-    top = mag.max()
-    if top == 0.0:
-        return 0.0
-    return float(f.grid.xi[mag > tol * top].max())
-
-
 def check_nikolskii(f, p, q, gamma, tol=1e-12):
     """ratio = ||f||_q / (gamma^{n(1/p-1/q)} ||f||_p), informational."""
     if not (0.0 < p <= q or (q == INF and p > 0.0)):
         raise ValueError("need 0 < p <= q")
-    radius = _support_radius(f, tol)
+    radii = _support_radius(f, tol)
+    radius = 0.0 if radii is None else radii[1]
     if radius > gamma * (1.0 + 1e-9):
         raise ValueError("spectral support radius %g exceeds gamma=%g"
                          % (radius, gamma))
@@ -595,12 +588,19 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     p1, q) * prod_i besov_norm(f_i; s_i, p_i, inf).  Also records the same
     ratio for the paraproduct parts sum_k Pi_{1,k} and Pi_2 separately, and
     a slot-scaling invariance check (all three ratios recomputed with f1
-    scaled by 1000 must agree to 1e-9 relative).
+    scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
+    the gap N is refused with ValueError: Pi_1 would have no band terms there.
     """
     report = check_theorem_hypotheses(params, q, sys.grid.n, mode)
     if not report.satisfied:
         raise ValueError("theorem hypotheses unsatisfied: %s"
                          % ", ".join(report.failed()))
+    m = len(params)
+    gap = min_gap(m) if N is None else int(N)
+    if sys.jmax < gap:
+        raise ValueError("degenerate product audit: m=%d needs gap N=%d but "
+                         "the grid stops at jmax=%d, so Pi_1 is empty"
+                         % (m, gap, sys.jmax))
     if p is None:
         p = pick_admissible_p(report)
     else:

@@ -12,11 +12,12 @@ by direct enumeration of the block-index tuples no Pi_{1,k} collects: a
 tuple with maximum entry j is collected exactly when j >= N and every other
 entry is <= j - N.
 
-Products are computed on a zero-padded lattice (m times the points per
-axis), which makes the retained coefficients agree with the exact spectral
-convolution of the factors: each factor's integer frequencies are bounded by
-size/2 in modulus, so m-fold sums stay below m*size - size/2 and never wrap
-onto the retained block.
+An m-fold product is computed on a zero-padded lattice with M = (m+1)S/2
+points on an axis of S points, which makes the retained coefficients agree
+with the exact spectral convolution of the factors (Orszag's 3/2 rule is the
+case m = 2).  Proof: m frequencies from [-S/2, S/2) sum to k in
+[-mS/2, mS/2), and since M - S/2 = mS/2, the folded k - M (k >= S/2) or
+k + M (k < -S/2) never lands back in the retained block [-S/2, S/2).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fldio
-from .dyadic import decompose, delta_j, q_j
+from .dyadic import decompose
 from .grid import Field
 
 __all__ = [
@@ -51,22 +52,38 @@ def min_gap(m):
     return N
 
 
+def _padded_sizes(sizes, m):
+    """Points per axis on which m-fold products of `sizes` fields are exact."""
+    return tuple((m + 1) * s // 2 for s in sizes)
+
+
+def _corners(small, big):
+    """(small, big) index pairs of the 2^n frequency corners, FFT order.
+
+    Per axis the corners are the nonnegative frequencies [:S/2] and the
+    negative ones, [S/2:] on the small lattice and [-S/2:] on the big one.
+    """
+    per_axis = [((slice(None, s // 2),) * 2,
+                 (slice(s // 2, None), slice(b - s // 2, None)))
+                for s, b in zip(small, big)]
+    for combo in itertools.product(*per_axis):
+        yield tuple(zip(*combo))
+
+
 def _embed(coeffs, big_sizes):
-    """Center a coefficient block inside a larger lattice (both FFT order)."""
-    small = coeffs.shape
+    """Zero-pad a coefficient block into a larger lattice (both FFT order)."""
     out = np.zeros(big_sizes, dtype=np.complex128)
-    sl = tuple(slice((B - M) // 2, (B - M) // 2 + M)
-               for B, M in zip(big_sizes, small))
-    out[sl] = np.fft.fftshift(coeffs)
-    return np.fft.ifftshift(out)
+    for small, big in _corners(coeffs.shape, big_sizes):
+        out[big] = coeffs[small]
+    return out
 
 
 def _extract(coeffs, small_sizes):
-    """Inverse of _embed: crop the centered block back out."""
-    big = coeffs.shape
-    sl = tuple(slice((B - M) // 2, (B - M) // 2 + M)
-               for B, M in zip(big, small_sizes))
-    return np.fft.ifftshift(np.fft.fftshift(coeffs)[sl])
+    """Inverse of _embed: copy the retained corners back out."""
+    out = np.empty(small_sizes, dtype=np.complex128)
+    for small, big in _corners(small_sizes, coeffs.shape):
+        out[small] = coeffs[big]
+    return out
 
 
 def _common_grid(fields):
@@ -79,29 +96,44 @@ def _common_grid(fields):
     return grid
 
 
-def _fine_values(spectral, big_sizes, npoints_big):
-    return np.fft.ifftn(_embed(spectral, big_sizes)) * npoints_big
+def _padded_values(coeffs, big_sizes):
+    """Physical samples on the padded lattice of the coefficient block."""
+    out = _embed(coeffs, big_sizes)
+    return np.fft.ifftn(out, out=out, norm="forward")
+
+
+def _retained_field(grid, values):
+    """Field of the coefficients of padded samples that fit on `grid`.
+
+    Overwrites `values`.
+    """
+    coeffs = np.fft.fftn(values, out=values, norm="forward")
+    return Field.from_spectral(grid, _extract(coeffs, grid.sizes))
+
+
+def _padded_product(fields, big_sizes):
+    prod = _padded_values(fields[0].spectral, big_sizes)
+    for f in fields[1:]:
+        prod *= _padded_values(f.spectral, big_sizes)
+    return prod
 
 
 def dealiased_product(fields):
     """Pointwise product whose retained spectrum is the exact convolution.
 
-    Factors are transplanted to a lattice padded to len(fields) times the
-    points per axis, multiplied there, and the product's coefficients are
-    truncated back to the original lattice.  Frequencies outside the original
-    lattice are discarded, not folded, so no aliasing occurs for any inputs.
+    Factors are transplanted to the lattice padded to (m+1)/2 times the
+    points per axis (m = len(fields)), multiplied there, and the product's
+    coefficients are truncated back to the original lattice.  On that
+    lattice no sum of m retained frequencies folds back onto the retained
+    block, so frequencies outside the original lattice are discarded, not
+    aliased, for any inputs.
     """
     grid = _common_grid(fields)
     m = len(fields)
     if m == 1:
         return fields[0]
-    big = tuple(m * s for s in grid.sizes)
-    nbig = int(np.prod(big))
-    prod = _fine_values(fields[0].spectral, big, nbig)
-    for f in fields[1:]:
-        prod = prod * _fine_values(f.spectral, big, nbig)
-    coeffs = _extract(np.fft.fftn(prod) / nbig, grid.sizes)
-    return Field.from_spectral(grid, coeffs)
+    big = _padded_sizes(grid.sizes, m)
+    return _retained_field(grid, _padded_product(fields, big))
 
 
 @dataclass
@@ -140,32 +172,31 @@ def decompose_product(fields, sys, N=None):
         raise ValueError("gap %d below the minimum %d for m=%d"
                          % (N, min_gap(m), m))
 
-    product = dealiased_product(fields)
-    lowpass = {}  # level -> [Q_level f_i for each i], built on demand
-
-    def low(level, i):
-        key = level
-        if key not in lowpass:
-            lowpass[key] = {}
-        if i not in lowpass[key]:
-            lowpass[key][i] = q_j(fields[i], level, sys)
-        return lowpass[key][i]
-
-    pi1 = []
-    pi1_bands = {}
-    for k in range(m):
-        part = Field.zeros(grid)
-        for j in range(N, sys.jmax + 1):
-            block = delta_j(fields[k], j, sys)
-            if not np.any(block.spectral):
-                term = Field.zeros(grid)
+    big = _padded_sizes(grid.sizes, m)
+    product = _retained_field(grid, _padded_product(fields, big))
+    zero = Field.zeros(grid)
+    pi1 = [zero] * m
+    bands = {}
+    for j in range(N, sys.jmax + 1):
+        cutoff = sys.cutoff(j - N)
+        low = {}  # i -> padded samples of Q_{j-N} f_i, shared by every k
+        for k in range(m):
+            block = fields[k].spectral * sys.phi[j]
+            if not np.any(block):
+                term = zero
             else:
-                term_fields = [low(j - N, i) for i in range(m) if i != k]
-                term_fields.insert(k, block)
-                term = dealiased_product(term_fields)
-            pi1_bands[(k, j)] = term
-            part = part + term
-        pi1.append(part)
+                values = _padded_values(block, big)
+                for i in range(m):
+                    if i == k:
+                        continue
+                    if i not in low:
+                        low[i] = _padded_values(
+                            fields[i].spectral * cutoff, big)
+                    values *= low[i]
+                term = _retained_field(grid, values)
+            bands[(k, j)] = term
+            pi1[k] = pi1[k] + term
+    pi1_bands = {key: bands[key] for key in sorted(bands)}  # k-major order
 
     total = pi1[0]
     for f in pi1[1:]:
@@ -205,13 +236,9 @@ def pi2_direct_terms(fields, sys, N=None):
                          % (N, min_gap(m), m))
     _enum_guard(m, sys.jmax)
 
-    big = tuple(m * s for s in grid.sizes)
-    nbig = int(np.prod(big))
-    fine_blocks = []
-    for f in fields:
-        bd = decompose(f, sys)
-        fine_blocks.append([_fine_values(b.spectral, big, nbig)
-                            for b in bd.blocks])
+    big = _padded_sizes(grid.sizes, m)
+    fine_blocks = [[_padded_values(b.spectral, big) for b in decompose(f, sys)]
+                   for f in fields]
 
     acc = {}
     for tup in itertools.product(range(sys.jmax + 1), repeat=m):
@@ -226,11 +253,7 @@ def pi2_direct_terms(fields, sys, N=None):
         else:
             acc[j] = term
 
-    out = {}
-    for j in sorted(acc):
-        coeffs = _extract(np.fft.fftn(acc[j]) / nbig, grid.sizes)
-        out[j] = Field.from_spectral(grid, coeffs)
-    return out
+    return {j: _retained_field(grid, acc[j]) for j in sorted(acc)}
 
 
 def enumerate_pi2_direct(fields, sys, N=None):
@@ -244,6 +267,8 @@ def enumerate_pi2_direct(fields, sys, N=None):
 
 
 def _support_radius(field, tol):
+    """(min, max) of |xi| over coefficients above tol times the largest
+    modulus, or None for a zero field."""
     mag = np.abs(field.spectral)
     top = mag.max()
     if top == 0.0:

@@ -260,6 +260,19 @@ def test_audit_multiplication_p_override(setup128):
         audit_multiplication(params, 2.0, "positive", tuples, sys, p=4.0)
 
 
+def test_audit_multiplication_refuses_degenerate_split():
+    # n=3, S=32: jmax=3 is below the gap N=4 of a 3-fold product, so Pi_1
+    # would have no band terms and its records would pass vacuously
+    g = build_grid(3, 32)
+    sys = build_dyadic_system(g)
+    params = [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]]
+    with pytest.raises(ValueError) as exc:
+        audit_multiplication(params, 2.0, "positive", [], sys)
+    message = str(exc.value)
+    for part in ("m=3", "N=4", "jmax=3"):
+        assert part in message
+
+
 def test_run_audit_manifest_small():
     manifest = {
         "n": 1,

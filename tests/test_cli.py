@@ -112,6 +112,21 @@ def test_audit_bad_hypotheses_exit_2(tmp_path, capsys):
     assert "s1-subcritical" in err
 
 
+def test_audit_degenerate_split_exit_2(tmp_path, capsys):
+    manifest = {
+        "n": 3, "resolutions": [32],
+        "multiplications": [
+            {"mode": "positive", "q": 2.0, "tuples": 1,
+             "params": [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]]},
+        ],
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["audit", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "m=3" in err and "N=4" in err and "jmax=3" in err
+
+
 def test_audit_manifest_io_and_parse_errors(tmp_path, capsys):
     assert main(["audit", "--manifest", str(tmp_path / "none.json")]) == 3
     bad = tmp_path / "broken.json"

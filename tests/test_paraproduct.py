@@ -8,7 +8,9 @@ from paraflux import (Field, build_dyadic_system, build_grid,
                       dump_decomposition, enumerate_pi2_direct, min_gap,
                       pure_wave, read_field, smoothed_step, tuple_bank,
                       verify_supports)
-from paraflux.paraproduct import pi2_direct_terms
+from paraflux.dyadic import delta_j, q_j
+from paraflux.paraproduct import (_extract, _padded_sizes, _padded_values,
+                                  pi2_direct_terms)
 
 
 @pytest.fixture(scope="module")
@@ -26,23 +28,23 @@ def test_minimal_gap_rule():
         min_gap(1)
 
 
-def _conv_oracle(ca, cb, size):
-    # direct convolution of centered coefficient dicts
-    out = {}
-    for ka, va in ca.items():
-        for kb, vb in cb.items():
-            k = ka + kb
-            out[k] = out.get(k, 0.0) + va * vb
+def _direct_convolution(dicts):
+    # brute-force convolution of coefficient dicts keyed by frequency tuples
+    out = dicts[0]
+    for d in dicts[1:]:
+        acc = {}
+        for ka, va in out.items():
+            for kb, vb in d.items():
+                k = tuple(a + b for a, b in zip(ka, kb))
+                acc[k] = acc.get(k, 0.0) + va * vb
+        out = acc
     return out
 
 
 def _coeff_dict(f, tol=1e-13):
-    g = f.grid
-    out = {}
-    for i, c in enumerate(f.spectral):
-        if abs(c) > tol:
-            out[int(g.k[0][i])] = c
-    return out
+    keys = zip(*(k.ravel().astype(int) for k in f.grid.k))
+    return {key: c for key, c in zip(keys, f.spectral.ravel())
+            if abs(c) > tol}
 
 
 def test_dealiased_product_matches_convolution():
@@ -57,7 +59,7 @@ def test_dealiased_product_matches_convolution():
     fa = Field.from_spectral(g, coeffs[0])
     fb = Field.from_spectral(g, coeffs[1])
     prod = dealiased_product([fa, fb])
-    want = _conv_oracle(_coeff_dict(fa), _coeff_dict(fb), 64)
+    want = _direct_convolution([_coeff_dict(fa), _coeff_dict(fb)])
     got = _coeff_dict(prod)
     for k in set(want) | set(got):
         assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0),
@@ -84,6 +86,58 @@ def test_high_wave_product_stays_unaliased():
     a = pure_wave(g, 40)
     prod = dealiased_product([a, a])
     assert prod.l2() <= 1e-13
+
+
+def _dense_random_field(g, rng):
+    # every coefficient non-zero, the -S/2 Nyquist rows included
+    c = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
+    return Field.from_spectral(g, c)
+
+
+def _retained_error(coeffs, want, g):
+    keys = zip(*(k.ravel().astype(int) for k in g.k))
+    return max(abs(c - want.get(key, 0.0))
+               for key, c in zip(keys, coeffs.ravel()))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_padding_rule_matches_direct_convolution(n, m):
+    # worst case for wrap-around: full spectra, so m-fold sums reach -mS/2
+    g = build_grid(n, 16)
+    rng = np.random.default_rng(100 * n + m)
+    fields = [_dense_random_field(g, rng) for _ in range(m)]
+    want = _direct_convolution([_coeff_dict(f) for f in fields])
+    scale = max(abs(v) for v in want.values())
+    prod = dealiased_product(fields)
+    assert _retained_error(prod.spectral, want, g) <= 1e-13 * scale
+    # the rule is tight: one point fewer per axis folds -mS/2 onto S/2 - 1
+    big = tuple(s - 1 for s in _padded_sizes(g.sizes, m))
+    values = _padded_values(fields[0].spectral, big)
+    for f in fields[1:]:
+        values = values * _padded_values(f.spectral, big)
+    short = _extract(np.fft.fftn(values, norm="forward"), g.sizes)
+    assert _retained_error(short, want, g) > 1e-3 * scale
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_band_terms_match_dealiased_products(m):
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
+    fields = list(tuple_bank(g, sys, params, 60 + m, 1)[0])
+    pd = decompose_product(fields, sys)
+    assert pd.pi1_bands
+    for (k, j), term in pd.pi1_bands.items():
+        factors = [q_j(f, j - pd.gap, sys) for f in fields]
+        factors[k] = delta_j(fields[k], j, sys)
+        want = dealiased_product(factors)
+        assert (term - want).l2() <= 1e-13 * want.l2()
+    for k, part in enumerate(pd.pi1):
+        total = Field.zeros(g)
+        for j in range(pd.gap, sys.jmax + 1):
+            total = total + pd.pi1_bands[(k, j)]
+        assert (total - part).l2() <= 1e-14 * part.l2()
 
 
 @pytest.mark.parametrize("m", [2, 3])
