@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from paraflux import build_dyadic_system, build_grid, decompose, standard_bank
+from paraflux import (build_dyadic_system, build_grid, decompose, lp_norm,
+                      standard_bank)
 
 g = build_grid(1, 128)
 sys = build_dyadic_system(g)
@@ -18,14 +19,15 @@ resolved = g.xi <= 2.0 ** sys.jmax
 print("partition deviation on the resolved region: %.3g"
       % np.abs(total[resolved] - 1.0).max())
 
-# decompose a smoothed step and look at where the energy sits
+# decompose a smoothed step and look at where the energy sits; the blocks
+# come back as one array of samples, band index first
 bank = {e.name: e.field for e in standard_bank(g, sys)}
 f = bank["smoothed-step[w=0.25]"]
 blocks = decompose(f, sys)
 
 print("\nper-block L2 mass of a smoothed step:")
-for j, block in enumerate(blocks.blocks):
-    print("  j=%d   %.6e" % (j, block.l2()))
+for j, block in enumerate(blocks):
+    print("  j=%d   %.6e" % (j, lp_norm(block, 2.0)))
 
-err = (blocks.reconstruct() - f).l2() / f.l2()
+err = lp_norm(blocks.sum(axis=0) - f.physical, 2.0) / f.l2()
 print("\nreconstruction error: %.3g" % err)

@@ -11,8 +11,8 @@ from .audit import (AuditRecord, SweepResult, audit_embedding,
                     check_maximal_qsup, check_nikolskii, check_qj_lp,
                     check_qj_lt, hardy_bound, lemma_suite,
                     nikolskii_scaling, run_audit_manifest)
-from .dyadic import (BandDecomposition, DyadicSystem, build_dyadic_system,
-                     decompose, delta_j, q_j, smooth_cutoff)
+from .dyadic import (DyadicSystem, build_dyadic_system, decompose, delta_j,
+                     q_j, smooth_cutoff)
 from .fldio import read_field, write_field
 from .grid import Field, Grid, build_grid
 from .hypotheses import (HypothesisReport, check_embedding_hypotheses,
@@ -31,7 +31,7 @@ from .testbank import (BankEntry, GeneratorSpec, band_limit, constant_field,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditRecord", "BandDecomposition", "BankEntry", "DyadicSystem",
+    "AuditRecord", "BankEntry", "DyadicSystem",
     "Field", "GeneratorSpec", "Grid", "HypothesisReport", "INF",
     "ProductDecomposition", "SpaceSpec", "SupportReport", "SweepResult",
     "audit_embedding", "audit_multiplication", "band_limit", "besov_norm",

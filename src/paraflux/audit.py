@@ -15,15 +15,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._parallel import map_ordered
 from .dyadic import decompose, q_j
 from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import INF, SpaceSpec, besov_norm, lp_norm, sequence_norm, \
-    triebel_norm
+from .norms import (INF, SpaceSpec, _ex, _ex_json, besov_norm, lp_norm,
+                    sequence_norm, triebel_norm)
 from .paraproduct import _support_radius, decompose_product, min_gap
 from .testbank import standard_bank, tuple_bank
 
@@ -168,8 +167,12 @@ def hardy_bound(gamma, q):
 
 
 def _hardy_transform(eps, gamma):
-    # delta_k = eps_k + gamma * delta_{k-1}
-    return lfilter([1.0], [1.0, -gamma], eps, axis=-1)
+    # delta_k = eps_k + gamma * delta_{k-1} along the last axis, one column
+    # at a time (the rounding of a direct-form first-order filter)
+    delta = np.array(eps, dtype=float)
+    for k in range(1, delta.shape[-1]):
+        delta[..., k] += gamma * delta[..., k - 1]
+    return delta
 
 
 def check_hardy(eps, gamma, q):
@@ -184,8 +187,8 @@ def check_hardy(eps, gamma, q):
     lhs = sequence_norm(delta, 0.0, q)
     rhs = sequence_norm(eps, 0.0, q)
     return _make_record(
-        "hardy[g=%g,q=%s]" % (gamma, "inf" if q == INF else "%g" % q),
-        {"gamma": gamma, "q": "inf" if q == INF else q, "len": len(eps)},
+        "hardy[g=%g,q=%s]" % (gamma, _ex(q)),
+        {"gamma": gamma, "q": _ex_json(q), "len": len(eps)},
         lhs, rhs, bound, "derived: geometric convolution bound")
 
 
@@ -218,10 +221,8 @@ def hardy_exhaustive_search(max_len=6, lattice=(0.0, 0.25, 0.5, 1.0, 2.0),
                 top = float(ratios.max())
                 worst = max(worst, top - bound)
                 records.append(_make_record(
-                    "hardy-exhaustive[L=%d,g=%g,q=%s]"
-                    % (L, gamma, "inf" if q == INF else "%g" % q),
-                    {"L": L, "gamma": gamma,
-                     "q": "inf" if q == INF else q,
+                    "hardy-exhaustive[L=%d,g=%g,q=%s]" % (L, gamma, _ex(q)),
+                    {"L": L, "gamma": gamma, "q": _ex_json(q),
                      "count": len(block)},
                     top, 1.0, bound, "derived: geometric convolution bound"))
     sweep = SweepResult(records, {"kind": "hardy-exhaustive"})
@@ -245,9 +246,8 @@ def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
         for q in qs:
             ratios = _seq_norms(delta, q) / _seq_norms(eps, q)
             records.append(_make_record(
-                "hardy-random[g=%g,q=%s]"
-                % (gamma, "inf" if q == INF else "%g" % q),
-                {"gamma": gamma, "q": "inf" if q == INF else q,
+                "hardy-random[g=%g,q=%s]" % (gamma, _ex(q)),
+                {"gamma": gamma, "q": _ex_json(q),
                  "count": count, "max_len": max_len, "seed": seed},
                 float(ratios.max()), 1.0, hardy_bound(gamma, q),
                 "derived: geometric convolution bound"))
@@ -273,9 +273,8 @@ def check_nikolskii(f, p, q, gamma, tol=1e-12):
     lhs = lp_norm(f, q)
     rhs = gamma ** (n * (ip - iq)) * lp_norm(f, p)
     return _make_record(
-        "nikolskii[p=%g,q=%s,g=%g]"
-        % (p, "inf" if q == INF else "%g" % q, gamma),
-        {"p": p, "q": "inf" if q == INF else q, "gamma": gamma,
+        "nikolskii[p=%g,q=%s,g=%g]" % (p, _ex(q), gamma),
+        {"p": p, "q": _ex_json(q), "gamma": gamma,
          "support_radius": radius},
         lhs, rhs)
 
@@ -313,10 +312,8 @@ def nikolskii_scaling(grid, p, q, gammas=(8.0, 16.0, 32.0), profile=None):
     for a, b, ga, gb in zip(ratios, ratios[1:], gammas, gammas[1:]):
         drift = max(a / b, b / a)
         records.append(_make_record(
-            "nikolskii-scaling[p=%g,q=%s,g=%g->%g]"
-            % (p, "inf" if q == INF else "%g" % q, ga, gb),
-            {"p": p, "q": "inf" if q == INF else q,
-             "gammas": [ga, gb]},
+            "nikolskii-scaling[p=%g,q=%s,g=%g->%g]" % (p, _ex(q), ga, gb),
+            {"p": p, "q": _ex_json(q), "gammas": [ga, gb]},
             drift, 1.0, SCALING_GATE,
             "derived: envelope dilation invariance"))
     return records
@@ -396,9 +393,8 @@ def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
         rhs = 2.0 ** ((n / p - n * it - s) * j) * base
         worst = max(worst, lp_norm(b, t) / rhs)
     return _make_record(
-        "delta_lt[s=%g,p=%g,t=%s]%s"
-        % (s, p, "inf" if t == INF else "%g" % t, label),
-        {"s": s, "p": p, "t": "inf" if t == INF else t, "field": label},
+        "delta_lt[s=%g,p=%g,t=%s]%s" % (s, p, _ex(t), label),
+        {"s": s, "p": p, "t": _ex_json(t), "field": label},
         worst, 1.0, reference_bound, provenance)
 
 
@@ -420,8 +416,7 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     tstar = qj_lt_endpoint(s, p, n)
     if not p < t or (t != INF and t > tstar * (1.0 + 1e-12)) \
             or (t == INF and tstar != INF):
-        raise ValueError("need p < t <= %s"
-                         % ("inf" if tstar == INF else "%g" % tstar))
+        raise ValueError("need p < t <= %s" % _ex(tstar))
     at_endpoint = (t == tstar) or (t != INF and abs(t - tstar) <= 1e-12)
     base = _besov_sup(f, s, p, sys)
     worst = 0.0
@@ -433,9 +428,8 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
         worst = max(worst, qn / (eps * base))
     return _make_record(
         "qj_lt[s=%g,p=%g,t=%s,%s]%s"
-        % (s, p, "inf" if t == INF else "%g" % t,
-           "endpoint" if at_endpoint else "strict", label),
-        {"s": s, "p": p, "t": "inf" if t == INF else t,
+        % (s, p, _ex(t), "endpoint" if at_endpoint else "strict", label),
+        {"s": s, "p": p, "t": _ex_json(t),
          "endpoint": at_endpoint, "field": label},
         worst, 1.0, reference_bound, provenance)
 
@@ -625,12 +619,13 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
         lhs_pi2 = triebel_norm(pd.pi2, f_spec, sys)
         return rhs, lhs_total, lhs_pi1, lhs_pi2
 
+    params_json = [[si, _ex_json(pi)] for si, pi in params]
+
     def run(item):
         t, fields = item
         rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields)
-        base = {"tuple": t, "mode": mode, "q": "inf" if q == INF else q,
-                "p": p, "params": [[si, "inf" if pi == INF else pi]
-                                   for si, pi in params]}
+        base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
+                "params": params_json}
         out = [
             _make_record("mult-total[%s,m=%d]" % (mode, len(params)),
                          base, lhs_total, rhs),
@@ -655,9 +650,8 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     nested = map_ordered(run, list(enumerate(tuples)))
     records = [r for group in nested for r in group]
     sweep = SweepResult(records, {
-        "kind": "multiplication", "mode": mode, "p": p,
-        "q": "inf" if q == INF else q,
-        "params": [[si, "inf" if pi == INF else pi] for si, pi in params],
+        "kind": "multiplication", "mode": mode, "p": p, "q": _ex_json(q),
+        "params": params_json,
         "grid": {"n": sys.grid.n, "sizes": list(sys.grid.sizes)},
     })
     return sweep
@@ -672,15 +666,72 @@ def _stability_record(name, inputs, ratios):
                         "derived: resolution stability gate")
 
 
+# manifest layout: object -> (allowed keys, required keys)
+_MANIFEST_KEYS = ({"n", "resolutions", "seed", "embeddings",
+                   "multiplications"}, set())
+_EMBEDDING_KEYS = ({"source", "target", "mode"}, {"source", "target"})
+_SPACE_KEYS = ({"family", "s", "p", "q"}, {"family", "s", "p", "q"})
+_MULTIPLICATION_KEYS = ({"mode", "params", "q", "tuples", "p", "gap"},
+                        {"mode", "params"})
+
+
+def _check_object(value, path, keys):
+    allowed, required = keys
+    if not isinstance(value, dict):
+        raise ValueError("%s: expected an object, got %s"
+                         % (path, type(value).__name__))
+    missing = sorted(required - value.keys())
+    if missing:
+        raise ValueError("%s: missing %s" % (path, ", ".join(missing)))
+    unknown = sorted(value.keys() - allowed)
+    if unknown:
+        raise ValueError("%s: unknown key %s" % (path, ", ".join(unknown)))
+
+
+def _check_list(value, path):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s: expected a list, got %s"
+                         % (path, type(value).__name__))
+
+
+def _check_manifest(manifest):
+    """Refuse a manifest whose layout is off, naming the offending path."""
+    _check_object(manifest, "manifest", _MANIFEST_KEYS)
+    _check_list(manifest.get("resolutions", []), "manifest.resolutions")
+    embeddings = manifest.get("embeddings", [])
+    _check_list(embeddings, "manifest.embeddings")
+    for i, item in enumerate(embeddings):
+        path = "manifest.embeddings[%d]" % i
+        _check_object(item, path, _EMBEDDING_KEYS)
+        for side in ("source", "target"):
+            _check_object(item[side], "%s.%s" % (path, side), _SPACE_KEYS)
+    multiplications = manifest.get("multiplications", [])
+    _check_list(multiplications, "manifest.multiplications")
+    for i, item in enumerate(multiplications):
+        path = "manifest.multiplications[%d]" % i
+        _check_object(item, path, _MULTIPLICATION_KEYS)
+        _check_list(item["params"], path + ".params")
+        for k, pair in enumerate(item["params"]):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError("%s.params[%d]: expected an [s, p] pair"
+                                 % (path, k))
+
+
 def run_audit_manifest(manifest):
     """Execute an audit manifest (dict or JSON text): embeddings and
     multiplication parameter sets across the listed resolutions, plus
-    resolution-stability gates on each max ratio."""
+    resolution-stability gates on each max ratio.
+
+    A manifest whose layout is off (not an object, a missing or unknown
+    key, a non-list where a list belongs) is refused with ValueError naming
+    the path.
+    """
     from .dyadic import build_dyadic_system
     from .grid import build_grid
 
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
+    _check_manifest(manifest)
     n = int(manifest.get("n", 1))
     resolutions = [int(r) for r in manifest.get("resolutions", [128, 256])]
     seed = int(manifest.get("seed", 811))

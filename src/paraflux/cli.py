@@ -15,10 +15,10 @@ import os
 import sys as _sys
 
 from . import fldio
-from .audit import lemma_suite, run_audit_manifest
+from .audit import _check_manifest, _num, lemma_suite, run_audit_manifest
 from .dyadic import build_dyadic_system
-from .grid import TWO_PI, build_grid
-from .norms import SpaceSpec, besov_norm, triebel_norm
+from .grid import build_grid
+from .norms import SpaceSpec, _ex_json, besov_norm, triebel_norm
 from .paraproduct import decompose_product, dump_decomposition, min_gap
 from .testbank import (GeneratorSpec, materialize, pure_wave, spec_for,
                        standard_bank, tuple_bank)
@@ -41,14 +41,6 @@ def _exponent(text):
     return value
 
 
-def _fmt(x):
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    return "%.17g" % (x,)
-
-
 def _emit(text, out_path):
     if out_path is None:
         _sys.stdout.write(text)
@@ -58,7 +50,7 @@ def _emit(text, out_path):
 
 
 def _build(args):
-    grid = build_grid(args.dim, args.grid, args.period)
+    grid = build_grid(args.dim, args.grid)
     return grid, build_dyadic_system(grid)
 
 
@@ -125,15 +117,14 @@ def cmd_norm(args):
                      "period": grid.period},
             "norms": [{"space": spec.label(), "family": spec.family,
                        "s": spec.s,
-                       "p": "inf" if spec.p == math.inf else spec.p,
-                       "q": "inf" if spec.q == math.inf else spec.q,
+                       "p": _ex_json(spec.p), "q": _ex_json(spec.q),
                        "value": value}
                       for spec, value in rows],
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
               args.out)
     else:
-        lines = ["%s  %s" % (spec.label(), _fmt(value))
+        lines = ["%s  %s" % (spec.label(), _num(value))
                  for spec, value in rows]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -170,11 +161,11 @@ def cmd_decompose(args):
     else:
         lines = [
             "m=%d gap=%d -> %s" % (pd.m, pd.gap, args.out),
-            "reconstruction residual (rel l2): %s" % _fmt(drift),
+            "reconstruction residual (rel l2): %s" % _num(drift),
             "hard annulus [2^(j-2), 2^(j+1)]: %s"
             % ("pass" if report.hard_all_pass else "FAIL"),
             "claimed annulus [2^(j-1), 2^(j+1)] rate: %s"
-            % _fmt(report.claimed_pass_rate),
+            % _num(report.claimed_pass_rate),
         ]
         _emit("\n".join(lines) + "\n", None)
     if not report.hard_all_pass or drift > 1e-10:
@@ -188,8 +179,8 @@ def _emit_sweep(sweep, args):
     failures = sweep.failures()
     for rec in failures:
         _sys.stderr.write("FAIL %s ratio=%s bound=%s\n"
-                          % (rec.name, _fmt(rec.ratio),
-                             _fmt(rec.reference_bound)))
+                          % (rec.name, _num(rec.ratio),
+                             _num(rec.reference_bound)))
     return 1 if failures else 0
 
 
@@ -208,6 +199,7 @@ def cmd_audit(args):
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("manifest %s: %s" % (args.manifest, exc))
+    _check_manifest(manifest)  # before the overrides index into it
     if args.resolutions is not None:
         try:
             manifest["resolutions"] = [
@@ -280,8 +272,6 @@ def _parser():
                        help="points per axis (default %d)" % grid_default)
         p.add_argument("--dim", type=int, default=1,
                        help="dimension n (default 1)")
-        p.add_argument("--period", type=float, default=TWO_PI,
-                       help="torus period (default 2*pi)")
 
     p = sub.add_parser("norm", help="print Besov/Triebel-Lizorkin norms")
     common(p)

@@ -18,15 +18,13 @@ partition region, where reconstruction from blocks is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Field
+from .grid import Field, _freeze
 
 __all__ = [
     "smooth_cutoff", "DyadicSystem", "build_dyadic_system",
-    "delta_j", "q_j", "decompose", "BandDecomposition",
+    "delta_j", "q_j", "decompose",
 ]
 
 
@@ -72,20 +70,18 @@ class DyadicSystem:
     jmax : int
     psi : ndarray
         Sampled psi(|xi|), identical to phi[0].
-    phi : list of ndarray
-        Sampled annular windows phi_j for j = 0..jmax.  Stored as exact
-        differences of the dilated cutoffs so the partition telescopes at
-        machine precision.
+    phi : ndarray, shape (jmax+1, *sizes)
+        Sampled annular windows, phi[j] = phi_j for j = 0..jmax.  Stored as
+        exact differences of the dilated cutoffs so the partition telescopes
+        at machine precision.
     """
 
     def __init__(self, grid):
         profile = smooth_cutoff()
         xi = grid.xi
-        scaled = [profile(xi * (0.5 ** j)) for j in range(grid.jmax + 1)]
-        phi = [scaled[0]]
-        phi += [scaled[j] - scaled[j - 1] for j in range(1, grid.jmax + 1)]
-        for a in scaled + phi:
-            a.setflags(write=False)
+        scaled = _freeze(np.stack([profile(xi * (0.5 ** j))
+                                   for j in range(grid.jmax + 1)]))
+        phi = _freeze(np.diff(scaled, axis=0, prepend=0.0))
         self.grid = grid
         self.jmax = grid.jmax
         self.psi = phi[0]
@@ -133,33 +129,15 @@ def q_j(f, j, sys):
     return Field.from_spectral(f.grid, f.spectral * sys.cutoff(j))
 
 
-@dataclass
-class BandDecomposition:
-    """The list of blocks delta_j f for j = 0..jmax plus the source field."""
-
-    blocks: list
-    source: Field
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, j):
-        return self.blocks[j]
-
-    def reconstruct(self):
-        out = self.blocks[0]
-        for b in self.blocks[1:]:
-            out = out + b
-        return out
-
-
 def decompose(f, sys):
-    """All frequency blocks of f, lowest band first."""
+    """Samples of every block Delta_j f, lowest band first.
+
+    Returns one read-only array of shape (jmax+1, *sizes) whose slice j
+    holds the samples of Delta_j f; summing over the first axis gives back
+    the samples of a field band-limited to the partition region.
+    """
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
-    blocks = [Field.from_spectral(f.grid, f.spectral * sys.phi[j])
-              for j in range(sys.jmax + 1)]
-    return BandDecomposition(blocks, f)
+    stack = f.spectral * sys.phi
+    axes = tuple(range(1, stack.ndim))
+    return _freeze(np.fft.ifftn(stack, axes=axes, out=stack, norm="forward"))

@@ -16,6 +16,7 @@ row-major over the centered lattice, i.e. ascending integer wavenumber
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -57,17 +58,18 @@ def read_field(path):
     (n,) = struct.unpack_from("<I", raw, 4)
     if n < 1 or n > 3:
         raise ValueError("%s: bad dimension %d" % (path, n))
-    off = 8
-    sizes = struct.unpack_from("<%dI" % n, raw, off)
-    off += 4 * n
-    period, tag = struct.unpack_from("<dB", raw, off)
-    off += 9
-    grid = Grid(n, sizes, period)
-    count = grid.npoints
+    off = 8 + 4 * n + 9
+    if len(raw) < off:
+        raise ValueError("%s: truncated header" % (path,))
+    sizes = struct.unpack_from("<%dI" % n, raw, 8)
+    period, tag = struct.unpack_from("<dB", raw, 8 + 4 * n)
+    # check the length the header implies before Grid allocates its meshes
+    count = math.prod(sizes)
     expected = off + 16 * count
     if len(raw) != expected:
         raise ValueError("%s: expected %d bytes, found %d"
                          % (path, expected, len(raw)))
+    grid = Grid(n, sizes, period)
     data = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
     data = data.reshape(sizes).astype(np.complex128)
     if tag == DOMAIN_PHYSICAL:

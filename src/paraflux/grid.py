@@ -112,23 +112,33 @@ def build_grid(n, size, period=TWO_PI):
 
 
 class Field:
-    """Complex field on a grid, kept synchronized in both representations.
+    """Complex field on a grid, stored as its coefficient spectrum.
 
     Coefficient convention: f(x) = sum_k c_k exp(i xi_k . x), i.e.
     spectral = fft(physical) / npoints and physical = ifft(spectral) * npoints.
     Under the unit-measure convention this makes Parseval read
-    mean(|f|^2) = sum(|c_k|^2).  Instances are immutable; arithmetic returns
-    new fields.
+    mean(|f|^2) = sum(|c_k|^2).  The spectrum is the only stored form; the
+    samples `physical` are computed from it on first use and cached (a field
+    read from samples keeps those exact samples).  Both arrays are read-only
+    and instances are immutable; arithmetic returns new fields.
     """
 
-    __slots__ = ("grid", "physical", "spectral")
+    __slots__ = ("grid", "spectral", "_physical")
 
     normalization = "unit-measure, coefficient spectra"
 
-    def __init__(self, grid, physical, spectral):
+    def __init__(self, grid, spectral, physical=None):
         self.grid = grid
-        self.physical = _freeze(np.asarray(physical, dtype=np.complex128))
         self.spectral = _freeze(np.asarray(spectral, dtype=np.complex128))
+        self._physical = None if physical is None else _freeze(physical)
+
+    @property
+    def physical(self):
+        """Samples on the grid, computed from the spectrum on first use."""
+        if self._physical is None:
+            self._physical = _freeze(
+                np.fft.ifftn(self.spectral, norm="forward"))
+        return self._physical
 
     @classmethod
     def from_physical(cls, grid, values):
@@ -136,8 +146,7 @@ class Field:
         if values.shape != grid.sizes:
             raise ValueError("sample shape %r does not match grid %r"
                              % (values.shape, grid.sizes))
-        coeffs = np.fft.fftn(values) / grid.npoints
-        return cls(grid, values, coeffs)
+        return cls(grid, np.fft.fftn(values, norm="forward"), values)
 
     @classmethod
     def from_spectral(cls, grid, coeffs):
@@ -145,13 +154,11 @@ class Field:
         if coeffs.shape != grid.sizes:
             raise ValueError("coefficient shape %r does not match grid %r"
                              % (coeffs.shape, grid.sizes))
-        values = np.fft.ifftn(coeffs) * grid.npoints
-        return cls(grid, values, coeffs)
+        return cls(grid, coeffs)
 
     @classmethod
     def zeros(cls, grid):
-        z = np.zeros(grid.sizes, dtype=np.complex128)
-        return cls(grid, z, z)
+        return cls(grid, np.zeros(grid.sizes, dtype=np.complex128))
 
     def l2(self):
         """sqrt(mean |f|^2), equal to the l2 norm of the coefficients."""
@@ -165,23 +172,21 @@ class Field:
 
     def __add__(self, other):
         self._check(other)
-        return Field(self.grid, self.physical + other.physical,
-                     self.spectral + other.spectral)
+        return Field(self.grid, self.spectral + other.spectral)
 
     def __sub__(self, other):
         self._check(other)
-        return Field(self.grid, self.physical - other.physical,
-                     self.spectral - other.spectral)
+        return Field(self.grid, self.spectral - other.spectral)
 
     def __neg__(self):
-        return Field(self.grid, -self.physical, -self.spectral)
+        return Field(self.grid, -self.spectral)
 
     def __mul__(self, alpha):
         if isinstance(alpha, Field):
             raise TypeError("pointwise field products alias; "
                             "use paraproduct.dealiased_product")
         alpha = complex(alpha)
-        return Field(self.grid, alpha * self.physical, alpha * self.spectral)
+        return Field(self.grid, alpha * self.spectral)
 
     __rmul__ = __mul__
 

@@ -13,10 +13,9 @@ uses a 1e-12 absolute tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-INF = math.inf
+from .norms import INF, _ex
 
 __all__ = [
     "HypothesisReport", "check_embedding_hypotheses",
@@ -28,10 +27,6 @@ _EQ_TOL = 1e-12
 
 def _inv(p):
     return 0.0 if p == INF else 1.0 / p
-
-
-def _ex(v):
-    return "inf" if v == INF else ("%g" % (v,))
 
 
 def _diffdim_eq(a, b):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BandDecomposition, decompose
+from .dyadic import decompose
 from .grid import Field
 
 INF = math.inf
@@ -44,6 +44,16 @@ def _check_exponent(value, name, allow_inf=True):
     return value
 
 
+def _ex(v):
+    """Text of an exponent in names and labels: 'inf' or %g."""
+    return "inf" if v == INF else "%g" % (v,)
+
+
+def _ex_json(v):
+    """JSON value of an exponent: the string 'inf' or the number itself."""
+    return "inf" if v == INF else v
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Identifies one quasi-norm: family 'B' or 'F', smoothness s, and the
@@ -60,22 +70,18 @@ class SpaceSpec:
             raise ValueError("unknown family %r (use 'B' or 'F')"
                              % (self.family,))
         object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "s", float(self.s))
+        s = float(self.s)
+        if not math.isfinite(s):
+            raise ValueError("smoothness s must be finite, got %r" % (s,))
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "p", _check_exponent(self.p, "p"))
         object.__setattr__(self, "q", _check_exponent(self.q, "q"))
         if fam == "F" and self.p == INF:
             raise ValueError("the F family requires p < inf")
 
     def label(self):
-        def ex(v):
-            return "inf" if v == INF else ("%g" % v)
-        return "%s^%g_{%s,%s}" % (self.family, self.s, ex(self.p), ex(self.q))
-
-
-def _samples(f):
-    if isinstance(f, Field):
-        return f.physical
-    return np.asarray(f)
+        return "%s^%g_{%s,%s}" % (self.family, self.s, _ex(self.p),
+                                  _ex(self.q))
 
 
 def lp_norm(f, p):
@@ -84,7 +90,7 @@ def lp_norm(f, p):
     Accepts a Field or a bare sample array; absolutely homogeneous in f.
     """
     p = _check_exponent(p, "p")
-    a = np.abs(_samples(f))
+    a = np.abs(f.physical if isinstance(f, Field) else np.asarray(f))
     if a.size == 0:
         return 0.0
     if p == INF:
@@ -105,39 +111,34 @@ def sequence_norm(a, s, q):
     return float(np.sum(wa ** q) ** (1.0 / q))
 
 
-def _block_magnitudes(blocks):
-    if isinstance(blocks, BandDecomposition):
-        blocks = blocks.blocks
-    return [np.abs(_samples(b)) for b in blocks]
-
-
 def lp_of_lq(blocks, s, p, q):
-    """L_p of the pointwise weighted l_q across bands (the F-norm kernel)."""
+    """L_p of the pointwise weighted l_q across bands (the F-norm kernel).
+
+    blocks is a block stack as `decompose` returns it, band index first.
+    """
     p = _check_exponent(p, "p", allow_inf=False)
     q = _check_exponent(q, "q")
-    mags = _block_magnitudes(blocks)
-    if not mags:
+    mags = np.abs(blocks)
+    if mags.shape[0] == 0:
         return 0.0
-    stack = np.stack(mags)
-    w = 2.0 ** (float(s) * np.arange(stack.shape[0]))
-    w = w.reshape((-1,) + (1,) * (stack.ndim - 1))
-    ws = w * stack
+    w = 2.0 ** (float(s) * np.arange(mags.shape[0]))
+    mags *= w.reshape((-1,) + (1,) * (mags.ndim - 1))
     if q == INF:
-        inner = ws.max(axis=0)
+        inner = mags.max(axis=0)
     else:
-        inner = np.sum(ws ** q, axis=0) ** (1.0 / q)
+        mags **= q
+        inner = np.sum(mags, axis=0) ** (1.0 / q)
     return lp_norm(inner, p)
 
 
 def lq_of_lp(blocks, s, p, q):
-    """Weighted l_q of the per-band L_p norms (the B-norm kernel)."""
+    """Weighted l_q of the per-band L_p norms (the B-norm kernel).
+
+    blocks is a block stack as `decompose` returns it, band index first.
+    """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
-    mags = _block_magnitudes(blocks)
-    if not mags:
-        return 0.0
-    per_band = [lp_norm(m, p) for m in mags]
-    return sequence_norm(per_band, s, q)
+    return sequence_norm([lp_norm(b, p) for b in blocks], s, q)
 
 
 def besov_norm(f, spec, sys):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fldio
-from .dyadic import decompose
 from .grid import Field
 
 __all__ = [
@@ -155,10 +154,7 @@ class ProductDecomposition:
     factors: list
 
     def pi1_total(self):
-        out = self.pi1[0]
-        for f in self.pi1[1:]:
-            out = out + f
-        return out
+        return sum(self.pi1[1:], self.pi1[0])
 
 
 def decompose_product(fields, sys, N=None):
@@ -198,10 +194,7 @@ def decompose_product(fields, sys, N=None):
             pi1[k] = pi1[k] + term
     pi1_bands = {key: bands[key] for key in sorted(bands)}  # k-major order
 
-    total = pi1[0]
-    for f in pi1[1:]:
-        total = total + f
-    pi2 = product - total
+    pi2 = product - sum(pi1[1:], pi1[0])
     return ProductDecomposition(m=m, gap=N, pi1=pi1, pi1_bands=pi1_bands,
                                 pi2=pi2, product=product, factors=list(fields))
 
@@ -237,7 +230,7 @@ def pi2_direct_terms(fields, sys, N=None):
     _enum_guard(m, sys.jmax)
 
     big = _padded_sizes(grid.sizes, m)
-    fine_blocks = [[_padded_values(b.spectral, big) for b in decompose(f, sys)]
+    fine_blocks = [[_padded_values(f.spectral * phi, big) for phi in sys.phi]
                    for f in fields]
 
     acc = {}
@@ -259,11 +252,8 @@ def pi2_direct_terms(fields, sys, N=None):
 def enumerate_pi2_direct(fields, sys, N=None):
     """Direct enumeration of the residual; must match the residual Pi_2."""
     terms = pi2_direct_terms(fields, sys, N)
-    grid = _common_grid(fields)
-    out = Field.zeros(grid)
-    for j in sorted(terms):
-        out = out + terms[j]
-    return out
+    return sum((terms[j] for j in sorted(terms)),
+               Field.zeros(_common_grid(fields)))
 
 
 def _support_radius(field, tol):

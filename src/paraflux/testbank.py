@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import erf
 
 from .dyadic import DyadicSystem
 from .grid import Field, Grid
@@ -108,9 +107,7 @@ def lacunary_field(grid, amplitudes, sys):
                 raise ValueError("window %d does not vanish at frequency %d"
                                  % (jn, k))
         coeffs[idx] = amp
-    out = LacunaryField(grid,
-                        np.fft.ifftn(coeffs) * grid.npoints,
-                        coeffs)
+    out = LacunaryField(grid, coeffs)
     out.amplitudes = amplitudes
     return out
 
@@ -152,6 +149,52 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY,
     if not filled:
         raise ValueError("no usable plateau frequencies under the band limit")
     return Field.from_spectral(grid, coeffs)
+
+
+# Cephes erf (Moshier), as scipy.special.erf evaluates it: a rational in x^2
+# for |x| <= 1, 1 - erfc(x) with a rational erfc for 1 < |x| < 8, and
+# exactly +-1 beyond, where 1 - erfc(x) rounds to 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _horner(x, coeffs, monic=False):
+    """Polynomial in x, highest degree first; monic adds a leading 1."""
+    acc = x + coeffs[0] if monic else coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf_scalar(x):
+    if x < 0.0:
+        return -_erf_scalar(-x)
+    if x <= 1.0:
+        z = x * x
+        return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+    if x >= 8.0:
+        return 1.0
+    erfc = (math.exp(-x * x) * _horner(x, _ERFC_P)
+            / _horner(x, _ERFC_Q, monic=True))
+    return 1.0 - erfc
+
+
+def _erf(x):
+    """The error function of a 1-D array, elementwise."""
+    return np.array([_erf_scalar(v) for v in x.tolist()])
 
 
 def _truncate_real(grid, values, m_max):
@@ -200,13 +243,14 @@ def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
         raise ValueError("edge width must be positive")
     P = grid.period
     a, b = P / 4.0, 3.0 * P / 4.0
-    x = grid.coords()[0]
-    values = np.zeros(grid.sizes)
+    x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
+    values = np.zeros(grid.sizes[0])
     for wrap in range(-2, 3):
         shift = wrap * P
-        values += 0.5 * (erf((x - a + shift) / (math.sqrt(2.0) * w))
-                         - erf((x - b + shift) / (math.sqrt(2.0) * w)))
-    return _truncate_real(grid, values, m_max)
+        values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
+                         - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
+    values = values.reshape((-1,) + (1,) * (grid.n - 1))
+    return _truncate_real(grid, np.broadcast_to(values, grid.sizes), m_max)
 
 
 def pure_wave(grid, kvec):

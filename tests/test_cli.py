@@ -198,3 +198,56 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_period_flag_rejected(capsys):
+    assert main(["lemmas", "--grid", "64", "--only", "hardy",
+                 "--period", "1"]) == 2
+    assert "--period" in capsys.readouterr().err
+
+
+def test_norm_nan_smoothness_exit_2(capsys):
+    assert main(["norm", "--grid", "64", "--wave", "4", "--s", "nan",
+                 "--p", "2"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+_SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
+
+
+@pytest.mark.parametrize("manifest,path", [
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"params": [[0.4, 2.0], [1.0, 2.0]], "q": 2.0, "tuples": 1}]},
+     "manifest.multiplications[0]: missing mode"),
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": dict(_SPACE, r=1), "target": _SPACE}]},
+     "manifest.embeddings[0].source: unknown key r"),
+    ([{"n": 1}], "expected an object, got list"),
+])
+def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    assert main(["audit", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+
+
+def test_cli_run_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import paraflux
+
+    src = os.path.dirname(os.path.dirname(paraflux.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, paraflux.cli\n"
+            "rc = paraflux.cli.main(['norm', '--grid', '64', '--wave', '4',"
+            " '--s', '1', '--p', '2'])\n"
+            "assert rc == 0, rc\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

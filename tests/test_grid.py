@@ -152,3 +152,42 @@ def test_fld_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         read_field(str(path))
+
+
+def test_fld_header_checked_before_allocation(tmp_path):
+    import struct
+    import tracemalloc
+
+    # 25 bytes whose header claims 8192^2 samples (2 GiB of meshes)
+    path = tmp_path / "huge.fld"
+    path.write_bytes(struct.pack("<4sI2IdB", b"FLD1", 2, 8192, 8192,
+                                 2 * math.pi, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expected"):
+            read_field(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_fld_truncated_header(tmp_path):
+    path = tmp_path / "short.fld"
+    path.write_bytes(b"FLD1" + (2).to_bytes(4, "little") + b"\x00" * 6)
+    with pytest.raises(ValueError, match="truncated"):
+        read_field(str(path))
+
+
+def test_physical_is_cached_and_read_only():
+    g = build_grid(1, 32)
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    f = Field.from_physical(g, vals)
+    assert f.physical is f.physical
+    assert np.array_equal(f.physical, vals)  # samples kept exactly
+    h = Field.from_spectral(g, f.spectral)
+    assert np.allclose(h.physical, vals, atol=1e-14)
+    assert not h.physical.flags.writeable
+    with pytest.raises(AttributeError):
+        h.physical = vals
