@@ -18,7 +18,7 @@ from .grid import Field, Grid, build_grid
 from .hypotheses import (HypothesisReport, check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, besov_norm, lp_norm, sequence_norm,
-                    triebel_norm)
+                    space_norms, triebel_norm)
 from .paraproduct import (ProductDecomposition, SupportReport,
                           dealiased_product, decompose_product,
                           dump_decomposition, enumerate_pi2_direct, min_gap,
@@ -44,7 +44,8 @@ __all__ = [
     "lemma_suite", "lp_norm", "materialize", "min_gap", "nikolskii_scaling",
     "pick_admissible_p", "plateau_frequency", "pure_wave", "q_j",
     "random_band_field", "read_field", "run_audit_manifest",
-    "sequence_norm", "smooth_cutoff", "smoothed_step", "spec_for",
+    "sequence_norm", "smooth_cutoff", "smoothed_step", "space_norms",
+    "spec_for",
     "standard_bank", "triebel_norm", "tuple_bank", "verify_supports",
     "write_field",
 ]

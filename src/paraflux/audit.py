@@ -22,7 +22,7 @@ from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _ex, _ex_json, besov_norm, lp_norm,
-                    sequence_norm, triebel_norm)
+                    sequence_norm, space_norms, triebel_norm)
 from .paraproduct import _support_radius, decompose_product, min_gap
 from .testbank import standard_bank, tuple_bank
 
@@ -537,42 +537,52 @@ def lemma_suite(grid, sys, only=None, seed=811):
 # Embedding and multiplication sweeps
 
 
+def _check_embedding(pair, n, mode):
+    report = check_embedding_hypotheses(pair[0], pair[1], n, mode)
+    if not report.satisfied:
+        raise ValueError("embedding hypotheses unsatisfied: %s"
+                         % ", ".join(report.failed()))
+
+
+def _embedding_sweeps(pairs, bank, sys):
+    """One SweepResult per (source, target) pair over one field bank.
+
+    Each field is decomposed once; every distinct spec of every pair is
+    evaluated from that one block stack, which is dropped before the next
+    field is decomposed.
+    """
+    specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
+    n = sys.grid.n
+
+    def run(entry):
+        name, f = entry
+        values = dict(zip(specs, space_norms(f, specs, sys)))
+        return [_make_record(
+            "embedding[%s->%s]" % (source.label(), target.label()),
+            {"field": name, "source": source.label(),
+             "target": target.label(), "n": n},
+            values[target], values[source]) for source, target in pairs]
+
+    items = [(getattr(e, "name", "field-%d" % i),
+              getattr(e, "field", e)) for i, e in enumerate(bank)]
+    rows = map_ordered(run, items)
+    return [SweepResult([row[k] for row in rows], {
+        "kind": "embedding",
+        "pair": [source.label(), target.label()],
+        "grid": {"n": n, "sizes": list(sys.grid.sizes)},
+    }) for k, (source, target) in enumerate(pairs)]
+
+
 def audit_embedding(pair, bank, sys, mode=None):
     """Measured norm_target / norm_source over a field bank.
 
     Refuses to run when the hypothesis report is unsatisfied, naming the
     failed conditions.  bank entries may be BankEntry or plain Fields.
+    Each field is decomposed once and both norms come from that one block
+    stack; `run_audit_manifest` builds its records with the same code.
     """
-    source, target = pair
-    report = check_embedding_hypotheses(source, target, sys.grid.n, mode)
-    if not report.satisfied:
-        raise ValueError("embedding hypotheses unsatisfied: %s"
-                         % ", ".join(report.failed()))
-
-    def norm_of(spec, f):
-        if spec.family == "B":
-            return besov_norm(f, spec, sys)
-        return triebel_norm(f, spec, sys)
-
-    def run(entry):
-        name, f = entry
-        lhs = norm_of(target, f)
-        rhs = norm_of(source, f)
-        return _make_record(
-            "embedding[%s->%s]" % (source.label(), target.label()),
-            {"field": name, "source": source.label(),
-             "target": target.label(), "n": sys.grid.n},
-            lhs, rhs)
-
-    items = [(getattr(e, "name", "field-%d" % i),
-              getattr(e, "field", e)) for i, e in enumerate(bank)]
-    records = map_ordered(run, items)
-    sweep = SweepResult(records, {
-        "kind": "embedding",
-        "pair": [source.label(), target.label()],
-        "grid": {"n": sys.grid.n, "sizes": list(sys.grid.sizes)},
-    })
-    return sweep
+    _check_embedding(pair, sys.grid.n, mode)
+    return _embedding_sweeps([pair], bank, sys)[0]
 
 
 def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
@@ -598,6 +608,8 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     if p is None:
         p = pick_admissible_p(report)
     else:
+        if not p > 0.0:
+            raise ValueError("p = %r is not positive" % (p,))
         lo, hi, closed = report.derived["inv_p_interval_capped"]
         ip = 1.0 / p
         if not (lo < ip < hi or (closed and ip == hi)):
@@ -609,11 +621,13 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     f1_spec = SpaceSpec("F", s1, p1, q)
     b_specs = [SpaceSpec("B", s, pi, INF) for s, pi in params[1:]]
 
-    def ratios_for(fields):
+    def ratios_for(fields, b_norms):
+        # b_norms: the B-norms of fields[1:], which the slot-1 scaling
+        # leaves unchanged, so both passes share them
         pd = decompose_product(list(fields), sys, N)
         rhs = triebel_norm(fields[0], f1_spec, sys)
-        for spec, f in zip(b_specs, fields[1:]):
-            rhs *= besov_norm(f, spec, sys)
+        for b in b_norms:
+            rhs *= b
         lhs_total = triebel_norm(pd.product, f_spec, sys)
         lhs_pi1 = triebel_norm(pd.pi1_total(), f_spec, sys)
         lhs_pi2 = triebel_norm(pd.pi2, f_spec, sys)
@@ -623,7 +637,9 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
 
     def run(item):
         t, fields = item
-        rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields)
+        b_norms = [besov_norm(f, spec, sys)
+                   for spec, f in zip(b_specs, fields[1:])]
+        rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields, b_norms)
         base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
                 "params": params_json}
         out = [
@@ -635,7 +651,7 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
                          base, lhs_pi2, rhs),
         ]
         scaled = (1000.0 * fields[0],) + tuple(fields[1:])
-        rhs2, tot2, pi12, pi22 = ratios_for(scaled)
+        rhs2, tot2, pi12, pi22 = ratios_for(scaled, b_norms)
         drift = 0.0
         for a, b in ((lhs_total / rhs, tot2 / rhs2),
                      (lhs_pi1 / rhs, pi12 / rhs2),
@@ -694,17 +710,46 @@ def _check_list(value, path):
                          % (path, type(value).__name__))
 
 
+_SCALAR_KINDS = {"int": "an integer", "number": "a number",
+                 "exponent": 'a number or "inf"'}
+
+
+def _check_scalar(value, path, kind, nullable=False):
+    """Refuse a manifest scalar of the wrong type, naming its path.  kind is
+    'int', 'number' or 'exponent' (a number or "inf"); nullable admits null
+    where the audit gives it a meaning."""
+    if (value is None and nullable) or (kind == "exponent"
+                                        and value == "inf"):
+        return
+    types = int if kind == "int" else (int, float)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError("%s: expected %s, got %r"
+                         % (path, _SCALAR_KINDS[kind], value))
+
+
 def _check_manifest(manifest):
-    """Refuse a manifest whose layout is off, naming the offending path."""
+    """Refuse a manifest whose layout or scalar types are off, naming the
+    offending path."""
     _check_object(manifest, "manifest", _MANIFEST_KEYS)
-    _check_list(manifest.get("resolutions", []), "manifest.resolutions")
+    for key in ("n", "seed"):
+        if key in manifest:
+            _check_scalar(manifest[key], "manifest." + key, "int")
+    resolutions = manifest.get("resolutions", [])
+    _check_list(resolutions, "manifest.resolutions")
+    for i, size in enumerate(resolutions):
+        _check_scalar(size, "manifest.resolutions[%d]" % i, "int")
     embeddings = manifest.get("embeddings", [])
     _check_list(embeddings, "manifest.embeddings")
     for i, item in enumerate(embeddings):
         path = "manifest.embeddings[%d]" % i
         _check_object(item, path, _EMBEDDING_KEYS)
         for side in ("source", "target"):
-            _check_object(item[side], "%s.%s" % (path, side), _SPACE_KEYS)
+            spath = "%s.%s" % (path, side)
+            _check_object(item[side], spath, _SPACE_KEYS)
+            _check_scalar(item[side]["s"], spath + ".s", "number")
+            for key in ("p", "q"):
+                _check_scalar(item[side][key], "%s.%s" % (spath, key),
+                              "exponent")
     multiplications = manifest.get("multiplications", [])
     _check_list(multiplications, "manifest.multiplications")
     for i, item in enumerate(multiplications):
@@ -715,6 +760,21 @@ def _check_manifest(manifest):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValueError("%s.params[%d]: expected an [s, p] pair"
                                  % (path, k))
+            _check_scalar(pair[0], "%s.params[%d].s" % (path, k), "number")
+            _check_scalar(pair[1], "%s.params[%d].p" % (path, k),
+                          "exponent", nullable=True)
+        for key, kind in (("q", "exponent"), ("p", "exponent"),
+                          ("gap", "int")):
+            if key in item:
+                _check_scalar(item[key], "%s.%s" % (path, key), kind,
+                              nullable=True)
+        if "tuples" in item:
+            _check_scalar(item["tuples"], path + ".tuples", "int")
+
+
+def _exponent(value):
+    """A manifest exponent as a float: "inf" and null mean infinity."""
+    return INF if value in ("inf", None) else float(value)
 
 
 def run_audit_manifest(manifest):
@@ -722,9 +782,16 @@ def run_audit_manifest(manifest):
     multiplication parameter sets across the listed resolutions, plus
     resolution-stability gates on each max ratio.
 
+    Every embedding's hypotheses are checked before any field is built.
+    Then each resolution builds the field bank once, decomposes each field
+    once and evaluates every norm of every embedding from that one block
+    stack; the bank is dropped before the next resolution's is built.
+    Records keep the order embedding by embedding, resolution by
+    resolution.  meta["verdicts"] counts the records per verdict.
+
     A manifest whose layout is off (not an object, a missing or unknown
-    key, a non-list where a list belongs) is refused with ValueError naming
-    the path.
+    key, a non-list where a list belongs, a scalar of the wrong type) is
+    refused with ValueError naming the path.
     """
     from .dyadic import build_dyadic_system
     from .grid import build_grid
@@ -732,27 +799,34 @@ def run_audit_manifest(manifest):
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
     _check_manifest(manifest)
-    n = int(manifest.get("n", 1))
-    resolutions = [int(r) for r in manifest.get("resolutions", [128, 256])]
-    seed = int(manifest.get("seed", 811))
+    n = manifest.get("n", 1)
+    resolutions = list(manifest.get("resolutions", [128, 256]))
+    seed = manifest.get("seed", 811)
 
     combined = SweepResult(meta={
         "kind": "audit", "n": n, "resolutions": resolutions, "seed": seed,
     })
+
+    pairs = []
+    for item in manifest.get("embeddings", []):
+        pair = (SpaceSpec(**item["source"]), SpaceSpec(**item["target"]))
+        _check_embedding(pair, n, item.get("mode"))
+        pairs.append(pair)
 
     systems = []
     for size in resolutions:
         grid = build_grid(n, size)
         systems.append((size, grid, build_dyadic_system(grid)))
 
-    for item in manifest.get("embeddings", []):
-        source = SpaceSpec(**item["source"])
-        target = SpaceSpec(**item["target"])
-        mode = item.get("mode")
+    # by_size[i][k]: pair k at resolution i; each bank is released when
+    # its _embedding_sweeps call returns
+    by_size = [_embedding_sweeps(pairs, standard_bank(grid, sys, seed=seed),
+                                 sys)
+               for _, grid, sys in systems] if pairs else []
+    for k, (source, target) in enumerate(pairs):
         maxima = []
-        for size, grid, sys in systems:
-            bank = standard_bank(grid, sys, seed=seed)
-            sweep = audit_embedding((source, target), bank, sys, mode)
+        for (size, _, _), sweeps in zip(systems, by_size):
+            sweep = sweeps[k]
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)
                 r.name += "[size=%d]" % size
@@ -764,12 +838,11 @@ def run_audit_manifest(manifest):
              "resolutions": resolutions}, maxima))
 
     for item in manifest.get("multiplications", []):
-        params = [(float(s), INF if pv in ("inf", None) else float(pv))
-                  for s, pv in item["params"]]
-        q = INF if item.get("q") in ("inf", None) else float(item["q"])
+        params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
+        q = _exponent(item.get("q"))
         mode = item["mode"]
-        count = int(item.get("tuples", 6))
-        p = item.get("p")
+        count = item.get("tuples", 6)
+        p = INF if item.get("p") == "inf" else item.get("p")
         maxima = []
         for size, grid, sys in systems:
             tuples = tuple_bank(grid, sys, params, seed, count)
@@ -785,4 +858,8 @@ def run_audit_manifest(manifest):
             {"mode": mode, "params": item["params"],
              "resolutions": resolutions}, maxima))
 
+    verdicts = [r.verdict for r in combined.records]
+    combined.meta["verdicts"] = {
+        v: verdicts.count(v)
+        for v in ("pass", "fail", "informational", "skipped")}
     return combined

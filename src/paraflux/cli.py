@@ -18,7 +18,7 @@ from . import fldio
 from .audit import _check_manifest, _num, lemma_suite, run_audit_manifest
 from .dyadic import build_dyadic_system
 from .grid import build_grid
-from .norms import SpaceSpec, _ex_json, besov_norm, triebel_norm
+from .norms import SpaceSpec, _ex_json, space_norms
 from .paraproduct import decompose_product, dump_decomposition, min_gap
 from .testbank import (GeneratorSpec, materialize, pure_wave, spec_for,
                        standard_bank, tuple_bank)
@@ -100,15 +100,10 @@ def cmd_norm(args):
         raise ConfigError("norm needs --in FILE or --wave K")
 
     families = ["B", "F"] if args.space is None else [args.space]
-    rows = []
-    for s, p, q in zip(s_list, p_list, q_list):
-        for fam in families:
-            if fam == "F" and p == math.inf:
-                continue
-            spec = SpaceSpec(fam, s, p, q)
-            value = (besov_norm if fam == "B" else triebel_norm)(
-                field, spec, sys_)
-            rows.append((spec, value))
+    specs = [SpaceSpec(fam, s, p, q)
+             for s, p, q in zip(s_list, p_list, q_list)
+             for fam in families if not (fam == "F" and p == math.inf)]
+    rows = list(zip(specs, space_norms(field, specs, sys_)))
 
     if args.json:
         payload = {

@@ -23,7 +23,7 @@ INF = math.inf
 
 __all__ = [
     "SpaceSpec", "lp_norm", "sequence_norm", "lp_of_lq", "lq_of_lp",
-    "besov_norm", "triebel_norm",
+    "besov_norm", "triebel_norm", "space_norms",
 ]
 
 _FAMILY_ALIASES = {
@@ -154,3 +154,15 @@ def triebel_norm(f, spec, sys):
         raise ValueError("triebel_norm needs an 'F' spec, got %s"
                          % spec.label())
     return lp_of_lq(decompose(f, sys), spec.s, spec.p, spec.q)
+
+
+def space_norms(f, specs, sys):
+    """Every quasi-norm in specs of one field, from one block decomposition.
+
+    Returns one value per spec, in order, each bitwise equal to what
+    besov_norm or triebel_norm gives for that spec.  The block stack lives
+    only for the duration of the call.
+    """
+    blocks = decompose(f, sys)
+    return [(lq_of_lp if spec.family == "B" else lp_of_lq)(
+        blocks, spec.s, spec.p, spec.q) for spec in specs]

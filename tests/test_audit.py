@@ -242,6 +242,23 @@ def test_audit_multiplication_constant_tuple(setup128):
     assert scaling[0].verdict == "pass"
 
 
+def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
+    import paraflux.audit
+
+    g, sys = setup128
+    params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
+    tuples = tuple_bank(g, sys, params, 3, 2)
+    calls = []
+    real = paraflux.audit.besov_norm
+    monkeypatch.setattr(paraflux.audit, "besov_norm",
+                        lambda *a: calls.append(1) or real(*a))
+    sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
+    # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
+    assert len(calls) == len(tuples) * (len(params) - 1)
+    assert all(r.verdict == "pass" for r in sweep.records
+               if "scaling" in r.name)
+
+
 def test_audit_multiplication_refuses_bad_params(setup128):
     g, sys = setup128
     bad = [(0.5, 2.0), (1.0, 2.0)]  # s1 = n/p1 exactly
@@ -294,9 +311,68 @@ def test_run_audit_manifest_small():
     assert "mult-total" in kinds
     assert "mult-stability" in kinds
     assert "embedding-stability" in kinds
+    # per-verdict counts reach the JSON only, so the CSV keeps its bytes
+    verdicts = [r.verdict for r in sweep.records]
+    counts = json.loads(sweep.to_json())["meta"]["verdicts"]
+    assert counts == {v: verdicts.count(v)
+                      for v in ("pass", "fail", "informational", "skipped")}
+    # both stability gates and one scaling gate per tuple and resolution
+    assert counts["pass"] == 2 + 2 * 2
+    assert sum(counts.values()) == len(sweep.records)
     # manifest given as JSON text works the same
     again = run_audit_manifest(json.dumps(manifest))
     assert again.to_csv() == sweep.to_csv()
+
+
+_TWO_EMBEDDINGS = {
+    "n": 1,
+    "resolutions": [64, 128],
+    "seed": 9,
+    "embeddings": [
+        {"source": {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0},
+         "target": {"family": "B", "s": 0.5, "p": 2.0, "q": 2.0}},
+        {"source": {"family": "B", "s": 1.0, "p": 1.0, "q": 1.0},
+         "target": {"family": "F", "s": 0.5, "p": 2.0, "q": 2.0}},
+    ],
+}
+
+
+def test_manifest_decomposes_each_field_once(monkeypatch):
+    import paraflux.audit
+    import paraflux.norms
+
+    calls = []
+    real_decompose = paraflux.norms.decompose
+    real_bank = paraflux.audit.standard_bank
+    monkeypatch.setattr(paraflux.norms, "decompose",
+                        lambda f, s: calls.append(1) or real_decompose(f, s))
+    banks = []
+    monkeypatch.setattr(paraflux.audit, "standard_bank",
+                        lambda *a, **k: banks.append(real_bank(*a, **k))
+                        or banks[-1])
+    run_audit_manifest(_TWO_EMBEDDINGS)
+    assert len(banks) == len(_TWO_EMBEDDINGS["resolutions"])
+    assert len(calls) == sum(len(bank) for bank in banks)
+
+
+def test_manifest_embedding_rows_match_audit_embedding():
+    sweep = run_audit_manifest(_TWO_EMBEDDINGS)
+    expected = []
+    for item in _TWO_EMBEDDINGS["embeddings"]:
+        pair = (SpaceSpec(**item["source"]), SpaceSpec(**item["target"]))
+        for size in _TWO_EMBEDDINGS["resolutions"]:
+            g = build_grid(1, size)
+            sys = build_dyadic_system(g)
+            bank = standard_bank(g, sys, seed=_TWO_EMBEDDINGS["seed"])
+            for r in audit_embedding(pair, bank, sys).records:
+                r.name += "[size=%d]" % size
+                r.inputs = dict(r.inputs, size=size)
+                expected.append(r)
+    got = [r for r in sweep.records if r.name.startswith("embedding[")]
+    assert got == expected
+    # each pair's rows, resolution by resolution, then its stability row
+    per_pair = ["embedding"] * (len(expected) // 2) + ["embedding-stability"]
+    assert [r.name.split("[", 1)[0] for r in sweep.records] == 2 * per_pair
 
 
 def test_worker_count_does_not_change_output(monkeypatch):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from paraflux import (build_dyadic_system, build_grid, pure_wave,
-                      read_field, write_field)
+from paraflux import (SpaceSpec, besov_norm, build_dyadic_system,
+                      build_grid, pure_wave, read_field, standard_bank,
+                      triebel_norm, write_field)
 from paraflux.cli import main
 
 
@@ -44,6 +45,36 @@ def test_norm_accepts_inf_and_reads_files(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].split()[-1] == "16"
+
+
+def test_norm_decomposes_once_and_matches_single_norms(tmp_path, capsys,
+                                                       monkeypatch):
+    import paraflux.norms
+
+    g = build_grid(2, 32)
+    path = tmp_path / "f.fld"
+    write_field(str(path), standard_bank(g, build_dyadic_system(g))[5].field)
+    calls = []
+    real = paraflux.norms.decompose
+    monkeypatch.setattr(paraflux.norms, "decompose",
+                        lambda f, s: calls.append(1) or real(f, s))
+    assert main(["norm", "--in", str(path), "--s", "0.5", "--s", "1",
+                 "--s", "-0.5", "--p", "2", "--p", "inf", "--p", "1",
+                 "--q", "2", "--q", "1", "--q", "inf", "--json"]) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(paraflux.norms, "decompose", real)
+    rows = json.loads(capsys.readouterr().out)["norms"]
+    field = read_field(str(path))
+    sys = build_dyadic_system(field.grid)
+    # the F family skips p = inf, so five rows for three (s, p, q)
+    assert [r["space"] for r in rows] == [
+        "B^0.5_{2,2}", "F^0.5_{2,2}", "B^1_{inf,1}", "B^-0.5_{1,inf}",
+        "F^-0.5_{1,inf}"]
+    for row in rows:
+        spec = SpaceSpec(row["family"], row["s"], float(row["p"]),
+                         float(row["q"]))
+        norm = besov_norm if spec.family == "B" else triebel_norm
+        assert row["value"] == norm(field, spec, sys), row["space"]
 
 
 def test_norm_config_errors(capsys):
@@ -223,6 +254,35 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
         {"source": dict(_SPACE, r=1), "target": _SPACE}]},
      "manifest.embeddings[0].source: unknown key r"),
     ([{"n": 1}], "expected an object, got list"),
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": dict(_SPACE, s=[1]), "target": _SPACE}]},
+     "manifest.embeddings[0].source.s: expected a number"),
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, q="2")}]},
+     "manifest.embeddings[0].target.q: expected a number or \"inf\""),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+         "tuples": {}}]},
+     "manifest.multiplications[0].tuples: expected an integer"),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+         "gap": 1.5}]},
+     "manifest.multiplications[0].gap: expected an integer"),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [["0.4", 2.0], [1.0, 2.0]]}]},
+     "manifest.multiplications[0].params[0].s: expected a number"),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+         "p": 0}]},
+     "p = 0 is not positive"),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+         "p": "inf"}]},
+     "1/p = 0 outside the admissible interval"),
+    ({"n": "1", "resolutions": [64]}, "manifest.n: expected an integer"),
+    ({"n": 1, "seed": True}, "manifest.seed: expected an integer"),
+    ({"n": 1, "resolutions": [64.0]},
+     "manifest.resolutions[0]: expected an integer"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"
@@ -231,6 +291,28 @@ def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     err = capsys.readouterr().err
     assert path in err
     assert "Traceback" not in err
+
+
+def test_audit_checks_every_embedding_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
+    import paraflux.audit
+    import paraflux.norms
+
+    calls = []
+    monkeypatch.setattr(paraflux.norms, "decompose",
+                        lambda *a: calls.append("decompose"))
+    monkeypatch.setattr(paraflux.audit, "standard_bank",
+                        lambda *a, **k: calls.append("bank"))
+    manifest = {"n": 1, "resolutions": [64, 128], "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5)},
+        # smoothness rises from source to target: no embedding
+        {"source": _SPACE, "target": dict(_SPACE, s=2.0)},
+    ]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["audit", "--manifest", str(path)]) == 2
+    assert "monotone-or-diffdim" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_run_loads_no_scipy():

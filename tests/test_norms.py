@@ -5,7 +5,8 @@ import pytest
 
 from paraflux import (INF, Field, SpaceSpec, besov_norm, build_dyadic_system,
                       build_grid, decompose, lacunary_field, lp_norm,
-                      pure_wave, sequence_norm, standard_bank, triebel_norm)
+                      pure_wave, sequence_norm, space_norms, standard_bank,
+                      triebel_norm)
 from paraflux.norms import lp_of_lq, lq_of_lp
 
 
@@ -190,6 +191,25 @@ def test_zero_field_norms(setup128):
     assert besov_norm(z, SpaceSpec("B", 1.0, 2.0, 2.0), sys) == 0.0
     assert triebel_norm(z, SpaceSpec("F", 1.0, 2.0, 2.0), sys) == 0.0
     assert lp_norm(z, 0.5) == 0.0
+
+
+def test_space_norms_match_single_norms(monkeypatch):
+    import paraflux.norms
+
+    g = build_grid(2, 32)
+    sys = build_dyadic_system(g)
+    specs = [SpaceSpec("B", 0.5, 2.0, 2.0), SpaceSpec("B", 1.0, INF, 1.0),
+             SpaceSpec("B", -0.5, 0.5, INF), SpaceSpec("F", 0.5, 2.0, 2.0),
+             SpaceSpec("F", 0.0, 1.0, INF), SpaceSpec("F", 1.5, 4.0, 0.5)]
+    bank = [e.field for e in standard_bank(g, sys)]
+    expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
+        f, spec, sys) for spec in specs] for f in bank]
+    calls = []
+    real = paraflux.norms.decompose
+    monkeypatch.setattr(paraflux.norms, "decompose",
+                        lambda f, s: calls.append(1) or real(f, s))
+    assert [space_norms(f, specs, sys) for f in bank] == expected
+    assert len(calls) == len(bank)
 
 
 def test_lp_norm_invalid_exponent():
