@@ -585,15 +585,13 @@ def audit_embedding(pair, bank, sys, mode=None):
     return _embedding_sweeps([pair], bank, sys)[0]
 
 
-def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
-    """Per-tuple empirical constants for the multiplication embedding.
+def _check_multiplication(params, q, mode, sys, N=None, p=None):
+    """Refuse a multiplication set the audit cannot run on this grid, and
+    return the integrability p it runs with.
 
-    lhs = triebel_norm(product; s1, p, q); rhs_core = triebel_norm(f1; s1,
-    p1, q) * prod_i besov_norm(f_i; s_i, p_i, inf).  Also records the same
-    ratio for the paraproduct parts sum_k Pi_{1,k} and Pi_2 separately, and
-    a slot-scaling invariance check (all three ratios recomputed with f1
-    scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
-    the gap N is refused with ValueError: Pi_1 would have no band terms there.
+    Raises ValueError for unsatisfied theorem hypotheses, a split whose gap
+    N exceeds jmax (Pi_1 would be empty and pass vacuously), or a p that is
+    not positive or whose 1/p lies outside the admissible interval.
     """
     report = check_theorem_hypotheses(params, q, sys.grid.n, mode)
     if not report.satisfied:
@@ -606,16 +604,30 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
                          "the grid stops at jmax=%d, so Pi_1 is empty"
                          % (m, gap, sys.jmax))
     if p is None:
-        p = pick_admissible_p(report)
-    else:
-        if not p > 0.0:
-            raise ValueError("p = %r is not positive" % (p,))
-        lo, hi, closed = report.derived["inv_p_interval_capped"]
-        ip = 1.0 / p
-        if not (lo < ip < hi or (closed and ip == hi)):
-            raise ValueError("1/p = %g outside the admissible interval "
-                             "(%g, %g%s" % (ip, lo, hi, "]" if closed
-                                            else ")"))
+        return pick_admissible_p(report)
+    if not p > 0.0:
+        raise ValueError("p = %r is not positive" % (p,))
+    lo, hi, closed = report.derived["inv_p_interval_capped"]
+    ip = 1.0 / p
+    if not (lo < ip < hi or (closed and ip == hi)):
+        raise ValueError("1/p = %g outside the admissible interval "
+                         "(%g, %g%s" % (ip, lo, hi, "]" if closed else ")"))
+    return p
+
+
+def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
+    """Per-tuple empirical constants for the multiplication embedding.
+
+    lhs = triebel_norm(product; s1, p, q); rhs_core = triebel_norm(f1; s1,
+    p1, q) * prod_i besov_norm(f_i; s_i, p_i, inf).  Also records the same
+    ratio for the paraproduct parts sum_k Pi_{1,k} and Pi_2 separately, and
+    a slot-scaling invariance check (all three ratios recomputed with f1
+    scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
+    the gap N is refused with ValueError: Pi_1 would have no band terms there.
+    `run_audit_manifest` makes the same check for every set and resolution
+    before any field is built.
+    """
+    p = _check_multiplication(params, q, mode, sys, N, p)
     s1, p1 = params[0]
     f_spec = SpaceSpec("F", s1, p, q)
     f1_spec = SpaceSpec("F", s1, p1, q)
@@ -728,8 +740,9 @@ def _check_scalar(value, path, kind, nullable=False):
 
 
 def _check_manifest(manifest):
-    """Refuse a manifest whose layout or scalar types are off, naming the
-    offending path."""
+    """Refuse a manifest whose layout or scalar types are off, or whose
+    audit would pass vacuously (no tuples, or no resolution to run on),
+    naming the offending path."""
     _check_object(manifest, "manifest", _MANIFEST_KEYS)
     for key in ("n", "seed"):
         if key in manifest:
@@ -770,6 +783,12 @@ def _check_manifest(manifest):
                               nullable=True)
         if "tuples" in item:
             _check_scalar(item["tuples"], path + ".tuples", "int")
+            if item["tuples"] < 1:
+                raise ValueError("%s.tuples: expected at least 1, got %d"
+                                 % (path, item["tuples"]))
+    if (embeddings or multiplications) and not resolutions:
+        raise ValueError("manifest.resolutions: expected at least 1 size "
+                         "when embeddings or multiplications are listed")
 
 
 def _exponent(value):
@@ -782,15 +801,18 @@ def run_audit_manifest(manifest):
     multiplication parameter sets across the listed resolutions, plus
     resolution-stability gates on each max ratio.
 
-    Every embedding's hypotheses are checked before any field is built.
-    Then each resolution builds the field bank once, decomposes each field
-    once and evaluates every norm of every embedding from that one block
-    stack; the bank is dropped before the next resolution's is built.
+    Every embedding's hypotheses, and every multiplication set's hypotheses,
+    admissible p and gap at every resolution, are checked before any field
+    is built.  Then each resolution builds the field bank once, decomposes
+    each field once and evaluates every norm of every embedding from that
+    one block stack; the bank is dropped before the next resolution's is
+    built.
     Records keep the order embedding by embedding, resolution by
     resolution.  meta["verdicts"] counts the records per verdict.
 
     A manifest whose layout is off (not an object, a missing or unknown
-    key, a non-list where a list belongs, a scalar of the wrong type) is
+    key, a non-list where a list belongs, a scalar of the wrong type) or
+    whose audit would pass vacuously (zero tuples, no resolutions) is
     refused with ValueError naming the path.
     """
     from .dyadic import build_dyadic_system
@@ -818,6 +840,16 @@ def run_audit_manifest(manifest):
         grid = build_grid(n, size)
         systems.append((size, grid, build_dyadic_system(grid)))
 
+    sets = []
+    for item in manifest.get("multiplications", []):
+        params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
+        q = _exponent(item.get("q"))
+        p = INF if item.get("p") == "inf" else item.get("p")
+        for _, _, sys in systems:
+            _check_multiplication(params, q, item["mode"], sys,
+                                  item.get("gap"), p)
+        sets.append((item, params, q, p))
+
     # by_size[i][k]: pair k at resolution i; each bank is released when
     # its _embedding_sweeps call returns
     by_size = [_embedding_sweeps(pairs, standard_bank(grid, sys, seed=seed),
@@ -837,12 +869,9 @@ def run_audit_manifest(manifest):
             {"pair": [source.label(), target.label()],
              "resolutions": resolutions}, maxima))
 
-    for item in manifest.get("multiplications", []):
-        params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
-        q = _exponent(item.get("q"))
+    for item, params, q, p in sets:
         mode = item["mode"]
         count = item.get("tuples", 6)
-        p = INF if item.get("p") == "inf" else item.get("p")
         maxima = []
         for size, grid, sys in systems:
             tuples = tuple_bank(grid, sys, params, seed, count)

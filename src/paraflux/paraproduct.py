@@ -12,12 +12,27 @@ by direct enumeration of the block-index tuples no Pi_{1,k} collects: a
 tuple with maximum entry j is collected exactly when j >= N and every other
 entry is <= j - N.
 
-An m-fold product is computed on a zero-padded lattice with M = (m+1)S/2
-points on an axis of S points, which makes the retained coefficients agree
-with the exact spectral convolution of the factors (Orszag's 3/2 rule is the
-case m = 2).  Proof: m frequencies from [-S/2, S/2) sum to k in
-[-mS/2, mS/2), and since M - S/2 = mS/2, the folded k - M (k >= S/2) or
-k + M (k < -S/2) never lands back in the retained block [-S/2, S/2).
+An m-fold product is computed on a lattice chosen per product and per axis
+from the factors' spectral supports.  On an axis of S points, factor i has
+its nonzero coefficients at signed frequencies in [lo_i, hi_i], so every
+sum of m of them lies in [lo, hi] = [sum lo_i, sum hi_i].
+
+* If -S/2 <= lo and hi <= S/2 - 1, no sum leaves the retained block
+  [-S/2, S/2) on that axis, so S points are exact there: nothing wraps.
+* Otherwise the axis is zero-padded to M = (m+1)S/2 points, which makes the
+  retained coefficients agree with the exact spectral convolution for any
+  inputs (Orszag's 3/2 rule is the case m = 2).  Proof: m frequencies from
+  [-S/2, S/2) sum to k in [-mS/2, mS/2), and since M - S/2 = mS/2, the
+  folded k - M (k >= S/2) or k + M (k < -S/2) never lands back in the
+  retained block [-S/2, S/2).
+
+Wrap-around acts axis by axis, so a retained coefficient collects exactly
+the sums that equal it on every axis, whichever axes are padded.  Extents
+are read from exact zeros, never from a tolerance, so the products are exact
+for every input; a factor without a nonzero coefficient makes the product
+zero on any lattice, and the unpadded one is used.  Every Delta_j f and
+Q_j f is supported inside the support of f, so the lattice chosen from the
+factors once serves every band term and every residual tuple of a product.
 """
 
 from __future__ import annotations
@@ -52,8 +67,44 @@ def min_gap(m):
 
 
 def _padded_sizes(sizes, m):
-    """Points per axis on which m-fold products of `sizes` fields are exact."""
+    """Points per axis on which m-fold products of `sizes` fields are exact,
+    whatever their spectra: the full-support bound (m+1)S/2."""
     return tuple((m + 1) * s // 2 for s in sizes)
+
+
+def _extents(coeffs):
+    """Per axis, the least and largest signed frequency with a nonzero
+    coefficient, or None for an all-zero block."""
+    nonzero = coeffs != 0
+    if not nonzero.any():
+        return None
+    out = []
+    for a, s in enumerate(coeffs.shape):
+        others = tuple(b for b in range(coeffs.ndim) if b != a)
+        hit = np.flatnonzero(nonzero.any(axis=others))
+        signed = np.where(hit < s // 2, hit, hit - s)
+        out.append((int(signed.min()), int(signed.max())))
+    return out
+
+
+def _product_sizes(fields):
+    """Points per axis on which the product of `fields` is exact.
+
+    An axis keeps its S points when the summed extents of the factors stay
+    in [-S/2, S/2 - 1] and is padded to (m+1)S/2 otherwise; see the module
+    docstring for the proof.
+    """
+    sizes = fields[0].grid.sizes
+    extents = [_extents(f.spectral) for f in fields]
+    if None in extents:
+        return sizes
+    padded = _padded_sizes(sizes, len(fields))
+    out = []
+    for a, s in enumerate(sizes):
+        lo = sum(e[a][0] for e in extents)
+        hi = sum(e[a][1] for e in extents)
+        out.append(s if -(s // 2) <= lo and hi <= s // 2 - 1 else padded[a])
+    return tuple(out)
 
 
 def _corners(small, big):
@@ -120,19 +171,21 @@ def _padded_product(fields, big_sizes):
 def dealiased_product(fields):
     """Pointwise product whose retained spectrum is the exact convolution.
 
-    Factors are transplanted to the lattice padded to (m+1)/2 times the
-    points per axis (m = len(fields)), multiplied there, and the product's
-    coefficients are truncated back to the original lattice.  On that
-    lattice no sum of m retained frequencies folds back onto the retained
-    block, so frequencies outside the original lattice are discarded, not
-    aliased, for any inputs.
+    Factors are transplanted to a lattice chosen per axis (m = len(fields)),
+    multiplied there, and the product's coefficients are truncated back to
+    the original lattice.  An axis of S points stays unpadded when the sums
+    of the factors' least and of their largest nonzero frequencies lie in
+    [-S/2, S/2 - 1], since then no m-fold sum leaves the retained block;
+    any other axis is padded to (m+1)S/2 points, on which no sum of m
+    retained frequencies folds back onto the retained block.  Either way
+    frequencies outside the original lattice are discarded, not aliased,
+    for any inputs.
     """
     grid = _common_grid(fields)
-    m = len(fields)
-    if m == 1:
+    if len(fields) == 1:
         return fields[0]
-    big = _padded_sizes(grid.sizes, m)
-    return _retained_field(grid, _padded_product(fields, big))
+    return _retained_field(grid,
+                           _padded_product(fields, _product_sizes(fields)))
 
 
 @dataclass
@@ -168,7 +221,7 @@ def decompose_product(fields, sys, N=None):
         raise ValueError("gap %d below the minimum %d for m=%d"
                          % (N, min_gap(m), m))
 
-    big = _padded_sizes(grid.sizes, m)
+    big = _product_sizes(fields)
     product = _retained_field(grid, _padded_product(fields, big))
     zero = Field.zeros(grid)
     pi1 = [zero] * m
@@ -229,22 +282,23 @@ def pi2_direct_terms(fields, sys, N=None):
                          % (N, min_gap(m), m))
     _enum_guard(m, sys.jmax)
 
-    big = _padded_sizes(grid.sizes, m)
+    big = _product_sizes(fields)
     fine_blocks = [[_padded_values(f.spectral * phi, big) for phi in sys.phi]
                    for f in fields]
 
     acc = {}
+    term = np.empty(big, dtype=np.complex128)
     for tup in itertools.product(range(sys.jmax + 1), repeat=m):
         if _collected_by_pi1(tup, N):
             continue
         j = max(tup)
-        term = fine_blocks[0][tup[0]].copy()
-        for i in range(1, m):
+        np.multiply(fine_blocks[0][tup[0]], fine_blocks[1][tup[1]], out=term)
+        for i in range(2, m):
             term *= fine_blocks[i][tup[i]]
         if j in acc:
             acc[j] += term
         else:
-            acc[j] = term
+            acc[j] = term.copy()
 
     return {j: _retained_field(grid, acc[j]) for j in sorted(acc)}
 

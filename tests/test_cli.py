@@ -283,6 +283,17 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
     ({"n": 1, "seed": True}, "manifest.seed: expected an integer"),
     ({"n": 1, "resolutions": [64.0]},
      "manifest.resolutions[0]: expected an integer"),
+    # vacuous audits: no measurement rows, and a stability row that passes
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+         "tuples": 0}]},
+     "manifest.multiplications[0].tuples: expected at least 1"),
+    ({"n": 1, "resolutions": [], "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5)}]},
+     "manifest.resolutions: expected at least 1"),
+    ({"n": 1, "resolutions": [], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]]}]},
+     "manifest.resolutions: expected at least 1"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"
@@ -312,6 +323,34 @@ def test_audit_checks_every_embedding_before_any_work(tmp_path, capsys,
     path.write_text(json.dumps(manifest))
     assert main(["audit", "--manifest", str(path)]) == 2
     assert "monotone-or-diffdim" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_audit_checks_every_multiplication_before_any_work(tmp_path, capsys,
+                                                          monkeypatch):
+    import paraflux.audit
+    import paraflux.norms
+
+    calls = []
+    monkeypatch.setattr(paraflux.norms, "decompose",
+                        lambda *a: calls.append("decompose"))
+    monkeypatch.setattr(paraflux.audit, "standard_bank",
+                        lambda *a, **k: calls.append("bank"))
+    monkeypatch.setattr(paraflux.audit, "tuple_bank",
+                        lambda *a, **k: calls.append("tuples"))
+    manifest = {"n": 1, "resolutions": [64, 128],
+                "embeddings": [{"source": _SPACE,
+                                "target": dict(_SPACE, s=0.5)}],
+                "multiplications": [
+                    {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+                     "q": 2.0, "tuples": 1},
+                    # s1 = n/p1 violates s1-subcritical
+                    {"mode": "positive", "params": [[0.5, 2.0], [1.0, 2.0]],
+                     "q": 2.0, "tuples": 1}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["audit", "--manifest", str(path)]) == 2
+    assert "s1-subcritical" in capsys.readouterr().err
     assert calls == []
 
 

@@ -9,8 +9,9 @@ from paraflux import (Field, build_dyadic_system, build_grid,
                       pure_wave, read_field, smoothed_step, tuple_bank,
                       verify_supports)
 from paraflux.dyadic import delta_j, q_j
+from paraflux import paraproduct
 from paraflux.paraproduct import (_extract, _padded_sizes, _padded_values,
-                                  pi2_direct_terms)
+                                  _product_sizes, pi2_direct_terms)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,93 @@ def test_padding_rule_matches_direct_convolution(n, m):
         values = values * _padded_values(f.spectral, big)
     short = _extract(np.fft.fftn(values, norm="forward"), g.sizes)
     assert _retained_error(short, want, g) > 1e-3 * scale
+
+
+@pytest.mark.parametrize("n,size", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_bank_tuples_need_no_padding_off_the_step_axis(n, size, m):
+    # bank fields sit inside |xi| <= nyquist/3, so m-fold sums never wrap;
+    # only the step (slot 2 of tuple 0, a function of x_1 whose axis-0
+    # spectrum carries rounding residue) may pad, and only axis 0
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
+    for t, fields in enumerate(tuple_bank(g, sys, params, 40 + m, 3)):
+        sizes = _product_sizes(list(fields))
+        skip = 1 if t == 0 else 0  # the step may pad axis 0
+        assert sizes[skip:] == g.sizes[skip:]
+        want = _direct_convolution([_coeff_dict(f) for f in fields])
+        scale = max(abs(v) for v in want.values())
+        prod = dealiased_product(list(fields))
+        assert _retained_error(prod.spectral, want, g) <= 1e-13 * scale
+
+
+def _box_field(g, rng, lo, hi, extra=None):
+    # dense coefficients on the frequency box [lo_a, hi_a] per axis, plus
+    # one optional coefficient at the frequency tuple `extra`
+    c = np.zeros(g.sizes, dtype=complex)
+    ranges = [np.arange(a, b + 1) % s for a, b, s in zip(lo, hi, g.sizes)]
+    box = np.ix_(*ranges)
+    c[box] = (rng.standard_normal(c[box].shape)
+              + 1j * rng.standard_normal(c[box].shape))
+    if extra is not None:
+        c[tuple(k % s for k, s in zip(extra, g.sizes))] = 1.0 + 0.5j
+    return Field.from_spectral(g, c)
+
+
+@pytest.mark.parametrize("extra,padded", [
+    (None, (16, 16)), ((4, 0), (24, 16)), ((-5, 0), (24, 16))])
+def test_lattice_pads_only_the_axis_that_can_wrap(extra, padded):
+    # axis 0: extents [-4, 4] + [-4, 3] sum to [-8, 7] = [-S/2, S/2 - 1],
+    # which fits; one more coefficient at 4 or -5 makes axis 0 wrap
+    g = build_grid(2, 16)
+    rng = np.random.default_rng(7)
+    fa = _box_field(g, rng, (-4, -2), (4, 2))
+    fb = _box_field(g, rng, (-4, -3), (3, 3), extra)
+    assert _product_sizes([fa, fb]) == padded
+    want = _direct_convolution([_coeff_dict(fa), _coeff_dict(fb)])
+    scale = max(abs(v) for v in want.values())
+    prod = dealiased_product([fa, fb])
+    assert _retained_error(prod.spectral, want, g) <= 1e-13 * scale
+    # the unpadded lattice is exact only when no sum can wrap
+    values = _padded_values(fa.spectral, g.sizes)
+    values = values * _padded_values(fb.spectral, g.sizes)
+    short = _extract(np.fft.fftn(values, norm="forward"), g.sizes)
+    exact = _retained_error(short, want, g) <= 1e-13 * scale
+    assert exact == (padded == g.sizes)
+
+
+def test_zero_factor_gives_zero_product(setup128):
+    g, sys = setup128
+    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 17, 1)[0])
+    zero = Field.zeros(g)
+    assert _product_sizes([fields[0], zero]) == g.sizes
+    assert not np.any(dealiased_product([fields[0], zero]).spectral)
+    pd = decompose_product([zero, fields[1]], sys)
+    for part in [pd.product, pd.pi2] + pd.pi1:
+        assert not np.any(part.spectral)
+
+
+def test_decompose_product_pads_the_step_axis_only(monkeypatch):
+    # m = 3 on 64^2 with the step in slot 2: axis 0 is padded to 2S, axis 1
+    # keeps S, and every padded array of the product path uses that lattice
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)]
+    fields = list(tuple_bank(g, sys, params, 63, 1)[0])
+    lattices = set()
+    padded_values = paraproduct._padded_values
+
+    def spy(coeffs, big_sizes):
+        lattices.add(tuple(big_sizes))
+        return padded_values(coeffs, big_sizes)
+
+    monkeypatch.setattr(paraproduct, "_padded_values", spy)
+    pd = decompose_product(fields, sys)
+    assert lattices == {(128, 64)}
+    lattices.clear()
+    pi2_direct_terms(fields, sys, pd.gap)
+    assert lattices == {(128, 64)}
 
 
 @pytest.mark.parametrize("m", [2, 3])
