@@ -624,10 +624,16 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     a slot-scaling invariance check (all three ratios recomputed with f1
     scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
     the gap N is refused with ValueError: Pi_1 would have no band terms there.
-    `run_audit_manifest` makes the same check for every set and resolution
-    before any field is built.
     """
     p = _check_multiplication(params, q, mode, sys, N, p)
+    return _multiplication_sweep(params, q, mode, tuples, sys, N, p)
+
+
+def _multiplication_sweep(params, q, mode, tuples, sys, N, p):
+    """The body of `audit_multiplication` for a set that
+    `_check_multiplication` has passed on this grid, with the p it
+    returned.  `run_audit_manifest` checks every set at every resolution
+    before any field is built and then calls this directly."""
     s1, p1 = params[0]
     f_spec = SpaceSpec("F", s1, p, q)
     f1_spec = SpaceSpec("F", s1, p1, q)
@@ -786,7 +792,9 @@ def _check_manifest(manifest):
             if item["tuples"] < 1:
                 raise ValueError("%s.tuples: expected at least 1, got %d"
                                  % (path, item["tuples"]))
-    if (embeddings or multiplications) and not resolutions:
+    if (embeddings or multiplications) and "resolutions" in manifest \
+            and not resolutions:
+        # a missing key means the default sizes; only an empty list is void
         raise ValueError("manifest.resolutions: expected at least 1 size "
                          "when embeddings or multiplications are listed")
 
@@ -845,10 +853,11 @@ def run_audit_manifest(manifest):
         params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
         q = _exponent(item.get("q"))
         p = INF if item.get("p") == "inf" else item.get("p")
-        for _, _, sys in systems:
-            _check_multiplication(params, q, item["mode"], sys,
-                                  item.get("gap"), p)
-        sets.append((item, params, q, p))
+        # the p each resolution runs with, as its check resolved it
+        ps = [_check_multiplication(params, q, item["mode"], sys,
+                                    item.get("gap"), p)
+              for _, _, sys in systems]
+        sets.append((item, params, q, ps))
 
     # by_size[i][k]: pair k at resolution i; each bank is released when
     # its _embedding_sweeps call returns
@@ -869,14 +878,14 @@ def run_audit_manifest(manifest):
             {"pair": [source.label(), target.label()],
              "resolutions": resolutions}, maxima))
 
-    for item, params, q, p in sets:
+    for item, params, q, ps in sets:
         mode = item["mode"]
         count = item.get("tuples", 6)
         maxima = []
-        for size, grid, sys in systems:
+        for (size, grid, sys), p in zip(systems, ps):
             tuples = tuple_bank(grid, sys, params, seed, count)
-            sweep = audit_multiplication(params, q, mode, tuples, sys,
-                                         N=item.get("gap"), p=p)
+            sweep = _multiplication_sweep(params, q, mode, tuples, sys,
+                                          item.get("gap"), p)
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)
                 r.name += "[size=%d]" % size

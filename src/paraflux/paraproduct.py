@@ -287,18 +287,17 @@ def pi2_direct_terms(fields, sys, N=None):
                    for f in fields]
 
     acc = {}
-    term = np.empty(big, dtype=np.complex128)
     for tup in itertools.product(range(sys.jmax + 1), repeat=m):
         if _collected_by_pi1(tup, N):
             continue
         j = max(tup)
-        np.multiply(fine_blocks[0][tup[0]], fine_blocks[1][tup[1]], out=term)
-        for i in range(2, m):
+        term = fine_blocks[0][tup[0]].copy()
+        for i in range(1, m):
             term *= fine_blocks[i][tup[i]]
         if j in acc:
             acc[j] += term
         else:
-            acc[j] = term.copy()
+            acc[j] = term
 
     return {j: _retained_field(grid, acc[j]) for j in sorted(acc)}
 

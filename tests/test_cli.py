@@ -304,6 +304,39 @@ def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     assert "Traceback" not in err
 
 
+_ONE_SET = {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+            "q": 2.0, "tuples": 1}
+
+
+def _audit_sizes(tmp_path, capsys, manifest, *flags):
+    """Run `paraflux audit` on manifest; return the sizes its rows name."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "result.csv"
+    assert main(["audit", "--manifest", str(mpath), "--out", str(out),
+                 *flags]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    return sorted({int(r.split("[size=")[1].split("]")[0])
+                   for r in rows if "[size=" in r})
+
+
+def test_audit_manifest_without_resolutions_runs_default(tmp_path, capsys):
+    sizes = _audit_sizes(tmp_path, capsys,
+                         {"n": 1, "multiplications": [_ONE_SET]})
+    assert sizes == [128, 256]
+
+
+@pytest.mark.parametrize("manifest", [
+    {"n": 1, "multiplications": [_ONE_SET]},
+    {"n": 1, "resolutions": [], "multiplications": [_ONE_SET]},
+])
+def test_audit_resolutions_flag_overrides_manifest(tmp_path, capsys,
+                                                   manifest):
+    assert _audit_sizes(tmp_path, capsys, manifest,
+                        "--resolutions", "64") == [64]
+
+
 def test_audit_checks_every_embedding_before_any_work(tmp_path, capsys,
                                                      monkeypatch):
     import paraflux.audit
