@@ -130,14 +130,21 @@ def cmd_decompose(args):
     if args.infile:
         if len(args.infile) < 2:
             raise ConfigError("decompose needs at least two --in files")
-        fields = [_load_field(path, grid) for path in args.infile]
+        m = len(args.infile)
     else:
         m = args.m
         if m < 2:
             raise ConfigError("--m must be at least 2")
+    gap = args.gap if args.gap is not None else min_gap(m)
+    if sys_.jmax < gap:
+        raise ConfigError("degenerate split: m=%d needs gap N=%d but the "
+                          "grid stops at jmax=%d, so Pi_1 is empty"
+                          % (m, gap, sys_.jmax))
+    if args.infile:
+        fields = [_load_field(path, grid) for path in args.infile]
+    else:
         params = [(1.0, 2.0)] * m
         fields = list(tuple_bank(grid, sys_, params, args.seed, 1)[0])
-    gap = args.gap if args.gap is not None else min_gap(len(fields))
     pd = decompose_product(fields, sys_, gap)
     report = dump_decomposition(pd, sys_, args.out, bands=args.dump_bands)
 

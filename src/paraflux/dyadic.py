@@ -18,6 +18,8 @@ partition region, where reconstruction from blocks is exact.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .grid import Field, _freeze
@@ -134,10 +136,19 @@ def decompose(f, sys):
 
     Returns one read-only array of shape (jmax+1, *sizes) whose slice j
     holds the samples of Delta_j f; summing over the first axis gives back
-    the samples of a field band-limited to the partition region.
+    the samples of a field band-limited to the partition region.  A block
+    whose windowed spectrum has no nonzero coefficient is not transformed:
+    its samples are exactly zero.
     """
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
     stack = f.spectral * sys.phi
     axes = tuple(range(1, stack.ndim))
-    return _freeze(np.fft.ifftn(stack, axes=axes, out=stack, norm="forward"))
+    # one batched transform per run of consecutive nonzero blocks
+    j = 0
+    for nonzero, run in itertools.groupby(np.any(stack, axis=axes)):
+        blocks = stack[j:j + len(list(run))]
+        if nonzero:
+            np.fft.ifftn(blocks, axes=axes, out=blocks, norm="forward")
+        j += len(blocks)
+    return _freeze(stack)

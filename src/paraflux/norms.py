@@ -84,18 +84,23 @@ class SpaceSpec:
                                   _ex(self.q))
 
 
+def _lp(a, p):
+    """lp_norm of a nonnegative array, p already checked."""
+    if a.size == 0:
+        return 0.0
+    if p == INF:
+        return float(a.max())
+    return float(np.mean(a ** p) ** (1.0 / p))
+
+
 def lp_norm(f, p):
     """(mean |f|^p)^(1/p) over the grid, max |f| for p = inf.
 
     Accepts a Field or a bare sample array; absolutely homogeneous in f.
     """
     p = _check_exponent(p, "p")
-    a = np.abs(f.physical if isinstance(f, Field) else np.asarray(f))
-    if a.size == 0:
-        return 0.0
-    if p == INF:
-        return float(a.max())
-    return float(np.mean(a ** p) ** (1.0 / p))
+    return _lp(np.abs(f.physical if isinstance(f, Field) else np.asarray(f)),
+               p)
 
 
 def sequence_norm(a, s, q):
@@ -111,30 +116,38 @@ def sequence_norm(a, s, q):
     return float(np.sum(wa ** q) ** (1.0 / q))
 
 
+def _pointwise_lq(mags, s, q):
+    """Pointwise weighted l_q across the bands of a magnitude stack.
+
+    Overwrites mags; q already checked.
+    """
+    w = 2.0 ** (float(s) * np.arange(mags.shape[0]))
+    mags *= w.reshape((-1,) + (1,) * (mags.ndim - 1))
+    if q == INF:
+        return mags.max(axis=0)
+    mags **= q
+    return np.sum(mags, axis=0) ** (1.0 / q)
+
+
 def lp_of_lq(blocks, s, p, q):
     """L_p of the pointwise weighted l_q across bands (the F-norm kernel).
 
-    blocks is a block stack as `decompose` returns it, band index first.
+    blocks is a block stack as `decompose` returns it, band index first,
+    or its magnitudes np.abs(stack); both give the same value.
     """
     p = _check_exponent(p, "p", allow_inf=False)
     q = _check_exponent(q, "q")
     mags = np.abs(blocks)
     if mags.shape[0] == 0:
         return 0.0
-    w = 2.0 ** (float(s) * np.arange(mags.shape[0]))
-    mags *= w.reshape((-1,) + (1,) * (mags.ndim - 1))
-    if q == INF:
-        inner = mags.max(axis=0)
-    else:
-        mags **= q
-        inner = np.sum(mags, axis=0) ** (1.0 / q)
-    return lp_norm(inner, p)
+    return _lp(_pointwise_lq(mags, s, q), p)
 
 
 def lq_of_lp(blocks, s, p, q):
     """Weighted l_q of the per-band L_p norms (the B-norm kernel).
 
-    blocks is a block stack as `decompose` returns it, band index first.
+    blocks is a block stack as `decompose` returns it, band index first,
+    or its magnitudes np.abs(stack); both give the same value.
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
@@ -160,9 +173,22 @@ def space_norms(f, specs, sys):
     """Every quasi-norm in specs of one field, from one block decomposition.
 
     Returns one value per spec, in order, each bitwise equal to what
-    besov_norm or triebel_norm gives for that spec.  The block stack lives
-    only for the duration of the call.
+    besov_norm or triebel_norm gives for that spec.  The block magnitudes
+    are taken once: B specs with the same p share one list of per-band L_p
+    norms, and F specs with the same (s, q) share one pointwise l_q, each
+    computed on a copy of the magnitudes except the last, which overwrites
+    them.  The magnitude stack lives only for the duration of the call.
     """
-    blocks = decompose(f, sys)
-    return [(lq_of_lp if spec.family == "B" else lp_of_lq)(
-        blocks, spec.s, spec.p, spec.q) for spec in specs]
+    mags = np.abs(decompose(f, sys))
+    band_norms = {}
+    for spec in specs:
+        if spec.family == "B" and spec.p not in band_norms:
+            band_norms[spec.p] = [_lp(m, spec.p) for m in mags]
+    sq = list(dict.fromkeys((spec.s, spec.q) for spec in specs
+                            if spec.family == "F"))
+    inner = {key: _pointwise_lq(mags if i == len(sq) - 1 else mags.copy(),
+                                *key)
+             for i, key in enumerate(sq)}
+    return [sequence_norm(band_norms[spec.p], spec.s, spec.q)
+            if spec.family == "B" else _lp(inner[spec.s, spec.q], spec.p)
+            for spec in specs]

@@ -271,8 +271,10 @@ def pi2_direct_terms(fields, sys, N=None):
     """Residual terms grouped by the tuple maximum j, by direct enumeration.
 
     Returns {j: Field} where each field sums prod_i Delta_{k_i} f_i over the
-    index tuples with max(k) = j that no Pi_{1,k} collects.  Small instances
-    only.
+    index tuples with max(k) = j that no Pi_{1,k} collects.  A tuple with an
+    all-zero block contributes nothing and is not multiplied; a level whose
+    uncollected tuples all have one still gets its (zero) entry.  Small
+    instances only.
     """
     grid = _common_grid(fields)
     m = len(fields)
@@ -283,14 +285,17 @@ def pi2_direct_terms(fields, sys, N=None):
     _enum_guard(m, sys.jmax)
 
     big = _product_sizes(fields)
-    fine_blocks = [[_padded_values(f.spectral * phi, big) for phi in sys.phi]
-                   for f in fields]
+    fine_blocks = [[_padded_values(block, big) if np.any(block) else None
+                    for block in f.spectral * sys.phi] for f in fields]
 
-    acc = {}
+    levels, acc = set(), {}
     for tup in itertools.product(range(sys.jmax + 1), repeat=m):
         if _collected_by_pi1(tup, N):
             continue
         j = max(tup)
+        levels.add(j)
+        if any(fine_blocks[i][k] is None for i, k in enumerate(tup)):
+            continue
         term = fine_blocks[0][tup[0]].copy()
         for i in range(1, m):
             term *= fine_blocks[i][tup[i]]
@@ -299,7 +304,8 @@ def pi2_direct_terms(fields, sys, N=None):
         else:
             acc[j] = term
 
-    return {j: _retained_field(grid, acc[j]) for j in sorted(acc)}
+    return {j: _retained_field(grid, acc[j]) if j in acc
+            else Field.zeros(grid) for j in sorted(levels)}
 
 
 def enumerate_pi2_direct(fields, sys, N=None):

@@ -129,6 +129,7 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY,
     if bands is None:
         bands = range(sys.jmax + 1)
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    values = np.empty(grid.sizes, dtype=np.complex128)
     filled = []
     for j in bands:
         mask = _plateau_mask(sys, j, cap)
@@ -137,14 +138,17 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY,
             continue
         rng = np.random.default_rng([int(seed), j])
         phases = np.exp(2j * np.pi * rng.random(count))
-        band = np.zeros(grid.sizes, dtype=np.complex128)
-        band[mask] = phases
-        values = np.fft.ifftn(band) * grid.npoints
+        values[...] = 0.0
+        values[mask] = phases
+        np.fft.ifftn(values, out=values)
+        values *= grid.npoints
+        mags = np.abs(values)
         if p == math.inf:
-            size = float(np.abs(values).max())
+            size = float(mags.max())
         else:
-            size = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-        coeffs += band * (2.0 ** (-float(s) * j) / size)
+            mags **= p
+            size = float(np.mean(mags) ** (1.0 / p))
+        coeffs[mask] += phases * (2.0 ** (-float(s) * j) / size)
         filled.append(j)
     if not filled:
         raise ValueError("no usable plateau frequencies under the band limit")

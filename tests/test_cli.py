@@ -193,6 +193,24 @@ def test_decompose_from_files(tmp_path, capsys):
     assert manifest["m"] == 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--dim", "3", "--grid", "32", "--m", "3"], ("m=3", "N=4", "jmax=3")),
+    (["--grid", "32", "--m", "2", "--gap", "4"], ("m=2", "N=4", "jmax=3")),
+])
+def test_decompose_degenerate_split_exit_2(tmp_path, capsys, monkeypatch,
+                                           argv, names):
+    # jmax < N leaves Pi_1 empty, so the annulus check would pass vacuously;
+    # the split is refused before any factor is built or anything written
+    import paraflux.cli
+
+    monkeypatch.setattr(paraflux.cli, "tuple_bank", None)
+    out = tmp_path / "dec"
+    assert main(["decompose"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+    assert not out.exists()
+
+
 def test_gen_wave_roundtrip(tmp_path, capsys):
     out = tmp_path / "fields"
     assert main(["gen", "--grid", "64", "--wave", "4", "--out",

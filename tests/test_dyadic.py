@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from paraflux import (Field, build_dyadic_system, build_grid, decompose,
-                      delta_j, gaussian_bump, q_j, smooth_cutoff,
-                      standard_bank)
+                      delta_j, gaussian_bump, lacunary_field, q_j,
+                      smooth_cutoff, standard_bank)
 
 
 def test_cutoff_plateaus_exact():
@@ -106,6 +106,26 @@ def test_reconstruction_over_bank():
         r = Field.from_physical(g, decompose(f, sys).sum(axis=0))
         scale = f.l2()
         assert (r - f).l2() <= 1e-10 * (scale if scale else 1.0), entry.name
+
+
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 32), (3, 32)])
+def test_decompose_matches_full_stack_transform(n, size):
+    # blocks without a nonzero coefficient are skipped, not transformed;
+    # every block must still equal the batched transform of the whole stack
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    fields = [e.field for e in standard_bank(g, sys)]
+    fields += [lacunary_field(g, {0: 1.0, 2: 0.5}, sys), Field.zeros(g)]
+    axes = tuple(range(1, n + 1))
+    empty = 0
+    for f in fields:
+        spectra = f.spectral * sys.phi
+        empty += sum(not np.any(b) for b in spectra)
+        want = np.fft.ifftn(spectra, axes=axes, norm="forward")
+        got = decompose(f, sys)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert empty > len(fields)
 
 
 def test_block_operator_linearity():

@@ -196,20 +196,52 @@ def test_zero_field_norms(setup128):
 def test_space_norms_match_single_norms(monkeypatch):
     import paraflux.norms
 
+    # B specs that share p with different (s, q), F specs that share (s, q)
+    # with different p, and p = inf
+    specs = [
+        SpaceSpec("B", 0.5, 2.0, 2.0), SpaceSpec("B", 1.0, INF, 1.0),
+        SpaceSpec("B", -0.5, 0.5, INF), SpaceSpec("F", 0.5, 2.0, 2.0),
+        SpaceSpec("F", 0.0, 1.0, INF), SpaceSpec("F", 1.5, 4.0, 0.5),
+        SpaceSpec("B", 1.0, 2.0, INF), SpaceSpec("B", -1.0, 2.0, 0.5),
+        SpaceSpec("B", 0.0, INF, INF), SpaceSpec("F", 0.5, 1.0, 2.0),
+        SpaceSpec("F", 0.5, 0.5, 2.0), SpaceSpec("F", 0.0, 3.0, INF),
+    ]
+    real = paraflux.norms.decompose
+    for n, size in ((1, 64), (2, 32), (3, 32)):
+        g = build_grid(n, size)
+        sys = build_dyadic_system(g)
+        # the bank's waves and constant, a lacunary field with missing
+        # bands and the zero field all have all-zero blocks
+        bank = [e.field for e in standard_bank(g, sys)]
+        bank += [lacunary_field(g, {0: 1.0, 2: 0.5}, sys), Field.zeros(g)]
+        assert not np.any((bank[-2].spectral * sys.phi)[1])
+        expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
+            f, spec, sys) for spec in specs] for f in bank]
+        calls = []
+        monkeypatch.setattr(paraflux.norms, "decompose",
+                            lambda f, s: calls.append(1) or real(f, s))
+        assert [space_norms(f, specs, sys) for f in bank] == expected
+        assert len(calls) == len(bank)
+        monkeypatch.setattr(paraflux.norms, "decompose", real)
+        # one spec at a time, and in reverse order, gives the same values
+        f = bank[3]
+        assert [space_norms(f, [spec], sys)[0]
+                for spec in specs] == expected[3]
+        assert space_norms(f, specs[::-1], sys) == expected[3][::-1]
+
+
+def test_kernels_accept_block_magnitudes():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
-    specs = [SpaceSpec("B", 0.5, 2.0, 2.0), SpaceSpec("B", 1.0, INF, 1.0),
-             SpaceSpec("B", -0.5, 0.5, INF), SpaceSpec("F", 0.5, 2.0, 2.0),
-             SpaceSpec("F", 0.0, 1.0, INF), SpaceSpec("F", 1.5, 4.0, 0.5)]
-    bank = [e.field for e in standard_bank(g, sys)]
-    expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
-        f, spec, sys) for spec in specs] for f in bank]
-    calls = []
-    real = paraflux.norms.decompose
-    monkeypatch.setattr(paraflux.norms, "decompose",
-                        lambda f, s: calls.append(1) or real(f, s))
-    assert [space_norms(f, specs, sys) for f in bank] == expected
-    assert len(calls) == len(bank)
+    for e in standard_bank(g, sys)[::4]:
+        blocks = decompose(e.field, sys)
+        mags = np.abs(blocks)
+        for s, p, q in ((0.5, 2.0, 2.0), (-1.0, 0.5, INF), (1.0, 4.0, 1.0)):
+            assert lq_of_lp(mags, s, p, q) == lq_of_lp(blocks, s, p, q)
+            assert lp_of_lq(mags, s, p, q) == lp_of_lq(blocks, s, p, q)
+        assert lq_of_lp(mags, 0.0, INF, 1.0) == lq_of_lp(blocks, 0.0, INF, 1.0)
+        # the magnitudes passed in are left as they were
+        assert np.array_equal(mags, np.abs(blocks))
 
 
 def test_lp_norm_invalid_exponent():

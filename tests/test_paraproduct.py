@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -306,6 +307,44 @@ def test_enumeration_guard():
     a = pure_wave(g, 3)
     with pytest.raises(ValueError):
         pi2_direct_terms([a, a], sys, 3)
+
+
+def _pi2_terms_unskipped(fields, sys, N):
+    # every uncollected tuple multiplied, all-zero blocks included
+    grid = fields[0].grid
+    big = _product_sizes(fields)
+    blocks = [[_padded_values(f.spectral * phi, big) for phi in sys.phi]
+              for f in fields]
+    acc = {}
+    for tup in itertools.product(range(sys.jmax + 1), repeat=len(fields)):
+        if paraproduct._collected_by_pi1(tup, N):
+            continue
+        term = blocks[0][tup[0]].copy()
+        for i in range(1, len(fields)):
+            term *= blocks[i][tup[i]]
+        j = max(tup)
+        acc[j] = acc[j] + term if j in acc else term
+    return {j: paraproduct._retained_field(grid, acc[j]) for j in acc}
+
+
+@pytest.mark.parametrize("n, size, m", [(1, 128, 2), (1, 128, 3),
+                                        (2, 64, 3)])
+def test_pi2_terms_skip_zero_blocks(n, size, m):
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
+    cases = [list(tuple_bank(g, sys, params, 40 + m, 1)[0]),
+             [pure_wave(g, 3), pure_wave(g, 12)]
+             + [pure_wave(g, 1)] * (m - 2)]
+    for fields in cases:
+        # random-band factors leave their top block empty, waves more
+        assert not all(np.any(b) for f in fields for b in f.spectral * sys.phi)
+        N = min_gap(m)
+        got = pi2_direct_terms(fields, sys, N)
+        want = _pi2_terms_unskipped(fields, sys, N)
+        assert sorted(got) == sorted(want)
+        for j in want:
+            assert np.array_equal(got[j].spectral, want[j].spectral), j
 
 
 def test_hard_support_annulus(setup128):

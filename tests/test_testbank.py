@@ -89,6 +89,40 @@ def test_random_band_determinism(setup128):
     assert (a - c).l2() > 0.0
 
 
+def _random_band_reference(grid, s, p, seed, sys):
+    # the generator written with a fresh band array and out-of-place
+    # arithmetic per band: the in-place version must match it bit for bit
+    cap = band_limit(grid, 3)
+    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    for j in range(sys.jmax + 1):
+        mask = (sys.phi[j] == 1.0) & (sys.grid.xi <= cap)
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        rng = np.random.default_rng([int(seed), j])
+        phases = np.exp(2j * np.pi * rng.random(count))
+        band = np.zeros(grid.sizes, dtype=np.complex128)
+        band[mask] = phases
+        values = np.fft.ifftn(band) * grid.npoints
+        if p == math.inf:
+            size = float(np.abs(values).max())
+        else:
+            size = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+        coeffs += band * (2.0 ** (-float(s) * j) / size)
+    return coeffs
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 32), (3, 16)])
+def test_random_band_matches_reference_bitwise(n, size):
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    for p in (0.5, 1.0, 2.0, 4.0, INF):
+        for s, seed in ((-1.0, 3), (0.5, 811)):
+            got = random_band_field(g, s, p, seed, sys).spectral
+            want = _random_band_reference(g, s, p, seed, sys)
+            assert got.tobytes() == want.tobytes(), (p, s, seed)
+
+
 def test_band_limit_respected(setup128):
     g, sys = setup128
     cap = band_limit(g, 3)
