@@ -26,7 +26,8 @@ from .paraproduct import (ProductDecomposition, SupportReport,
 from .testbank import (BankEntry, GeneratorSpec, band_limit, constant_field,
                        gaussian_bump, lacunary_field, materialize,
                        plateau_frequency, pure_wave, random_band_field,
-                       smoothed_step, spec_for, standard_bank, tuple_bank)
+                       smoothed_step, spec_for, standard_bank, tuple_bank,
+                       tuple_fields)
 
 __version__ = "0.1.0"
 
@@ -46,6 +47,7 @@ __all__ = [
     "random_band_field", "read_field", "run_audit_manifest",
     "sequence_norm", "smooth_cutoff", "smoothed_step", "space_norms",
     "spec_for",
-    "standard_bank", "triebel_norm", "tuple_bank", "verify_supports",
+    "standard_bank", "triebel_norm", "tuple_bank", "tuple_fields",
+    "verify_supports",
     "write_field",
 ]

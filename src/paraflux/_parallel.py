@@ -2,15 +2,18 @@
 
 Sweeps map a pure function over an item list; results are reassembled in
 input order, so output is bitwise independent of scheduling.  The default
-is sequential (PARAFLUX_THREADS unset or 1).
+is sequential (PARAFLUX_THREADS unset or 1).  Work buffers that a mapped
+function reuses across items come from `per_worker`, so no two workers
+write to the same array.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["worker_count", "map_ordered"]
+__all__ = ["worker_count", "map_ordered", "per_worker"]
 
 
 def worker_count():
@@ -29,3 +32,16 @@ def map_ordered(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def per_worker(factory):
+    """A getter that returns the calling thread's own factory() result,
+    made on its first call in that thread and freed with the getter."""
+    local = threading.local()
+
+    def get():
+        if not hasattr(local, "value"):
+            local.value = factory()
+        return local.value
+
+    return get

@@ -10,21 +10,22 @@ order and formatting, so identical configurations produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._parallel import map_ordered
-from .dyadic import decompose, q_j
+from ._parallel import map_ordered, per_worker
+from .dyadic import _decompose_into, decompose, q_j
 from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import (INF, SpaceSpec, _ex, _ex_json, besov_norm, lp_norm,
-                    sequence_norm, space_norms, triebel_norm)
-from .paraproduct import _support_radius, decompose_product, min_gap
-from .testbank import standard_bank, tuple_bank
+from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq, lp_norm,
+                    lq_of_lp, sequence_norm, space_norms, triebel_norm)
+from .paraproduct import _split_product, _support_radius, min_gap
+from .testbank import standard_bank, tuple_fields
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -323,8 +324,10 @@ def nikolskii_scaling(grid, p, q, gammas=(8.0, 16.0, 32.0), profile=None):
 # Lemma estimates (i)-(iv)
 
 
-def _besov_sup(f, s, p, sys):
-    value = besov_norm(f, SpaceSpec("B", s, p, INF), sys)
+def _besov_sup(blocks, s, p):
+    """||f|B^s_{p,inf}|| from f's block stack; a zero field is refused."""
+    spec = SpaceSpec("B", s, p, INF)
+    value = lq_of_lp(blocks, spec.s, spec.p, spec.q)
     if value == 0.0:
         raise ValueError("zero field has no usable reference norm")
     return value
@@ -349,7 +352,7 @@ def check_qj_lp(f, s, p, sys, reference_bound=None, provenance="",
     ratio is the worst j; the growth of the normalized sequence over the top
     three j is recorded (and gated when trend_gate is given).
     """
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(decompose(f, sys), s, p)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     ratio_seq = seq / base
@@ -369,7 +372,7 @@ def qj_lp_flatness(f, s, p, sys, label=""):
     """s < 0 calibration: eps_j-normalized low-pass norms flat within 4x."""
     if not s < 0.0:
         raise ValueError("flatness gate applies to s < 0")
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(decompose(f, sys), s, p)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     seq = seq[2:] / base
@@ -384,10 +387,10 @@ def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     """Block norms against ||Delta_j f||_t <= c 2^{(n/p-n/t-s)j} ||f|B^s_{p,inf}||."""
     if t != INF and not 0.0 < p <= t:
         raise ValueError("need p <= t")
-    base = _besov_sup(f, s, p, sys)
+    blocks = decompose(f, sys)
+    base = _besov_sup(blocks, s, p)
     n = f.grid.n
     it = 0.0 if t == INF else 1.0 / t
-    blocks = decompose(f, sys)
     worst = 0.0
     for j, b in enumerate(blocks):
         rhs = 2.0 ** ((n / p - n * it - s) * j) * base
@@ -418,7 +421,7 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
             or (t == INF and tstar != INF):
         raise ValueError("need p < t <= %s" % _ex(tstar))
     at_endpoint = (t == tstar) or (t != INF and abs(t - tstar) <= 1e-12)
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(decompose(f, sys), s, p)
     worst = 0.0
     for j, qn in enumerate(_qj_norms(f, t, sys)):
         if at_endpoint:
@@ -626,50 +629,84 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     the gap N is refused with ValueError: Pi_1 would have no band terms there.
     """
     p = _check_multiplication(params, q, mode, sys, N, p)
-    return _multiplication_sweep(params, q, mode, tuples, sys, N, p)
+    tuples = list(tuples)
+    return _multiplication_sweep(params, q, mode, len(tuples),
+                                 tuples.__getitem__, sys, N, p)
 
 
-def _multiplication_sweep(params, q, mode, tuples, sys, N, p):
+def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
     """The body of `audit_multiplication` for a set that
     `_check_multiplication` has passed on this grid, with the p it
     returned.  `run_audit_manifest` checks every set at every resolution
-    before any field is built and then calls this directly."""
-    s1, p1 = params[0]
-    f_spec = SpaceSpec("F", s1, p, q)
-    f1_spec = SpaceSpec("F", s1, p1, q)
-    b_specs = [SpaceSpec("B", s, pi, INF) for s, pi in params[1:]]
+    before any field is built and then calls this directly.
 
-    def ratios_for(fields, b_norms):
-        # b_norms: the B-norms of fields[1:], which the slot-1 scaling
-        # leaves unchanged, so both passes share them
-        pd = decompose_product(list(fields), sys, N)
-        rhs = triebel_norm(fields[0], f1_spec, sys)
+    Tuple t is build(t), made by the worker that measures it.  The stacks
+    of f2..fm give their B-norms and serve both passes (f1, then 1000 f1);
+    each pass decomposes its first factor for the F-norm of the right side
+    and for `paraproduct._split_product`, then the product and Pi_1 once
+    each, and takes Pi_2's stack as their difference.  The values are those
+    of `decompose_product` with `triebel_norm` and `besov_norm`: bitwise
+    for the product and the right side, at rounding level for Pi_1 and
+    Pi_2.  Each worker reuses its own stacks and work arrays for the sweep.
+    """
+    m = len(params)
+    f_spec = SpaceSpec("F", params[0][0], p, q)
+    f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
+    b_specs = [SpaceSpec("B", s, pi, INF) for s, pi in params[1:]]
+    stack_shape = sys.phi.shape
+
+    def buffers():
+        # stacks[0] holds f1, then the product and Pi_2; stacks[1:] f2..fm
+        return {"stacks": [np.empty(stack_shape, dtype=np.complex128)
+                           for _ in range(m)],
+                "pi1": np.empty(stack_shape, dtype=np.complex128),
+                "mags": np.empty(stack_shape),
+                "work": [np.empty(sys.grid.sizes, dtype=np.complex128)
+                         for _ in range(m + 2)]}
+
+    workspace = per_worker(buffers)
+
+    def f_norm(stack, spec, mags):
+        return _lp_of_lq(stack, spec.s, spec.p, spec.q, mags)
+
+    def ratios_for(fields, b_norms, buf):
+        # b_norms: the B-norms of fields[1:], whose stacks fill
+        # buf["stacks"][1:]; the slot-1 scaling leaves both unchanged
+        stacks, mags = buf["stacks"], buf["mags"]
+        rhs = f_norm(_decompose_into(fields[0], sys, stacks[0]), f1_spec,
+                     mags)
         for b in b_norms:
             rhs *= b
-        lhs_total = triebel_norm(pd.product, f_spec, sys)
-        lhs_pi1 = triebel_norm(pd.pi1_total(), f_spec, sys)
-        lhs_pi2 = triebel_norm(pd.pi2, f_spec, sys)
+        product, pi1, _ = _split_product(fields, sys, N, stacks, buf["work"])
+        total = _decompose_into(product, sys, stacks[0])
+        part = _decompose_into(pi1, sys, buf["pi1"])
+        lhs_total = f_norm(total, f_spec, mags)
+        lhs_pi1 = f_norm(part, f_spec, mags)
+        lhs_pi2 = f_norm(np.subtract(total, part, out=total), f_spec, mags)
         return rhs, lhs_total, lhs_pi1, lhs_pi2
 
     params_json = [[si, _ex_json(pi)] for si, pi in params]
 
-    def run(item):
-        t, fields = item
-        b_norms = [besov_norm(f, spec, sys)
-                   for spec, f in zip(b_specs, fields[1:])]
-        rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields, b_norms)
+    def run(t):
+        fields = tuple(build(t))
+        buf = workspace()
+        b_norms = [lq_of_lp(_decompose_into(f, sys, stack),
+                            spec.s, spec.p, spec.q)
+                   for spec, f, stack in zip(b_specs, fields[1:],
+                                             buf["stacks"][1:])]
+        rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields, b_norms, buf)
         base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
                 "params": params_json}
         out = [
-            _make_record("mult-total[%s,m=%d]" % (mode, len(params)),
+            _make_record("mult-total[%s,m=%d]" % (mode, m),
                          base, lhs_total, rhs),
-            _make_record("mult-pi1[%s,m=%d]" % (mode, len(params)),
+            _make_record("mult-pi1[%s,m=%d]" % (mode, m),
                          base, lhs_pi1, rhs),
-            _make_record("mult-pi2[%s,m=%d]" % (mode, len(params)),
+            _make_record("mult-pi2[%s,m=%d]" % (mode, m),
                          base, lhs_pi2, rhs),
         ]
-        scaled = (1000.0 * fields[0],) + tuple(fields[1:])
-        rhs2, tot2, pi12, pi22 = ratios_for(scaled, b_norms)
+        scaled = (1000.0 * fields[0],) + fields[1:]
+        rhs2, tot2, pi12, pi22 = ratios_for(scaled, b_norms, buf)
         drift = 0.0
         for a, b in ((lhs_total / rhs, tot2 / rhs2),
                      (lhs_pi1 / rhs, pi12 / rhs2),
@@ -677,11 +714,11 @@ def _multiplication_sweep(params, q, mode, tuples, sys, N, p):
             if b != 0.0 or a != 0.0:
                 drift = max(drift, abs(a - b) / max(abs(a), abs(b)))
         out.append(_make_record(
-            "mult-scaling[%s,m=%d]" % (mode, len(params)), base,
+            "mult-scaling[%s,m=%d]" % (mode, m), base,
             drift, 1.0, RATIO_SLACK, "derived: slot 1-homogeneity"))
         return out
 
-    nested = map_ordered(run, list(enumerate(tuples)))
+    nested = map_ordered(run, range(count))
     records = [r for group in nested for r in group]
     sweep = SweepResult(records, {
         "kind": "multiplication", "mode": mode, "p": p, "q": _ex_json(q),
@@ -883,8 +920,8 @@ def run_audit_manifest(manifest):
         count = item.get("tuples", 6)
         maxima = []
         for (size, grid, sys), p in zip(systems, ps):
-            tuples = tuple_bank(grid, sys, params, seed, count)
-            sweep = _multiplication_sweep(params, q, mode, tuples, sys,
+            build = functools.partial(tuple_fields, grid, sys, params, seed)
+            sweep = _multiplication_sweep(params, q, mode, count, build, sys,
                                           item.get("gap"), p)
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)

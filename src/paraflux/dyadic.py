@@ -142,7 +142,14 @@ def decompose(f, sys):
     """
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
-    stack = f.spectral * sys.phi
+    return _freeze(_decompose_into(f, sys, np.empty(sys.phi.shape,
+                                                    dtype=np.complex128)))
+
+
+def _decompose_into(f, sys, out):
+    """`decompose` written into out, a writable complex array of the stack's
+    shape, which it returns; the grids are not checked."""
+    stack = np.multiply(f.spectral, sys.phi, out=out)
     axes = tuple(range(1, stack.ndim))
     # one batched transform per run of consecutive nonzero blocks
     j = 0
@@ -151,4 +158,4 @@ def decompose(f, sys):
         if nonzero:
             np.fft.ifftn(blocks, axes=axes, out=blocks, norm="forward")
         j += len(blocks)
-    return _freeze(stack)
+    return stack

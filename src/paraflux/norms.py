@@ -137,10 +137,16 @@ def lp_of_lq(blocks, s, p, q):
     """
     p = _check_exponent(p, "p", allow_inf=False)
     q = _check_exponent(q, "q")
-    mags = np.abs(blocks)
-    if mags.shape[0] == 0:
+    blocks = np.asarray(blocks)
+    if blocks.shape[0] == 0:
         return 0.0
-    return _lp(_pointwise_lq(mags, s, q), p)
+    return _lp_of_lq(blocks, s, p, q, np.empty(blocks.shape))
+
+
+def _lp_of_lq(blocks, s, p, q, mags):
+    """lp_of_lq of a nonempty stack, exponents already checked, with the
+    magnitudes written to mags, a float array of the stack's shape."""
+    return _lp(_pointwise_lq(np.abs(blocks, out=mags), s, q), p)
 
 
 def lq_of_lp(blocks, s, p, q):

@@ -33,6 +33,13 @@ for every input; a factor without a nonzero coefficient makes the product
 zero on any lattice, and the unpadded one is used.  Every Delta_j f and
 Q_j f is supported inside the support of f, so the lattice chosen from the
 factors once serves every band term and every residual tuple of a product.
+
+`decompose_product` keeps every band term as a Field.  The audits read only
+the product, Pi_1 = sum_k Pi_{1,k} and Pi_2, which `_split_product` computes
+with the same band loop (`_band_products`).  On an unpadded lattice it reads
+Delta_j f_k from the factors' block stacks and Q_{j-N} f_i as running sums
+of their lower blocks, so no factor is transformed again; it sums the band
+samples on the lattice and forward-transforms Pi_1 once.
 """
 
 from __future__ import annotations
@@ -210,46 +217,146 @@ class ProductDecomposition:
         return sum(self.pi1[1:], self.pi1[0])
 
 
-def decompose_product(fields, sys, N=None):
-    """Split prod(fields) into the m paraproduct parts and the residual."""
-    grid = _common_grid(fields)
-    if not grid.compatible(sys.grid):
-        raise ValueError("fields and dyadic system use different grids")
-    m = len(fields)
+def _checked_gap(m, N):
+    """The gap N (min_gap(m) when None), refused below the minimum."""
     N = min_gap(m) if N is None else int(N)
     if N < min_gap(m):
         raise ValueError("gap %d below the minimum %d for m=%d"
                          % (N, min_gap(m), m))
+    return N
+
+
+def _checked_split(fields, sys, N):
+    """The common grid and the checked gap of a split of prod(fields)."""
+    grid = _common_grid(fields)
+    if not grid.compatible(sys.grid):
+        raise ValueError("fields and dyadic system use different grids")
+    return grid, _checked_gap(len(fields), N)
+
+
+def _band_products(m, N, jmax, block, low):
+    """Samples of every band term (prod_{i != k} Q_{j-N} f_i) Delta_j f_k
+    whose block is nonzero, yielded as (k, j, samples), j rising and k
+    rising within a level.
+
+    block(k, j) returns writable samples of Delta_j f_k on the product
+    lattice, or None for a zero block; low(i, l) returns the samples of
+    Q_l f_i there and is called once per factor and level, l rising.  The
+    yielded samples are block's array multiplied in place, so a consumer
+    reads them before it asks for the next term.
+    """
+    for j in range(N, jmax + 1):
+        lows = {}  # i -> samples of Q_{j-N} f_i, shared by every k
+        for k in range(m):
+            values = block(k, j)
+            if values is None:
+                continue
+            for i in range(m):
+                if i == k:
+                    continue
+                if i not in lows:
+                    lows[i] = low(i, j - N)
+                values *= lows[i]
+            yield k, j, values
+
+
+def _transformed_sources(fields, sys, big):
+    """block and low for `_band_products` that transform each windowed
+    spectrum of the factors onto the lattice of `big` points per axis."""
+
+    def block(k, j):
+        coeffs = fields[k].spectral * sys.phi[j]
+        return _padded_values(coeffs, big) if np.any(coeffs) else None
+
+    def low(i, l):
+        return _padded_values(fields[i].spectral * sys.cutoff(l), big)
+
+    return block, low
+
+
+def _stack_sources(stacks, work):
+    """block and low for `_band_products` on the unpadded lattice, read from
+    the factors' block stacks (`dyadic.decompose` layout).
+
+    Delta_j f_k is slice j of stack k, copied into the last array of work;
+    Q_l f_i is the running sum of slices 0..l of stack i, kept in work[i]
+    (the windows telescope to the low-pass cutoffs, so the sum equals
+    q_j(f_i, l, sys).physical at rounding level).
+    """
+    *runs, term = work
+    level = [-1] * len(stacks)
+
+    def block(k, j):
+        if not np.any(stacks[k][j]):
+            return None
+        np.copyto(term, stacks[k][j])
+        return term
+
+    def low(i, l):
+        if level[i] < 0:
+            np.copyto(runs[i], stacks[i][0])
+            level[i] = 0
+        while level[i] < l:
+            level[i] += 1
+            runs[i] += stacks[i][level[i]]
+        return runs[i]
+
+    return block, low
+
+
+def decompose_product(fields, sys, N=None):
+    """Split prod(fields) into the m paraproduct parts and the residual."""
+    grid, N = _checked_split(fields, sys, N)
+    m = len(fields)
 
     big = _product_sizes(fields)
     product = _retained_field(grid, _padded_product(fields, big))
     zero = Field.zeros(grid)
-    pi1 = [zero] * m
-    bands = {}
-    for j in range(N, sys.jmax + 1):
-        cutoff = sys.cutoff(j - N)
-        low = {}  # i -> padded samples of Q_{j-N} f_i, shared by every k
-        for k in range(m):
-            block = fields[k].spectral * sys.phi[j]
-            if not np.any(block):
-                term = zero
-            else:
-                values = _padded_values(block, big)
-                for i in range(m):
-                    if i == k:
-                        continue
-                    if i not in low:
-                        low[i] = _padded_values(
-                            fields[i].spectral * cutoff, big)
-                    values *= low[i]
-                term = _retained_field(grid, values)
-            bands[(k, j)] = term
-            pi1[k] = pi1[k] + term
-    pi1_bands = {key: bands[key] for key in sorted(bands)}  # k-major order
+    levels = range(N, sys.jmax + 1)
+    bands = {(k, j): zero for k in range(m) for j in levels}  # k-major
+    for k, j, values in _band_products(
+            m, N, sys.jmax, *_transformed_sources(fields, sys, big)):
+        bands[(k, j)] = _retained_field(grid, values)
+    pi1 = [sum((bands[(k, j)] for j in levels), zero) for k in range(m)]
 
     pi2 = product - sum(pi1[1:], pi1[0])
-    return ProductDecomposition(m=m, gap=N, pi1=pi1, pi1_bands=pi1_bands,
+    return ProductDecomposition(m=m, gap=N, pi1=pi1, pi1_bands=bands,
                                 pi2=pi2, product=product, factors=list(fields))
+
+
+def _split_product(fields, sys, N, stacks, work):
+    """(product, Pi_1, Pi_2) of prod(fields), without the per-band fields.
+
+    The product is bitwise the one `decompose_product` gives, and Pi_1 =
+    sum_k Pi_{1,k} and Pi_2 agree with it at rounding level.  stacks holds
+    the factors' block stacks in the layout of `dyadic.decompose`, and work
+    m + 2 writable complex arrays of the grid's shape.  On an unpadded
+    lattice the band terms read Delta_j f_k and Q_{j-N} f_i from the stacks
+    (see `_stack_sources`), so no factor is transformed again; on a padded
+    one each block is transformed as in `decompose_product`.  Either way
+    the band samples are summed on the lattice and Pi_1 takes one forward
+    transform.
+    """
+    grid, N = _checked_split(fields, sys, N)
+    m = len(fields)
+
+    big = _product_sizes(fields)
+    product = _retained_field(grid, _padded_product(fields, big))
+    if big == grid.sizes:
+        *buffers, acc = work
+        sources = _stack_sources(stacks, buffers)
+    else:
+        acc = np.empty(big, dtype=np.complex128)
+        sources = _transformed_sources(fields, sys, big)
+    terms = 0
+    for _, _, values in _band_products(m, N, sys.jmax, *sources):
+        if terms:
+            acc += values
+        else:
+            np.copyto(acc, values)
+        terms += 1
+    pi1 = _retained_field(grid, acc) if terms else Field.zeros(grid)
+    return product, pi1, product - pi1
 
 
 def _collected_by_pi1(tup, N):
@@ -278,10 +385,7 @@ def pi2_direct_terms(fields, sys, N=None):
     """
     grid = _common_grid(fields)
     m = len(fields)
-    N = min_gap(m) if N is None else int(N)
-    if N < min_gap(m):
-        raise ValueError("gap %d below the minimum %d for m=%d"
-                         % (N, min_gap(m), m))
+    N = _checked_gap(m, N)
     _enum_guard(m, sys.jmax)
 
     big = _product_sizes(fields)

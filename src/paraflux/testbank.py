@@ -24,7 +24,7 @@ __all__ = [
     "GeneratorSpec", "materialize", "plateau_frequency", "lacunary_field",
     "LacunaryField", "random_band_field", "gaussian_bump", "smoothed_step",
     "pure_wave", "constant_field", "standard_bank", "BankEntry",
-    "band_limit", "tuple_bank",
+    "band_limit", "tuple_bank", "tuple_fields",
 ]
 
 DEFAULT_MAX_ARITY = 3
@@ -400,22 +400,25 @@ def standard_bank(grid, sys, m_max=DEFAULT_MAX_ARITY, seed=811):
     return entries
 
 
-def tuple_bank(grid, sys, params, seed, count, with_step=True):
-    """Random m-tuples matched to a theorem parameter list [(s_i, p_i)].
+def tuple_fields(grid, sys, params, seed, t, with_step=True):
+    """Tuple t of `tuple_bank`, built on its own.
 
-    Tuple t, slot i draws from the stream [seed, t, i]; when with_step is
-    set, the first tuple swaps a smoothed step into slot 2 to exercise a
-    non-random factor.
+    Slot i draws from the stream [seed, t, i]; when with_step is set,
+    tuple 0 swaps a smoothed step into slot 2 to exercise a non-random
+    factor.
     """
-    m = len(params)
-    tuples = []
-    for t in range(count):
-        fields = []
-        for i, (s, p) in enumerate(params):
-            p_eff = 2.0 if p == math.inf else min(p, 4.0)
-            fields.append(random_band_field(
-                grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
-        if with_step and t == 0 and m >= 2:
-            fields[1] = smoothed_step(grid)
-        tuples.append(tuple(fields))
-    return tuples
+    fields = []
+    for i, (s, p) in enumerate(params):
+        p_eff = 2.0 if p == math.inf else min(p, 4.0)
+        fields.append(random_band_field(
+            grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
+    if with_step and t == 0 and len(fields) >= 2:
+        fields[1] = smoothed_step(grid)
+    return tuple(fields)
+
+
+def tuple_bank(grid, sys, params, seed, count, with_step=True):
+    """Random m-tuples matched to a theorem parameter list [(s_i, p_i)]:
+    tuples 0..count-1 of `tuple_fields`."""
+    return [tuple_fields(grid, sys, params, seed, t, with_step)
+            for t in range(count)]

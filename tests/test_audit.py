@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from paraflux import (INF, SpaceSpec, audit_embedding, audit_multiplication,
-                      build_dyadic_system, build_grid, check_hardy,
-                      check_maximal_qsup, check_nikolskii, constant_field,
-                      hardy_bound, lemma_suite, pure_wave,
-                      run_audit_manifest, standard_bank, tuple_bank)
+from paraflux import (INF, Field, SpaceSpec, audit_embedding,
+                      audit_multiplication, besov_norm, build_dyadic_system,
+                      build_grid, check_hardy, check_maximal_qsup,
+                      check_nikolskii, constant_field, decompose,
+                      decompose_product, hardy_bound, lemma_suite, lp_norm,
+                      pure_wave, run_audit_manifest, standard_bank,
+                      triebel_norm, tuple_bank)
 from paraflux.audit import (check_delta_lt, check_qj_lp, check_qj_lt,
                             envelope_field, hardy_exhaustive_search,
                             hardy_random_sweep, nikolskii_scaling,
@@ -147,6 +149,41 @@ def test_delta_lt_validation(setup128):
         check_delta_lt(f, 0.5, 2.0, 1.0, sys)  # t < p
 
 
+def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
+    import paraflux.audit
+    import paraflux.norms
+
+    g, sys = setup128
+    bank = {e.name: e.field for e in standard_bank(g, sys)}
+    combos = [(1.0, 1.0, 2.0, "random-band[s=1,p=1]"),
+              (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),
+              (-1.0, 2.0, 4.0, "random-band[s=-1,p=2]"),
+              (0.5, 0.5, 1.0, "random-band[s=0.5,p=0.5]"),
+              (1.0, 2.0, 2.0, "lacunary-geometric")]
+    want = []
+    for s, p, t, name in combos:
+        # the formula before one stack served both norms
+        f = bank[name]
+        base = besov_norm(f, SpaceSpec("B", s, p, INF), sys)
+        it = 0.0 if t == INF else 1.0 / t
+        worst = 0.0
+        for j, b in enumerate(decompose(f, sys)):
+            rhs = 2.0 ** ((g.n / p - g.n * it - s) * j) * base
+            worst = max(worst, lp_norm(b, t) / rhs)
+        want.append(worst)
+    calls = []
+    for mod in (paraflux.audit, paraflux.norms):
+        monkeypatch.setattr(mod, "decompose",
+                            lambda f, s, real=mod.decompose:
+                            calls.append(1) or real(f, s))
+    got = [check_delta_lt(bank[name], s, p, t, sys).lhs
+           for s, p, t, name in combos]
+    assert got == want
+    assert len(calls) == len(combos)
+    with pytest.raises(ValueError, match="zero field"):
+        check_delta_lt(Field.zeros(g), 1.0, 2.0, 2.0, sys)
+
+
 def test_qj_lt_endpoint_arithmetic():
     assert qj_lt_endpoint(0.25, 2.0, 1) == pytest.approx(4.0)
     assert qj_lt_endpoint(0.5, 2.0, 1) == INF
@@ -248,15 +285,94 @@ def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     g, sys = setup128
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
     tuples = tuple_bank(g, sys, params, 3, 2)
-    calls = []
-    real = paraflux.audit.besov_norm
-    monkeypatch.setattr(paraflux.audit, "besov_norm",
-                        lambda *a: calls.append(1) or real(*a))
+    calls, stacks = [], []
+    real_norm = paraflux.audit.lq_of_lp
+    real_decompose = paraflux.audit._decompose_into
+    monkeypatch.setattr(paraflux.audit, "lq_of_lp",
+                        lambda *a: calls.append(1) or real_norm(*a))
+    monkeypatch.setattr(paraflux.audit, "_decompose_into",
+                        lambda *a: stacks.append(1) or real_decompose(*a))
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
     # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
     assert len(calls) == len(tuples) * (len(params) - 1)
+    # per tuple, f2..fm once; per pass, f1 (or 1000 f1), product and Pi_1
+    assert len(stacks) == len(tuples) * (len(params) - 1 + 2 * 3)
     assert all(r.verdict == "pass" for r in sweep.records
                if "scaling" in r.name)
+
+
+def _oracle_ratios(params, q, p, fields, sys):
+    """(rhs, total, pi1, pi2) per pass, as the sweep computed them from
+    decompose_product, triebel_norm and besov_norm before it decomposed
+    each factor once."""
+    s1, p1 = params[0]
+    f_spec = SpaceSpec("F", s1, p, q)
+    b_norms = [besov_norm(f, SpaceSpec("B", s, pi, INF), sys)
+               for (s, pi), f in zip(params[1:], fields[1:])]
+    out = []
+    for first in (fields[0], 1000.0 * fields[0]):
+        pd = decompose_product([first] + list(fields[1:]), sys)
+        rhs = triebel_norm(first, SpaceSpec("F", s1, p1, q), sys)
+        for b in b_norms:
+            rhs *= b
+        out.append((rhs, triebel_norm(pd.product, f_spec, sys),
+                    triebel_norm(pd.pi1_total(), f_spec, sys),
+                    triebel_norm(pd.pi2, f_spec, sys)))
+    return out
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64)])
+@pytest.mark.parametrize("params, q, mode", [
+    ([(0.4, 2.0), (1.0, 2.0)], 2.0, "positive"),
+    ([(-0.2, 2.0), (0.7, 2.5), (0.9, 2.5)], 1.5, "negative")])
+def test_sweep_matches_decompose_product_oracle(n, size, params, q, mode):
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    tuples = tuple_bank(g, sys, params, 29, 3)  # tuple 0 pads, 1-2 do not
+    sweep = audit_multiplication(params, q, mode, tuples, sys)
+    p = sweep.meta["p"]
+    assert len(sweep.records) == 4 * len(tuples)
+    for t, fields in enumerate(tuples):
+        total, pi1, pi2, scaling = sweep.records[4 * t:4 * t + 4]
+        (rhs, *lhs), (rhs2, *lhs2) = _oracle_ratios(params, q, p, fields, sys)
+        # the product and both sides are computed as before, bit for bit
+        assert (total.lhs, total.rhs_core) == (lhs[0], rhs)
+        for rec, want in ((pi1, lhs[1]), (pi2, lhs[2])):
+            assert rec.rhs_core == rhs
+            assert abs(rec.lhs - want) <= 1e-14 * want
+            assert abs(rec.ratio - want / rhs) <= 1e-14 * want / rhs
+            assert rec.verdict == "informational"
+        drift = max(abs(a / rhs - b / rhs2) / max(a / rhs, b / rhs2)
+                    for a, b in zip(lhs, lhs2) if a or b)
+        assert abs(scaling.lhs - drift) <= 1e-14
+        assert scaling.verdict == "pass"
+
+
+def test_threads_share_no_work_buffers(monkeypatch):
+    # each worker owns its stacks and work arrays: four workers over two
+    # resolutions and two arities give the serial bytes
+    import sys as _sys
+
+    manifest = {
+        "n": 2, "resolutions": [64, 128], "seed": 13,
+        "multiplications": [
+            {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+             "q": 2.0, "tuples": 5},
+            {"mode": "negative", "params": [[-0.2, 2.0], [0.7, 2.5],
+                                            [0.9, 2.5]],
+             "q": 1.5, "tuples": 5},
+        ],
+    }
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    serial = run_audit_manifest(manifest).to_csv()
+    monkeypatch.setenv("PARAFLUX_THREADS", "4")
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-5)
+    try:
+        threaded = run_audit_manifest(manifest).to_csv()
+    finally:
+        _sys.setswitchinterval(interval)
+    assert serial == threaded
 
 
 def test_audit_multiplication_refuses_bad_params(setup128):

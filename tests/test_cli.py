@@ -385,9 +385,11 @@ def test_audit_checks_every_multiplication_before_any_work(tmp_path, capsys,
     calls = []
     monkeypatch.setattr(paraflux.norms, "decompose",
                         lambda *a: calls.append("decompose"))
+    monkeypatch.setattr(paraflux.audit, "_decompose_into",
+                        lambda *a: calls.append("decompose"))
     monkeypatch.setattr(paraflux.audit, "standard_bank",
                         lambda *a, **k: calls.append("bank"))
-    monkeypatch.setattr(paraflux.audit, "tuple_bank",
+    monkeypatch.setattr(paraflux.audit, "tuple_fields",
                         lambda *a, **k: calls.append("tuples"))
     manifest = {"n": 1, "resolutions": [64, 128],
                 "embeddings": [{"source": _SPACE,

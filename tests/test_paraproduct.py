@@ -7,12 +7,13 @@ import pytest
 from paraflux import (Field, build_dyadic_system, build_grid,
                       dealiased_product, decompose_product,
                       dump_decomposition, enumerate_pi2_direct, min_gap,
-                      pure_wave, read_field, smoothed_step, tuple_bank,
-                      verify_supports)
-from paraflux.dyadic import delta_j, q_j
+                      pure_wave, random_band_field, read_field,
+                      smoothed_step, tuple_bank, verify_supports)
+from paraflux.dyadic import decompose, delta_j, q_j
 from paraflux import paraproduct
 from paraflux.paraproduct import (_extract, _padded_sizes, _padded_values,
-                                  _product_sizes, pi2_direct_terms)
+                                  _product_sizes, _split_product,
+                                  _stack_sources, pi2_direct_terms)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,51 @@ def test_band_terms_match_dealiased_products(m):
         for j in range(pd.gap, sys.jmax + 1):
             total = total + pd.pi1_bands[(k, j)]
         assert (total - part).l2() <= 1e-14 * part.l2()
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 64)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_split_matches_decompose_product(n, size, m, monkeypatch):
+    # tuple 0 carries the step, whose rounding residue pads the lattice;
+    # tuple 1 is band-limited and runs unpadded, from the stacks
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
+    transforms = []
+    padded_values = paraproduct._padded_values
+    monkeypatch.setattr(paraproduct, "_padded_values",
+                        lambda *a: transforms.append(1) or padded_values(*a))
+    for t, fields in enumerate(tuple_bank(g, sys, params, 40 + m, 2)):
+        assert (_product_sizes(fields) == g.sizes) == (t == 1)
+        pd = decompose_product(fields, sys)
+        stacks = [decompose(f, sys) for f in fields]
+        work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 2)]
+        transforms.clear()
+        product, pi1, pi2 = _split_product(fields, sys, None, stacks, work)
+        assert product.spectral.tobytes() == pd.product.spectral.tobytes()
+        tol = 1e-15 * pd.product.l2()
+        assert (pi1 - pd.pi1_total()).l2() <= tol
+        assert (pi2 - pd.pi2).l2() <= tol
+        # unpadded, only the product's factors are transformed
+        assert (len(transforms) == m) == (t == 1)
+
+
+def test_stack_running_sums_match_low_pass():
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    f = random_band_field(g, 0.5, 2.0, 17, sys)
+    stack = decompose(f, sys)
+    work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(2)]
+    block, low = _stack_sources([stack], work)
+    for l in range(sys.jmax + 1):
+        want = q_j(f, l, sys).physical
+        got = low(0, l)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # a zero block (here above the band limit) is skipped
+        if np.any(stack[l]):
+            assert np.array_equal(block(0, l), stack[l])
+        else:
+            assert block(0, l) is None
 
 
 @pytest.mark.parametrize("m", [2, 3])

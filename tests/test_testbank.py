@@ -9,7 +9,8 @@ from paraflux import (INF, SpaceSpec, band_limit, besov_norm,
                       delta_j, gaussian_bump, lacunary_field, lp_norm,
                       materialize, plateau_frequency, pure_wave,
                       random_band_field, smoothed_step, spec_for,
-                      standard_bank, triebel_norm, tuple_bank)
+                      standard_bank, triebel_norm, tuple_bank,
+                      tuple_fields)
 from paraflux.testbank import GeneratorSpec
 
 
@@ -226,3 +227,34 @@ def test_tuple_bank_determinism(setup128):
     # first tuple carries the deterministic step factor
     s = smoothed_step(g)
     assert np.array_equal(t1[0][1].spectral, s.spectral)
+
+
+def _tuple_bank_reference(grid, sys, params, seed, count, with_step=True):
+    # tuple_bank as it was before it was built on tuple_fields
+    tuples = []
+    for t in range(count):
+        fields = []
+        for i, (s, p) in enumerate(params):
+            p_eff = 2.0 if p == math.inf else min(p, 4.0)
+            fields.append(random_band_field(
+                grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
+        if with_step and t == 0 and len(params) >= 2:
+            fields[1] = smoothed_step(grid)
+        tuples.append(tuple(fields))
+    return tuples
+
+
+@pytest.mark.parametrize("with_step", [True, False])
+def test_tuple_fields_match_reference_bitwise(with_step):
+    g = build_grid(2, 32)
+    sys = build_dyadic_system(g)
+    params = [(0.4, 2.0), (0.9, 3.0), (1.1, INF)]
+    want = _tuple_bank_reference(g, sys, params, 811, 3, with_step)
+    bank = tuple_bank(g, sys, params, 811, 3, with_step)
+    assert len(bank) == len(want)
+    for t, ref in enumerate(want):
+        one = tuple_fields(g, sys, params, 811, t, with_step)
+        for fields in (bank[t], one):
+            assert isinstance(fields, tuple)
+            assert [f.spectral.tobytes() for f in fields] == \
+                [f.spectral.tobytes() for f in ref]
