@@ -23,11 +23,11 @@ from .paraproduct import (ProductDecomposition, SupportReport,
                           dealiased_product, decompose_product,
                           dump_decomposition, enumerate_pi2_direct, min_gap,
                           verify_supports)
-from .testbank import (BankEntry, GeneratorSpec, band_limit, constant_field,
-                       gaussian_bump, lacunary_field, materialize,
-                       plateau_frequency, pure_wave, random_band_field,
-                       smoothed_step, spec_for, standard_bank, tuple_bank,
-                       tuple_fields)
+from .testbank import (BankEntry, GeneratorSpec, band_limit, bank_specs,
+                       constant_field, gaussian_bump, lacunary_field,
+                       materialize, plateau_frequency, pure_wave,
+                       random_band_field, smoothed_step, spec_for,
+                       standard_bank, tuple_bank, tuple_fields)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,8 @@ __all__ = [
     "AuditRecord", "BankEntry", "DyadicSystem",
     "Field", "GeneratorSpec", "Grid", "HypothesisReport", "INF",
     "ProductDecomposition", "SpaceSpec", "SupportReport", "SweepResult",
-    "audit_embedding", "audit_multiplication", "band_limit", "besov_norm",
+    "audit_embedding", "audit_multiplication", "band_limit", "bank_specs",
+    "besov_norm",
     "build_dyadic_system", "build_grid", "check_delta_lt",
     "check_embedding_hypotheses", "check_hardy", "check_maximal_qsup",
     "check_nikolskii", "check_qj_lp", "check_qj_lt",

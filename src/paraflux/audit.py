@@ -24,8 +24,8 @@ from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq, lp_norm,
                     lq_of_lp, sequence_norm, space_norms, triebel_norm)
-from .paraproduct import _split_product, _support_radius, min_gap
-from .testbank import standard_bank, tuple_fields
+from .paraproduct import _checked_gap, _split_product, _support_radius
+from .testbank import bank_specs, materialize, tuple_fields
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -457,11 +457,16 @@ LEMMA_SECTIONS = ("hardy", "nikolskii", "maximal", "qj_lp", "delta_lt",
 
 
 def lemma_suite(grid, sys, only=None, seed=811):
-    """Hardy, Nikolskii, and estimates (i)-(iv) on the frozen bank."""
+    """Hardy, Nikolskii, and estimates (i)-(iv) on the bank entries read."""
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
                          % (only, ", ".join(LEMMA_SECTIONS)))
-    bank = {e.name: e.field for e in standard_bank(grid, sys, seed=seed)}
+    recipes = dict(bank_specs(grid, seed=seed))
+
+    @functools.cache
+    def bank(name):
+        return materialize(recipes[name], sys)
+
     result = SweepResult(meta={
         "kind": "lemma-suite",
         "grid": {"n": grid.n, "sizes": list(grid.sizes),
@@ -488,7 +493,7 @@ def lemma_suite(grid, sys, only=None, seed=811):
                      "smoothed-step[w=0.25]"):
             for p in (1.0, 2.0):
                 result.records.append(
-                    check_maximal_qsup(bank[name], p, sys, label=name))
+                    check_maximal_qsup(bank(name), p, sys, label=name))
 
     if want("qj_lp"):
         combos = [
@@ -501,11 +506,11 @@ def lemma_suite(grid, sys, only=None, seed=811):
         ]
         for s, p, name, gate in combos:
             result.records.append(check_qj_lp(
-                bank[name], s, p, sys, CALIBRATION_GATE,
+                bank(name), s, p, sys, CALIBRATION_GATE,
                 "derived: calibration-frozen", trend_gate=gate, label=name))
         for s, p, name in ((-1.0, 2.0, "random-band[s=-1,p=2]"),
                            (-1.0, 1.0, "random-band[s=-1,p=1]")):
-            result.records.append(qj_lp_flatness(bank[name], s, p, sys,
+            result.records.append(qj_lp_flatness(bank(name), s, p, sys,
                                                  label=name))
 
     if want("delta_lt"):
@@ -518,7 +523,7 @@ def lemma_suite(grid, sys, only=None, seed=811):
         ]
         for s, p, t, name in combos:
             result.records.append(check_delta_lt(
-                bank[name], s, p, t, sys, CALIBRATION_GATE,
+                bank(name), s, p, t, sys, CALIBRATION_GATE,
                 "derived: calibration-frozen", label=name))
 
     if want("qj_lt"):
@@ -530,7 +535,7 @@ def lemma_suite(grid, sys, only=None, seed=811):
         ]
         for s, p, t, name in combos:
             result.records.append(check_qj_lt(
-                bank[name], s, p, t, sys, CALIBRATION_GATE,
+                bank(name), s, p, t, sys, CALIBRATION_GATE,
                 "derived: calibration-frozen", label=name))
 
     return result
@@ -547,18 +552,18 @@ def _check_embedding(pair, n, mode):
                          % ", ".join(report.failed()))
 
 
-def _embedding_sweeps(pairs, bank, sys):
-    """One SweepResult per (source, target) pair over one field bank.
+def _embedding_sweeps(pairs, count, build, sys):
+    """One SweepResult per (source, target) pair over `count` fields.
 
-    Each field is decomposed once; every distinct spec of every pair is
-    evaluated from that one block stack, which is dropped before the next
-    field is decomposed.
+    Field i is build(i) -> (name, field), made in the worker that measures
+    it.  Its one block stack gives every distinct spec of every pair, and
+    both are dropped before the worker builds its next field.
     """
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     n = sys.grid.n
 
-    def run(entry):
-        name, f = entry
+    def run(i):
+        name, f = build(i)
         values = dict(zip(specs, space_norms(f, specs, sys)))
         return [_make_record(
             "embedding[%s->%s]" % (source.label(), target.label()),
@@ -566,14 +571,17 @@ def _embedding_sweeps(pairs, bank, sys):
              "target": target.label(), "n": n},
             values[target], values[source]) for source, target in pairs]
 
-    items = [(getattr(e, "name", "field-%d" % i),
-              getattr(e, "field", e)) for i, e in enumerate(bank)]
-    rows = map_ordered(run, items)
+    rows = map_ordered(run, range(count))
     return [SweepResult([row[k] for row in rows], {
         "kind": "embedding",
         "pair": [source.label(), target.label()],
         "grid": {"n": n, "sizes": list(sys.grid.sizes)},
     }) for k, (source, target) in enumerate(pairs)]
+
+
+def _build_recipe(recipes, sys, i):
+    name, spec = recipes[i]
+    return name, materialize(spec, sys)
 
 
 def audit_embedding(pair, bank, sys, mode=None):
@@ -585,27 +593,24 @@ def audit_embedding(pair, bank, sys, mode=None):
     stack; `run_audit_manifest` builds its records with the same code.
     """
     _check_embedding(pair, sys.grid.n, mode)
-    return _embedding_sweeps([pair], bank, sys)[0]
+    items = [(getattr(e, "name", "field-%d" % i), getattr(e, "field", e))
+             for i, e in enumerate(bank)]
+    return _embedding_sweeps([pair], len(items), items.__getitem__, sys)[0]
 
 
 def _check_multiplication(params, q, mode, sys, N=None, p=None):
     """Refuse a multiplication set the audit cannot run on this grid, and
     return the integrability p it runs with.
 
-    Raises ValueError for unsatisfied theorem hypotheses, a split whose gap
-    N exceeds jmax (Pi_1 would be empty and pass vacuously), or a p that is
+    Raises ValueError for unsatisfied theorem hypotheses, a gap N that
+    `_checked_gap` refuses (Pi_1 would be empty above jmax), or a p that is
     not positive or whose 1/p lies outside the admissible interval.
     """
     report = check_theorem_hypotheses(params, q, sys.grid.n, mode)
     if not report.satisfied:
         raise ValueError("theorem hypotheses unsatisfied: %s"
                          % ", ".join(report.failed()))
-    m = len(params)
-    gap = min_gap(m) if N is None else int(N)
-    if sys.jmax < gap:
-        raise ValueError("degenerate product audit: m=%d needs gap N=%d but "
-                         "the grid stops at jmax=%d, so Pi_1 is empty"
-                         % (m, gap, sys.jmax))
+    _checked_gap(len(params), N, sys.jmax)
     if p is None:
         return pick_admissible_p(report)
     if not p > 0.0:
@@ -848,10 +853,10 @@ def run_audit_manifest(manifest):
 
     Every embedding's hypotheses, and every multiplication set's hypotheses,
     admissible p and gap at every resolution, are checked before any field
-    is built.  Then each resolution builds the field bank once, decomposes
-    each field once and evaluates every norm of every embedding from that
-    one block stack; the bank is dropped before the next resolution's is
-    built.
+    is built.  Then, at each resolution, each worker builds one bank field
+    at a time from its `bank_specs` recipe, decomposes it once and
+    evaluates every norm of every embedding from that one block stack, so
+    no whole bank is ever alive.
     Records keep the order embedding by embedding, resolution by
     resolution.  meta["verdicts"] counts the records per verdict.
 
@@ -896,11 +901,12 @@ def run_audit_manifest(manifest):
               for _, _, sys in systems]
         sets.append((item, params, q, ps))
 
-    # by_size[i][k]: pair k at resolution i; each bank is released when
-    # its _embedding_sweeps call returns
-    by_size = [_embedding_sweeps(pairs, standard_bank(grid, sys, seed=seed),
-                                 sys)
-               for _, grid, sys in systems] if pairs else []
+    by_size = []  # by_size[i][k]: pair k at resolution i
+    for _, grid, sys in systems if pairs else ():
+        recipes = bank_specs(grid, seed=seed)
+        by_size.append(_embedding_sweeps(
+            pairs, len(recipes),
+            functools.partial(_build_recipe, recipes, sys), sys))
     for k, (source, target) in enumerate(pairs):
         maxima = []
         for (size, _, _), sweeps in zip(systems, by_size):

@@ -19,9 +19,9 @@ from .audit import _num, lemma_suite, run_audit_manifest
 from .dyadic import build_dyadic_system
 from .grid import build_grid
 from .norms import SpaceSpec, _ex_json, space_norms
-from .paraproduct import decompose_product, dump_decomposition, min_gap
-from .testbank import (GeneratorSpec, materialize, pure_wave, spec_for,
-                       standard_bank, tuple_bank)
+from .paraproduct import _checked_gap, decompose_product, dump_decomposition
+from .testbank import (GeneratorSpec, bank_specs, materialize, pure_wave,
+                       spec_for, tuple_bank)
 
 __all__ = ["main"]
 
@@ -135,11 +135,7 @@ def cmd_decompose(args):
         m = args.m
         if m < 2:
             raise ConfigError("--m must be at least 2")
-    gap = args.gap if args.gap is not None else min_gap(m)
-    if sys_.jmax < gap:
-        raise ConfigError("degenerate split: m=%d needs gap N=%d but the "
-                          "grid stops at jmax=%d, so Pi_1 is empty"
-                          % (m, gap, sys_.jmax))
+    gap = _checked_gap(m, args.gap, sys_.jmax)
     if args.infile:
         fields = [_load_field(path, grid) for path in args.infile]
     else:
@@ -222,12 +218,11 @@ def cmd_audit(args):
 def cmd_gen(args):
     grid, sys_ = _build(args)
     os.makedirs(args.out, exist_ok=True)
-    jobs = []
+    jobs = []  # (stem, spec, the dyadic system to build it with)
     if args.bank:
-        for entry in standard_bank(grid, sys_, seed=args.seed):
-            jobs.append((entry.name.replace("[", "_").replace("]", "")
-                         .replace("=", "").replace(",", "_"),
-                         entry.field, entry.spec))
+        for name, spec in bank_specs(grid, seed=args.seed):
+            jobs.append((name.replace("[", "_").replace("]", "")
+                         .replace("=", "").replace(",", "_"), spec, sys_))
     for path in args.spec or []:
         with open(path) as fh:
             text = fh.read()
@@ -236,20 +231,20 @@ def cmd_gen(args):
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError("bad generator spec %s: %s" % (path, exc))
         stem = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((stem, materialize(spec), spec))
+        jobs.append((stem, spec, None))
     if args.wave is not None:
-        spec = spec_for("pure-wave", grid, k=args.wave)
-        jobs.append(("wave_k%d" % args.wave, materialize(spec), spec))
+        jobs.append(("wave_k%d" % args.wave,
+                     spec_for("pure-wave", grid, k=args.wave), sys_))
     if not jobs:
         raise ConfigError("gen needs --bank, --spec FILE, or --wave K")
 
     index = []
-    for stem, field, spec in jobs:
+    for stem, spec, system in jobs:
         fname = stem + ".fld"
         # generators are defined by their coefficients; storing the
         # spectral side keeps the file exactly rematerializable
-        fldio.write_field(os.path.join(args.out, fname), field,
-                          domain="spectral")
+        fldio.write_field(os.path.join(args.out, fname),
+                          materialize(spec, system), domain="spectral")
         index.append({"file": fname, "spec": json.loads(spec.to_json())})
     with open(os.path.join(args.out, "index.json"), "w") as fh:
         json.dump(index, fh, sort_keys=True, indent=2)

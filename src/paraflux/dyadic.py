@@ -70,8 +70,6 @@ class DyadicSystem:
     ----------
     grid : Grid
     jmax : int
-    psi : ndarray
-        Sampled psi(|xi|), identical to phi[0].
     phi : ndarray, shape (jmax+1, *sizes)
         Sampled annular windows, phi[j] = phi_j for j = 0..jmax.  Stored as
         exact differences of the dilated cutoffs so the partition telescopes
@@ -86,10 +84,8 @@ class DyadicSystem:
         phi = _freeze(np.diff(scaled, axis=0, prepend=0.0))
         self.grid = grid
         self.jmax = grid.jmax
-        self.psi = phi[0]
         self.phi = phi
         self._scaled = scaled
-        self.profile = profile
 
     def cutoff(self, j):
         """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j."""

@@ -217,12 +217,18 @@ class ProductDecomposition:
         return sum(self.pi1[1:], self.pi1[0])
 
 
-def _checked_gap(m, N):
-    """The gap N (min_gap(m) when None), refused below the minimum."""
+def _checked_gap(m, N, jmax):
+    """The gap N (min_gap(m) when None) of an m-fold split up to band jmax,
+    refused below the minimum or above jmax (Pi_1 would have no band term,
+    so every check on it would pass vacuously)."""
     N = min_gap(m) if N is None else int(N)
     if N < min_gap(m):
         raise ValueError("gap %d below the minimum %d for m=%d"
                          % (N, min_gap(m), m))
+    if jmax < N:
+        raise ValueError("degenerate split: m=%d needs gap N=%d but the "
+                         "grid stops at jmax=%d, so Pi_1 is empty"
+                         % (m, N, jmax))
     return N
 
 
@@ -231,7 +237,7 @@ def _checked_split(fields, sys, N):
     grid = _common_grid(fields)
     if not grid.compatible(sys.grid):
         raise ValueError("fields and dyadic system use different grids")
-    return grid, _checked_gap(len(fields), N)
+    return grid, _checked_gap(len(fields), N, sys.jmax)
 
 
 def _band_products(m, N, jmax, block, low):
@@ -305,7 +311,8 @@ def _stack_sources(stacks, work):
 
 
 def decompose_product(fields, sys, N=None):
-    """Split prod(fields) into the m paraproduct parts and the residual."""
+    """Split prod(fields) into the m paraproduct parts and the residual;
+    a gap N below min_gap(m) or above sys.jmax raises ValueError."""
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
@@ -385,7 +392,7 @@ def pi2_direct_terms(fields, sys, N=None):
     """
     grid = _common_grid(fields)
     m = len(fields)
-    N = _checked_gap(m, N)
+    N = _checked_gap(m, N, sys.jmax)
     _enum_guard(m, sys.jmax)
 
     big = _product_sizes(fields)

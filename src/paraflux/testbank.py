@@ -6,6 +6,9 @@ m_max-fold products stay alias-free.  The lacunary and random-band
 constructions place all their content on the plateaus of the annular
 windows, where exactly one window equals 1 and its neighbors vanish; that
 makes their Besov/Triebel norms available in closed form.
+
+The standard bank is one list of GeneratorSpec recipes (`bank_specs`), and
+`materialize` builds a recipe's field where a sweep measures it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .norms import sequence_norm
 __all__ = [
     "GeneratorSpec", "materialize", "plateau_frequency", "lacunary_field",
     "LacunaryField", "random_band_field", "gaussian_bump", "smoothed_step",
-    "pure_wave", "constant_field", "standard_bank", "BankEntry",
-    "band_limit", "tuple_bank", "tuple_fields",
+    "pure_wave", "constant_field", "bank_specs", "standard_bank",
+    "BankEntry", "band_limit", "tuple_bank", "tuple_fields",
 ]
 
 DEFAULT_MAX_ARITY = 3
@@ -116,8 +119,7 @@ def _plateau_mask(sys, j, cap):
     return (sys.phi[j] == 1.0) & (sys.grid.xi <= cap)
 
 
-def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY,
-                      bands=None):
+def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
     """Random-phase field with lp_norm(Delta_j f) = 2^(-js) on each band.
 
     Each usable band's plateau points (inside the band limit) get
@@ -126,12 +128,10 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY,
     content sits on plateaus, besov_norm(f; s, p, inf) = 1 by construction.
     """
     cap = band_limit(grid, m_max)
-    if bands is None:
-        bands = range(sys.jmax + 1)
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     values = np.empty(grid.sizes, dtype=np.complex128)
     filled = []
-    for j in bands:
+    for j in range(sys.jmax + 1):
         mask = _plateau_mask(sys, j, cap)
         count = int(mask.sum())
         if count == 0:
@@ -299,14 +299,14 @@ def spec_for(kind, grid, **params):
 
 
 def materialize(spec, sys=None):
-    """Build the field a GeneratorSpec describes (bitwise reproducible)."""
-    if isinstance(spec, str):
-        spec = GeneratorSpec.from_json(spec)
+    """Build the field a GeneratorSpec describes (bitwise reproducible);
+    given a dyadic system, on its grid, which must match the spec's."""
     g = spec.grid
-    grid = Grid(g["n"], g["sizes"], g.get("period", 2.0 * np.pi))
-    if sys is not None and not sys.grid.compatible(grid):
+    shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
+    grid = Grid(*shape) if sys is None else sys.grid
+    if sys is not None and shape != (grid.n, grid.sizes, grid.period):
         raise ValueError("provided dyadic system does not match spec grid")
-    params = dict(spec.params)
+    params = spec.params
     kind = spec.kind
     if kind in ("lacunary", "random-band") and sys is None:
         sys = DyadicSystem(grid)
@@ -339,86 +339,76 @@ class BankEntry:
     spec: GeneratorSpec
 
 
-def _lacunary_spec_params(amplitudes):
-    return {"amplitudes": {str(j): (a.real, a.imag)
-                           for j, a in amplitudes.items()}}
-
-
-def standard_bank(grid, sys, m_max=DEFAULT_MAX_ARITY, seed=811):
-    """The fixed field collection every sweep runs over (>= 20 entries).
+def bank_specs(grid, m_max=DEFAULT_MAX_ARITY, seed=811):
+    """The recipes of the standard bank, in bank order: [(name, spec)].
 
     Lacunary families with three amplitude laws, random-band fields across
-    smoothness/integrability targets, bumps, steps, waves, and the constant.
-    All entries respect the band limit for m_max-fold products.
+    smoothness/integrability targets (seeds seed, seed + 1, ...), bumps,
+    steps, waves, and the constant; all respect the band limit for
+    m_max-fold products.  A recipe is plain data, so a caller builds each
+    field with `materialize` only when it needs it.
     """
     cap = band_limit(grid, m_max)
-    jtop = max(j for j in range(sys.jmax + 1)
+    jtop = max(j for j in range(grid.jmax + 1)
                if plateau_frequency(j) <= cap)
 
-    entries = []
-
-    def add(name, fieldval, spec):
-        entries.append(BankEntry(name, fieldval, spec))
-
+    recipes = []
     laws = {
-        "geometric": {j: 2.0 ** (-j) for j in range(jtop + 1)},
-        "flat": {j: 1.0 + 0j for j in range(jtop + 1)},
-        "alternating": {j: ((-1) ** j) * 2.0 ** (-0.5 * j)
-                        for j in range(jtop + 1)},
+        "geometric": [2.0 ** (-j) for j in range(jtop + 1)],
+        "flat": [1.0] * (jtop + 1),
+        "alternating": [((-1) ** j) * 2.0 ** (-0.5 * j)
+                        for j in range(jtop + 1)],
     }
     for law, amps in laws.items():
-        amps = {j: complex(a) for j, a in amps.items()}
-        add("lacunary-%s" % law, lacunary_field(grid, amps, sys),
-            GeneratorSpec("lacunary", _lacunary_spec_params(amps),
-                          {"n": grid.n, "sizes": list(grid.sizes),
-                           "period": grid.period}))
+        recipes.append(("lacunary-%s" % law, spec_for(
+            "lacunary", grid,
+            amplitudes={str(j): (a, 0.0) for j, a in enumerate(amps)})))
 
     combos = [(-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0),
               (0.5, 1.0), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0),
               (2.0, 1.0), (2.0, 2.0), (1.5, 4.0), (0.5, 0.5)]
     for i, (s, p) in enumerate(combos):
-        sd = seed + i
-        add("random-band[s=%g,p=%g]" % (s, p),
-            random_band_field(grid, s, p, sd, sys, m_max),
-            spec_for("random-band", grid, s=s, p=p, seed=sd, m_max=m_max))
+        recipes.append(("random-band[s=%g,p=%g]" % (s, p), spec_for(
+            "random-band", grid, s=s, p=p, seed=seed + i, m_max=m_max)))
 
     for width in (0.4, 0.8):
-        add("gaussian-bump[w=%g]" % width,
-            gaussian_bump(grid, None, width, m_max),
-            spec_for("gaussian-bump", grid, width=width, m_max=m_max))
+        recipes.append(("gaussian-bump[w=%g]" % width, spec_for(
+            "gaussian-bump", grid, width=width, m_max=m_max)))
     for width in (0.25, 0.5):
-        add("smoothed-step[w=%g]" % width,
-            smoothed_step(grid, width, m_max),
-            spec_for("smoothed-step", grid, edge_width=width, m_max=m_max))
+        recipes.append(("smoothed-step[w=%g]" % width, spec_for(
+            "smoothed-step", grid, edge_width=width, m_max=m_max)))
 
     for k in (1, 4):
-        add("pure-wave[k=%d]" % k, pure_wave(grid, k),
-            spec_for("pure-wave", grid, k=k))
-    add("constant", constant_field(grid),
-        spec_for("constant", grid, value=1.0))
-
-    return entries
+        recipes.append(("pure-wave[k=%d]" % k,
+                        spec_for("pure-wave", grid, k=k)))
+    recipes.append(("constant", spec_for("constant", grid, value=1.0)))
+    return recipes
 
 
-def tuple_fields(grid, sys, params, seed, t, with_step=True):
+def standard_bank(grid, sys, m_max=DEFAULT_MAX_ARITY, seed=811):
+    """The fixed field collection every sweep runs over (>= 20 entries):
+    each recipe of `bank_specs`, built on sys.grid."""
+    return [BankEntry(name, materialize(spec, sys), spec)
+            for name, spec in bank_specs(grid, m_max, seed)]
+
+
+def tuple_fields(grid, sys, params, seed, t):
     """Tuple t of `tuple_bank`, built on its own.
 
-    Slot i draws from the stream [seed, t, i]; when with_step is set,
-    tuple 0 swaps a smoothed step into slot 2 to exercise a non-random
-    factor.
+    Slot i draws from the stream [seed, t, i]; tuple 0 swaps a smoothed
+    step into slot 2 to exercise a non-random factor.
     """
     fields = []
     for i, (s, p) in enumerate(params):
         p_eff = 2.0 if p == math.inf else min(p, 4.0)
         fields.append(random_band_field(
             grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
-    if with_step and t == 0 and len(fields) >= 2:
+    if t == 0 and len(fields) >= 2:
         fields[1] = smoothed_step(grid)
     return tuple(fields)
 
 
-def tuple_bank(grid, sys, params, seed, count, with_step=True):
+def tuple_bank(grid, sys, params, seed, count):
     """Random m-tuples matched to a theorem parameter list [(s_i, p_i)]:
     tuples 0..count-1 of `tuple_fields`."""
-    return [tuple_fields(grid, sys, params, seed, t, with_step)
-            for t in range(count)]
+    return [tuple_fields(grid, sys, params, seed, t) for t in range(count)]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from paraflux import (INF, Field, SpaceSpec, audit_embedding,
-                      audit_multiplication, besov_norm, build_dyadic_system,
+                      audit_multiplication, bank_specs, besov_norm,
+                      build_dyadic_system,
                       build_grid, check_hardy, check_maximal_qsup,
                       check_nikolskii, constant_field, decompose,
                       decompose_product, hardy_bound, lemma_suite, lp_norm,
@@ -233,6 +234,34 @@ def test_lemma_suite_all_gates_pass(setup128):
             "qj_lp", "qj_lp-flatness", "delta_lt", "qj_lt"} <= names
 
 
+def test_lemma_suite_builds_only_the_entries_it_reads(setup128,
+                                                      monkeypatch):
+    import paraflux.audit
+
+    g, sys = setup128
+    real = paraflux.audit.materialize
+    built = []
+    monkeypatch.setattr(paraflux.audit, "materialize",
+                        lambda spec, s: built.append(spec.to_json())
+                        or real(spec, s))
+    names = {spec.to_json(): name for name, spec in bank_specs(g)}
+    lemma_suite(g, sys, only="hardy")
+    assert built == []
+    lemma_suite(g, sys, only="maximal")
+    assert sorted(names[text] for text in built) == [
+        "lacunary-geometric", "random-band[s=1,p=2]",
+        "smoothed-step[w=0.25]"]
+    built.clear()
+    full = lemma_suite(g, sys)
+    # each entry a section reads is built once, and no other
+    read = {rec.name.split("]", 1)[1] for rec in full.records
+            if rec.name.split("[", 1)[0] in (
+                "maximal_qsup", "qj_lp", "qj_lp-flatness", "delta_lt",
+                "qj_lt")}
+    assert len(built) == len(set(built))
+    assert {names[text] for text in built} == read
+
+
 def test_sweep_serialization(setup128):
     g, sys = setup128
     sweep = lemma_suite(g, sys, only="hardy")
@@ -457,18 +486,45 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
     import paraflux.audit
     import paraflux.norms
 
-    calls = []
+    calls, built = [], []
     real_decompose = paraflux.norms.decompose
-    real_bank = paraflux.audit.standard_bank
+    real_specs = paraflux.audit.bank_specs
+    real_materialize = paraflux.audit.materialize
     monkeypatch.setattr(paraflux.norms, "decompose",
                         lambda f, s: calls.append(1) or real_decompose(f, s))
     banks = []
-    monkeypatch.setattr(paraflux.audit, "standard_bank",
-                        lambda *a, **k: banks.append(real_bank(*a, **k))
+    monkeypatch.setattr(paraflux.audit, "bank_specs",
+                        lambda *a, **k: banks.append(real_specs(*a, **k))
                         or banks[-1])
+    monkeypatch.setattr(paraflux.audit, "materialize",
+                        lambda spec, sys: built.append(spec.to_json())
+                        or real_materialize(spec, sys))
     run_audit_manifest(_TWO_EMBEDDINGS)
     assert len(banks) == len(_TWO_EMBEDDINGS["resolutions"])
     assert len(calls) == sum(len(bank) for bank in banks)
+    # each recipe is built once, in bank order
+    assert built == [spec.to_json() for bank in banks for _, spec in bank]
+
+
+def test_manifest_keeps_one_bank_field_alive(monkeypatch):
+    # a 3-D 32^3 bank is 22 fields; the audit builds each one where it is
+    # measured, so on one worker its peak stays below the bank's own bytes
+    import tracemalloc
+
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    g = build_grid(3, 32)
+    bank_bytes = sum(e.field.spectral.nbytes
+                     for e in standard_bank(g, build_dyadic_system(g)))
+    manifest = {"n": 3, "resolutions": [32], "embeddings": [
+        {"source": {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0},
+         "target": {"family": "B", "s": 0.5, "p": 2.0, "q": 2.0}}]}
+    tracemalloc.start()
+    try:
+        run_audit_manifest(manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bank_bytes
 
 
 def test_manifest_embedding_rows_match_audit_embedding():

@@ -355,56 +355,66 @@ def test_audit_resolutions_flag_overrides_manifest(tmp_path, capsys,
                         "--resolutions", "64") == [64]
 
 
-def test_audit_checks_every_embedding_before_any_work(tmp_path, capsys,
-                                                     monkeypatch):
+def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                   manifest):
+    # exit 2 with no decomposition, bank recipe, field or tuple built;
+    # returns stderr
     import paraflux.audit
     import paraflux.norms
 
     calls = []
-    monkeypatch.setattr(paraflux.norms, "decompose",
-                        lambda *a: calls.append("decompose"))
-    monkeypatch.setattr(paraflux.audit, "standard_bank",
-                        lambda *a, **k: calls.append("bank"))
+    for module, name in ((paraflux.norms, "decompose"),
+                         (paraflux.audit, "_decompose_into"),
+                         (paraflux.audit, "bank_specs"),
+                         (paraflux.audit, "materialize"),
+                         (paraflux.audit, "tuple_fields")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, **k: calls.append(_name))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["audit", "--manifest", str(path)]) == 2
+    assert calls == []
+    return capsys.readouterr().err
+
+
+def test_audit_checks_every_embedding_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
     manifest = {"n": 1, "resolutions": [64, 128], "embeddings": [
         {"source": _SPACE, "target": dict(_SPACE, s=0.5)},
         # smoothness rises from source to target: no embedding
         {"source": _SPACE, "target": dict(_SPACE, s=2.0)},
     ]}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    assert main(["audit", "--manifest", str(path)]) == 2
-    assert "monotone-or-diffdim" in capsys.readouterr().err
-    assert calls == []
+    err = _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                         manifest)
+    assert "monotone-or-diffdim" in err
 
 
 def test_audit_checks_every_multiplication_before_any_work(tmp_path, capsys,
                                                           monkeypatch):
-    import paraflux.audit
-    import paraflux.norms
-
-    calls = []
-    monkeypatch.setattr(paraflux.norms, "decompose",
-                        lambda *a: calls.append("decompose"))
-    monkeypatch.setattr(paraflux.audit, "_decompose_into",
-                        lambda *a: calls.append("decompose"))
-    monkeypatch.setattr(paraflux.audit, "standard_bank",
-                        lambda *a, **k: calls.append("bank"))
-    monkeypatch.setattr(paraflux.audit, "tuple_fields",
-                        lambda *a, **k: calls.append("tuples"))
     manifest = {"n": 1, "resolutions": [64, 128],
                 "embeddings": [{"source": _SPACE,
                                 "target": dict(_SPACE, s=0.5)}],
                 "multiplications": [
-                    {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
-                     "q": 2.0, "tuples": 1},
+                    dict(_ONE_SET),
                     # s1 = n/p1 violates s1-subcritical
-                    {"mode": "positive", "params": [[0.5, 2.0], [1.0, 2.0]],
-                     "q": 2.0, "tuples": 1}]}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    assert main(["audit", "--manifest", str(path)]) == 2
-    assert "s1-subcritical" in capsys.readouterr().err
-    assert calls == []
+                    dict(_ONE_SET, params=[[0.5, 2.0], [1.0, 2.0]])]}
+    err = _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                         manifest)
+    assert "s1-subcritical" in err
+
+
+def test_audit_checks_every_gap_before_any_work(tmp_path, capsys,
+                                               monkeypatch):
+    manifest = {"n": 1, "resolutions": [64, 128],
+                "embeddings": [{"source": _SPACE,
+                                "target": dict(_SPACE, s=0.5)}],
+                "multiplications": [
+                    dict(_ONE_SET),
+                    # a 2-fold split needs a gap of at least 3
+                    dict(_ONE_SET, gap=2)]}
+    err = _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                         manifest)
+    assert "gap 2 below the minimum 3 for m=2" in err
 
 
 def test_cli_run_loads_no_scipy():

@@ -347,6 +347,19 @@ def test_gap_validation(setup128):
     assert pd.gap == 4
 
 
+def test_decompose_product_refuses_degenerate_split():
+    # n=3, S=32: jmax=3 is below the gap N=4 of a 3-fold product, so Pi_1
+    # would have no band term and the support check would pass vacuously
+    g = build_grid(3, 32)
+    sys = build_dyadic_system(g)
+    fields = [pure_wave(g, 1)] * 3
+    for split in (decompose_product, pi2_direct_terms):
+        with pytest.raises(ValueError) as exc:
+            split(fields, sys)
+        for part in ("m=3", "N=4", "jmax=3"):
+            assert part in str(exc.value)
+
+
 def test_enumeration_guard():
     g = build_grid(1, 1024)  # jmax = 8 > guard
     sys = build_dyadic_system(g)

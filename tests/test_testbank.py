@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from paraflux import (INF, SpaceSpec, band_limit, besov_norm,
+from paraflux import (INF, SpaceSpec, band_limit, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, constant_field,
                       delta_j, gaussian_bump, lacunary_field, lp_norm,
                       materialize, plateau_frequency, pure_wave,
@@ -229,7 +229,7 @@ def test_tuple_bank_determinism(setup128):
     assert np.array_equal(t1[0][1].spectral, s.spectral)
 
 
-def _tuple_bank_reference(grid, sys, params, seed, count, with_step=True):
+def _tuple_bank_reference(grid, sys, params, seed, count):
     # tuple_bank as it was before it was built on tuple_fields
     tuples = []
     for t in range(count):
@@ -238,23 +238,99 @@ def _tuple_bank_reference(grid, sys, params, seed, count, with_step=True):
             p_eff = 2.0 if p == math.inf else min(p, 4.0)
             fields.append(random_band_field(
                 grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
-        if with_step and t == 0 and len(params) >= 2:
+        if t == 0 and len(params) >= 2:
             fields[1] = smoothed_step(grid)
         tuples.append(tuple(fields))
     return tuples
 
 
-@pytest.mark.parametrize("with_step", [True, False])
-def test_tuple_fields_match_reference_bitwise(with_step):
+def test_tuple_fields_match_reference_bitwise():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, INF)]
-    want = _tuple_bank_reference(g, sys, params, 811, 3, with_step)
-    bank = tuple_bank(g, sys, params, 811, 3, with_step)
+    want = _tuple_bank_reference(g, sys, params, 811, 3)
+    bank = tuple_bank(g, sys, params, 811, 3)
     assert len(bank) == len(want)
     for t, ref in enumerate(want):
-        one = tuple_fields(g, sys, params, 811, t, with_step)
+        one = tuple_fields(g, sys, params, 811, t)
         for fields in (bank[t], one):
             assert isinstance(fields, tuple)
             assert [f.spectral.tobytes() for f in fields] == \
                 [f.spectral.tobytes() for f in ref]
+
+
+def _standard_bank_reference(grid, sys, m_max=3, seed=811):
+    # standard_bank as it was when each entry was also a direct generator
+    # call: [(name, field, spec JSON)]
+    cap = band_limit(grid, m_max)
+    jtop = max(j for j in range(sys.jmax + 1)
+               if plateau_frequency(j) <= cap)
+    grid_doc = {"n": grid.n, "sizes": list(grid.sizes),
+                "period": grid.period}
+    entries = []
+    laws = {
+        "geometric": {j: 2.0 ** (-j) for j in range(jtop + 1)},
+        "flat": {j: 1.0 + 0j for j in range(jtop + 1)},
+        "alternating": {j: ((-1) ** j) * 2.0 ** (-0.5 * j)
+                        for j in range(jtop + 1)},
+    }
+    for law, amps in laws.items():
+        amps = {j: complex(a) for j, a in amps.items()}
+        params = {"amplitudes": {str(j): (a.real, a.imag)
+                                 for j, a in amps.items()}}
+        entries.append(("lacunary-%s" % law, lacunary_field(grid, amps, sys),
+                        GeneratorSpec("lacunary", params, grid_doc)))
+    combos = [(-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0),
+              (0.5, 1.0), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0),
+              (2.0, 1.0), (2.0, 2.0), (1.5, 4.0), (0.5, 0.5)]
+    for i, (s, p) in enumerate(combos):
+        entries.append((
+            "random-band[s=%g,p=%g]" % (s, p),
+            random_band_field(grid, s, p, seed + i, sys, m_max),
+            spec_for("random-band", grid, s=s, p=p, seed=seed + i,
+                     m_max=m_max)))
+    for width in (0.4, 0.8):
+        entries.append(("gaussian-bump[w=%g]" % width,
+                        gaussian_bump(grid, None, width, m_max),
+                        spec_for("gaussian-bump", grid, width=width,
+                                 m_max=m_max)))
+    for width in (0.25, 0.5):
+        entries.append(("smoothed-step[w=%g]" % width,
+                        smoothed_step(grid, width, m_max),
+                        spec_for("smoothed-step", grid, edge_width=width,
+                                 m_max=m_max)))
+    for k in (1, 4):
+        entries.append(("pure-wave[k=%d]" % k, pure_wave(grid, k),
+                        spec_for("pure-wave", grid, k=k)))
+    entries.append(("constant", constant_field(grid),
+                    spec_for("constant", grid, value=1.0)))
+    return [(name, f, spec.to_json()) for name, f, spec in entries]
+
+
+@pytest.mark.parametrize("n, size, seed", [(1, 128, 811), (2, 64, 2718),
+                                           (3, 32, 811)])
+def test_bank_specs_rebuild_the_direct_construction(n, size, seed):
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    want = _standard_bank_reference(g, sys, seed=seed)
+    recipes = bank_specs(g, seed=seed)
+    assert [name for name, _ in recipes] == [name for name, _, _ in want]
+    assert [spec.to_json() for _, spec in recipes] == \
+        [text for _, _, text in want]
+    for (name, spec), (_, ref, _) in zip(recipes, want):
+        for got in (materialize(spec, sys), materialize(spec)):
+            assert got.grid.compatible(g)
+            assert got.spectral.tobytes() == ref.spectral.tobytes(), name
+    bank = standard_bank(g, sys, seed=seed)
+    assert [e.name for e in bank] == [name for name, _, _ in want]
+    for entry, (_, ref, text) in zip(bank, want):
+        assert entry.field.grid is g
+        assert entry.spec.to_json() == text
+        assert entry.field.spectral.tobytes() == ref.spectral.tobytes()
+
+
+def test_materialize_refuses_a_system_on_another_grid(setup128):
+    _, sys = setup128
+    spec = spec_for("constant", build_grid(1, 64), value=1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        materialize(spec, sys)
