@@ -27,7 +27,8 @@ from .testbank import (BankEntry, GeneratorSpec, band_limit, bank_specs,
                        constant_field, gaussian_bump, lacunary_field,
                        materialize, plateau_frequency, pure_wave,
                        random_band_field, smoothed_step, spec_for,
-                       standard_bank, tuple_bank, tuple_fields)
+                       standard_bank, tuple_bank, tuple_fields,
+                       tuple_specs)
 
 __version__ = "0.1.0"
 
@@ -49,6 +50,7 @@ __all__ = [
     "sequence_norm", "smooth_cutoff", "smoothed_step", "space_norms",
     "spec_for",
     "standard_bank", "triebel_norm", "tuple_bank", "tuple_fields",
+    "tuple_specs",
     "verify_supports",
     "write_field",
 ]

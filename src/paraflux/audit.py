@@ -22,10 +22,11 @@ from .dyadic import _decompose_into, decompose, q_j
 from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq, lp_norm,
-                    lq_of_lp, sequence_norm, space_norms, triebel_norm)
+from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq,
+                    _magnitude_norms, lp_norm, lq_of_lp, sequence_norm,
+                    triebel_norm)
 from .paraproduct import _checked_gap, _split_product, _support_radius
-from .testbank import bank_specs, materialize, tuple_fields
+from .testbank import GeneratorSpec, bank_specs, materialize, tuple_specs
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -552,19 +553,42 @@ def _check_embedding(pair, n, mode):
                          % ", ".join(report.failed()))
 
 
+def _field_and_stack(item, sys, out=None):
+    """(field, block stack) of item: the one stack builder of both sweeps.
+
+    item is a GeneratorSpec recipe or a Field.  A random-band recipe's
+    blocks are the band samples its generator computes anyway (`materialize`
+    with out); any other recipe is built and then decomposed, as a Field
+    is.  The stack goes to out, or else to a fresh array made after such a
+    build, so that the heap space of the build's temporaries serves the
+    stack instead of growing the process.
+    """
+    if isinstance(item, GeneratorSpec) and item.kind != "random-band":
+        item = materialize(item, sys)
+    if out is None:
+        out = np.empty(sys.phi.shape, dtype=np.complex128)
+    if isinstance(item, GeneratorSpec):
+        return materialize(item, sys, out), out
+    if not sys.grid.compatible(item.grid):
+        raise ValueError("field grid does not match the dyadic system")
+    return item, _decompose_into(item, sys, out)
+
+
 def _embedding_sweeps(pairs, count, build, sys):
     """One SweepResult per (source, target) pair over `count` fields.
 
-    Field i is build(i) -> (name, field), made in the worker that measures
-    it.  Its one block stack gives every distinct spec of every pair, and
-    both are dropped before the worker builds its next field.
+    Field i is build(i) -> (name, item), a recipe or a Field, whose block
+    stack `_field_and_stack` makes in the worker that measures it.  The
+    stack is dropped once its magnitudes are taken, and they give every
+    distinct spec of every pair before the worker builds its next field.
     """
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     n = sys.grid.n
 
     def run(i):
-        name, f = build(i)
-        values = dict(zip(specs, space_norms(f, specs, sys)))
+        name, item = build(i)
+        mags = np.abs(_field_and_stack(item, sys)[1])
+        values = dict(zip(specs, _magnitude_norms(mags, specs)))
         return [_make_record(
             "embedding[%s->%s]" % (source.label(), target.label()),
             {"field": name, "source": source.label(),
@@ -579,21 +603,17 @@ def _embedding_sweeps(pairs, count, build, sys):
     }) for k, (source, target) in enumerate(pairs)]
 
 
-def _build_recipe(recipes, sys, i):
-    name, spec = recipes[i]
-    return name, materialize(spec, sys)
-
-
 def audit_embedding(pair, bank, sys, mode=None):
     """Measured norm_target / norm_source over a field bank.
 
     Refuses to run when the hypothesis report is unsatisfied, naming the
-    failed conditions.  bank entries may be BankEntry or plain Fields.
-    Each field is decomposed once and both norms come from that one block
-    stack; `run_audit_manifest` builds its records with the same code.
+    failed conditions.  bank entries may be BankEntry or plain Fields.  A
+    BankEntry is measured through its recipe, as `run_audit_manifest`
+    measures it, and a Field through `decompose`; both norms come from the
+    one block stack.
     """
     _check_embedding(pair, sys.grid.n, mode)
-    items = [(getattr(e, "name", "field-%d" % i), getattr(e, "field", e))
+    items = [(getattr(e, "name", "field-%d" % i), getattr(e, "spec", e))
              for i, e in enumerate(bank)]
     return _embedding_sweeps([pair], len(items), items.__getitem__, sys)[0]
 
@@ -645,14 +665,18 @@ def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
     returned.  `run_audit_manifest` checks every set at every resolution
     before any field is built and then calls this directly.
 
-    Tuple t is build(t), made by the worker that measures it.  The stacks
-    of f2..fm give their B-norms and serve both passes (f1, then 1000 f1);
-    each pass decomposes its first factor for the F-norm of the right side
-    and for `paraproduct._split_product`, then the product and Pi_1 once
-    each, and takes Pi_2's stack as their difference.  The values are those
-    of `decompose_product` with `triebel_norm` and `besov_norm`: bitwise
-    for the product and the right side, at rounding level for Pi_1 and
-    Pi_2.  Each worker reuses its own stacks and work arrays for the sweep.
+    Tuple t is build(t), one recipe or Field per slot, and the worker that
+    measures it makes each factor and its block stack with
+    `_field_and_stack` (a random-band recipe's stack is its generator's).
+    The stacks of f2..fm give their B-norms and serve both passes (f1, then
+    1000 f1, which is decomposed); in each pass the first factor's stack
+    gives the F-norm of the right side and feeds
+    `paraproduct._split_product`, the product and Pi_1 are decomposed once
+    each, and Pi_2's stack is their difference.  With Fields the values are
+    those of `decompose_product` with `triebel_norm` and `besov_norm`:
+    bitwise for the product and the right side, at rounding level for Pi_1
+    and Pi_2; generator stacks move the norms at rounding level too.  Each
+    worker reuses its own stacks and work arrays for the sweep.
     """
     m = len(params)
     f_spec = SpaceSpec("F", params[0][0], p, q)
@@ -675,11 +699,10 @@ def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
         return _lp_of_lq(stack, spec.s, spec.p, spec.q, mags)
 
     def ratios_for(fields, b_norms, buf):
-        # b_norms: the B-norms of fields[1:], whose stacks fill
-        # buf["stacks"][1:]; the slot-1 scaling leaves both unchanged
+        # buf["stacks"] holds the stacks of fields; b_norms, the B-norms of
+        # fields[1:], and their stacks are what the slot-1 scaling keeps
         stacks, mags = buf["stacks"], buf["mags"]
-        rhs = f_norm(_decompose_into(fields[0], sys, stacks[0]), f1_spec,
-                     mags)
+        rhs = f_norm(stacks[0], f1_spec, mags)
         for b in b_norms:
             rhs *= b
         product, pi1, _ = _split_product(fields, sys, N, stacks, buf["work"])
@@ -693,12 +716,11 @@ def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
     params_json = [[si, _ex_json(pi)] for si, pi in params]
 
     def run(t):
-        fields = tuple(build(t))
         buf = workspace()
-        b_norms = [lq_of_lp(_decompose_into(f, sys, stack),
-                            spec.s, spec.p, spec.q)
-                   for spec, f, stack in zip(b_specs, fields[1:],
-                                             buf["stacks"][1:])]
+        fields = tuple(_field_and_stack(item, sys, stack)[0]
+                       for item, stack in zip(build(t), buf["stacks"]))
+        b_norms = [lq_of_lp(stack, spec.s, spec.p, spec.q)
+                   for spec, stack in zip(b_specs, buf["stacks"][1:])]
         rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields, b_norms, buf)
         base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
                 "params": params_json}
@@ -711,6 +733,7 @@ def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
                          base, lhs_pi2, rhs),
         ]
         scaled = (1000.0 * fields[0],) + fields[1:]
+        _decompose_into(scaled[0], sys, buf["stacks"][0])
         rhs2, tot2, pi12, pi22 = ratios_for(scaled, b_norms, buf)
         drift = 0.0
         for a, b in ((lhs_total / rhs, tot2 / rhs2),
@@ -854,9 +877,11 @@ def run_audit_manifest(manifest):
     Every embedding's hypotheses, and every multiplication set's hypotheses,
     admissible p and gap at every resolution, are checked before any field
     is built.  Then, at each resolution, each worker builds one bank field
-    at a time from its `bank_specs` recipe, decomposes it once and
-    evaluates every norm of every embedding from that one block stack, so
-    no whole bank is ever alive.
+    at a time from its `bank_specs` recipe, with its block stack (a
+    random-band field's from its generator, any other by one
+    decomposition), and evaluates every norm of every embedding from that
+    one stack, so no whole bank is ever alive.  Multiplication tuples are
+    built the same way from `tuple_specs`.
     Records keep the order embedding by embedding, resolution by
     resolution.  meta["verdicts"] counts the records per verdict.
 
@@ -904,9 +929,8 @@ def run_audit_manifest(manifest):
     by_size = []  # by_size[i][k]: pair k at resolution i
     for _, grid, sys in systems if pairs else ():
         recipes = bank_specs(grid, seed=seed)
-        by_size.append(_embedding_sweeps(
-            pairs, len(recipes),
-            functools.partial(_build_recipe, recipes, sys), sys))
+        by_size.append(_embedding_sweeps(pairs, len(recipes),
+                                         recipes.__getitem__, sys))
     for k, (source, target) in enumerate(pairs):
         maxima = []
         for (size, _, _), sweeps in zip(systems, by_size):
@@ -926,7 +950,7 @@ def run_audit_manifest(manifest):
         count = item.get("tuples", 6)
         maxima = []
         for (size, grid, sys), p in zip(systems, ps):
-            build = functools.partial(tuple_fields, grid, sys, params, seed)
+            build = functools.partial(tuple_specs, grid, params, seed)
             sweep = _multiplication_sweep(params, q, mode, count, build, sys,
                                           item.get("gap"), p)
             for r in sweep.records:

@@ -20,8 +20,8 @@ from .dyadic import build_dyadic_system
 from .grid import build_grid
 from .norms import SpaceSpec, _ex_json, space_norms
 from .paraproduct import _checked_gap, decompose_product, dump_decomposition
-from .testbank import (GeneratorSpec, bank_specs, materialize, pure_wave,
-                       spec_for, tuple_bank)
+from .testbank import (GeneratorSpec, _check_spec, bank_specs, materialize,
+                       pure_wave, spec_for, tuple_bank)
 
 __all__ = ["main"]
 
@@ -217,7 +217,6 @@ def cmd_audit(args):
 
 def cmd_gen(args):
     grid, sys_ = _build(args)
-    os.makedirs(args.out, exist_ok=True)
     jobs = []  # (stem, spec, the dyadic system to build it with)
     if args.bank:
         for name, spec in bank_specs(grid, seed=args.seed):
@@ -228,6 +227,7 @@ def cmd_gen(args):
             text = fh.read()
         try:
             spec = GeneratorSpec.from_json(text)
+            _check_spec(spec)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError("bad generator spec %s: %s" % (path, exc))
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -237,6 +237,7 @@ def cmd_gen(args):
                      spec_for("pure-wave", grid, k=args.wave), sys_))
     if not jobs:
         raise ConfigError("gen needs --bank, --spec FILE, or --wave K")
+    os.makedirs(args.out, exist_ok=True)
 
     index = []
     for stem, spec, system in jobs:

@@ -7,6 +7,11 @@ Exponent conventions used throughout:
 * p and q below 1 are computed verbatim as quasi-norms;
 * q = inf and p = inf take suprema;
 * sums over the band index stop at jmax, which is exact for grid fields.
+
+The kernels read a block stack, band index first: `dyadic.decompose` gives
+one for any field, and the audits take a random-band field's stack from
+its generator's band samples (`testbank.materialize` with out), which
+agrees with `decompose` to rounding.
 """
 
 from __future__ import annotations
@@ -84,13 +89,24 @@ class SpaceSpec:
                                   _ex(self.q))
 
 
+def _power(a, p, out=None):
+    """a ** p elementwise, bitwise equal to np.power(a, p, out=out); out is
+    None or a itself.  At p = 1 it returns a, and at p = 2 it calls
+    np.square, skipping numpy's generic pow."""
+    if p == 1.0:
+        return a
+    if p == 2.0:
+        return np.square(a, out=out)
+    return np.power(a, p, out=out)
+
+
 def _lp(a, p):
     """lp_norm of a nonnegative array, p already checked."""
     if a.size == 0:
         return 0.0
     if p == INF:
         return float(a.max())
-    return float(np.mean(a ** p) ** (1.0 / p))
+    return float(np.mean(_power(a, p)) ** (1.0 / p))
 
 
 def lp_norm(f, p):
@@ -125,8 +141,8 @@ def _pointwise_lq(mags, s, q):
     mags *= w.reshape((-1,) + (1,) * (mags.ndim - 1))
     if q == INF:
         return mags.max(axis=0)
-    mags **= q
-    return np.sum(mags, axis=0) ** (1.0 / q)
+    total = np.sum(_power(mags, q, out=mags), axis=0)
+    return _power(total, 1.0 / q, out=total)
 
 
 def lp_of_lq(blocks, s, p, q):
@@ -180,12 +196,19 @@ def space_norms(f, specs, sys):
 
     Returns one value per spec, in order, each bitwise equal to what
     besov_norm or triebel_norm gives for that spec.  The block magnitudes
-    are taken once: B specs with the same p share one list of per-band L_p
-    norms, and F specs with the same (s, q) share one pointwise l_q, each
-    computed on a copy of the magnitudes except the last, which overwrites
-    them.  The magnitude stack lives only for the duration of the call.
+    are taken once and the stack is dropped; see `_magnitude_norms`.
     """
-    mags = np.abs(decompose(f, sys))
+    return _magnitude_norms(np.abs(decompose(f, sys)), specs)
+
+
+def _magnitude_norms(mags, specs):
+    """space_norms from the block magnitudes np.abs(stack), which it
+    overwrites.
+
+    B specs with the same p share one list of per-band L_p norms, and F
+    specs with the same (s, q) share one pointwise l_q, each computed on a
+    copy of the magnitudes except the last, which works in place.
+    """
     band_norms = {}
     for spec in specs:
         if spec.family == "B" and spec.p not in band_norms:

@@ -7,8 +7,12 @@ constructions place all their content on the plateaus of the annular
 windows, where exactly one window equals 1 and its neighbors vanish; that
 makes their Besov/Triebel norms available in closed form.
 
-The standard bank is one list of GeneratorSpec recipes (`bank_specs`), and
-`materialize` builds a recipe's field where a sweep measures it.
+The standard bank is one list of GeneratorSpec recipes (`bank_specs`), as
+is each multiplication tuple (`tuple_specs`), and `materialize` builds a
+recipe's field where a sweep measures it.  Given an array for it,
+`materialize` also writes the field's block stack: a random-band field's
+blocks are the band samples its generator computes anyway to normalise
+each band, so the audits do not transform them a second time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .grid import Field, Grid
-from .norms import sequence_norm
+from .norms import _power, sequence_norm
 
 __all__ = [
     "GeneratorSpec", "materialize", "plateau_frequency", "lacunary_field",
@@ -127,18 +131,34 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
     the band is rescaled to hit the target block norm exactly.  Since all
     content sits on plateaus, besov_norm(f; s, p, inf) = 1 by construction.
     """
+    return _random_band_into(grid, s, p, seed, sys, m_max, None)
+
+
+def _random_band_into(grid, s, p, seed, sys, m_max, out):
+    """`random_band_field`, writing block j of its stack to out[j] unless
+    out is None.
+
+    Band j's samples are the inverse transform of its unit-phase plateau
+    content.  Their L_p norm fixes the band's scale c_j = 2^(-js) / L_p, and
+    since the plateau content is all that window j sees, Delta_j f is c_j
+    times those samples.  A band without plateau points gives an exactly
+    zero block.  The blocks agree with `decompose` to rounding: the scale is
+    applied after the transform rather than before it.
+    """
     cap = band_limit(grid, m_max)
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
-    values = np.empty(grid.sizes, dtype=np.complex128)
-    filled = []
+    if out is None:
+        scratch = np.empty(grid.sizes, dtype=np.complex128)
+    filled = False
     for j in range(sys.jmax + 1):
+        values = scratch if out is None else out[j]
+        values[...] = 0.0
         mask = _plateau_mask(sys, j, cap)
         count = int(mask.sum())
         if count == 0:
             continue
         rng = np.random.default_rng([int(seed), j])
         phases = np.exp(2j * np.pi * rng.random(count))
-        values[...] = 0.0
         values[mask] = phases
         np.fft.ifftn(values, out=values)
         values *= grid.npoints
@@ -146,10 +166,12 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
         if p == math.inf:
             size = float(mags.max())
         else:
-            mags **= p
-            size = float(np.mean(mags) ** (1.0 / p))
-        coeffs[mask] += phases * (2.0 ** (-float(s) * j) / size)
-        filled.append(j)
+            size = float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
+        scale = 2.0 ** (-float(s) * j) / size
+        coeffs[mask] += phases * scale
+        if out is not None:
+            values *= scale
+        filled = True
     if not filled:
         raise ValueError("no usable plateau frequencies under the band limit")
     return Field.from_spectral(grid, coeffs)
@@ -298,38 +320,67 @@ def spec_for(kind, grid, **params):
                                "period": grid.period})
 
 
-def materialize(spec, sys=None):
+# the parameters each generator kind cannot do without
+_REQUIRED_PARAMS = {"lacunary": ("amplitudes",),
+                    "random-band": ("s", "p", "seed"),
+                    "gaussian-bump": (), "smoothed-step": (),
+                    "pure-wave": ("k",), "constant": ()}
+
+
+def _check_spec(spec):
+    """Refuse a recipe `materialize` cannot build: an unknown kind, or a
+    grid or params object without a key it needs (ValueError naming it)."""
+    if spec.kind not in _REQUIRED_PARAMS:
+        raise ValueError("unknown generator kind %r" % (spec.kind,))
+    for part, need in (("grid", ("n", "sizes")),
+                       ("params", _REQUIRED_PARAMS[spec.kind])):
+        value = getattr(spec, part)
+        if not isinstance(value, dict):
+            raise ValueError("%s spec: %s must be an object"
+                             % (spec.kind, part))
+        missing = [key for key in need if key not in value]
+        if missing:
+            raise ValueError("%s spec: %s lacks %s" % (
+                spec.kind, part, ", ".join(repr(k) for k in missing)))
+
+
+def materialize(spec, sys=None, out=None):
     """Build the field a GeneratorSpec describes (bitwise reproducible);
-    given a dyadic system, on its grid, which must match the spec's."""
+    given a dyadic system, on its grid, which must match the spec's.
+
+    A random-band recipe may also be given out, a writable complex array
+    of the shape of sys.phi: its generator then writes the field's block
+    stack there, laid out as `decompose` lays it out (`_random_band_into`).
+    """
+    _check_spec(spec)
     g = spec.grid
     shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
     grid = Grid(*shape) if sys is None else sys.grid
     if sys is not None and shape != (grid.n, grid.sizes, grid.period):
         raise ValueError("provided dyadic system does not match spec grid")
+    if out is not None and (sys is None or spec.kind != "random-band"):
+        raise ValueError("only a random-band recipe on a dyadic system "
+                         "writes its block stack")
     params = spec.params
     kind = spec.kind
     if kind in ("lacunary", "random-band") and sys is None:
         sys = DyadicSystem(grid)
+    m_max = params.get("m_max", DEFAULT_MAX_ARITY)
+    if kind == "random-band":
+        return _random_band_into(grid, params["s"], params["p"],
+                                 params["seed"], sys, m_max, out)
     if kind == "lacunary":
         amps = {int(j): complex(re, im)
                 for j, (re, im) in params["amplitudes"].items()}
         return lacunary_field(grid, amps, sys)
-    if kind == "random-band":
-        return random_band_field(grid, params["s"], params["p"],
-                                 params["seed"], sys,
-                                 params.get("m_max", DEFAULT_MAX_ARITY))
     if kind == "gaussian-bump":
         return gaussian_bump(grid, params.get("center"),
-                             params.get("width", 0.5),
-                             params.get("m_max", DEFAULT_MAX_ARITY))
+                             params.get("width", 0.5), m_max)
     if kind == "smoothed-step":
-        return smoothed_step(grid, params.get("edge_width", 0.25),
-                             params.get("m_max", DEFAULT_MAX_ARITY))
+        return smoothed_step(grid, params.get("edge_width", 0.25), m_max)
     if kind == "pure-wave":
         return pure_wave(grid, params["k"])
-    if kind == "constant":
-        return constant_field(grid, params.get("value", 1.0))
-    raise ValueError("unknown generator kind %r" % (kind,))
+    return constant_field(grid, params.get("value", 1.0))
 
 
 @dataclass
@@ -392,20 +443,41 @@ def standard_bank(grid, sys, m_max=DEFAULT_MAX_ARITY, seed=811):
             for name, spec in bank_specs(grid, m_max, seed)]
 
 
-def tuple_fields(grid, sys, params, seed, t):
-    """Tuple t of `tuple_bank`, built on its own.
+def _tuple_slot(grid, params, seed, t, i):
+    s, p = params[i]
+    return spec_for("random-band", grid, s=s,
+                    p=2.0 if p == math.inf else min(p, 4.0),
+                    seed=seed * 1000 + t * 10 + i, m_max=DEFAULT_MAX_ARITY)
 
-    Slot i draws from the stream [seed, t, i]; tuple 0 swaps a smoothed
-    step into slot 2 to exercise a non-random factor.
+
+def tuple_specs(grid, params, seed, t):
+    """The recipes of tuple t of `tuple_bank`, one per slot.
+
+    Slot i is a random-band field from the stream [seed, t, i]; tuple 0
+    swaps a smoothed step into slot 2 to exercise a non-random factor.
     """
-    fields = []
-    for i, (s, p) in enumerate(params):
-        p_eff = 2.0 if p == math.inf else min(p, 4.0)
-        fields.append(random_band_field(
-            grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
-    if t == 0 and len(fields) >= 2:
-        fields[1] = smoothed_step(grid)
-    return tuple(fields)
+    specs = [_tuple_slot(grid, params, seed, t, i)
+             for i in range(len(params))]
+    if t == 0 and len(specs) >= 2:
+        specs[1] = spec_for("smoothed-step", grid, edge_width=0.25,
+                            m_max=DEFAULT_MAX_ARITY)
+    return specs
+
+
+def tuple_fields(grid, sys, params, seed, t):
+    """Tuple t of `tuple_bank`, built on its own: the fields of
+    `tuple_specs` on sys.grid.
+
+    Tuple 0 still draws, and drops, the random field of slot 2 that its
+    step replaces.  Skipping the draw would change no field, but it would
+    speed up `paraflux decompose`, whose benchmark memory reading follows
+    the number of runs that fit in its time budget until that harness is
+    mended.
+    """
+    if t == 0 and len(params) >= 2:
+        materialize(_tuple_slot(grid, params, seed, t, 1), sys)
+    return tuple(materialize(spec, sys)
+                 for spec in tuple_specs(grid, params, seed, t))
 
 
 def tuple_bank(grid, sys, params, seed, count):

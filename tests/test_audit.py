@@ -296,6 +296,13 @@ def test_audit_embedding_refuses_bad_pair(setup128):
         audit_embedding((src, tgt), standard_bank(g, sys)[:2], sys)
 
 
+def test_audit_embedding_refuses_a_field_on_another_grid(setup128):
+    _, sys = setup128
+    pair = (SpaceSpec("B", 1.0, 2.0, 2.0), SpaceSpec("B", 0.5, 2.0, 2.0))
+    with pytest.raises(ValueError, match="does not match"):
+        audit_embedding(pair, [constant_field(build_grid(1, 64))], sys)
+
+
 def test_audit_multiplication_constant_tuple(setup128):
     g, sys = setup128
     params = [(0.4, 2.0), (1.0, 2.0)]
@@ -483,27 +490,41 @@ _TWO_EMBEDDINGS = {
 
 
 def test_manifest_decomposes_each_field_once(monkeypatch):
+    # each bank field's stack is made once: a random-band recipe's by its
+    # generator, any other by one decomposition
     import paraflux.audit
     import paraflux.norms
+    import paraflux.testbank
 
-    calls, built = [], []
-    real_decompose = paraflux.norms.decompose
+    events, built, banks = [], [], []
+    for module, name, tag in (
+            (paraflux.norms, "decompose", "decompose"),
+            (paraflux.audit, "_decompose_into", "decompose"),
+            (paraflux.testbank, "_random_band_into", "generator")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, _fn=getattr(module, name), _tag=tag:
+                            events.append(_tag) or _fn(*a))
     real_specs = paraflux.audit.bank_specs
-    real_materialize = paraflux.audit.materialize
-    monkeypatch.setattr(paraflux.norms, "decompose",
-                        lambda f, s: calls.append(1) or real_decompose(f, s))
-    banks = []
     monkeypatch.setattr(paraflux.audit, "bank_specs",
                         lambda *a, **k: banks.append(real_specs(*a, **k))
                         or banks[-1])
-    monkeypatch.setattr(paraflux.audit, "materialize",
-                        lambda spec, sys: built.append(spec.to_json())
-                        or real_materialize(spec, sys))
+    real_build = paraflux.audit._field_and_stack
+
+    def build(item, sys, out=None):
+        start = len(events)
+        made = real_build(item, sys, out)
+        built.append((item.to_json(), events[start:]))
+        return made
+
+    monkeypatch.setattr(paraflux.audit, "_field_and_stack", build)
     run_audit_manifest(_TWO_EMBEDDINGS)
     assert len(banks) == len(_TWO_EMBEDDINGS["resolutions"])
-    assert len(calls) == sum(len(bank) for bank in banks)
-    # each recipe is built once, in bank order
-    assert built == [spec.to_json() for bank in banks for _, spec in bank]
+    # each recipe is built once, in bank order, with one stack
+    assert built == [
+        (spec.to_json(),
+         ["generator" if spec.kind == "random-band" else "decompose"])
+        for bank in banks for _, spec in bank]
+    assert len(events) == sum(len(bank) for bank in banks)
 
 
 def test_manifest_keeps_one_bank_field_alive(monkeypatch):
@@ -525,6 +546,78 @@ def test_manifest_keeps_one_bank_field_alive(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < bank_bytes
+
+
+def _close(a, b, rel=1e-14):
+    return abs(a - b) <= rel * abs(b)
+
+
+def _embedding_oracle(pair, bank, sys):
+    # target and source norms of each field, from decompose
+    out = []
+    for entry in bank:
+        norms = [besov_norm(entry.field, spec, sys) if spec.family == "B"
+                 else triebel_norm(entry.field, spec, sys) for spec in pair]
+        out.append((entry.name, norms[1], norms[0]))
+    return out
+
+
+@pytest.mark.parametrize("manifest", [
+    dict(_TWO_EMBEDDINGS, resolutions=[128], multiplications=[
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]], "q": 2.0,
+         "tuples": 3},
+        {"mode": "negative", "params": [[-0.2, 2.0], [0.7, 2.5],
+                                        [0.9, 2.5]], "q": 1.5, "tuples": 2}]),
+    {"n": 2, "resolutions": [64], "seed": 17, "embeddings": [
+        {"source": {"family": "F", "s": 1.0, "p": 2.0, "q": 2.0},
+         "target": {"family": "B", "s": 0.5, "p": 4.0, "q": 4.0}},
+        {"source": {"family": "B", "s": 1.5, "p": 1.0, "q": 1.0},
+         "target": {"family": "F", "s": 0.5, "p": 2.0, "q": 2.0}}],
+     "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]],
+         "q": 2.0, "tuples": 2}]},
+])
+def test_manifest_rows_match_decompose_oracle(manifest):
+    # the audit takes random-band stacks from their generator; every row
+    # stays within 1e-14 of the values decompose gives, with the same
+    # verdicts, and the mult-total lhs is unchanged bit for bit
+    sweep = run_audit_manifest(manifest)
+    records = iter(sweep.records)
+    n, seed = manifest["n"], manifest["seed"]
+    systems = [build_dyadic_system(build_grid(n, size))
+               for size in manifest["resolutions"]]
+    for item in manifest["embeddings"]:
+        pair = (SpaceSpec(**item["source"]), SpaceSpec(**item["target"]))
+        for sys in systems:
+            bank = standard_bank(sys.grid, sys, seed=seed)
+            for name, lhs, rhs in _embedding_oracle(pair, bank, sys):
+                r = next(records)
+                assert r.name.startswith("embedding[")
+                assert r.inputs["field"] == name
+                assert _close(r.lhs, lhs) and _close(r.rhs_core, rhs)
+                assert _close(r.ratio, lhs / rhs)
+                assert r.verdict == "informational"
+        assert next(records).name.startswith("embedding-stability[")
+    for item in manifest["multiplications"]:
+        params = [tuple(pair) for pair in item["params"]]
+        for sys in systems:
+            fields = tuple_bank(sys.grid, sys, params, seed, item["tuples"])
+            for t, tup in enumerate(fields):
+                total, pi1, pi2, scaling = (next(records) for _ in range(4))
+                (rhs, *lhs), (rhs2, *lhs2) = _oracle_ratios(
+                    params, item["q"], total.inputs["p"], tup, sys)
+                assert total.lhs == lhs[0]
+                for rec, want in zip((total, pi1, pi2), lhs):
+                    assert _close(rec.rhs_core, rhs)
+                    assert _close(rec.lhs, want)
+                    assert _close(rec.ratio, want / rhs)
+                    assert rec.verdict == "informational"
+                drift = max(abs(a / rhs - b / rhs2) / max(a / rhs, b / rhs2)
+                            for a, b in zip(lhs, lhs2) if a or b)
+                assert abs(scaling.lhs - drift) <= 1e-14
+                assert scaling.verdict == "pass"
+        assert next(records).name.startswith("mult-stability[")
+    assert next(records, None) is None
 
 
 def test_manifest_embedding_rows_match_audit_embedding():

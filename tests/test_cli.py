@@ -238,6 +238,40 @@ def test_gen_bank_and_spec_files(tmp_path, capsys):
     assert np.allclose(stored.physical, again.physical, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind, params, missing", [
+    ("random-band", {"p": 2.0, "seed": 3}, "'s'"),
+    ("random-band", {"s": 1.0}, "'p', 'seed'"),
+    ("lacunary", {}, "'amplitudes'"),
+    ("pure-wave", {}, "'k'"),
+])
+def test_gen_spec_missing_parameter_exit_2(tmp_path, capsys, kind, params,
+                                          missing):
+    # every spec is checked before anything is written: a good spec listed
+    # first is not written either
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"kind": "constant", "params": {},
+                                "grid": {"n": 1, "sizes": [64]}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": kind, "params": params,
+                               "grid": {"n": 1, "sizes": [64]}}))
+    out = tmp_path / "fields"
+    assert main(["gen", "--spec", str(good), "--spec", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and missing in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_spec_missing_grid_key_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "constant", "grid": {"n": 1}}))
+    assert main(["gen", "--spec", str(bad),
+                 "--out", str(tmp_path / "fields")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'sizes'" in err
+
+
 def test_gen_needs_a_source(capsys):
     assert main(["gen", "--grid", "64"]) == 2
     capsys.readouterr()
@@ -357,8 +391,8 @@ def test_audit_resolutions_flag_overrides_manifest(tmp_path, capsys,
 
 def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                    manifest):
-    # exit 2 with no decomposition, bank recipe, field or tuple built;
-    # returns stderr
+    # exit 2 with no decomposition, bank or tuple recipe, field or block
+    # stack built; returns stderr
     import paraflux.audit
     import paraflux.norms
 
@@ -367,7 +401,8 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                          (paraflux.audit, "_decompose_into"),
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),
-                         (paraflux.audit, "tuple_fields")):
+                         (paraflux.audit, "tuple_specs"),
+                         (paraflux.audit, "_field_and_stack")):
         monkeypatch.setattr(module, name,
                             lambda *a, _name=name, **k: calls.append(_name))
     path = tmp_path / "m.json"

@@ -249,3 +249,70 @@ def test_lp_norm_invalid_exponent():
         lp_norm(np.ones(4), 0.0)
     with pytest.raises(ValueError):
         lp_norm(np.ones(4), -2.0)
+
+
+def _power_inputs():
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, 5e-324, 1e-310, tiny, tiny * 0.5, 1e-162, 1e154,
+               1.4e154, 1e200, np.finfo(float).max, INF]
+    return [rng.random(1001) * 10.0, rng.random((3, 17)) ** 8,
+            np.array(special)]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_power_helper_is_bitwise_np_power(p):
+    from paraflux.norms import _power
+
+    with np.errstate(over="ignore"):
+        for a in _power_inputs():
+            want = np.power(a, p)
+            got = _power(a, p)
+            assert got.tobytes() == want.tobytes()
+            inplace = a.copy()
+            assert _power(inplace, p, out=inplace) is inplace
+            assert inplace.tobytes() == want.tobytes()
+
+
+def _old_lp(a, p):
+    # the L_p kernel as it was written with the ** operator
+    if p == INF:
+        return float(a.max())
+    return float(np.mean(a ** p) ** (1.0 / p))
+
+
+def _old_pointwise_lq(mags, s, q):
+    mags = mags * (2.0 ** (float(s) * np.arange(mags.shape[0]))).reshape(
+        (-1,) + (1,) * (mags.ndim - 1))
+    if q == INF:
+        return mags.max(axis=0)
+    mags **= q
+    return np.sum(mags, axis=0) ** (1.0 / q)
+
+
+def test_kernels_match_the_power_operator_formulas():
+    g = build_grid(2, 32)
+    sys = build_dyadic_system(g)
+    exponents = (0.5, 1.0, 2.0, 3.0, INF)
+    for entry in standard_bank(g, sys, seed=3)[::3]:
+        stack = decompose(entry.field, sys)
+        mags = np.abs(stack)
+        for p in exponents:
+            assert lp_norm(entry.field, p) == \
+                _old_lp(np.abs(entry.field.physical), p)
+            for s in (-0.5, 1.0):
+                for q in exponents:
+                    band = [_old_lp(m, p) for m in mags]
+                    assert lq_of_lp(stack, s, p, q) == \
+                        sequence_norm(band, s, q)
+                    if p != INF:
+                        assert lp_of_lq(stack, s, p, q) == \
+                            _old_lp(_old_pointwise_lq(mags, s, q), p)
+        specs = [SpaceSpec(fam, s, p, q) for fam in "BF" for s in (0.5,)
+                 for p in exponents if not (fam == "F" and p == INF)
+                 for q in (1.0, 2.0, INF)]
+        want = [sequence_norm([_old_lp(m, sp.p) for m in mags], sp.s, sp.q)
+                if sp.family == "B"
+                else _old_lp(_old_pointwise_lq(mags, sp.s, sp.q), sp.p)
+                for sp in specs]
+        assert space_norms(entry.field, specs, sys) == want

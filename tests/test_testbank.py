@@ -6,12 +6,12 @@ import pytest
 
 from paraflux import (INF, SpaceSpec, band_limit, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, constant_field,
-                      delta_j, gaussian_bump, lacunary_field, lp_norm,
-                      materialize, plateau_frequency, pure_wave,
+                      decompose, delta_j, gaussian_bump, lacunary_field,
+                      lp_norm, materialize, plateau_frequency, pure_wave,
                       random_band_field, smoothed_step, spec_for,
                       standard_bank, triebel_norm, tuple_bank,
-                      tuple_fields)
-from paraflux.testbank import GeneratorSpec
+                      tuple_fields, tuple_specs)
+from paraflux.testbank import GeneratorSpec, _random_band_into
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,69 @@ def test_random_band_matches_reference_bitwise(n, size):
             got = random_band_field(g, s, p, seed, sys).spectral
             want = _random_band_reference(g, s, p, seed, sys)
             assert got.tobytes() == want.tobytes(), (p, s, seed)
+
+
+def _assert_stack_close(got, want):
+    # per block: exact zeros where decompose has no content, else within
+    # 1e-15 of the block's largest sample; returns the number of zero blocks
+    zeros = 0
+    for j, (g_j, w_j) in enumerate(zip(got, want)):
+        if not np.any(w_j):
+            assert np.all(g_j == 0.0), j
+            zeros += 1
+        else:
+            assert np.abs(g_j - w_j).max() <= 1e-15 * np.abs(w_j).max(), j
+    return zeros
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_generator_stack_matches_decompose(n, size):
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    zeros = 0
+    for p in (0.5, 1.0, 2.0, 4.0, INF):
+        for s, seed in ((-1.0, 3), (0.5, 811)):
+            # NaN everywhere first, so no block can be left unwritten
+            stack = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+            f = _random_band_into(g, s, p, seed, sys, 3, stack)
+            # the field stays the generator's, bit for bit
+            assert f.spectral.tobytes() == \
+                random_band_field(g, s, p, seed, sys).spectral.tobytes()
+            zeros += _assert_stack_close(stack, decompose(f, sys))
+    # the top band has no plateau point under the band limit
+    assert zeros > 0
+
+
+def test_materialize_writes_a_random_band_stack():
+    g = build_grid(2, 32)
+    sys = build_dyadic_system(g)
+    generated = 0
+    for name, spec in bank_specs(g, seed=5):
+        out = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+        if spec.kind != "random-band":
+            with pytest.raises(ValueError, match="only a random-band"):
+                materialize(spec, sys, out)
+            continue
+        f = materialize(spec, sys, out)
+        assert f.spectral.tobytes() == \
+            materialize(spec, sys).spectral.tobytes(), name
+        _assert_stack_close(out, decompose(f, sys))
+        generated += 1
+        with pytest.raises(ValueError, match="dyadic system"):
+            materialize(spec, None, out)
+    assert generated == 12
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("random-band", {"p": 2.0, "seed": 1}, "'s'"),
+    ("lacunary", {}, "'amplitudes'"),
+    ("pure-wave", {}, "'k'"),
+    ("nonesuch", {}, "unknown generator kind"),
+])
+def test_materialize_names_a_missing_parameter(kind, params, missing):
+    spec = GeneratorSpec(kind, params, {"n": 1, "sizes": [64]})
+    with pytest.raises(ValueError, match=missing):
+        materialize(spec)
 
 
 def test_band_limit_respected(setup128):
@@ -257,6 +320,20 @@ def test_tuple_fields_match_reference_bitwise():
             assert isinstance(fields, tuple)
             assert [f.spectral.tobytes() for f in fields] == \
                 [f.spectral.tobytes() for f in ref]
+
+
+def test_tuple_specs_build_tuple_fields():
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    params = [(0.4, 2.0), (0.9, 3.0), (1.1, INF)]
+    for t in range(3):
+        specs = tuple_specs(g, params, 811, t)
+        assert [spec.kind for spec in specs] == (
+            ["random-band", "smoothed-step", "random-band"] if t == 0
+            else ["random-band"] * 3)
+        want = tuple_fields(g, sys, params, 811, t)
+        assert [materialize(spec, sys).spectral.tobytes()
+                for spec in specs] == [f.spectral.tobytes() for f in want]
 
 
 def _standard_bank_reference(grid, sys, m_max=3, seed=811):
