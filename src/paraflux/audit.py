@@ -14,19 +14,21 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._parallel import map_ordered, per_worker
-from .dyadic import _decompose_into, decompose, q_j
+from .dyadic import _blocks, _decompose_into, decompose, q_j
 from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq,
-                    _magnitude_norms, lp_norm, lq_of_lp, sequence_norm,
-                    triebel_norm)
+                    _magnitude_norms, _weights, lp_norm, lq_of_lp,
+                    sequence_norm, triebel_norm)
 from .paraproduct import _checked_gap, _split_product, _support_radius
-from .testbank import GeneratorSpec, bank_specs, materialize, tuple_specs
+from .testbank import (GeneratorSpec, _draw_random_band, bank_specs,
+                       materialize, tuple_specs)
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -554,7 +556,9 @@ def _check_embedding(pair, n, mode):
 
 
 def _field_and_stack(item, sys, out=None):
-    """(field, block stack) of item: the one stack builder of both sweeps.
+    """(field, block stack) of item: the stack builder of the embedding
+    sweep, and of the multiplication sweep for items not drawn from a
+    random-band stream.
 
     item is a GeneratorSpec recipe or a Field.  A random-band recipe's
     blocks are the band samples its generator computes anyway (`materialize`
@@ -655,105 +659,177 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     """
     p = _check_multiplication(params, q, mode, sys, N, p)
     tuples = list(tuples)
-    return _multiplication_sweep(params, q, mode, len(tuples),
-                                 tuples.__getitem__, sys, N, p)
+    mset = _MultSet(params, q, mode, len(tuples), N, p)
+    return _multiplication_sweep([mset], lambda k, t: tuples[t], sys)[0]
 
 
-def _multiplication_sweep(params, q, mode, count, build, sys, N, p):
-    """The body of `audit_multiplication` for a set that
-    `_check_multiplication` has passed on this grid, with the p it
-    returned.  `run_audit_manifest` checks every set at every resolution
-    before any field is built and then calls this directly.
+class _MultSet(NamedTuple):
+    """A multiplication set as the sweep runs it: count tuples, the gap N
+    (None for the minimum) and the integrability p it was checked with."""
 
-    Tuple t is build(t), one recipe or Field per slot, and the worker that
-    measures it makes each factor and its block stack with
-    `_field_and_stack` (a random-band recipe's stack is its generator's).
-    The stacks of f2..fm give their B-norms and serve both passes (f1, then
-    1000 f1, which is decomposed); in each pass the first factor's stack
-    gives the F-norm of the right side and feeds
-    `paraproduct._split_product`, the product and Pi_1 are decomposed once
-    each, and Pi_2's stack is their difference.  With Fields the values are
+    params: list
+    q: float
+    mode: str
+    count: int
+    N: int
+    p: float
+
+
+def _multiplication_sweep(sets, build, sys):
+    """One sweep over the tuple index for every multiplication set at one
+    resolution: one SweepResult per set, as `audit_multiplication` gives it.
+
+    sets holds a `_MultSet` for each set that `_check_multiplication` has
+    passed on this grid, with the p it returned; `run_audit_manifest`
+    checks every set at every resolution before any field is built and then
+    calls this once per resolution.  Set k's tuple t is build(k, t), one
+    recipe or Field per slot.
+
+    The worker that takes index t serves every set that has a tuple t, and
+    each distinct item of those tuples gets one stack in the worker's
+    buffers.  A random-band recipe's stack holds the unit band samples U_j
+    of the stream it draws from (`testbank._draw_random_band`), built once
+    for every set, and each set takes the field and the band scales c_j of
+    its own targets (s, p), so Delta_j f = c_j U_j is written only where it
+    is read: the first factor's into the product stack, and for f2..fm
+    band by band into the B-norm's and the split's work arrays
+    (`paraproduct._stack_sources`).  Any other item is built and
+    decomposed once (`_field_and_stack`).  The norms of f2..fm serve both
+    passes (f1, then 1000 f1, which is decomposed); in each pass the first
+    factor's stack gives the F-norm of the right side and feeds
+    `paraproduct._split_product`; the product is decomposed into that stack,
+    and Pi_1 band by band (`dyadic._blocks`), each of its blocks taken from
+    the product's, which leaves Pi_2's stack.  With Fields the values are
     those of `decompose_product` with `triebel_norm` and `besov_norm`:
     bitwise for the product and the right side, at rounding level for Pi_1
-    and Pi_2; generator stacks move the norms at rounding level too.  Each
-    worker reuses its own stacks and work arrays for the sweep.
+    and Pi_2; random-band recipes move the norms at rounding level too, and
+    give the bits of `_field_and_stack`'s generator stacks.
     """
-    m = len(params)
-    f_spec = SpaceSpec("F", params[0][0], p, q)
-    f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
-    b_specs = [SpaceSpec("B", s, pi, INF) for s, pi in params[1:]]
-    stack_shape = sys.phi.shape
+    m_top = max(len(mset.params) for mset in sets)
+    grid = sys.grid
 
     def buffers():
-        # stacks[0] holds f1, then the product and Pi_2; stacks[1:] f2..fm
-        return {"stacks": [np.empty(stack_shape, dtype=np.complex128)
-                           for _ in range(m)],
-                "pi1": np.empty(stack_shape, dtype=np.complex128),
-                "mags": np.empty(stack_shape),
-                "work": [np.empty(sys.grid.sizes, dtype=np.complex128)
-                         for _ in range(m + 2)]}
+        # items: one stack per distinct item of a tuple index, grown on
+        # demand; product holds f1, then the product and Pi_2
+        return {"items": [],
+                "product": np.empty(sys.phi.shape, dtype=np.complex128),
+                "f_work": np.empty((2,) + grid.sizes),
+                "work": [np.empty(grid.sizes, dtype=np.complex128)
+                         for _ in range(m_top + 3)]}
 
     workspace = per_worker(buffers)
 
-    def f_norm(stack, spec, mags):
-        return _lp_of_lq(stack, spec.s, spec.p, spec.q, mags)
-
-    def ratios_for(fields, b_norms, buf):
-        # buf["stacks"] holds the stacks of fields; b_norms, the B-norms of
-        # fields[1:], and their stacks are what the slot-1 scaling keeps
-        stacks, mags = buf["stacks"], buf["mags"]
-        rhs = f_norm(stacks[0], f1_spec, mags)
-        for b in b_norms:
-            rhs *= b
-        product, pi1, _ = _split_product(fields, sys, N, stacks, buf["work"])
-        total = _decompose_into(product, sys, stacks[0])
-        part = _decompose_into(pi1, sys, buf["pi1"])
-        lhs_total = f_norm(total, f_spec, mags)
-        lhs_pi1 = f_norm(part, f_spec, mags)
-        lhs_pi2 = f_norm(np.subtract(total, part, out=total), f_spec, mags)
-        return rhs, lhs_total, lhs_pi1, lhs_pi2
-
-    params_json = [[si, _ex_json(pi)] for si, pi in params]
-
     def run(t):
         buf = workspace()
-        fields = tuple(_field_and_stack(item, sys, stack)[0]
-                       for item, stack in zip(build(t), buf["stacks"]))
-        b_norms = [lq_of_lp(stack, spec.s, spec.p, spec.q)
-                   for spec, stack in zip(b_specs, buf["stacks"][1:])]
-        rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios_for(fields, b_norms, buf)
-        base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
-                "params": params_json}
-        out = [
-            _make_record("mult-total[%s,m=%d]" % (mode, m),
-                         base, lhs_total, rhs),
-            _make_record("mult-pi1[%s,m=%d]" % (mode, m),
-                         base, lhs_pi1, rhs),
-            _make_record("mult-pi2[%s,m=%d]" % (mode, m),
-                         base, lhs_pi2, rhs),
-        ]
-        scaled = (1000.0 * fields[0],) + fields[1:]
-        _decompose_into(scaled[0], sys, buf["stacks"][0])
-        rhs2, tot2, pi12, pi22 = ratios_for(scaled, b_norms, buf)
-        drift = 0.0
-        for a, b in ((lhs_total / rhs, tot2 / rhs2),
-                     (lhs_pi1 / rhs, pi12 / rhs2),
-                     (lhs_pi2 / rhs, pi22 / rhs2)):
-            if b != 0.0 or a != 0.0:
-                drift = max(drift, abs(a - b) / max(abs(a), abs(b)))
-        out.append(_make_record(
-            "mult-scaling[%s,m=%d]" % (mode, m), base,
-            drift, 1.0, RATIO_SLACK, "derived: slot 1-homogeneity"))
-        return out
+        streams, built = {}, {}
 
-    nested = map_ordered(run, range(count))
-    records = [r for group in nested for r in group]
-    sweep = SweepResult(records, {
-        "kind": "multiplication", "mode": mode, "p": p, "q": _ex_json(q),
-        "params": params_json,
-        "grid": {"n": sys.grid.n, "sizes": list(sys.grid.sizes)},
-    })
-    return sweep
+        def new_stack():
+            used = len(streams) + len(built)
+            if used == len(buf["items"]):
+                buf["items"].append(np.empty(sys.phi.shape,
+                                             dtype=np.complex128))
+            return buf["items"][used]
+
+        def factor(item):
+            # (field, stack, scales): scales None for a stack of blocks
+            if isinstance(item, GeneratorSpec) and item.kind == "random-band":
+                return _draw_random_band(item, sys, streams, new_stack)
+            # a Field is its own key, kept alive with its entry
+            key = item.to_json() if isinstance(item, GeneratorSpec) \
+                else id(item)
+            if key not in built:
+                built[key] = _field_and_stack(item, sys, new_stack())
+            return built[key] + (None,)
+
+        return [_tuple_records(mset, t, [factor(item) for item in build(k, t)],
+                               buf, sys)
+                if t < mset.count else [] for k, mset in enumerate(sets)]
+
+    nested = map_ordered(run, range(max(mset.count for mset in sets)))
+    return [SweepResult([r for group in nested for r in group[k]], {
+        "kind": "multiplication", "mode": mset.mode, "p": mset.p,
+        "q": _ex_json(mset.q),
+        "params": [[si, _ex_json(pi)] for si, pi in mset.params],
+        "grid": {"n": grid.n, "sizes": list(grid.sizes)},
+    }) for k, mset in enumerate(sets)]
+
+
+def _tuple_records(mset, t, factors, buf, sys):
+    """The four records of tuple t of the `_MultSet` mset, made in the
+    worker buffers buf of `_multiplication_sweep`.
+
+    factors holds (field, stack, scales) per slot, as the sweep made them:
+    scales is None for a stack of blocks, or c_j for unit samples U_j.
+    """
+    params, q, mode, _, N, p = mset
+    m = len(params)
+    f_spec = SpaceSpec("F", params[0][0], p, q)
+    f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
+    weights = _weights(params[0][0], sys.jmax + 1)  # both F specs' bands
+    fields, stacks, scales = (list(part) for part in zip(*factors))
+    product_stack, work = buf["product"], buf["work"][:m + 3]
+
+    def f_norm(blocks, spec):
+        return _lp_of_lq(blocks, weights, spec.p, spec.q, buf["f_work"])
+
+    def blocks(i):
+        # Delta_j f_i band by band, c_j U_j in one work array
+        if scales[i] is None:
+            return stacks[i]
+        return (np.multiply(u, c, out=work[0])
+                for u, c in zip(stacks[i], scales[i]))
+
+    def pi1_blocks(pi1, total):
+        # Delta_j Pi_1 band by band, each taken from total[j] first, so
+        # that total ends as Pi_2's stack
+        for block, part in zip(total, _blocks(pi1, sys, work[0])):
+            block -= part
+            yield part
+
+    b_norms = [lq_of_lp(blocks(i), s, pi, INF)
+               for i, (s, pi) in enumerate(params[1:], 1)]
+    if scales[0] is None:
+        np.copyto(product_stack, stacks[0])
+    else:
+        for out, u, c in zip(product_stack, stacks[0], scales[0]):
+            np.multiply(u, c, out=out)
+    stacks[0], scales[0] = product_stack, None
+
+    def ratios():
+        # product_stack holds the first factor's blocks
+        rhs = f_norm(product_stack, f1_spec)
+        for b in b_norms:
+            rhs *= b
+        product, pi1, _ = _split_product(fields, sys, N, stacks, scales, work)
+        total = _decompose_into(product, sys, product_stack)
+        lhs_total = f_norm(total, f_spec)
+        lhs_pi1 = f_norm(pi1_blocks(pi1, total), f_spec)
+        return rhs, lhs_total, lhs_pi1, f_norm(total, f_spec)
+
+    rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios()
+    base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
+            "params": [[si, _ex_json(pi)] for si, pi in params]}
+    out = [
+        _make_record("mult-total[%s,m=%d]" % (mode, m),
+                     base, lhs_total, rhs),
+        _make_record("mult-pi1[%s,m=%d]" % (mode, m),
+                     base, lhs_pi1, rhs),
+        _make_record("mult-pi2[%s,m=%d]" % (mode, m),
+                     base, lhs_pi2, rhs),
+    ]
+    fields[0] = 1000.0 * fields[0]
+    _decompose_into(fields[0], sys, product_stack)
+    rhs2, tot2, pi12, pi22 = ratios()
+    drift = 0.0
+    for a, b in ((lhs_total / rhs, tot2 / rhs2),
+                 (lhs_pi1 / rhs, pi12 / rhs2),
+                 (lhs_pi2 / rhs, pi22 / rhs2)):
+        if b != 0.0 or a != 0.0:
+            drift = max(drift, abs(a - b) / max(abs(a), abs(b)))
+    out.append(_make_record(
+        "mult-scaling[%s,m=%d]" % (mode, m), base,
+        drift, 1.0, RATIO_SLACK, "derived: slot 1-homogeneity"))
+    return out
 
 
 def _stability_record(name, inputs, ratios):
@@ -880,10 +956,12 @@ def run_audit_manifest(manifest):
     at a time from its `bank_specs` recipe, with its block stack (a
     random-band field's from its generator, any other by one
     decomposition), and evaluates every norm of every embedding from that
-    one stack, so no whole bank is ever alive.  Multiplication tuples are
-    built the same way from `tuple_specs`.
-    Records keep the order embedding by embedding, resolution by
-    resolution.  meta["verdicts"] counts the records per verdict.
+    one stack, so no whole bank is ever alive.  The multiplication sets run
+    in one `_multiplication_sweep` per resolution: the worker that takes
+    tuple index t builds tuple t of every set from `tuple_specs`, and each
+    random-band stream of those tuples once.  Records keep the order
+    embedding by embedding, then set by set, resolution by resolution.
+    meta["verdicts"] counts the records per verdict.
 
     A manifest whose layout is off (not an object, a missing or unknown
     key, a non-list where a list belongs, a scalar of the wrong type) or
@@ -945,14 +1023,19 @@ def run_audit_manifest(manifest):
             {"pair": [source.label(), target.label()],
              "resolutions": resolutions}, maxima))
 
-    for item, params, q, ps in sets:
+    mult_by_size = []  # mult_by_size[i][k]: set k at resolution i
+    for i, (_, grid, sys) in enumerate(systems if sets else ()):
+        msets = [_MultSet(params, q, item["mode"], item.get("tuples", 6),
+                          item.get("gap"), ps[i])
+                 for item, params, q, ps in sets]
+        mult_by_size.append(_multiplication_sweep(
+            msets, lambda k, t, grid=grid: tuple_specs(grid, sets[k][1],
+                                                       seed, t), sys))
+    for k, (item, params, _, _) in enumerate(sets):
         mode = item["mode"]
-        count = item.get("tuples", 6)
         maxima = []
-        for (size, grid, sys), p in zip(systems, ps):
-            build = functools.partial(tuple_specs, grid, params, seed)
-            sweep = _multiplication_sweep(params, q, mode, count, build, sys,
-                                          item.get("gap"), p)
+        for (size, _, _), sweeps in zip(systems, mult_by_size):
+            sweep = sweeps[k]
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)
                 r.name += "[size=%d]" % size

@@ -155,3 +155,15 @@ def _decompose_into(f, sys, out):
             np.fft.ifftn(blocks, axes=axes, out=blocks, norm="forward")
         j += len(blocks)
     return stack
+
+
+def _blocks(f, sys, out):
+    """The slices of `decompose(f, sys)` band by band, lowest first: each
+    is written into out, a writable complex array of the grid's shape, and
+    yielded, so a consumer reads it before it asks for the next.  The
+    grids are not checked."""
+    for phi in sys.phi:
+        np.multiply(f.spectral, phi, out=out)
+        if np.any(out):
+            np.fft.ifftn(out, out=out, norm="forward")
+        yield out

@@ -132,16 +132,36 @@ def sequence_norm(a, s, q):
     return float(np.sum(wa ** q) ** (1.0 / q))
 
 
-def _pointwise_lq(mags, s, q):
-    """Pointwise weighted l_q across the bands of a magnitude stack.
+def _weights(s, count):
+    """The band weights 2^(js), j = 0..count-1, of the weighted sums."""
+    return 2.0 ** (float(s) * np.arange(count))
 
-    Overwrites mags; q already checked.
+
+def _pointwise_lq(blocks, w, q, work):
+    """Pointwise l_q across bands of the weighted magnitudes w[j] |block_j|,
+    where blocks is a complex block stack, its magnitudes, or any iterable
+    of band samples, which it does not write; q already checked.
+
+    The terms are added band by band into work[0], with work[1] holding
+    the current band, so work is a float array of shape (2, *grid sizes)
+    and nothing stack-sized is made; the sums are bitwise those of np.sum
+    over the band axis.  Returns work[0].
     """
-    w = 2.0 ** (float(s) * np.arange(mags.shape[0]))
-    mags *= w.reshape((-1,) + (1,) * (mags.ndim - 1))
+    total, term = work
+    for j, (block, wj) in enumerate(zip(blocks, w)):
+        out = term if j else total
+        if np.iscomplexobj(block):
+            block = np.abs(block, out=out)
+        np.multiply(block, wj, out=out)
+        if q == INF:
+            if j:
+                np.maximum(total, term, out=total)
+            continue
+        _power(out, q, out=out)
+        if j:
+            total += term
     if q == INF:
-        return mags.max(axis=0)
-    total = np.sum(_power(mags, q, out=mags), axis=0)
+        return total
     return _power(total, 1.0 / q, out=total)
 
 
@@ -153,16 +173,17 @@ def lp_of_lq(blocks, s, p, q):
     """
     p = _check_exponent(p, "p", allow_inf=False)
     q = _check_exponent(q, "q")
-    blocks = np.asarray(blocks)
+    blocks = np.abs(blocks) if np.isrealobj(blocks) else np.asarray(blocks)
     if blocks.shape[0] == 0:
         return 0.0
-    return _lp_of_lq(blocks, s, p, q, np.empty(blocks.shape))
+    return _lp_of_lq(blocks, _weights(s, len(blocks)), p, q,
+                     np.empty((2,) + blocks.shape[1:]))
 
 
-def _lp_of_lq(blocks, s, p, q, mags):
-    """lp_of_lq of a nonempty stack, exponents already checked, with the
-    magnitudes written to mags, a float array of the stack's shape."""
-    return _lp(_pointwise_lq(np.abs(blocks, out=mags), s, q), p)
+def _lp_of_lq(blocks, w, p, q, work):
+    """lp_of_lq of nonempty blocks with band weights w (`_weights`),
+    exponents already checked, with `_pointwise_lq`'s work array."""
+    return _lp(_pointwise_lq(blocks, w, q, work), p)
 
 
 def lq_of_lp(blocks, s, p, q):
@@ -202,22 +223,20 @@ def space_norms(f, specs, sys):
 
 
 def _magnitude_norms(mags, specs):
-    """space_norms from the block magnitudes np.abs(stack), which it
-    overwrites.
+    """space_norms from the block magnitudes np.abs(stack).
 
     B specs with the same p share one list of per-band L_p norms, and F
-    specs with the same (s, q) share one pointwise l_q, each computed on a
-    copy of the magnitudes except the last, which works in place.
+    specs with the same (s, q) share one pointwise l_q, summed band by band
+    into grid-sized arrays of its own.
     """
     band_norms = {}
     for spec in specs:
         if spec.family == "B" and spec.p not in band_norms:
             band_norms[spec.p] = [_lp(m, spec.p) for m in mags]
-    sq = list(dict.fromkeys((spec.s, spec.q) for spec in specs
-                            if spec.family == "F"))
-    inner = {key: _pointwise_lq(mags if i == len(sq) - 1 else mags.copy(),
-                                *key)
-             for i, key in enumerate(sq)}
+    inner = {(s, q): _pointwise_lq(mags, _weights(s, len(mags)), q,
+                                   np.empty((2,) + mags.shape[1:]))
+             for s, q in dict.fromkeys((spec.s, spec.q) for spec in specs
+                                       if spec.family == "F")}
     return [sequence_norm(band_norms[spec.p], spec.s, spec.q)
             if spec.family == "B" else _lp(inner[spec.s, spec.q], spec.p)
             for spec in specs]

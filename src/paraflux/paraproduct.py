@@ -37,8 +37,9 @@ factors once serves every band term and every residual tuple of a product.
 `decompose_product` keeps every band term as a Field.  The audits read only
 the product, Pi_1 = sum_k Pi_{1,k} and Pi_2, which `_split_product` computes
 with the same band loop (`_band_products`).  On an unpadded lattice it reads
-Delta_j f_k from the factors' block stacks and Q_{j-N} f_i as running sums
-of their lower blocks, so no factor is transformed again; it sums the band
+Delta_j f_k from the factors' block stacks, or as c_j U_j from a random-band
+factor's unit band samples and scales, and Q_{j-N} f_i as running sums of
+their lower blocks, so no factor is transformed again; it sums the band
 samples on the lattice and forward-transforms Pi_1 once.
 """
 
@@ -280,31 +281,42 @@ def _transformed_sources(fields, sys, big):
     return block, low
 
 
-def _stack_sources(stacks, work):
+def _stack_sources(stacks, scales, work):
     """block and low for `_band_products` on the unpadded lattice, read from
     the factors' block stacks (`dyadic.decompose` layout).
 
-    Delta_j f_k is slice j of stack k, copied into the last array of work;
-    Q_l f_i is the running sum of slices 0..l of stack i, kept in work[i]
-    (the windows telescope to the low-pass cutoffs, so the sum equals
-    q_j(f_i, l, sys).physical at rounding level).
+    scales[k] is None when stack k holds the blocks Delta_j f_k, or the
+    list of band scales c_j when it holds unit samples U_j with Delta_j f_k
+    = c_j U_j (`testbank._band_scales`); c_j U_j is then written where the
+    block would be copied, which gives the same bits as a stack of blocks.
+    Delta_j f_k goes to the last array of work; Q_l f_i is the running sum
+    of the blocks 0..l of factor i, kept in work[i], with the one before
+    last holding a scaled block on its way into that sum (the windows
+    telescope to the low-pass cutoffs, so the sum equals q_j(f_i, l,
+    sys).physical at rounding level).  No stack is written.
     """
-    *runs, term = work
+    *runs, part, term = work
     level = [-1] * len(stacks)
 
+    def write(k, j, out):
+        if scales[k] is None:
+            np.copyto(out, stacks[k][j])
+        else:
+            np.multiply(stacks[k][j], scales[k][j], out=out)
+        return out
+
     def block(k, j):
-        if not np.any(stacks[k][j]):
-            return None
-        np.copyto(term, stacks[k][j])
-        return term
+        # c_j > 0 on a band with content, so U_j = 0 exactly when the block is
+        return write(k, j, term) if np.any(stacks[k][j]) else None
 
     def low(i, l):
         if level[i] < 0:
-            np.copyto(runs[i], stacks[i][0])
+            write(i, 0, runs[i])
             level[i] = 0
         while level[i] < l:
             level[i] += 1
-            runs[i] += stacks[i][level[i]]
+            runs[i] += (stacks[i][level[i]] if scales[i] is None
+                        else write(i, level[i], part))
         return runs[i]
 
     return block, low
@@ -331,18 +343,17 @@ def decompose_product(fields, sys, N=None):
                                 pi2=pi2, product=product, factors=list(fields))
 
 
-def _split_product(fields, sys, N, stacks, work):
+def _split_product(fields, sys, N, stacks, scales, work):
     """(product, Pi_1, Pi_2) of prod(fields), without the per-band fields.
 
     The product is bitwise the one `decompose_product` gives, and Pi_1 =
-    sum_k Pi_{1,k} and Pi_2 agree with it at rounding level.  stacks holds
-    the factors' block stacks in the layout of `dyadic.decompose`, and work
-    m + 2 writable complex arrays of the grid's shape.  On an unpadded
-    lattice the band terms read Delta_j f_k and Q_{j-N} f_i from the stacks
-    (see `_stack_sources`), so no factor is transformed again; on a padded
-    one each block is transformed as in `decompose_product`.  Either way
-    the band samples are summed on the lattice and Pi_1 takes one forward
-    transform.
+    sum_k Pi_{1,k} and Pi_2 agree with it at rounding level.  stacks and
+    scales give the factors' blocks as `_stack_sources` reads them, and
+    work is m + 3 writable complex arrays of the grid's shape.  On an
+    unpadded lattice the band terms read Delta_j f_k and Q_{j-N} f_i from
+    the stacks, so no factor is transformed again; on a padded one each
+    block is transformed as in `decompose_product`.  Either way the band
+    samples are summed on the lattice and Pi_1 takes one forward transform.
     """
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
@@ -351,7 +362,7 @@ def _split_product(fields, sys, N, stacks, work):
     product = _retained_field(grid, _padded_product(fields, big))
     if big == grid.sizes:
         *buffers, acc = work
-        sources = _stack_sources(stacks, buffers)
+        sources = _stack_sources(stacks, scales, buffers)
     else:
         acc = np.empty(big, dtype=np.complex128)
         sources = _transformed_sources(fields, sys, big)

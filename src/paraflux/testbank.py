@@ -12,13 +12,20 @@ is each multiplication tuple (`tuple_specs`), and `materialize` builds a
 recipe's field where a sweep measures it.  Given an array for it,
 `materialize` also writes the field's block stack: a random-band field's
 blocks are the band samples its generator computes anyway to normalise
-each band, so the audits do not transform them a second time.
+each band, so the audits do not transform them a second time.  Those
+samples are the unit band samples U_j of the recipe's stream (grid, seed,
+m_max), which `_unit_bands` builds, times the band scales c_j of its
+targets (s, p), which `_band_scales` gives.  The multiplication audit
+draws every recipe of a tuple index from one set of streams
+(`_draw_random_band`), since slot i of tuple t has the same seed in every
+parameter set: it builds each stream once and keeps U_j and c_j apart.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -136,32 +143,65 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
 
 def _random_band_into(grid, s, p, seed, sys, m_max, out):
     """`random_band_field`, writing block j of its stack to out[j] unless
-    out is None.
+    out is None: `_band_scales` over `_unit_bands`, then out[j] *= c_j.
 
-    Band j's samples are the inverse transform of its unit-phase plateau
-    content.  Their L_p norm fixes the band's scale c_j = 2^(-js) / L_p, and
-    since the plateau content is all that window j sees, Delta_j f is c_j
-    times those samples.  A band without plateau points gives an exactly
-    zero block.  The blocks agree with `decompose` to rounding: the scale is
-    applied after the transform rather than before it.
+    Since the plateau content of band j is all that window j sees,
+    Delta_j f = c_j U_j.  The blocks agree with `decompose` to rounding:
+    the scale is applied after the transform rather than before it.
+    """
+    field, scales = _band_scales(grid, s, p,
+                                 _unit_bands(grid, seed, sys, m_max, out))
+    if out is not None:
+        for block, scale in zip(out, scales):
+            block *= scale
+    return field
+
+
+def _unit_bands(grid, seed, sys, m_max, out):
+    """The unit band samples of the random-band stream `seed`, band by band.
+
+    Yields (mask, phases, samples) for j = 0..jmax: band j's plateau points
+    under the band limit, the unit-modulus coefficients placed there (phases
+    from the PCG64 stream [seed, j]), and U_j, the inverse transform of that
+    content times npoints.  A band without plateau points yields (None,
+    None, zeros).  The samples are out[j], or, when out is None, one array
+    reused for every band, which a consumer reads before it asks for the
+    next band.  The stream depends on the grid, seed and m_max only: the
+    targets (s, p) of a field drawn from it enter through `_band_scales`.
     """
     cap = band_limit(grid, m_max)
-    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     if out is None:
         scratch = np.empty(grid.sizes, dtype=np.complex128)
-    filled = False
     for j in range(sys.jmax + 1):
         values = scratch if out is None else out[j]
         values[...] = 0.0
         mask = _plateau_mask(sys, j, cap)
         count = int(mask.sum())
         if count == 0:
+            yield None, None, values
             continue
         rng = np.random.default_rng([int(seed), j])
         phases = np.exp(2j * np.pi * rng.random(count))
         values[mask] = phases
         np.fft.ifftn(values, out=values)
         values *= grid.npoints
+        yield mask, phases, values
+
+
+def _band_scales(grid, s, p, bands):
+    """(field, scales) of the random-band field with targets (s, p) drawn
+    from bands, the items of `_unit_bands`.
+
+    Band j's scale is c_j = 2^(-js) / L_p(U_j), and 0 for a band without
+    plateau points; the field's spectrum is c_j times the unit content on
+    each band, so its block Delta_j f is c_j U_j.
+    """
+    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    scales = []
+    for j, (mask, phases, values) in enumerate(bands):
+        if mask is None:
+            scales.append(0.0)
+            continue
         mags = np.abs(values)
         if p == math.inf:
             size = float(mags.max())
@@ -169,12 +209,10 @@ def _random_band_into(grid, s, p, seed, sys, m_max, out):
             size = float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
         scale = 2.0 ** (-float(s) * j) / size
         coeffs[mask] += phases * scale
-        if out is not None:
-            values *= scale
-        filled = True
-    if not filled:
+        scales.append(scale)
+    if not any(scales):
         raise ValueError("no usable plateau frequencies under the band limit")
-    return Field.from_spectral(grid, coeffs)
+    return Field.from_spectral(grid, coeffs), scales
 
 
 # Cephes erf (Moshier), as scipy.special.erf evaluates it: a rational in x^2
@@ -327,9 +365,46 @@ _REQUIRED_PARAMS = {"lacunary": ("amplitudes",),
                     "pure-wave": ("k",), "constant": ()}
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_list_of(value, test):
+    return isinstance(value, (list, tuple)) and all(test(v) for v in value)
+
+
+def _is_amplitudes(value):
+    # {band index: [re, im]}, the index an integer or a string of digits
+    return isinstance(value, dict) and all(
+        (_is_int(j) or (isinstance(j, str) and j.isdigit()))
+        and _is_list_of(a, _is_number) and len(a) == 2
+        for j, a in value.items())
+
+
+# what a grid key or a parameter must be wherever a recipe gives it
+_NUMBER = (_is_number, "a number")
+_VALUE_TYPES = {
+    "n": (_is_int, "an integer"),
+    "sizes": (lambda v: _is_list_of(v, _is_int), "a list of integers"),
+    "period": _NUMBER, "s": _NUMBER, "p": _NUMBER, "m_max": _NUMBER,
+    "width": _NUMBER, "edge_width": _NUMBER, "value": _NUMBER,
+    "seed": (_is_int, "an integer"),
+    "k": (lambda v: _is_int(v) or _is_list_of(v, _is_int),
+          "an integer or a list of integers"),
+    "center": (lambda v: v is None or _is_list_of(v, _is_number),
+               "a list of numbers"),
+    "amplitudes": (_is_amplitudes, "an object of [re, im] pairs"),
+}
+
+
 def _check_spec(spec):
-    """Refuse a recipe `materialize` cannot build: an unknown kind, or a
-    grid or params object without a key it needs (ValueError naming it)."""
+    """Refuse a recipe `materialize` cannot build: an unknown kind, a grid
+    or params object without a key it needs, or a value of the wrong type
+    (ValueError naming it)."""
     if spec.kind not in _REQUIRED_PARAMS:
         raise ValueError("unknown generator kind %r" % (spec.kind,))
     for part, need in (("grid", ("n", "sizes")),
@@ -342,6 +417,24 @@ def _check_spec(spec):
         if missing:
             raise ValueError("%s spec: %s lacks %s" % (
                 spec.kind, part, ", ".join(repr(k) for k in missing)))
+        for key, item in value.items():
+            test, kind = _VALUE_TYPES.get(key, (None, None))
+            if test is not None and not test(item):
+                raise ValueError("%s spec: %s %r must be %s, got %r" % (
+                    spec.kind, part, key, kind, item))
+
+
+def _spec_grid(spec, sys):
+    """The grid to build a checked recipe on: sys.grid, which must match
+    the spec's, or without a dyadic system a new Grid."""
+    _check_spec(spec)
+    g = spec.grid
+    shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
+    if sys is None:
+        return Grid(*shape)
+    if shape != (sys.grid.n, sys.grid.sizes, sys.grid.period):
+        raise ValueError("provided dyadic system does not match spec grid")
+    return sys.grid
 
 
 def materialize(spec, sys=None, out=None):
@@ -352,12 +445,7 @@ def materialize(spec, sys=None, out=None):
     of the shape of sys.phi: its generator then writes the field's block
     stack there, laid out as `decompose` lays it out (`_random_band_into`).
     """
-    _check_spec(spec)
-    g = spec.grid
-    shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
-    grid = Grid(*shape) if sys is None else sys.grid
-    if sys is not None and shape != (grid.n, grid.sizes, grid.period):
-        raise ValueError("provided dyadic system does not match spec grid")
+    grid = _spec_grid(spec, sys)
     if out is not None and (sys is None or spec.kind != "random-band"):
         raise ValueError("only a random-band recipe on a dyadic system "
                          "writes its block stack")
@@ -381,6 +469,29 @@ def materialize(spec, sys=None, out=None):
     if kind == "pure-wave":
         return pure_wave(grid, params["k"])
     return constant_field(grid, params.get("value", 1.0))
+
+
+def _draw_random_band(spec, sys, streams, new_stack):
+    """A random-band recipe's field on sys, with its blocks as unit samples
+    and band scales: (field, units, scales), Delta_j f = scales[j] units[j].
+
+    The recipe draws from the stream (seed, m_max) on sys.grid.  streams
+    maps each stream already drawn to its units and `_unit_bands` items; a
+    stream not yet in it is built into new_stack(), a complex array of the
+    shape of sys.phi, and added, so recipes that differ only in their
+    targets (s, p) share one set of transforms.  The field, and the blocks
+    c_j U_j, are bitwise those of `materialize` with out.
+    """
+    grid = _spec_grid(spec, sys)
+    params = spec.params
+    key = (params["seed"], params.get("m_max", DEFAULT_MAX_ARITY))
+    if key not in streams:
+        units = new_stack()
+        bands = list(_unit_bands(grid, key[0], sys, key[1], units))
+        streams[key] = units, bands
+    units, bands = streams[key]
+    field, scales = _band_scales(grid, params["s"], params["p"], bands)
+    return field, units, scales
 
 
 @dataclass
@@ -453,8 +564,10 @@ def _tuple_slot(grid, params, seed, t, i):
 def tuple_specs(grid, params, seed, t):
     """The recipes of tuple t of `tuple_bank`, one per slot.
 
-    Slot i is a random-band field from the stream [seed, t, i]; tuple 0
-    swaps a smoothed step into slot 2 to exercise a non-random factor.
+    Slot i is a random-band field from the stream [seed, t, i], whatever
+    its targets (s_i, p_i), so tuples of different parameter lists share
+    their streams slot by slot; tuple 0 swaps a smoothed step into slot 2
+    to exercise a non-random factor.
     """
     specs = [_tuple_slot(grid, params, seed, t, i)
              for i in range(len(params))]

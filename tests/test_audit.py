@@ -11,11 +11,12 @@ from paraflux import (INF, Field, SpaceSpec, audit_embedding,
                       check_nikolskii, constant_field, decompose,
                       decompose_product, hardy_bound, lemma_suite, lp_norm,
                       pure_wave, run_audit_manifest, standard_bank,
-                      triebel_norm, tuple_bank)
+                      triebel_norm, tuple_bank, tuple_specs)
 from paraflux.audit import (check_delta_lt, check_qj_lp, check_qj_lt,
                             envelope_field, hardy_exhaustive_search,
                             hardy_random_sweep, nikolskii_scaling,
                             qj_lt_endpoint)
+from paraflux.norms import lp_of_lq, lq_of_lp
 
 
 @pytest.fixture(scope="module")
@@ -323,11 +324,13 @@ def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     tuples = tuple_bank(g, sys, params, 3, 2)
     calls, stacks = [], []
     real_norm = paraflux.audit.lq_of_lp
-    real_decompose = paraflux.audit._decompose_into
     monkeypatch.setattr(paraflux.audit, "lq_of_lp",
                         lambda *a: calls.append(1) or real_norm(*a))
-    monkeypatch.setattr(paraflux.audit, "_decompose_into",
-                        lambda *a: stacks.append(1) or real_decompose(*a))
+    # a decomposition into a stack, or one read band by band
+    for name in ("_decompose_into", "_blocks"):
+        monkeypatch.setattr(paraflux.audit, name,
+                            lambda *a, _fn=getattr(paraflux.audit, name):
+                            stacks.append(1) or _fn(*a))
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
     # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
     assert len(calls) == len(tuples) * (len(params) - 1)
@@ -659,3 +662,126 @@ def test_worker_count_does_not_change_output(monkeypatch):
     monkeypatch.setenv("PARAFLUX_THREADS", "4")
     threaded = run_audit_manifest(manifest).to_csv()
     assert serial == threaded
+
+
+def _per_set_values(params, q, p, count, build, sys):
+    # the multiplication sweep as it ran set by set, before the sets of a
+    # resolution shared their tuples' streams: each slot through the stack
+    # builder, f2..fm's norms kept for both passes; per tuple (rhs, total,
+    # pi1, pi2) of each pass
+    from paraflux.audit import _field_and_stack
+    from paraflux.paraproduct import _split_product
+
+    m = len(params)
+    s1, p1 = params[0]
+    out = []
+    for t in range(count):
+        stacks = [np.empty(sys.phi.shape, dtype=np.complex128)
+                  for _ in range(m)]
+        fields = [_field_and_stack(item, sys, stack)[0]
+                  for item, stack in zip(build(t), stacks)]
+        b_norms = [lq_of_lp(stack, s, pi, INF)
+                   for (s, pi), stack in zip(params[1:], stacks[1:])]
+        passes = []
+        for scaled in (False, True):
+            if scaled:
+                fields[0] = 1000.0 * fields[0]
+                stacks[0] = np.array(decompose(fields[0], sys))
+            rhs = lp_of_lq(stacks[0], s1, p1, q)
+            for b in b_norms:
+                rhs *= b
+            work = [np.empty(sys.grid.sizes, dtype=np.complex128)
+                    for _ in range(m + 3)]
+            product, pi1, _ = _split_product(fields, sys, None, stacks,
+                                             [None] * m, work)
+            total, part = decompose(product, sys), decompose(pi1, sys)
+            passes.append((rhs, lp_of_lq(total, s1, p, q),
+                           lp_of_lq(part, s1, p, q),
+                           lp_of_lq(total - part, s1, p, q)))
+        out.append(passes)
+    return out
+
+
+@pytest.mark.parametrize("manifest", [
+    {"n": 1, "resolutions": [64, 128], "seed": 21, "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]], "q": 2.0,
+         "tuples": 3},
+        {"mode": "negative", "params": [[-0.2, 2.0], [0.7, 2.5],
+                                        [0.9, 2.5]], "q": 1.5, "tuples": 4},
+        {"mode": "positive", "params": [[0.3, 1.5], [0.8, 4.0]], "q": 1.0,
+         "tuples": 1}]},
+    {"n": 2, "resolutions": [64], "seed": 8, "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]],
+         "q": 2.0, "tuples": 2},
+        {"mode": "negative", "params": [[-0.1, 1.25], [0.6, 3.0]],
+         "q": 3.0, "tuples": 3}]},
+])
+def test_shared_sweep_matches_the_per_set_loop(manifest):
+    # one sweep per resolution serves every set from shared unit samples;
+    # every row is bitwise the one the per-set loop gives, in its order
+    sweep = run_audit_manifest(manifest)
+    records = iter(sweep.records)
+    n, seed = manifest["n"], manifest["seed"]
+    for item in manifest["multiplications"]:
+        params = [tuple(pair) for pair in item["params"]]
+        for size in manifest["resolutions"]:
+            g = build_grid(n, size)
+            sys = build_dyadic_system(g)
+            p = None
+            oracle = None
+            for t in range(item["tuples"]):
+                total, pi1, pi2, scaling = (next(records) for _ in range(4))
+                if oracle is None:
+                    p = total.inputs["p"]
+                    oracle = _per_set_values(
+                        params, item["q"], p, item["tuples"],
+                        lambda t: tuple_specs(g, params, seed, t), sys)
+                (rhs, *lhs), (rhs2, *lhs2) = oracle[t]
+                for rec, want in zip((total, pi1, pi2), lhs):
+                    assert rec.inputs["tuple"] == t
+                    assert rec.inputs["size"] == size
+                    assert (rec.lhs, rec.rhs_core) == (want, rhs)
+                drift = 0.0
+                for a, b in zip(lhs, lhs2):
+                    a, b = a / rhs, b / rhs2
+                    if a or b:
+                        drift = max(drift, abs(a - b) / max(abs(a), abs(b)))
+                assert scaling.lhs == drift
+                assert scaling.verdict == "pass"
+        assert next(records).name.startswith("mult-stability[")
+    assert next(records, None) is None
+
+
+def test_each_stream_is_built_once_per_resolution(monkeypatch):
+    # the unit samples of a stream serve every set and slot that draws it
+    import paraflux.testbank
+
+    manifest = {"n": 1, "resolutions": [64, 128], "seed": 4,
+                "multiplications": [
+                    {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+                     "q": 2.0, "tuples": 3},
+                    {"mode": "negative",
+                     "params": [[-0.2, 2.0], [0.7, 2.5], [0.9, 2.5]],
+                     "q": 1.5, "tuples": 2},
+                    {"mode": "positive", "params": [[0.3, 1.5], [0.8, 4.0]],
+                     "q": 1.0, "tuples": 4}]}
+    calls = []
+    real = paraflux.testbank._unit_bands
+    monkeypatch.setattr(paraflux.testbank, "_unit_bands",
+                        lambda grid, seed, *a: calls.append(
+                            (grid.sizes, seed)) or real(grid, seed, *a))
+    run_audit_manifest(manifest)
+    want = []
+    for size in manifest["resolutions"]:
+        g = build_grid(1, size)
+        for t in range(4):
+            for item in manifest["multiplications"]:
+                if t < item["tuples"]:
+                    for spec in tuple_specs(g, item["params"], 4, t):
+                        key = (g.sizes, spec.params.get("seed"))
+                        if spec.kind == "random-band" and key not in want:
+                            want.append(key)
+    # three sets draw 3 * 2 + 2 * 3 + 4 * 2 = 20 slots at each resolution,
+    # from 4 * 2 + 2 - 1 = 9 streams (tuple 0 puts a step in slot 2)
+    assert len(want) == 2 * 9
+    assert calls == want

@@ -272,6 +272,43 @@ def test_gen_spec_missing_grid_key_exit_2(tmp_path, capsys):
     assert str(bad) in err and "'sizes'" in err
 
 
+def test_gen_spec_grid_sizes_not_a_list_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "constant", "params": {},
+                               "grid": {"n": 1, "sizes": 64}}))
+    out = tmp_path / "fields"
+    assert main(["gen", "--spec", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'sizes'" in err and "list" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"s": "x", "p": 2.0, "seed": 3}, "'s'"),
+    ({"s": 1.0, "p": [2.0], "seed": 3}, "'p'"),
+    ({"s": 1.0, "p": 2.0, "seed": 3.5}, "'seed'"),
+    ({"s": 1.0, "p": 2.0, "seed": True}, "'seed'"),
+])
+def test_gen_spec_value_of_the_wrong_type_exit_2(tmp_path, capsys, params,
+                                                 key):
+    # checked before anything is written: the good spec listed first is
+    # not written either
+    good = tmp_path / "b1.json"
+    good.write_text(json.dumps({"kind": "constant", "params": {},
+                                "grid": {"n": 1, "sizes": [64]}}))
+    bad = tmp_path / "b2.json"
+    bad.write_text(json.dumps({"kind": "random-band", "params": params,
+                               "grid": {"n": 1, "sizes": [64]}}))
+    out = tmp_path / "fields"
+    assert main(["gen", "--spec", str(good), "--spec", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_needs_a_source(capsys):
     assert main(["gen", "--grid", "64"]) == 2
     capsys.readouterr()
@@ -391,10 +428,11 @@ def test_audit_resolutions_flag_overrides_manifest(tmp_path, capsys,
 
 def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                    manifest):
-    # exit 2 with no decomposition, bank or tuple recipe, field or block
-    # stack built; returns stderr
+    # exit 2 with no decomposition, bank or tuple recipe, field, unit band
+    # samples or block stack built; returns stderr
     import paraflux.audit
     import paraflux.norms
+    import paraflux.testbank
 
     calls = []
     for module, name in ((paraflux.norms, "decompose"),
@@ -402,7 +440,9 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),
                          (paraflux.audit, "tuple_specs"),
-                         (paraflux.audit, "_field_and_stack")):
+                         (paraflux.audit, "_field_and_stack"),
+                         (paraflux.audit, "_draw_random_band"),
+                         (paraflux.testbank, "_unit_bands")):
         monkeypatch.setattr(module, name,
                             lambda *a, _name=name, **k: calls.append(_name))
     path = tmp_path / "m.json"

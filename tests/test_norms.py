@@ -316,3 +316,35 @@ def test_kernels_match_the_power_operator_formulas():
                 else _old_lp(_old_pointwise_lq(mags, sp.s, sp.q), sp.p)
                 for sp in specs]
         assert space_norms(entry.field, specs, sys) == want
+
+
+def _stack_pointwise_lq(mags, s, q):
+    # the pointwise l_q over the band axis of a whole weighted stack
+    mags = mags * (2.0 ** (float(s) * np.arange(mags.shape[0]))).reshape(
+        (-1,) + (1,) * (mags.ndim - 1))
+    if q == INF:
+        return mags.max(axis=0)
+    return np.power(np.sum(np.power(mags, q), axis=0), 1.0 / q)
+
+
+@pytest.mark.parametrize("shape", [(6, 128, 128), (5, 32, 32, 32)])
+@pytest.mark.parametrize("s, p, q", [(0.5, 2.0, INF), (-0.3, 1.0, INF),
+                                     (0.5, 0.5, 2.0), (1.0, 0.75, 0.6)])
+def test_bandwise_f_kernel_is_bitwise_the_stack_sum(shape, s, p, q):
+    # the F kernel adds (or takes the maximum of) one band at a time into
+    # a grid-sized array: the same bits as the reduction over the band axis,
+    # for q = inf and for p < 1 as well
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[-1] = 0.0  # a band without content, as above the band limit
+    mags = np.abs(stack)
+    want = _stack_pointwise_lq(mags, s, q)
+    want_lp = float(np.mean(np.power(want, p)) ** (1.0 / p))
+    assert lp_of_lq(stack, s, p, q) == want_lp
+    assert lp_of_lq(mags, s, p, q) == want_lp
+    spec = SpaceSpec("F", s, p, q)
+    from paraflux.norms import _magnitude_norms
+    before = mags.copy()
+    assert _magnitude_norms(mags, [spec, spec]) == [want_lp, want_lp]
+    # the magnitudes are read, not written
+    assert mags.tobytes() == before.tobytes()

@@ -246,9 +246,10 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
         assert (_product_sizes(fields) == g.sizes) == (t == 1)
         pd = decompose_product(fields, sys)
         stacks = [decompose(f, sys) for f in fields]
-        work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 2)]
+        work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 3)]
         transforms.clear()
-        product, pi1, pi2 = _split_product(fields, sys, None, stacks, work)
+        product, pi1, pi2 = _split_product(fields, sys, None, stacks,
+                                           [None] * m, work)
         assert product.spectral.tobytes() == pd.product.spectral.tobytes()
         tol = 1e-15 * pd.product.l2()
         assert (pi1 - pd.pi1_total()).l2() <= tol
@@ -262,8 +263,8 @@ def test_stack_running_sums_match_low_pass():
     sys = build_dyadic_system(g)
     f = random_band_field(g, 0.5, 2.0, 17, sys)
     stack = decompose(f, sys)
-    work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(2)]
-    block, low = _stack_sources([stack], work)
+    work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(3)]
+    block, low = _stack_sources([stack], [None], work)
     for l in range(sys.jmax + 1):
         want = q_j(f, l, sys).physical
         got = low(0, l)
@@ -444,3 +445,48 @@ def test_grid_mismatch_rejected(setup128):
     other = build_grid(1, 64)
     with pytest.raises(ValueError):
         dealiased_product([pure_wave(g, 1), pure_wave(other, 1)])
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_scaled_sources_match_generator_stacks(n, size):
+    # unit samples with band scales give the bits of the generator's
+    # stacks, block by block and in every running sum
+    from paraflux.testbank import _draw_random_band, materialize, spec_for
+
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    specs = [spec_for("random-band", g, s=s, p=p, seed=seed, m_max=3)
+             for s, p, seed in ((0.4, 2.0, 5), (1.1, 3.0, 6), (-0.2, 1.5, 5))]
+    streams, made = {}, []
+
+    def new_stack():
+        made.append(np.full(sys.phi.shape, np.nan, dtype=np.complex128))
+        return made[-1]
+
+    drawn = [_draw_random_band(spec, sys, streams, new_stack)
+             for spec in specs]
+    # the first and the last recipe differ only in (s, p): one stream
+    assert len(made) == 2 and drawn[0][1] is drawn[2][1]
+    stacks = [np.empty(sys.phi.shape, dtype=np.complex128) for _ in specs]
+    for spec, stack, (field, _, scales) in zip(specs, stacks, drawn):
+        assert field.spectral.tobytes() == \
+            materialize(spec, sys, stack).spectral.tobytes()
+        assert len(scales) == sys.jmax + 1
+    work = [[np.empty(g.sizes, dtype=np.complex128)
+             for _ in range(len(specs) + 2)] for _ in range(2)]
+    plain = _stack_sources(stacks, [None] * len(specs), work[0])
+    scaled = _stack_sources([units for _, units, _ in drawn],
+                            [scales for _, _, scales in drawn], work[1])
+    zeros = 0
+    for j in range(sys.jmax + 1):
+        for k in range(len(specs)):
+            want, got = plain[0](k, j), scaled[0](k, j)
+            if want is None:
+                assert got is None
+                zeros += 1
+            else:
+                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == stacks[k][j].tobytes()
+            assert scaled[1](k, j).tobytes() == plain[1](k, j).tobytes()
+    # the top band has no plateau point under the band limit
+    assert zeros > 0
