@@ -800,7 +800,7 @@ def _tuple_records(mset, t, factors, buf, sys):
         rhs = f_norm(product_stack, f1_spec)
         for b in b_norms:
             rhs *= b
-        product, pi1, _ = _split_product(fields, sys, N, stacks, scales, work)
+        product, pi1 = _split_product(fields, sys, N, stacks, scales, work)
         total = _decompose_into(product, sys, product_stack)
         lhs_total = f_norm(total, f_spec)
         lhs_pi1 = f_norm(pi1_blocks(pi1, total), f_spec)

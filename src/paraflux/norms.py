@@ -12,6 +12,17 @@ The kernels read a block stack, band index first: `dyadic.decompose` gives
 one for any field, and the audits take a random-band field's stack from
 its generator's band samples (`testbank.materialize` with out), which
 agrees with `decompose` to rounding.
+
+Two shortcuts keep the kernels off numpy's generic pow:
+
+* F at p = q is evaluated as B: by Fubini on the normalised mean,
+  ||(sum_j 2^{jsp} |Delta_j f|^p)^{1/p}||_p = (sum_j 2^{jsp}
+  ||Delta_j f||_p^p)^{1/p}, so F^s_{p,p} = B^s_{p,p} (Triebel, Theory of
+  Function Spaces, 1983, 2.3.2), and the two are bitwise equal here;
+* the kernels raise to p = 3 as a*a*a and to p = 4 as square(square(a))
+  (`_kernel_power`); these are within 2 ulp of np.power for normal results
+  and within 1 subnormal ulp for subnormal ones, and give 0 and inf where
+  it does.  p = 1 and p = 2 are exact, and other exponents call np.power.
 """
 
 from __future__ import annotations
@@ -100,13 +111,43 @@ def _power(a, p, out=None):
     return np.power(a, p, out=out)
 
 
-def _lp(a, p):
-    """lp_norm of a nonnegative array, p already checked."""
+def _kernel_power(a, p, out=None):
+    """a ** p for the norm kernels: `_power`, except that p = 3 is a*a*a and
+    p = 4 is square(square(a)), within the ulp bounds of the module notes.
+    out is None, a itself, or an array of a's shape that takes the result
+    (at p = 1 the result is a); at p = 3 in place one temporary is made."""
+    if p == 4.0:
+        out = np.square(a, out=out)
+        return np.square(out, out=out)
+    if p == 3.0:
+        if out is a:
+            return np.multiply(np.square(a), a, out=out)
+        out = np.square(a, out=out)
+        return np.multiply(out, a, out=out)
+    return _power(a, p, out=out)
+
+
+def _lp(a, p, out=None):
+    """lp_norm of a nonnegative array, p already checked; out is None, a
+    itself, or a scratch array of a's shape for the powers."""
     if a.size == 0:
         return 0.0
     if p == INF:
         return float(a.max())
-    return float(np.mean(_power(a, p)) ** (1.0 / p))
+    return float(np.mean(_kernel_power(a, p, out=out)) ** (1.0 / p))
+
+
+def _band_lps(blocks, p, scratch=None):
+    """The L_p norm of |block| for each band of blocks, a block stack, its
+    magnitudes or any iterable of band samples, read once each and not
+    written; p already checked.  scratch, a float array of a band's shape,
+    takes each band's magnitudes and their powers; one is made if None."""
+    norms = []
+    for block in blocks:
+        if scratch is None:
+            scratch = np.empty(np.shape(block))
+        norms.append(_lp(np.abs(block, out=scratch), p, out=scratch))
+    return norms
 
 
 def lp_norm(f, p):
@@ -115,8 +156,8 @@ def lp_norm(f, p):
     Accepts a Field or a bare sample array; absolutely homogeneous in f.
     """
     p = _check_exponent(p, "p")
-    return _lp(np.abs(f.physical if isinstance(f, Field) else np.asarray(f)),
-               p)
+    a = np.abs(f.physical if isinstance(f, Field) else np.asarray(f))
+    return _lp(a, p, out=a)
 
 
 def sequence_norm(a, s, q):
@@ -125,16 +166,20 @@ def sequence_norm(a, s, q):
     a = np.abs(np.asarray(a, dtype=float).ravel())
     if a.size == 0:
         return 0.0
-    w = 2.0 ** (float(s) * np.arange(a.size))
-    wa = w * a
-    if q == INF:
-        return float(wa.max())
-    return float(np.sum(wa ** q) ** (1.0 / q))
+    return _weighted_lq(a, _weights(s, a.size), q)
 
 
 def _weights(s, count):
     """The band weights 2^(js), j = 0..count-1, of the weighted sums."""
     return 2.0 ** (float(s) * np.arange(count))
+
+
+def _weighted_lq(a, w, q):
+    """sequence_norm of the nonnegative a with its band weights w."""
+    wa = w * a
+    if q == INF:
+        return float(wa.max())
+    return float(np.sum(wa ** q) ** (1.0 / q))
 
 
 def _pointwise_lq(blocks, w, q, work):
@@ -157,12 +202,12 @@ def _pointwise_lq(blocks, w, q, work):
             if j:
                 np.maximum(total, term, out=total)
             continue
-        _power(out, q, out=out)
+        _kernel_power(out, q, out=out)
         if j:
             total += term
     if q == INF:
         return total
-    return _power(total, 1.0 / q, out=total)
+    return _kernel_power(total, 1.0 / q, out=total)
 
 
 def lp_of_lq(blocks, s, p, q):
@@ -182,7 +227,13 @@ def lp_of_lq(blocks, s, p, q):
 
 def _lp_of_lq(blocks, w, p, q, work):
     """lp_of_lq of nonempty blocks with band weights w (`_weights`),
-    exponents already checked, with `_pointwise_lq`'s work array."""
+    exponents already checked, with `_pointwise_lq`'s work array.
+
+    At p = q it is the B-norm kernel on the same blocks, each band read
+    once with work[0] as scratch (`_band_lps`), and bitwise lq_of_lp.
+    """
+    if p == q:
+        return _weighted_lq(np.array(_band_lps(blocks, p, work[0])), w, p)
     return _lp(_pointwise_lq(blocks, w, q, work), p)
 
 
@@ -194,7 +245,7 @@ def lq_of_lp(blocks, s, p, q):
     """
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
-    return sequence_norm([lp_norm(b, p) for b in blocks], s, q)
+    return sequence_norm(_band_lps(blocks, p), s, q)
 
 
 def besov_norm(f, spec, sys):
@@ -225,18 +276,23 @@ def space_norms(f, specs, sys):
 def _magnitude_norms(mags, specs):
     """space_norms from the block magnitudes np.abs(stack).
 
-    B specs with the same p share one list of per-band L_p norms, and F
+    B specs with the same p share one list of per-band L_p norms, and so do
+    F specs at p = q, which are B specs (see the module notes).  Other F
     specs with the same (s, q) share one pointwise l_q, summed band by band
     into grid-sized arrays of its own.
     """
+    def as_b(spec):
+        return spec.family == "B" or spec.p == spec.q
+
     band_norms = {}
+    scratch = np.empty(mags.shape[1:])
     for spec in specs:
-        if spec.family == "B" and spec.p not in band_norms:
-            band_norms[spec.p] = [_lp(m, spec.p) for m in mags]
+        if as_b(spec) and spec.p not in band_norms:
+            band_norms[spec.p] = [_lp(m, spec.p, out=scratch) for m in mags]
     inner = {(s, q): _pointwise_lq(mags, _weights(s, len(mags)), q,
                                    np.empty((2,) + mags.shape[1:]))
              for s, q in dict.fromkeys((spec.s, spec.q) for spec in specs
-                                       if spec.family == "F")}
+                                       if not as_b(spec))}
     return [sequence_norm(band_norms[spec.p], spec.s, spec.q)
-            if spec.family == "B" else _lp(inner[spec.s, spec.q], spec.p)
+            if as_b(spec) else _lp(inner[spec.s, spec.q], spec.p)
             for spec in specs]

@@ -35,12 +35,13 @@ Q_j f is supported inside the support of f, so the lattice chosen from the
 factors once serves every band term and every residual tuple of a product.
 
 `decompose_product` keeps every band term as a Field.  The audits read only
-the product, Pi_1 = sum_k Pi_{1,k} and Pi_2, which `_split_product` computes
-with the same band loop (`_band_products`).  On an unpadded lattice it reads
-Delta_j f_k from the factors' block stacks, or as c_j U_j from a random-band
-factor's unit band samples and scales, and Q_{j-N} f_i as running sums of
-their lower blocks, so no factor is transformed again; it sums the band
-samples on the lattice and forward-transforms Pi_1 once.
+the product and Pi_1 = sum_k Pi_{1,k}, whose difference is Pi_2, and
+`_split_product` computes those two with the same band loop
+(`_band_products`).  On an unpadded lattice it reads Delta_j f_k from the
+factors' block stacks, or as c_j U_j from a random-band factor's unit band
+samples and scales, and Q_{j-N} f_i as running sums of their lower blocks,
+so no factor is transformed again; it sums the band samples on the lattice
+and forward-transforms Pi_1 once.
 """
 
 from __future__ import annotations
@@ -344,10 +345,11 @@ def decompose_product(fields, sys, N=None):
 
 
 def _split_product(fields, sys, N, stacks, scales, work):
-    """(product, Pi_1, Pi_2) of prod(fields), without the per-band fields.
+    """(product, Pi_1) of prod(fields), without the per-band fields; Pi_2 is
+    their difference, which a caller forms if it needs it.
 
     The product is bitwise the one `decompose_product` gives, and Pi_1 =
-    sum_k Pi_{1,k} and Pi_2 agree with it at rounding level.  stacks and
+    sum_k Pi_{1,k} agrees with it at rounding level.  stacks and
     scales give the factors' blocks as `_stack_sources` reads them, and
     work is m + 3 writable complex arrays of the grid's shape.  On an
     unpadded lattice the band terms read Delta_j f_k and Q_{j-N} f_i from
@@ -374,7 +376,7 @@ def _split_product(fields, sys, N, stacks, scales, work):
             np.copyto(acc, values)
         terms += 1
     pi1 = _retained_field(grid, acc) if terms else Field.zeros(grid)
-    return product, pi1, product - pi1
+    return product, pi1
 
 
 def _collected_by_pi1(tup, N):

@@ -18,7 +18,8 @@ m_max), which `_unit_bands` builds, times the band scales c_j of its
 targets (s, p), which `_band_scales` gives.  The multiplication audit
 draws every recipe of a tuple index from one set of streams
 (`_draw_random_band`), since slot i of tuple t has the same seed in every
-parameter set: it builds each stream once and keeps U_j and c_j apart.
+parameter set: it builds each stream once, measures its bands once per
+exponent p, and keeps U_j and c_j apart.
 """
 
 from __future__ import annotations
@@ -188,13 +189,24 @@ def _unit_bands(grid, seed, sys, m_max, out):
         yield mask, phases, values
 
 
-def _band_scales(grid, s, p, bands):
+def _band_size(values, p):
+    """L_p(|U_j|) of one band's unit samples, as the generator normalises
+    the band (`_power`, bitwise np.power)."""
+    mags = np.abs(values)
+    if p == math.inf:
+        return float(mags.max())
+    return float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
+
+
+def _band_scales(grid, s, p, bands, sizes=None):
     """(field, scales) of the random-band field with targets (s, p) drawn
     from bands, the items of `_unit_bands`.
 
     Band j's scale is c_j = 2^(-js) / L_p(U_j), and 0 for a band without
     plateau points; the field's spectrum is c_j times the unit content on
-    each band, so its block Delta_j f is c_j U_j.
+    each band, so its block Delta_j f is c_j U_j.  sizes, when given, holds
+    L_p(U_j) for every band with plateau points (`_band_size`), so that
+    recipes with the same stream and p measure its bands once.
     """
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     scales = []
@@ -202,11 +214,7 @@ def _band_scales(grid, s, p, bands):
         if mask is None:
             scales.append(0.0)
             continue
-        mags = np.abs(values)
-        if p == math.inf:
-            size = float(mags.max())
-        else:
-            size = float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
+        size = _band_size(values, p) if sizes is None else sizes[j]
         scale = 2.0 ** (-float(s) * j) / size
         coeffs[mask] += phases * scale
         scales.append(scale)
@@ -476,11 +484,13 @@ def _draw_random_band(spec, sys, streams, new_stack):
     and band scales: (field, units, scales), Delta_j f = scales[j] units[j].
 
     The recipe draws from the stream (seed, m_max) on sys.grid.  streams
-    maps each stream already drawn to its units and `_unit_bands` items; a
-    stream not yet in it is built into new_stack(), a complex array of the
-    shape of sys.phi, and added, so recipes that differ only in their
-    targets (s, p) share one set of transforms.  The field, and the blocks
-    c_j U_j, are bitwise those of `materialize` with out.
+    maps each stream already drawn to its units, its `_unit_bands` items
+    and the band sizes L_p(U_j) of each p drawn so far; a stream not yet in
+    it is built into new_stack(), a complex array of the shape of sys.phi,
+    and added, so recipes that differ only in their targets (s, p) share
+    one set of transforms, and those that share p one set of sizes.  The
+    field, and the blocks c_j U_j, are bitwise those of `materialize` with
+    out.
     """
     grid = _spec_grid(spec, sys)
     params = spec.params
@@ -488,9 +498,13 @@ def _draw_random_band(spec, sys, streams, new_stack):
     if key not in streams:
         units = new_stack()
         bands = list(_unit_bands(grid, key[0], sys, key[1], units))
-        streams[key] = units, bands
-    units, bands = streams[key]
-    field, scales = _band_scales(grid, params["s"], params["p"], bands)
+        streams[key] = units, bands, {}
+    units, bands, sizes = streams[key]
+    p = params["p"]
+    if p not in sizes:
+        sizes[p] = [None if mask is None else _band_size(values, p)
+                    for mask, _, values in bands]
+    field, scales = _band_scales(grid, params["s"], p, bands, sizes[p])
     return field, units, scales
 
 

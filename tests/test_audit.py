@@ -692,7 +692,7 @@ def _per_set_values(params, q, p, count, build, sys):
                 rhs *= b
             work = [np.empty(sys.grid.sizes, dtype=np.complex128)
                     for _ in range(m + 3)]
-            product, pi1, _ = _split_product(fields, sys, None, stacks,
+            product, pi1 = _split_product(fields, sys, None, stacks,
                                              [None] * m, work)
             total, part = decompose(product, sys), decompose(pi1, sys)
             passes.append((rhs, lp_of_lq(total, s1, p, q),
@@ -785,3 +785,43 @@ def test_each_stream_is_built_once_per_resolution(monkeypatch):
     # from 4 * 2 + 2 - 1 = 9 streams (tuple 0 puts a step in slot 2)
     assert len(want) == 2 * 9
     assert calls == want
+
+
+def test_band_sizes_are_measured_once_per_stream_and_p(monkeypatch):
+    # the bands of a stream are measured once for each p drawn from it,
+    # whatever the smoothness targets of the slots that share that p
+    import paraflux.testbank
+    from paraflux.testbank import _unit_bands
+
+    # the six sets of manifests/multiplication.json, two tuples each
+    sets = [("positive", [[0.4, 2.0], [1.0, 2.0]], 2.0),
+            ("positive", [[0.3, 1.5], [0.8, 4.0]], 1.0),
+            ("positive", [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]], 2.0),
+            ("negative", [[-0.25, 2.0], [0.5, 2.0]], 2.0),
+            ("negative", [[-0.1, 1.25], [0.6, 3.0]], 3.0),
+            ("negative", [[-0.2, 2.0], [0.7, 2.5], [0.9, 2.5]], 1.5)]
+    manifest = {"n": 2, "resolutions": [64], "seed": 811,
+                "multiplications": [
+                    {"mode": mode, "params": params, "q": q, "tuples": 2}
+                    for mode, params, q in sets]}
+    calls = []
+    real = paraflux.testbank._band_size
+    monkeypatch.setattr(paraflux.testbank, "_band_size",
+                        lambda values, p: calls.append(p) or real(values, p))
+    run_audit_manifest(manifest)
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    bands = sum(mask is not None
+                for mask, _, _ in _unit_bands(g, 0, sys, 3, None))
+    pairs = draws = 0
+    for t in range(2):
+        specs = [spec for item in manifest["multiplications"]
+                 for spec in tuple_specs(g, item["params"], 811, t)
+                 if spec.kind == "random-band"]
+        draws += len(specs)
+        pairs += len({(spec.params["seed"], spec.params["p"])
+                      for spec in specs})
+    # the six sets draw 14 slots per tuple index from 9 distinct (slot, p)
+    # pairs; in tuple 0 the step takes slot 2, its 6 draws and 4 pairs
+    assert (draws, pairs) == (14 + 8, 9 + 5)
+    assert len(calls) == pairs * bands

@@ -134,7 +134,8 @@ def test_families_coincide_at_equal_exponents(setup128):
         for p in (0.5, 1.0, 2.0, 4.0):
             b = besov_norm(entry.field, SpaceSpec("B", 0.5, p, p), sys)
             f = triebel_norm(entry.field, SpaceSpec("F", 0.5, p, p), sys)
-            assert abs(b - f) <= 1e-10 * max(b, 1e-300), entry.name
+            # F at p = q is evaluated as B
+            assert b == f, entry.name
 
 
 def test_q_monotonicity(setup128):
@@ -274,6 +275,37 @@ def test_power_helper_is_bitwise_np_power(p):
             assert inplace.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_kernel_power_stays_within_two_ulp_of_np_power(p):
+    from paraflux.norms import _kernel_power
+
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).tiny
+    # results down in the subnormals, and the doubles around the overflow
+    # threshold max ** (1/p)
+    edge = np.finfo(float).max ** (1.0 / p)
+    extra = [10.0 ** rng.uniform(-110.0, -75.0, 2000),
+             edge * (1.0 + np.arange(-2000, 2000) * np.finfo(float).eps)]
+    with np.errstate(over="ignore", under="ignore"):
+        for a in _power_inputs() + extra:
+            want = np.power(a, p)
+            got = _kernel_power(a, p)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            normal = np.isfinite(want) & (want >= tiny)
+            assert np.all(np.abs(got[normal] - want[normal])
+                          <= 2.0 * np.spacing(want[normal]))
+            sub = ~normal & np.isfinite(want)
+            assert np.all(np.abs(got[sub] - want[sub]) <= 5e-324)
+            # in place and into scratch, the same bits
+            inplace = a.copy()
+            assert _kernel_power(inplace, p, out=inplace) is inplace
+            assert inplace.tobytes() == got.tobytes()
+            scratch = np.empty_like(a)
+            assert _kernel_power(a, p, out=scratch) is scratch
+            assert scratch.tobytes() == got.tobytes()
+
+
 def _old_lp(a, p):
     # the L_p kernel as it was written with the ** operator
     if p == INF:
@@ -281,39 +313,73 @@ def _old_lp(a, p):
     return float(np.mean(a ** p) ** (1.0 / p))
 
 
-def _old_pointwise_lq(mags, s, q):
+def _product_power(a, p):
+    # the kernels' powers: products at p = 3 and 4, the ** operator else
+    if p == 3.0:
+        return a * a * a
+    if p == 4.0:
+        return (a * a) * (a * a)
+    return a ** p
+
+
+def _product_lp(a, p):
+    if p == INF:
+        return float(a.max())
+    return float(np.mean(_product_power(a, p)) ** (1.0 / p))
+
+
+def _old_pointwise_lq(mags, s, q, power=lambda a, q: a ** q):
     mags = mags * (2.0 ** (float(s) * np.arange(mags.shape[0]))).reshape(
         (-1,) + (1,) * (mags.ndim - 1))
     if q == INF:
         return mags.max(axis=0)
-    mags **= q
-    return np.sum(mags, axis=0) ** (1.0 / q)
+    return np.sum(power(mags, q), axis=0) ** (1.0 / q)
+
+
+def _within(got, old):
+    # the product exponents move a norm by a few rounding errors at most
+    return abs(got - old) <= 16.0 * np.finfo(float).eps * abs(old)
 
 
 def test_kernels_match_the_power_operator_formulas():
+    # exact against the ** operator where the kernels call np.power, and
+    # against products at p = 3 and 4; F at p = q against the B formula;
+    # each within 16 eps of the old formula
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
-    exponents = (0.5, 1.0, 2.0, 3.0, INF)
+    exponents = (0.5, 1.0, 2.0, 3.0, 4.0, INF)
     for entry in standard_bank(g, sys, seed=3)[::3]:
         stack = decompose(entry.field, sys)
         mags = np.abs(stack)
         for p in exponents:
-            assert lp_norm(entry.field, p) == \
-                _old_lp(np.abs(entry.field.physical), p)
+            physical = np.abs(entry.field.physical)
+            assert lp_norm(entry.field, p) == _product_lp(physical, p)
+            assert _within(lp_norm(entry.field, p), _old_lp(physical, p))
+            band = [_product_lp(m, p) for m in mags]
             for s in (-0.5, 1.0):
                 for q in exponents:
-                    band = [_old_lp(m, p) for m in mags]
-                    assert lq_of_lp(stack, s, p, q) == \
-                        sequence_norm(band, s, q)
-                    if p != INF:
-                        assert lp_of_lq(stack, s, p, q) == \
-                            _old_lp(_old_pointwise_lq(mags, s, q), p)
+                    got = lq_of_lp(stack, s, p, q)
+                    assert got == sequence_norm(band, s, q)
+                    assert _within(got, sequence_norm(
+                        [_old_lp(m, p) for m in mags], s, q))
+                    if p == INF:
+                        continue
+                    got = lp_of_lq(stack, s, p, q)
+                    if p == q:
+                        want = sequence_norm(band, s, p)
+                    else:
+                        want = _product_lp(_old_pointwise_lq(
+                            mags, s, q, _product_power), p)
+                    assert got == want, (p, q)
+                    assert _within(got, _old_lp(_old_pointwise_lq(
+                        mags, s, q), p)), (p, q)
         specs = [SpaceSpec(fam, s, p, q) for fam in "BF" for s in (0.5,)
                  for p in exponents if not (fam == "F" and p == INF)
-                 for q in (1.0, 2.0, INF)]
-        want = [sequence_norm([_old_lp(m, sp.p) for m in mags], sp.s, sp.q)
-                if sp.family == "B"
-                else _old_lp(_old_pointwise_lq(mags, sp.s, sp.q), sp.p)
+                 for q in (1.0, 2.0, 4.0, INF)]
+        want = [sequence_norm([_product_lp(m, sp.p) for m in mags], sp.s, sp.q)
+                if sp.family == "B" or sp.p == sp.q
+                else _product_lp(_old_pointwise_lq(mags, sp.s, sp.q,
+                                                   _product_power), sp.p)
                 for sp in specs]
         assert space_norms(entry.field, specs, sys) == want
 
