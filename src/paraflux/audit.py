@@ -19,16 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ._parallel import map_ordered, per_worker
-from .dyadic import _blocks, _decompose_into, decompose, q_j
+from .dyadic import _bands, _blocks, _decompose_into, decompose, q_j
 from .grid import Field
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import (INF, SpaceSpec, _ex, _ex_json, _lp_of_lq,
-                    _magnitude_norms, _weights, lp_norm, lq_of_lp,
-                    sequence_norm, triebel_norm)
+from .norms import (INF, SpaceSpec, _band_norms, _ex, _ex_json, _norm_work,
+                    lp_norm, lq_of_lp, sequence_norm, triebel_norm)
 from .paraproduct import _checked_gap, _split_product, _support_radius
-from .testbank import (GeneratorSpec, _draw_random_band, bank_specs,
-                       materialize, tuple_specs)
+from .testbank import (GeneratorSpec, _draw_random_band, _random_bands,
+                       bank_specs, materialize, tuple_specs)
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -555,44 +554,44 @@ def _check_embedding(pair, n, mode):
                          % ", ".join(report.failed()))
 
 
-def _field_and_stack(item, sys, out=None):
-    """(field, block stack) of item: the stack builder of the embedding
-    sweep, and of the multiplication sweep for items not drawn from a
-    random-band stream.
-
-    item is a GeneratorSpec recipe or a Field.  A random-band recipe's
-    blocks are the band samples its generator computes anyway (`materialize`
-    with out); any other recipe is built and then decomposed, as a Field
-    is.  The stack goes to out, or else to a fresh array made after such a
-    build, so that the heap space of the build's temporaries serves the
-    stack instead of growing the process.
-    """
-    if isinstance(item, GeneratorSpec) and item.kind != "random-band":
-        item = materialize(item, sys)
-    if out is None:
-        out = np.empty(sys.phi.shape, dtype=np.complex128)
+def _item_bands(item, sys, out):
+    """The blocks of item, a recipe or a Field, as `dyadic._bands` yields
+    them into out: a random-band recipe's from its generator
+    (`testbank._random_bands`), any other item's windowed from its field."""
     if isinstance(item, GeneratorSpec):
-        return materialize(item, sys, out), out
-    if not sys.grid.compatible(item.grid):
-        raise ValueError("field grid does not match the dyadic system")
+        if item.kind == "random-band":
+            return _random_bands(item, sys, out)
+        item = materialize(item, sys)
+    return _bands(item, sys, out)
+
+
+def _field_and_stack(item, sys, out):
+    """(field, block stack in out) of a multiplication item not drawn from
+    a random-band stream: a recipe built with `materialize`, or a Field."""
+    if isinstance(item, GeneratorSpec):
+        item = materialize(item, sys)
     return item, _decompose_into(item, sys, out)
 
 
 def _embedding_sweeps(pairs, count, build, sys):
     """One SweepResult per (source, target) pair over `count` fields.
 
-    Field i is build(i) -> (name, item), a recipe or a Field, whose block
-    stack `_field_and_stack` makes in the worker that measures it.  The
-    stack is dropped once its magnitudes are taken, and they give every
-    distinct spec of every pair before the worker builds its next field.
+    Field i is build(i) -> (name, item), a recipe or a Field, which the
+    worker that measures it streams band by band (`_item_bands`) through
+    one pass of `norms._band_norms`, for every distinct spec of every pair,
+    in its own grid-sized buffers; no block stack is made.
     """
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     n = sys.grid.n
+    workspace = per_worker(lambda: (
+        np.empty(sys.grid.sizes, dtype=np.complex128),
+        _norm_work(specs, sys.grid.sizes)))
 
     def run(i):
         name, item = build(i)
-        mags = np.abs(_field_and_stack(item, sys)[1])
-        values = dict(zip(specs, _magnitude_norms(mags, specs)))
+        band, work = workspace()
+        values = dict(zip(specs, _band_norms(_item_bands(item, sys, band),
+                                             specs, sys.jmax + 1, work)))
         return [_make_record(
             "embedding[%s->%s]" % (source.label(), target.label()),
             {"field": name, "source": source.label(),
@@ -613,8 +612,8 @@ def audit_embedding(pair, bank, sys, mode=None):
     Refuses to run when the hypothesis report is unsatisfied, naming the
     failed conditions.  bank entries may be BankEntry or plain Fields.  A
     BankEntry is measured through its recipe, as `run_audit_manifest`
-    measures it, and a Field through `decompose`; both norms come from the
-    one block stack.
+    measures it, and a Field band by band; both norms come from the one
+    pass over its blocks.
     """
     _check_embedding(pair, sys.grid.n, mode)
     items = [(getattr(e, "name", "field-%d" % i), getattr(e, "spec", e))
@@ -703,17 +702,18 @@ def _multiplication_sweep(sets, build, sys):
     those of `decompose_product` with `triebel_norm` and `besov_norm`:
     bitwise for the product and the right side, at rounding level for Pi_1
     and Pi_2; random-band recipes move the norms at rounding level too, and
-    give the bits of `_field_and_stack`'s generator stacks.
+    give the bits of the generator's blocks (`testbank._random_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
     grid = sys.grid
 
     def buffers():
         # items: one stack per distinct item of a tuple index, grown on
-        # demand; product holds f1, then the product and Pi_2
+        # demand; product holds f1, then the product and Pi_2; f_work is
+        # the work array of `norms._band_norms` for one F spec
         return {"items": [],
                 "product": np.empty(sys.phi.shape, dtype=np.complex128),
-                "f_work": np.empty((2,) + grid.sizes),
+                "f_work": np.empty((3,) + grid.sizes),
                 "work": [np.empty(grid.sizes, dtype=np.complex128)
                          for _ in range(m_top + 3)]}
 
@@ -765,12 +765,11 @@ def _tuple_records(mset, t, factors, buf, sys):
     m = len(params)
     f_spec = SpaceSpec("F", params[0][0], p, q)
     f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
-    weights = _weights(params[0][0], sys.jmax + 1)  # both F specs' bands
     fields, stacks, scales = (list(part) for part in zip(*factors))
     product_stack, work = buf["product"], buf["work"][:m + 3]
 
     def f_norm(blocks, spec):
-        return _lp_of_lq(blocks, weights, spec.p, spec.q, buf["f_work"])
+        return _band_norms(blocks, [spec], sys.jmax + 1, buf["f_work"])[0]
 
     def blocks(i):
         # Delta_j f_i band by band, c_j U_j in one work array
@@ -952,11 +951,12 @@ def run_audit_manifest(manifest):
 
     Every embedding's hypotheses, and every multiplication set's hypotheses,
     admissible p and gap at every resolution, are checked before any field
-    is built.  Then, at each resolution, each worker builds one bank field
-    at a time from its `bank_specs` recipe, with its block stack (a
-    random-band field's from its generator, any other by one
-    decomposition), and evaluates every norm of every embedding from that
-    one stack, so no whole bank is ever alive.  The multiplication sets run
+    is built.  Then, at each resolution, each worker takes one bank recipe
+    of `bank_specs` at a time and streams its blocks band by band (a
+    random-band recipe's from its generator, without building the field,
+    any other's by windowing the built field), evaluating every norm of
+    every embedding in that one pass, so neither a whole bank nor a block
+    stack is ever alive.  The multiplication sets run
     in one `_multiplication_sweep` per resolution: the worker that takes
     tuple index t builds tuple t of every set from `tuple_specs`, and each
     random-band stream of those tuples once.  Records keep the order

@@ -86,12 +86,22 @@ class DyadicSystem:
         self.jmax = grid.jmax
         self.phi = phi
         self._scaled = scaled
+        self._plateaus = {}
 
     def cutoff(self, j):
         """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j."""
         if not 0 <= j <= self.jmax:
             raise ValueError("level %d outside 0..%d" % (j, self.jmax))
         return self._scaled[j]
+
+    def _plateau(self, j, cap):
+        """The flat C-order indices of the plateau points of window j under
+        cap, where phi_j is exactly 1 and |xi| <= cap, found once per
+        (j, cap); two threads that both find them store equal arrays."""
+        if (j, cap) not in self._plateaus:
+            self._plateaus[j, cap] = np.flatnonzero((self.phi[j] == 1.0)
+                                                    & (self.grid.xi <= cap))
+        return self._plateaus[j, cap]
 
     def __repr__(self):
         return "DyadicSystem(%r)" % (self.grid,)
@@ -136,15 +146,15 @@ def decompose(f, sys):
     whose windowed spectrum has no nonzero coefficient is not transformed:
     its samples are exactly zero.
     """
-    if not sys.grid.compatible(f.grid):
-        raise ValueError("field grid does not match the dyadic system")
     return _freeze(_decompose_into(f, sys, np.empty(sys.phi.shape,
                                                     dtype=np.complex128)))
 
 
 def _decompose_into(f, sys, out):
     """`decompose` written into out, a writable complex array of the stack's
-    shape, which it returns; the grids are not checked."""
+    shape, which it returns."""
+    if not sys.grid.compatible(f.grid):
+        raise ValueError("field grid does not match the dyadic system")
     stack = np.multiply(f.spectral, sys.phi, out=out)
     axes = tuple(range(1, stack.ndim))
     # one batched transform per run of consecutive nonzero blocks
@@ -157,13 +167,20 @@ def _decompose_into(f, sys, out):
     return stack
 
 
-def _blocks(f, sys, out):
-    """The slices of `decompose(f, sys)` band by band, lowest first: each
-    is written into out, a writable complex array of the grid's shape, and
-    yielded, so a consumer reads it before it asks for the next.  The
-    grids are not checked."""
+def _bands(f, sys, out):
+    """The slices of `decompose(f, sys)` band by band, lowest first, each
+    written into out, a complex array of the grid's shape, and yielded to
+    be read before the next; an all-zero block is yielded as None,
+    untransformed, with out holding its zeros."""
+    if not sys.grid.compatible(f.grid):
+        raise ValueError("field grid does not match the dyadic system")
     for phi in sys.phi:
         np.multiply(f.spectral, phi, out=out)
-        if np.any(out):
-            np.fft.ifftn(out, out=out, norm="forward")
+        yield np.fft.ifftn(out, out=out, norm="forward") if np.any(out) \
+            else None
+
+
+def _blocks(f, sys, out):
+    """`_bands`, with out yielded for an all-zero block too."""
+    for _ in _bands(f, sys, out):
         yield out

@@ -8,10 +8,13 @@ Exponent conventions used throughout:
 * q = inf and p = inf take suprema;
 * sums over the band index stop at jmax, which is exact for grid fields.
 
-The kernels read a block stack, band index first: `dyadic.decompose` gives
-one for any field, and the audits take a random-band field's stack from
-its generator's band samples (`testbank.materialize` with out), which
-agrees with `decompose` to rounding.
+Every norm is evaluated by one kernel, `_band_norms`, in one pass over a
+field's blocks, lowest band first: the slices of a block stack as
+`dyadic.decompose` gives it, or bands streamed one at a time through one
+grid-sized array, with None for a band that is exactly zero.  Fields are
+streamed by `dyadic._bands`, and in the embedding audit a random-band
+recipe by its generator (`testbank._random_bands`), whose blocks agree with
+`decompose` to rounding.
 
 Two shortcuts keep the kernels off numpy's generic pow:
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import decompose
+from .dyadic import _bands, decompose
 from .grid import Field
 
 INF = math.inf
@@ -48,12 +51,11 @@ _FAMILY_ALIASES = {
 }
 
 
-def _check_exponent(value, name, allow_inf=True):
-    if value == INF:
-        if not allow_inf:
-            raise ValueError("%s must be finite" % name)
-        return INF
+def _check_exponent(value, name):
+    """value as a float in (0, inf]; the string 'inf' is infinity."""
     value = float(value)
+    if value == INF:
+        return INF
     if not value > 0.0 or not math.isfinite(value):
         raise ValueError("%s must satisfy 0 < %s <= inf, got %r"
                          % (name, name, value))
@@ -137,19 +139,6 @@ def _lp(a, p, out=None):
     return float(np.mean(_kernel_power(a, p, out=out)) ** (1.0 / p))
 
 
-def _band_lps(blocks, p, scratch=None):
-    """The L_p norm of |block| for each band of blocks, a block stack, its
-    magnitudes or any iterable of band samples, read once each and not
-    written; p already checked.  scratch, a float array of a band's shape,
-    takes each band's magnitudes and their powers; one is made if None."""
-    norms = []
-    for block in blocks:
-        if scratch is None:
-            scratch = np.empty(np.shape(block))
-        norms.append(_lp(np.abs(block, out=scratch), p, out=scratch))
-    return norms
-
-
 def lp_norm(f, p):
     """(mean |f|^p)^(1/p) over the grid, max |f| for p = inf.
 
@@ -166,7 +155,10 @@ def sequence_norm(a, s, q):
     a = np.abs(np.asarray(a, dtype=float).ravel())
     if a.size == 0:
         return 0.0
-    return _weighted_lq(a, _weights(s, a.size), q)
+    wa = _weights(s, a.size) * a
+    if q == INF:
+        return float(wa.max())
+    return float(np.sum(wa ** q) ** (1.0 / q))
 
 
 def _weights(s, count):
@@ -174,40 +166,69 @@ def _weights(s, count):
     return 2.0 ** (float(s) * np.arange(count))
 
 
-def _weighted_lq(a, w, q):
-    """sequence_norm of the nonnegative a with its band weights w."""
-    wa = w * a
-    if q == INF:
-        return float(wa.max())
-    return float(np.sum(wa ** q) ** (1.0 / q))
+def _as_b(spec):
+    # a B spec, or an F spec at p = q, which is one (see the module notes)
+    return spec.family == "B" or spec.p == spec.q
 
 
-def _pointwise_lq(blocks, w, q, work):
-    """Pointwise l_q across bands of the weighted magnitudes w[j] |block_j|,
-    where blocks is a complex block stack, its magnitudes, or any iterable
-    of band samples, which it does not write; q already checked.
+def _lq_keys(specs):
+    """The distinct (s, q) of the F specs in specs with p != q."""
+    return list(dict.fromkeys((spec.s, spec.q) for spec in specs
+                              if not _as_b(spec)))
 
-    The terms are added band by band into work[0], with work[1] holding
-    the current band, so work is a float array of shape (2, *grid sizes)
-    and nothing stack-sized is made; the sums are bitwise those of np.sum
-    over the band axis.  Returns work[0].
+
+def _norm_work(specs, shape):
+    """A work array of `_band_norms` for specs on bands of the given shape."""
+    return np.empty((2 + len(_lq_keys(specs)),) + tuple(shape))
+
+
+def _band_norms(bands, specs, count, work=None):
+    """Every quasi-norm in specs, in order, from one pass over bands.
+
+    bands yields each band's samples (complex blocks or their magnitudes,
+    not written), lowest first, or None for a band that is exactly zero;
+    F specs weight them by the band count.  B specs with the same p share
+    one list of per-band L_p norms, and so do F specs at p = q.  Other F
+    specs with the same (s, q) share one pointwise l_q, summed band by band
+    into work[2 + k] for the k-th of `_lq_keys(specs)`, with each band's
+    magnitudes in work[0] and their powers in work[1] (`_norm_work`, made
+    here if None).  The sums are bitwise np.sum over the band axis of the
+    whole stack (its maximum at q = inf), and a None band gives the bits
+    of its zero samples: an L_p of 0.0, and nothing added.
     """
-    total, term = work
-    for j, (block, wj) in enumerate(zip(blocks, w)):
-        out = term if j else total
-        if np.iscomplexobj(block):
-            block = np.abs(block, out=out)
-        np.multiply(block, wj, out=out)
-        if q == INF:
-            if j:
-                np.maximum(total, term, out=total)
+    keys = _lq_keys(specs)
+    weights = [_weights(s, count) for s, _ in keys]
+    band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
+    live = False  # whether a band so far had samples
+    for j, block in enumerate(bands):
+        if block is None:
+            for norms in band_lps.values():
+                norms.append(0.0)
             continue
-        _kernel_power(out, q, out=out)
-        if j:
-            total += term
-    if q == INF:
-        return total
-    return _kernel_power(total, 1.0 / q, out=total)
+        if work is None:
+            work = _norm_work(specs, np.shape(block))
+        mags, term = np.abs(block, out=work[0]), work[1]
+        for p, norms in band_lps.items():
+            norms.append(_lp(mags, p, out=term))
+        for (_, q), w, total in zip(keys, weights, work[2:]):
+            # the first band with samples starts the sum: the zero bands
+            # before it would add exactly nothing
+            out = term if live else total
+            np.multiply(mags, w[j], out=out)
+            if q == INF:
+                if live:
+                    np.maximum(total, term, out=total)
+                continue
+            _kernel_power(out, q, out=out)
+            if live:
+                total += term
+        live = True
+    inner = {(s, q): total if q == INF else _kernel_power(total, 1.0 / q,
+                                                          out=total)
+             for (s, q), total in zip(keys, work[2:] if live else ())}
+    return [sequence_norm(band_lps[spec.p], spec.s, spec.q) if _as_b(spec)
+            else _lp(inner[spec.s, spec.q], spec.p) if live else 0.0
+            for spec in specs]
 
 
 def lp_of_lq(blocks, s, p, q):
@@ -216,36 +237,18 @@ def lp_of_lq(blocks, s, p, q):
     blocks is a block stack as `decompose` returns it, band index first,
     or its magnitudes np.abs(stack); both give the same value.
     """
-    p = _check_exponent(p, "p", allow_inf=False)
-    q = _check_exponent(q, "q")
-    blocks = np.abs(blocks) if np.isrealobj(blocks) else np.asarray(blocks)
-    if blocks.shape[0] == 0:
-        return 0.0
-    return _lp_of_lq(blocks, _weights(s, len(blocks)), p, q,
-                     np.empty((2,) + blocks.shape[1:]))
-
-
-def _lp_of_lq(blocks, w, p, q, work):
-    """lp_of_lq of nonempty blocks with band weights w (`_weights`),
-    exponents already checked, with `_pointwise_lq`'s work array.
-
-    At p = q it is the B-norm kernel on the same blocks, each band read
-    once with work[0] as scratch (`_band_lps`), and bitwise lq_of_lp.
-    """
-    if p == q:
-        return _weighted_lq(np.array(_band_lps(blocks, p, work[0])), w, p)
-    return _lp(_pointwise_lq(blocks, w, q, work), p)
+    blocks = np.asarray(blocks)
+    return _band_norms(blocks, [SpaceSpec("F", s, p, q)], len(blocks))[0]
 
 
 def lq_of_lp(blocks, s, p, q):
     """Weighted l_q of the per-band L_p norms (the B-norm kernel).
 
     blocks is a block stack as `decompose` returns it, band index first,
-    or its magnitudes np.abs(stack); both give the same value.
+    its magnitudes np.abs(stack), or any iterable of band samples; all
+    give the same value.
     """
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
-    return sequence_norm(_band_lps(blocks, p), s, q)
+    return _band_norms(blocks, [SpaceSpec("B", s, p, q)], None)[0]
 
 
 def besov_norm(f, spec, sys):
@@ -264,35 +267,12 @@ def triebel_norm(f, spec, sys):
 
 
 def space_norms(f, specs, sys):
-    """Every quasi-norm in specs of one field, from one block decomposition.
+    """Every quasi-norm in specs of one field, in one pass over its blocks.
 
     Returns one value per spec, in order, each bitwise equal to what
-    besov_norm or triebel_norm gives for that spec.  The block magnitudes
-    are taken once and the stack is dropped; see `_magnitude_norms`.
+    besov_norm or triebel_norm gives for that spec.  The blocks are made
+    one at a time in one grid-sized array (`dyadic._bands`), and a band
+    with no content is neither transformed nor measured (`_band_norms`).
     """
-    return _magnitude_norms(np.abs(decompose(f, sys)), specs)
-
-
-def _magnitude_norms(mags, specs):
-    """space_norms from the block magnitudes np.abs(stack).
-
-    B specs with the same p share one list of per-band L_p norms, and so do
-    F specs at p = q, which are B specs (see the module notes).  Other F
-    specs with the same (s, q) share one pointwise l_q, summed band by band
-    into grid-sized arrays of its own.
-    """
-    def as_b(spec):
-        return spec.family == "B" or spec.p == spec.q
-
-    band_norms = {}
-    scratch = np.empty(mags.shape[1:])
-    for spec in specs:
-        if as_b(spec) and spec.p not in band_norms:
-            band_norms[spec.p] = [_lp(m, spec.p, out=scratch) for m in mags]
-    inner = {(s, q): _pointwise_lq(mags, _weights(s, len(mags)), q,
-                                   np.empty((2,) + mags.shape[1:]))
-             for s, q in dict.fromkeys((spec.s, spec.q) for spec in specs
-                                       if not as_b(spec))}
-    return [sequence_norm(band_norms[spec.p], spec.s, spec.q)
-            if as_b(spec) else _lp(inner[spec.s, spec.q], spec.p)
-            for spec in specs]
+    band = np.empty(sys.grid.sizes, dtype=np.complex128)
+    return _band_norms(_bands(f, sys, band), specs, sys.jmax + 1)

@@ -9,17 +9,16 @@ makes their Besov/Triebel norms available in closed form.
 
 The standard bank is one list of GeneratorSpec recipes (`bank_specs`), as
 is each multiplication tuple (`tuple_specs`), and `materialize` builds a
-recipe's field where a sweep measures it.  Given an array for it,
-`materialize` also writes the field's block stack: a random-band field's
-blocks are the band samples its generator computes anyway to normalise
-each band, so the audits do not transform them a second time.  Those
-samples are the unit band samples U_j of the recipe's stream (grid, seed,
-m_max), which `_unit_bands` builds, times the band scales c_j of its
-targets (s, p), which `_band_scales` gives.  The multiplication audit
-draws every recipe of a tuple index from one set of streams
-(`_draw_random_band`), since slot i of tuple t has the same seed in every
-parameter set: it builds each stream once, measures its bands once per
-exponent p, and keeps U_j and c_j apart.
+recipe's field where a sweep measures it.  A random-band field's blocks
+are the band samples its generator computes anyway to normalise each
+band, so the audits do not transform them a second time: they are the
+unit band samples U_j of the recipe's stream (grid, seed, m_max), which
+`_unit_bands` builds, times the band scales c_j of its targets (s, p).
+The embedding audit streams them band by band (`_random_bands`), without
+building the field.  The multiplication audit draws every recipe of a
+tuple index from one set of streams (`_draw_random_band`), since slot i of
+tuple t has the same seed in every parameter set: it builds each stream
+once, measures its bands once per exponent p, and keeps U_j and c_j apart.
 """
 
 from __future__ import annotations
@@ -127,10 +126,6 @@ def lacunary_field(grid, amplitudes, sys):
     return out
 
 
-def _plateau_mask(sys, j, cap):
-    return (sys.phi[j] == 1.0) & (sys.grid.xi <= cap)
-
-
 def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
     """Random-phase field with lp_norm(Delta_j f) = 2^(-js) on each band.
 
@@ -139,54 +134,38 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
     the band is rescaled to hit the target block norm exactly.  Since all
     content sits on plateaus, besov_norm(f; s, p, inf) = 1 by construction.
     """
-    return _random_band_into(grid, s, p, seed, sys, m_max, None)
-
-
-def _random_band_into(grid, s, p, seed, sys, m_max, out):
-    """`random_band_field`, writing block j of its stack to out[j] unless
-    out is None: `_band_scales` over `_unit_bands`, then out[j] *= c_j.
-
-    Since the plateau content of band j is all that window j sees,
-    Delta_j f = c_j U_j.  The blocks agree with `decompose` to rounding:
-    the scale is applied after the transform rather than before it.
-    """
-    field, scales = _band_scales(grid, s, p,
-                                 _unit_bands(grid, seed, sys, m_max, out))
-    if out is not None:
-        for block, scale in zip(out, scales):
-            block *= scale
-    return field
+    return _band_scales(grid, s, p,
+                        _unit_bands(grid, seed, sys, m_max, None))[0]
 
 
 def _unit_bands(grid, seed, sys, m_max, out):
     """The unit band samples of the random-band stream `seed`, band by band.
 
-    Yields (mask, phases, samples) for j = 0..jmax: band j's plateau points
-    under the band limit, the unit-modulus coefficients placed there (phases
-    from the PCG64 stream [seed, j]), and U_j, the inverse transform of that
-    content times npoints.  A band without plateau points yields (None,
-    None, zeros).  The samples are out[j], or, when out is None, one array
-    reused for every band, which a consumer reads before it asks for the
-    next band.  The stream depends on the grid, seed and m_max only: the
-    targets (s, p) of a field drawn from it enter through `_band_scales`.
+    Yields (points, phases, samples) for j = 0..jmax: the flat indices of
+    band j's plateau points under the band limit, the unit-modulus
+    coefficients placed there (phases from the PCG64 stream [seed, j]), and
+    U_j, the inverse transform of that content times npoints.  A band
+    without plateau points yields (None, None, zeros).  The samples are
+    out[j] for a stack out, or else one array for every band (out, or one
+    made here if None), read before the next band.  The stream depends on
+    the grid, seed and m_max only, not on the targets (s, p) of a field.
     """
     cap = band_limit(grid, m_max)
     if out is None:
-        scratch = np.empty(grid.sizes, dtype=np.complex128)
+        out = np.empty(grid.sizes, dtype=np.complex128)
     for j in range(sys.jmax + 1):
-        values = scratch if out is None else out[j]
+        values = out if out.shape == grid.sizes else out[j]
         values[...] = 0.0
-        mask = _plateau_mask(sys, j, cap)
-        count = int(mask.sum())
-        if count == 0:
+        points = sys._plateau(j, cap)
+        if points.size == 0:
             yield None, None, values
             continue
         rng = np.random.default_rng([int(seed), j])
-        phases = np.exp(2j * np.pi * rng.random(count))
-        values[mask] = phases
+        phases = np.exp(2j * np.pi * rng.random(points.size))
+        np.put(values, points, phases)
         np.fft.ifftn(values, out=values)
         values *= grid.npoints
-        yield mask, phases, values
+        yield points, phases, values
 
 
 def _band_size(values, p):
@@ -196,6 +175,9 @@ def _band_size(values, p):
     if p == math.inf:
         return float(mags.max())
     return float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
+
+
+_NO_PLATEAU = "no usable plateau frequencies under the band limit"
 
 
 def _band_scales(grid, s, p, bands, sizes=None):
@@ -208,19 +190,40 @@ def _band_scales(grid, s, p, bands, sizes=None):
     L_p(U_j) for every band with plateau points (`_band_size`), so that
     recipes with the same stream and p measure its bands once.
     """
-    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    coeffs = np.zeros(grid.npoints, dtype=np.complex128)
     scales = []
-    for j, (mask, phases, values) in enumerate(bands):
-        if mask is None:
+    for j, (points, phases, values) in enumerate(bands):
+        if points is None:
             scales.append(0.0)
             continue
         size = _band_size(values, p) if sizes is None else sizes[j]
         scale = 2.0 ** (-float(s) * j) / size
-        coeffs[mask] += phases * scale
+        coeffs[points] += phases * scale
         scales.append(scale)
     if not any(scales):
-        raise ValueError("no usable plateau frequencies under the band limit")
-    return Field.from_spectral(grid, coeffs), scales
+        raise ValueError(_NO_PLATEAU)
+    return Field.from_spectral(grid, coeffs.reshape(grid.sizes)), scales
+
+
+def _random_bands(spec, sys, out):
+    """The blocks Delta_j f = c_j U_j of the random-band recipe spec on
+    sys, as `dyadic._bands` yields a field's, without building the field:
+    the scales of `_band_scales` applied in place to the unit samples."""
+    grid = _spec_grid(spec, sys)
+    params = spec.params
+    live = False
+    for j, (points, _, values) in enumerate(_unit_bands(
+            grid, params["seed"], sys,
+            params.get("m_max", DEFAULT_MAX_ARITY), out)):
+        if points is None:
+            yield None
+            continue
+        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(values,
+                                                              params["p"])
+        live = True
+        yield values
+    if not live:
+        raise ValueError(_NO_PLATEAU)
 
 
 # Cephes erf (Moshier), as scipy.special.erf evaluates it: a rational in x^2
@@ -294,11 +297,11 @@ def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
         center = (grid.period / 2.0,) * grid.n
     center = [round(float(c) / h) * h
               for c, h in zip(np.atleast_1d(center), grid.spacing)]
-    coords = grid.coords()
-    r2 = np.zeros(grid.sizes)
-    for x, c in zip(coords, center):
+    r2 = 0.0  # summed over the axes in order, each axis broadcast
+    for axis, (size, c) in enumerate(zip(grid.sizes, center)):
+        x = np.arange(size) * (grid.period / size)
         d = np.mod(x - c + grid.period / 2.0, grid.period) - grid.period / 2.0
-        r2 += d * d
+        r2 = r2 + (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
     return _truncate_real(grid, np.exp(-r2 / (2.0 * width ** 2)), m_max)
 
 
@@ -445,26 +448,18 @@ def _spec_grid(spec, sys):
     return sys.grid
 
 
-def materialize(spec, sys=None, out=None):
+def materialize(spec, sys=None):
     """Build the field a GeneratorSpec describes (bitwise reproducible);
-    given a dyadic system, on its grid, which must match the spec's.
-
-    A random-band recipe may also be given out, a writable complex array
-    of the shape of sys.phi: its generator then writes the field's block
-    stack there, laid out as `decompose` lays it out (`_random_band_into`).
-    """
+    given a dyadic system, on its grid, which must match the spec's."""
     grid = _spec_grid(spec, sys)
-    if out is not None and (sys is None or spec.kind != "random-band"):
-        raise ValueError("only a random-band recipe on a dyadic system "
-                         "writes its block stack")
     params = spec.params
     kind = spec.kind
     if kind in ("lacunary", "random-band") and sys is None:
         sys = DyadicSystem(grid)
     m_max = params.get("m_max", DEFAULT_MAX_ARITY)
     if kind == "random-band":
-        return _random_band_into(grid, params["s"], params["p"],
-                                 params["seed"], sys, m_max, out)
+        return random_band_field(grid, params["s"], params["p"],
+                                 params["seed"], sys, m_max)
     if kind == "lacunary":
         amps = {int(j): complex(re, im)
                 for j, (re, im) in params["amplitudes"].items()}
@@ -489,8 +484,8 @@ def _draw_random_band(spec, sys, streams, new_stack):
     it is built into new_stack(), a complex array of the shape of sys.phi,
     and added, so recipes that differ only in their targets (s, p) share
     one set of transforms, and those that share p one set of sizes.  The
-    field, and the blocks c_j U_j, are bitwise those of `materialize` with
-    out.
+    field is bitwise that of `materialize`, and the blocks c_j U_j those
+    of `_random_bands`.
     """
     grid = _spec_grid(spec, sys)
     params = spec.params
@@ -502,8 +497,8 @@ def _draw_random_band(spec, sys, streams, new_stack):
     units, bands, sizes = streams[key]
     p = params["p"]
     if p not in sizes:
-        sizes[p] = [None if mask is None else _band_size(values, p)
-                    for mask, _, values in bands]
+        sizes[p] = [None if points is None else _band_size(values, p)
+                    for points, _, values in bands]
     field, scales = _band_scales(grid, params["s"], p, bands, sizes[p])
     return field, units, scales
 

@@ -493,17 +493,17 @@ _TWO_EMBEDDINGS = {
 
 
 def test_manifest_decomposes_each_field_once(monkeypatch):
-    # each bank field's stack is made once: a random-band recipe's by its
-    # generator, any other by one decomposition
+    # each bank field's blocks are made once: a random-band recipe's by its
+    # generator, any other by one decomposition, band by band
     import paraflux.audit
     import paraflux.norms
-    import paraflux.testbank
 
     events, built, banks = [], [], []
     for module, name, tag in (
             (paraflux.norms, "decompose", "decompose"),
             (paraflux.audit, "_decompose_into", "decompose"),
-            (paraflux.testbank, "_random_band_into", "generator")):
+            (paraflux.audit, "_bands", "decompose"),
+            (paraflux.audit, "_random_bands", "generator")):
         monkeypatch.setattr(module, name,
                             lambda *a, _fn=getattr(module, name), _tag=tag:
                             events.append(_tag) or _fn(*a))
@@ -511,18 +511,18 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
     monkeypatch.setattr(paraflux.audit, "bank_specs",
                         lambda *a, **k: banks.append(real_specs(*a, **k))
                         or banks[-1])
-    real_build = paraflux.audit._field_and_stack
+    real_build = paraflux.audit._item_bands
 
-    def build(item, sys, out=None):
+    def build(item, sys, out):
         start = len(events)
         made = real_build(item, sys, out)
         built.append((item.to_json(), events[start:]))
         return made
 
-    monkeypatch.setattr(paraflux.audit, "_field_and_stack", build)
+    monkeypatch.setattr(paraflux.audit, "_item_bands", build)
     run_audit_manifest(_TWO_EMBEDDINGS)
     assert len(banks) == len(_TWO_EMBEDDINGS["resolutions"])
-    # each recipe is built once, in bank order, with one stack
+    # each recipe is built once, in bank order, by one band source
     assert built == [
         (spec.to_json(),
          ["generator" if spec.kind == "random-band" else "decompose"])
@@ -664,12 +664,27 @@ def test_worker_count_does_not_change_output(monkeypatch):
     assert serial == threaded
 
 
+def _generator_stack(spec, sys, stack):
+    # the field of a recipe, with its block stack written into stack: a
+    # random-band recipe's blocks from its generator, any other's decomposed
+    from paraflux.testbank import _random_bands, materialize
+
+    field = materialize(spec, sys)
+    if spec.kind != "random-band":
+        np.copyto(stack, decompose(field, sys))
+        return field
+    band = np.empty(sys.grid.sizes, dtype=np.complex128)
+    for block, got in zip(stack, _random_bands(spec, sys, band)):
+        block[...] = 0.0 if got is None else got
+    return field
+
+
 def _per_set_values(params, q, p, count, build, sys):
     # the multiplication sweep as it ran set by set, before the sets of a
-    # resolution shared their tuples' streams: each slot through the stack
-    # builder, f2..fm's norms kept for both passes; per tuple (rhs, total,
-    # pi1, pi2) of each pass
-    from paraflux.audit import _field_and_stack
+    # resolution shared their tuples' streams: each slot's stack built on
+    # its own (a random-band recipe's from its generator's blocks), f2..fm's
+    # norms kept for both passes; per tuple (rhs, total, pi1, pi2) of each
+    # pass
     from paraflux.paraproduct import _split_product
 
     m = len(params)
@@ -678,7 +693,7 @@ def _per_set_values(params, q, p, count, build, sys):
     for t in range(count):
         stacks = [np.empty(sys.phi.shape, dtype=np.complex128)
                   for _ in range(m)]
-        fields = [_field_and_stack(item, sys, stack)[0]
+        fields = [_generator_stack(item, sys, stack)
                   for item, stack in zip(build(t), stacks)]
         b_norms = [lq_of_lp(stack, s, pi, INF)
                    for (s, pi), stack in zip(params[1:], stacks[1:])]

@@ -55,14 +55,15 @@ def test_norm_decomposes_once_and_matches_single_norms(tmp_path, capsys,
     path = tmp_path / "f.fld"
     write_field(str(path), standard_bank(g, build_dyadic_system(g))[5].field)
     calls = []
-    real = paraflux.norms.decompose
-    monkeypatch.setattr(paraflux.norms, "decompose",
-                        lambda f, s: calls.append(1) or real(f, s))
+    real = paraflux.norms._bands
+    # one pass over the field's blocks, band by band
+    monkeypatch.setattr(paraflux.norms, "_bands",
+                        lambda f, s, out: calls.append(1) or real(f, s, out))
     assert main(["norm", "--in", str(path), "--s", "0.5", "--s", "1",
                  "--s", "-0.5", "--p", "2", "--p", "inf", "--p", "1",
                  "--q", "2", "--q", "1", "--q", "inf", "--json"]) == 0
     assert len(calls) == 1
-    monkeypatch.setattr(paraflux.norms, "decompose", real)
+    monkeypatch.setattr(paraflux.norms, "_bands", real)
     rows = json.loads(capsys.readouterr().out)["norms"]
     field = read_field(str(path))
     sys = build_dyadic_system(field.grid)
@@ -125,6 +126,45 @@ def test_audit_manifest_run(tmp_path, capsys):
     assert main(["audit", "--manifest", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     assert "mult-total" in out.read_text()
+
+
+def test_audit_manifest_accepts_inf_exponents(tmp_path, capsys):
+    # "inf" in a manifest space is infinity, as audit_embedding takes it
+    import csv
+    import io
+    import math
+
+    from paraflux import audit_embedding
+
+    source = {"family": "B", "s": 1.0, "p": 1.0, "q": 1.0}
+    target = {"family": "F", "s": 0.5, "p": 2.0, "q": "inf"}
+    manifest = {"n": 1, "resolutions": [64], "seed": 3,
+                "embeddings": [{"source": source, "target": target}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "result.csv"
+    assert main(["audit", "--manifest", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    pair = (SpaceSpec(**source), SpaceSpec(**dict(target, q=math.inf)))
+    want = audit_embedding(pair, standard_bank(g, sys, seed=3), sys).records
+    # the bank's rows, then the stability row
+    assert len(rows) == len(want) + 1
+    for row, rec in zip(rows, want):
+        assert row[0] == rec.name + "[size=64]"
+        assert json.loads(row[1]) == dict(rec.inputs, size=64)
+        assert tuple(row[2:]) == rec.row()[2:]
+    assert rows[-1][0].startswith("embedding-stability[")
+    # an F space still needs a finite p
+    manifest["embeddings"][0]["target"] = dict(target, p="inf")
+    path.write_text(json.dumps(manifest))
+    out.unlink()
+    assert main(["audit", "--manifest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "requires p < inf" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_audit_bad_hypotheses_exit_2(tmp_path, capsys):
@@ -441,6 +481,7 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                          (paraflux.audit, "materialize"),
                          (paraflux.audit, "tuple_specs"),
                          (paraflux.audit, "_field_and_stack"),
+                         (paraflux.audit, "_item_bands"),
                          (paraflux.audit, "_draw_random_band"),
                          (paraflux.testbank, "_unit_bands")):
         monkeypatch.setattr(module, name,

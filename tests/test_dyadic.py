@@ -3,7 +3,8 @@ import pytest
 
 from paraflux import (Field, build_dyadic_system, build_grid, decompose,
                       delta_j, gaussian_bump, lacunary_field, q_j,
-                      smooth_cutoff, standard_bank)
+                      random_band_field, smooth_cutoff, standard_bank)
+from paraflux.dyadic import _bands, _blocks
 
 
 def test_cutoff_plateaus_exact():
@@ -126,6 +127,37 @@ def test_decompose_matches_full_stack_transform(n, size):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
     assert empty > len(fields)
+
+
+@pytest.mark.parametrize("n, size", [(1, 256), (2, 64), (2, 128), (3, 32),
+                                     (3, 64)])
+def test_bands_are_the_batched_stack(n, size):
+    # each block transformed on its own in one grid-sized array has the
+    # bits of decompose's batched transform; an all-zero block is None
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    out = np.empty(g.sizes, dtype=np.complex128)
+    empty = 0
+    for f in (gaussian_bump(g, width=0.4),
+              random_band_field(g, 0.5, 2.0, 7, sys),
+              lacunary_field(g, {0: 1.0, 2: 0.5}, sys)):
+        stack = decompose(f, sys)
+        count = 0
+        for want, block in zip(stack, _bands(f, sys, out)):
+            if block is None:
+                assert not np.any(want)
+                empty += 1
+            else:
+                assert block is out
+                assert block.tobytes() == want.tobytes()
+            count += 1
+        assert count == sys.jmax + 1
+        # _blocks yields out for an all-zero block too
+        assert [b.tobytes() for b in _blocks(f, sys, out)] == \
+            [w.tobytes() for w in stack]
+    assert empty > 0
+    with pytest.raises(ValueError, match="does not match"):
+        next(_bands(Field.zeros(build_grid(n, 2 * size)), sys, out))
 
 
 def test_block_operator_linearity():

@@ -207,7 +207,7 @@ def test_space_norms_match_single_norms(monkeypatch):
         SpaceSpec("B", 0.0, INF, INF), SpaceSpec("F", 0.5, 1.0, 2.0),
         SpaceSpec("F", 0.5, 0.5, 2.0), SpaceSpec("F", 0.0, 3.0, INF),
     ]
-    real = paraflux.norms.decompose
+    real = paraflux.norms._bands
     for n, size in ((1, 64), (2, 32), (3, 32)):
         g = build_grid(n, size)
         sys = build_dyadic_system(g)
@@ -219,11 +219,13 @@ def test_space_norms_match_single_norms(monkeypatch):
         expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
             f, spec, sys) for spec in specs] for f in bank]
         calls = []
-        monkeypatch.setattr(paraflux.norms, "decompose",
-                            lambda f, s: calls.append(1) or real(f, s))
+        # one pass over each field's blocks, band by band
+        monkeypatch.setattr(paraflux.norms, "_bands",
+                            lambda f, s, out: calls.append(1)
+                            or real(f, s, out))
         assert [space_norms(f, specs, sys) for f in bank] == expected
         assert len(calls) == len(bank)
-        monkeypatch.setattr(paraflux.norms, "decompose", real)
+        monkeypatch.setattr(paraflux.norms, "_bands", real)
         # one spec at a time, and in reverse order, gives the same values
         f = bank[3]
         assert [space_norms(f, [spec], sys)[0]
@@ -409,8 +411,99 @@ def test_bandwise_f_kernel_is_bitwise_the_stack_sum(shape, s, p, q):
     assert lp_of_lq(stack, s, p, q) == want_lp
     assert lp_of_lq(mags, s, p, q) == want_lp
     spec = SpaceSpec("F", s, p, q)
-    from paraflux.norms import _magnitude_norms
+    from paraflux.norms import _band_norms
     before = mags.copy()
-    assert _magnitude_norms(mags, [spec, spec]) == [want_lp, want_lp]
+    assert _band_norms(mags, [spec, spec], len(mags)) == [want_lp, want_lp]
     # the magnitudes are read, not written
     assert mags.tobytes() == before.tobytes()
+
+
+def _bandwise_lq(mags, w, q):
+    # the pointwise l_q of the stack path: summed band by band into one
+    # grid-sized array, the current band in another
+    from paraflux.norms import _kernel_power
+
+    total, term = np.empty((2,) + mags.shape[1:])
+    for j, (block, wj) in enumerate(zip(mags, w)):
+        out = term if j else total
+        np.multiply(block, wj, out=out)
+        if q == INF:
+            if j:
+                np.maximum(total, term, out=total)
+            continue
+        _kernel_power(out, q, out=out)
+        if j:
+            total += term
+    if q == INF:
+        return total
+    return _kernel_power(total, 1.0 / q, out=total)
+
+
+def _stack_norms(mags, specs):
+    # the norms of a whole magnitude stack as the stack path evaluated
+    # them: per-band L_p lists for B specs and F specs at p = q, shared by
+    # p, and one pointwise l_q per (s, q) of the other F specs
+    from paraflux.norms import _lp, _weights
+
+    def as_b(spec):
+        return spec.family == "B" or spec.p == spec.q
+
+    band_norms = {}
+    scratch = np.empty(mags.shape[1:])
+    for spec in specs:
+        if as_b(spec) and spec.p not in band_norms:
+            band_norms[spec.p] = [_lp(m, spec.p, out=scratch) for m in mags]
+    inner = {(s, q): _bandwise_lq(mags, _weights(s, len(mags)), q)
+             for s, q in dict.fromkeys((spec.s, spec.q) for spec in specs
+                                       if not as_b(spec))}
+    return [sequence_norm(band_norms[spec.p], spec.s, spec.q)
+            if as_b(spec) else _lp(inner[spec.s, spec.q], spec.p)
+            for spec in specs]
+
+
+_STREAM_SPECS = [
+    SpaceSpec("B", 0.5, 2.0, 2.0), SpaceSpec("B", -0.5, 0.5, INF),
+    SpaceSpec("B", 1.0, 3.0, 4.0), SpaceSpec("B", 0.0, INF, 1.0),
+    SpaceSpec("F", 0.5, 2.0, INF), SpaceSpec("F", 0.5, 1.0, INF),
+    SpaceSpec("F", 1.0, 0.75, 0.6), SpaceSpec("F", -0.3, 2.0, 3.0),
+    SpaceSpec("F", 0.25, 1.5, 4.0), SpaceSpec("F", 0.5, 4.0, 4.0),
+    SpaceSpec("F", 0.0, 0.5, 0.5), SpaceSpec("F", 1.0, 3.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("shape", [(7, 256), (6, 64, 64), (5, 32, 32, 32)])
+@pytest.mark.parametrize("empty", ["first", "middle", "top", "all three"])
+def test_streamed_kernel_matches_the_stack_reduction(shape, empty):
+    # one pass over bands streamed through one array, with None for an
+    # all-zero band, gives the bits of the whole-stack reduction
+    from paraflux.norms import _band_norms, _norm_work
+
+    rng = np.random.default_rng(len(shape) * 10 + len(empty))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack *= (2.0 ** -np.arange(shape[0])).reshape(
+        (-1,) + (1,) * (len(shape) - 1))
+    zero = {"first": [0], "middle": [shape[0] // 2], "top": [shape[0] - 1],
+            "all three": [0, shape[0] // 2, shape[0] - 1]}[empty]
+    stack[zero] = 0.0
+    want = _stack_norms(np.abs(stack), _STREAM_SPECS)
+
+    band = np.empty(shape[1:], dtype=np.complex128)
+
+    def streamed():
+        for j, block in enumerate(stack):
+            if j in zero:
+                yield None
+            else:
+                np.copyto(band, block)
+                yield band
+
+    work = _norm_work(_STREAM_SPECS, shape[1:])
+    assert _band_norms(streamed(), _STREAM_SPECS, shape[0], work) == want
+    # the stack itself, its zero bands measured as samples, and one spec
+    # at a time, in fresh work arrays
+    assert _band_norms(stack, _STREAM_SPECS, shape[0]) == want
+    assert [_band_norms(streamed(), [spec], shape[0])[0]
+            for spec in _STREAM_SPECS] == want
+    # an all-zero field: every norm is 0
+    assert _band_norms([None] * shape[0], _STREAM_SPECS, shape[0]) == \
+        [0.0] * len(_STREAM_SPECS)

@@ -451,8 +451,9 @@ def test_grid_mismatch_rejected(setup128):
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
 def test_scaled_sources_match_generator_stacks(n, size):
     # unit samples with band scales give the bits of the generator's
-    # stacks, block by block and in every running sum
-    from paraflux.testbank import _draw_random_band, materialize, spec_for
+    # blocks, block by block and in every running sum
+    from paraflux.testbank import (_draw_random_band, _random_bands,
+                                   materialize, spec_for)
 
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
@@ -469,10 +470,13 @@ def test_scaled_sources_match_generator_stacks(n, size):
     # the first and the last recipe differ only in (s, p): one stream
     assert len(made) == 2 and drawn[0][1] is drawn[2][1]
     stacks = [np.empty(sys.phi.shape, dtype=np.complex128) for _ in specs]
+    band = np.empty(g.sizes, dtype=np.complex128)
     for spec, stack, (field, _, scales) in zip(specs, stacks, drawn):
         assert field.spectral.tobytes() == \
-            materialize(spec, sys, stack).spectral.tobytes()
+            materialize(spec, sys).spectral.tobytes()
         assert len(scales) == sys.jmax + 1
+        for block, got in zip(stack, _random_bands(spec, sys, band)):
+            block[...] = 0.0 if got is None else got
     work = [[np.empty(g.sizes, dtype=np.complex128)
              for _ in range(len(specs) + 2)] for _ in range(2)]
     plain = _stack_sources(stacks, [None] * len(specs), work[0])

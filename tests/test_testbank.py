@@ -11,7 +11,8 @@ from paraflux import (INF, SpaceSpec, band_limit, bank_specs, besov_norm,
                       random_band_field, smoothed_step, spec_for,
                       standard_bank, triebel_norm, tuple_bank,
                       tuple_fields, tuple_specs)
-from paraflux.testbank import GeneratorSpec, _random_band_into
+from paraflux.testbank import (GeneratorSpec, _band_scales, _random_bands,
+                               _unit_bands)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,19 @@ def _assert_stack_close(got, want):
     return zeros
 
 
+def _streamed_stack(spec, sys):
+    # the blocks `_random_bands` streams, stacked: zeros for a None band,
+    # which must be an all-zero band; NaN first, so none is left unwritten
+    stack = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+    band = np.empty(sys.grid.sizes, dtype=np.complex128)
+    count = 0
+    for block, got in zip(stack, _random_bands(spec, sys, band)):
+        block[...] = 0.0 if got is None else got
+        count += 1
+    assert count == sys.jmax + 1
+    return stack
+
+
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
 def test_generator_stack_matches_decompose(n, size):
     g = build_grid(n, size)
@@ -144,10 +158,10 @@ def test_generator_stack_matches_decompose(n, size):
     zeros = 0
     for p in (0.5, 1.0, 2.0, 4.0, INF):
         for s, seed in ((-1.0, 3), (0.5, 811)):
-            # NaN everywhere first, so no block can be left unwritten
-            stack = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
-            f = _random_band_into(g, s, p, seed, sys, 3, stack)
-            # the field stays the generator's, bit for bit
+            spec = spec_for("random-band", g, s=s, p=p, seed=seed, m_max=3)
+            stack = _streamed_stack(spec, sys)
+            # the recipe's field stays the generator's, bit for bit
+            f = materialize(spec, sys)
             assert f.spectral.tobytes() == \
                 random_band_field(g, s, p, seed, sys).spectral.tobytes()
             zeros += _assert_stack_close(stack, decompose(f, sys))
@@ -155,24 +169,65 @@ def test_generator_stack_matches_decompose(n, size):
     assert zeros > 0
 
 
-def test_materialize_writes_a_random_band_stack():
+def test_random_band_source_streams_every_bank_recipe():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
+    other = build_dyadic_system(build_grid(2, 64))
+    band = np.empty(g.sizes, dtype=np.complex128)
     generated = 0
     for name, spec in bank_specs(g, seed=5):
-        out = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
         if spec.kind != "random-band":
-            with pytest.raises(ValueError, match="only a random-band"):
-                materialize(spec, sys, out)
             continue
-        f = materialize(spec, sys, out)
-        assert f.spectral.tobytes() == \
-            materialize(spec, sys).spectral.tobytes(), name
-        _assert_stack_close(out, decompose(f, sys))
+        f = materialize(spec, sys)
+        _assert_stack_close(_streamed_stack(spec, sys), decompose(f, sys))
         generated += 1
         with pytest.raises(ValueError, match="dyadic system"):
-            materialize(spec, None, out)
+            next(_random_bands(spec, other, band))
     assert generated == 12
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_streamed_blocks_are_the_generator_stack_formula(n, size):
+    # the stack the generator wrote before the blocks were streamed: unit
+    # samples in place, then block j times c_j, bit for bit
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    for p in (0.5, 1.0, 2.0, 3.0, 4.0, INF):
+        for s, seed in ((-1.0, 3), (0.5, 811), (1.5, 12)):
+            want = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+            _, scales = _band_scales(g, s, p, _unit_bands(g, seed, sys, 3,
+                                                          want))
+            for block, scale in zip(want, scales):
+                block *= scale
+            spec = spec_for("random-band", g, s=s, p=p, seed=seed, m_max=3)
+            assert _streamed_stack(spec, sys).tobytes() == want.tobytes()
+
+
+def test_plateau_points_are_cached_flat_indices():
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    cap = band_limit(g, 3)
+    for j in range(sys.jmax + 1):
+        points = sys._plateau(j, cap)
+        mask = (sys.phi[j] == 1.0) & (g.xi <= cap)
+        assert np.array_equal(points, np.flatnonzero(mask))
+        # in the order of the mask's points: boolean and flat indexing
+        # place the same values
+        values = np.arange(g.npoints, dtype=float).reshape(g.sizes)
+        assert np.array_equal(values.ravel()[points], values[mask])
+        assert sys._plateau(j, cap) is points
+    # each band limit has its own points
+    wide = band_limit(g, 2)
+    assert any(not np.array_equal(sys._plateau(j, wide),
+                                  np.flatnonzero((sys.phi[j] == 1.0)
+                                                 & (g.xi <= cap)))
+               for j in range(sys.jmax + 1))
+    for j in range(sys.jmax + 1):
+        assert np.array_equal(sys._plateau(j, wide), np.flatnonzero(
+            (sys.phi[j] == 1.0) & (g.xi <= wide)))
+    # another system, even on the same grid, has its own points
+    assert build_dyadic_system(g)._plateau(1, cap) is not \
+        sys._plateau(1, cap)
 
 
 @pytest.mark.parametrize("kind, params, missing", [
@@ -212,6 +267,37 @@ def test_gaussian_bump_shape(setup128):
     for d in range(1, 20):
         assert v[(i0 + d) % 128] == pytest.approx(v[(i0 - d) % 128],
                                                   abs=1e-9)
+
+
+def _meshgrid_bump_samples(grid, center, width):
+    # the bump's samples as they were built from the coordinate meshgrids
+    center = [round(float(c) / h) * h
+              for c, h in zip(np.atleast_1d(center), grid.spacing)]
+    r2 = np.zeros(grid.sizes)
+    for x, c in zip(grid.coords(), center):
+        d = np.mod(x - c + grid.period / 2.0, grid.period) - grid.period / 2.0
+        r2 += d * d
+    return np.exp(-r2 / (2.0 * width ** 2))
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
+    import paraflux.testbank
+
+    g = build_grid(n, size)
+    seen = []
+    real = paraflux.testbank._truncate_real
+    monkeypatch.setattr(paraflux.testbank, "_truncate_real",
+                        lambda grid, values, m_max: seen.append(values)
+                        or real(grid, values, m_max))
+    for center, width in (((1.0, 5.5, 0.3), 0.4), (None, 0.8)):
+        center = None if center is None else center[:n]
+        f = gaussian_bump(g, center, width)
+        want = _meshgrid_bump_samples(
+            g, (g.period / 2.0,) * n if center is None else center, width)
+        assert seen[-1].shape == g.sizes
+        assert seen[-1].tobytes() == want.tobytes()
+        assert f.spectral.tobytes() == real(g, want, 3).spectral.tobytes()
 
 
 def test_bump_width_raises_smoothness_cost(setup128):
