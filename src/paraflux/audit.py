@@ -19,8 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._parallel import map_ordered, per_worker
-from .dyadic import _bands, _blocks, _decompose_into, decompose, q_j
-from .grid import Field
+from .dyadic import (_bands, _blocks, _decompose_into, build_dyadic_system,
+                     decompose, q_j)
+from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _band_norms, _ex, _ex_json, _norm_work,
@@ -554,13 +555,14 @@ def _check_embedding(pair, n, mode):
                          % ", ".join(report.failed()))
 
 
-def _item_bands(item, sys, out):
+def _item_bands(item, sys, out, scratch):
     """The blocks of item, a recipe or a Field, as `dyadic._bands` yields
     them into out: a random-band recipe's from its generator
-    (`testbank._random_bands`), any other item's windowed from its field."""
+    (`testbank._random_bands`, with the real grid-sized scratch), any other
+    item's windowed from its field."""
     if isinstance(item, GeneratorSpec):
         if item.kind == "random-band":
-            return _random_bands(item, sys, out)
+            return _random_bands(item, sys, out, scratch)
         item = materialize(item, sys)
     return _bands(item, sys, out)
 
@@ -590,8 +592,11 @@ def _embedding_sweeps(pairs, count, build, sys):
     def run(i):
         name, item = build(i)
         band, work = workspace()
-        values = dict(zip(specs, _band_norms(_item_bands(item, sys, band),
-                                             specs, sys.jmax + 1, work)))
+        # work[0] holds a band's magnitudes only while `_band_norms` reads
+        # that band, so the generator takes the next band's there too
+        values = dict(zip(specs, _band_norms(
+            _item_bands(item, sys, band, work[0]), specs, sys.jmax + 1,
+            work)))
         return [_make_record(
             "embedding[%s->%s]" % (source.label(), target.label()),
             {"field": name, "source": source.label(),
@@ -621,7 +626,7 @@ def audit_embedding(pair, bank, sys, mode=None):
     return _embedding_sweeps([pair], len(items), items.__getitem__, sys)[0]
 
 
-def _check_multiplication(params, q, mode, sys, N=None, p=None):
+def _check_multiplication(params, q, mode, grid, N=None, p=None):
     """Refuse a multiplication set the audit cannot run on this grid, and
     return the integrability p it runs with.
 
@@ -629,11 +634,11 @@ def _check_multiplication(params, q, mode, sys, N=None, p=None):
     `_checked_gap` refuses (Pi_1 would be empty above jmax), or a p that is
     not positive or whose 1/p lies outside the admissible interval.
     """
-    report = check_theorem_hypotheses(params, q, sys.grid.n, mode)
+    report = check_theorem_hypotheses(params, q, grid.n, mode)
     if not report.satisfied:
         raise ValueError("theorem hypotheses unsatisfied: %s"
                          % ", ".join(report.failed()))
-    _checked_gap(len(params), N, sys.jmax)
+    _checked_gap(len(params), N, grid.jmax)
     if p is None:
         return pick_admissible_p(report)
     if not p > 0.0:
@@ -656,7 +661,7 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
     the gap N is refused with ValueError: Pi_1 would have no band terms there.
     """
-    p = _check_multiplication(params, q, mode, sys, N, p)
+    p = _check_multiplication(params, q, mode, sys.grid, N, p)
     tuples = list(tuples)
     mset = _MultSet(params, q, mode, len(tuples), N, p)
     return _multiplication_sweep([mset], lambda k, t: tuples[t], sys)[0]
@@ -733,7 +738,9 @@ def _multiplication_sweep(sets, build, sys):
         def factor(item):
             # (field, stack, scales): scales None for a stack of blocks
             if isinstance(item, GeneratorSpec) and item.kind == "random-band":
-                return _draw_random_band(item, sys, streams, new_stack)
+                # f_work is free until the tuple's records are made
+                return _draw_random_band(item, sys, streams, new_stack,
+                                         buf["f_work"][0])
             # a Field is its own key, kept alive with its entry
             key = item.to_json() if isinstance(item, GeneratorSpec) \
                 else id(item)
@@ -950,13 +957,15 @@ def run_audit_manifest(manifest):
     resolution-stability gates on each max ratio.
 
     Every embedding's hypotheses, and every multiplication set's hypotheses,
-    admissible p and gap at every resolution, are checked before any field
-    is built.  Then, at each resolution, each worker takes one bank recipe
-    of `bank_specs` at a time and streams its blocks band by band (a
-    random-band recipe's from its generator, without building the field,
-    any other's by windowing the built field), evaluating every norm of
-    every embedding in that one pass, so neither a whole bank nor a block
-    stack is ever alive.  The multiplication sets run
+    admissible p and gap at every resolution (against that resolution's
+    grid), are checked before any dyadic system or field is built.  Then
+    the resolutions run one at a time, each on its own dyadic system, which
+    is dropped before the next is built.  At each resolution, each worker
+    takes one bank recipe of `bank_specs` at a time and streams its blocks
+    band by band (a random-band recipe's from its generator, without
+    building the field, any other's by windowing the built field),
+    evaluating every norm of every embedding in that one pass, so neither a
+    whole bank nor a block stack is ever alive.  The multiplication sets run
     in one `_multiplication_sweep` per resolution: the worker that takes
     tuple index t builds tuple t of every set from `tuple_specs`, and each
     random-band stream of those tuples once.  Records keep the order
@@ -968,9 +977,6 @@ def run_audit_manifest(manifest):
     whose audit would pass vacuously (zero tuples, no resolutions) is
     refused with ValueError naming the path.
     """
-    from .dyadic import build_dyadic_system
-    from .grid import build_grid
-
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
     _check_manifest(manifest)
@@ -988,30 +994,30 @@ def run_audit_manifest(manifest):
         _check_embedding(pair, n, item.get("mode"))
         pairs.append(pair)
 
-    systems = []
-    for size in resolutions:
-        grid = build_grid(n, size)
-        systems.append((size, grid, build_dyadic_system(grid)))
-
+    grids = [build_grid(n, size) for size in resolutions]
     sets = []
     for item in manifest.get("multiplications", []):
         params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
         q = _exponent(item.get("q"))
         p = INF if item.get("p") == "inf" else item.get("p")
         # the p each resolution runs with, as its check resolved it
-        ps = [_check_multiplication(params, q, item["mode"], sys,
-                                    item.get("gap"), p)
-              for _, _, sys in systems]
+        ps = [_check_multiplication(params, q, item["mode"], grid,
+                                    item.get("gap"), p) for grid in grids]
         sets.append((item, params, q, ps))
 
-    by_size = []  # by_size[i][k]: pair k at resolution i
-    for _, grid, sys in systems if pairs else ():
-        recipes = bank_specs(grid, seed=seed)
-        by_size.append(_embedding_sweeps(pairs, len(recipes),
-                                         recipes.__getitem__, sys))
+    # by_size[i][k]: pair k at resolution i; mult_by_size[i][k]: set k
+    by_size, mult_by_size = [], []
+    for i, grid in enumerate(grids if pairs or sets else ()):
+        msets = [_MultSet(params, q, item["mode"], item.get("tuples", 6),
+                          item.get("gap"), ps[i])
+                 for item, params, q, ps in sets]
+        embeddings, products = _resolution_sweeps(pairs, msets, grid, seed)
+        by_size.append(embeddings)
+        mult_by_size.append(products)
+
     for k, (source, target) in enumerate(pairs):
         maxima = []
-        for (size, _, _), sweeps in zip(systems, by_size):
+        for size, sweeps in zip(resolutions, by_size):
             sweep = sweeps[k]
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)
@@ -1023,18 +1029,10 @@ def run_audit_manifest(manifest):
             {"pair": [source.label(), target.label()],
              "resolutions": resolutions}, maxima))
 
-    mult_by_size = []  # mult_by_size[i][k]: set k at resolution i
-    for i, (_, grid, sys) in enumerate(systems if sets else ()):
-        msets = [_MultSet(params, q, item["mode"], item.get("tuples", 6),
-                          item.get("gap"), ps[i])
-                 for item, params, q, ps in sets]
-        mult_by_size.append(_multiplication_sweep(
-            msets, lambda k, t, grid=grid: tuple_specs(grid, sets[k][1],
-                                                       seed, t), sys))
     for k, (item, params, _, _) in enumerate(sets):
         mode = item["mode"]
         maxima = []
-        for (size, _, _), sweeps in zip(systems, mult_by_size):
+        for size, sweeps in zip(resolutions, mult_by_size):
             sweep = sweeps[k]
             for r in sweep.records:
                 r.inputs = dict(r.inputs, size=size)
@@ -1051,3 +1049,20 @@ def run_audit_manifest(manifest):
         v: verdicts.count(v)
         for v in ("pass", "fail", "informational", "skipped")}
     return combined
+
+
+def _resolution_sweeps(pairs, msets, grid, seed):
+    """The embedding sweeps of pairs and the multiplication sweep of msets
+    at one resolution, on a dyadic system built here and freed on return:
+    ([SweepResult per pair], [SweepResult per set])."""
+    sys = build_dyadic_system(grid)
+    embeddings = products = []
+    if pairs:
+        recipes = bank_specs(grid, seed=seed)
+        embeddings = _embedding_sweeps(pairs, len(recipes),
+                                       recipes.__getitem__, sys)
+    if msets:
+        products = _multiplication_sweep(
+            msets, lambda k, t: tuple_specs(grid, msets[k].params, seed, t),
+            sys)
+    return embeddings, products

@@ -66,6 +66,10 @@ def smooth_cutoff():
 class DyadicSystem:
     """Sampled resolution of unity on a grid's frequency lattice.
 
+    A system holds one stack, `phi`, next to its grid's `xi`; the low-pass
+    cutoffs `cutoff(j)` and the plateau points of each window are made on
+    first use and kept per level.
+
     Attributes
     ----------
     grid : Grid
@@ -79,20 +83,30 @@ class DyadicSystem:
     def __init__(self, grid):
         profile = smooth_cutoff()
         xi = grid.xi
-        scaled = _freeze(np.stack([profile(xi * (0.5 ** j))
-                                   for j in range(grid.jmax + 1)]))
-        phi = _freeze(np.diff(scaled, axis=0, prepend=0.0))
+        # phi[j] = psi(2^-j xi) - psi(2^-j+1 xi), level by level, with the
+        # subtraction np.diff(..., prepend=0.0) makes on the stacked cutoffs
+        phi = np.empty((grid.jmax + 1,) + grid.sizes)
+        below = 0.0
+        for j in range(grid.jmax + 1):
+            level = profile(xi * (0.5 ** j))
+            np.subtract(level, below, out=phi[j])
+            below = level
         self.grid = grid
         self.jmax = grid.jmax
-        self.phi = phi
-        self._scaled = scaled
+        self.phi = _freeze(phi)
+        self._cutoffs = {}
         self._plateaus = {}
 
     def cutoff(self, j):
-        """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j."""
+        """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j,
+        evaluated once per level; two threads that both evaluate it store
+        equal arrays."""
         if not 0 <= j <= self.jmax:
             raise ValueError("level %d outside 0..%d" % (j, self.jmax))
-        return self._scaled[j]
+        if j not in self._cutoffs:
+            self._cutoffs[j] = _freeze(
+                smooth_cutoff()(self.grid.xi * (0.5 ** j)))
+        return self._cutoffs[j]
 
     def _plateau(self, j, cap):
         """The flat C-order indices of the plateau points of window j under

@@ -25,6 +25,9 @@ def _is_pow2(m):
 class Grid:
     """Uniform periodic grid with precomputed frequency geometry.
 
+    A grid holds one lattice-sized array, `xi`; the wavenumber meshes `k`
+    are made on demand from the per-axis wavenumbers.
+
     Attributes
     ----------
     n : int
@@ -37,6 +40,10 @@ class Grid:
         Total number of lattice points.
     xi : ndarray
         |xi| modulus array over the frequency lattice, FFT order.
+    k : tuple of ndarray
+        Integer wavenumbers (as floats) along each axis over the lattice,
+        FFT order, ij indexing: read-only broadcast views of the per-axis
+        wavenumbers, which hold no lattice-sized memory.
     nyquist : float
         Largest resolvable |xi| along the shortest axis, (2*pi/period)*min/2.
     jmax : int
@@ -66,11 +73,16 @@ class Grid:
         self.spacing = period / np.asarray(sizes, dtype=float)
 
         scale = TWO_PI / period
-        # integer wavenumbers per axis in FFT order, as exact floats
-        axes = [np.fft.fftfreq(s, d=1.0 / s) for s in sizes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.k = tuple(_freeze(m) for m in mesh)
-        self.xi = _freeze(scale * np.sqrt(sum(m * m for m in mesh)))
+        # integer wavenumbers per axis in FFT order, as exact floats, on an
+        # open mesh: the squares are summed axis by axis as on the dense
+        # mesh, and only the last sum is lattice-sized
+        self._axes = tuple(_freeze(np.fft.fftfreq(s, d=1.0 / s))
+                           for s in sizes)
+        xi = sum(m * m for m in np.meshgrid(*self._axes, indexing="ij",
+                                            sparse=True))
+        np.sqrt(xi, out=xi)
+        xi *= scale
+        self.xi = _freeze(xi)
         self.nyquist = scale * (min(sizes) // 2)
 
         j = 0
@@ -81,6 +93,12 @@ class Grid:
             raise ValueError(
                 "grid too coarse: need at least 3 dyadic bands, "
                 "largest admissible index is %d" % self.jmax)
+
+    @property
+    def k(self):
+        """The wavenumber meshes, one read-only array per axis."""
+        return tuple(np.broadcast_to(m, self.sizes) for m in np.meshgrid(
+            *self._axes, indexing="ij", sparse=True))
 
     def coords(self):
         """Per-axis sample coordinate arrays (meshgrid, ij indexing)."""
@@ -121,6 +139,12 @@ class Field:
     samples `physical` are computed from it on first use and cached (a field
     read from samples keeps those exact samples).  Both arrays are read-only
     and instances are immutable; arithmetic returns new fields.
+
+    Ownership: `from_physical` and `from_spectral` keep a C-contiguous
+    complex128 argument as it is, without a copy, and freeze it, so the
+    caller's array becomes read-only and belongs to the field from then on.
+    Any other argument (real, another dtype, or not C-contiguous) is copied
+    and stays as it was.
     """
 
     __slots__ = ("grid", "spectral", "_physical")

@@ -168,10 +168,10 @@ def _unit_bands(grid, seed, sys, m_max, out):
         yield points, phases, values
 
 
-def _band_size(values, p):
-    """L_p(|U_j|) of one band's unit samples, as the generator normalises
-    the band (`_power`, bitwise np.power)."""
-    mags = np.abs(values)
+def _band_size(mags, p):
+    """L_p(|U_j|) of one band's unit samples from their magnitudes, which
+    it overwrites, as the generator normalises the band (`_power`, bitwise
+    np.power)."""
     if p == math.inf:
         return float(mags.max())
     return float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
@@ -191,12 +191,14 @@ def _band_scales(grid, s, p, bands, sizes=None):
     recipes with the same stream and p measure its bands once.
     """
     coeffs = np.zeros(grid.npoints, dtype=np.complex128)
+    scratch = np.empty(grid.sizes) if sizes is None else None
     scales = []
     for j, (points, phases, values) in enumerate(bands):
         if points is None:
             scales.append(0.0)
             continue
-        size = _band_size(values, p) if sizes is None else sizes[j]
+        size = _band_size(np.abs(values, out=scratch), p) \
+            if sizes is None else sizes[j]
         scale = 2.0 ** (-float(s) * j) / size
         coeffs[points] += phases * scale
         scales.append(scale)
@@ -205,10 +207,13 @@ def _band_scales(grid, s, p, bands, sizes=None):
     return Field.from_spectral(grid, coeffs.reshape(grid.sizes)), scales
 
 
-def _random_bands(spec, sys, out):
+def _random_bands(spec, sys, out, scratch):
     """The blocks Delta_j f = c_j U_j of the random-band recipe spec on
     sys, as `dyadic._bands` yields a field's, without building the field:
-    the scales of `_band_scales` applied in place to the unit samples."""
+    the scales of `_band_scales` applied in place to the unit samples.
+
+    Each band's magnitudes are taken into scratch, a real array of the
+    grid's shape, which holds nothing between bands."""
     grid = _spec_grid(spec, sys)
     params = spec.params
     live = False
@@ -218,8 +223,8 @@ def _random_bands(spec, sys, out):
         if points is None:
             yield None
             continue
-        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(values,
-                                                              params["p"])
+        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(
+            np.abs(values, out=scratch), params["p"])
         live = True
         yield values
     if not live:
@@ -273,14 +278,25 @@ def _erf(x):
 
 
 def _truncate_real(grid, values, m_max):
-    """Band-limit real samples radially and renormalize to max 1."""
-    coeffs = np.fft.fftn(np.asarray(values, dtype=np.complex128))
-    coeffs[grid.xi > band_limit(grid, m_max)] = 0.0
-    out = np.fft.ifftn(coeffs).real
-    top = np.abs(out).max()
+    """Band-limit real samples radially and renormalize to max 1.
+
+    The samples are copied into one complex array, which is transformed,
+    truncated, transformed back and normalised in place and handed to the
+    field as its samples.  The field is rebuilt from the real part of the
+    truncated samples, so its spectrum carries rounding residue beyond the
+    band limit.
+    """
+    a = np.array(values, dtype=np.complex128)
+    np.fft.fftn(a, out=a)
+    a[grid.xi > band_limit(grid, m_max)] = 0.0
+    np.fft.ifftn(a, out=a)
+    real = a.real
+    top = np.abs(real).max()
     if top == 0.0:
         raise ValueError("field vanished under band limiting")
-    return Field.from_physical(grid, out / top)
+    real /= top
+    a.imag = 0.0
+    return Field.from_physical(grid, a)
 
 
 def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
@@ -302,7 +318,10 @@ def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
         x = np.arange(size) * (grid.period / size)
         d = np.mod(x - c + grid.period / 2.0, grid.period) - grid.period / 2.0
         r2 = r2 + (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
-    return _truncate_real(grid, np.exp(-r2 / (2.0 * width ** 2)), m_max)
+    # exp(-r2 / (2 width^2)), in place
+    np.negative(r2, out=r2)
+    r2 /= 2.0 * width ** 2
+    return _truncate_real(grid, np.exp(r2, out=r2), m_max)
 
 
 def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
@@ -474,7 +493,7 @@ def materialize(spec, sys=None):
     return constant_field(grid, params.get("value", 1.0))
 
 
-def _draw_random_band(spec, sys, streams, new_stack):
+def _draw_random_band(spec, sys, streams, new_stack, scratch):
     """A random-band recipe's field on sys, with its blocks as unit samples
     and band scales: (field, units, scales), Delta_j f = scales[j] units[j].
 
@@ -485,7 +504,8 @@ def _draw_random_band(spec, sys, streams, new_stack):
     and added, so recipes that differ only in their targets (s, p) share
     one set of transforms, and those that share p one set of sizes.  The
     field is bitwise that of `materialize`, and the blocks c_j U_j those
-    of `_random_bands`.
+    of `_random_bands`.  The band sizes are measured on magnitudes taken
+    into scratch, a real array of the grid's shape.
     """
     grid = _spec_grid(spec, sys)
     params = spec.params
@@ -497,7 +517,8 @@ def _draw_random_band(spec, sys, streams, new_stack):
     units, bands, sizes = streams[key]
     p = params["p"]
     if p not in sizes:
-        sizes[p] = [None if points is None else _band_size(values, p)
+        sizes[p] = [None if points is None
+                    else _band_size(np.abs(values, out=scratch), p)
                     for points, _, values in bands]
     field, scales = _band_scales(grid, params["s"], p, bands, sizes[p])
     return field, units, scales

@@ -513,9 +513,9 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
                         or banks[-1])
     real_build = paraflux.audit._item_bands
 
-    def build(item, sys, out):
+    def build(item, sys, *buffers):
         start = len(events)
-        made = real_build(item, sys, out)
+        made = real_build(item, sys, *buffers)
         built.append((item.to_json(), events[start:]))
         return made
 
@@ -549,6 +549,49 @@ def test_manifest_keeps_one_bank_field_alive(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < bank_bytes
+
+
+def test_manifest_builds_one_system_at_a_time(monkeypatch):
+    # each resolution's dyadic system is freed before the next is built,
+    # and the run stays below two 32^3 systems of the old layout (phi,
+    # its cutoff stack, three wavenumber meshes)
+    import tracemalloc
+    import weakref
+
+    import paraflux.audit
+    import paraflux.testbank
+
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    alive, mags = [], []
+    real = paraflux.audit.build_dyadic_system
+
+    def build(grid):
+        assert all(ref() is None for ref in alive)
+        made = real(grid)
+        alive.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(paraflux.audit, "build_dyadic_system", build)
+    real_size = paraflux.testbank._band_size
+    monkeypatch.setattr(paraflux.testbank, "_band_size",
+                        lambda m, p: mags.append(m.flags.owndata)
+                        or real_size(m, p))
+    manifest = {"n": 3, "resolutions": [16, 32], "embeddings": [
+        {"source": {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0},
+         "target": {"family": "B", "s": 0.5, "p": 2.0, "q": 2.0}}]}
+    tracemalloc.start()
+    try:
+        result = run_audit_manifest(manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == 2 and all(ref() is None for ref in alive)
+    assert {r.inputs["size"] for r in result.records
+            if "size" in r.inputs} == {16, 32}
+    # the generator measures every band in the worker's norm work array
+    assert mags and not any(mags)
+    g = build_grid(3, 32)
+    assert peak < 2 * (2 * (g.jmax + 1) + 4) * g.xi.nbytes
 
 
 def _close(a, b, rel=1e-14):
@@ -674,7 +717,8 @@ def _generator_stack(spec, sys, stack):
         np.copyto(stack, decompose(field, sys))
         return field
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
-    for block, got in zip(stack, _random_bands(spec, sys, band)):
+    for block, got in zip(stack, _random_bands(spec, sys, band,
+                                               np.empty(sys.grid.sizes))):
         block[...] = 0.0 if got is None else got
     return field
 

@@ -468,14 +468,15 @@ def test_audit_resolutions_flag_overrides_manifest(tmp_path, capsys,
 
 def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                    manifest):
-    # exit 2 with no decomposition, bank or tuple recipe, field, unit band
-    # samples or block stack built; returns stderr
+    # exit 2 with no dyadic system, decomposition, bank or tuple recipe,
+    # field, unit band samples or block stack built; returns stderr
     import paraflux.audit
     import paraflux.norms
     import paraflux.testbank
 
     calls = []
-    for module, name in ((paraflux.norms, "decompose"),
+    for module, name in ((paraflux.audit, "build_dyadic_system"),
+                         (paraflux.norms, "decompose"),
                          (paraflux.audit, "_decompose_into"),
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),

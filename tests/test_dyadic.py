@@ -32,6 +32,40 @@ def test_cutoff_transition():
         pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32)])
+def test_windows_and_cutoffs_are_the_stacked_formula(n, size):
+    # phi built level by level is the difference stack of the cutoffs,
+    # bitwise, and cutoff(j) evaluates the profile once per level
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    psi = smooth_cutoff()
+    scaled = np.stack([psi(g.xi * (0.5 ** j)) for j in range(g.jmax + 1)])
+    phi = np.diff(scaled, axis=0, prepend=0.0)
+    assert sys.phi.shape == phi.shape and not sys.phi.flags.writeable
+    assert sys.phi.tobytes() == phi.tobytes()
+    for j in range(g.jmax + 1):
+        assert sys.cutoff(j).tobytes() == scaled[j].tobytes()
+        assert sys.cutoff(j) is sys.cutoff(j)
+        assert not sys.cutoff(j).flags.writeable
+
+
+def test_system_holds_its_windows_and_modulus_only():
+    # a 3-D 64^3 system keeps phi and its grid's xi, and builds them with
+    # fewer than four grid-sized transients
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = build_grid(3, 64)
+        sys = build_dyadic_system(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = sys.phi.nbytes + g.xi.nbytes + 2 ** 20
+    assert held <= bound
+    assert peak < bound + 4 * g.xi.nbytes
+
+
 @pytest.mark.parametrize("n,size", [(1, 64), (1, 128), (1, 256), (2, 32)])
 def test_partition_of_unity_on_resolved_region(n, size):
     g = build_grid(n, size)

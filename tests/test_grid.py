@@ -191,3 +191,45 @@ def test_physical_is_cached_and_read_only():
     assert not h.physical.flags.writeable
     with pytest.raises(AttributeError):
         h.physical = vals
+
+
+@pytest.mark.parametrize("n, size, period", [
+    (1, 64, 2 * math.pi), (2, 64, 2 * math.pi), (2, 128, math.pi),
+    (3, 32, 2 * math.pi)])
+def test_geometry_is_the_dense_meshgrid_formula(n, size, period):
+    # xi from the open mesh, and k on demand, bitwise as the dense meshes
+    g = build_grid(n, size, period)
+    mesh = np.meshgrid(*[np.fft.fftfreq(s, d=1.0 / s) for s in g.sizes],
+                       indexing="ij")
+    xi = (2.0 * math.pi / period) * np.sqrt(sum(m * m for m in mesh))
+    assert g.xi.shape == g.sizes and not g.xi.flags.writeable
+    assert g.xi.tobytes() == xi.tobytes()
+    assert len(g.k) == n
+    for k, m in zip(g.k, mesh):
+        assert k.shape == g.sizes and not k.flags.writeable
+        assert k.tobytes() == m.tobytes()
+
+
+def test_field_constructors_take_contiguous_complex_arrays():
+    # a C-contiguous complex128 argument becomes the field's own array,
+    # frozen; real or non-contiguous input is copied and left writable
+    g = build_grid(1, 16)
+    a = np.zeros(16, dtype=complex)
+    f = Field.from_physical(g, a)
+    assert np.shares_memory(f.physical, a)
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 1
+    c = np.zeros(16, dtype=complex)
+    h = Field.from_spectral(g, c)
+    assert np.shares_memory(h.spectral, c)
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 1
+    for make in (Field.from_physical, Field.from_spectral):
+        real = np.zeros(16)
+        strided = np.zeros(32, dtype=complex)[::2]
+        for arg in (real, strided):
+            f = make(g, arg)
+            held = f.physical if make is Field.from_physical else f.spectral
+            assert not np.shares_memory(held, arg)
+            assert not held.flags.writeable
+            arg[0] = 1  # still the caller's

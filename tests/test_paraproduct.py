@@ -465,8 +465,8 @@ def test_scaled_sources_match_generator_stacks(n, size):
         made.append(np.full(sys.phi.shape, np.nan, dtype=np.complex128))
         return made[-1]
 
-    drawn = [_draw_random_band(spec, sys, streams, new_stack)
-             for spec in specs]
+    drawn = [_draw_random_band(spec, sys, streams, new_stack,
+                               np.empty(g.sizes)) for spec in specs]
     # the first and the last recipe differ only in (s, p): one stream
     assert len(made) == 2 and drawn[0][1] is drawn[2][1]
     stacks = [np.empty(sys.phi.shape, dtype=np.complex128) for _ in specs]
@@ -475,7 +475,8 @@ def test_scaled_sources_match_generator_stacks(n, size):
         assert field.spectral.tobytes() == \
             materialize(spec, sys).spectral.tobytes()
         assert len(scales) == sys.jmax + 1
-        for block, got in zip(stack, _random_bands(spec, sys, band)):
+        for block, got in zip(stack, _random_bands(spec, sys, band,
+                                                   np.empty(g.sizes))):
             block[...] = 0.0 if got is None else got
     work = [[np.empty(g.sizes, dtype=np.complex128)
              for _ in range(len(specs) + 2)] for _ in range(2)]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from paraflux import (INF, SpaceSpec, band_limit, bank_specs, besov_norm,
+from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, constant_field,
                       decompose, delta_j, gaussian_bump, lacunary_field,
                       lp_norm, materialize, plateau_frequency, pure_wave,
@@ -144,7 +144,8 @@ def _streamed_stack(spec, sys):
     stack = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
     count = 0
-    for block, got in zip(stack, _random_bands(spec, sys, band)):
+    for block, got in zip(stack, _random_bands(spec, sys, band,
+                                               np.empty(sys.grid.sizes))):
         block[...] = 0.0 if got is None else got
         count += 1
     assert count == sys.jmax + 1
@@ -182,7 +183,7 @@ def test_random_band_source_streams_every_bank_recipe():
         _assert_stack_close(_streamed_stack(spec, sys), decompose(f, sys))
         generated += 1
         with pytest.raises(ValueError, match="dyadic system"):
-            next(_random_bands(spec, other, band))
+            next(_random_bands(spec, other, band, np.empty(g.sizes)))
     assert generated == 12
 
 
@@ -298,6 +299,77 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
         assert seen[-1].shape == g.sizes
         assert seen[-1].tobytes() == want.tobytes()
         assert f.spectral.tobytes() == real(g, want, 3).spectral.tobytes()
+
+
+def _copying_truncation(grid, values, m_max=3):
+    # band limiting as it was made, with a fresh array at every step
+    coeffs = np.fft.fftn(np.asarray(values, dtype=np.complex128))
+    coeffs[grid.xi > band_limit(grid, m_max)] = 0.0
+    out = np.fft.ifftn(coeffs).real
+    return Field.from_physical(grid, out / np.abs(out).max())
+
+
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32)])
+def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
+    # the in-place truncation gives the bits of the copying one, residue
+    # beyond the band limit included, and leaves its input samples alone
+    import paraflux.testbank
+
+    g = build_grid(n, size)
+    seen = []
+    real = paraflux.testbank._truncate_real
+    monkeypatch.setattr(paraflux.testbank, "_truncate_real",
+                        lambda grid, values, m_max: seen.append(
+                            (values, np.array(values)))
+                        or real(grid, values, m_max))
+    for width in (0.4, 0.8):
+        want = _copying_truncation(g, _meshgrid_bump_samples(
+            g, (g.period / 2.0,) * n, width))
+        got = gaussian_bump(g, width=width)
+        assert got.spectral.tobytes() == want.spectral.tobytes()
+        assert got.physical.tobytes() == want.physical.tobytes()
+    for width in (0.25, 0.5):
+        got = smoothed_step(g, width)
+        want = _copying_truncation(g, seen[-1][1])
+        assert got.spectral.tobytes() == want.spectral.tobytes()
+        assert got.physical.tobytes() == want.physical.tobytes()
+    for values, before in seen:
+        assert values.tobytes() == before.tobytes()
+
+
+def test_band_sizes_reuse_one_scratch(monkeypatch):
+    # every band of a stream is measured in the one real scratch array the
+    # caller passes, which carries nothing from one band to the next
+    import paraflux.testbank
+    from paraflux.testbank import _draw_random_band
+
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    spec = spec_for("random-band", g, s=0.5, p=1.5, seed=3, m_max=3)
+    seen = []
+    real = paraflux.testbank._band_size
+    monkeypatch.setattr(paraflux.testbank, "_band_size",
+                        lambda mags, p: seen.append(mags) or real(mags, p))
+    streamed = []
+    for fill in (0.0, np.nan):
+        scratch = np.full(g.sizes, fill)
+        del seen[:]
+        streamed.append([None if b is None else b.tobytes()
+                         for b in _random_bands(spec, sys, np.empty(
+                             g.sizes, dtype=complex), scratch)])
+        assert len(seen) > 1 and all(mags is scratch for mags in seen)
+    assert streamed[0] == streamed[1]
+    del seen[:]
+    field, _, scales = _draw_random_band(
+        spec, sys, {}, lambda: np.empty(sys.phi.shape, dtype=complex),
+        scratch)
+    assert len(seen) == sum(c != 0.0 for c in scales)
+    assert all(mags is scratch for mags in seen)
+    # the field's own build measures its bands in one array of its own
+    del seen[:]
+    assert materialize(spec, sys).spectral.tobytes() == \
+        field.spectral.tobytes()
+    assert len(seen) > 1 and all(mags is seen[0] for mags in seen)
 
 
 def test_bump_width_raises_smoothness_cost(setup128):
