@@ -25,8 +25,10 @@ from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _band_norms, _ex, _ex_json, _norm_work,
-                    lp_norm, lq_of_lp, sequence_norm, triebel_norm)
-from .paraproduct import _checked_gap, _split_product, _support_radius
+                    _work_rows, lp_norm, lq_of_lp, sequence_norm,
+                    triebel_norm)
+from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
+                          _split_product, _support_radius)
 from .testbank import (GeneratorSpec, _draw_random_band, _random_bands,
                        bank_specs, materialize, tuple_specs)
 
@@ -657,9 +659,12 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     lhs = triebel_norm(product; s1, p, q); rhs_core = triebel_norm(f1; s1,
     p1, q) * prod_i besov_norm(f_i; s_i, p_i, inf).  Also records the same
     ratio for the paraproduct parts sum_k Pi_{1,k} and Pi_2 separately, and
-    a slot-scaling invariance check (all three ratios recomputed with f1
-    scaled by 1000 must agree to 1e-9 relative).  A grid whose jmax is below
-    the gap N is refused with ValueError: Pi_1 would have no band terms there.
+    a slot-scaling invariance check: all three ratios recomputed with f1
+    scaled by 1000 must agree to 1e-9 relative.  The second pass takes the
+    blocks of 1000 f1 as 1000 times those of f1 and forms the product from
+    the spectrum of 1000 f1, so its drift is the rounding residue of the
+    pipeline (see `_tuple_records`).  A grid whose jmax is below the gap N
+    is refused with ValueError: Pi_1 would have no band terms there.
     """
     p = _check_multiplication(params, q, mode, sys.grid, N, p)
     tuples = list(tuples)
@@ -698,29 +703,37 @@ def _multiplication_sweep(sets, build, sys):
     is read: the first factor's into the product stack, and for f2..fm
     band by band into the B-norm's and the split's work arrays
     (`paraproduct._stack_sources`).  Any other item is built and
-    decomposed once (`_field_and_stack`).  The norms of f2..fm serve both
-    passes (f1, then 1000 f1, which is decomposed); in each pass the first
-    factor's stack gives the F-norm of the right side and feeds
-    `paraproduct._split_product`; the product is decomposed into that stack,
-    and Pi_1 band by band (`dyadic._blocks`), each of its blocks taken from
-    the product's, which leaves Pi_2's stack.  With Fields the values are
-    those of `decompose_product` with `triebel_norm` and `besov_norm`:
-    bitwise for the product and the right side, at rounding level for Pi_1
-    and Pi_2; random-band recipes move the norms at rounding level too, and
-    give the bits of the generator's blocks (`testbank._random_bands`).
+    decomposed once (`_field_and_stack`).  Each set's tuple then runs its
+    two passes, f1 and 1000 f1, in `_tuple_records`, from one set of
+    per-factor facts: the second pass takes the blocks of 1000 f1 as 1000
+    times those of f1, with no decomposition, and its drift from the first
+    is a rounding residue, since 1000 is not a power of two.  With Fields the
+    values are those of `decompose_product` with `triebel_norm` and
+    `besov_norm`: bitwise for the product and the right side of the first
+    pass, at rounding level for Pi_1, Pi_2 and the second pass; random-band
+    recipes move the norms at rounding level too, and give the bits of the
+    generator's blocks (`testbank._random_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
+    # a set's two F specs share one key (s1, q), which either may need:
+    # an F spec at p = q has none
+    f_rows = max(_work_rows([SpaceSpec("F", mset.params[0][0], p, mset.q)
+                             for p in (mset.p, mset.params[0][1])])
+                 for mset in sets)
     grid = sys.grid
 
     def buffers():
         # items: one stack per distinct item of a tuple index, grown on
-        # demand; product holds f1, then the product and Pi_2; f_work is
-        # the work array of `norms._band_norms` for one F spec
+        # demand; product holds f1's blocks, then the product's and Pi_2's;
+        # rest holds the samples of f2..fm on an unpadded lattice; f_work is
+        # the work array of `norms._band_norms` for any one F spec
         return {"items": [],
                 "product": np.empty(sys.phi.shape, dtype=np.complex128),
-                "f_work": np.empty((3,) + grid.sizes),
+                "rest": [np.empty(grid.sizes, dtype=np.complex128)
+                         for _ in range(m_top - 1)],
+                "f_work": np.empty((f_rows,) + grid.sizes),
                 "work": [np.empty(grid.sizes, dtype=np.complex128)
-                         for _ in range(m_top + 3)]}
+                         for _ in range(m_top + 2)]}
 
     workspace = per_worker(buffers)
 
@@ -767,13 +780,36 @@ def _tuple_records(mset, t, factors, buf, sys):
 
     factors holds (field, stack, scales) per slot, as the sweep made them:
     scales is None for a stack of blocks, or c_j for unit samples U_j.
+
+    The tuple runs twice, with f1 and with 1000 f1, and both passes read
+    one set of facts about the factors: the B-norms of f2..fm, the product
+    lattice (1000 f1 has the nonzero coefficients of f1, so
+    `paraproduct._product_sizes` runs once) and, on an unpadded lattice,
+    the samples of f2..fm, transformed once into the worker's buffers.  A
+    padded split transforms them in each pass, so that no padded samples
+    are held through a band loop.  Each pass writes the blocks of its first
+    factor a f1, a = 1 or 1000, into the product stack from f1's own: a
+    Delta_j f1 from a stack, (a c_j) U_j from unit samples, so no pass
+    decomposes a first factor.  The stack gives the F-norm of the right
+    side and feeds `paraproduct._split_product`, which forms the product
+    from the samples of the pass's first factor times those of f2..fm.
+    The product is decomposed into that stack, and Pi_1 band by band
+    (`dyadic._blocks`), each of its blocks taken from the product's, which
+    leaves Pi_2's stack.  The scaling check compares the ratios of the two
+    passes.  Since 1000 is not a power of two, the scaled blocks and the
+    product of 1000 f1 round apart from 1000 times those of f1, so the
+    drift is a real rounding residue of the pipeline, not zero by
+    construction.
     """
     params, q, mode, _, N, p = mset
     m = len(params)
     f_spec = SpaceSpec("F", params[0][0], p, q)
     f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
     fields, stacks, scales = (list(part) for part in zip(*factors))
-    product_stack, work = buf["product"], buf["work"][:m + 3]
+    f1_stack, f1_scales = stacks[0], scales[0]
+    product_stack, work = buf["product"], buf["work"][:m + 2]
+    # the split reads the first factor's blocks from the product stack
+    stacks[0], scales[0] = product_stack, None
 
     def f_norm(blocks, spec):
         return _band_norms(blocks, [spec], sys.jmax + 1, buf["f_work"])[0]
@@ -794,25 +830,33 @@ def _tuple_records(mset, t, factors, buf, sys):
 
     b_norms = [lq_of_lp(blocks(i), s, pi, INF)
                for i, (s, pi) in enumerate(params[1:], 1)]
-    if scales[0] is None:
-        np.copyto(product_stack, stacks[0])
-    else:
-        for out, u, c in zip(product_stack, stacks[0], scales[0]):
-            np.multiply(u, c, out=out)
-    stacks[0], scales[0] = product_stack, None
+    big = _product_sizes(fields)
+    rest = None  # transformed in each pass
+    if big == sys.grid.sizes:
+        rest = [_padded_values(f.spectral, big, out)
+                for f, out in zip(fields[1:], buf["rest"])]
 
-    def ratios():
-        # product_stack holds the first factor's blocks
+    def ratios(first, scale):
+        # Delta_j first = scale Delta_j f1 into the product stack
+        if f1_scales is not None:
+            for out, u, c in zip(product_stack, f1_stack, f1_scales):
+                np.multiply(u, scale * c, out=out)
+        elif scale == 1.0:
+            # a copy: a complex multiply by 1 can flip the sign of a zero
+            np.copyto(product_stack, f1_stack)
+        else:
+            np.multiply(f1_stack, scale, out=product_stack)
         rhs = f_norm(product_stack, f1_spec)
         for b in b_norms:
             rhs *= b
-        product, pi1 = _split_product(fields, sys, N, stacks, scales, work)
+        product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,
+                                      scales, work, big, rest)
         total = _decompose_into(product, sys, product_stack)
         lhs_total = f_norm(total, f_spec)
         lhs_pi1 = f_norm(pi1_blocks(pi1, total), f_spec)
         return rhs, lhs_total, lhs_pi1, f_norm(total, f_spec)
 
-    rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios()
+    rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios(fields[0], 1.0)
     base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,
             "params": [[si, _ex_json(pi)] for si, pi in params]}
     out = [
@@ -823,9 +867,7 @@ def _tuple_records(mset, t, factors, buf, sys):
         _make_record("mult-pi2[%s,m=%d]" % (mode, m),
                      base, lhs_pi2, rhs),
     ]
-    fields[0] = 1000.0 * fields[0]
-    _decompose_into(fields[0], sys, product_stack)
-    rhs2, tot2, pi12, pi22 = ratios()
+    rhs2, tot2, pi12, pi22 = ratios(1000.0 * fields[0], 1000.0)
     drift = 0.0
     for a, b in ((lhs_total / rhs, tot2 / rhs2),
                  (lhs_pi1 / rhs, pi12 / rhs2),

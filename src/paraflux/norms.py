@@ -22,10 +22,11 @@ Two shortcuts keep the kernels off numpy's generic pow:
   ||(sum_j 2^{jsp} |Delta_j f|^p)^{1/p}||_p = (sum_j 2^{jsp}
   ||Delta_j f||_p^p)^{1/p}, so F^s_{p,p} = B^s_{p,p} (Triebel, Theory of
   Function Spaces, 1983, 2.3.2), and the two are bitwise equal here;
-* the kernels raise to p = 3 as a*a*a and to p = 4 as square(square(a))
-  (`_kernel_power`); these are within 2 ulp of np.power for normal results
-  and within 1 subnormal ulp for subnormal ones, and give 0 and inf where
-  it does.  p = 1 and p = 2 are exact, and other exponents call np.power.
+* the kernels raise to p = 3 as a*a*a, to p = 4 as square(square(a)), to
+  p = 1.5 as a*sqrt(a) and to p = 2.5 as (a*sqrt(a))*a (`_kernel_power`);
+  these are within 2 ulp of np.power for normal results and within 1
+  subnormal ulp for subnormal ones, and give 0 and inf where it does.
+  p = 1 and p = 2 are exact, and other exponents call np.power.
 """
 
 from __future__ import annotations
@@ -113,17 +114,29 @@ def _power(a, p, out=None):
     return np.power(a, p, out=out)
 
 
-def _kernel_power(a, p, out=None):
-    """a ** p for the norm kernels: `_power`, except that p = 3 is a*a*a and
-    p = 4 is square(square(a)), within the ulp bounds of the module notes.
-    out is None, a itself, or an array of a's shape that takes the result
-    (at p = 1 the result is a); at p = 3 in place one temporary is made."""
+# the exponents at which `_kernel_power` needs a scratch array in place
+_SCRATCH_POWERS = (1.5, 2.5, 3.0)
+
+
+def _kernel_power(a, p, out=None, scratch=None):
+    """a ** p for the norm kernels: `_power`, except that p = 3 is a*a*a, p
+    = 4 is square(square(a)), p = 1.5 is a*sqrt(a) and p = 2.5 is
+    (a*sqrt(a))*a, within the ulp bounds of the module notes.  out is None,
+    a itself, or an array of a's shape that takes the result (at p = 1 the
+    result is a).  In place, the square at p = 3 and the root at p = 1.5
+    and 2.5 go to scratch, an array of a's shape, or to one temporary made
+    here if None."""
     if p == 4.0:
         out = np.square(a, out=out)
         return np.square(out, out=out)
+    if p == 1.5 or p == 2.5:
+        root = np.sqrt(a, out=scratch if out is a else out)
+        if p == 2.5:
+            root *= a
+        return np.multiply(root, a, out=a if out is a else root)
     if p == 3.0:
         if out is a:
-            return np.multiply(np.square(a), a, out=out)
+            return np.multiply(np.square(a, out=scratch), a, out=out)
         out = np.square(a, out=out)
         return np.multiply(out, a, out=out)
     return _power(a, p, out=out)
@@ -177,9 +190,18 @@ def _lq_keys(specs):
                               if not _as_b(spec)))
 
 
+def _work_rows(specs):
+    """The rows of a `_band_norms` work array for specs: a band's
+    magnitudes, their powers, one sum per key of `_lq_keys(specs)`, and a
+    scratch row when a key's q or 1/q is one of _SCRATCH_POWERS."""
+    keys = _lq_keys(specs)
+    return 2 + len(keys) + any(
+        q in _SCRATCH_POWERS or 1.0 / q in _SCRATCH_POWERS for _, q in keys)
+
+
 def _norm_work(specs, shape):
     """A work array of `_band_norms` for specs on bands of the given shape."""
-    return np.empty((2 + len(_lq_keys(specs)),) + tuple(shape))
+    return np.empty((_work_rows(specs),) + tuple(shape))
 
 
 def _band_norms(bands, specs, count, work=None):
@@ -191,13 +213,19 @@ def _band_norms(bands, specs, count, work=None):
     one list of per-band L_p norms, and so do F specs at p = q.  Other F
     specs with the same (s, q) share one pointwise l_q, summed band by band
     into work[2 + k] for the k-th of `_lq_keys(specs)`, with each band's
-    magnitudes in work[0] and their powers in work[1] (`_norm_work`, made
-    here if None).  The sums are bitwise np.sum over the band axis of the
-    whole stack (its maximum at q = inf), and a None band gives the bits
-    of its zero samples: an L_p of 0.0, and nothing added.
+    magnitudes in work[0], their powers in work[1], and the scratch of the
+    in-place powers in the row after the sums (`_norm_work`, made here if
+    None), so no band allocates; a work array with too few rows for the
+    sums is refused with ValueError.  The sums are bitwise np.sum over the
+    band axis of the whole stack (its maximum at q = inf), and a None band
+    gives the bits of its zero samples: an L_p of 0.0, and nothing added.
     """
     keys = _lq_keys(specs)
+    if work is not None and len(work) < 2 + len(keys):
+        raise ValueError("a work array of %d rows for %d sums"
+                         % (len(work), len(keys)))
     weights = [_weights(s, count) for s, _ in keys]
+    scratch = None
     band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
     live = False  # whether a band so far had samples
     for j, block in enumerate(bands):
@@ -207,6 +235,8 @@ def _band_norms(bands, specs, count, work=None):
             continue
         if work is None:
             work = _norm_work(specs, np.shape(block))
+        if len(work) > 2 + len(keys):
+            scratch = work[2 + len(keys)]
         mags, term = np.abs(block, out=work[0]), work[1]
         for p, norms in band_lps.items():
             norms.append(_lp(mags, p, out=term))
@@ -219,16 +249,16 @@ def _band_norms(bands, specs, count, work=None):
                 if live:
                     np.maximum(total, term, out=total)
                 continue
-            _kernel_power(out, q, out=out)
+            _kernel_power(out, q, out=out, scratch=scratch)
             if live:
                 total += term
         live = True
-    inner = {(s, q): total if q == INF else _kernel_power(total, 1.0 / q,
-                                                          out=total)
+    inner = {(s, q): total if q == INF
+             else _kernel_power(total, 1.0 / q, out=total, scratch=scratch)
              for (s, q), total in zip(keys, work[2:] if live else ())}
     return [sequence_norm(band_lps[spec.p], spec.s, spec.q) if _as_b(spec)
-            else _lp(inner[spec.s, spec.q], spec.p) if live else 0.0
-            for spec in specs]
+            else _lp(inner[spec.s, spec.q], spec.p, out=work[1]) if live
+            else 0.0 for spec in specs]
 
 
 def lp_of_lq(blocks, s, p, q):

@@ -155,25 +155,42 @@ def _common_grid(fields):
     return grid
 
 
-def _padded_values(coeffs, big_sizes):
-    """Physical samples on the padded lattice of the coefficient block."""
-    out = _embed(coeffs, big_sizes)
-    return np.fft.ifftn(out, out=out, norm="forward")
+def _padded_values(coeffs, big_sizes, out=None):
+    """Physical samples on the padded lattice of the coefficient block, in
+    out (an array of shape big_sizes) or a fresh array.  On the block's own
+    lattice the block is transformed straight into it, with no zero fill
+    and no corner copies."""
+    if coeffs.shape != tuple(big_sizes):
+        coeffs = _embed(coeffs, big_sizes)
+        if out is None:
+            out = coeffs
+    elif out is None:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
+    return np.fft.ifftn(coeffs, out=out, norm="forward")
 
 
 def _retained_field(grid, values):
     """Field of the coefficients of padded samples that fit on `grid`.
 
-    Overwrites `values`.
+    Overwrites `values`.  On the grid's own lattice the field keeps them
+    as its spectrum, with no corner copies, so values must be the caller's
+    to give away.
     """
     coeffs = np.fft.fftn(values, out=values, norm="forward")
-    return Field.from_spectral(grid, _extract(coeffs, grid.sizes))
+    if coeffs.shape != grid.sizes:
+        coeffs = _extract(coeffs, grid.sizes)
+    return Field.from_spectral(grid, coeffs)
 
 
-def _padded_product(fields, big_sizes):
+def _padded_product(fields, big_sizes, rest=None):
+    """Samples of prod(fields) on the lattice of big_sizes points per axis:
+    those of fields[0] times those of each later factor in turn, which rest
+    holds when given."""
     prod = _padded_values(fields[0].spectral, big_sizes)
-    for f in fields[1:]:
-        prod *= _padded_values(f.spectral, big_sizes)
+    if rest is None:
+        rest = (_padded_values(f.spectral, big_sizes) for f in fields[1:])
+    for values in rest:
+        prod *= values
     return prod
 
 
@@ -307,8 +324,13 @@ def _stack_sources(stacks, scales, work):
         return out
 
     def block(k, j):
-        # c_j > 0 on a band with content, so U_j = 0 exactly when the block is
-        return write(k, j, term) if np.any(stacks[k][j]) else None
+        # c_j > 0 on a band with content, and U_j = 0 on one without, so a
+        # scaled block is zero exactly when its scale is
+        if scales[k] is None:
+            zero = not np.any(stacks[k][j])
+        else:
+            zero = scales[k][j] == 0.0
+        return None if zero else write(k, j, term)
 
     def low(i, l):
         if level[i] < 0:
@@ -344,29 +366,32 @@ def decompose_product(fields, sys, N=None):
                                 pi2=pi2, product=product, factors=list(fields))
 
 
-def _split_product(fields, sys, N, stacks, scales, work):
+def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
     """(product, Pi_1) of prod(fields), without the per-band fields; Pi_2 is
     their difference, which a caller forms if it needs it.
 
     The product is bitwise the one `decompose_product` gives, and Pi_1 =
     sum_k Pi_{1,k} agrees with it at rounding level.  stacks and
     scales give the factors' blocks as `_stack_sources` reads them, and
-    work is m + 3 writable complex arrays of the grid's shape.  On an
+    work is m + 2 writable complex arrays of the grid's shape.  big is the
+    lattice `_product_sizes(fields)` and rest the samples of fields[1:] on
+    it (`_padded_values`), found here when None: a caller that splits the
+    products of f1 and 1000 f1 with the same later factors finds both once,
+    since the two first factors have the same nonzero coefficients.  On an
     unpadded lattice the band terms read Delta_j f_k and Q_{j-N} f_i from
     the stacks, so no factor is transformed again; on a padded one each
-    block is transformed as in `decompose_product`.  Either way the band
-    samples are summed on the lattice and Pi_1 takes one forward transform.
+    block is transformed as in `decompose_product`.
+    Either way the band samples are summed on the lattice and Pi_1 takes
+    one forward transform.
     """
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    big = _product_sizes(fields)
-    product = _retained_field(grid, _padded_product(fields, big))
+    product = _retained_field(grid, _padded_product(fields, big, rest))
+    acc = np.empty(big, dtype=np.complex128)
     if big == grid.sizes:
-        *buffers, acc = work
-        sources = _stack_sources(stacks, scales, buffers)
+        sources = _stack_sources(stacks, scales, work)
     else:
-        acc = np.empty(big, dtype=np.complex128)
         sources = _transformed_sources(fields, sys, big)
     terms = 0
     for _, _, values in _band_products(m, N, sys.jmax, *sources):

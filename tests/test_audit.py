@@ -334,10 +334,92 @@ def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
     # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
     assert len(calls) == len(tuples) * (len(params) - 1)
-    # per tuple, f2..fm once; per pass, f1 (or 1000 f1), product and Pi_1
-    assert len(stacks) == len(tuples) * (len(params) - 1 + 2 * 3)
+    # per tuple, f1..fm once; per pass, the product and Pi_1: the second
+    # pass takes the blocks of 1000 f1 as 1000 times those of f1
+    assert len(stacks) == len(tuples) * (len(params) + 2 * 2)
     assert all(r.verdict == "pass" for r in sweep.records
                if "scaling" in r.name)
+
+
+def test_scaling_passes_share_the_factor_facts(monkeypatch):
+    # per tuple: one product lattice, f2..fm transformed once, and no
+    # decomposition but the two products'; tuple 0 carries the step, whose
+    # residue pads the lattice, and tuples 1-3 are random-band only
+    import paraflux.audit as audit
+    import paraflux.paraproduct as paraproduct
+
+    manifest = {"n": 2, "resolutions": [64], "seed": 5, "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]],
+         "q": 2.0, "tuples": 4}]}
+    m = 3
+    events = []
+
+    def spy(module, name, tag, before=False):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            if before:
+                events.append((tag, args, None))
+            out = real(*args)
+            if not before:
+                events.append((tag, args, out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(audit, "_tuple_records", "tuple", before=True)
+    spy(audit, "_split_product", "split")
+    spy(audit, "_decompose_into", "decompose")
+    for module in (audit, paraproduct):
+        spy(module, "_product_sizes", "lattice")
+        spy(module, "_padded_values", "transform")
+    sweep = run_audit_manifest(manifest)
+    assert all(r.verdict == "pass" for r in sweep.records
+               if r.name.startswith("mult-scaling"))
+
+    starts = [i for i, e in enumerate(events) if e[0] == "tuple"]
+    assert len(starts) == 4
+    for t, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(events)])):
+        tags = [e[0] for e in events[lo:hi]]
+        splits = [e for e in events[lo:hi] if e[0] == "split"]
+        assert len(splits) == 2
+        firsts = [args[0][0] for _, args, _ in splits]
+        rest = splits[0][1][0][1:]
+        # both passes split with the same f2..fm, on one lattice
+        assert all(a is b for a, b in zip(rest, splits[1][1][0][1:]))
+        assert tags.count("lattice") == 1
+        # the products are decomposed, never a first factor
+        products = [out[0] for _, _, out in splits]
+        decomposed = [args[0] for tag, args, _ in events[lo:hi]
+                      if tag == "decompose"]
+        assert len(decomposed) == 2
+        assert all(a is b for a, b in zip(decomposed, products))
+        assert not any(f is first for f in decomposed for first in firsts)
+        if t == 0:
+            continue
+        # unpadded: f1 and 1000 f1 once each, f2..fm once for both passes
+        spectra = [args[0] for tag, args, _ in events[lo:hi]
+                   if tag == "transform"]
+        assert len(spectra) == m + 1
+        for f in firsts + list(rest):
+            assert sum(s is f.spectral for s in spectra) == 1
+
+
+def test_scaling_check_is_not_vacuous():
+    # every scaling verdict passes on a 2-D sweep, and the drift is a real
+    # rounding residue: some pass 2 is not bitwise 1000 times pass 1
+    manifest = {"n": 2, "resolutions": [64], "seed": 811,
+                "multiplications": [
+                    {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
+                     "q": 2.0, "tuples": 3},
+                    {"mode": "negative",
+                     "params": [[-0.2, 2.0], [0.7, 2.5], [0.9, 2.5]],
+                     "q": 1.5, "tuples": 3}]}
+    scaling = [r for r in run_audit_manifest(manifest).records
+               if r.name.startswith("mult-scaling")]
+    assert len(scaling) == 6
+    assert all(r.verdict == "pass" for r in scaling)
+    assert any(r.lhs > 0.0 for r in scaling)
 
 
 def _oracle_ratios(params, q, p, fields, sys):
@@ -365,10 +447,20 @@ def _oracle_ratios(params, q, p, fields, sys):
     ([(0.4, 2.0), (1.0, 2.0)], 2.0, "positive"),
     ([(-0.2, 2.0), (0.7, 2.5), (0.9, 2.5)], 1.5, "negative")])
 def test_sweep_matches_decompose_product_oracle(n, size, params, q, mode):
-    g = build_grid(n, size)
+    _check_sweep_against_oracle(build_grid(n, size), params, q, mode)
+
+
+def test_sweep_at_p_equal_to_q_matches_the_oracle():
+    # the F-norm of the product is a B-norm at p = q, and the right side's
+    # at p1 != q still sums a pointwise l_q: the work array serves both
+    _check_sweep_against_oracle(build_grid(2, 64), [(0.4, 3.0), (1.0, 2.0)],
+                                2.0, "positive", p=2.0)
+
+
+def _check_sweep_against_oracle(g, params, q, mode, p=None):
     sys = build_dyadic_system(g)
     tuples = tuple_bank(g, sys, params, 29, 3)  # tuple 0 pads, 1-2 do not
-    sweep = audit_multiplication(params, q, mode, tuples, sys)
+    sweep = audit_multiplication(params, q, mode, tuples, sys, p=p)
     p = sweep.meta["p"]
     assert len(sweep.records) == 4 * len(tuples)
     for t, fields in enumerate(tuples):
@@ -723,36 +815,57 @@ def _generator_stack(spec, sys, stack):
     return field
 
 
+def _scaled_first_stack(spec, sys, stack, scale):
+    # the blocks of scale f1 from f1's own: (scale c_j) U_j from the unit
+    # samples and band scales of a random-band recipe's generator, scale
+    # times the decomposed stack of any other recipe
+    from paraflux.testbank import _band_scales, _unit_bands, materialize
+
+    if spec.kind != "random-band":
+        np.multiply(decompose(materialize(spec, sys), sys), scale, out=stack)
+        return
+    params = spec.params
+    units = np.empty(sys.phi.shape, dtype=np.complex128)
+    bands = list(_unit_bands(sys.grid, params["seed"], sys, params["m_max"],
+                             units))
+    _, scales = _band_scales(sys.grid, params["s"], params["p"], bands)
+    for block, u, c in zip(stack, units, scales):
+        np.multiply(u, scale * c, out=block)
+
+
 def _per_set_values(params, q, p, count, build, sys):
     # the multiplication sweep as it ran set by set, before the sets of a
     # resolution shared their tuples' streams: each slot's stack built on
     # its own (a random-band recipe's from its generator's blocks), f2..fm's
-    # norms kept for both passes; per tuple (rhs, total, pi1, pi2) of each
-    # pass
-    from paraflux.paraproduct import _split_product
+    # norms kept for both passes, and the second pass's first-factor blocks
+    # taken as 1000 times the first's; per tuple (rhs, total, pi1, pi2) of
+    # each pass
+    from paraflux.paraproduct import _product_sizes, _split_product
 
     m = len(params)
     s1, p1 = params[0]
     out = []
     for t in range(count):
+        specs = build(t)
         stacks = [np.empty(sys.phi.shape, dtype=np.complex128)
                   for _ in range(m)]
         fields = [_generator_stack(item, sys, stack)
-                  for item, stack in zip(build(t), stacks)]
+                  for item, stack in zip(specs, stacks)]
         b_norms = [lq_of_lp(stack, s, pi, INF)
                    for (s, pi), stack in zip(params[1:], stacks[1:])]
         passes = []
         for scaled in (False, True):
             if scaled:
                 fields[0] = 1000.0 * fields[0]
-                stacks[0] = np.array(decompose(fields[0], sys))
+                _scaled_first_stack(specs[0], sys, stacks[0], 1000.0)
             rhs = lp_of_lq(stacks[0], s1, p1, q)
             for b in b_norms:
                 rhs *= b
             work = [np.empty(sys.grid.sizes, dtype=np.complex128)
-                    for _ in range(m + 3)]
+                    for _ in range(m + 2)]
             product, pi1 = _split_product(fields, sys, None, stacks,
-                                             [None] * m, work)
+                                          [None] * m, work,
+                                          _product_sizes(fields))
             total, part = decompose(product, sys), decompose(pi1, sys)
             passes.append((rhs, lp_of_lq(total, s1, p, q),
                            lp_of_lq(part, s1, p, q),

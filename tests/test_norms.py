@@ -277,17 +277,19 @@ def test_power_helper_is_bitwise_np_power(p):
             assert inplace.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
 def test_kernel_power_stays_within_two_ulp_of_np_power(p):
     from paraflux.norms import _kernel_power
 
     rng = np.random.default_rng(11)
     tiny = np.finfo(float).tiny
     # results down in the subnormals, and the doubles around the overflow
-    # threshold max ** (1/p)
+    # threshold max ** (1/p); the third range puts the results of every p
+    # across the subnormals, from below 5e-324 up to the normal range
     edge = np.finfo(float).max ** (1.0 / p)
     extra = [10.0 ** rng.uniform(-110.0, -75.0, 2000),
-             edge * (1.0 + np.arange(-2000, 2000) * np.finfo(float).eps)]
+             edge * (1.0 + np.arange(-2000, 2000) * np.finfo(float).eps),
+             10.0 ** rng.uniform(-330.0 / p, -300.0 / p, 2000)]
     with np.errstate(over="ignore", under="ignore"):
         for a in _power_inputs() + extra:
             want = np.power(a, p)
@@ -299,9 +301,14 @@ def test_kernel_power_stays_within_two_ulp_of_np_power(p):
                           <= 2.0 * np.spacing(want[normal]))
             sub = ~normal & np.isfinite(want)
             assert np.all(np.abs(got[sub] - want[sub]) <= 5e-324)
-            # in place and into scratch, the same bits
+            # in place, with or without a scratch array, and into an
+            # output array, the same bits
             inplace = a.copy()
             assert _kernel_power(inplace, p, out=inplace) is inplace
+            assert inplace.tobytes() == got.tobytes()
+            inplace = a.copy()
+            assert _kernel_power(inplace, p, out=inplace,
+                                 scratch=np.empty_like(a)) is inplace
             assert inplace.tobytes() == got.tobytes()
             scratch = np.empty_like(a)
             assert _kernel_power(a, p, out=scratch) is scratch
@@ -384,6 +391,47 @@ def test_kernels_match_the_power_operator_formulas():
                                                    _product_power), sp.p)
                 for sp in specs]
         assert space_norms(entry.field, specs, sys) == want
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
+def test_pointwise_lq_powers_allocate_nothing_per_band(q):
+    # the in-place powers of the pointwise l_q take their scratch from the
+    # work array: streaming 8 bands allocates less than one band, and the
+    # sum is (a*a)*a at q = 3, a*sqrt(a) at 1.5 and (a*sqrt(a))*a at 2.5
+    import tracemalloc
+
+    from paraflux.norms import _band_norms, _norm_work
+
+    shape = (8, 128, 128)
+    rng = np.random.default_rng(int(10 * q))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = SpaceSpec("F", 0.5, 2.0, q)
+    weights = 2.0 ** (0.5 * np.arange(shape[0]))
+    total = None
+    for block, w in zip(stack, weights):
+        a = np.abs(block) * w
+        power = {1.5: lambda: a * np.sqrt(a), 2.5: lambda: a * np.sqrt(a) * a,
+                 3.0: lambda: a * a * a}[q]()
+        total = power if total is None else total + power
+    want = float(np.mean(np.square(np.power(total, 1.0 / q))) ** 0.5)
+    work = _norm_work([spec], shape[1:])
+    band = np.empty(shape[1:], dtype=np.complex128)
+
+    def bands():
+        for block in stack:
+            np.copyto(band, block)
+            yield band
+
+    tracemalloc.start()
+    try:
+        got = _band_norms(bands(), [spec], shape[0], work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [want]
+    # the pointwise l_q itself, left in the sum's row, bit for bit
+    assert work[2].tobytes() == np.power(total, 1.0 / q).tobytes()
+    assert peak < work[0].nbytes // 2
 
 
 def _stack_pointwise_lq(mags, s, q):
@@ -507,3 +555,18 @@ def test_streamed_kernel_matches_the_stack_reduction(shape, empty):
     # an all-zero field: every norm is 0
     assert _band_norms([None] * shape[0], _STREAM_SPECS, shape[0]) == \
         [0.0] * len(_STREAM_SPECS)
+
+
+def test_band_norms_refuses_a_work_array_without_its_sums():
+    # an F spec at p = q needs no sum row, but one at p != q does: a work
+    # array made for the first is refused for the second, not misread
+    from paraflux.norms import _band_norms, _norm_work
+
+    stack = np.ones((3, 16))
+    b_like, f = SpaceSpec("F", 0.4, 2.0, 2.0), SpaceSpec("F", 0.4, 3.0, 2.0)
+    work = _norm_work([b_like], stack.shape[1:])
+    assert len(work) == 2
+    assert _band_norms(stack, [b_like], 3, work) == \
+        _band_norms(stack, [b_like], 3)
+    with pytest.raises(ValueError, match="2 rows for 1 sums"):
+        _band_norms(stack, [f], 3, work)

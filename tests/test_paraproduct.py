@@ -11,8 +11,9 @@ from paraflux import (Field, build_dyadic_system, build_grid,
                       smoothed_step, tuple_bank, verify_supports)
 from paraflux.dyadic import decompose, delta_j, q_j
 from paraflux import paraproduct
-from paraflux.paraproduct import (_extract, _padded_sizes, _padded_values,
-                                  _product_sizes, _split_product,
+from paraflux.paraproduct import (_embed, _extract, _padded_sizes,
+                                  _padded_values, _product_sizes,
+                                  _retained_field, _split_product,
                                   _stack_sources, pi2_direct_terms)
 
 
@@ -177,6 +178,44 @@ def test_lattice_pads_only_the_axis_that_can_wrap(extra, padded):
     assert exact == (padded == g.sizes)
 
 
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 32), (3, 16)])
+def test_unpadded_lattice_skips_the_copies(n, size):
+    # on the grid's own lattice the samples are transformed straight from
+    # the block, and the coefficients kept as they come: the bits of the
+    # embed/extract route, with no corner copy
+    g = build_grid(n, size)
+    rng = np.random.default_rng(size + n)
+    coeffs = _dense_random_field(g, rng).spectral
+    want = np.fft.ifftn(_embed(coeffs, g.sizes), norm="forward")
+    got = _padded_values(coeffs, g.sizes)
+    assert got.tobytes() == want.tobytes()
+    out = np.full(g.sizes, np.nan, dtype=np.complex128)
+    assert _padded_values(coeffs, g.sizes, out) is out
+    assert out.tobytes() == want.tobytes()
+    spectrum = _extract(np.fft.fftn(want, norm="forward"), g.sizes)
+    field = _retained_field(g, got)
+    assert field.spectral.tobytes() == spectrum.tobytes()
+    # the field keeps the transformed array; a padded lattice still copies
+    assert field.spectral is got
+    big = tuple(2 * s for s in g.sizes)
+    padded = _padded_values(coeffs, big)
+    assert padded.shape == big
+    assert not np.shares_memory(_retained_field(g, padded).spectral, padded)
+
+
+def test_scaled_first_factor_keeps_the_product_lattice():
+    # 1000 f1 has the nonzero coefficients of f1: the same lattice, padded
+    # or not (tuple 0 carries the step, whose residue pads axis 0)
+    g = build_grid(2, 64)
+    sys = build_dyadic_system(g)
+    params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
+    for t, fields in enumerate(tuple_bank(g, sys, params, 5, 2)):
+        fields = list(fields)
+        sizes = _product_sizes(fields)
+        assert (sizes == g.sizes) == (t == 1)
+        assert _product_sizes([1000.0 * fields[0]] + fields[1:]) == sizes
+
+
 def test_zero_factor_gives_zero_product(setup128):
     g, sys = setup128
     fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 17, 1)[0])
@@ -246,10 +285,11 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
         assert (_product_sizes(fields) == g.sizes) == (t == 1)
         pd = decompose_product(fields, sys)
         stacks = [decompose(f, sys) for f in fields]
-        work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 3)]
+        work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 2)]
         transforms.clear()
         product, pi1 = _split_product(fields, sys, None, stacks,
-                                      [None] * m, work)
+                                      [None] * m, work,
+                                      _product_sizes(fields))
         pi2 = product - pi1
         assert product.spectral.tobytes() == pd.product.spectral.tobytes()
         tol = 1e-15 * pd.product.l2()
