@@ -14,6 +14,16 @@ psi(2^-jmax |xi|) exactly, so the sampled windows form a partition of unity
 wherever |xi| <= 2^jmax and taper smoothly on the lattice corners beyond it;
 fields produced by the bundled generators are band-limited inside the
 partition region, where reconstruction from blocks is exact.
+
+Inverse transforms of content confined to a corner box of the lattice,
+|k_a| <= b_a per axis, go through `_confined_ifftn`.  numpy's `ifftn`
+transforms the last axis first, one independent 1-D transform per line
+(`numpy.fft._pocketfft._raw_fftnd`), and a line of zeros transforms to
+zeros; so on a 3-axis lattice each pass transforms only the lines whose
+indices on the axes not yet transformed lie in the box, in place on corner
+views, and the result is bitwise numpy's.  The bounds come from the
+geometry (`_axis_bounds`): window j is confined by |xi_a| <= |xi| <
+3*2^(j-1), a band-limited spectrum by |xi_a| <= cap.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .grid import Field, _freeze
+from .grid import TWO_PI, Field, _freeze
 
 __all__ = [
     "smooth_cutoff", "DyadicSystem", "build_dyadic_system",
@@ -41,6 +51,11 @@ def _bump_step(t):
     return a / (a + b)
 
 
+def _transition(r):
+    """psi on the open interval (1, 3/2): 1 - h(2(r-1))."""
+    return 1.0 - _bump_step(2.0 * (r - 1.0))
+
+
 def smooth_cutoff():
     """Return the radial cutoff profile as a vectorized callable.
 
@@ -57,7 +72,7 @@ def smooth_cutoff():
         out[r >= 1.5] = 0.0
         mid = (r > 1.0) & (r < 1.5)
         if np.any(mid):
-            out[mid] = 1.0 - _bump_step(2.0 * (r[mid] - 1.0))
+            out[mid] = _transition(r[mid])
         return out[0] if scalar else out
 
     return psi
@@ -81,19 +96,31 @@ class DyadicSystem:
     """
 
     def __init__(self, grid):
-        profile = smooth_cutoff()
         xi = grid.xi
-        # phi[j] = psi(2^-j xi) - psi(2^-j+1 xi), level by level, with the
-        # subtraction np.diff(..., prepend=0.0) makes on the stacked cutoffs
-        phi = np.empty((grid.jmax + 1,) + grid.sizes)
-        below = 0.0
+        flat = xi.reshape(-1)
+        # phi[j] = psi(2^-j xi) - psi(2^-j+1 xi), bit for bit, with psi
+        # evaluated on the transition shells 2^j < |xi| < 3*2^(j-1) only:
+        # phi[j] is 1 - 0 on 3*2^(j-2) <= |xi| <= 2^j (|xi| <= 1 for j = 0),
+        # psi(2^-j xi) - 0 on shell j, 1 - psi(2^-j+1 xi) on shell j - 1,
+        # and 1 - 1 or 0 - 0 elsewhere
+        phi = np.zeros((grid.jmax + 1,) + grid.sizes)
+        below = None
         for j in range(grid.jmax + 1):
-            level = profile(xi * (0.5 ** j))
-            np.subtract(level, below, out=phi[j])
-            below = level
+            level = phi[j].reshape(-1)
+            top = 2.0 ** j
+            phi[j][(xi >= (0.75 * top if j else 0.0)) & (xi <= top)] = 1.0
+            shell = np.flatnonzero((xi > top) & (xi < 1.5 * top))
+            values = _transition(flat[shell] * (0.5 ** j))
+            level[shell] = values
+            if below is not None:
+                level[below[0]] = 1.0 - below[1]
+            below = shell, values
         self.grid = grid
         self.jmax = grid.jmax
         self.phi = _freeze(phi)
+        # per level, the box |k_a| <= b_a that holds supp phi_j
+        self._reach = tuple(_axis_bounds(grid, 1.5 * 2.0 ** j, closed=False)
+                            for j in range(grid.jmax + 1))
         self._cutoffs = {}
         self._plateaus = {}
 
@@ -188,10 +215,53 @@ def _bands(f, sys, out):
     untransformed, with out holding its zeros."""
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
-    for phi in sys.phi:
+    for j, phi in enumerate(sys.phi):
         np.multiply(f.spectral, phi, out=out)
-        yield np.fft.ifftn(out, out=out, norm="forward") if np.any(out) \
-            else None
+        yield _confined_ifftn(out, sys._reach[j], "forward") \
+            if np.any(out) else None
+
+
+def _axis_bounds(grid, radius, closed):
+    """Per axis a, the largest |k_a| <= size/2 whose point on axis a has
+    |xi| below radius, or at most radius if closed.
+
+    Every lattice point with |xi| in that ball lies in the box |k_a| <= b_a:
+    the grid's |xi| is the rounded sqrt(sum k^2) times 2*pi/period, never
+    below its on-axis part |k_a| * 2*pi/period, which is computed exactly so.
+    """
+    scale = TWO_PI / grid.period
+    bounds = []
+    for size in grid.sizes:
+        on_axis = np.arange(size // 2 + 1) * scale
+        inside = on_axis <= radius if closed else on_axis < radius
+        bounds.append(int(np.count_nonzero(inside)) - 1)
+    return tuple(bounds)
+
+
+def _confined_ifftn(values, bounds, norm):
+    """`np.fft.ifftn(values, out=values, norm=norm)`, bit for bit, for
+    values that vanish outside the corner box |k_a| <= bounds[a].
+
+    numpy transforms the last axis first, one 1-D transform per line, and a
+    line of zeros gives zeros.  So the pass over axis a runs only on the
+    2^a corner views [0, b] and [size - b, size) of the axes before a, the
+    lines that can hold content; the others stay zero.  The last axis's
+    bound is not read: its pass comes first.  Only 3-axis arrays take these
+    passes, and an axis whose bound leaves at most one index out
+    (b >= size/2 - 1) is taken whole.  1-D and 2-D arrays, and 3-D arrays
+    whose first two axes are taken whole, go to `np.fft.ifftn` itself.
+    """
+    whole = [2 * b + 2 >= size for b, size in zip(bounds, values.shape[:-1])]
+    if values.ndim != 3 or all(whole):
+        return np.fft.ifftn(values, out=values, norm=norm)
+    spans = [(slice(None),) if w
+             else (slice(0, b + 1),) + ((slice(size - b, size),) if b else ())
+             for w, b, size in zip(whole, bounds, values.shape)]
+    for axis in reversed(range(values.ndim)):
+        for corner in itertools.product(*spans[:axis]):
+            view = values[corner]
+            np.fft.ifft(view, axis=axis, out=view, norm=norm)
+    return values
 
 
 def _blocks(f, sys, out):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import DyadicSystem
+from .dyadic import DyadicSystem, _axis_bounds, _confined_ifftn
 from .grid import Field, Grid
 from .norms import _power, sequence_norm
 
@@ -163,7 +163,7 @@ def _unit_bands(grid, seed, sys, m_max, out):
         rng = np.random.default_rng([int(seed), j])
         phases = np.exp(2j * np.pi * rng.random(points.size))
         np.put(values, points, phases)
-        np.fft.ifftn(values, out=values)
+        _confined_ifftn(values, sys._reach[j], None)
         values *= grid.npoints
         yield points, phases, values
 
@@ -288,8 +288,9 @@ def _truncate_real(grid, values, m_max):
     """
     a = np.array(values, dtype=np.complex128)
     np.fft.fftn(a, out=a)
-    a[grid.xi > band_limit(grid, m_max)] = 0.0
-    np.fft.ifftn(a, out=a)
+    cap = band_limit(grid, m_max)
+    a[grid.xi > cap] = 0.0
+    _confined_ifftn(a, _axis_bounds(grid, cap, closed=True), None)
     real = a.real
     top = np.abs(real).max()
     if top == 0.0:

@@ -4,7 +4,9 @@ import pytest
 from paraflux import (Field, build_dyadic_system, build_grid, decompose,
                       delta_j, gaussian_bump, lacunary_field, q_j,
                       random_band_field, smooth_cutoff, standard_bank)
-from paraflux.dyadic import _bands, _blocks
+from paraflux.dyadic import (_axis_bounds, _bands, _blocks,
+                             _confined_ifftn)
+from paraflux.grid import Grid
 
 
 def test_cutoff_plateaus_exact():
@@ -32,7 +34,8 @@ def test_cutoff_transition():
         pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32)])
+@pytest.mark.parametrize("n, size", [(1, 64), (1, 1024), (2, 64), (2, 128),
+                                     (3, 32), (3, 64)])
 def test_windows_and_cutoffs_are_the_stacked_formula(n, size):
     # phi built level by level is the difference stack of the cutoffs,
     # bitwise, and cutoff(j) evaluates the profile once per level
@@ -51,7 +54,7 @@ def test_windows_and_cutoffs_are_the_stacked_formula(n, size):
 
 def test_system_holds_its_windows_and_modulus_only():
     # a 3-D 64^3 system keeps phi and its grid's xi, and builds them with
-    # fewer than four grid-sized transients
+    # less than one real grid-sized array of transients
     import tracemalloc
 
     tracemalloc.start()
@@ -63,7 +66,7 @@ def test_system_holds_its_windows_and_modulus_only():
         tracemalloc.stop()
     bound = sys.phi.nbytes + g.xi.nbytes + 2 ** 20
     assert held <= bound
-    assert peak < bound + 4 * g.xi.nbytes
+    assert peak < bound + g.xi.nbytes
 
 
 @pytest.mark.parametrize("n,size", [(1, 64), (1, 128), (1, 256), (2, 32)])
@@ -192,6 +195,151 @@ def test_bands_are_the_batched_stack(n, size):
     assert empty > 0
     with pytest.raises(ValueError, match="does not match"):
         next(_bands(Field.zeros(build_grid(n, 2 * size)), sys, out))
+
+
+def _box_content(shape, bounds, rng, signed_zeros=False):
+    # random content on the corner box |k_a| <= bounds[a], nonzero at
+    # k_a = +-bounds[a] on every axis; zeros of either sign elsewhere
+    values = np.zeros(shape, dtype=np.complex128)
+    if signed_zeros:
+        signs = rng.integers(0, 2, size=(2,) + shape) * 2.0 - 1.0
+        values.real, values.imag = 0.0 * signs[0], 0.0 * signs[1]
+    box = np.ix_(*[np.r_[0:b + 1, size - b:size]
+                   for b, size in zip(bounds, shape)])
+    values[box] = (rng.standard_normal(values[box].shape)
+                   + 1j * rng.standard_normal(values[box].shape) + 0.5)
+    return values
+
+
+def _count_ifft(monkeypatch):
+    # count the 1-D passes numpy.fft.ifft runs; np.fft.ifftn calls its own
+    # module's ifft, which this does not see
+    calls = []
+    real = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(a)
+                        or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(64,), (32, 64), (32, 32, 32),
+                                   (16, 32, 64), (64, 16, 32)])
+@pytest.mark.parametrize("norm", [None, "forward"])
+def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
+    # bitwise np.fft.ifftn for content inside the box, from bound 0 to
+    # size/2 - 2, with zeros of either sign outside; a bound that leaves at
+    # most one index out takes its axis whole, and with every axis whole,
+    # or on 1-D and 2-D arrays, the call is numpy's own
+    calls = _count_ifft(monkeypatch)
+    rng = np.random.default_rng(5)
+    cases = [(0, 0, 0)[:len(shape)], (1, 0, 2)[:len(shape)],
+             tuple(s // 2 - 2 for s in shape)]
+    if len(shape) == 3:
+        cases.append((3, shape[1] // 2 - 1, 5))
+    for bounds in cases:
+        for signed_zeros in (False, True):
+            values = _box_content(shape, bounds, rng, signed_zeros)
+            want = np.fft.ifftn(values, norm=norm)
+            got = _confined_ifftn(values, bounds, norm)
+            assert got is values
+            assert got.tobytes() == want.tobytes()
+    assert bool(calls) == (len(shape) == 3)
+    del calls[:]
+    for bounds in (tuple(s // 2 - 1 for s in shape), tuple(s // 2 for s in
+                                                            shape)):
+        values = _box_content(shape, bounds, rng)
+        want = np.fft.ifftn(values, norm=norm)
+        assert _confined_ifftn(values, bounds, norm).tobytes() == \
+            want.tobytes()
+    assert not calls
+
+
+def test_confined_ifftn_bound_one_too_small_changes_the_bits():
+    # the lines at k_a = +-bound are skipped on axes 0 and 1; the last axis
+    # is transformed first, whole, so its bound is never read
+    rng = np.random.default_rng(7)
+    shape, bounds = (16, 32, 64), (3, 5, 7)
+    values = _box_content(shape, bounds, rng)
+    want = np.fft.ifftn(values)
+    for short in ((2, 5, 7), (3, 4, 7)):
+        got = _confined_ifftn(values.copy(), short, None)
+        assert got.tobytes() != want.tobytes()
+    assert _confined_ifftn(values.copy(), (3, 5, 0), None).tobytes() == \
+        want.tobytes()
+
+
+def _abs_k(shape):
+    return np.meshgrid(*[np.abs(np.fft.fftfreq(s, 1.0 / s)) for s in shape],
+                       indexing="ij", sparse=True)
+
+
+def _on_bound(bounds, shape):
+    # per axis a, the lattice points with |k_a| = bounds[a]
+    return [np.broadcast_to(k == b, shape)
+            for k, b in zip(_abs_k(shape), bounds)]
+
+
+def _outside(bounds, shape):
+    return np.logical_or.reduce([np.broadcast_to(k > b, shape)
+                                 for k, b in zip(_abs_k(shape), bounds)])
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(3, (32,) * 3), Grid(3, (64,) * 3), Grid(3, (16, 32, 64)),
+    Grid(3, (64,) * 3, np.pi), Grid(3, (32, 64, 16), np.pi)],
+    ids=["32", "64", "16x32x64", "64-pi", "32x64x16-pi"])
+def test_geometry_bounds_hold_the_content(grid):
+    # window j vanishes exactly outside its box and is nonzero on each of
+    # its bounds; the band-limit box holds every point with |xi| <= cap
+    # and reaches each of its bounds; on windowed and band-limited random
+    # spectra the transform confined to those bounds is numpy's
+    sys = build_dyadic_system(grid)
+    rng = np.random.default_rng(8)
+    spectrum = (rng.standard_normal(grid.sizes)
+                + 1j * rng.standard_normal(grid.sizes))
+    assert len(sys._reach) == sys.jmax + 1
+    for phi, bounds in zip(sys.phi, sys._reach):
+        assert all(b < size // 2 for b, size in zip(bounds, grid.sizes))
+        assert not np.any(phi[_outside(bounds, grid.sizes)])
+        assert all(np.any(phi[on]) for on in _on_bound(bounds, grid.sizes))
+        values = spectrum * phi
+        want = np.fft.ifftn(values, norm="forward")
+        assert _confined_ifftn(values, bounds, "forward").tobytes() == \
+            want.tobytes()
+    for m_max in (2, 3):
+        cap = grid.nyquist / m_max
+        bounds = _axis_bounds(grid, cap, closed=True)
+        inside = grid.xi <= cap
+        assert not np.any(inside & _outside(bounds, grid.sizes))
+        assert all(np.any(inside[on]) for on in _on_bound(bounds,
+                                                           grid.sizes))
+        values = np.where(inside, spectrum, 0.0)
+        want = np.fft.ifftn(values)
+        assert _confined_ifftn(values, bounds, None).tobytes() == \
+            want.tobytes()
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_only_3d_transforms_take_confined_passes(n, size, monkeypatch):
+    # 1-D and 2-D bands, generator bands and truncations run np.fft.ifftn
+    # as before; 3-D ones run the confined passes
+    from paraflux import smoothed_step
+    from paraflux.testbank import _unit_bands
+
+    calls = _count_ifft(monkeypatch)
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    out = np.empty(g.sizes, dtype=np.complex128)
+    f = gaussian_bump(g, width=0.4)
+    smoothed_step(g)
+    truncations = len(calls)
+    assert sum(b is not None for b in _bands(f, sys, out)) > 1
+    bands = len(calls) - truncations
+    assert sum(p is not None for p, _, _ in _unit_bands(g, 3, sys, 3, None))
+    units = len(calls) - truncations - bands
+    if n < 3:
+        assert calls == []
+    else:
+        assert truncations > 0 and bands > 0 and units > 0
 
 
 def test_block_operator_linearity():

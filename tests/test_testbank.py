@@ -152,7 +152,7 @@ def _streamed_stack(spec, sys):
     return stack
 
 
-@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32), (3, 64)])
 def test_generator_stack_matches_decompose(n, size):
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
@@ -187,7 +187,7 @@ def test_random_band_source_streams_every_bank_recipe():
     assert generated == 12
 
 
-@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32), (3, 64)])
 def test_streamed_blocks_are_the_generator_stack_formula(n, size):
     # the stack the generator wrote before the blocks were streamed: unit
     # samples in place, then block j times c_j, bit for bit
@@ -309,7 +309,8 @@ def _copying_truncation(grid, values, m_max=3):
     return Field.from_physical(grid, out / np.abs(out).max())
 
 
-@pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32)])
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32),
+                                     (3, 64)])
 def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
     # the in-place truncation gives the bits of the copying one, residue
     # beyond the band limit included, and leaves its input samples alone
