@@ -14,7 +14,7 @@ print("grid: n=%d sizes=%s nyquist=%.1f jmax=%d" % (g.n, g.sizes, g.nyquist,
 # the windows sum to one on the resolved region
 total = np.zeros(g.sizes)
 for j in range(sys.jmax + 1):
-    total = total + sys.phi[j]
+    total = total + sys.window(j)
 resolved = g.xi <= 2.0 ** sys.jmax
 print("partition deviation on the resolved region: %.3g"
       % np.abs(total[resolved] - 1.0).max())

@@ -721,6 +721,7 @@ def _multiplication_sweep(sets, build, sys):
                              for p in (mset.p, mset.params[0][1])])
                  for mset in sets)
     grid = sys.grid
+    stack = (sys.jmax + 1,) + grid.sizes
 
     def buffers():
         # items: one stack per distinct item of a tuple index, grown on
@@ -728,7 +729,7 @@ def _multiplication_sweep(sets, build, sys):
         # rest holds the samples of f2..fm on an unpadded lattice; f_work is
         # the work array of `norms._band_norms` for any one F spec
         return {"items": [],
-                "product": np.empty(sys.phi.shape, dtype=np.complex128),
+                "product": np.empty(stack, dtype=np.complex128),
                 "rest": [np.empty(grid.sizes, dtype=np.complex128)
                          for _ in range(m_top - 1)],
                 "f_work": np.empty((f_rows,) + grid.sizes),
@@ -744,8 +745,7 @@ def _multiplication_sweep(sets, build, sys):
         def new_stack():
             used = len(streams) + len(built)
             if used == len(buf["items"]):
-                buf["items"].append(np.empty(sys.phi.shape,
-                                             dtype=np.complex128))
+                buf["items"].append(np.empty(stack, dtype=np.complex128))
             return buf["items"][used]
 
         def factor(item):

@@ -62,6 +62,17 @@ def _load_field(path, grid=None):
     return field
 
 
+def _check_resolved_wave(sys_, k):
+    """Refuse the wave exp(i k x_1) unless cutoff(jmax), the sum of the
+    windows, is exactly 1.0 at it: beyond, its norms would be vacuous."""
+    axis = sys_.cutoff(sys_.jmax)[(slice(None),) + (0,) * (sys_.grid.n - 1)]
+    if axis[k % axis.size] != 1.0:
+        largest = max(K for K in range(axis.size // 2) if axis[K] == 1.0)
+        raise ConfigError("wave %d lies outside the partition region of this "
+                          "grid, where the windows sum to 1; the largest |K| "
+                          "accepted is %d" % (k, largest))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -87,14 +98,15 @@ def cmd_norm(args):
     p_list = widen(p_list, "--p")
     q_list = widen(q_list, "--q", fallback=math.inf)
 
-    grid, sys_ = _build(args)
     if args.infile is not None:
         field = _load_field(args.infile)
         grid = field.grid
         sys_ = build_dyadic_system(grid)
         source = args.infile
     elif args.wave is not None:
+        grid, sys_ = _build(args)
         field = pure_wave(grid, args.wave)
+        _check_resolved_wave(sys_, args.wave)
         source = "wave k=%d" % args.wave
     else:
         raise ConfigError("norm needs --in FILE or --wave K")

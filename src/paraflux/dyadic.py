@@ -15,15 +15,16 @@ wherever |xi| <= 2^jmax and taper smoothly on the lattice corners beyond it;
 fields produced by the bundled generators are band-limited inside the
 partition region, where reconstruction from blocks is exact.
 
-Inverse transforms of content confined to a corner box of the lattice,
-|k_a| <= b_a per axis, go through `_confined_ifftn`.  numpy's `ifftn`
-transforms the last axis first, one independent 1-D transform per line
-(`numpy.fft._pocketfft._raw_fftnd`), and a line of zeros transforms to
-zeros; so on a 3-axis lattice each pass transforms only the lines whose
-indices on the axes not yet transformed lie in the box, in place on corner
-views, and the result is bitwise numpy's.  The bounds come from the
-geometry (`_axis_bounds`): window j is confined by |xi_a| <= |xi| <
-3*2^(j-1), a band-limited spectrum by |xi_a| <= cap.
+A system keeps window j, and the cutoff psi(2^-j |xi|) once asked for, on
+the corner box |k_a| <= b_a that holds its support (`_axis_bounds`), as
+one array of 2 b_a + 1 points per axis whose 2^n corner views hold k_a =
+0..b and -b..-1 (`_box_views`); windowing multiplies on those views only
+(`_windowed`).  numpy's `ifftn` transforms the last axis first, one 1-D
+transform per line (`numpy.fft._pocketfft._raw_fftnd`), and a line of
+zeros transforms to zeros, so `_confined_ifftn` transforms content in such
+a box on a lattice of two or three axes, the grid's own or a padded one,
+bitwise as numpy does, with each pass run only on the lines whose indices
+on the axes not yet transformed lie in the box.
 """
 
 from __future__ import annotations
@@ -81,58 +82,79 @@ def smooth_cutoff():
 class DyadicSystem:
     """Sampled resolution of unity on a grid's frequency lattice.
 
-    A system holds one stack, `phi`, next to its grid's `xi`; the low-pass
-    cutoffs `cutoff(j)` and the plateau points of each window are made on
-    first use and kept per level.
+    The windows, exact differences of the dilated cutoffs so that the
+    partition telescopes at machine precision, are kept on their boxes
+    next to the grid's `xi`; `window(j)` and `cutoff(j)` spread one onto
+    the lattice.  Cutoff boxes and plateau points are made on first use.
 
     Attributes
     ----------
     grid : Grid
     jmax : int
-    phi : ndarray, shape (jmax+1, *sizes)
-        Sampled annular windows, phi[j] = phi_j for j = 0..jmax.  Stored as
-        exact differences of the dilated cutoffs so the partition telescopes
-        at machine precision.
     """
 
     def __init__(self, grid):
-        xi = grid.xi
-        flat = xi.reshape(-1)
-        # phi[j] = psi(2^-j xi) - psi(2^-j+1 xi), bit for bit, with psi
-        # evaluated on the transition shells 2^j < |xi| < 3*2^(j-1) only:
-        # phi[j] is 1 - 0 on 3*2^(j-2) <= |xi| <= 2^j (|xi| <= 1 for j = 0),
-        # psi(2^-j xi) - 0 on shell j, 1 - psi(2^-j+1 xi) on shell j - 1,
-        # and 1 - 1 or 0 - 0 elsewhere
-        phi = np.zeros((grid.jmax + 1,) + grid.sizes)
-        below = None
-        for j in range(grid.jmax + 1):
-            level = phi[j].reshape(-1)
-            top = 2.0 ** j
-            phi[j][(xi >= (0.75 * top if j else 0.0)) & (xi <= top)] = 1.0
-            shell = np.flatnonzero((xi > top) & (xi < 1.5 * top))
-            values = _transition(flat[shell] * (0.5 ** j))
-            level[shell] = values
-            if below is not None:
-                level[below[0]] = 1.0 - below[1]
-            below = shell, values
         self.grid = grid
         self.jmax = grid.jmax
-        self.phi = _freeze(phi)
         # per level, the box |k_a| <= b_a that holds supp phi_j
         self._reach = tuple(_axis_bounds(grid, 1.5 * 2.0 ** j, closed=False)
                             for j in range(grid.jmax + 1))
+        # phi_j = psi(2^-j xi) - psi(2^-j+1 xi), bit for bit, with psi
+        # evaluated on the transition shells 2^j < |xi| < 3*2^(j-1) only:
+        # 1 - 0 on 3*2^(j-2) <= |xi| <= 2^j (|xi| <= 1 for j = 0),
+        # psi(2^-j xi) - 0 on shell j, 1 - psi(2^-j+1 xi) on shell j - 1,
+        # and 1 - 1 or 0 - 0 elsewhere
+        windows = []
+        for j, bounds in enumerate(self._reach):
+            top = 2.0 ** j
+            w = np.zeros(tuple(2 * b + 1 for b in bounds))
+            for box, lattice in _box_views(bounds, grid.sizes):
+                r, part = grid.xi[lattice], w[box]
+                part[(r >= (0.75 * top if j else 0.0)) & (r <= top)] = 1.0
+                shell = (r > top) & (r < 1.5 * top)
+                part[shell] = _transition(r[shell] * (0.5 ** j))
+                if j:
+                    shell = (r > 0.5 * top) & (r < 0.75 * top)
+                    part[shell] = 1.0 - _transition(r[shell]
+                                                    * (0.5 ** (j - 1)))
+            windows.append(_freeze(w))
+        self._windows = tuple(windows)
         self._cutoffs = {}
         self._plateaus = {}
 
-    def cutoff(self, j):
-        """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j,
-        evaluated once per level; two threads that both evaluate it store
-        equal arrays."""
+    def _check_level(self, j):
         if not 0 <= j <= self.jmax:
             raise ValueError("level %d outside 0..%d" % (j, self.jmax))
+
+    def _views(self, j):
+        return _box_views(self._reach[j], self.grid.sizes)
+
+    def _spread(self, j, values):
+        out = np.zeros(self.grid.sizes)
+        for box, lattice in self._views(j):
+            out[lattice] = values[box]
+        return _freeze(out)
+
+    def window(self, j):
+        """Sampled phi_j on the whole lattice, a new read-only array."""
+        self._check_level(j)
+        return self._spread(j, self._windows[j])
+
+    def cutoff(self, j):
+        """Sampled psi(2^-j |xi|), the smooth low-pass symbol at level j,
+        on the whole lattice, a new read-only array."""
+        return self._spread(j, self._low(j))
+
+    def _low(self, j):
+        """psi(2^-j |xi|) on the box of level j: 1 on |xi| <= 2^j and
+        phi_j beyond, made once per level; two threads that both make it
+        store equal arrays."""
+        self._check_level(j)
         if j not in self._cutoffs:
-            self._cutoffs[j] = _freeze(
-                smooth_cutoff()(self.grid.xi * (0.5 ** j)))
+            low = self._windows[j].copy()
+            for box, lattice in self._views(j):
+                low[box][self.grid.xi[lattice] <= 2.0 ** j] = 1.0
+            self._cutoffs[j] = _freeze(low)
         return self._cutoffs[j]
 
     def _plateau(self, j, cap):
@@ -140,8 +162,14 @@ class DyadicSystem:
         cap, where phi_j is exactly 1 and |xi| <= cap, found once per
         (j, cap); two threads that both find them store equal arrays."""
         if (j, cap) not in self._plateaus:
-            self._plateaus[j, cap] = np.flatnonzero((self.phi[j] == 1.0)
-                                                    & (self.grid.xi <= cap))
+            points = []
+            for box, lattice in self._views(j):
+                hit = np.nonzero((self._windows[j][box] == 1.0)
+                                 & (self.grid.xi[lattice] <= cap))
+                points.append(np.ravel_multi_index(
+                    tuple(h + span.start for h, span in zip(hit, lattice)),
+                    self.grid.sizes))
+            self._plateaus[j, cap] = np.sort(np.concatenate(points))
         return self._plateaus[j, cap]
 
     def __repr__(self):
@@ -152,11 +180,43 @@ def build_dyadic_system(grid):
     return DyadicSystem(grid)
 
 
+def _box_views(bounds, *shapes):
+    """Index tuples of the 2^n corner views of the box |k_a| <= bounds[a],
+    in the box array and then on each lattice of `shapes` (FFT order): per
+    axis k_a = 0..b at [0, b], and k_a = -b..-1 at [b + 1, 2b] in the box
+    and at [size - b, size) on a lattice."""
+    per_axis = []
+    for a, b in enumerate(bounds):
+        parts = [(slice(0, b + 1),) * (len(shapes) + 1)]
+        if b:
+            parts.append((slice(b + 1, 2 * b + 1),)
+                         + tuple(slice(s[a] - b, s[a]) for s in shapes))
+        per_axis.append(parts)
+    for combo in itertools.product(*per_axis):
+        yield tuple(zip(*combo))
+
+
+def _windowed(spec, bounds, values, out):
+    """Write spec times the symbol with box values `values` into out, on
+    spec's lattice or a padded one, and say whether the product is nonzero.
+
+    out is zero-filled, multiplied on the corner views and scanned on them
+    only.  On the box the bits are those of the whole-lattice product;
+    off it out holds +0, where that product can hold -0.
+    """
+    out.fill(0.0)
+    nonzero = False
+    for box, small, big in _box_views(bounds, spec.shape, out.shape):
+        view = out[big]
+        np.multiply(spec[small], values[box], out=view)
+        nonzero = nonzero or bool(view.any())
+    return nonzero
+
+
 def _check_band(sys, f, j):
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
-    if not 0 <= j <= sys.jmax:
-        raise ValueError("band index %d outside 0..%d" % (j, sys.jmax))
+    sys._check_level(j)
 
 
 def delta_j(f, j, sys):
@@ -165,7 +225,9 @@ def delta_j(f, j, sys):
     Coefficients outside supp phi_j come out exactly zero.
     """
     _check_band(sys, f, j)
-    return Field.from_spectral(f.grid, f.spectral * sys.phi[j])
+    out = np.empty(f.grid.sizes, dtype=np.complex128)
+    _windowed(f.spectral, sys._reach[j], sys._windows[j], out)
+    return Field.from_spectral(f.grid, out)
 
 
 def q_j(f, j, sys):
@@ -175,7 +237,9 @@ def q_j(f, j, sys):
     because the windows are stored as telescoping differences.
     """
     _check_band(sys, f, j)
-    return Field.from_spectral(f.grid, f.spectral * sys.cutoff(j))
+    out = np.empty(f.grid.sizes, dtype=np.complex128)
+    _windowed(f.spectral, sys._reach[j], sys._low(j), out)
+    return Field.from_spectral(f.grid, out)
 
 
 def decompose(f, sys):
@@ -187,38 +251,30 @@ def decompose(f, sys):
     whose windowed spectrum has no nonzero coefficient is not transformed:
     its samples are exactly zero.
     """
-    return _freeze(_decompose_into(f, sys, np.empty(sys.phi.shape,
-                                                    dtype=np.complex128)))
+    return _freeze(_decompose_into(f, sys, np.empty(
+        (sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)))
 
 
 def _decompose_into(f, sys, out):
     """`decompose` written into out, a writable complex array of the stack's
     shape, which it returns."""
-    if not sys.grid.compatible(f.grid):
-        raise ValueError("field grid does not match the dyadic system")
-    stack = np.multiply(f.spectral, sys.phi, out=out)
-    axes = tuple(range(1, stack.ndim))
-    # one batched transform per run of consecutive nonzero blocks
-    j = 0
-    for nonzero, run in itertools.groupby(np.any(stack, axis=axes)):
-        blocks = stack[j:j + len(list(run))]
-        if nonzero:
-            np.fft.ifftn(blocks, axes=axes, out=blocks, norm="forward")
-        j += len(blocks)
-    return stack
+    for _ in _bands(f, sys, out):
+        pass
+    return out
 
 
 def _bands(f, sys, out):
     """The slices of `decompose(f, sys)` band by band, lowest first, each
     written into out, a complex array of the grid's shape, and yielded to
     be read before the next; an all-zero block is yielded as None,
-    untransformed, with out holding its zeros."""
+    untransformed, with out holding its zeros.  Given a stack for out,
+    block j goes to out[j]."""
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
-    for j, phi in enumerate(sys.phi):
-        np.multiply(f.spectral, phi, out=out)
-        yield _confined_ifftn(out, sys._reach[j], "forward") \
-            if np.any(out) else None
+    for j, (bounds, window) in enumerate(zip(sys._reach, sys._windows)):
+        values = out[j] if out.ndim > f.grid.n else out
+        yield _confined_ifftn(values, bounds, "forward") \
+            if _windowed(f.spectral, bounds, window, values) else None
 
 
 def _axis_bounds(grid, radius, closed):
@@ -242,17 +298,14 @@ def _confined_ifftn(values, bounds, norm):
     """`np.fft.ifftn(values, out=values, norm=norm)`, bit for bit, for
     values that vanish outside the corner box |k_a| <= bounds[a].
 
-    numpy transforms the last axis first, one 1-D transform per line, and a
-    line of zeros gives zeros.  So the pass over axis a runs only on the
-    2^a corner views [0, b] and [size - b, size) of the axes before a, the
-    lines that can hold content; the others stay zero.  The last axis's
-    bound is not read: its pass comes first.  Only 3-axis arrays take these
-    passes, and an axis whose bound leaves at most one index out
-    (b >= size/2 - 1) is taken whole.  1-D and 2-D arrays, and 3-D arrays
-    whose first two axes are taken whole, go to `np.fft.ifftn` itself.
+    The pass over axis a runs on the 2^a corner views [0, b] and
+    [size - b, size) of the axes before it; the last axis's bound is not
+    read, its pass coming first.  An axis whose bound leaves at most one
+    index out (b >= size/2 - 1) is taken whole, and when every axis before
+    the last is, a 1-D array included, the call is `np.fft.ifftn` itself.
     """
     whole = [2 * b + 2 >= size for b, size in zip(bounds, values.shape[:-1])]
-    if values.ndim != 3 or all(whole):
+    if all(whole):
         return np.fft.ifftn(values, out=values, norm=norm)
     spans = [(slice(None),) if w
              else (slice(0, b + 1),) + ((slice(size - b, size),) if b else ())

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fldio
+from .dyadic import _confined_ifftn, _windowed
 from .grid import Field
 
 __all__ = [
@@ -286,15 +287,23 @@ def _band_products(m, N, jmax, block, low):
 
 
 def _transformed_sources(fields, sys, big):
-    """block and low for `_band_products` that transform each windowed
-    spectrum of the factors onto the lattice of `big` points per axis."""
+    """block and low for `_band_products` that transform each windowed or
+    low-passed spectrum of the factors onto the lattice of `big` points per
+    axis: the symbol's box goes to the lattice's corners
+    (`dyadic._windowed`), and only the lines through it are transformed
+    (`dyadic._confined_ifftn`)."""
 
     def block(k, j):
-        coeffs = fields[k].spectral * sys.phi[j]
-        return _padded_values(coeffs, big) if np.any(coeffs) else None
+        out = np.empty(big, dtype=np.complex128)
+        if not _windowed(fields[k].spectral, sys._reach[j], sys._windows[j],
+                         out):
+            return None
+        return _confined_ifftn(out, sys._reach[j], "forward")
 
     def low(i, l):
-        return _padded_values(fields[i].spectral * sys.cutoff(l), big)
+        out = np.empty(big, dtype=np.complex128)
+        _windowed(fields[i].spectral, sys._reach[l], sys._low(l), out)
+        return _confined_ifftn(out, sys._reach[l], "forward")
 
     return block, low
 
@@ -433,9 +442,9 @@ def pi2_direct_terms(fields, sys, N=None):
     N = _checked_gap(m, N, sys.jmax)
     _enum_guard(m, sys.jmax)
 
-    big = _product_sizes(fields)
-    fine_blocks = [[_padded_values(block, big) if np.any(block) else None
-                    for block in f.spectral * sys.phi] for f in fields]
+    block, _ = _transformed_sources(fields, sys, _product_sizes(fields))
+    fine_blocks = [[block(k, j) for j in range(sys.jmax + 1)]
+                   for k in range(m)]
 
     levels, acc = set(), {}
     for tup in itertools.product(range(sys.jmax + 1), repeat=m):

@@ -113,11 +113,11 @@ def lacunary_field(grid, amplitudes, sys):
             raise ValueError("band %d outside 0..%d" % (j, sys.jmax))
         k = plateau_frequency(j, grid)
         idx = _wave_index(grid, (k,) + (0,) * (grid.n - 1))
-        if sys.phi[j][idx] != 1.0:
+        if sys.window(j)[idx] != 1.0:
             raise ValueError("frequency %d off the plateau of window %d"
                              % (k, j))
         for jn in (j - 1, j + 1):
-            if 0 <= jn <= sys.jmax and sys.phi[jn][idx] != 0.0:
+            if 0 <= jn <= sys.jmax and sys.window(jn)[idx] != 0.0:
                 raise ValueError("window %d does not vanish at frequency %d"
                                  % (jn, k))
         coeffs[idx] = amp
@@ -501,7 +501,7 @@ def _draw_random_band(spec, sys, streams, new_stack, scratch):
     The recipe draws from the stream (seed, m_max) on sys.grid.  streams
     maps each stream already drawn to its units, its `_unit_bands` items
     and the band sizes L_p(U_j) of each p drawn so far; a stream not yet in
-    it is built into new_stack(), a complex array of the shape of sys.phi,
+    it is built into new_stack(), a complex array of shape (jmax+1, *sizes),
     and added, so recipes that differ only in their targets (s, p) share
     one set of transforms, and those that share p one set of sizes.  The
     field is bitwise that of `materialize`, and the blocks c_j U_j those

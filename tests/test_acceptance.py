@@ -36,7 +36,7 @@ def test_criterion_01_partition_of_unity():
         sys = build_dyadic_system(g)
         total = np.zeros(g.sizes)
         for j in range(sys.jmax + 1):
-            total = total + sys.phi[j]
+            total = total + sys.window(j)
         region = g.xi <= 2.0 ** sys.jmax
         worst = max(worst, float(np.abs(total[region] - 1.0).max()))
     elapsed = time.perf_counter() - t0

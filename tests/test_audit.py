@@ -825,7 +825,7 @@ def _scaled_first_stack(spec, sys, stack, scale):
         np.multiply(decompose(materialize(spec, sys), sys), scale, out=stack)
         return
     params = spec.params
-    units = np.empty(sys.phi.shape, dtype=np.complex128)
+    units = np.empty((sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)
     bands = list(_unit_bands(sys.grid, params["seed"], sys, params["m_max"],
                              units))
     _, scales = _band_scales(sys.grid, params["s"], params["p"], bands)
@@ -847,7 +847,8 @@ def _per_set_values(params, q, p, count, build, sys):
     out = []
     for t in range(count):
         specs = build(t)
-        stacks = [np.empty(sys.phi.shape, dtype=np.complex128)
+        stacks = [np.empty((sys.jmax + 1,) + sys.grid.sizes,
+                           dtype=np.complex128)
                   for _ in range(m)]
         fields = [_generator_stack(item, sys, stack)
                   for item, stack in zip(specs, stacks)]

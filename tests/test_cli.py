@@ -88,6 +88,56 @@ def test_norm_config_errors(capsys):
     capsys.readouterr()
 
 
+def test_norm_refuses_a_wave_beyond_the_partition_region(capsys):
+    # at 64 points the windows sum to 1 on |xi| <= 2^jmax = 16 and taper
+    # to 0 at 24, where a wave's norms would read 8 or 0: exactly the waves
+    # at which cutoff(jmax) is 1.0 are accepted, and the others exit 2,
+    # without a traceback, naming the largest K accepted
+    sys = build_dyadic_system(build_grid(1, 64))
+    cutoff = sys.cutoff(sys.jmax)
+    for k in (16, -16, 1, 0, 17, -17, 20, 24, 31):
+        code = main(["norm", "--grid", "64", "--wave", str(k), "--s", "1",
+                     "--p", "2"])
+        out, err = capsys.readouterr()
+        if cutoff[k % 64] == 1.0:
+            assert code == 0 and abs(k) <= 16
+            assert out.split()[1] == ("16" if abs(k) == 16 else "1")
+        else:
+            assert code == 2 and abs(k) > 16 and not out
+            assert "largest |K| accepted is 16" in err
+            assert "Traceback" not in err
+    # 3-D at 32 points: 2^jmax = 8
+    assert main(["norm", "--dim", "3", "--grid", "32", "--wave", "8",
+                 "--s", "1", "--p", "2"]) == 0
+    assert main(["norm", "--dim", "3", "--grid", "32", "--wave", "9",
+                 "--s", "1", "--p", "2"]) == 2
+    assert "largest |K| accepted is 8" in capsys.readouterr().err
+
+
+def test_norm_in_builds_only_the_files_system(tmp_path, capsys,
+                                              monkeypatch):
+    # --dim and --grid do not apply to a field read from a file: no grid
+    # or dyadic system is built for them
+    import paraflux.cli
+
+    g = build_grid(2, 32)
+    path = tmp_path / "w.fld"
+    write_field(str(path), pure_wave(g, 4))
+    grids, systems = [], []
+    build_grid_, build_system = paraflux.cli.build_grid, \
+        paraflux.cli.build_dyadic_system
+    monkeypatch.setattr(paraflux.cli, "build_grid", lambda *a: grids.append(
+        a) or build_grid_(*a))
+    monkeypatch.setattr(paraflux.cli, "build_dyadic_system",
+                        lambda grid: systems.append(grid)
+                        or build_system(grid))
+    assert main(["norm", "--dim", "3", "--grid", "128", "--in", str(path),
+                 "--s", "1", "--p", "2"]) == 0
+    assert capsys.readouterr().out.split()[1] == "4"
+    assert grids == []
+    assert len(systems) == 1 and systems[0].compatible(g)
+
+
 def test_missing_input_file_is_io_error(capsys):
     assert main(["norm", "--in", "/nonexistent/q.fld", "--s", "1",
                  "--p", "2"]) == 3

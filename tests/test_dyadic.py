@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paraflux import (Field, build_dyadic_system, build_grid, decompose,
-                      delta_j, gaussian_bump, lacunary_field, q_j,
+                      delta_j, gaussian_bump, lacunary_field, pure_wave, q_j,
                       random_band_field, smooth_cutoff, standard_bank)
 from paraflux.dyadic import (_axis_bounds, _bands, _blocks,
                              _confined_ifftn)
@@ -34,39 +34,62 @@ def test_cutoff_transition():
         pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, size", [(1, 64), (1, 1024), (2, 64), (2, 128),
-                                     (3, 32), (3, 64)])
-def test_windows_and_cutoffs_are_the_stacked_formula(n, size):
-    # phi built level by level is the difference stack of the cutoffs,
-    # bitwise, and cutoff(j) evaluates the profile once per level
-    g = build_grid(n, size)
+def _check_stacked_formula(g):
+    # window(j), spread from its box, is the difference stack of the
+    # cutoffs, bitwise, and cutoff(j) the profile at 2^-j xi; each call
+    # makes a new read-only array, and a cutoff's box values are made once
+    # per level
     sys = build_dyadic_system(g)
     psi = smooth_cutoff()
     scaled = np.stack([psi(g.xi * (0.5 ** j)) for j in range(g.jmax + 1)])
     phi = np.diff(scaled, axis=0, prepend=0.0)
-    assert sys.phi.shape == phi.shape and not sys.phi.flags.writeable
-    assert sys.phi.tobytes() == phi.tobytes()
     for j in range(g.jmax + 1):
-        assert sys.cutoff(j).tobytes() == scaled[j].tobytes()
-        assert sys.cutoff(j) is sys.cutoff(j)
-        assert not sys.cutoff(j).flags.writeable
+        for got, want in ((sys.window(j), phi[j]),
+                          (sys.cutoff(j), scaled[j])):
+            assert got.shape == g.sizes and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        assert sys.window(j) is not sys.window(j)
+        assert sys._low(j) is sys._low(j)
+    for j in (-1, g.jmax + 1):
+        for accessor in (sys.window, sys.cutoff):
+            with pytest.raises(ValueError, match="outside"):
+                accessor(j)
+
+
+@pytest.mark.parametrize("n, size", [(1, 64), (1, 1024), (2, 64), (2, 128),
+                                     (3, 32), (3, 64)])
+def test_windows_and_cutoffs_are_the_stacked_formula(n, size):
+    _check_stacked_formula(build_grid(n, size))
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(2, (32, 128)), Grid(3, (16, 32, 64)), Grid(1, (128,), np.pi),
+    Grid(2, (64, 32), np.pi), Grid(3, (32, 64, 16), np.pi)],
+    ids=["32x128", "16x32x64", "128-pi", "64x32-pi", "32x64x16-pi"])
+def test_windows_and_cutoffs_on_non_cubic_and_period_pi_grids(grid):
+    _check_stacked_formula(grid)
 
 
 def test_system_holds_its_windows_and_modulus_only():
-    # a 3-D 64^3 system keeps phi and its grid's xi, and builds them with
-    # less than one real grid-sized array of transients
+    # a 3-D 128^3 system keeps each window on its box next to its grid's
+    # xi, far below the (jmax+1, *sizes) stack it would be on the lattice,
+    # and builds them with less than one grid-sized real array of
+    # transients; the modules are imported before tracing starts
     import tracemalloc
 
     tracemalloc.start()
     try:
-        g = build_grid(3, 64)
+        g = build_grid(3, 128)
         sys = build_dyadic_system(g)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bound = sys.phi.nbytes + g.xi.nbytes + 2 ** 20
-    assert held <= bound
-    assert peak < bound + g.xi.nbytes
+    boxes = sum(w.nbytes for w in sys._windows)
+    assert boxes < (sys.jmax + 1) * g.xi.nbytes / 8
+    assert held <= boxes + g.xi.nbytes + 2 ** 20
+    assert held < 32 * 2 ** 20
+    assert peak < 48 * 2 ** 20
+    assert peak < held + g.xi.nbytes
 
 
 @pytest.mark.parametrize("n,size", [(1, 64), (1, 128), (1, 256), (2, 32)])
@@ -75,7 +98,7 @@ def test_partition_of_unity_on_resolved_region(n, size):
     sys = build_dyadic_system(g)
     total = np.zeros(g.sizes)
     for j in range(sys.jmax + 1):
-        total = total + sys.phi[j]
+        total = total + sys.window(j)
     region = g.xi <= 2.0 ** sys.jmax
     assert np.abs(total[region] - 1.0).max() <= 1e-12
 
@@ -85,10 +108,10 @@ def test_window_supports_and_plateaus():
     sys = build_dyadic_system(g)
     xi = g.xi
     # j = 0 is the low-pass: 1 on |xi| <= 1, 0 from 3/2
-    assert np.all(sys.phi[0][xi <= 1.0] == 1.0)
-    assert np.all(sys.phi[0][xi >= 1.5] == 0.0)
+    assert np.all(sys.window(0)[xi <= 1.0] == 1.0)
+    assert np.all(sys.window(0)[xi >= 1.5] == 0.0)
     for j in range(1, sys.jmax + 1):
-        w = sys.phi[j]
+        w = sys.window(j)
         lo, hi = 2.0 ** (j - 1), 3.0 * 2.0 ** (j - 1)
         assert np.all(w[(xi < lo) | (xi > hi)] == 0.0)
         plateau = (xi >= 3.0 * 2.0 ** (j - 2)) & (xi <= 2.0 ** j)
@@ -157,7 +180,8 @@ def test_decompose_matches_full_stack_transform(n, size):
     axes = tuple(range(1, n + 1))
     empty = 0
     for f in fields:
-        spectra = f.spectral * sys.phi
+        spectra = np.stack([f.spectral * sys.window(j)
+                            for j in range(sys.jmax + 1)])
         empty += sum(not np.any(b) for b in spectra)
         want = np.fft.ifftn(spectra, axes=axes, norm="forward")
         got = decompose(f, sys)
@@ -222,13 +246,16 @@ def _count_ifft(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 64), (32, 32, 32),
-                                   (16, 32, 64), (64, 16, 32)])
+                                   (16, 32, 64), (64, 16, 32), (192, 128),
+                                   (256, 128)])
 @pytest.mark.parametrize("norm", [None, "forward"])
 def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
     # bitwise np.fft.ifftn for content inside the box, from bound 0 to
-    # size/2 - 2, with zeros of either sign outside; a bound that leaves at
-    # most one index out takes its axis whole, and with every axis whole,
-    # or on 1-D and 2-D arrays, the call is numpy's own
+    # size/2 - 2, with zeros of either sign outside, on a grid's lattice or
+    # a padded one (192 x 128 and 256 x 128 hold a 128^2 grid's boxes); a
+    # bound that leaves at most one index out takes its axis whole, and
+    # with every axis before the last whole, or on 1-D arrays, the call is
+    # numpy's own
     calls = _count_ifft(monkeypatch)
     rng = np.random.default_rng(5)
     cases = [(0, 0, 0)[:len(shape)], (1, 0, 2)[:len(shape)],
@@ -242,7 +269,7 @@ def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
             got = _confined_ifftn(values, bounds, norm)
             assert got is values
             assert got.tobytes() == want.tobytes()
-    assert bool(calls) == (len(shape) == 3)
+    assert bool(calls) == (len(shape) > 1)
     del calls[:]
     for bounds in (tuple(s // 2 - 1 for s in shape), tuple(s // 2 for s in
                                                             shape)):
@@ -297,7 +324,8 @@ def test_geometry_bounds_hold_the_content(grid):
     spectrum = (rng.standard_normal(grid.sizes)
                 + 1j * rng.standard_normal(grid.sizes))
     assert len(sys._reach) == sys.jmax + 1
-    for phi, bounds in zip(sys.phi, sys._reach):
+    for j, bounds in enumerate(sys._reach):
+        phi = sys.window(j)
         assert all(b < size // 2 for b, size in zip(bounds, grid.sizes))
         assert not np.any(phi[_outside(bounds, grid.sizes)])
         assert all(np.any(phi[on]) for on in _on_bound(bounds, grid.sizes))
@@ -319,10 +347,12 @@ def test_geometry_bounds_hold_the_content(grid):
 
 
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
-def test_only_3d_transforms_take_confined_passes(n, size, monkeypatch):
-    # 1-D and 2-D bands, generator bands and truncations run np.fft.ifftn
-    # as before; 3-D ones run the confined passes
+def test_multi_axis_transforms_take_confined_passes(n, size, monkeypatch):
+    # 1-D bands, generator bands, truncations and windowed blocks of a
+    # product run np.fft.ifftn; 2-D and 3-D ones run the confined passes,
+    # on the grid's lattice and on a padded one
     from paraflux import smoothed_step
+    from paraflux.paraproduct import _transformed_sources
     from paraflux.testbank import _unit_bands
 
     calls = _count_ifft(monkeypatch)
@@ -336,10 +366,60 @@ def test_only_3d_transforms_take_confined_passes(n, size, monkeypatch):
     bands = len(calls) - truncations
     assert sum(p is not None for p, _, _ in _unit_bands(g, 3, sys, 3, None))
     units = len(calls) - truncations - bands
-    if n < 3:
+    big = tuple(3 * s // 2 for s in g.sizes)
+    block, low = _transformed_sources([f, f], sys, big)
+    assert block(0, 2).shape == low(1, 2).shape == big
+    padded = len(calls) - truncations - bands - units
+    if n == 1:
         assert calls == []
     else:
-        assert truncations > 0 and bands > 0 and units > 0
+        assert truncations > 0 and bands > 0 and units > 0 and padded > 0
+
+
+def _signed(values):
+    return np.signbit(values.real) | np.signbit(values.imag)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(1, (128,)), Grid(2, (64, 64)), Grid(3, (32,) * 3),
+    Grid(3, (16, 32, 64)), Grid(2, (64, 32), np.pi)],
+    ids=["128", "64x64", "32x32x32", "16x32x64", "64x32-pi"])
+def test_windowed_blocks_are_the_whole_lattice_product(grid):
+    # a spectrum times window j or cutoff j on the box is the whole-lattice
+    # product bit for bit; off the box it is +0 where that product holds
+    # zeros of either sign; on a padded lattice the box sits at the
+    # corners; the scan finds content exactly when the product has some
+    from paraflux.dyadic import _windowed
+    from paraflux.paraproduct import _extract
+
+    sys = build_dyadic_system(grid)
+    rng = np.random.default_rng(11)
+    spectra = [rng.standard_normal(grid.sizes)
+               + 1j * rng.standard_normal(grid.sizes),
+               np.zeros(grid.sizes, dtype=np.complex128),
+               pure_wave(grid, 1).spectral]
+    big = tuple(2 * s for s in grid.sizes)
+    negative = empty = 0
+    for j, bounds in enumerate(sys._reach):
+        inside = ~_outside(bounds, grid.sizes)
+        for values, dense in ((sys._windows[j], sys.window(j)),
+                              (sys._low(j), sys.cutoff(j))):
+            for spec in spectra:
+                want = spec * dense
+                got = np.full(grid.sizes, np.nan, dtype=np.complex128)
+                nonzero = _windowed(spec, bounds, values, got)
+                assert nonzero == bool(np.any(want))
+                empty += not nonzero
+                assert got[inside].tobytes() == want[inside].tobytes()
+                assert np.array_equal(got, want)
+                assert not _signed(got[~inside]).any()
+                negative += _signed(want[~inside]).sum()
+                padded = np.full(big, np.nan, dtype=np.complex128)
+                assert _windowed(spec, bounds, values, padded) == nonzero
+                assert _extract(padded, grid.sizes).tobytes() == \
+                    got.tobytes()
+                assert np.count_nonzero(padded) == np.count_nonzero(got)
+    assert negative > 0 and empty > 0
 
 
 def test_block_operator_linearity():

@@ -229,19 +229,27 @@ def test_zero_factor_gives_zero_product(setup128):
 
 def test_decompose_product_pads_the_step_axis_only(monkeypatch):
     # m = 3 on 64^2 with the step in slot 2: axis 0 is padded to 2S, axis 1
-    # keeps S, and every padded array of the product path uses that lattice
+    # keeps S, and every padded array of the product path uses that lattice,
+    # whole factors (`_padded_values`) and windowed or low-passed ones
+    # (`_confined_ifftn`) alike
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)]
     fields = list(tuple_bank(g, sys, params, 63, 1)[0])
     lattices = set()
     padded_values = paraproduct._padded_values
+    confined_ifftn = paraproduct._confined_ifftn
 
     def spy(coeffs, big_sizes):
         lattices.add(tuple(big_sizes))
         return padded_values(coeffs, big_sizes)
 
+    def confined_spy(values, bounds, norm):
+        lattices.add(values.shape)
+        return confined_ifftn(values, bounds, norm)
+
     monkeypatch.setattr(paraproduct, "_padded_values", spy)
+    monkeypatch.setattr(paraproduct, "_confined_ifftn", confined_spy)
     pd = decompose_product(fields, sys)
     assert lattices == {(128, 64)}
     lattices.clear()
@@ -278,9 +286,10 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
     transforms = []
-    padded_values = paraproduct._padded_values
-    monkeypatch.setattr(paraproduct, "_padded_values",
-                        lambda *a: transforms.append(1) or padded_values(*a))
+    for name in ("_padded_values", "_confined_ifftn"):
+        real = getattr(paraproduct, name)
+        monkeypatch.setattr(paraproduct, name, lambda *a, real=real:
+                            transforms.append(1) or real(*a))
     for t, fields in enumerate(tuple_bank(g, sys, params, 40 + m, 2)):
         assert (_product_sizes(fields) == g.sizes) == (t == 1)
         pd = decompose_product(fields, sys)
@@ -414,8 +423,8 @@ def _pi2_terms_unskipped(fields, sys, N):
     # every uncollected tuple multiplied, all-zero blocks included
     grid = fields[0].grid
     big = _product_sizes(fields)
-    blocks = [[_padded_values(f.spectral * phi, big) for phi in sys.phi]
-              for f in fields]
+    blocks = [[_padded_values(f.spectral * sys.window(j), big)
+               for j in range(sys.jmax + 1)] for f in fields]
     acc = {}
     for tup in itertools.product(range(sys.jmax + 1), repeat=len(fields)):
         if paraproduct._collected_by_pi1(tup, N):
@@ -439,7 +448,8 @@ def test_pi2_terms_skip_zero_blocks(n, size, m):
              + [pure_wave(g, 1)] * (m - 2)]
     for fields in cases:
         # random-band factors leave their top block empty, waves more
-        assert not all(np.any(b) for f in fields for b in f.spectral * sys.phi)
+        assert not all(np.any(f.spectral * sys.window(j)) for f in fields
+                       for j in range(sys.jmax + 1))
         N = min_gap(m)
         got = pi2_direct_terms(fields, sys, N)
         want = _pi2_terms_unskipped(fields, sys, N)
@@ -502,14 +512,16 @@ def test_scaled_sources_match_generator_stacks(n, size):
     streams, made = {}, []
 
     def new_stack():
-        made.append(np.full(sys.phi.shape, np.nan, dtype=np.complex128))
+        made.append(np.full((sys.jmax + 1,) + sys.grid.sizes, np.nan,
+                            dtype=np.complex128))
         return made[-1]
 
     drawn = [_draw_random_band(spec, sys, streams, new_stack,
                                np.empty(g.sizes)) for spec in specs]
     # the first and the last recipe differ only in (s, p): one stream
     assert len(made) == 2 and drawn[0][1] is drawn[2][1]
-    stacks = [np.empty(sys.phi.shape, dtype=np.complex128) for _ in specs]
+    stacks = [np.empty((sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)
+              for _ in specs]
     band = np.empty(g.sizes, dtype=np.complex128)
     for spec, stack, (field, _, scales) in zip(specs, stacks, drawn):
         assert field.spectral.tobytes() == \

@@ -31,7 +31,7 @@ def test_plateau_frequency_sits_on_plateau(setup128):
     for j in range(sys.jmax + 1):
         k = plateau_frequency(j, g)
         idx = (k,) if k < g.sizes[0] else None
-        assert sys.phi[j][idx] == 1.0
+        assert sys.window(j)[idx] == 1.0
 
 
 def test_lacunary_single_band(setup128):
@@ -97,7 +97,7 @@ def _random_band_reference(grid, s, p, seed, sys):
     cap = band_limit(grid, 3)
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     for j in range(sys.jmax + 1):
-        mask = (sys.phi[j] == 1.0) & (sys.grid.xi <= cap)
+        mask = (sys.window(j) == 1.0) & (sys.grid.xi <= cap)
         count = int(mask.sum())
         if count == 0:
             continue
@@ -141,7 +141,8 @@ def _assert_stack_close(got, want):
 def _streamed_stack(spec, sys):
     # the blocks `_random_bands` streams, stacked: zeros for a None band,
     # which must be an all-zero band; NaN first, so none is left unwritten
-    stack = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+    stack = np.full((sys.jmax + 1,) + sys.grid.sizes, np.nan,
+                    dtype=np.complex128)
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
     count = 0
     for block, got in zip(stack, _random_bands(spec, sys, band,
@@ -195,7 +196,8 @@ def test_streamed_blocks_are_the_generator_stack_formula(n, size):
     sys = build_dyadic_system(g)
     for p in (0.5, 1.0, 2.0, 3.0, 4.0, INF):
         for s, seed in ((-1.0, 3), (0.5, 811), (1.5, 12)):
-            want = np.full(sys.phi.shape, np.nan, dtype=np.complex128)
+            want = np.full((sys.jmax + 1,) + sys.grid.sizes, np.nan,
+                           dtype=np.complex128)
             _, scales = _band_scales(g, s, p, _unit_bands(g, seed, sys, 3,
                                                           want))
             for block, scale in zip(want, scales):
@@ -210,7 +212,7 @@ def test_plateau_points_are_cached_flat_indices():
     cap = band_limit(g, 3)
     for j in range(sys.jmax + 1):
         points = sys._plateau(j, cap)
-        mask = (sys.phi[j] == 1.0) & (g.xi <= cap)
+        mask = (sys.window(j) == 1.0) & (g.xi <= cap)
         assert np.array_equal(points, np.flatnonzero(mask))
         # in the order of the mask's points: boolean and flat indexing
         # place the same values
@@ -220,12 +222,12 @@ def test_plateau_points_are_cached_flat_indices():
     # each band limit has its own points
     wide = band_limit(g, 2)
     assert any(not np.array_equal(sys._plateau(j, wide),
-                                  np.flatnonzero((sys.phi[j] == 1.0)
+                                  np.flatnonzero((sys.window(j) == 1.0)
                                                  & (g.xi <= cap)))
                for j in range(sys.jmax + 1))
     for j in range(sys.jmax + 1):
         assert np.array_equal(sys._plateau(j, wide), np.flatnonzero(
-            (sys.phi[j] == 1.0) & (g.xi <= wide)))
+            (sys.window(j) == 1.0) & (g.xi <= wide)))
     # another system, even on the same grid, has its own points
     assert build_dyadic_system(g)._plateau(1, cap) is not \
         sys._plateau(1, cap)
@@ -362,7 +364,8 @@ def test_band_sizes_reuse_one_scratch(monkeypatch):
     assert streamed[0] == streamed[1]
     del seen[:]
     field, _, scales = _draw_random_band(
-        spec, sys, {}, lambda: np.empty(sys.phi.shape, dtype=complex),
+        spec, sys, {},
+        lambda: np.empty((sys.jmax + 1,) + sys.grid.sizes, dtype=complex),
         scratch)
     assert len(seen) == sum(c != 0.0 for c in scales)
     assert all(mags is scratch for mags in seen)
