@@ -83,9 +83,11 @@ class DyadicSystem:
     """Sampled resolution of unity on a grid's frequency lattice.
 
     The windows, exact differences of the dilated cutoffs so that the
-    partition telescopes at machine precision, are kept on their boxes
-    next to the grid's `xi`; `window(j)` and `cutoff(j)` spread one onto
-    the lattice.  Cutoff boxes and plateau points are made on first use.
+    partition telescopes at machine precision, are kept on their boxes,
+    built from |xi| on each box (`Grid.xi_box`), so the grid's
+    lattice-sized `xi` is never made; `window(j)` and `cutoff(j)` spread
+    one onto the lattice.  Cutoff boxes and plateau points are made on
+    first use.
 
     Attributes
     ----------
@@ -109,7 +111,7 @@ class DyadicSystem:
             top = 2.0 ** j
             w = np.zeros(tuple(2 * b + 1 for b in bounds))
             for box, lattice in _box_views(bounds, grid.sizes):
-                r, part = grid.xi[lattice], w[box]
+                r, part = grid.xi_box(lattice), w[box]
                 part[(r >= (0.75 * top if j else 0.0)) & (r <= top)] = 1.0
                 shell = (r > top) & (r < 1.5 * top)
                 part[shell] = _transition(r[shell] * (0.5 ** j))
@@ -145,6 +147,16 @@ class DyadicSystem:
         on the whole lattice, a new read-only array."""
         return self._spread(j, self._low(j))
 
+    def _at(self, j, index):
+        """phi_j at the lattice point `index` (FFT order), read from the
+        box: the value `window(j)[index]` holds."""
+        place = []
+        for i, b, size in zip(index, self._reach[j], self.grid.sizes):
+            if b < i < size - b:
+                return 0.0
+            place.append(i if i <= b else i - size + 2 * b + 1)
+        return self._windows[j][tuple(place)]
+
     def _low(self, j):
         """psi(2^-j |xi|) on the box of level j: 1 on |xi| <= 2^j and
         phi_j beyond, made once per level; two threads that both make it
@@ -153,7 +165,7 @@ class DyadicSystem:
         if j not in self._cutoffs:
             low = self._windows[j].copy()
             for box, lattice in self._views(j):
-                low[box][self.grid.xi[lattice] <= 2.0 ** j] = 1.0
+                low[box][self.grid.xi_box(lattice) <= 2.0 ** j] = 1.0
             self._cutoffs[j] = _freeze(low)
         return self._cutoffs[j]
 
@@ -165,7 +177,7 @@ class DyadicSystem:
             points = []
             for box, lattice in self._views(j):
                 hit = np.nonzero((self._windows[j][box] == 1.0)
-                                 & (self.grid.xi[lattice] <= cap))
+                                 & (self.grid.xi_box(lattice) <= cap))
                 points.append(np.ravel_multi_index(
                     tuple(h + span.start for h, span in zip(hit, lattice)),
                     self.grid.sizes))

@@ -23,10 +23,12 @@ def _is_pow2(m):
 
 
 class Grid:
-    """Uniform periodic grid with precomputed frequency geometry.
+    """Uniform periodic grid with its frequency geometry.
 
-    A grid holds one lattice-sized array, `xi`; the wavenumber meshes `k`
-    are made on demand from the per-axis wavenumbers.
+    A grid holds its per-axis wavenumbers only.  |xi| on a box of the
+    lattice is computed from them (`xi_box`), and the lattice-sized `xi` is
+    built on first use and kept, for callers that need the whole lattice;
+    the wavenumber meshes `k` are made on demand.
 
     Attributes
     ----------
@@ -39,7 +41,8 @@ class Grid:
     npoints : int
         Total number of lattice points.
     xi : ndarray
-        |xi| modulus array over the frequency lattice, FFT order.
+        |xi| modulus array over the frequency lattice, FFT order, read-only,
+        built on first use.
     k : tuple of ndarray
         Integer wavenumbers (as floats) along each axis over the lattice,
         FFT order, ij indexing: read-only broadcast views of the per-axis
@@ -73,16 +76,10 @@ class Grid:
         self.spacing = period / np.asarray(sizes, dtype=float)
 
         scale = TWO_PI / period
-        # integer wavenumbers per axis in FFT order, as exact floats, on an
-        # open mesh: the squares are summed axis by axis as on the dense
-        # mesh, and only the last sum is lattice-sized
+        # integer wavenumbers per axis in FFT order, as exact floats
         self._axes = tuple(_freeze(np.fft.fftfreq(s, d=1.0 / s))
                            for s in sizes)
-        xi = sum(m * m for m in np.meshgrid(*self._axes, indexing="ij",
-                                            sparse=True))
-        np.sqrt(xi, out=xi)
-        xi *= scale
-        self.xi = _freeze(xi)
+        self._xi = None
         self.nyquist = scale * (min(sizes) // 2)
 
         j = 0
@@ -93,6 +90,28 @@ class Grid:
             raise ValueError(
                 "grid too coarse: need at least 3 dyadic bands, "
                 "largest admissible index is %d" % self.jmax)
+
+    @property
+    def xi(self):
+        """|xi| over the whole lattice, made on first use and kept; two
+        threads that both make it store equal arrays."""
+        if self._xi is None:
+            self._xi = _freeze(self._modulus(self._axes))
+        return self._xi
+
+    def xi_box(self, index):
+        """|xi| on the view `index` of the lattice, one slice per axis, as a
+        new array: bit for bit the values of `xi` there, without `xi`."""
+        return self._modulus([m[s] for m, s in zip(self._axes, index)])
+
+    def _modulus(self, axes):
+        # the squares of the wavenumbers are summed axis by axis on an open
+        # mesh, as on the dense one, and only the last sum has the full shape
+        xi = sum(m * m for m in np.meshgrid(*axes, indexing="ij",
+                                            sparse=True))
+        np.sqrt(xi, out=xi)
+        xi *= TWO_PI / self.period
+        return xi
 
     @property
     def k(self):
@@ -120,6 +139,12 @@ def _freeze(a):
     return a
 
 
+def _transform(fft, values):
+    """fft(values, norm="forward") written into one new array."""
+    return fft(values, out=np.empty(values.shape, dtype=np.complex128),
+               norm="forward")
+
+
 def build_grid(n, size, period=TWO_PI):
     """Build an n-dimensional grid with `size` points along every axis.
 
@@ -137,8 +162,10 @@ class Field:
     Under the unit-measure convention this makes Parseval read
     mean(|f|^2) = sum(|c_k|^2).  The spectrum is the only stored form; the
     samples `physical` are computed from it on first use and cached (a field
-    read from samples keeps those exact samples).  Both arrays are read-only
-    and instances are immutable; arithmetic returns new fields.
+    read from samples keeps those exact samples).  Each transform writes
+    into one new array (`out=`), bit for bit numpy's out-of-place one, so
+    no second lattice-sized array is alive while it runs.  Both arrays are
+    read-only and instances are immutable; arithmetic returns new fields.
 
     Ownership: `from_physical` and `from_spectral` keep a C-contiguous
     complex128 argument as it is, without a copy, and freeze it, so the
@@ -160,8 +187,8 @@ class Field:
     def physical(self):
         """Samples on the grid, computed from the spectrum on first use."""
         if self._physical is None:
-            self._physical = _freeze(
-                np.fft.ifftn(self.spectral, norm="forward"))
+            self._physical = _freeze(_transform(
+                np.fft.ifftn, self.spectral))
         return self._physical
 
     @classmethod
@@ -170,7 +197,7 @@ class Field:
         if values.shape != grid.sizes:
             raise ValueError("sample shape %r does not match grid %r"
                              % (values.shape, grid.sizes))
-        return cls(grid, np.fft.fftn(values, norm="forward"), values)
+        return cls(grid, _transform(np.fft.fftn, values), values)
 
     @classmethod
     def from_spectral(cls, grid, coeffs):

@@ -442,28 +442,34 @@ def pi2_direct_terms(fields, sys, N=None):
     N = _checked_gap(m, N, sys.jmax)
     _enum_guard(m, sys.jmax)
 
+    # the tuples run in lexicographic order, so block (0, k0) is read only
+    # while k0 is the outer index: factor 0's blocks are made one at a time
     block, _ = _transformed_sources(fields, sys, _product_sizes(fields))
-    fine_blocks = [[block(k, j) for j in range(sys.jmax + 1)]
-                   for k in range(m)]
+    levels = range(sys.jmax + 1)
+    others = [[block(i, k) for k in levels] for i in range(1, m)]
 
-    levels, acc = set(), {}
-    for tup in itertools.product(range(sys.jmax + 1), repeat=m):
-        if _collected_by_pi1(tup, N):
-            continue
-        j = max(tup)
-        levels.add(j)
-        if any(fine_blocks[i][k] is None for i, k in enumerate(tup)):
-            continue
-        term = fine_blocks[0][tup[0]].copy()
-        for i in range(1, m):
-            term *= fine_blocks[i][tup[i]]
-        if j in acc:
-            acc[j] += term
-        else:
-            acc[j] = term
+    touched, acc = set(), {}
+    for k0 in levels:
+        first = block(0, k0)
+        for rest in itertools.product(levels, repeat=m - 1):
+            if _collected_by_pi1((k0,) + rest, N):
+                continue
+            j = max(k0, *rest)
+            touched.add(j)
+            factors = [blocks[k] for blocks, k in zip(others, rest)]
+            if first is None or any(b is None for b in factors):
+                continue
+            term = first.copy()
+            for b in factors:
+                term *= b
+            if j in acc:
+                acc[j] += term
+            else:
+                acc[j] = term
+        first = term = None
 
     return {j: _retained_field(grid, acc[j]) if j in acc
-            else Field.zeros(grid) for j in sorted(levels)}
+            else Field.zeros(grid) for j in sorted(touched)}
 
 
 def enumerate_pi2_direct(fields, sys, N=None):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import DyadicSystem, _axis_bounds, _confined_ifftn
+from .dyadic import DyadicSystem, _axis_bounds, _box_views, _confined_ifftn
 from .grid import Field, Grid
 from .norms import _power, sequence_norm
 
@@ -113,11 +113,11 @@ def lacunary_field(grid, amplitudes, sys):
             raise ValueError("band %d outside 0..%d" % (j, sys.jmax))
         k = plateau_frequency(j, grid)
         idx = _wave_index(grid, (k,) + (0,) * (grid.n - 1))
-        if sys.window(j)[idx] != 1.0:
+        if sys._at(j, idx) != 1.0:
             raise ValueError("frequency %d off the plateau of window %d"
                              % (k, j))
         for jn in (j - 1, j + 1):
-            if 0 <= jn <= sys.jmax and sys.window(jn)[idx] != 0.0:
+            if 0 <= jn <= sys.jmax and sys._at(jn, idx) != 0.0:
                 raise ValueError("window %d does not vanish at frequency %d"
                                  % (jn, k))
         coeffs[idx] = amp
@@ -277,22 +277,29 @@ def _erf(x):
     return np.array([_erf_scalar(v) for v in x.tolist()])
 
 
-def _truncate_real(grid, values, m_max):
-    """Band-limit real samples radially and renormalize to max 1.
+def _truncate_real(grid, a, m_max):
+    """Band-limit the real samples held in a radially, renormalize them to
+    max 1, and return the field whose samples they are.
 
-    The samples are copied into one complex array, which is transformed,
+    a is a C-contiguous complex array of the grid's shape with zero
+    imaginary part, which the field takes over: it is transformed,
     truncated, transformed back and normalised in place and handed to the
-    field as its samples.  The field is rebuilt from the real part of the
-    truncated samples, so its spectrum carries rounding residue beyond the
-    band limit.
+    field as its samples.  The cut reads |xi| on the box |k_a| <= b_a that
+    holds the band limit only; every point off it lies beyond.  The field
+    is rebuilt from the real part of the truncated samples, so its
+    spectrum carries rounding residue beyond the band limit.
     """
-    a = np.array(values, dtype=np.complex128)
     np.fft.fftn(a, out=a)
     cap = band_limit(grid, m_max)
-    a[grid.xi > cap] = 0.0
-    _confined_ifftn(a, _axis_bounds(grid, cap, closed=True), None)
+    bounds = _axis_bounds(grid, cap, closed=True)
+    for axis, (b, size) in enumerate(zip(bounds, grid.sizes)):
+        a[(slice(None),) * axis + (slice(b + 1, size - b),)] = 0.0
+    for _, lattice in _box_views(bounds, grid.sizes):
+        part = a[lattice]
+        part[grid.xi_box(lattice) > cap] = 0.0
+    _confined_ifftn(a, bounds, None)
     real = a.real
-    top = np.abs(real).max()
+    top = max(real.max(), -real.min())
     if top == 0.0:
         raise ValueError("field vanished under band limiting")
     real /= top
@@ -314,15 +321,19 @@ def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
         center = (grid.period / 2.0,) * grid.n
     center = [round(float(c) / h) * h
               for c, h in zip(np.atleast_1d(center), grid.spacing)]
-    r2 = 0.0  # summed over the axes in order, each axis broadcast
+    # r2 summed over the axes in order, each axis broadcast; the last sum,
+    # and exp(-r2 / (2 width^2)) in place, go into the samples' real part
+    samples = np.zeros(grid.sizes, dtype=np.complex128)
+    r2 = 0.0
     for axis, (size, c) in enumerate(zip(grid.sizes, center)):
         x = np.arange(size) * (grid.period / size)
         d = np.mod(x - c + grid.period / 2.0, grid.period) - grid.period / 2.0
-        r2 = r2 + (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
-    # exp(-r2 / (2 width^2)), in place
+        d2 = (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
+        r2 = np.add(r2, d2, out=samples.real if axis == grid.n - 1 else None)
     np.negative(r2, out=r2)
     r2 /= 2.0 * width ** 2
-    return _truncate_real(grid, np.exp(r2, out=r2), m_max)
+    np.exp(r2, out=r2)
+    return _truncate_real(grid, samples, m_max)
 
 
 def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
@@ -344,8 +355,9 @@ def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
         shift = wrap * P
         values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
                          - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
-    values = values.reshape((-1,) + (1,) * (grid.n - 1))
-    return _truncate_real(grid, np.broadcast_to(values, grid.sizes), m_max)
+    samples = np.zeros(grid.sizes, dtype=np.complex128)
+    samples.real = values.reshape((-1,) + (1,) * (grid.n - 1))
+    return _truncate_real(grid, samples, m_max)
 
 
 def pure_wave(grid, kvec):

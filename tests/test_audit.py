@@ -998,3 +998,22 @@ def test_band_sizes_are_measured_once_per_stream_and_p(monkeypatch):
     # pairs; in tuple 0 the step takes slot 2, its 6 draws and 4 pairs
     assert (draws, pairs) == (14 + 8, 9 + 5)
     assert len(calls) == pairs * bands
+
+
+def test_embedding_manifest_builds_no_lattice_modulus(monkeypatch):
+    # a 3-D 32^3 embedding audit reads |xi| on boxes only: the windows,
+    # plateaus, lacunary checks and band limiting of bumps and steps never
+    # build a grid's lattice-sized xi
+    from paraflux.grid import Grid
+
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    built = []
+    dense = Grid.xi
+    monkeypatch.setattr(Grid, "xi", property(
+        lambda self: built.append(self) or dense.fget(self)))
+    manifest = {"n": 3, "resolutions": [32], "embeddings": [
+        {"source": {"family": "B", "s": 1.5, "p": 1.0, "q": 1.0},
+         "target": {"family": "F", "s": 0.0, "p": 2.0, "q": 2.0}}]}
+    result = run_audit_manifest(manifest)
+    assert len(result.records) > 20
+    assert built == []

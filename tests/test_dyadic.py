@@ -71,10 +71,11 @@ def test_windows_and_cutoffs_on_non_cubic_and_period_pi_grids(grid):
 
 
 def test_system_holds_its_windows_and_modulus_only():
-    # a 3-D 128^3 system keeps each window on its box next to its grid's
-    # xi, far below the (jmax+1, *sizes) stack it would be on the lattice,
-    # and builds them with less than one grid-sized real array of
-    # transients; the modules are imported before tracing starts
+    # a 3-D 128^3 system keeps each window on its box, far below the
+    # (jmax+1, *sizes) stack it would be on the lattice, and builds them
+    # with less than one grid-sized real array of transients; its grid
+    # holds no lattice-sized xi; the modules are imported before tracing
+    # starts
     import tracemalloc
 
     tracemalloc.start()
@@ -87,6 +88,7 @@ def test_system_holds_its_windows_and_modulus_only():
     boxes = sum(w.nbytes for w in sys._windows)
     assert boxes < (sys.jmax + 1) * g.xi.nbytes / 8
     assert held <= boxes + g.xi.nbytes + 2 ** 20
+    assert held <= boxes + 2 ** 20
     assert held < 32 * 2 ** 20
     assert peak < 48 * 2 ** 20
     assert peak < held + g.xi.nbytes
@@ -442,3 +444,15 @@ def test_band_index_validation():
         delta_j(f, sys.jmax + 1, sys)
     with pytest.raises(ValueError):
         q_j(f, -1, sys)
+
+
+@pytest.mark.parametrize("sizes", [(64,), (32, 16), (16, 16, 32)])
+def test_window_read_at_a_point_is_the_spread_window(sizes):
+    # phi_j read from its box at a lattice index is the value window(j)
+    # holds there, on and off the box
+    g = Grid(len(sizes), sizes)
+    sys = build_dyadic_system(g)
+    for j in range(sys.jmax + 1):
+        w = sys.window(j)
+        got = np.array([sys._at(j, idx) for idx in np.ndindex(*sizes)])
+        assert got.reshape(sizes).tobytes() == w.tobytes()

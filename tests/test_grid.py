@@ -233,3 +233,50 @@ def test_field_constructors_take_contiguous_complex_arrays():
             assert not np.shares_memory(held, arg)
             assert not held.flags.writeable
             arg[0] = 1  # still the caller's
+
+
+@pytest.mark.parametrize("n, sizes, period", [
+    (1, (64,), 2 * math.pi), (2, (32, 32), 2 * math.pi),
+    (3, (32, 32, 32), 2 * math.pi), (3, (16, 32, 64), 2 * math.pi),
+    (2, (64, 32), math.pi)])
+def test_box_modulus_is_the_dense_formula(n, sizes, period):
+    # |xi| on any box of the lattice, corner views of several bounds
+    # included, is bitwise the dense meshgrid formula there, and computing
+    # it builds no lattice-sized xi
+    from paraflux.dyadic import _box_views
+
+    g = Grid(n, sizes, period)
+    mesh = np.meshgrid(*[np.fft.fftfreq(s, d=1.0 / s) for s in sizes],
+                       indexing="ij")
+    dense = (2.0 * math.pi / period) * np.sqrt(sum(m * m for m in mesh))
+    boxes = [(slice(None),) * n, tuple(slice(1, s - 3, 2) for s in sizes)]
+    for b in (0, 1, 3, 7, 8):
+        bounds = tuple(min(b, s // 2) for s in sizes)
+        boxes += [lattice for _, lattice in _box_views(bounds, sizes)]
+    for index in boxes:
+        got = g.xi_box(index)
+        assert got.shape == dense[index].shape
+        assert got.tobytes() == dense[index].tobytes()
+    assert g._xi is None
+    assert g.xi.tobytes() == dense.tobytes()
+    assert g.xi is g.xi
+
+
+@pytest.mark.parametrize("sizes", [(64,), (32, 16), (16, 32, 64)])
+def test_transforms_match_out_of_place_numpy(sizes):
+    # from_physical and physical write into one array, with the bits of
+    # numpy's out-of-place fftn and ifftn, for contiguous, strided and
+    # real input
+    rng = np.random.default_rng(7)
+    g = Grid(len(sizes), sizes)
+    shape = tuple(sizes)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    strided = np.repeat(values, 2, axis=-1)[..., ::2]
+    for arg in (values.copy(), strided, values.real.copy()):
+        want = np.fft.fftn(arg, norm="forward")
+        f = Field.from_physical(g, arg)
+        assert f.spectral.tobytes() == want.tobytes()
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = Field.from_spectral(g, coeffs.copy())
+    assert h.physical.tobytes() == np.fft.ifftn(coeffs,
+                                                norm="forward").tobytes()

@@ -548,3 +548,28 @@ def test_scaled_sources_match_generator_stacks(n, size):
             assert scaled[1](k, j).tobytes() == plain[1](k, j).tobytes()
     # the top band has no plateau point under the band limit
     assert zeros > 0
+
+
+def test_pi2_terms_hold_one_block_of_the_first_factor():
+    # the first tuple of `decompose --dim 3 --grid 64 --m 2` runs on a
+    # 96x64x64 lattice; the enumeration holds the blocks of factors
+    # 2..m, one accumulator per level and a few arrays of work (factor
+    # 1's block of the outer index, a term, a transform's output), not
+    # every block of factor 1 as well
+    import tracemalloc
+
+    g = build_grid(3, 64)
+    sys = build_dyadic_system(g)
+    fields = tuple_bank(g, sys, [(1.0, 2.0)] * 2, 811, 1)[0]
+    big = _product_sizes(fields)
+    assert big == (96, 64, 64)
+    padded = 16 * int(np.prod(big))
+    levels = sys.jmax + 1
+    tracemalloc.start()
+    try:
+        terms = pi2_direct_terms(fields, sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(terms) == list(range(levels))
+    assert peak < ((len(fields) - 1) * levels + levels + 4) * padded

@@ -287,20 +287,24 @@ def _meshgrid_bump_samples(grid, center, width):
 def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
     import paraflux.testbank
 
+    # the samples are written into the complex array that the truncation
+    # takes over, so the spy copies them as they are handed over
     g = build_grid(n, size)
     seen = []
     real = paraflux.testbank._truncate_real
     monkeypatch.setattr(paraflux.testbank, "_truncate_real",
-                        lambda grid, values, m_max: seen.append(values)
-                        or real(grid, values, m_max))
+                        lambda grid, a, m_max: seen.append(np.array(a))
+                        or real(grid, a, m_max))
     for center, width in (((1.0, 5.5, 0.3), 0.4), (None, 0.8)):
         center = None if center is None else center[:n]
         f = gaussian_bump(g, center, width)
         want = _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n if center is None else center, width)
         assert seen[-1].shape == g.sizes
-        assert seen[-1].tobytes() == want.tobytes()
-        assert f.spectral.tobytes() == real(g, want, 3).spectral.tobytes()
+        assert seen[-1].real.tobytes() == want.tobytes()
+        assert seen[-1].imag.tobytes() == bytes(seen[-1].imag.nbytes)
+        assert f.spectral.tobytes() == real(
+            g, want.astype(np.complex128), 3).spectral.tobytes()
 
 
 def _copying_truncation(grid, values, m_max=3):
@@ -315,29 +319,33 @@ def _copying_truncation(grid, values, m_max=3):
                                      (3, 64)])
 def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
     # the in-place truncation gives the bits of the copying one, residue
-    # beyond the band limit included, and leaves its input samples alone
+    # beyond the band limit included; the samples are handed over in a
+    # complex array with a zero imaginary part, which becomes the field's
     import paraflux.testbank
 
     g = build_grid(n, size)
-    seen = []
+    seen, fields = [], []
     real = paraflux.testbank._truncate_real
     monkeypatch.setattr(paraflux.testbank, "_truncate_real",
-                        lambda grid, values, m_max: seen.append(
-                            (values, np.array(values)))
-                        or real(grid, values, m_max))
+                        lambda grid, a, m_max: seen.append((a, np.array(a)))
+                        or real(grid, a, m_max))
     for width in (0.4, 0.8):
         want = _copying_truncation(g, _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n, width))
         got = gaussian_bump(g, width=width)
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
+        fields.append(got)
     for width in (0.25, 0.5):
         got = smoothed_step(g, width)
-        want = _copying_truncation(g, seen[-1][1])
+        want = _copying_truncation(g, seen[-1][1].real)
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
-    for values, before in seen:
-        assert values.tobytes() == before.tobytes()
+        fields.append(got)
+    assert len(seen) == len(fields)
+    for (a, before), f in zip(seen, fields):
+        assert before.imag.tobytes() == bytes(before.imag.nbytes)
+        assert f.physical is a
 
 
 def test_band_sizes_reuse_one_scratch(monkeypatch):
@@ -573,3 +581,40 @@ def test_materialize_refuses_a_system_on_another_grid(setup128):
     spec = spec_for("constant", build_grid(1, 64), value=1.0)
     with pytest.raises(ValueError, match="does not match"):
         materialize(spec, sys)
+
+
+def test_lacunary_refuses_an_off_plateau_frequency(setup128, monkeypatch):
+    # the plateau checks read the windows on their boxes and still refuse
+    # a frequency where phi_j is not exactly 1: k = 2^j + 1 lies on the
+    # transition shell of window j
+    import paraflux.testbank
+
+    g, sys = setup128
+    monkeypatch.setattr(paraflux.testbank, "plateau_frequency",
+                        lambda j, grid=None: 2 ** j + 1)
+    for j in (2, 3, 4):
+        with pytest.raises(ValueError, match="off the plateau of window %d"
+                           % j):
+            lacunary_field(g, {j: 1.0}, sys)
+    monkeypatch.undo()
+    f = lacunary_field(g, {j: 1.0 for j in range(sys.jmax + 1)}, sys)
+    assert sorted(f.amplitudes) == list(range(sys.jmax + 1))
+
+
+@pytest.mark.parametrize("build", [gaussian_bump, smoothed_step])
+def test_bump_and_step_build_in_two_lattice_arrays(build):
+    # a 64^3 bump or step is built in the complex array that becomes its
+    # samples, and the spectrum is the only other lattice-sized array: the
+    # build peaks at two complex lattice arrays plus 1 MiB
+    import tracemalloc
+
+    g = build_grid(3, 64)
+    lattice = 16 * g.npoints
+    tracemalloc.start()
+    try:
+        f = build(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.spectral.nbytes == f.physical.nbytes == lattice
+    assert peak <= 2 * lattice + 2 ** 20
