@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from paraflux import (build_dyadic_system, build_grid, decompose, lp_norm,
-                      standard_bank)
+from paraflux import (bank_specs, build_dyadic_system, build_grid, decompose,
+                      lp_norm, materialize)
 
 g = build_grid(1, 128)
 sys = build_dyadic_system(g)
@@ -21,8 +21,8 @@ print("partition deviation on the resolved region: %.3g"
 
 # decompose a smoothed step and look at where the energy sits; the blocks
 # come back as one array of samples, band index first
-bank = {e.name: e.field for e in standard_bank(g, sys)}
-f = bank["smoothed-step[w=0.25]"]
+recipes = dict(bank_specs(g))
+f = materialize(recipes["smoothed-step[w=0.25]"], sys)
 blocks = decompose(f, sys)
 
 print("\nper-block L2 mass of a smoothed step:")

@@ -1,7 +1,7 @@
 """Check multiplication hypotheses and measure the bound on real fields."""
 
 from paraflux import (build_dyadic_system, build_grid,
-                      check_theorem_hypotheses, tuple_bank)
+                      check_theorem_hypotheses, tuple_fields)
 from paraflux.audit import audit_multiplication
 
 params = [(0.4, 2.0), (1.0, 2.0)]
@@ -15,7 +15,7 @@ print("admissible 1/p interval: (%g, %g%s" % (lo, hi, "]" if closed else ")"))
 
 g = build_grid(1, 128)
 sys = build_dyadic_system(g)
-tuples = tuple_bank(g, sys, params, seed=23, count=6)
+tuples = [tuple_fields(g, sys, params, 23, t) for t in range(6)]
 
 sweep = audit_multiplication(params, q, "positive", tuples, sys)
 print("\naudit over %d tuples:" % len(tuples))

@@ -1,14 +1,15 @@
 """Split a pointwise product into its frequency-interaction pieces."""
 
-from paraflux import (build_dyadic_system, build_grid, decompose_product,
-                      enumerate_pi2_direct, standard_bank, verify_supports)
+from paraflux import (bank_specs, build_dyadic_system, build_grid,
+                      decompose_product, enumerate_pi2_direct, materialize,
+                      verify_supports)
 
 g = build_grid(1, 128)
 sys = build_dyadic_system(g)
-bank = {e.name: e.field for e in standard_bank(g, sys)}
+recipes = dict(bank_specs(g))
 
-f = bank["smoothed-step[w=0.25]"]
-h = bank["random-band[s=1,p=2]"]
+f = materialize(recipes["smoothed-step[w=0.25]"], sys)
+h = materialize(recipes["random-band[s=1,p=2]"], sys)
 
 pd = decompose_product([f, h], sys)
 print("factors: smoothed step x random band, gap N=%d" % pd.gap)

@@ -23,17 +23,16 @@ from .paraproduct import (ProductDecomposition, SupportReport,
                           dealiased_product, decompose_product,
                           dump_decomposition, enumerate_pi2_direct, min_gap,
                           verify_supports)
-from .testbank import (BankEntry, GeneratorSpec, band_limit, bank_specs,
+from .testbank import (GeneratorSpec, band_limit, bank_specs,
                        constant_field, gaussian_bump, lacunary_field,
                        materialize, plateau_frequency, pure_wave,
                        random_band_field, smoothed_step, spec_for,
-                       standard_bank, tuple_bank, tuple_fields,
-                       tuple_specs)
+                       tuple_fields, tuple_specs)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditRecord", "BankEntry", "DyadicSystem",
+    "AuditRecord", "DyadicSystem",
     "Field", "GeneratorSpec", "Grid", "HypothesisReport", "INF",
     "ProductDecomposition", "SpaceSpec", "SupportReport", "SweepResult",
     "audit_embedding", "audit_multiplication", "band_limit", "bank_specs",
@@ -49,7 +48,7 @@ __all__ = [
     "random_band_field", "read_field", "run_audit_manifest",
     "sequence_norm", "smooth_cutoff", "smoothed_step", "space_norms",
     "spec_for",
-    "standard_bank", "triebel_norm", "tuple_bank", "tuple_fields",
+    "triebel_norm", "tuple_fields",
     "tuple_specs",
     "verify_supports",
     "write_field",

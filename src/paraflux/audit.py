@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 
 from ._parallel import map_ordered, per_worker
-from .dyadic import (_bands, _blocks, _decompose_into, build_dyadic_system,
-                     decompose, q_j)
+from .dyadic import (_axis_bounds, _bands, _box_views, _decompose_into,
+                     build_dyadic_system, decompose, q_j, smooth_cutoff)
 from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
@@ -29,8 +28,8 @@ from .norms import (INF, SpaceSpec, _band_norms, _ex, _ex_json, _norm_work,
                     triebel_norm)
 from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
                           _split_product, _support_radius)
-from .testbank import (GeneratorSpec, _draw_random_band, _random_bands,
-                       bank_specs, materialize, tuple_specs)
+from .testbank import (_item_bands, _item_stack, bank_specs, materialize,
+                       tuple_specs)
 
 __all__ = [
     "AuditRecord", "SweepResult", "hardy_bound", "check_hardy",
@@ -291,14 +290,19 @@ def envelope_field(grid, gamma, profile=None):
     Growing gamma refines the sampling of the same envelope, the discrete
     analogue of dilation: the Nikolskii ratio must stabilize as gamma grows.
     The default envelope reuses the smooth cutoff profile, C(t) =
-    psi(3t/2): identically 1 up to t = 2/3, zero from t = 1.
+    psi(3t/2): identically 1 up to t = 2/3, zero from t = 1.  C is read
+    pointwise on the box that holds |xi| <= gamma only.
     """
     if profile is None:
-        from .dyadic import smooth_cutoff
         psi = smooth_cutoff()
         profile = lambda t: psi(1.5 * t)
-    coeffs = profile(grid.xi / float(gamma)).astype(np.complex128)
-    coeffs[grid.xi > gamma] = 0.0
+    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    for _, lattice in _box_views(_axis_bounds(grid, gamma, closed=True),
+                                 grid.sizes):
+        xi = grid.xi_box(lattice)
+        part = coeffs[lattice]
+        part[...] = profile(xi / float(gamma))
+        part[xi > gamma] = 0.0
     return Field.from_spectral(grid, coeffs)
 
 
@@ -557,33 +561,14 @@ def _check_embedding(pair, n, mode):
                          % ", ".join(report.failed()))
 
 
-def _item_bands(item, sys, out, scratch):
-    """The blocks of item, a recipe or a Field, as `dyadic._bands` yields
-    them into out: a random-band recipe's from its generator
-    (`testbank._random_bands`, with the real grid-sized scratch), any other
-    item's windowed from its field."""
-    if isinstance(item, GeneratorSpec):
-        if item.kind == "random-band":
-            return _random_bands(item, sys, out, scratch)
-        item = materialize(item, sys)
-    return _bands(item, sys, out)
+def _embedding_sweeps(pairs, bank, sys):
+    """One SweepResult per (source, target) pair over bank, a list of
+    (name, item) pairs as `bank_specs` gives them.
 
-
-def _field_and_stack(item, sys, out):
-    """(field, block stack in out) of a multiplication item not drawn from
-    a random-band stream: a recipe built with `materialize`, or a Field."""
-    if isinstance(item, GeneratorSpec):
-        item = materialize(item, sys)
-    return item, _decompose_into(item, sys, out)
-
-
-def _embedding_sweeps(pairs, count, build, sys):
-    """One SweepResult per (source, target) pair over `count` fields.
-
-    Field i is build(i) -> (name, item), a recipe or a Field, which the
-    worker that measures it streams band by band (`_item_bands`) through
-    one pass of `norms._band_norms`, for every distinct spec of every pair,
-    in its own grid-sized buffers; no block stack is made.
+    An item, a recipe or a Field, is streamed band by band by the worker
+    that measures it (`testbank._item_bands`) through one pass of
+    `norms._band_norms`, for every distinct spec of every pair, in its own
+    grid-sized buffers; no block stack is made.
     """
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     n = sys.grid.n
@@ -591,8 +576,8 @@ def _embedding_sweeps(pairs, count, build, sys):
         np.empty(sys.grid.sizes, dtype=np.complex128),
         _norm_work(specs, sys.grid.sizes)))
 
-    def run(i):
-        name, item = build(i)
+    def run(entry):
+        name, item = entry
         band, work = workspace()
         # work[0] holds a band's magnitudes only while `_band_norms` reads
         # that band, so the generator takes the next band's there too
@@ -605,7 +590,7 @@ def _embedding_sweeps(pairs, count, build, sys):
              "target": target.label(), "n": n},
             values[target], values[source]) for source, target in pairs]
 
-    rows = map_ordered(run, range(count))
+    rows = map_ordered(run, bank)
     return [SweepResult([row[k] for row in rows], {
         "kind": "embedding",
         "pair": [source.label(), target.label()],
@@ -617,15 +602,13 @@ def audit_embedding(pair, bank, sys, mode=None):
     """Measured norm_target / norm_source over a field bank.
 
     Refuses to run when the hypothesis report is unsatisfied, naming the
-    failed conditions.  bank entries may be BankEntry or plain Fields.  A
-    BankEntry is measured through its recipe, as `run_audit_manifest`
-    measures it, and a Field band by band; both norms come from the one
-    pass over its blocks.
+    failed conditions.  bank is a list of (name, item) pairs, as
+    `bank_specs` gives them, each item a recipe or a Field; a recipe is
+    measured as `run_audit_manifest` measures it, and both norms come from
+    the one pass over an item's blocks.
     """
     _check_embedding(pair, sys.grid.n, mode)
-    items = [(getattr(e, "name", "field-%d" % i), getattr(e, "spec", e))
-             for i, e in enumerate(bank)]
-    return _embedding_sweeps([pair], len(items), items.__getitem__, sys)[0]
+    return _embedding_sweeps([pair], bank, sys)[0]
 
 
 def _check_multiplication(params, q, mode, grid, N=None, p=None):
@@ -667,43 +650,42 @@ def audit_multiplication(params, q, mode, tuples, sys, N=None, p=None):
     is refused with ValueError: Pi_1 would have no band terms there.
     """
     p = _check_multiplication(params, q, mode, sys.grid, N, p)
-    tuples = list(tuples)
-    mset = _MultSet(params, q, mode, len(tuples), N, p)
-    return _multiplication_sweep([mset], lambda k, t: tuples[t], sys)[0]
+    mset = _MultSet(params, q, mode, list(tuples), N, p)
+    return _multiplication_sweep([mset], sys)[0]
 
 
 class _MultSet(NamedTuple):
-    """A multiplication set as the sweep runs it: count tuples, the gap N
-    (None for the minimum) and the integrability p it was checked with."""
+    """A multiplication set as the sweep runs it: its tuples, each one
+    recipe or Field per slot, the gap N (None for the minimum) and the
+    integrability p it was checked with."""
 
     params: list
     q: float
     mode: str
-    count: int
+    tuples: list
     N: int
     p: float
 
 
-def _multiplication_sweep(sets, build, sys):
+def _multiplication_sweep(sets, sys):
     """One sweep over the tuple index for every multiplication set at one
     resolution: one SweepResult per set, as `audit_multiplication` gives it.
 
     sets holds a `_MultSet` for each set that `_check_multiplication` has
     passed on this grid, with the p it returned; `run_audit_manifest`
     checks every set at every resolution before any field is built and then
-    calls this once per resolution.  Set k's tuple t is build(k, t), one
-    recipe or Field per slot.
+    calls this once per resolution.  Set k's tuple t is sets[k].tuples[t].
 
     The worker that takes index t serves every set that has a tuple t, and
     each distinct item of those tuples gets one stack in the worker's
-    buffers.  A random-band recipe's stack holds the unit band samples U_j
-    of the stream it draws from (`testbank._draw_random_band`), built once
-    for every set, and each set takes the field and the band scales c_j of
-    its own targets (s, p), so Delta_j f = c_j U_j is written only where it
-    is read: the first factor's into the product stack, and for f2..fm
-    band by band into the B-norm's and the split's work arrays
+    buffers (`testbank._item_stack`).  A random-band recipe's stack holds
+    the unit band samples U_j of the stream it draws from, built once for
+    every set, and each set takes the field and the band scales c_j of its
+    own targets (s, p), so Delta_j f = c_j U_j is written only where it is
+    read: the first factor's into the product stack, and for f2..fm band
+    by band into the B-norm's and the split's work arrays
     (`paraproduct._stack_sources`).  Any other item is built and
-    decomposed once (`_field_and_stack`).  Each set's tuple then runs its
+    decomposed once.  Each set's tuple then runs its
     two passes, f1 and 1000 f1, in `_tuple_records`, from one set of
     per-factor facts: the second pass takes the blocks of 1000 f1 as 1000
     times those of f1, with no decomposition, and its drift from the first
@@ -712,7 +694,7 @@ def _multiplication_sweep(sets, build, sys):
     `besov_norm`: bitwise for the product and the right side of the first
     pass, at rounding level for Pi_1, Pi_2 and the second pass; random-band
     recipes move the norms at rounding level too, and give the bits of the
-    generator's blocks (`testbank._random_bands`).
+    generator's blocks (`testbank._item_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
     # a set's two F specs share one key (s1, q), which either may need:
@@ -740,32 +722,21 @@ def _multiplication_sweep(sets, build, sys):
 
     def run(t):
         buf = workspace()
-        streams, built = {}, {}
+        cache = {}
 
         def new_stack():
-            used = len(streams) + len(built)
+            used = len(cache)
             if used == len(buf["items"]):
                 buf["items"].append(np.empty(stack, dtype=np.complex128))
             return buf["items"][used]
 
-        def factor(item):
-            # (field, stack, scales): scales None for a stack of blocks
-            if isinstance(item, GeneratorSpec) and item.kind == "random-band":
-                # f_work is free until the tuple's records are made
-                return _draw_random_band(item, sys, streams, new_stack,
-                                         buf["f_work"][0])
-            # a Field is its own key, kept alive with its entry
-            key = item.to_json() if isinstance(item, GeneratorSpec) \
-                else id(item)
-            if key not in built:
-                built[key] = _field_and_stack(item, sys, new_stack())
-            return built[key] + (None,)
+        # f_work is free until the tuple's records are made
+        return [_tuple_records(mset, t, [
+            _item_stack(item, sys, cache, new_stack, buf["f_work"][0])
+            for item in mset.tuples[t]], buf, sys)
+            if t < len(mset.tuples) else [] for mset in sets]
 
-        return [_tuple_records(mset, t, [factor(item) for item in build(k, t)],
-                               buf, sys)
-                if t < mset.count else [] for k, mset in enumerate(sets)]
-
-    nested = map_ordered(run, range(max(mset.count for mset in sets)))
+    nested = map_ordered(run, range(max(len(mset.tuples) for mset in sets)))
     return [SweepResult([r for group in nested for r in group[k]], {
         "kind": "multiplication", "mode": mset.mode, "p": mset.p,
         "q": _ex_json(mset.q),
@@ -794,7 +765,7 @@ def _tuple_records(mset, t, factors, buf, sys):
     side and feeds `paraproduct._split_product`, which forms the product
     from the samples of the pass's first factor times those of f2..fm.
     The product is decomposed into that stack, and Pi_1 band by band
-    (`dyadic._blocks`), each of its blocks taken from the product's, which
+    (`dyadic._bands`), each of its blocks taken from the product's, which
     leaves Pi_2's stack.  The scaling check compares the ratios of the two
     passes.  Since 1000 is not a power of two, the scaled blocks and the
     product of 1000 f1 round apart from 1000 times those of f1, so the
@@ -823,9 +794,10 @@ def _tuple_records(mset, t, factors, buf, sys):
 
     def pi1_blocks(pi1, total):
         # Delta_j Pi_1 band by band, each taken from total[j] first, so
-        # that total ends as Pi_2's stack
-        for block, part in zip(total, _blocks(pi1, sys, work[0])):
-            block -= part
+        # that total ends as Pi_2's stack; an all-zero band takes nothing
+        for block, part in zip(total, _bands(pi1, sys, work[0])):
+            if part is not None:
+                block -= part
             yield part
 
     b_norms = [lq_of_lp(blocks(i), s, pi, INF)
@@ -1030,11 +1002,16 @@ def run_audit_manifest(manifest):
         "kind": "audit", "n": n, "resolutions": resolutions, "seed": seed,
     })
 
-    pairs = []
+    # gates: per sweep, the pairs' and then the sets', the prefix of its
+    # records, its stability row and that row's inputs
+    pairs, gates = [], []
     for item in manifest.get("embeddings", []):
         pair = (SpaceSpec(**item["source"]), SpaceSpec(**item["target"]))
         _check_embedding(pair, n, item.get("mode"))
         pairs.append(pair)
+        labels = [side.label() for side in pair]
+        gates.append(("embedding", "embedding-stability[%s->%s]"
+                      % tuple(labels), {"pair": labels}))
 
     grids = [build_grid(n, size) for size in resolutions]
     sets = []
@@ -1046,18 +1023,20 @@ def run_audit_manifest(manifest):
         ps = [_check_multiplication(params, q, item["mode"], grid,
                                     item.get("gap"), p) for grid in grids]
         sets.append((item, params, q, ps))
+        gates.append(("mult-total", "mult-stability[%s,m=%d]"
+                      % (item["mode"], len(params)),
+                      {"mode": item["mode"], "params": item["params"]}))
 
-    # by_size[i][k]: pair k at resolution i; mult_by_size[i][k]: set k
-    by_size, mult_by_size = [], []
+    # by_size[i][k]: sweep k at resolution i
+    by_size = []
     for i, grid in enumerate(grids if pairs or sets else ()):
-        msets = [_MultSet(params, q, item["mode"], item.get("tuples", 6),
-                          item.get("gap"), ps[i])
-                 for item, params, q, ps in sets]
-        embeddings, products = _resolution_sweeps(pairs, msets, grid, seed)
-        by_size.append(embeddings)
-        mult_by_size.append(products)
+        msets = [_MultSet(params, q, item["mode"], [
+            tuple_specs(grid, params, seed, t)
+            for t in range(item.get("tuples", 6))], item.get("gap"), ps[i])
+            for item, params, q, ps in sets]
+        by_size.append(_resolution_sweeps(pairs, msets, grid, seed))
 
-    for k, (source, target) in enumerate(pairs):
+    for k, (prefix, name, inputs) in enumerate(gates):
         maxima = []
         for size, sweeps in zip(resolutions, by_size):
             sweep = sweeps[k]
@@ -1065,26 +1044,9 @@ def run_audit_manifest(manifest):
                 r.inputs = dict(r.inputs, size=size)
                 r.name += "[size=%d]" % size
             combined.extend(sweep.records)
-            maxima.append(sweep.max_ratio("embedding"))
+            maxima.append(sweep.max_ratio(prefix))
         combined.records.append(_stability_record(
-            "embedding-stability[%s->%s]" % (source.label(), target.label()),
-            {"pair": [source.label(), target.label()],
-             "resolutions": resolutions}, maxima))
-
-    for k, (item, params, _, _) in enumerate(sets):
-        mode = item["mode"]
-        maxima = []
-        for size, sweeps in zip(resolutions, mult_by_size):
-            sweep = sweeps[k]
-            for r in sweep.records:
-                r.inputs = dict(r.inputs, size=size)
-                r.name += "[size=%d]" % size
-            combined.extend(sweep.records)
-            maxima.append(sweep.max_ratio("mult-total"))
-        combined.records.append(_stability_record(
-            "mult-stability[%s,m=%d]" % (mode, len(params)),
-            {"mode": mode, "params": item["params"],
-             "resolutions": resolutions}, maxima))
+            name, dict(inputs, resolutions=resolutions), maxima))
 
     verdicts = [r.verdict for r in combined.records]
     combined.meta["verdicts"] = {
@@ -1096,15 +1058,11 @@ def run_audit_manifest(manifest):
 def _resolution_sweeps(pairs, msets, grid, seed):
     """The embedding sweeps of pairs and the multiplication sweep of msets
     at one resolution, on a dyadic system built here and freed on return:
-    ([SweepResult per pair], [SweepResult per set])."""
+    one SweepResult per pair, then one per set."""
     sys = build_dyadic_system(grid)
-    embeddings = products = []
+    sweeps = []
     if pairs:
-        recipes = bank_specs(grid, seed=seed)
-        embeddings = _embedding_sweeps(pairs, len(recipes),
-                                       recipes.__getitem__, sys)
+        sweeps += _embedding_sweeps(pairs, bank_specs(grid, seed=seed), sys)
     if msets:
-        products = _multiplication_sweep(
-            msets, lambda k, t: tuple_specs(grid, msets[k].params, seed, t),
-            sys)
-    return embeddings, products
+        sweeps += _multiplication_sweep(msets, sys)
+    return sweeps

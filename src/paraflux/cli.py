@@ -21,7 +21,7 @@ from .grid import build_grid
 from .norms import SpaceSpec, _ex_json, space_norms
 from .paraproduct import _checked_gap, decompose_product, dump_decomposition
 from .testbank import (GeneratorSpec, _check_spec, bank_specs, materialize,
-                       pure_wave, spec_for, tuple_bank)
+                       pure_wave, spec_for, tuple_fields)
 
 __all__ = ["main"]
 
@@ -64,10 +64,12 @@ def _load_field(path, grid=None):
 
 def _check_resolved_wave(sys_, k):
     """Refuse the wave exp(i k x_1) unless cutoff(jmax), the sum of the
-    windows, is exactly 1.0 at it: beyond, its norms would be vacuous."""
-    axis = sys_.cutoff(sys_.jmax)[(slice(None),) + (0,) * (sys_.grid.n - 1)]
-    if axis[k % axis.size] != 1.0:
-        largest = max(K for K in range(axis.size // 2) if axis[K] == 1.0)
+    windows, is exactly 1.0 at it: beyond, its norms would be vacuous.
+    It is read on axis 1 of its box, k = 0..b then -b..-1, and is 0 off it."""
+    axis = sys_._low(sys_.jmax)[(slice(None),) + (0,) * (sys_.grid.n - 1)]
+    b = axis.size // 2
+    if abs(k) > b or axis[k] != 1.0:
+        largest = max(K for K in range(b + 1) if axis[K] == 1.0)
         raise ConfigError("wave %d lies outside the partition region of this "
                           "grid, where the windows sum to 1; the largest |K| "
                           "accepted is %d" % (k, largest))
@@ -152,7 +154,7 @@ def cmd_decompose(args):
         fields = [_load_field(path, grid) for path in args.infile]
     else:
         params = [(1.0, 2.0)] * m
-        fields = list(tuple_bank(grid, sys_, params, args.seed, 1)[0])
+        fields = list(tuple_fields(grid, sys_, params, args.seed, 0))
     pd = decompose_product(fields, sys_, gap)
     report = dump_decomposition(pd, sys_, args.out, bands=args.dump_bands)
 

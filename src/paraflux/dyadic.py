@@ -328,8 +328,3 @@ def _confined_ifftn(values, bounds, norm):
             np.fft.ifft(view, axis=axis, out=view, norm=norm)
     return values
 
-
-def _blocks(f, sys, out):
-    """`_bands`, with out yielded for an all-zero block too."""
-    for _ in _bands(f, sys, out):
-        yield out

@@ -13,7 +13,7 @@ field's blocks, lowest band first: the slices of a block stack as
 `dyadic.decompose` gives it, or bands streamed one at a time through one
 grid-sized array, with None for a band that is exactly zero.  Fields are
 streamed by `dyadic._bands`, and in the embedding audit a random-band
-recipe by its generator (`testbank._random_bands`), whose blocks agree with
+recipe by its generator (`testbank._item_bands`), whose blocks agree with
 `decompose` to rounding.
 
 Two shortcuts keep the kernels off numpy's generic pow:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -509,13 +509,7 @@ class SupportReport:
     claimed_pass_rate: float
 
     def to_dict(self):
-        return {
-            "tol": self.tol,
-            "band_entries": self.band_entries,
-            "pi2_entries": self.pi2_entries,
-            "hard_all_pass": self.hard_all_pass,
-            "claimed_pass_rate": self.claimed_pass_rate,
-        }
+        return asdict(self)
 
 
 _SLACK = 1.0 + 1e-9

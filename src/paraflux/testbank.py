@@ -9,16 +9,19 @@ makes their Besov/Triebel norms available in closed form.
 
 The standard bank is one list of GeneratorSpec recipes (`bank_specs`), as
 is each multiplication tuple (`tuple_specs`), and `materialize` builds a
-recipe's field where a sweep measures it.  A random-band field's blocks
-are the band samples its generator computes anyway to normalise each
-band, so the audits do not transform them a second time: they are the
-unit band samples U_j of the recipe's stream (grid, seed, m_max), which
-`_unit_bands` builds, times the band scales c_j of its targets (s, p).
-The embedding audit streams them band by band (`_random_bands`), without
-building the field.  The multiplication audit draws every recipe of a
-tuple index from one set of streams (`_draw_random_band`), since slot i of
-tuple t has the same seed in every parameter set: it builds each stream
-once, measures its bands once per exponent p, and keeps U_j and c_j apart.
+recipe's field where a sweep measures it.  The audits take the blocks of
+an item, a recipe or a Field, from this module only.  A random-band
+field's blocks are the band samples its generator computes anyway to
+normalise each band, so they are not transformed a second time: they are
+the unit band samples U_j of the recipe's stream (grid, seed, m_max),
+which `_unit_bands` builds, times the band scales c_j of its targets
+(s, p); any other item's are windowed from its field.  The embedding
+audit streams them band by band (`_item_bands`), without building a
+random-band field.  The multiplication audit takes every item of a tuple
+index as one stack (`_item_stack`), drawn from one set of streams, since
+slot i of tuple t has the same seed in every parameter set: it builds
+each stream once, measures its bands once per exponent p, and keeps U_j
+and c_j apart.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import DyadicSystem, _axis_bounds, _box_views, _confined_ifftn
+from .dyadic import (DyadicSystem, _axis_bounds, _bands, _box_views,
+                     _confined_ifftn, _decompose_into)
 from .grid import Field, Grid
 from .norms import _power, sequence_norm
 
 __all__ = [
     "GeneratorSpec", "materialize", "plateau_frequency", "lacunary_field",
     "LacunaryField", "random_band_field", "gaussian_bump", "smoothed_step",
-    "pure_wave", "constant_field", "bank_specs", "standard_bank",
-    "BankEntry", "band_limit", "tuple_bank", "tuple_fields",
+    "pure_wave", "constant_field", "bank_specs", "band_limit",
+    "tuple_fields",
 ]
 
 DEFAULT_MAX_ARITY = 3
@@ -205,30 +209,6 @@ def _band_scales(grid, s, p, bands, sizes=None):
     if not any(scales):
         raise ValueError(_NO_PLATEAU)
     return Field.from_spectral(grid, coeffs.reshape(grid.sizes)), scales
-
-
-def _random_bands(spec, sys, out, scratch):
-    """The blocks Delta_j f = c_j U_j of the random-band recipe spec on
-    sys, as `dyadic._bands` yields a field's, without building the field:
-    the scales of `_band_scales` applied in place to the unit samples.
-
-    Each band's magnitudes are taken into scratch, a real array of the
-    grid's shape, which holds nothing between bands."""
-    grid = _spec_grid(spec, sys)
-    params = spec.params
-    live = False
-    for j, (points, _, values) in enumerate(_unit_bands(
-            grid, params["seed"], sys,
-            params.get("m_max", DEFAULT_MAX_ARITY), out)):
-        if points is None:
-            yield None
-            continue
-        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(
-            np.abs(values, out=scratch), params["p"])
-        live = True
-        yield values
-    if not live:
-        raise ValueError(_NO_PLATEAU)
 
 
 # Cephes erf (Moshier), as scipy.special.erf evaluates it: a rational in x^2
@@ -506,28 +486,63 @@ def materialize(spec, sys=None):
     return constant_field(grid, params.get("value", 1.0))
 
 
-def _draw_random_band(spec, sys, streams, new_stack, scratch):
-    """A random-band recipe's field on sys, with its blocks as unit samples
-    and band scales: (field, units, scales), Delta_j f = scales[j] units[j].
+def _item_bands(item, sys, out, scratch):
+    """The blocks of an audit item, a recipe or a Field, as `dyadic._bands`
+    yields a field's into out: a random-band recipe's c_j U_j from its
+    generator, without building the field, each band's magnitudes taken
+    into scratch, a real array of the grid's shape; any other item's
+    windowed from its field."""
+    if isinstance(item, GeneratorSpec) and item.kind != "random-band":
+        item = materialize(item, sys)
+    if not isinstance(item, GeneratorSpec):
+        yield from _bands(item, sys, out)
+        return
+    grid = _spec_grid(item, sys)
+    params = item.params
+    live = False
+    for j, (points, _, values) in enumerate(_unit_bands(
+            grid, params["seed"], sys,
+            params.get("m_max", DEFAULT_MAX_ARITY), out)):
+        if points is None:
+            yield None
+            continue
+        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(
+            np.abs(values, out=scratch), params["p"])
+        live = True
+        yield values
+    if not live:
+        raise ValueError(_NO_PLATEAU)
 
-    The recipe draws from the stream (seed, m_max) on sys.grid.  streams
-    maps each stream already drawn to its units, its `_unit_bands` items
-    and the band sizes L_p(U_j) of each p drawn so far; a stream not yet in
-    it is built into new_stack(), a complex array of shape (jmax+1, *sizes),
-    and added, so recipes that differ only in their targets (s, p) share
-    one set of transforms, and those that share p one set of sizes.  The
-    field is bitwise that of `materialize`, and the blocks c_j U_j those
-    of `_random_bands`.  The band sizes are measured on magnitudes taken
-    into scratch, a real array of the grid's shape.
+
+def _item_stack(item, sys, cache, new_stack, scratch):
+    """(field, stack, scales) of an audit item on sys: Delta_j f = scales[j]
+    stack[j] for a random-band recipe, whose stack holds the unit samples
+    U_j of its stream (seed, m_max), and stack[j] for any other item, whose
+    field is decomposed into its stack, with scales None.
+
+    cache maps a stream to its units, its `_unit_bands` items and the band
+    sizes L_p(U_j) of each p drawn so far (measured in scratch, a real
+    array of the grid's shape), and another recipe (by its JSON) or a Field
+    (by its id, the entry keeping it alive) to its result.  A new entry's
+    stack is new_stack(), so recipes that differ only in their targets
+    (s, p) share one set of transforms, and those that share p one set of
+    sizes.  The field is bitwise that of `materialize`.
     """
-    grid = _spec_grid(spec, sys)
-    params = spec.params
+    recipe = isinstance(item, GeneratorSpec)
+    if not recipe or item.kind != "random-band":
+        key = item.to_json() if recipe else id(item)
+        if key not in cache:
+            field = materialize(item, sys) if recipe else item
+            cache[key] = field, _decompose_into(field, sys, new_stack()), None
+        return cache[key]
+    grid = _spec_grid(item, sys)
+    params = item.params
     key = (params["seed"], params.get("m_max", DEFAULT_MAX_ARITY))
-    if key not in streams:
+    if key not in cache:
         units = new_stack()
-        bands = list(_unit_bands(grid, key[0], sys, key[1], units))
-        streams[key] = units, bands, {}
-    units, bands, sizes = streams[key]
+        cache[key] = units, list(_unit_bands(grid, key[0], sys, key[1],
+                                              units)), {}
+    units, bands, sizes = cache[key]
     p = params["p"]
     if p not in sizes:
         sizes[p] = [None if points is None
@@ -535,13 +550,6 @@ def _draw_random_band(spec, sys, streams, new_stack, scratch):
                     for points, _, values in bands]
     field, scales = _band_scales(grid, params["s"], p, bands, sizes[p])
     return field, units, scales
-
-
-@dataclass
-class BankEntry:
-    name: str
-    field: Field
-    spec: GeneratorSpec
 
 
 def bank_specs(grid, m_max=DEFAULT_MAX_ARITY, seed=811):
@@ -590,13 +598,6 @@ def bank_specs(grid, m_max=DEFAULT_MAX_ARITY, seed=811):
     return recipes
 
 
-def standard_bank(grid, sys, m_max=DEFAULT_MAX_ARITY, seed=811):
-    """The fixed field collection every sweep runs over (>= 20 entries):
-    each recipe of `bank_specs`, built on sys.grid."""
-    return [BankEntry(name, materialize(spec, sys), spec)
-            for name, spec in bank_specs(grid, m_max, seed)]
-
-
 def _tuple_slot(grid, params, seed, t, i):
     s, p = params[i]
     return spec_for("random-band", grid, s=s,
@@ -605,7 +606,8 @@ def _tuple_slot(grid, params, seed, t, i):
 
 
 def tuple_specs(grid, params, seed, t):
-    """The recipes of tuple t of `tuple_bank`, one per slot.
+    """The recipes of tuple t for a theorem parameter list [(s_i, p_i)],
+    one per slot.
 
     Slot i is a random-band field from the stream [seed, t, i], whatever
     its targets (s_i, p_i), so tuples of different parameter lists share
@@ -621,8 +623,7 @@ def tuple_specs(grid, params, seed, t):
 
 
 def tuple_fields(grid, sys, params, seed, t):
-    """Tuple t of `tuple_bank`, built on its own: the fields of
-    `tuple_specs` on sys.grid.
+    """Tuple t built: the fields of `tuple_specs` on sys.grid.
 
     Tuple 0 still draws, and drops, the random field of slot 2 that its
     step replaces.  Skipping the draw would change no field, but it would
@@ -634,9 +635,3 @@ def tuple_fields(grid, sys, params, seed, t):
         materialize(_tuple_slot(grid, params, seed, t, 1), sys)
     return tuple(materialize(spec, sys)
                  for spec in tuple_specs(grid, params, seed, t))
-
-
-def tuple_bank(grid, sys, params, seed, count):
-    """Random m-tuples matched to a theorem parameter list [(s_i, p_i)]:
-    tuples 0..count-1 of `tuple_fields`."""
-    return [tuple_fields(grid, sys, params, seed, t) for t in range(count)]

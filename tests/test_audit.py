@@ -10,8 +10,8 @@ from paraflux import (INF, Field, SpaceSpec, audit_embedding,
                       build_grid, check_hardy, check_maximal_qsup,
                       check_nikolskii, constant_field, decompose,
                       decompose_product, hardy_bound, lemma_suite, lp_norm,
-                      pure_wave, run_audit_manifest, standard_bank,
-                      triebel_norm, tuple_bank, tuple_specs)
+                      materialize, pure_wave, run_audit_manifest,
+                      triebel_norm, tuple_fields, tuple_specs)
 from paraflux.audit import (check_delta_lt, check_qj_lp, check_qj_lt,
                             envelope_field, hardy_exhaustive_search,
                             hardy_random_sweep, nikolskii_scaling,
@@ -113,6 +113,41 @@ def test_envelope_field_dilation(setup128):
     assert mag[g.xi <= 8.0 * 2.0 / 3.0].min() > 0.99
 
 
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32), (3, 64)])
+def test_envelope_field_is_the_lattice_formula(n, size):
+    # the profile read on the box that holds |xi| <= gamma gives the bits
+    # of the formula on the whole lattice, and the grid's lattice |xi| is
+    # never made
+    from paraflux.dyadic import smooth_cutoff
+
+    psi = smooth_cutoff()
+    g = build_grid(n, size)
+    xi = build_grid(n, size).xi
+    for gamma in (8.0, 16.0, 32.0):
+        got = envelope_field(g, gamma).spectral
+        assert g._xi is None
+        want = psi(1.5 * (xi / gamma)).astype(complex)
+        want[xi > gamma] = 0.0
+        assert got.tobytes() == want.tobytes(), gamma
+
+
+@pytest.mark.parametrize("gamma", [8.0, 16.0, 32.0])
+def test_envelope_field_peaks_at_its_coefficients(gamma):
+    # at 64^3 the build holds the coefficient array and the profile's
+    # temporaries on one corner view of the box: below one complex lattice
+    # array plus 2 MiB
+    import tracemalloc
+
+    g = build_grid(3, 64)
+    tracemalloc.start()
+    try:
+        envelope_field(g, gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.npoints + 2 ** 21
+
+
 def test_nikolskii_scaling_gate(setup128):
     g, _ = setup128
     records = nikolskii_scaling(g, 1.0, INF)
@@ -156,7 +191,7 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
     import paraflux.norms
 
     g, sys = setup128
-    bank = {e.name: e.field for e in standard_bank(g, sys)}
+    bank = {name: materialize(spec, sys) for name, spec in bank_specs(g)}
     combos = [(1.0, 1.0, 2.0, "random-band[s=1,p=1]"),
               (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),
               (-1.0, 2.0, 4.0, "random-band[s=-1,p=2]"),
@@ -281,7 +316,7 @@ def test_sweep_serialization(setup128):
 def test_audit_embedding_identity(setup128):
     g, sys = setup128
     spec = SpaceSpec("B", 0.5, 2.0, 2.0)
-    bank = standard_bank(g, sys)[:5]
+    bank = bank_specs(g)[:5]
     sweep = audit_embedding((spec, spec), bank, sys)
     for rec in sweep.records:
         if rec.verdict == "skipped":
@@ -294,14 +329,15 @@ def test_audit_embedding_refuses_bad_pair(setup128):
     src = SpaceSpec("B", 1.0, 2.0, 2.0)
     tgt = SpaceSpec("B", 2.0, 2.0, 2.0)  # smoothness increases
     with pytest.raises(ValueError, match="monotone-or-diffdim"):
-        audit_embedding((src, tgt), standard_bank(g, sys)[:2], sys)
+        audit_embedding((src, tgt), bank_specs(g)[:2], sys)
 
 
 def test_audit_embedding_refuses_a_field_on_another_grid(setup128):
     _, sys = setup128
     pair = (SpaceSpec("B", 1.0, 2.0, 2.0), SpaceSpec("B", 0.5, 2.0, 2.0))
     with pytest.raises(ValueError, match="does not match"):
-        audit_embedding(pair, [constant_field(build_grid(1, 64))], sys)
+        audit_embedding(pair, [("f", constant_field(build_grid(1, 64)))],
+                        sys)
 
 
 def test_audit_multiplication_constant_tuple(setup128):
@@ -318,18 +354,21 @@ def test_audit_multiplication_constant_tuple(setup128):
 
 def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     import paraflux.audit
+    import paraflux.testbank
 
     g, sys = setup128
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
-    tuples = tuple_bank(g, sys, params, 3, 2)
+    tuples = [tuple_fields(g, sys, params, 3, t) for t in range(2)]
     calls, stacks = [], []
     real_norm = paraflux.audit.lq_of_lp
     monkeypatch.setattr(paraflux.audit, "lq_of_lp",
                         lambda *a: calls.append(1) or real_norm(*a))
     # a decomposition into a stack, or one read band by band
-    for name in ("_decompose_into", "_blocks"):
-        monkeypatch.setattr(paraflux.audit, name,
-                            lambda *a, _fn=getattr(paraflux.audit, name):
+    for module, name in ((paraflux.audit, "_decompose_into"),
+                         (paraflux.audit, "_bands"),
+                         (paraflux.testbank, "_decompose_into")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, _fn=getattr(module, name):
                             stacks.append(1) or _fn(*a))
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
     # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
@@ -459,7 +498,8 @@ def test_sweep_at_p_equal_to_q_matches_the_oracle():
 
 def _check_sweep_against_oracle(g, params, q, mode, p=None):
     sys = build_dyadic_system(g)
-    tuples = tuple_bank(g, sys, params, 29, 3)  # tuple 0 pads, 1-2 do not
+    # tuple 0 pads, 1-2 do not
+    tuples = [tuple_fields(g, sys, params, 29, t) for t in range(3)]
     sweep = audit_multiplication(params, q, mode, tuples, sys, p=p)
     p = sweep.meta["p"]
     assert len(sweep.records) == 4 * len(tuples)
@@ -516,7 +556,7 @@ def test_audit_multiplication_refuses_bad_params(setup128):
 def test_audit_multiplication_p_override(setup128):
     g, sys = setup128
     params = [(0.4, 2.0), (1.0, 2.0)]
-    tuples = tuple_bank(g, sys, params, 3, 1)
+    tuples = [tuple_fields(g, sys, params, 3, 0)]
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys,
                                  p=1.5)
     assert sweep.meta["p"] == 1.5
@@ -589,13 +629,16 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
     # generator, any other by one decomposition, band by band
     import paraflux.audit
     import paraflux.norms
+    import paraflux.testbank
 
     events, built, banks = [], [], []
     for module, name, tag in (
             (paraflux.norms, "decompose", "decompose"),
             (paraflux.audit, "_decompose_into", "decompose"),
             (paraflux.audit, "_bands", "decompose"),
-            (paraflux.audit, "_random_bands", "generator")):
+            (paraflux.testbank, "_decompose_into", "decompose"),
+            (paraflux.testbank, "_bands", "decompose"),
+            (paraflux.testbank, "_unit_bands", "generator")):
         monkeypatch.setattr(module, name,
                             lambda *a, _fn=getattr(module, name), _tag=tag:
                             events.append(_tag) or _fn(*a))
@@ -606,10 +649,10 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
     real_build = paraflux.audit._item_bands
 
     def build(item, sys, *buffers):
+        # the blocks are made as they are read
         start = len(events)
-        made = real_build(item, sys, *buffers)
+        yield from real_build(item, sys, *buffers)
         built.append((item.to_json(), events[start:]))
-        return made
 
     monkeypatch.setattr(paraflux.audit, "_item_bands", build)
     run_audit_manifest(_TWO_EMBEDDINGS)
@@ -629,8 +672,9 @@ def test_manifest_keeps_one_bank_field_alive(monkeypatch):
 
     monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
     g = build_grid(3, 32)
-    bank_bytes = sum(e.field.spectral.nbytes
-                     for e in standard_bank(g, build_dyadic_system(g)))
+    sys = build_dyadic_system(g)
+    bank_bytes = sum(materialize(spec, sys).spectral.nbytes
+                     for _, spec in bank_specs(g))
     manifest = {"n": 3, "resolutions": [32], "embeddings": [
         {"source": {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0},
          "target": {"family": "B", "s": 0.5, "p": 2.0, "q": 2.0}}]}
@@ -691,12 +735,13 @@ def _close(a, b, rel=1e-14):
 
 
 def _embedding_oracle(pair, bank, sys):
-    # target and source norms of each field, from decompose
+    # target and source norms of each recipe's field, from decompose
     out = []
-    for entry in bank:
-        norms = [besov_norm(entry.field, spec, sys) if spec.family == "B"
-                 else triebel_norm(entry.field, spec, sys) for spec in pair]
-        out.append((entry.name, norms[1], norms[0]))
+    for name, recipe in bank:
+        field = materialize(recipe, sys)
+        norms = [besov_norm(field, spec, sys) if spec.family == "B"
+                 else triebel_norm(field, spec, sys) for spec in pair]
+        out.append((name, norms[1], norms[0]))
     return out
 
 
@@ -727,7 +772,7 @@ def test_manifest_rows_match_decompose_oracle(manifest):
     for item in manifest["embeddings"]:
         pair = (SpaceSpec(**item["source"]), SpaceSpec(**item["target"]))
         for sys in systems:
-            bank = standard_bank(sys.grid, sys, seed=seed)
+            bank = bank_specs(sys.grid, seed=seed)
             for name, lhs, rhs in _embedding_oracle(pair, bank, sys):
                 r = next(records)
                 assert r.name.startswith("embedding[")
@@ -739,7 +784,8 @@ def test_manifest_rows_match_decompose_oracle(manifest):
     for item in manifest["multiplications"]:
         params = [tuple(pair) for pair in item["params"]]
         for sys in systems:
-            fields = tuple_bank(sys.grid, sys, params, seed, item["tuples"])
+            fields = [tuple_fields(sys.grid, sys, params, seed, t)
+                      for t in range(item["tuples"])]
             for t, tup in enumerate(fields):
                 total, pi1, pi2, scaling = (next(records) for _ in range(4))
                 (rhs, *lhs), (rhs2, *lhs2) = _oracle_ratios(
@@ -766,7 +812,7 @@ def test_manifest_embedding_rows_match_audit_embedding():
         for size in _TWO_EMBEDDINGS["resolutions"]:
             g = build_grid(1, size)
             sys = build_dyadic_system(g)
-            bank = standard_bank(g, sys, seed=_TWO_EMBEDDINGS["seed"])
+            bank = bank_specs(g, seed=_TWO_EMBEDDINGS["seed"])
             for r in audit_embedding(pair, bank, sys).records:
                 r.name += "[size=%d]" % size
                 r.inputs = dict(r.inputs, size=size)
@@ -802,15 +848,15 @@ def test_worker_count_does_not_change_output(monkeypatch):
 def _generator_stack(spec, sys, stack):
     # the field of a recipe, with its block stack written into stack: a
     # random-band recipe's blocks from its generator, any other's decomposed
-    from paraflux.testbank import _random_bands, materialize
+    from paraflux.testbank import _item_bands
 
     field = materialize(spec, sys)
     if spec.kind != "random-band":
         np.copyto(stack, decompose(field, sys))
         return field
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
-    for block, got in zip(stack, _random_bands(spec, sys, band,
-                                               np.empty(sys.grid.sizes))):
+    for block, got in zip(stack, _item_bands(spec, sys, band,
+                                             np.empty(sys.grid.sizes))):
         block[...] = 0.0 if got is None else got
     return field
 

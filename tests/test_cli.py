@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from paraflux import (SpaceSpec, besov_norm, build_dyadic_system,
-                      build_grid, pure_wave, read_field, standard_bank,
-                      triebel_norm, write_field)
+from paraflux import (SpaceSpec, bank_specs, besov_norm,
+                      build_dyadic_system, build_grid, materialize, pure_wave,
+                      read_field, triebel_norm, write_field)
 from paraflux.cli import main
 
 
@@ -53,7 +53,8 @@ def test_norm_decomposes_once_and_matches_single_norms(tmp_path, capsys,
 
     g = build_grid(2, 32)
     path = tmp_path / "f.fld"
-    write_field(str(path), standard_bank(g, build_dyadic_system(g))[5].field)
+    write_field(str(path), materialize(bank_specs(g)[5][1],
+                                       build_dyadic_system(g)))
     calls = []
     real = paraflux.norms._bands
     # one pass over the field's blocks, band by band
@@ -112,6 +113,47 @@ def test_norm_refuses_a_wave_beyond_the_partition_region(capsys):
     assert main(["norm", "--dim", "3", "--grid", "32", "--wave", "9",
                  "--s", "1", "--p", "2"]) == 2
     assert "largest |K| accepted is 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, size", [(1, 64), (1, 256), (2, 64), (3, 32),
+                                     (3, 128)])
+def test_resolved_waves_are_those_where_the_cutoff_is_one(n, size):
+    # the check reads cutoff(jmax) along axis 1 from its box and accepts
+    # exactly the waves of the lattice at which the whole-lattice cutoff
+    # is 1.0, naming the largest accepted in each refusal
+    from paraflux.cli import ConfigError, _check_resolved_wave
+
+    sys = build_dyadic_system(build_grid(n, size))
+    axis = sys.cutoff(sys.jmax)[(slice(None),) + (0,) * (n - 1)]
+    waves = range(-(size // 2), size // 2)
+    want = [k for k in waves if axis[k % size] == 1.0]
+    assert 0 < len(want) < size
+    accepted = []
+    for k in waves:
+        try:
+            _check_resolved_wave(sys, k)
+        except ConfigError as exc:
+            assert "largest |K| accepted is %d" % max(want) in str(exc)
+        else:
+            accepted.append(k)
+    assert accepted == want
+
+
+def test_resolved_wave_check_reads_one_box():
+    # at 128^3 the check holds the cutoff's box of level jmax, not the
+    # 16 MiB cutoff on the whole lattice
+    import tracemalloc
+
+    from paraflux.cli import _check_resolved_wave
+
+    sys = build_dyadic_system(build_grid(3, 128))
+    tracemalloc.start()
+    try:
+        _check_resolved_wave(sys, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_norm_in_builds_only_the_files_system(tmp_path, capsys,
@@ -199,7 +241,7 @@ def test_audit_manifest_accepts_inf_exponents(tmp_path, capsys):
     g = build_grid(1, 64)
     sys = build_dyadic_system(g)
     pair = (SpaceSpec(**source), SpaceSpec(**dict(target, q=math.inf)))
-    want = audit_embedding(pair, standard_bank(g, sys, seed=3), sys).records
+    want = audit_embedding(pair, bank_specs(g, seed=3), sys).records
     # the bank's rows, then the stability row
     assert len(rows) == len(want) + 1
     for row, rec in zip(rows, want):
@@ -293,7 +335,7 @@ def test_decompose_degenerate_split_exit_2(tmp_path, capsys, monkeypatch,
     # the split is refused before any factor is built or anything written
     import paraflux.cli
 
-    monkeypatch.setattr(paraflux.cli, "tuple_bank", None)
+    monkeypatch.setattr(paraflux.cli, "tuple_fields", None)
     out = tmp_path / "dec"
     assert main(["decompose"] + argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -531,9 +573,8 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),
                          (paraflux.audit, "tuple_specs"),
-                         (paraflux.audit, "_field_and_stack"),
                          (paraflux.audit, "_item_bands"),
-                         (paraflux.audit, "_draw_random_band"),
+                         (paraflux.audit, "_item_stack"),
                          (paraflux.testbank, "_unit_bands")):
         monkeypatch.setattr(module, name,
                             lambda *a, _name=name, **k: calls.append(_name))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from paraflux import (Field, build_dyadic_system, build_grid, decompose,
-                      delta_j, gaussian_bump, lacunary_field, pure_wave, q_j,
-                      random_band_field, smooth_cutoff, standard_bank)
-from paraflux.dyadic import (_axis_bounds, _bands, _blocks,
-                             _confined_ifftn)
+from paraflux import (Field, bank_specs, build_dyadic_system, build_grid,
+                      decompose, delta_j, gaussian_bump, lacunary_field,
+                      materialize, pure_wave, q_j, random_band_field,
+                      smooth_cutoff)
+from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn
 from paraflux.grid import Grid
 
 
@@ -162,13 +162,13 @@ def test_block_count_and_band_limits():
 def test_reconstruction_over_bank():
     g = build_grid(1, 128)
     sys = build_dyadic_system(g)
-    bank = standard_bank(g, sys)
+    bank = bank_specs(g)
     assert len(bank) >= 20
-    for entry in bank:
-        f = entry.field
+    for name, spec in bank:
+        f = materialize(spec, sys)
         r = Field.from_physical(g, decompose(f, sys).sum(axis=0))
         scale = f.l2()
-        assert (r - f).l2() <= 1e-10 * (scale if scale else 1.0), entry.name
+        assert (r - f).l2() <= 1e-10 * (scale if scale else 1.0), name
 
 
 @pytest.mark.parametrize("n, size", [(1, 64), (2, 32), (3, 32)])
@@ -177,7 +177,7 @@ def test_decompose_matches_full_stack_transform(n, size):
     # every block must still equal the batched transform of the whole stack
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
-    fields = [e.field for e in standard_bank(g, sys)]
+    fields = [materialize(spec, sys) for _, spec in bank_specs(g)]
     fields += [lacunary_field(g, {0: 1.0, 2: 0.5}, sys), Field.zeros(g)]
     axes = tuple(range(1, n + 1))
     empty = 0
@@ -215,9 +215,9 @@ def test_bands_are_the_batched_stack(n, size):
                 assert block.tobytes() == want.tobytes()
             count += 1
         assert count == sys.jmax + 1
-        # _blocks yields out for an all-zero block too
-        assert [b.tobytes() for b in _blocks(f, sys, out)] == \
-            [w.tobytes() for w in stack]
+        # out holds the zeros of an all-zero block when it is yielded
+        assert [(out if b is None else b).tobytes()
+                for b in _bands(f, sys, out)] == [w.tobytes() for w in stack]
     assert empty > 0
     with pytest.raises(ValueError, match="does not match"):
         next(_bands(Field.zeros(build_grid(n, 2 * size)), sys, out))

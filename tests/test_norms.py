@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from paraflux import (INF, Field, SpaceSpec, besov_norm, build_dyadic_system,
-                      build_grid, decompose, lacunary_field, lp_norm,
-                      pure_wave, sequence_norm, space_norms, standard_bank,
-                      triebel_norm)
+from paraflux import (INF, Field, SpaceSpec, bank_specs, besov_norm,
+                      build_dyadic_system, build_grid, decompose,
+                      lacunary_field, lp_norm, materialize, pure_wave,
+                      sequence_norm, space_norms, triebel_norm)
 from paraflux.norms import lp_of_lq, lq_of_lp
 
 
@@ -129,18 +129,18 @@ def test_mixed_norms_against_brute_force():
 
 def test_families_coincide_at_equal_exponents(setup128):
     g, sys = setup128
-    bank = standard_bank(g, sys)
-    for entry in bank[:6]:
+    for name, spec in bank_specs(g)[:6]:
+        field = materialize(spec, sys)
         for p in (0.5, 1.0, 2.0, 4.0):
-            b = besov_norm(entry.field, SpaceSpec("B", 0.5, p, p), sys)
-            f = triebel_norm(entry.field, SpaceSpec("F", 0.5, p, p), sys)
+            b = besov_norm(field, SpaceSpec("B", 0.5, p, p), sys)
+            f = triebel_norm(field, SpaceSpec("F", 0.5, p, p), sys)
             # F at p = q is evaluated as B
-            assert b == f, entry.name
+            assert b == f, name
 
 
 def test_q_monotonicity(setup128):
     g, sys = setup128
-    f = standard_bank(g, sys)[4].field
+    f = materialize(bank_specs(g)[4][1], sys)
     qs = [0.5, 1.0, 2.0, 4.0, INF]
     for fam, norm in (("B", besov_norm), ("F", triebel_norm)):
         vals = [norm(f, SpaceSpec(fam, 0.5, 2.0, q), sys) for q in qs]
@@ -150,7 +150,7 @@ def test_q_monotonicity(setup128):
 
 def test_sup_is_large_q_limit(setup128):
     g, sys = setup128
-    f = standard_bank(g, sys)[3].field
+    f = materialize(bank_specs(g)[3][1], sys)
     v64 = besov_norm(f, SpaceSpec("B", 0.5, 2.0, 64.0), sys)
     vinf = besov_norm(f, SpaceSpec("B", 0.5, 2.0, INF), sys)
     assert vinf <= v64 <= 1.25 * vinf
@@ -158,7 +158,7 @@ def test_sup_is_large_q_limit(setup128):
 
 def test_homogeneity(setup128):
     g, sys = setup128
-    f = standard_bank(g, sys)[7].field
+    f = materialize(bank_specs(g)[7][1], sys)
     for alpha in (2.0, 0.5, -3.0):
         for fam, norm, p in (("B", besov_norm, 1.0), ("F", triebel_norm, 2.0)):
             spec = SpaceSpec(fam, 0.7, p, 1.5)
@@ -169,8 +169,8 @@ def test_homogeneity(setup128):
 
 def test_triangle_inequalities(setup128):
     g, sys = setup128
-    bank = standard_bank(g, sys)
-    f, h = bank[5].field, bank[10].field
+    bank = bank_specs(g)
+    f, h = materialize(bank[5][1], sys), materialize(bank[10][1], sys)
     # genuine norms for p, q >= 1
     spec = SpaceSpec("B", 0.5, 2.0, 1.0)
     assert besov_norm(f + h, spec, sys) <= \
@@ -213,7 +213,7 @@ def test_space_norms_match_single_norms(monkeypatch):
         sys = build_dyadic_system(g)
         # the bank's waves and constant, a lacunary field with missing
         # bands and the zero field all have all-zero blocks
-        bank = [e.field for e in standard_bank(g, sys)]
+        bank = [materialize(spec, sys) for _, spec in bank_specs(g)]
         bank += [lacunary_field(g, {0: 1.0, 2: 0.5}, sys), Field.zeros(g)]
         assert not np.any(bank[-2].spectral * sys.window(1))
         expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
@@ -236,8 +236,8 @@ def test_space_norms_match_single_norms(monkeypatch):
 def test_kernels_accept_block_magnitudes():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
-    for e in standard_bank(g, sys)[::4]:
-        blocks = decompose(e.field, sys)
+    for _, spec in bank_specs(g)[::4]:
+        blocks = decompose(materialize(spec, sys), sys)
         mags = np.abs(blocks)
         for s, p, q in ((0.5, 2.0, 2.0), (-1.0, 0.5, INF), (1.0, 4.0, 1.0)):
             assert lq_of_lp(mags, s, p, q) == lq_of_lp(blocks, s, p, q)
@@ -357,13 +357,14 @@ def test_kernels_match_the_power_operator_formulas():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
     exponents = (0.5, 1.0, 2.0, 3.0, 4.0, INF)
-    for entry in standard_bank(g, sys, seed=3)[::3]:
-        stack = decompose(entry.field, sys)
+    for _, spec in bank_specs(g, seed=3)[::3]:
+        field = materialize(spec, sys)
+        stack = decompose(field, sys)
         mags = np.abs(stack)
         for p in exponents:
-            physical = np.abs(entry.field.physical)
-            assert lp_norm(entry.field, p) == _product_lp(physical, p)
-            assert _within(lp_norm(entry.field, p), _old_lp(physical, p))
+            physical = np.abs(field.physical)
+            assert lp_norm(field, p) == _product_lp(physical, p)
+            assert _within(lp_norm(field, p), _old_lp(physical, p))
             band = [_product_lp(m, p) for m in mags]
             for s in (-0.5, 1.0):
                 for q in exponents:
@@ -390,7 +391,7 @@ def test_kernels_match_the_power_operator_formulas():
                 else _product_lp(_old_pointwise_lq(mags, sp.s, sp.q,
                                                    _product_power), sp.p)
                 for sp in specs]
-        assert space_norms(entry.field, specs, sys) == want
+        assert space_norms(field, specs, sys) == want
 
 
 @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])

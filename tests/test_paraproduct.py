@@ -8,7 +8,7 @@ from paraflux import (Field, build_dyadic_system, build_grid,
                       dealiased_product, decompose_product,
                       dump_decomposition, enumerate_pi2_direct, min_gap,
                       pure_wave, random_band_field, read_field,
-                      smoothed_step, tuple_bank, verify_supports)
+                      smoothed_step, tuple_fields, verify_supports)
 from paraflux.dyadic import decompose, delta_j, q_j
 from paraflux import paraproduct
 from paraflux.paraproduct import (_embed, _extract, _padded_sizes,
@@ -133,7 +133,8 @@ def test_bank_tuples_need_no_padding_off_the_step_axis(n, size, m):
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
-    for t, fields in enumerate(tuple_bank(g, sys, params, 40 + m, 3)):
+    for t in range(3):
+        fields = tuple_fields(g, sys, params, 40 + m, t)
         sizes = _product_sizes(list(fields))
         skip = 1 if t == 0 else 0  # the step may pad axis 0
         assert sizes[skip:] == g.sizes[skip:]
@@ -209,7 +210,8 @@ def test_scaled_first_factor_keeps_the_product_lattice():
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
-    for t, fields in enumerate(tuple_bank(g, sys, params, 5, 2)):
+    for t in range(2):
+        fields = tuple_fields(g, sys, params, 5, t)
         fields = list(fields)
         sizes = _product_sizes(fields)
         assert (sizes == g.sizes) == (t == 1)
@@ -218,7 +220,7 @@ def test_scaled_first_factor_keeps_the_product_lattice():
 
 def test_zero_factor_gives_zero_product(setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 17, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 17, 0))
     zero = Field.zeros(g)
     assert _product_sizes([fields[0], zero]) == g.sizes
     assert not np.any(dealiased_product([fields[0], zero]).spectral)
@@ -235,7 +237,7 @@ def test_decompose_product_pads_the_step_axis_only(monkeypatch):
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)]
-    fields = list(tuple_bank(g, sys, params, 63, 1)[0])
+    fields = list(tuple_fields(g, sys, params, 63, 0))
     lattices = set()
     padded_values = paraproduct._padded_values
     confined_ifftn = paraproduct._confined_ifftn
@@ -262,7 +264,7 @@ def test_band_terms_match_dealiased_products(m):
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
-    fields = list(tuple_bank(g, sys, params, 60 + m, 1)[0])
+    fields = list(tuple_fields(g, sys, params, 60 + m, 0))
     pd = decompose_product(fields, sys)
     assert pd.pi1_bands
     for (k, j), term in pd.pi1_bands.items():
@@ -290,7 +292,8 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
         real = getattr(paraproduct, name)
         monkeypatch.setattr(paraproduct, name, lambda *a, real=real:
                             transforms.append(1) or real(*a))
-    for t, fields in enumerate(tuple_bank(g, sys, params, 40 + m, 2)):
+    for t in range(2):
+        fields = tuple_fields(g, sys, params, 40 + m, t)
         assert (_product_sizes(fields) == g.sizes) == (t == 1)
         pd = decompose_product(fields, sys)
         stacks = [decompose(f, sys) for f in fields]
@@ -330,7 +333,7 @@ def test_stack_running_sums_match_low_pass():
 def test_reconstruction_and_enumeration(m, setup128):
     g, sys = setup128
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
-    fields = list(tuple_bank(g, sys, params, 900 + m, 1)[0])
+    fields = list(tuple_fields(g, sys, params, 900 + m, 0))
     pd = decompose_product(fields, sys)
     assert pd.gap == min_gap(m)
     total = pd.pi1_total() + pd.pi2
@@ -343,7 +346,7 @@ def test_reconstruction_and_enumeration(m, setup128):
 
 def test_band_terms_index_range(setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 31, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 31, 0))
     pd = decompose_product(fields, sys)
     for (k, j) in pd.pi1_bands:
         assert 0 <= k < 2
@@ -366,7 +369,7 @@ def test_factor_order_symmetry(setup128):
     # multiply-add kernels round asymmetrically), so compare with a tight
     # absolute tolerance rather than bitwise
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 77, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 77, 0))
     pd_ab = decompose_product(fields, sys)
     pd_ba = decompose_product(fields[::-1], sys)
     tol = 1e-13
@@ -380,7 +383,7 @@ def test_factor_order_symmetry(setup128):
 
 def test_multilinearity(setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 13, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 13, 0))
     pd = decompose_product(fields, sys)
     scaled = decompose_product([3.0 * fields[0], fields[1]], sys)
     for a, b in ((pd.product, scaled.product), (pd.pi2, scaled.pi2),
@@ -391,7 +394,7 @@ def test_multilinearity(setup128):
 
 def test_gap_validation(setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 5, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 5, 0))
     with pytest.raises(ValueError):
         decompose_product(fields, sys, N=2)  # below the safe minimum
     pd = decompose_product(fields, sys, N=4)  # larger gaps are fine
@@ -443,7 +446,7 @@ def test_pi2_terms_skip_zero_blocks(n, size, m):
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
-    cases = [list(tuple_bank(g, sys, params, 40 + m, 1)[0]),
+    cases = [list(tuple_fields(g, sys, params, 40 + m, 0)),
              [pure_wave(g, 3), pure_wave(g, 12)]
              + [pure_wave(g, 1)] * (m - 2)]
     for fields in cases:
@@ -460,7 +463,7 @@ def test_pi2_terms_skip_zero_blocks(n, size, m):
 
 def test_hard_support_annulus(setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 55, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 55, 0))
     pd = decompose_product(fields, sys)
     report = verify_supports(pd, sys)
     assert report.hard_all_pass
@@ -472,7 +475,7 @@ def test_hard_support_annulus(setup128):
 
 def test_dump_and_reload(tmp_path, setup128):
     g, sys = setup128
-    fields = list(tuple_bank(g, sys, [(1.0, 2.0), (0.5, 2.0)], 3, 1)[0])
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 3, 0))
     pd = decompose_product(fields, sys)
     out = tmp_path / "artifacts"
     report = dump_decomposition(pd, sys, str(out))
@@ -502,8 +505,8 @@ def test_grid_mismatch_rejected(setup128):
 def test_scaled_sources_match_generator_stacks(n, size):
     # unit samples with band scales give the bits of the generator's
     # blocks, block by block and in every running sum
-    from paraflux.testbank import (_draw_random_band, _random_bands,
-                                   materialize, spec_for)
+    from paraflux.testbank import (_item_bands, _item_stack, materialize,
+                                   spec_for)
 
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
@@ -516,8 +519,8 @@ def test_scaled_sources_match_generator_stacks(n, size):
                             dtype=np.complex128))
         return made[-1]
 
-    drawn = [_draw_random_band(spec, sys, streams, new_stack,
-                               np.empty(g.sizes)) for spec in specs]
+    drawn = [_item_stack(spec, sys, streams, new_stack, np.empty(g.sizes))
+             for spec in specs]
     # the first and the last recipe differ only in (s, p): one stream
     assert len(made) == 2 and drawn[0][1] is drawn[2][1]
     stacks = [np.empty((sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)
@@ -527,8 +530,8 @@ def test_scaled_sources_match_generator_stacks(n, size):
         assert field.spectral.tobytes() == \
             materialize(spec, sys).spectral.tobytes()
         assert len(scales) == sys.jmax + 1
-        for block, got in zip(stack, _random_bands(spec, sys, band,
-                                                   np.empty(g.sizes))):
+        for block, got in zip(stack, _item_bands(spec, sys, band,
+                                                 np.empty(g.sizes))):
             block[...] = 0.0 if got is None else got
     work = [[np.empty(g.sizes, dtype=np.complex128)
              for _ in range(len(specs) + 2)] for _ in range(2)]
@@ -560,7 +563,7 @@ def test_pi2_terms_hold_one_block_of_the_first_factor():
 
     g = build_grid(3, 64)
     sys = build_dyadic_system(g)
-    fields = tuple_bank(g, sys, [(1.0, 2.0)] * 2, 811, 1)[0]
+    fields = tuple_fields(g, sys, [(1.0, 2.0)] * 2, 811, 0)
     big = _product_sizes(fields)
     assert big == (96, 64, 64)
     padded = 16 * int(np.prod(big))

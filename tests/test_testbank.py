@@ -9,10 +9,9 @@ from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       decompose, delta_j, gaussian_bump, lacunary_field,
                       lp_norm, materialize, plateau_frequency, pure_wave,
                       random_band_field, smoothed_step, spec_for,
-                      standard_bank, triebel_norm, tuple_bank,
-                      tuple_fields, tuple_specs)
-from paraflux.testbank import (GeneratorSpec, _band_scales, _random_bands,
-                               _unit_bands)
+                      triebel_norm, tuple_fields, tuple_specs)
+from paraflux.testbank import (GeneratorSpec, _band_scales, _item_bands,
+                               _item_stack, _unit_bands)
 
 
 @pytest.fixture(scope="module")
@@ -139,14 +138,14 @@ def _assert_stack_close(got, want):
 
 
 def _streamed_stack(spec, sys):
-    # the blocks `_random_bands` streams, stacked: zeros for a None band,
+    # the blocks `_item_bands` streams, stacked: zeros for a None band,
     # which must be an all-zero band; NaN first, so none is left unwritten
     stack = np.full((sys.jmax + 1,) + sys.grid.sizes, np.nan,
                     dtype=np.complex128)
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
     count = 0
-    for block, got in zip(stack, _random_bands(spec, sys, band,
-                                               np.empty(sys.grid.sizes))):
+    for block, got in zip(stack, _item_bands(spec, sys, band,
+                                             np.empty(sys.grid.sizes))):
         block[...] = 0.0 if got is None else got
         count += 1
     assert count == sys.jmax + 1
@@ -171,6 +170,47 @@ def test_generator_stack_matches_decompose(n, size):
     assert zeros > 0
 
 
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_item_sources_give_the_decomposed_blocks(n, size):
+    # both block sources of an audit item give the blocks of decompose on
+    # its field: bitwise for a Field and a step recipe, within 1e-15 of the
+    # largest sample for a random-band recipe, whose blocks its generator
+    # makes; each item takes one stack, which a second call reuses
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    step = spec_for("smoothed-step", g, edge_width=0.25, m_max=3)
+    drawn = spec_for("random-band", g, s=0.5, p=1.5, seed=7, m_max=3)
+    made, cache = [], {}
+
+    def new_stack():
+        made.append(np.full((sys.jmax + 1,) + g.sizes, np.nan,
+                            dtype=np.complex128))
+        return made[-1]
+
+    band = np.empty(g.sizes, dtype=np.complex128)
+    for item, field in ((materialize(step, sys),) * 2,
+                        (step, materialize(step, sys)),
+                        (drawn, materialize(drawn, sys))):
+        want = decompose(field, sys)
+        # out holds a None band's zeros
+        streamed = np.stack([band.copy() for _ in _item_bands(
+            item, sys, band, np.empty(g.sizes))])
+        got, stack, scales = _item_stack(item, sys, cache, new_stack,
+                                         np.empty(g.sizes))
+        assert got.spectral.tobytes() == field.spectral.tobytes()
+        assert _item_stack(item, sys, cache, new_stack,
+                           np.empty(g.sizes))[1] is stack
+        if item is drawn:
+            stack = np.stack([u * c for u, c in zip(stack, scales)])
+            _assert_stack_close(streamed, want)
+            _assert_stack_close(stack, want)
+        else:
+            assert scales is None
+            assert streamed.tobytes() == want.tobytes()
+            assert stack.tobytes() == want.tobytes()
+    assert len(made) == 3
+
+
 def test_random_band_source_streams_every_bank_recipe():
     g = build_grid(2, 32)
     sys = build_dyadic_system(g)
@@ -184,7 +224,7 @@ def test_random_band_source_streams_every_bank_recipe():
         _assert_stack_close(_streamed_stack(spec, sys), decompose(f, sys))
         generated += 1
         with pytest.raises(ValueError, match="dyadic system"):
-            next(_random_bands(spec, other, band, np.empty(g.sizes)))
+            next(_item_bands(spec, other, band, np.empty(g.sizes)))
     assert generated == 12
 
 
@@ -249,13 +289,13 @@ def test_band_limit_respected(setup128):
     g, sys = setup128
     cap = band_limit(g, 3)
     assert cap == pytest.approx(g.nyquist / 3.0)
-    for entry in standard_bank(g, sys):
-        mag = np.abs(entry.field.spectral)
+    for name, spec in bank_specs(g):
+        mag = np.abs(materialize(spec, sys).spectral)
         top = mag.max()
         if top == 0.0:
             continue
         live = g.xi[mag > 1e-12 * top]
-        assert live.max() <= cap + 1e-9, entry.name
+        assert live.max() <= cap + 1e-9, name
 
 
 def test_gaussian_bump_shape(setup128):
@@ -352,8 +392,6 @@ def test_band_sizes_reuse_one_scratch(monkeypatch):
     # every band of a stream is measured in the one real scratch array the
     # caller passes, which carries nothing from one band to the next
     import paraflux.testbank
-    from paraflux.testbank import _draw_random_band
-
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     spec = spec_for("random-band", g, s=0.5, p=1.5, seed=3, m_max=3)
@@ -366,12 +404,12 @@ def test_band_sizes_reuse_one_scratch(monkeypatch):
         scratch = np.full(g.sizes, fill)
         del seen[:]
         streamed.append([None if b is None else b.tobytes()
-                         for b in _random_bands(spec, sys, np.empty(
+                         for b in _item_bands(spec, sys, np.empty(
                              g.sizes, dtype=complex), scratch)])
         assert len(seen) > 1 and all(mags is scratch for mags in seen)
     assert streamed[0] == streamed[1]
     del seen[:]
-    field, _, scales = _draw_random_band(
+    field, _, scales = _item_stack(
         spec, sys, {},
         lambda: np.empty((sys.jmax + 1,) + sys.grid.sizes, dtype=complex),
         scratch)
@@ -418,24 +456,24 @@ def test_pure_wave_and_constant(setup128):
 
 
 def test_standard_bank_composition(setup128):
-    g, sys = setup128
-    bank = standard_bank(g, sys)
-    names = [e.name for e in bank]
+    g, _ = setup128
+    bank = bank_specs(g)
+    names = [name for name, _ in bank]
     assert len(bank) >= 20
     assert len(set(names)) == len(names)
-    kinds = {e.spec.kind for e in bank}
+    kinds = {spec.kind for _, spec in bank}
     assert {"lacunary", "random-band", "gaussian-bump", "smoothed-step",
             "pure-wave", "constant"} <= kinds
 
 
 def test_generator_spec_roundtrip(setup128):
     g, sys = setup128
-    for entry in standard_bank(g, sys):
-        text = entry.spec.to_json()
+    for name, recipe in bank_specs(g):
+        text = recipe.to_json()
         spec = GeneratorSpec.from_json(text)
         again = materialize(spec, sys)
-        assert np.array_equal(again.spectral, entry.field.spectral), \
-            entry.name
+        assert np.array_equal(again.spectral,
+                              materialize(recipe, sys).spectral), name
         # serialized form is stable too
         assert spec.to_json() == text
 
@@ -451,8 +489,8 @@ def test_spec_json_is_plain_data(setup128):
 def test_tuple_bank_determinism(setup128):
     g, sys = setup128
     params = [(0.4, 2.0), (1.0, 2.0)]
-    t1 = tuple_bank(g, sys, params, 811, 3)
-    t2 = tuple_bank(g, sys, params, 811, 3)
+    t1 = [tuple_fields(g, sys, params, 811, t) for t in range(3)]
+    t2 = [tuple_fields(g, sys, params, 811, t) for t in range(3)]
     assert len(t1) == 3
     for a, b in zip(t1, t2):
         for fa, fb in zip(a, b):
@@ -463,7 +501,7 @@ def test_tuple_bank_determinism(setup128):
 
 
 def _tuple_bank_reference(grid, sys, params, seed, count):
-    # tuple_bank as it was before it was built on tuple_fields
+    # the tuples as they were built before `tuple_fields`
     tuples = []
     for t in range(count):
         fields = []
@@ -482,14 +520,11 @@ def test_tuple_fields_match_reference_bitwise():
     sys = build_dyadic_system(g)
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, INF)]
     want = _tuple_bank_reference(g, sys, params, 811, 3)
-    bank = tuple_bank(g, sys, params, 811, 3)
-    assert len(bank) == len(want)
     for t, ref in enumerate(want):
-        one = tuple_fields(g, sys, params, 811, t)
-        for fields in (bank[t], one):
-            assert isinstance(fields, tuple)
-            assert [f.spectral.tobytes() for f in fields] == \
-                [f.spectral.tobytes() for f in ref]
+        fields = tuple_fields(g, sys, params, 811, t)
+        assert isinstance(fields, tuple)
+        assert [f.spectral.tobytes() for f in fields] == \
+            [f.spectral.tobytes() for f in ref]
 
 
 def test_tuple_specs_build_tuple_fields():
@@ -507,8 +542,8 @@ def test_tuple_specs_build_tuple_fields():
 
 
 def _standard_bank_reference(grid, sys, m_max=3, seed=811):
-    # standard_bank as it was when each entry was also a direct generator
-    # call: [(name, field, spec JSON)]
+    # the standard bank as it was when each entry was also a direct
+    # generator call: [(name, field, spec JSON)]
     cap = band_limit(grid, m_max)
     jtop = max(j for j in range(sys.jmax + 1)
                if plateau_frequency(j) <= cap)
@@ -565,15 +600,12 @@ def test_bank_specs_rebuild_the_direct_construction(n, size, seed):
     assert [spec.to_json() for _, spec in recipes] == \
         [text for _, _, text in want]
     for (name, spec), (_, ref, _) in zip(recipes, want):
-        for got in (materialize(spec, sys), materialize(spec)):
+        built = materialize(spec, sys)
+        # given a system, on its own grid
+        assert built.grid is g
+        for got in (built, materialize(spec)):
             assert got.grid.compatible(g)
             assert got.spectral.tobytes() == ref.spectral.tobytes(), name
-    bank = standard_bank(g, sys, seed=seed)
-    assert [e.name for e in bank] == [name for name, _, _ in want]
-    for entry, (_, ref, text) in zip(bank, want):
-        assert entry.field.grid is g
-        assert entry.spec.to_json() == text
-        assert entry.field.spectral.tobytes() == ref.spectral.tobytes()
 
 
 def test_materialize_refuses_a_system_on_another_grid(setup128):
