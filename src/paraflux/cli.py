@@ -49,6 +49,19 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+def _check_out(path):
+    """Refuse, as an I/O error and before any work, an output file whose
+    directory does not exist or is not a directory, or that is one."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise NotADirectoryError("cannot write %s: no directory %s"
+                                 % (path, folder))
+    if os.path.isdir(path):
+        raise IsADirectoryError("cannot write %s: it is a directory" % path)
+
+
 def _build(args):
     grid = build_grid(args.dim, args.grid)
     return grid, build_dyadic_system(grid)
@@ -79,6 +92,7 @@ def _check_resolved_wave(sys_, k):
 
 
 def cmd_norm(args):
+    _check_out(args.out)
     if args.s is None or args.p is None:
         raise ConfigError("norm needs at least one --s and --p")
     s_list = [float(v) for v in args.s]
@@ -197,6 +211,7 @@ def _emit_sweep(sweep, args):
 
 
 def cmd_lemmas(args):
+    _check_out(args.out)
     grid, sys_ = _build(args)
     try:
         sweep = lemma_suite(grid, sys_, only=args.only, seed=args.seed)
@@ -206,6 +221,7 @@ def cmd_lemmas(args):
 
 
 def cmd_audit(args):
+    _check_out(args.out)
     with open(args.manifest) as fh:
         try:
             manifest = json.load(fh)

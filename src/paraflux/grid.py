@@ -96,19 +96,26 @@ class Grid:
         """|xi| over the whole lattice, made on first use and kept; two
         threads that both make it store equal arrays."""
         if self._xi is None:
-            self._xi = _freeze(self._modulus(self._axes))
+            self._xi = _freeze(self._modulus(np.meshgrid(
+                *self._axes, indexing="ij", sparse=True)))
         return self._xi
 
     def xi_box(self, index):
         """|xi| on the view `index` of the lattice, one slice per axis, as a
         new array: bit for bit the values of `xi` there, without `xi`."""
-        return self._modulus([m[s] for m, s in zip(self._axes, index)])
+        return self._modulus(np.meshgrid(
+            *[m[s] for m, s in zip(self._axes, index)], indexing="ij",
+            sparse=True))
 
-    def _modulus(self, axes):
-        # the squares of the wavenumbers are summed axis by axis on an open
-        # mesh, as on the dense one, and only the last sum has the full shape
-        xi = sum(m * m for m in np.meshgrid(*axes, indexing="ij",
-                                            sparse=True))
+    def _xi_at(self, points):
+        """|xi| at the lattice points `points`, one index array per axis as
+        `np.nonzero` gives them: bit for bit the values of `xi` there."""
+        return self._modulus([m[i] for m, i in zip(self._axes, points)])
+
+    def _modulus(self, parts):
+        # the squares of the wavenumbers are summed axis by axis, on an open
+        # mesh (whose last sum alone has the full shape) or at points
+        xi = sum(m * m for m in parts)
         np.sqrt(xi, out=xi)
         xi *= TWO_PI / self.period
         return xi

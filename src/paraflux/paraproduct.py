@@ -481,13 +481,13 @@ def enumerate_pi2_direct(fields, sys, N=None):
 
 def _support_radius(field, tol):
     """(min, max) of |xi| over coefficients above tol times the largest
-    modulus, or None for a zero field."""
+    modulus, or None for a zero field; |xi| is read at those points only,
+    so the grid's lattice `xi` is not made."""
     mag = np.abs(field.spectral)
     top = mag.max()
     if top == 0.0:
         return None
-    mask = mag > tol * top
-    xi = field.grid.xi[mask]
+    xi = field.grid._xi_at(np.nonzero(mag > tol * top))
     return float(xi.min()), float(xi.max())
 
 

@@ -21,7 +21,12 @@ random-band field.  The multiplication audit takes every item of a tuple
 index as one stack (`_item_stack`), drawn from one set of streams, since
 slot i of tuple t has the same seed in every parameter set: it builds
 each stream once, measures its bands once per exponent p, and keeps U_j
-and c_j apart.
+and c_j apart.  A bump or step has one builder (`_real_samples`), which
+writes its band-limited samples into an array the caller passes: the
+audits pass a buffer the worker holds, the band buffer or the first slice
+of the item's stack, which the blocks then overwrite, and keep the field's
+spectrum only; `materialize` passes a new array, which the field keeps as
+its samples.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .dyadic import (DyadicSystem, _axis_bounds, _bands, _box_views,
                      _confined_ifftn, _decompose_into)
-from .grid import Field, Grid
+from .grid import Field, Grid, _transform
 from .norms import _power, sequence_norm
 
 __all__ = [
@@ -258,16 +263,16 @@ def _erf(x):
 
 
 def _truncate_real(grid, a, m_max):
-    """Band-limit the real samples held in a radially, renormalize them to
-    max 1, and return the field whose samples they are.
+    """Band-limit the real samples held in a radially and renormalize them
+    to max 1, in place.
 
     a is a C-contiguous complex array of the grid's shape with zero
-    imaginary part, which the field takes over: it is transformed,
-    truncated, transformed back and normalised in place and handed to the
-    field as its samples.  The cut reads |xi| on the box |k_a| <= b_a that
-    holds the band limit only; every point off it lies beyond.  The field
-    is rebuilt from the real part of the truncated samples, so its
-    spectrum carries rounding residue beyond the band limit.
+    imaginary part: it is transformed, truncated, transformed back and
+    normalised where it is, and its imaginary part is zeroed again.  The
+    cut reads |xi| on the box |k_a| <= b_a that holds the band limit only;
+    every point off it lies beyond.  A field's spectrum is the forward
+    transform of the real part of the truncated samples, so it carries
+    rounding residue beyond the band limit.
     """
     np.fft.fftn(a, out=a)
     cap = band_limit(grid, m_max)
@@ -284,7 +289,60 @@ def _truncate_real(grid, a, m_max):
         raise ValueError("field vanished under band limiting")
     real /= top
     a.imag = 0.0
-    return Field.from_physical(grid, a)
+
+
+_REAL_KINDS = ("gaussian-bump", "smoothed-step")
+
+
+def _real_samples(grid, kind, params, out=None):
+    """The samples of a gaussian-bump or smoothed-step recipe with params,
+    band-limited (`_truncate_real`), written into out and returned.
+
+    out is a C-contiguous complex array of the grid's shape, or None for a
+    new one; its contents are not read.  The audits build in a buffer
+    they hold and keep the forward transform only (`_item_field`); the
+    public generators hand a new array to `Field.from_physical`, which
+    keeps it as the field's samples.
+    """
+    if out is None:
+        out = np.empty(grid.sizes, dtype=np.complex128)
+    if kind == "gaussian-bump":
+        width = float(params.get("width", 0.5))
+        if not width > 0.0:
+            raise ValueError("width must be positive")
+        center = params.get("center")
+        if center is None:
+            center = (grid.period / 2.0,) * grid.n
+        center = [round(float(c) / h) * h
+                  for c, h in zip(np.atleast_1d(center), grid.spacing)]
+        # r2 summed over the axes in order, each axis broadcast; the last
+        # sum, and exp(-r2 / (2 width^2)) in place, go into the real part
+        r2 = 0.0
+        for axis, (size, c) in enumerate(zip(grid.sizes, center)):
+            x = np.arange(size) * (grid.period / size)
+            d = (np.mod(x - c + grid.period / 2.0, grid.period)
+                 - grid.period / 2.0)
+            d2 = (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
+            r2 = np.add(r2, d2, out=out.real if axis == grid.n - 1 else None)
+        np.negative(r2, out=r2)
+        r2 /= 2.0 * width ** 2
+        np.exp(r2, out=r2)
+    else:
+        w = float(params.get("edge_width", 0.25))
+        if not w > 0.0:
+            raise ValueError("edge width must be positive")
+        P = grid.period
+        a, b = P / 4.0, 3.0 * P / 4.0
+        x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
+        values = np.zeros(grid.sizes[0])
+        for wrap in range(-2, 3):
+            shift = wrap * P
+            values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
+                             - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
+        out.real = values.reshape((-1,) + (1,) * (grid.n - 1))
+    out.imag = 0.0
+    _truncate_real(grid, out, params.get("m_max", DEFAULT_MAX_ARITY))
+    return out
 
 
 def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
@@ -294,26 +352,9 @@ def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
     exactly symmetric about it.  width is the Gaussian sigma in physical
     units.
     """
-    width = float(width)
-    if not width > 0.0:
-        raise ValueError("width must be positive")
-    if center is None:
-        center = (grid.period / 2.0,) * grid.n
-    center = [round(float(c) / h) * h
-              for c, h in zip(np.atleast_1d(center), grid.spacing)]
-    # r2 summed over the axes in order, each axis broadcast; the last sum,
-    # and exp(-r2 / (2 width^2)) in place, go into the samples' real part
-    samples = np.zeros(grid.sizes, dtype=np.complex128)
-    r2 = 0.0
-    for axis, (size, c) in enumerate(zip(grid.sizes, center)):
-        x = np.arange(size) * (grid.period / size)
-        d = np.mod(x - c + grid.period / 2.0, grid.period) - grid.period / 2.0
-        d2 = (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
-        r2 = np.add(r2, d2, out=samples.real if axis == grid.n - 1 else None)
-    np.negative(r2, out=r2)
-    r2 /= 2.0 * width ** 2
-    np.exp(r2, out=r2)
-    return _truncate_real(grid, samples, m_max)
+    return Field.from_physical(grid, _real_samples(
+        grid, "gaussian-bump",
+        {"center": center, "width": width, "m_max": m_max}))
 
 
 def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
@@ -324,20 +365,8 @@ def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
     truncation is numerically inert.  Values lie in [0, 1], rising across
     x = period/4 and falling across x = 3*period/4.
     """
-    w = float(edge_width)
-    if not w > 0.0:
-        raise ValueError("edge width must be positive")
-    P = grid.period
-    a, b = P / 4.0, 3.0 * P / 4.0
-    x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
-    values = np.zeros(grid.sizes[0])
-    for wrap in range(-2, 3):
-        shift = wrap * P
-        values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
-                         - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
-    samples = np.zeros(grid.sizes, dtype=np.complex128)
-    samples.real = values.reshape((-1,) + (1,) * (grid.n - 1))
-    return _truncate_real(grid, samples, m_max)
+    return Field.from_physical(grid, _real_samples(
+        grid, "smoothed-step", {"edge_width": edge_width, "m_max": m_max}))
 
 
 def pure_wave(grid, kvec):
@@ -476,14 +505,26 @@ def materialize(spec, sys=None):
         amps = {int(j): complex(re, im)
                 for j, (re, im) in params["amplitudes"].items()}
         return lacunary_field(grid, amps, sys)
-    if kind == "gaussian-bump":
-        return gaussian_bump(grid, params.get("center"),
-                             params.get("width", 0.5), m_max)
-    if kind == "smoothed-step":
-        return smoothed_step(grid, params.get("edge_width", 0.25), m_max)
+    if kind in _REAL_KINDS:
+        return Field.from_physical(grid, _real_samples(grid, kind, params))
     if kind == "pure-wave":
         return pure_wave(grid, params["k"])
     return constant_field(grid, params.get("value", 1.0))
+
+
+def _item_field(item, sys, out):
+    """The field of an audit item other than a random-band recipe, with
+    the spectrum of `materialize`: a Field as it is; a bump or step recipe
+    built in out (`_real_samples`), a complex array of the grid's shape
+    that the caller overwrites next, so the field keeps its spectrum only;
+    any other recipe materialized."""
+    if not isinstance(item, GeneratorSpec):
+        return item
+    if item.kind not in _REAL_KINDS:
+        return materialize(item, sys)
+    grid = _spec_grid(item, sys)
+    return Field(grid, _transform(np.fft.fftn, _real_samples(
+        grid, item.kind, item.params, out)))
 
 
 def _item_bands(item, sys, out, scratch):
@@ -491,11 +532,10 @@ def _item_bands(item, sys, out, scratch):
     yields a field's into out: a random-band recipe's c_j U_j from its
     generator, without building the field, each band's magnitudes taken
     into scratch, a real array of the grid's shape; any other item's
-    windowed from its field."""
-    if isinstance(item, GeneratorSpec) and item.kind != "random-band":
-        item = materialize(item, sys)
-    if not isinstance(item, GeneratorSpec):
-        yield from _bands(item, sys, out)
+    windowed from its field (`_item_field`), a bump or step built in out
+    before its bands overwrite it."""
+    if not isinstance(item, GeneratorSpec) or item.kind != "random-band":
+        yield from _bands(_item_field(item, sys, out), sys, out)
         return
     grid = _spec_grid(item, sys)
     params = item.params
@@ -518,7 +558,8 @@ def _item_stack(item, sys, cache, new_stack, scratch):
     """(field, stack, scales) of an audit item on sys: Delta_j f = scales[j]
     stack[j] for a random-band recipe, whose stack holds the unit samples
     U_j of its stream (seed, m_max), and stack[j] for any other item, whose
-    field is decomposed into its stack, with scales None.
+    field is decomposed into its stack, with scales None; a bump or step
+    is built in stack[0] (`_item_field`) before the blocks overwrite it.
 
     cache maps a stream to its units, its `_unit_bands` items and the band
     sizes L_p(U_j) of each p drawn so far (measured in scratch, a real
@@ -532,8 +573,9 @@ def _item_stack(item, sys, cache, new_stack, scratch):
     if not recipe or item.kind != "random-band":
         key = item.to_json() if recipe else id(item)
         if key not in cache:
-            field = materialize(item, sys) if recipe else item
-            cache[key] = field, _decompose_into(field, sys, new_stack()), None
+            stack = new_stack()
+            field = _item_field(item, sys, stack[0])
+            cache[key] = field, _decompose_into(field, sys, stack), None
         return cache[key]
     grid = _spec_grid(item, sys)
     params = item.params

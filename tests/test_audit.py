@@ -148,6 +148,27 @@ def test_envelope_field_peaks_at_its_coefficients(gamma):
     assert peak < 16 * g.npoints + 2 ** 21
 
 
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32), (3, 64)])
+def test_support_radius_reads_xi_at_its_points(n, size):
+    # the Nikolskii check reads |xi| at the coefficients above the
+    # threshold only, bit for bit the lattice values there, and the grid's
+    # lattice |xi| is never made
+    from paraflux.paraproduct import _support_radius
+
+    g = build_grid(n, size)
+    xi = build_grid(n, size).xi
+    for gamma in (8.0, 16.0):
+        f = envelope_field(g, gamma)
+        rec = check_nikolskii(f, 1.0, INF, gamma)
+        assert g._xi is None
+        mag = np.abs(f.spectral)
+        want = xi[mag > 1e-12 * mag.max()]
+        assert _support_radius(f, 1e-12) == (float(want.min()),
+                                              float(want.max()))
+        assert rec.inputs["support_radius"] == float(want.max())
+        assert g._xi is None
+
+
 def test_nikolskii_scaling_gate(setup128):
     g, _ = setup128
     records = nikolskii_scaling(g, 1.0, INF)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -184,6 +185,39 @@ def test_missing_input_file_is_io_error(capsys):
     assert main(["norm", "--in", "/nonexistent/q.fld", "--s", "1",
                  "--p", "2"]) == 3
     capsys.readouterr()
+
+
+_MULT_MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "manifests", "multiplication.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--manifest", _MULT_MANIFEST],
+    ["lemmas", "--grid", "64"],
+    ["norm", "--grid", "64", "--wave", "4", "--s", "1", "--p", "2"],
+], ids=["audit", "lemmas", "norm"])
+@pytest.mark.parametrize("out", ["missing/o.csv", "file/o.csv", "."],
+                         ids=["no-directory", "under-a-file", "a-directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, argv, out):
+    # exit 3, with no traceback, no grid or dyadic system built and nothing
+    # written, when --out cannot be written
+    import paraflux.audit
+    import paraflux.cli
+
+    calls = []
+    for module in (paraflux.audit, paraflux.cli):
+        for name in ("build_grid", "build_dyadic_system"):
+            monkeypatch.setattr(module, name,
+                                lambda *a, _name=name: calls.append(_name))
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: cannot write")
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_lemmas_csv_deterministic(tmp_path, capsys):

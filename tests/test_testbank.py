@@ -173,12 +173,14 @@ def test_generator_stack_matches_decompose(n, size):
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
 def test_item_sources_give_the_decomposed_blocks(n, size):
     # both block sources of an audit item give the blocks of decompose on
-    # its field: bitwise for a Field and a step recipe, within 1e-15 of the
+    # its field: bitwise for a Field and a bump or step recipe, built in the
+    # band buffer or the first slice of its stack, within 1e-15 of the
     # largest sample for a random-band recipe, whose blocks its generator
     # makes; each item takes one stack, which a second call reuses
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     step = spec_for("smoothed-step", g, edge_width=0.25, m_max=3)
+    bump = spec_for("gaussian-bump", g, width=0.4, m_max=3)
     drawn = spec_for("random-band", g, s=0.5, p=1.5, seed=7, m_max=3)
     made, cache = [], {}
 
@@ -187,9 +189,10 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
                             dtype=np.complex128))
         return made[-1]
 
-    band = np.empty(g.sizes, dtype=np.complex128)
+    band = np.full(g.sizes, np.nan, dtype=np.complex128)
     for item, field in ((materialize(step, sys),) * 2,
                         (step, materialize(step, sys)),
+                        (bump, materialize(bump, sys)),
                         (drawn, materialize(drawn, sys))):
         want = decompose(field, sys)
         # out holds a None band's zeros
@@ -208,7 +211,33 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
             assert scales is None
             assert streamed.tobytes() == want.tobytes()
             assert stack.tobytes() == want.tobytes()
-    assert len(made) == 3
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("kind", ["gaussian-bump", "smoothed-step"])
+def test_streamed_bump_and_step_are_built_in_the_band_buffer(kind):
+    # a 64^3 bump or step streamed by `_item_bands` is built in the band
+    # buffer the caller holds, and its spectrum is the only lattice-sized
+    # array made: the stream peaks below 1.5 complex lattice arrays
+    import tracemalloc
+
+    g = build_grid(3, 64)
+    sys = build_dyadic_system(g)
+    spec = spec_for(kind, g, m_max=3)
+    band = np.full(g.sizes, np.nan, dtype=np.complex128)
+    scratch = np.empty(g.sizes)
+    tracemalloc.start()
+    try:
+        for _ in _item_bands(spec, sys, band, scratch):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * g.npoints
+    want = decompose(materialize(spec, sys), sys)
+    # each block is read from the band buffer, a None band's zeros included
+    for _, block in zip(_item_bands(spec, sys, band, scratch), want):
+        assert band.tobytes() == block.tobytes()
 
 
 def test_random_band_source_streams_every_bank_recipe():
@@ -343,8 +372,11 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
         assert seen[-1].shape == g.sizes
         assert seen[-1].real.tobytes() == want.tobytes()
         assert seen[-1].imag.tobytes() == bytes(seen[-1].imag.nbytes)
-        assert f.spectral.tobytes() == real(
-            g, want.astype(np.complex128), 3).spectral.tobytes()
+        # the truncation band-limits the samples it is handed in place
+        samples = want.astype(np.complex128)
+        real(g, samples, 3)
+        assert f.spectral.tobytes() == Field.from_physical(
+            g, samples).spectral.tobytes()
 
 
 def _copying_truncation(grid, values, m_max=3):
