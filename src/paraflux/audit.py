@@ -23,7 +23,7 @@ from .dyadic import (_axis_bounds, _bands, _box_views, _decompose_into,
 from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import (INF, SpaceSpec, _band_norms, _ex, _ex_json, _norm_work,
+from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _norm_work,
                     _work_rows, lp_norm, lq_of_lp, sequence_norm,
                     triebel_norm)
 from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
@@ -67,13 +67,7 @@ class AuditRecord:
 
 
 def _num(x):
-    if x is None:
-        return ""
-    if x != x:
-        return "nan"
-    if x == INF:
-        return "inf"
-    return "%.17g" % (x,)
+    return "" if x is None else "%.17g" % (x,)
 
 
 def _params_text(inputs):
@@ -192,7 +186,7 @@ def check_hardy(eps, gamma, q):
     lhs = sequence_norm(delta, 0.0, q)
     rhs = sequence_norm(eps, 0.0, q)
     return _make_record(
-        "hardy[g=%g,q=%s]" % (gamma, _ex(q)),
+        "hardy[g=%g,q=%g]" % (gamma, q),
         {"gamma": gamma, "q": _ex_json(q), "len": len(eps)},
         lhs, rhs, bound, "derived: geometric convolution bound")
 
@@ -226,7 +220,7 @@ def hardy_exhaustive_search(max_len=6, lattice=(0.0, 0.25, 0.5, 1.0, 2.0),
                 top = float(ratios.max())
                 worst = max(worst, top - bound)
                 records.append(_make_record(
-                    "hardy-exhaustive[L=%d,g=%g,q=%s]" % (L, gamma, _ex(q)),
+                    "hardy-exhaustive[L=%d,g=%g,q=%g]" % (L, gamma, q),
                     {"L": L, "gamma": gamma, "q": _ex_json(q),
                      "count": len(block)},
                     top, 1.0, bound, "derived: geometric convolution bound"))
@@ -251,7 +245,7 @@ def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
         for q in qs:
             ratios = _seq_norms(delta, q) / _seq_norms(eps, q)
             records.append(_make_record(
-                "hardy-random[g=%g,q=%s]" % (gamma, _ex(q)),
+                "hardy-random[g=%g,q=%g]" % (gamma, q),
                 {"gamma": gamma, "q": _ex_json(q),
                  "count": count, "max_len": max_len, "seed": seed},
                 float(ratios.max()), 1.0, hardy_bound(gamma, q),
@@ -278,53 +272,71 @@ def check_nikolskii(f, p, q, gamma, tol=1e-12):
     lhs = lp_norm(f, q)
     rhs = gamma ** (n * (ip - iq)) * lp_norm(f, p)
     return _make_record(
-        "nikolskii[p=%g,q=%s,g=%g]" % (p, _ex(q), gamma),
+        "nikolskii[p=%g,q=%g,g=%g]" % (p, q, gamma),
         {"p": p, "q": _ex_json(q), "gamma": gamma,
          "support_radius": radius},
         lhs, rhs)
 
 
-def envelope_field(grid, gamma, profile=None):
+def envelope_field(grid, gamma):
     """Field with coefficients C(|xi|/gamma) for a fixed smooth envelope C.
 
     Growing gamma refines the sampling of the same envelope, the discrete
     analogue of dilation: the Nikolskii ratio must stabilize as gamma grows.
-    The default envelope reuses the smooth cutoff profile, C(t) =
-    psi(3t/2): identically 1 up to t = 2/3, zero from t = 1.  C is read
-    pointwise on the box that holds |xi| <= gamma only.
+    The envelope reuses the smooth cutoff profile, C(t) = psi(3t/2):
+    identically 1 up to t = 2/3, zero from t = 1.  C is read pointwise on
+    the box that holds |xi| <= gamma only.
     """
-    if profile is None:
-        psi = smooth_cutoff()
-        profile = lambda t: psi(1.5 * t)
+    psi = smooth_cutoff()
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     for _, lattice in _box_views(_axis_bounds(grid, gamma, closed=True),
                                  grid.sizes):
         xi = grid.xi_box(lattice)
         part = coeffs[lattice]
-        part[...] = profile(xi / float(gamma))
+        part[...] = psi(1.5 * (xi / float(gamma)))
         part[xi > gamma] = 0.0
     return Field.from_spectral(grid, coeffs)
 
 
-def nikolskii_scaling(grid, p, q, gammas=(8.0, 16.0, 32.0), profile=None):
+def _skipped(name, inputs, reason):
+    """A record of a check that was not measured, with the reason why."""
+    return AuditRecord(name, dict(inputs, skipped=reason), None, None,
+                       float("nan"), verdict="skipped")
+
+
+def nikolskii_scaling(grid, p, q, gammas=(8.0, 16.0, 32.0)):
     """Envelope-dilation stability of the Nikolskii ratio.
 
     One informational record per gamma plus one derived pass/fail record per
-    consecutive pair: the ratio of ratios must stay within 5%.
+    consecutive pair: the ratio of ratios must stay within 5%.  A gamma
+    above nyquist/2 is skipped, with every pair that uses it, and each skip
+    is recorded with its reason: there |f|^q of the envelope can have a
+    degree beyond the lattice size (q = 4 at gamma = nyquist reaches twice
+    it), so the mean of the samples is not the torus integral and the
+    grid's L_q is not the field's.
     """
+    top = grid.nyquist / 2.0
+    reason = "gamma above nyquist/2 = %g" % top
     records = []
-    ratios = []
+    ratios = {}
     for gamma in gammas:
-        f = envelope_field(grid, gamma, profile)
-        rec = check_nikolskii(f, p, q, gamma)
+        if gamma > top:
+            records.append(_skipped(
+                "nikolskii[p=%g,q=%g,g=%g]" % (p, q, gamma),
+                {"p": p, "q": _ex_json(q), "gamma": gamma}, reason))
+            continue
+        rec = check_nikolskii(envelope_field(grid, gamma), p, q, gamma)
         records.append(rec)
-        ratios.append(rec.ratio)
-    for a, b, ga, gb in zip(ratios, ratios[1:], gammas, gammas[1:]):
-        drift = max(a / b, b / a)
+        ratios[gamma] = rec.ratio
+    for ga, gb in zip(gammas, gammas[1:]):
+        name = "nikolskii-scaling[p=%g,q=%g,g=%g->%g]" % (p, q, ga, gb)
+        inputs = {"p": p, "q": _ex_json(q), "gammas": [ga, gb]}
+        if ga not in ratios or gb not in ratios:
+            records.append(_skipped(name, inputs, reason))
+            continue
+        a, b = ratios[ga], ratios[gb]
         records.append(_make_record(
-            "nikolskii-scaling[p=%g,q=%s,g=%g->%g]" % (p, _ex(q), ga, gb),
-            {"p": p, "q": _ex_json(q), "gammas": [ga, gb]},
-            drift, 1.0, SCALING_GATE,
+            name, inputs, max(a / b, b / a), 1.0, SCALING_GATE,
             "derived: envelope dilation invariance"))
     return records
 
@@ -405,7 +417,7 @@ def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
         rhs = 2.0 ** ((n / p - n * it - s) * j) * base
         worst = max(worst, lp_norm(b, t) / rhs)
     return _make_record(
-        "delta_lt[s=%g,p=%g,t=%s]%s" % (s, p, _ex(t), label),
+        "delta_lt[s=%g,p=%g,t=%g]%s" % (s, p, t, label),
         {"s": s, "p": p, "t": _ex_json(t), "field": label},
         worst, 1.0, reference_bound, provenance)
 
@@ -417,6 +429,16 @@ def qj_lt_endpoint(s, p, n):
     return INF if gap <= 0.0 else 1.0 / gap
 
 
+def _qj_lt_at_endpoint(s, p, t, n):
+    """Whether t is the endpoint of the cross-norm estimate at dimension n;
+    ValueError unless p < t <= endpoint."""
+    tstar = qj_lt_endpoint(s, p, n)
+    if not p < t or (t != INF and t > tstar * (1.0 + 1e-12)) \
+            or (t == INF and tstar != INF):
+        raise ValueError("need p < t <= %g" % tstar)
+    return (t == tstar) or (t != INF and abs(t - tstar) <= 1e-12)
+
+
 def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
                 label=""):
     """Cross-norm low-pass estimate with its endpoint-sensitive eps_j.
@@ -424,12 +446,7 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     Strictly inside p < t < endpoint, eps_j = 1; at t = endpoint, eps_j =
     (j+1)^{1/min(1,t)}.
     """
-    n = f.grid.n
-    tstar = qj_lt_endpoint(s, p, n)
-    if not p < t or (t != INF and t > tstar * (1.0 + 1e-12)) \
-            or (t == INF and tstar != INF):
-        raise ValueError("need p < t <= %s" % _ex(tstar))
-    at_endpoint = (t == tstar) or (t != INF and abs(t - tstar) <= 1e-12)
+    at_endpoint = _qj_lt_at_endpoint(s, p, t, f.grid.n)
     base = _besov_sup(decompose(f, sys), s, p)
     worst = 0.0
     for j, qn in enumerate(_qj_norms(f, t, sys)):
@@ -439,8 +456,8 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
             eps = 1.0
         worst = max(worst, qn / (eps * base))
     return _make_record(
-        "qj_lt[s=%g,p=%g,t=%s,%s]%s"
-        % (s, p, _ex(t), "endpoint" if at_endpoint else "strict", label),
+        "qj_lt[s=%g,p=%g,t=%g,%s]%s"
+        % (s, p, t, "endpoint" if at_endpoint else "strict", label),
         {"s": s, "p": p, "t": _ex_json(t),
          "endpoint": at_endpoint, "field": label},
         worst, 1.0, reference_bound, provenance)
@@ -464,12 +481,27 @@ def check_maximal_qsup(f, p, sys, label=""):
 LEMMA_SECTIONS = ("hardy", "nikolskii", "maximal", "qj_lp", "delta_lt",
                   "qj_lt")
 
+# (s, p, t, bank entry) of the qj_lt section; they hold at n = 1 only
+_QJ_LT_COMBOS = (
+    (0.25, 2.0, 3.0, "random-band[s=0.5,p=2]"),   # strict interior
+    (0.25, 2.0, 4.0, "random-band[s=0.5,p=2]"),   # endpoint t = 4
+    (1.0, 2.0, 8.0, "random-band[s=1,p=2]"),      # strict, t* = inf
+    (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),    # endpoint t = inf
+)
+
 
 def lemma_suite(grid, sys, only=None, seed=811):
-    """Hardy, Nikolskii, and estimates (i)-(iv) on the bank entries read."""
+    """Hardy, Nikolskii, and estimates (i)-(iv) on the bank entries read.
+
+    An unknown section, or a qj_lt section whose exponents the dimension
+    does not admit, is refused with ValueError before any section runs.
+    """
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
                          % (only, ", ".join(LEMMA_SECTIONS)))
+    if only in (None, "qj_lt"):
+        for s, p, t, _ in _QJ_LT_COMBOS:
+            _qj_lt_at_endpoint(s, p, t, grid.n)
     recipes = dict(bank_specs(grid, seed=seed))
 
     @functools.cache
@@ -536,13 +568,7 @@ def lemma_suite(grid, sys, only=None, seed=811):
                 "derived: calibration-frozen", label=name))
 
     if want("qj_lt"):
-        combos = [
-            (0.25, 2.0, 3.0, "random-band[s=0.5,p=2]"),   # strict interior
-            (0.25, 2.0, 4.0, "random-band[s=0.5,p=2]"),   # endpoint t = 4
-            (1.0, 2.0, 8.0, "random-band[s=1,p=2]"),      # strict, t* = inf
-            (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),    # endpoint t = inf
-        ]
-        for s, p, t, name in combos:
+        for s, p, t, name in _QJ_LT_COMBOS:
             result.records.append(check_qj_lt(
                 bank(name), s, p, t, sys, CALIBRATION_GATE,
                 "derived: calibration-frozen", label=name))
@@ -678,23 +704,23 @@ def _multiplication_sweep(sets, sys):
 
     The worker that takes index t serves every set that has a tuple t, and
     each distinct item of those tuples gets one stack in the worker's
-    buffers (`testbank._item_stack`).  A random-band recipe's stack holds
-    the unit band samples U_j of the stream it draws from, built once for
-    every set, and each set takes the field and the band scales c_j of its
-    own targets (s, p), so Delta_j f = c_j U_j is written only where it is
-    read: the first factor's into the product stack, and for f2..fm band
-    by band into the B-norm's and the split's work arrays
-    (`paraproduct._stack_sources`).  Any other item is built and
-    decomposed once.  Each set's tuple then runs its
+    buffers, with band scales that give its blocks in one form, Delta_j f
+    = scales[j] stack[j] (`testbank._item_stack`).  A random-band recipe's
+    stack holds the unit band samples U_j of the stream it draws from,
+    built once for every set, and each set takes the field and the band
+    scales c_j of its own targets (s, p); any other item is built and
+    decomposed once, with scales 1.0 and 0.0.  A block is written only
+    where it is read, band by band into the norms' and the split's work
+    arrays (`paraproduct._stack_sources`).  Each set's tuple then runs its
     two passes, f1 and 1000 f1, in `_tuple_records`, from one set of
-    per-factor facts: the second pass takes the blocks of 1000 f1 as 1000
-    times those of f1, with no decomposition, and its drift from the first
-    is a rounding residue, since 1000 is not a power of two.  With Fields the
-    values are those of `decompose_product` with `triebel_norm` and
-    `besov_norm`: bitwise for the product and the right side of the first
-    pass, at rounding level for Pi_1, Pi_2 and the second pass; random-band
-    recipes move the norms at rounding level too, and give the bits of the
-    generator's blocks (`testbank._item_bands`).
+    per-factor facts: the second pass takes the blocks of 1000 f1 as f1's
+    stack with 1000 times its scales, with no decomposition, and its drift
+    from the first is a rounding residue, since 1000 is not a power of
+    two.  With Fields the values are those of `decompose_product` with
+    `triebel_norm` and `besov_norm`: bitwise for the product and the right
+    side of the first pass, at rounding level for Pi_1, Pi_2 and the second
+    pass; random-band recipes move the norms at rounding level too, and
+    give the bits of the generator's blocks (`testbank._item_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
     # a set's two F specs share one key (s1, q), which either may need:
@@ -707,7 +733,7 @@ def _multiplication_sweep(sets, sys):
 
     def buffers():
         # items: one stack per distinct item of a tuple index, grown on
-        # demand; product holds f1's blocks, then the product's and Pi_2's;
+        # demand; product holds the product's blocks, then Pi_2's;
         # rest holds the samples of f2..fm on an unpadded lattice; f_work is
         # the work array of `norms._band_norms` for any one F spec
         return {"items": [],
@@ -749,8 +775,8 @@ def _tuple_records(mset, t, factors, buf, sys):
     """The four records of tuple t of the `_MultSet` mset, made in the
     worker buffers buf of `_multiplication_sweep`.
 
-    factors holds (field, stack, scales) per slot, as the sweep made them:
-    scales is None for a stack of blocks, or c_j for unit samples U_j.
+    factors holds (field, stack, scales) per slot, as the sweep made them,
+    with Delta_j f_i = scales[j] stack[j] (`testbank._item_stack`).
 
     The tuple runs twice, with f1 and with 1000 f1, and both passes read
     one set of facts about the factors: the B-norms of f2..fm, the product
@@ -758,37 +784,32 @@ def _tuple_records(mset, t, factors, buf, sys):
     `paraproduct._product_sizes` runs once) and, on an unpadded lattice,
     the samples of f2..fm, transformed once into the worker's buffers.  A
     padded split transforms them in each pass, so that no padded samples
-    are held through a band loop.  Each pass writes the blocks of its first
-    factor a f1, a = 1 or 1000, into the product stack from f1's own: a
-    Delta_j f1 from a stack, (a c_j) U_j from unit samples, so no pass
-    decomposes a first factor.  The stack gives the F-norm of the right
-    side and feeds `paraproduct._split_product`, which forms the product
-    from the samples of the pass's first factor times those of f2..fm.
-    The product is decomposed into that stack, and Pi_1 band by band
-    (`dyadic._bands`), each of its blocks taken from the product's, which
-    leaves Pi_2's stack.  The scaling check compares the ratios of the two
-    passes.  Since 1000 is not a power of two, the scaled blocks and the
-    product of 1000 f1 round apart from 1000 times those of f1, so the
-    drift is a real rounding residue of the pipeline, not zero by
-    construction.
+    are held through a band loop.  Each pass hands its first factor a f1,
+    a = 1 or 1000, to the F-norm of the right side and to
+    `paraproduct._split_product` as f1's own stack with the scales a c_j,
+    so no pass decomposes or copies a first factor; the split forms the
+    product from the samples of the pass's first factor times those of
+    f2..fm.  The product is decomposed into the worker's product stack,
+    and Pi_1 band by band (`dyadic._bands`), each of its blocks taken from
+    the product's, which leaves Pi_2's stack.  The scaling check compares
+    the ratios of the two passes.  Since 1000 is not a power of two, the
+    scaled blocks and the product of 1000 f1 round apart from 1000 times
+    those of f1, so the drift is a real rounding residue of the pipeline,
+    not zero by construction.
     """
     params, q, mode, _, N, p = mset
     m = len(params)
     f_spec = SpaceSpec("F", params[0][0], p, q)
     f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
     fields, stacks, scales = (list(part) for part in zip(*factors))
-    f1_stack, f1_scales = stacks[0], scales[0]
+    f1_scales = scales[0]
     product_stack, work = buf["product"], buf["work"][:m + 2]
-    # the split reads the first factor's blocks from the product stack
-    stacks[0], scales[0] = product_stack, None
 
     def f_norm(blocks, spec):
         return _band_norms(blocks, [spec], sys.jmax + 1, buf["f_work"])[0]
 
     def blocks(i):
-        # Delta_j f_i band by band, c_j U_j in one work array
-        if scales[i] is None:
-            return stacks[i]
+        # Delta_j f_i band by band, in one work array
         return (np.multiply(u, c, out=work[0])
                 for u, c in zip(stacks[i], scales[i]))
 
@@ -809,16 +830,8 @@ def _tuple_records(mset, t, factors, buf, sys):
                 for f, out in zip(fields[1:], buf["rest"])]
 
     def ratios(first, scale):
-        # Delta_j first = scale Delta_j f1 into the product stack
-        if f1_scales is not None:
-            for out, u, c in zip(product_stack, f1_stack, f1_scales):
-                np.multiply(u, scale * c, out=out)
-        elif scale == 1.0:
-            # a copy: a complex multiply by 1 can flip the sign of a zero
-            np.copyto(product_stack, f1_stack)
-        else:
-            np.multiply(f1_stack, scale, out=product_stack)
-        rhs = f_norm(product_stack, f1_spec)
+        scales[0] = [scale * c for c in f1_scales]
+        rhs = f_norm(blocks(0), f1_spec)
         for b in b_norms:
             rhs *= b
         product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,

@@ -26,8 +26,9 @@ from .testbank import (GeneratorSpec, _check_spec, bank_specs, materialize,
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    """Bad flag combination or bad input values: exit code 2."""
+class ConfigError(ValueError):
+    """Bad flag combination or bad input values: exit code 2, as for any
+    ValueError."""
 
 
 def _exponent(text):
@@ -60,6 +61,17 @@ def _check_out(path):
                                  % (path, folder))
     if os.path.isdir(path):
         raise IsADirectoryError("cannot write %s: it is a directory" % path)
+
+
+def _check_out_dir(path):
+    """Refuse, as an I/O error and before any work, an output directory
+    that is a file or lies under one; nothing is created."""
+    folder = path
+    while folder and not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    if folder and not os.path.isdir(folder):
+        raise NotADirectoryError("cannot write %s: %s is not a directory"
+                                 % (path, folder))
 
 
 def _build(args):
@@ -154,7 +166,7 @@ def cmd_norm(args):
 
 
 def cmd_decompose(args):
-    grid, sys_ = _build(args)
+    grid = build_grid(args.dim, args.grid)
     if args.infile:
         if len(args.infile) < 2:
             raise ConfigError("decompose needs at least two --in files")
@@ -163,7 +175,9 @@ def cmd_decompose(args):
         m = args.m
         if m < 2:
             raise ConfigError("--m must be at least 2")
-    gap = _checked_gap(m, args.gap, sys_.jmax)
+    gap = _checked_gap(m, args.gap, grid.jmax)
+    _check_out_dir(args.out)
+    sys_ = build_dyadic_system(grid)
     if args.infile:
         fields = [_load_field(path, grid) for path in args.infile]
     else:
@@ -213,11 +227,8 @@ def _emit_sweep(sweep, args):
 def cmd_lemmas(args):
     _check_out(args.out)
     grid, sys_ = _build(args)
-    try:
-        sweep = lemma_suite(grid, sys_, only=args.only, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return _emit_sweep(sweep, args)
+    return _emit_sweep(lemma_suite(grid, sys_, only=args.only,
+                                   seed=args.seed), args)
 
 
 def cmd_audit(args):
@@ -238,11 +249,7 @@ def cmd_audit(args):
                 raise ConfigError("--resolutions wants a comma list of ints")
         if args.seed is not None:
             manifest["seed"] = args.seed
-    try:
-        sweep = run_audit_manifest(manifest)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return _emit_sweep(sweep, args)
+    return _emit_sweep(run_audit_manifest(manifest), args)
 
 
 def cmd_gen(args):
@@ -385,9 +392,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _sys.stderr.write("error: %s\n" % exc)
-        return 2
     except ValueError as exc:
         _sys.stderr.write("error: %s\n" % exc)
         return 2

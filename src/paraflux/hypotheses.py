@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .norms import INF, _ex
+from .norms import INF
 
 __all__ = [
     "HypothesisReport", "check_embedding_hypotheses",
@@ -130,7 +130,7 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
     finite = spec0.p < INF and spec1.p < INF
     conds.append((
         "p-finite",
-        "p0=%s, p1=%s < inf" % (_ex(spec0.p), _ex(spec1.p)),
+        "p0=%g, p1=%g < inf" % (spec0.p, spec1.p),
         finite,
     ))
     conds.append((
@@ -144,19 +144,17 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
             s, p, q = spec1.s, spec1.p, spec1.q
             strict = spec0.s > s and spec0.q <= p
             equal = spec0.s == s and spec0.q <= min(p, q)
-            rendered = ("(s0=%g > s=%g and q0=%s <= p=%s) or "
-                        "(s0=s and q0 <= min(p,q)=%s)"
-                        % (spec0.s, s, _ex(spec0.q), _ex(p),
-                           _ex(min(p, q))))
+            rendered = ("(s0=%g > s=%g and q0=%g <= p=%g) or "
+                        "(s0=s and q0 <= min(p,q)=%g)"
+                        % (spec0.s, s, spec0.q, p, min(p, q)))
         else:
             # F^{s}_{p,q} -> B^{s1}_{p1,q1}
             s, p, q = spec0.s, spec0.p, spec0.q
             strict = s > spec1.s and spec1.q >= p
             equal = s == spec1.s and spec1.q >= max(p, q)
-            rendered = ("(s=%g > s1=%g and q1=%s >= p=%s) or "
-                        "(s=s1 and q1 >= max(p,q)=%s)"
-                        % (s, spec1.s, _ex(spec1.q), _ex(p),
-                           _ex(max(p, q))))
+            rendered = ("(s=%g > s1=%g and q1=%g >= p=%g) or "
+                        "(s=s1 and q1 >= max(p,q)=%g)"
+                        % (s, spec1.s, spec1.q, p, max(p, q)))
         conds.append(("fj-branch", rendered, strict or equal))
         derived["branch"] = ("strict" if strict else
                              "equal" if equal else "none")
@@ -190,17 +188,17 @@ def check_theorem_hypotheses(params, q, n, mode):
 
     conds.append((
         "p1-range",
-        "1 <= p1=%s < inf" % _ex(p[0]),
+        "1 <= p1=%g < inf" % p[0],
         1.0 <= p[0] < INF,
     ))
     conds.append((
         "pi-range",
-        "0 < p_i <= inf for i>=2: %s" % ", ".join(_ex(v) for v in p[1:]),
+        "0 < p_i <= inf for i>=2: %s" % ", ".join("%g" % v for v in p[1:]),
         all(v > 0 for v in p[1:]),
     ))
     conds.append((
         "q-range",
-        "0 < q=%s <= inf" % _ex(q),
+        "0 < q=%g <= inf" % q,
         (q == INF) or (0.0 < q < INF),
     ))
 

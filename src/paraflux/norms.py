@@ -63,11 +63,6 @@ def _check_exponent(value, name):
     return value
 
 
-def _ex(v):
-    """Text of an exponent in names and labels: 'inf' or %g."""
-    return "inf" if v == INF else "%g" % (v,)
-
-
 def _ex_json(v):
     """JSON value of an exponent: the string 'inf' or the number itself."""
     return "inf" if v == INF else v
@@ -99,8 +94,7 @@ class SpaceSpec:
             raise ValueError("the F family requires p < inf")
 
     def label(self):
-        return "%s^%g_{%s,%s}" % (self.family, self.s, _ex(self.p),
-                                  _ex(self.q))
+        return "%s^%g_{%g,%g}" % (self.family, self.s, self.p, self.q)
 
 
 def _power(a, p, out=None):

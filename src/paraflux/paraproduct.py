@@ -37,11 +37,12 @@ factors once serves every band term and every residual tuple of a product.
 `decompose_product` keeps every band term as a Field.  The audits read only
 the product and Pi_1 = sum_k Pi_{1,k}, whose difference is Pi_2, and
 `_split_product` computes those two with the same band loop
-(`_band_products`).  On an unpadded lattice it reads Delta_j f_k from the
-factors' block stacks, or as c_j U_j from a random-band factor's unit band
-samples and scales, and Q_{j-N} f_i as running sums of their lower blocks,
-so no factor is transformed again; it sums the band samples on the lattice
-and forward-transforms Pi_1 once.
+(`_band_products`).  On an unpadded lattice it reads Delta_j f_k as
+scales[k][j] stacks[k][j], the one form of an audit factor's blocks (a
+decomposed field's blocks with scales 1.0 and 0.0, or a random-band
+factor's unit band samples U_j with its band scales c_j), and Q_{j-N} f_i
+as running sums of their lower blocks, so no factor is transformed again;
+it sums the band samples on the lattice and forward-transforms Pi_1 once.
 """
 
 from __future__ import annotations
@@ -310,36 +311,24 @@ def _transformed_sources(fields, sys, big):
 
 def _stack_sources(stacks, scales, work):
     """block and low for `_band_products` on the unpadded lattice, read from
-    the factors' block stacks (`dyadic.decompose` layout).
+    the factors' stacks (`dyadic.decompose` layout) and band scales, with
+    Delta_j f_k = scales[k][j] stacks[k][j] (`testbank._item_stack`).
 
-    scales[k] is None when stack k holds the blocks Delta_j f_k, or the
-    list of band scales c_j when it holds unit samples U_j with Delta_j f_k
-    = c_j U_j (`testbank._band_scales`); c_j U_j is then written where the
-    block would be copied, which gives the same bits as a stack of blocks.
-    Delta_j f_k goes to the last array of work; Q_l f_i is the running sum
-    of the blocks 0..l of factor i, kept in work[i], with the one before
-    last holding a scaled block on its way into that sum (the windows
-    telescope to the low-pass cutoffs, so the sum equals q_j(f_i, l,
-    sys).physical at rounding level).  No stack is written.
+    A block is zero exactly when its scale is.  Delta_j f_k goes to the
+    last array of work; Q_l f_i is the running sum of the blocks 0..l of
+    factor i, kept in work[i], with the one before last holding a block on
+    its way into that sum (the windows telescope to the low-pass cutoffs,
+    so the sum equals q_j(f_i, l, sys).physical at rounding level).  No
+    stack is written.
     """
     *runs, part, term = work
     level = [-1] * len(stacks)
 
     def write(k, j, out):
-        if scales[k] is None:
-            np.copyto(out, stacks[k][j])
-        else:
-            np.multiply(stacks[k][j], scales[k][j], out=out)
-        return out
+        return np.multiply(stacks[k][j], scales[k][j], out=out)
 
     def block(k, j):
-        # c_j > 0 on a band with content, and U_j = 0 on one without, so a
-        # scaled block is zero exactly when its scale is
-        if scales[k] is None:
-            zero = not np.any(stacks[k][j])
-        else:
-            zero = scales[k][j] == 0.0
-        return None if zero else write(k, j, term)
+        return None if scales[k][j] == 0.0 else write(k, j, term)
 
     def low(i, l):
         if level[i] < 0:
@@ -347,8 +336,7 @@ def _stack_sources(stacks, scales, work):
             level[i] = 0
         while level[i] < l:
             level[i] += 1
-            runs[i] += (stacks[i][level[i]] if scales[i] is None
-                        else write(i, level[i], part))
+            runs[i] += write(i, level[i], part)
         return runs[i]
 
     return block, low
@@ -380,9 +368,10 @@ def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
     their difference, which a caller forms if it needs it.
 
     The product is bitwise the one `decompose_product` gives, and Pi_1 =
-    sum_k Pi_{1,k} agrees with it at rounding level.  stacks and
-    scales give the factors' blocks as `_stack_sources` reads them, and
-    work is m + 2 writable complex arrays of the grid's shape.  big is the
+    sum_k Pi_{1,k} agrees with it at rounding level.  stacks and scales
+    give the factors' blocks, Delta_j f_k = scales[k][j] stacks[k][j], as
+    `_stack_sources` reads them, and work is m + 2 writable complex arrays
+    of the grid's shape.  big is the
     lattice `_product_sizes(fields)` and rest the samples of fields[1:] on
     it (`_padded_values`), found here when None: a caller that splits the
     products of f1 and 1000 f1 with the same later factors finds both once,

@@ -18,11 +18,14 @@ which `_unit_bands` builds, times the band scales c_j of its targets
 (s, p); any other item's are windowed from its field.  The embedding
 audit streams them band by band (`_item_bands`), without building a
 random-band field.  The multiplication audit takes every item of a tuple
-index as one stack (`_item_stack`), drawn from one set of streams, since
-slot i of tuple t has the same seed in every parameter set: it builds
-each stream once, measures its bands once per exponent p, and keeps U_j
-and c_j apart.  A bump or step has one builder (`_real_samples`), which
-writes its band-limited samples into an array the caller passes: the
+index as one stack and its scales (`_item_stack`), in one form for every
+item, Delta_j f = scales[j] stack[j]: a random-band recipe's stack holds
+U_j and its scales are c_j, drawn from one set of streams, since slot i
+of tuple t has the same seed in every parameter set, so each stream is
+built once and its bands measured once per exponent p; any other item's
+stack holds its blocks, with scale 1.0 on a band with content and 0.0 on
+an exactly-zero band.  A bump or step has one builder (`_real_samples`),
+which writes its band-limited samples into an array the caller passes: the
 audits pass a buffer the worker holds, the band buffer or the first slice
 of the item's stack, which the blocks then overwrite, and keep the field's
 spectrum only; `materialize` passes a new array, which the field keeps as
@@ -555,11 +558,14 @@ def _item_bands(item, sys, out, scratch):
 
 
 def _item_stack(item, sys, cache, new_stack, scratch):
-    """(field, stack, scales) of an audit item on sys: Delta_j f = scales[j]
-    stack[j] for a random-band recipe, whose stack holds the unit samples
-    U_j of its stream (seed, m_max), and stack[j] for any other item, whose
-    field is decomposed into its stack, with scales None; a bump or step
-    is built in stack[0] (`_item_field`) before the blocks overwrite it.
+    """(field, stack, scales) of an audit item on sys, with Delta_j f =
+    scales[j] stack[j] for every item.  A random-band recipe's stack holds
+    the unit samples U_j of its stream (seed, m_max) and its scales are
+    c_j; any other item's field is decomposed into its stack, and its
+    scales are 1.0 on a band with content and 0.0 on an exactly-zero band,
+    read as the field is decomposed.  Either way a block is zero exactly
+    when its scale is.  A bump or step is built in stack[0] (`_item_field`)
+    before the blocks overwrite it.
 
     cache maps a stream to its units, its `_unit_bands` items and the band
     sizes L_p(U_j) of each p drawn so far (measured in scratch, a real
@@ -575,7 +581,9 @@ def _item_stack(item, sys, cache, new_stack, scratch):
         if key not in cache:
             stack = new_stack()
             field = _item_field(item, sys, stack[0])
-            cache[key] = field, _decompose_into(field, sys, stack), None
+            cache[key] = field, stack, [
+                1.0 if block.any() else 0.0
+                for block in _decompose_into(field, sys, stack)]
         return cache[key]
     grid = _spec_grid(item, sys)
     params = item.params

@@ -131,6 +131,44 @@ def test_envelope_field_is_the_lattice_formula(n, size):
         assert got.tobytes() == want.tobytes(), gamma
 
 
+def _padded_lq(f, q, factor=8):
+    # L_q of a 1-D field from its spectrum zero-padded onto a lattice
+    # factor times finer: the sample mean there integrates |f|^q exactly
+    # up to degree factor * size
+    size = f.grid.sizes[0]
+    big = np.zeros(factor * size, dtype=np.complex128)
+    big[:size // 2] = f.spectral[:size // 2]
+    big[-(size // 2):] = f.spectral[size // 2:]
+    return lp_norm(np.fft.ifft(big, norm="forward"), q)
+
+
+@pytest.mark.parametrize("size, kept", [(128, True), (64, False)])
+def test_nikolskii_scaling_skips_gammas_the_grid_cannot_integrate(size,
+                                                                  kept):
+    # at gamma = 32, |f|^4 of the envelope has degree 124: the L_4 of 128
+    # samples is the padded lattice's, that of 64 is not, and the scaling
+    # records measure gamma = 32 only on the grid whose L_4 is right
+    g = build_grid(1, size)
+    f = envelope_field(g, 32.0)
+    grid_l4, oracle = lp_norm(f, 4.0), _padded_lq(f, 4.0)
+    if kept:
+        assert grid_l4 == pytest.approx(oracle, rel=1e-13)
+    else:
+        assert abs(grid_l4 / oracle - 1.0) > 0.05
+    records = nikolskii_scaling(g, 2.0, 4.0)
+    assert [r.name for r in records] == [
+        "nikolskii[p=2,q=4,g=8]", "nikolskii[p=2,q=4,g=16]",
+        "nikolskii[p=2,q=4,g=32]", "nikolskii-scaling[p=2,q=4,g=8->16]",
+        "nikolskii-scaling[p=2,q=4,g=16->32]"]
+    skipped = [r for r in records if r.verdict == "skipped"]
+    assert [r.name for r in skipped] == ([] if kept else [
+        "nikolskii[p=2,q=4,g=32]", "nikolskii-scaling[p=2,q=4,g=16->32]"])
+    for r in skipped:
+        assert r.inputs["skipped"] == "gamma above nyquist/2 = 16"
+        assert r.lhs is None and r.row()[2:5] == ("", "", "nan")
+    assert not any(r.verdict == "fail" for r in records)
+
+
 @pytest.mark.parametrize("gamma", [8.0, 16.0, 32.0])
 def test_envelope_field_peaks_at_its_coefficients(gamma):
     # at 64^3 the build holds the coefficient array and the profile's
@@ -289,6 +327,28 @@ def test_lemma_suite_all_gates_pass(setup128):
     names = {r.name.split("[", 1)[0] for r in sweep.records}
     assert {"hardy", "nikolskii", "nikolskii-scaling", "maximal_qsup",
             "qj_lp", "qj_lp-flatness", "delta_lt", "qj_lt"} <= names
+
+
+@pytest.mark.parametrize("n, size", [(2, 64), (3, 32)])
+def test_lemma_suite_refuses_qj_lt_before_any_section(n, size, monkeypatch):
+    # the qj_lt exponents hold at n = 1 only: above it the suite is refused
+    # with the message of check_qj_lt, and no section has run
+    import paraflux.audit
+
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    ran = []
+    for name in ("check_hardy", "nikolskii_scaling", "check_maximal_qsup",
+                 "check_qj_lp", "check_delta_lt", "check_qj_lt"):
+        monkeypatch.setattr(paraflux.audit, name,
+                            lambda *a, _name=name, **k: ran.append(_name))
+    for only in (None, "qj_lt"):
+        with pytest.raises(ValueError, match=r"need p < t <= 2\.66667"
+                           if n == 2 else r"need p < t <= "):
+            lemma_suite(g, sys, only=only)
+    assert ran == []
+    lemma_suite(g, sys, only="hardy")
+    assert ran and set(ran) == {"check_hardy"}
 
 
 def test_lemma_suite_builds_only_the_entries_it_reads(setup128,
@@ -931,8 +991,12 @@ def _per_set_values(params, q, p, count, build, sys):
                 rhs *= b
             work = [np.empty(sys.grid.sizes, dtype=np.complex128)
                     for _ in range(m + 2)]
+            # each stack holds blocks: scale 1.0 where a block has
+            # content, 0.0 where it is exactly zero
+            scales = [[1.0 if block.any() else 0.0 for block in stack]
+                      for stack in stacks]
             product, pi1 = _split_product(fields, sys, None, stacks,
-                                          [None] * m, work,
+                                          scales, work,
                                           _product_sizes(fields))
             total, part = decompose(product, sys), decompose(pi1, sys)
             passes.append((rhs, lp_of_lq(total, s1, p, q),

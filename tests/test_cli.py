@@ -377,6 +377,47 @@ def test_decompose_degenerate_split_exit_2(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["file/dec", "file"],
+                         ids=["under-a-file", "a-file"])
+def test_decompose_unwritable_out_is_refused_before_any_factor(
+        tmp_path, capsys, monkeypatch, out):
+    # exit 3, with no traceback, after the gap check and before the
+    # dyadic system or any factor is built, and nothing is created
+    import paraflux.cli
+
+    calls = []
+    for name in ("build_dyadic_system", "tuple_fields", "_load_field"):
+        monkeypatch.setattr(paraflux.cli, name,
+                            lambda *a, _name=name: calls.append(_name))
+    (tmp_path / "file").write_text("")
+    assert main(["decompose", "--dim", "2", "--grid", "64", "--m", "3",
+                 "--out", str(tmp_path / out)]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: cannot write")
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_lemmas_exit_codes_on_small_and_multi_dimensional_grids(capsys,
+                                                                 monkeypatch):
+    # 64 points: the Nikolskii gammas above nyquist/2 are skipped and every
+    # gate passes; n = 2: the qj_lt exponents are refused before any
+    # section runs, with exit 2
+    import paraflux.audit
+
+    assert main(["lemmas", "--grid", "64"]) == 0
+    text = capsys.readouterr().out
+    assert ",fail" not in text and ",skipped" in text
+    monkeypatch.setattr(paraflux.audit, "check_hardy", None)
+    assert main(["lemmas", "--dim", "2", "--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need p < t <= 2.66667\n"
+
+
 def test_gen_wave_roundtrip(tmp_path, capsys):
     out = tmp_path / "fields"
     assert main(["gen", "--grid", "64", "--wave", "4", "--out",

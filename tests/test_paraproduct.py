@@ -279,6 +279,12 @@ def test_band_terms_match_dealiased_products(m):
         assert (total - part).l2() <= 1e-14 * part.l2()
 
 
+def _block_scales(stack):
+    # the band scales of a stack of blocks, Delta_j f = scales[j] stack[j]:
+    # 1.0 where a block has content, 0.0 where it is exactly zero
+    return [1.0 if block.any() else 0.0 for block in stack]
+
+
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 64)])
 @pytest.mark.parametrize("m", [2, 3])
 def test_split_matches_decompose_product(n, size, m, monkeypatch):
@@ -300,8 +306,8 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
         work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 2)]
         transforms.clear()
         product, pi1 = _split_product(fields, sys, None, stacks,
-                                      [None] * m, work,
-                                      _product_sizes(fields))
+                                      [_block_scales(st) for st in stacks],
+                                      work, _product_sizes(fields))
         pi2 = product - pi1
         assert product.spectral.tobytes() == pd.product.spectral.tobytes()
         tol = 1e-15 * pd.product.l2()
@@ -317,7 +323,7 @@ def test_stack_running_sums_match_low_pass():
     f = random_band_field(g, 0.5, 2.0, 17, sys)
     stack = decompose(f, sys)
     work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(3)]
-    block, low = _stack_sources([stack], [None], work)
+    block, low = _stack_sources([stack], [_block_scales(stack)], work)
     for l in range(sys.jmax + 1):
         want = q_j(f, l, sys).physical
         got = low(0, l)
@@ -535,7 +541,8 @@ def test_scaled_sources_match_generator_stacks(n, size):
             block[...] = 0.0 if got is None else got
     work = [[np.empty(g.sizes, dtype=np.complex128)
              for _ in range(len(specs) + 2)] for _ in range(2)]
-    plain = _stack_sources(stacks, [None] * len(specs), work[0])
+    plain = _stack_sources(stacks, [_block_scales(st) for st in stacks],
+                           work[0])
     scaled = _stack_sources([units for _, units, _ in drawn],
                             [scales for _, _, scales in drawn], work[1])
     zeros = 0

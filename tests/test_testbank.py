@@ -173,15 +173,19 @@ def test_generator_stack_matches_decompose(n, size):
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
 def test_item_sources_give_the_decomposed_blocks(n, size):
     # both block sources of an audit item give the blocks of decompose on
-    # its field: bitwise for a Field and a bump or step recipe, built in the
-    # band buffer or the first slice of its stack, within 1e-15 of the
-    # largest sample for a random-band recipe, whose blocks its generator
-    # makes; each item takes one stack, which a second call reuses
+    # its field: bitwise for a Field and a bump, step or lacunary recipe,
+    # a bump or step built in the band buffer or the first slice of its
+    # stack, within 1e-15 of the largest sample for a random-band recipe,
+    # whose blocks its generator makes; each item takes one stack, which a
+    # second call reuses, and its blocks are scales[j] stack[j]
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     step = spec_for("smoothed-step", g, edge_width=0.25, m_max=3)
     bump = spec_for("gaussian-bump", g, width=0.4, m_max=3)
     drawn = spec_for("random-band", g, s=0.5, p=1.5, seed=7, m_max=3)
+    # content on bands 0..2 only: the top bands are exactly zero
+    lacunary = spec_for("lacunary", g, amplitudes={
+        "0": (1.0, 0.0), "1": (0.5, 0.0), "2": (0.0, -0.25)})
     made, cache = [], {}
 
     def new_stack():
@@ -193,6 +197,7 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
     for item, field in ((materialize(step, sys),) * 2,
                         (step, materialize(step, sys)),
                         (bump, materialize(bump, sys)),
+                        (lacunary, materialize(lacunary, sys)),
                         (drawn, materialize(drawn, sys))):
         want = decompose(field, sys)
         # out holds a None band's zeros
@@ -203,15 +208,18 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
         assert got.spectral.tobytes() == field.spectral.tobytes()
         assert _item_stack(item, sys, cache, new_stack,
                            np.empty(g.sizes))[1] is stack
+        blocks = np.stack([u * c for u, c in zip(stack, scales)])
         if item is drawn:
-            stack = np.stack([u * c for u, c in zip(stack, scales)])
             _assert_stack_close(streamed, want)
-            _assert_stack_close(stack, want)
+            _assert_stack_close(blocks, want)
         else:
-            assert scales is None
+            assert scales == [1.0 if np.any(b) else 0.0 for b in want]
             assert streamed.tobytes() == want.tobytes()
             assert stack.tobytes() == want.tobytes()
-    assert len(made) == 4
+            assert np.array_equal(blocks, want)
+        if item is lacunary:
+            assert scales[-1] == 0.0 and scales[0] == 1.0
+    assert len(made) == 5
 
 
 @pytest.mark.parametrize("kind", ["gaussian-bump", "smoothed-step"])
