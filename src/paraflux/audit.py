@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._inputs import MANIFEST, read
 from ._parallel import map_ordered, per_worker
 from .dyadic import (_axis_bounds, _bands, _box_views, _decompose_into,
                      build_dyadic_system, decompose, q_j, smooth_cutoff)
@@ -43,6 +45,7 @@ RATIO_SLACK = 1e-9
 CALIBRATION_GATE = 4.0  # frozen from the calibration run on the fixed bank
 TREND_GATE = 1.10
 SCALING_GATE = 1.05
+NIKOLSKII_GAMMAS = (8.0, 16.0, 32.0)
 STABILITY_FACTOR = 4.0
 
 
@@ -304,7 +307,7 @@ def _skipped(name, inputs, reason):
                        float("nan"), verdict="skipped")
 
 
-def nikolskii_scaling(grid, p, q, gammas=(8.0, 16.0, 32.0)):
+def nikolskii_scaling(grid, p, q, gammas=NIKOLSKII_GAMMAS):
     """Envelope-dilation stability of the Nikolskii ratio.
 
     One informational record per gamma plus one derived pass/fail record per
@@ -493,8 +496,9 @@ _QJ_LT_COMBOS = (
 def lemma_suite(grid, sys, only=None, seed=811):
     """Hardy, Nikolskii, and estimates (i)-(iv) on the bank entries read.
 
-    An unknown section, or a qj_lt section whose exponents the dimension
-    does not admit, is refused with ValueError before any section runs.
+    An unknown section, qj_lt exponents the dimension does not admit, or a
+    nikolskii section whose grid measures no gamma pair, is refused with
+    ValueError before any section runs.
     """
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
@@ -502,6 +506,14 @@ def lemma_suite(grid, sys, only=None, seed=811):
     if only in (None, "qj_lt"):
         for s, p, t, _ in _QJ_LT_COMBOS:
             _qj_lt_at_endpoint(s, p, t, grid.n)
+    need = NIKOLSKII_GAMMAS[1]  # every pair is skipped below it
+    if only in (None, "nikolskii") and grid.nyquist / 2.0 < need:
+        size = min(grid.sizes) * 2 ** math.ceil(math.log2(
+            2.0 * need / grid.nyquist))
+        raise ValueError("the nikolskii section measures no gamma pair on "
+                         "this grid: gamma %g lies above nyquist/2 = %g; use"
+                         " %d points per axis or more"
+                         % (need, grid.nyquist / 2.0, size))
     recipes = dict(bank_specs(grid, seed=seed))
 
     @functools.cache
@@ -712,15 +724,12 @@ def _multiplication_sweep(sets, sys):
     decomposed once, with scales 1.0 and 0.0.  A block is written only
     where it is read, band by band into the norms' and the split's work
     arrays (`paraproduct._stack_sources`).  Each set's tuple then runs its
-    two passes, f1 and 1000 f1, in `_tuple_records`, from one set of
-    per-factor facts: the second pass takes the blocks of 1000 f1 as f1's
-    stack with 1000 times its scales, with no decomposition, and its drift
-    from the first is a rounding residue, since 1000 is not a power of
-    two.  With Fields the values are those of `decompose_product` with
-    `triebel_norm` and `besov_norm`: bitwise for the product and the right
-    side of the first pass, at rounding level for Pi_1, Pi_2 and the second
-    pass; random-band recipes move the norms at rounding level too, and
-    give the bits of the generator's blocks (`testbank._item_bands`).
+    two passes, f1 and 1000 f1, in `_tuple_records`.  With Fields the
+    values are those of `decompose_product` with `triebel_norm` and
+    `besov_norm`: bitwise for the product and the right side of the first
+    pass, at rounding level for Pi_1, Pi_2 and the second pass; random-band
+    recipes move the norms at rounding level too, and give the bits of the
+    generator's blocks (`testbank._item_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
     # a set's two F specs share one key (s1, q), which either may need:
@@ -853,12 +862,12 @@ def _tuple_records(mset, t, factors, buf, sys):
                      base, lhs_pi2, rhs),
     ]
     rhs2, tot2, pi12, pi22 = ratios(1000.0 * fields[0], 1000.0)
-    drift = 0.0
-    for a, b in ((lhs_total / rhs, tot2 / rhs2),
-                 (lhs_pi1 / rhs, pi12 / rhs2),
-                 (lhs_pi2 / rhs, pi22 / rhs2)):
-        if b != 0.0 or a != 0.0:
-            drift = max(drift, abs(a - b) / max(abs(a), abs(b)))
+    # the largest relative gap of the ratio pairs not both 0; NaN fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.array([lhs_total, lhs_pi1, lhs_pi2]) / rhs
+        b = np.array([tot2, pi12, pi22]) / rhs2
+        gaps = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    drift = float(np.max(gaps, where=(a != 0.0) | (b != 0.0), initial=0.0))
     out.append(_make_record(
         "mult-scaling[%s,m=%d]" % (mode, m), base,
         drift, 1.0, RATIO_SLACK, "derived: slot 1-homogeneity"))
@@ -874,141 +883,25 @@ def _stability_record(name, inputs, ratios):
                         "derived: resolution stability gate")
 
 
-# manifest layout: object -> (allowed keys, required keys)
-_MANIFEST_KEYS = ({"n", "resolutions", "seed", "embeddings",
-                   "multiplications"}, set())
-_EMBEDDING_KEYS = ({"source", "target", "mode"}, {"source", "target"})
-_SPACE_KEYS = ({"family", "s", "p", "q"}, {"family", "s", "p", "q"})
-_MULTIPLICATION_KEYS = ({"mode", "params", "q", "tuples", "p", "gap"},
-                        {"mode", "params"})
-
-
-def _check_object(value, path, keys):
-    allowed, required = keys
-    if not isinstance(value, dict):
-        raise ValueError("%s: expected an object, got %s"
-                         % (path, type(value).__name__))
-    missing = sorted(required - value.keys())
-    if missing:
-        raise ValueError("%s: missing %s" % (path, ", ".join(missing)))
-    unknown = sorted(value.keys() - allowed)
-    if unknown:
-        raise ValueError("%s: unknown key %s" % (path, ", ".join(unknown)))
-
-
-def _check_list(value, path):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("%s: expected a list, got %s"
-                         % (path, type(value).__name__))
-
-
-_SCALAR_KINDS = {"int": "an integer", "number": "a number",
-                 "exponent": 'a number or "inf"'}
-
-
-def _check_scalar(value, path, kind, nullable=False):
-    """Refuse a manifest scalar of the wrong type, naming its path.  kind is
-    'int', 'number' or 'exponent' (a number or "inf"); nullable admits null
-    where the audit gives it a meaning."""
-    if (value is None and nullable) or (kind == "exponent"
-                                        and value == "inf"):
-        return
-    types = int if kind == "int" else (int, float)
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ValueError("%s: expected %s, got %r"
-                         % (path, _SCALAR_KINDS[kind], value))
-
-
-def _check_manifest(manifest):
-    """Refuse a manifest whose layout or scalar types are off, or whose
-    audit would pass vacuously (no tuples, or no resolution to run on),
-    naming the offending path."""
-    _check_object(manifest, "manifest", _MANIFEST_KEYS)
-    for key in ("n", "seed"):
-        if key in manifest:
-            _check_scalar(manifest[key], "manifest." + key, "int")
-    resolutions = manifest.get("resolutions", [])
-    _check_list(resolutions, "manifest.resolutions")
-    for i, size in enumerate(resolutions):
-        _check_scalar(size, "manifest.resolutions[%d]" % i, "int")
-    embeddings = manifest.get("embeddings", [])
-    _check_list(embeddings, "manifest.embeddings")
-    for i, item in enumerate(embeddings):
-        path = "manifest.embeddings[%d]" % i
-        _check_object(item, path, _EMBEDDING_KEYS)
-        for side in ("source", "target"):
-            spath = "%s.%s" % (path, side)
-            _check_object(item[side], spath, _SPACE_KEYS)
-            _check_scalar(item[side]["s"], spath + ".s", "number")
-            for key in ("p", "q"):
-                _check_scalar(item[side][key], "%s.%s" % (spath, key),
-                              "exponent")
-    multiplications = manifest.get("multiplications", [])
-    _check_list(multiplications, "manifest.multiplications")
-    for i, item in enumerate(multiplications):
-        path = "manifest.multiplications[%d]" % i
-        _check_object(item, path, _MULTIPLICATION_KEYS)
-        _check_list(item["params"], path + ".params")
-        for k, pair in enumerate(item["params"]):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValueError("%s.params[%d]: expected an [s, p] pair"
-                                 % (path, k))
-            _check_scalar(pair[0], "%s.params[%d].s" % (path, k), "number")
-            _check_scalar(pair[1], "%s.params[%d].p" % (path, k),
-                          "exponent", nullable=True)
-        for key, kind in (("q", "exponent"), ("p", "exponent"),
-                          ("gap", "int")):
-            if key in item:
-                _check_scalar(item[key], "%s.%s" % (path, key), kind,
-                              nullable=True)
-        if "tuples" in item:
-            _check_scalar(item["tuples"], path + ".tuples", "int")
-            if item["tuples"] < 1:
-                raise ValueError("%s.tuples: expected at least 1, got %d"
-                                 % (path, item["tuples"]))
-    if (embeddings or multiplications) and "resolutions" in manifest \
-            and not resolutions:
-        # a missing key means the default sizes; only an empty list is void
-        raise ValueError("manifest.resolutions: expected at least 1 size "
-                         "when embeddings or multiplications are listed")
-
-
-def _exponent(value):
-    """A manifest exponent as a float: "inf" and null mean infinity."""
-    return INF if value in ("inf", None) else float(value)
-
-
 def run_audit_manifest(manifest):
-    """Execute an audit manifest (dict or JSON text): embeddings and
-    multiplication parameter sets across the listed resolutions, plus
-    resolution-stability gates on each max ratio.
-
-    Every embedding's hypotheses, and every multiplication set's hypotheses,
-    admissible p and gap at every resolution (against that resolution's
-    grid), are checked before any dyadic system or field is built.  Then
-    the resolutions run one at a time, each on its own dyadic system, which
-    is dropped before the next is built.  At each resolution, each worker
-    takes one bank recipe of `bank_specs` at a time and streams its blocks
-    band by band (a random-band recipe's from its generator, without
-    building the field, any other's by windowing the built field),
-    evaluating every norm of every embedding in that one pass, so neither a
-    whole bank nor a block stack is ever alive.  The multiplication sets run
-    in one `_multiplication_sweep` per resolution: the worker that takes
-    tuple index t builds tuple t of every set from `tuple_specs`, and each
-    random-band stream of those tuples once.  Records keep the order
-    embedding by embedding, then set by set, resolution by resolution.
-    meta["verdicts"] counts the records per verdict.
-
-    A manifest whose layout is off (not an object, a missing or unknown
-    key, a non-list where a list belongs, a scalar of the wrong type) or
-    whose audit would pass vacuously (zero tuples, no resolutions) is
-    refused with ValueError naming the path.
+    """Execute an audit manifest (dict or JSON text), read along
+    `_inputs.MANIFEST`: embeddings and multiplication sets at each listed
+    resolution in turn (`_resolution_sweeps`), plus resolution-stability
+    gates on each max ratio.  Every table, hypothesis, admissible p and gap
+    is checked before any dyadic system or field is built, and a refusal is
+    a ValueError naming the path.  Records keep the order embedding by
+    embedding, then set by set, resolution by resolution; meta["verdicts"]
+    counts them per verdict.
     """
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
-    _check_manifest(manifest)
+    given, manifest = manifest, read(manifest, MANIFEST, "manifest")
     n = manifest.get("n", 1)
     resolutions = list(manifest.get("resolutions", [128, 256]))
+    if not resolutions and (manifest.get("embeddings")
+                            or manifest.get("multiplications")):
+        raise ValueError("manifest.resolutions: expected at least 1 size "
+                         "when embeddings or multiplications are listed")
     seed = manifest.get("seed", 811)
 
     combined = SweepResult(meta={
@@ -1028,17 +921,18 @@ def run_audit_manifest(manifest):
 
     grids = [build_grid(n, size) for size in resolutions]
     sets = []
-    for item in manifest.get("multiplications", []):
-        params = [(float(s), _exponent(pv)) for s, pv in item["params"]]
-        q = _exponent(item.get("q"))
-        p = INF if item.get("p") == "inf" else item.get("p")
+    for item, raw in zip(manifest.get("multiplications", []),
+                         given.get("multiplications", [])):
+        params = [(float(s), float(p)) for s, p in item["params"]]
+        q = float(item.get("q", INF))
         # the p each resolution runs with, as its check resolved it
         ps = [_check_multiplication(params, q, item["mode"], grid,
-                                    item.get("gap"), p) for grid in grids]
+                                    item.get("gap"), item.get("p"))
+              for grid in grids]
         sets.append((item, params, q, ps))
         gates.append(("mult-total", "mult-stability[%s,m=%d]"
                       % (item["mode"], len(params)),
-                      {"mode": item["mode"], "params": item["params"]}))
+                      {"mode": item["mode"], "params": raw["params"]}))
 
     # by_size[i][k]: sweep k at resolution i
     by_size = []

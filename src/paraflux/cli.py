@@ -15,13 +15,13 @@ import os
 import sys as _sys
 
 from . import fldio
-from .audit import _num, lemma_suite, run_audit_manifest
+from .audit import RATIO_SLACK, _num, lemma_suite, run_audit_manifest
 from .dyadic import build_dyadic_system
 from .grid import build_grid
 from .norms import SpaceSpec, _ex_json, space_norms
 from .paraproduct import _checked_gap, decompose_product, dump_decomposition
-from .testbank import (GeneratorSpec, _check_spec, bank_specs, materialize,
-                       pure_wave, spec_for, tuple_fields)
+from .testbank import (GeneratorSpec, bank_specs, materialize, pure_wave,
+                       spec_for, tuple_fields)
 
 __all__ = ["main"]
 
@@ -33,13 +33,10 @@ class ConfigError(ValueError):
 
 def _exponent(text):
     try:
-        value = float(text)
+        return float(text)  # SpaceSpec refuses nan
     except ValueError:
         raise ConfigError("not an exponent: %r (use a number or 'inf')"
                           % (text,))
-    if math.isnan(value):
-        raise ConfigError("exponent may not be nan")
-    return value
 
 
 def _emit(text, out_path):
@@ -218,9 +215,11 @@ def _emit_sweep(sweep, args):
     _emit(text, args.out)
     failures = sweep.failures()
     for rec in failures:
-        _sys.stderr.write("FAIL %s ratio=%s bound=%s\n"
-                          % (rec.name, _num(rec.ratio),
-                             _num(rec.reference_bound)))
+        # a ratio within its bound failed the gate its provenance names
+        within = rec.ratio <= rec.reference_bound + RATIO_SLACK
+        _sys.stderr.write("FAIL %s ratio=%s bound=%s%s\n" % (
+            rec.name, _num(rec.ratio), _num(rec.reference_bound),
+            " (%s)" % rec.bound_provenance if within else ""))
     return 1 if failures else 0
 
 
@@ -264,8 +263,7 @@ def cmd_gen(args):
             text = fh.read()
         try:
             spec = GeneratorSpec.from_json(text)
-            _check_spec(spec)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError("bad generator spec %s: %s" % (path, exc))
         stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((stem, spec, None))
@@ -274,15 +272,16 @@ def cmd_gen(args):
                      spec_for("pure-wave", grid, k=args.wave), sys_))
     if not jobs:
         raise ConfigError("gen needs --bank, --spec FILE, or --wave K")
-    os.makedirs(args.out, exist_ok=True)
 
     index = []
     for stem, spec, system in jobs:
         fname = stem + ".fld"
+        field = materialize(spec, system)  # refused as built: no directory
+        os.makedirs(args.out, exist_ok=True)
         # generators are defined by their coefficients; storing the
         # spectral side keeps the file exactly rematerializable
-        fldio.write_field(os.path.join(args.out, fname),
-                          materialize(spec, system), domain="spectral")
+        fldio.write_field(os.path.join(args.out, fname), field,
+                          domain="spectral")
         index.append({"file": fname, "spec": json.loads(spec.to_json())})
     with open(os.path.join(args.out, "index.json"), "w") as fh:
         json.dump(index, fh, sort_keys=True, indent=2)

@@ -66,8 +66,10 @@ class Grid:
                 raise ValueError(
                     "axis size must be a power of two >= 16, got %d" % s)
         period = float(period)
-        if not (period > 0.0 and np.isfinite(period)):
-            raise ValueError("period must be positive and finite")
+        if not (0.0 < period < np.inf
+                and np.isfinite(TWO_PI / period * (min(sizes) // 2))):
+            raise ValueError("period must be positive and finite, with a "
+                             "finite nyquist frequency")
 
         self.n = n
         self.sizes = sizes

@@ -7,40 +7,22 @@ constructions place all their content on the plateaus of the annular
 windows, where exactly one window equals 1 and its neighbors vanish; that
 makes their Besov/Triebel norms available in closed form.
 
-The standard bank is one list of GeneratorSpec recipes (`bank_specs`), as
-is each multiplication tuple (`tuple_specs`), and `materialize` builds a
-recipe's field where a sweep measures it.  The audits take the blocks of
-an item, a recipe or a Field, from this module only.  A random-band
-field's blocks are the band samples its generator computes anyway to
-normalise each band, so they are not transformed a second time: they are
-the unit band samples U_j of the recipe's stream (grid, seed, m_max),
-which `_unit_bands` builds, times the band scales c_j of its targets
-(s, p); any other item's are windowed from its field.  The embedding
-audit streams them band by band (`_item_bands`), without building a
-random-band field.  The multiplication audit takes every item of a tuple
-index as one stack and its scales (`_item_stack`), in one form for every
-item, Delta_j f = scales[j] stack[j]: a random-band recipe's stack holds
-U_j and its scales are c_j, drawn from one set of streams, since slot i
-of tuple t has the same seed in every parameter set, so each stream is
-built once and its bands measured once per exponent p; any other item's
-stack holds its blocks, with scale 1.0 on a band with content and 0.0 on
-an exactly-zero band.  A bump or step has one builder (`_real_samples`),
-which writes its band-limited samples into an array the caller passes: the
-audits pass a buffer the worker holds, the band buffer or the first slice
-of the item's stack, which the blocks then overwrite, and keep the field's
-spectrum only; `materialize` passes a new array, which the field keeps as
-its samples.
+A recipe (`GeneratorSpec`) is plain data, read along the tables
+`_inputs.SPEC` and `_inputs.PARAMS`; `materialize` builds its field.  The
+bank (`bank_specs`) and each multiplication tuple (`tuple_specs`) are
+lists of recipes, and the audits take an item's blocks from this module
+only (`_item_bands`, `_item_stack`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._inputs import check_spec
 from .dyadic import (DyadicSystem, _axis_bounds, _bands, _box_views,
                      _confined_ifftn, _decompose_into)
 from .grid import Field, Grid, _transform
@@ -189,6 +171,15 @@ def _band_size(mags, p):
     return float(np.mean(_power(mags, p, out=mags)) ** (1.0 / p))
 
 
+def _band_scale(s, j, size):
+    """c_j = 2^(-js) / L_p(U_j) of band j from its size L_p(U_j);
+    ValueError where a large |s| or p takes it out of the floats."""
+    if 0.0 < size < math.inf and -float(s) * j < 1024.0:
+        return 2.0 ** (-float(s) * j) / size
+    raise ValueError("random-band band %d: 2^(-js) / L_p(U_j) leaves the "
+                     "floats at s = %g, L_p(U_j) = %g" % (j, s, size))
+
+
 _NO_PLATEAU = "no usable plateau frequencies under the band limit"
 
 
@@ -211,7 +202,7 @@ def _band_scales(grid, s, p, bands, sizes=None):
             continue
         size = _band_size(np.abs(values, out=scratch), p) \
             if sizes is None else sizes[j]
-        scale = 2.0 ** (-float(s) * j) / size
+        scale = _band_scale(s, j, size)
         coeffs[points] += phases * scale
         scales.append(scale)
     if not any(scales):
@@ -389,7 +380,7 @@ def constant_field(grid, value=1.0):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Serializable recipe for one generated field."""
+    """Serializable recipe for one generated field (`_inputs.SPEC`)."""
 
     kind: str
     params: dict = dc_field(default_factory=dict)
@@ -402,7 +393,9 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, text):
+        """The recipe in JSON text, checked (`check_spec`)."""
         payload = json.loads(text)
+        check_spec(payload)
         return cls(kind=payload["kind"], params=payload.get("params", {}),
                    grid=payload["grid"])
 
@@ -413,76 +406,10 @@ def spec_for(kind, grid, **params):
                                "period": grid.period})
 
 
-# the parameters each generator kind cannot do without
-_REQUIRED_PARAMS = {"lacunary": ("amplitudes",),
-                    "random-band": ("s", "p", "seed"),
-                    "gaussian-bump": (), "smoothed-step": (),
-                    "pure-wave": ("k",), "constant": ()}
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_list_of(value, test):
-    return isinstance(value, (list, tuple)) and all(test(v) for v in value)
-
-
-def _is_amplitudes(value):
-    # {band index: [re, im]}, the index an integer or a string of digits
-    return isinstance(value, dict) and all(
-        (_is_int(j) or (isinstance(j, str) and j.isdigit()))
-        and _is_list_of(a, _is_number) and len(a) == 2
-        for j, a in value.items())
-
-
-# what a grid key or a parameter must be wherever a recipe gives it
-_NUMBER = (_is_number, "a number")
-_VALUE_TYPES = {
-    "n": (_is_int, "an integer"),
-    "sizes": (lambda v: _is_list_of(v, _is_int), "a list of integers"),
-    "period": _NUMBER, "s": _NUMBER, "p": _NUMBER, "m_max": _NUMBER,
-    "width": _NUMBER, "edge_width": _NUMBER, "value": _NUMBER,
-    "seed": (_is_int, "an integer"),
-    "k": (lambda v: _is_int(v) or _is_list_of(v, _is_int),
-          "an integer or a list of integers"),
-    "center": (lambda v: v is None or _is_list_of(v, _is_number),
-               "a list of numbers"),
-    "amplitudes": (_is_amplitudes, "an object of [re, im] pairs"),
-}
-
-
-def _check_spec(spec):
-    """Refuse a recipe `materialize` cannot build: an unknown kind, a grid
-    or params object without a key it needs, or a value of the wrong type
-    (ValueError naming it)."""
-    if spec.kind not in _REQUIRED_PARAMS:
-        raise ValueError("unknown generator kind %r" % (spec.kind,))
-    for part, need in (("grid", ("n", "sizes")),
-                       ("params", _REQUIRED_PARAMS[spec.kind])):
-        value = getattr(spec, part)
-        if not isinstance(value, dict):
-            raise ValueError("%s spec: %s must be an object"
-                             % (spec.kind, part))
-        missing = [key for key in need if key not in value]
-        if missing:
-            raise ValueError("%s spec: %s lacks %s" % (
-                spec.kind, part, ", ".join(repr(k) for k in missing)))
-        for key, item in value.items():
-            test, kind = _VALUE_TYPES.get(key, (None, None))
-            if test is not None and not test(item):
-                raise ValueError("%s spec: %s %r must be %s, got %r" % (
-                    spec.kind, part, key, kind, item))
-
-
 def _spec_grid(spec, sys):
-    """The grid to build a checked recipe on: sys.grid, which must match
-    the spec's, or without a dyadic system a new Grid."""
-    _check_spec(spec)
+    """The grid to build a recipe on once `check_spec` passes it: sys.grid,
+    which must match the spec's, or without a dyadic system a new Grid."""
+    check_spec({"kind": spec.kind, "grid": spec.grid, "params": spec.params})
     g = spec.grid
     shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
     if sys is None:
@@ -493,8 +420,9 @@ def _spec_grid(spec, sys):
 
 
 def materialize(spec, sys=None):
-    """Build the field a GeneratorSpec describes (bitwise reproducible);
-    given a dyadic system, on its grid, which must match the spec's."""
+    """Build the field of a GeneratorSpec read along `_inputs.PARAMS`
+    (bitwise reproducible); given a dyadic system, on its grid, which must
+    match the spec's."""
     grid = _spec_grid(spec, sys)
     params = spec.params
     kind = spec.kind
@@ -549,8 +477,8 @@ def _item_bands(item, sys, out, scratch):
         if points is None:
             yield None
             continue
-        values *= 2.0 ** (-float(params["s"]) * j) / _band_size(
-            np.abs(values, out=scratch), params["p"])
+        values *= _band_scale(params["s"], j, _band_size(
+            np.abs(values, out=scratch), params["p"]))
         live = True
         yield values
     if not live:

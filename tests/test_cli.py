@@ -418,6 +418,54 @@ def test_lemmas_exit_codes_on_small_and_multi_dimensional_grids(capsys,
     assert captured.err == "error: need p < t <= 2.66667\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "32"],
+    ["--grid", "32", "--only", "nikolskii"],
+    ["--dim", "3", "--grid", "32", "--only", "nikolskii"]])
+def test_lemmas_refuse_a_nikolskii_section_that_measures_no_pair(
+        capsys, monkeypatch, flags):
+    # at 32 points every gamma pair would be skipped (nyquist/2 = 8 < 16):
+    # the section is refused before any section runs, naming the size
+    # that runs it
+    import paraflux.audit
+
+    monkeypatch.setattr(paraflux.audit, "check_hardy", None)
+    monkeypatch.setattr(paraflux.audit, "nikolskii_scaling", None)
+    assert main(["lemmas", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the nikolskii section measures no gamma pair on this "
+        "grid: gamma 16 lies above nyquist/2 = 8; use 64 points per axis "
+        "or more\n")
+
+
+def test_fail_line_names_the_gate_that_decided_it(tmp_path, capsys):
+    # a fail whose ratio lies within its bound says which gate failed it;
+    # one above its bound needs no word more, and the table is unchanged
+    import argparse
+
+    from paraflux.audit import AuditRecord, SweepResult
+    from paraflux.cli import _emit_sweep
+
+    assert main(["lemmas", "--grid", "32", "--only", "qj_lp"]) == 1
+    err = capsys.readouterr().err
+    assert ("FAIL qj_lp[s=-1,p=1]random-band[s=-1,p=1] ratio=1.2516980159"
+            "849698 bound=4 (derived: calibration-frozen; trend gate 1.1 "
+            "exceeded)\n") in err
+    sweep = SweepResult([
+        AuditRecord("over", {}, 5.0, 1.0, 5.0, 4.0, "derived: a", "fail"),
+        AuditRecord("trend", {}, 1.0, 1.0, 1.0, 4.0,
+                    "derived: b; trend gate 1.1 exceeded", "fail")])
+    out = tmp_path / "t.csv"
+    assert _emit_sweep(sweep, argparse.Namespace(json=False,
+                                                 out=str(out))) == 1
+    assert capsys.readouterr().err == (
+        "FAIL over ratio=5 bound=4\n"
+        "FAIL trend ratio=1 bound=4 (derived: b; trend gate 1.1 exceeded)\n")
+    assert "trend gate" not in out.read_text()
+
+
 def test_gen_wave_roundtrip(tmp_path, capsys):
     out = tmp_path / "fields"
     assert main(["gen", "--grid", "64", "--wave", "4", "--out",
@@ -496,16 +544,36 @@ def test_gen_spec_grid_sizes_not_a_list_exit_2(tmp_path, capsys):
     ({"s": 1.0, "p": [2.0], "seed": 3}, "'p'"),
     ({"s": 1.0, "p": 2.0, "seed": 3.5}, "'seed'"),
     ({"s": 1.0, "p": 2.0, "seed": True}, "'seed'"),
+    # out of range, each once a division by zero, an overflow, a TypeError
+    # or a file of NaN coefficients
+    ({"s": 1.0, "p": 0, "seed": 3}, "['params']['p']: expected a positive"),
+    ({"s": 1.0, "p": 2.0, "seed": 3, "m_max": 0},
+     "['params']['m_max']: expected a finite number >= 1"),
+    (("gaussian-bump", {"width": 1e308}), "['params']['width']: expected"),
+    (("gaussian-bump", {"center": [1e308]}),
+     "['params']['center'][0]: expected"),
+    (("gaussian-bump", {"center": [float("inf")]}),
+     "['params']['center'][0]: expected"),
+    (("gaussian-bump", {"center": []}),
+     "['params']['center']: expected one entry per axis"),
+    ({"s": float("nan"), "p": 2.0, "seed": 3},
+     "['params']['s']: expected a finite number, got nan"),
+    ({"s": 1.0, "p": float("nan"), "seed": 3},
+     "['params']['p']: expected a positive number, got nan"),
+    (("constant", {"value": float("nan")}),
+     "['params']['value']: expected a finite number, got nan"),
 ])
 def test_gen_spec_value_of_the_wrong_type_exit_2(tmp_path, capsys, params,
                                                  key):
     # checked before anything is written: the good spec listed first is
-    # not written either
+    # not written either; a case of another kind gives (kind, params)
+    kind, params = params if isinstance(params, tuple) \
+        else ("random-band", params)
     good = tmp_path / "b1.json"
     good.write_text(json.dumps({"kind": "constant", "params": {},
                                 "grid": {"n": 1, "sizes": [64]}}))
     bad = tmp_path / "b2.json"
-    bad.write_text(json.dumps({"kind": "random-band", "params": params,
+    bad.write_text(json.dumps({"kind": kind, "params": params,
                                "grid": {"n": 1, "sizes": [64]}}))
     out = tmp_path / "fields"
     assert main(["gen", "--spec", str(good), "--spec", str(bad),
@@ -590,6 +658,14 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
     ({"n": 1, "resolutions": [], "multiplications": [
         {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]]}]},
      "manifest.resolutions: expected at least 1"),
+    # out of range: a division by zero, and an overflow, before the tables
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, 0]]}]},
+     "manifest.multiplications[0].params[1].p: expected a positive number"),
+    ({"n": 1, "resolutions": [64], "multiplications": [
+        {"mode": "positive", "params": [[0.4, 2.0], [1.0, -0.0]]}]},
+     "manifest.multiplications[0].params[1].p: expected a positive number"),
+    ({"n": 2 ** 70, "resolutions": [64]}, "manifest.n: expected 1, 2 or 3"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"
