@@ -24,10 +24,9 @@ from .paraproduct import (ProductDecomposition, SupportReport,
                           dump_decomposition, enumerate_pi2_direct, min_gap,
                           verify_supports)
 from .testbank import (GeneratorSpec, band_limit, bank_specs,
-                       constant_field, gaussian_bump, lacunary_field,
-                       materialize, plateau_frequency, pure_wave,
-                       random_band_field, smoothed_step, spec_for,
-                       tuple_fields, tuple_specs)
+                       constant_field, lacunary_field, materialize,
+                       plateau_frequency, pure_wave, random_band_field,
+                       spec_for, tuple_fields, tuple_specs)
 
 __version__ = "0.1.0"
 
@@ -42,11 +41,11 @@ __all__ = [
     "check_nikolskii", "check_qj_lp", "check_qj_lt",
     "check_theorem_hypotheses", "constant_field", "dealiased_product",
     "decompose", "decompose_product", "delta_j", "dump_decomposition",
-    "enumerate_pi2_direct", "gaussian_bump", "hardy_bound", "lacunary_field",
+    "enumerate_pi2_direct", "hardy_bound", "lacunary_field",
     "lemma_suite", "lp_norm", "materialize", "min_gap", "nikolskii_scaling",
     "pick_admissible_p", "plateau_frequency", "pure_wave", "q_j",
     "random_band_field", "read_field", "run_audit_manifest",
-    "sequence_norm", "smooth_cutoff", "smoothed_step", "space_norms",
+    "sequence_norm", "smooth_cutoff", "space_norms",
     "spec_for",
     "triebel_norm", "tuple_fields",
     "tuple_specs",

@@ -33,8 +33,14 @@ Pair = namedtuple("Pair", "keys")
 Map = namedtuple("Map", "value")
 
 
+def _text(path):
+    """path as text: a string, or (parent, format, key), written out only
+    when a refusal names it."""
+    return path if type(path) is str else path[1] % (_text(path[0]), path[2])
+
+
 def _refuse(path, what, value):
-    raise ValueError("%s: expected %s, got %s" % (path, what, type(
+    raise ValueError("%s: expected %s, got %s" % (_text(path), what, type(
         value).__name__ if isinstance(value, (dict, list, tuple))
         else repr(value)))
 
@@ -45,6 +51,7 @@ def read(value, kind, path, quote=False, axes=None):
     as infinity and null as its meaning; a dict or list comes back itself
     unless an entry reads to another value, so a spec is not copied.  quote
     writes a key into the path as ['key'], not .key; axes is the grid's n.
+    A key's path is written out only if it is refused (`_text`).
     """
     if type(kind) is Key:
         if value is None and kind.null is not _REFUSED:
@@ -66,7 +73,7 @@ def read(value, kind, path, quote=False, axes=None):
         if not isinstance(value, str) or (
                 value.lower() if kind.fold else value) not in kind.values:
             raise ValueError("%s: unknown %s %r (have %s)" % (
-                path, kind.what, value, ", ".join(kind.values)))
+                _text(path), kind.what, value, ", ".join(kind.values)))
         return value
     at = "%s[%r]" if quote else "%s.%s"
     if t is dict or t is Map or kind is dict:
@@ -84,10 +91,10 @@ def read(value, kind, path, quote=False, axes=None):
                    if type(key) is Key and key.required and k not in value]
         extra = value.keys() - kind.keys()
         if missing or extra:
-            raise ValueError("%s: %s" % (path, "missing " + ", ".join(
+            raise ValueError("%s: %s" % (_text(path), "missing " + ", ".join(
                 missing) if missing else "unknown key " + ", ".join(
                 sorted(map(name, extra)))))
-        entries = ((k, v, kind[k], at % (path, k)) for k, v in value.items())
+        entries = ((k, v, kind[k], (path, at, k)) for k, v in value.items())
     elif not isinstance(value, (list, tuple)) or (t is Pair
                                                   and len(value) != 2):
         if t is List and kind.scalar:
@@ -95,13 +102,13 @@ def read(value, kind, path, quote=False, axes=None):
         _refuse(path, "a list" if t is List else "an [%s] pair"
                 % ", ".join(kind.keys), value)
     elif t is Pair:
-        entries = ((i, v, key, "%s.%s" % (path, name)) for i, (v, (
+        entries = ((i, v, key, (path, "%s.%s", name)) for i, (v, (
             name, key)) in enumerate(zip(value, kind.keys.items())))
     else:
         if kind.per_axis and len(value) != axes:
             raise ValueError("%s: expected one entry per axis, %d, got %d"
-                             % (path, axes, len(value)))
-        entries = ((i, v, kind.item, "%s[%d]" % (path, i))
+                             % (_text(path), axes, len(value)))
+        entries = ((i, v, kind.item, (path, "%s[%d]", i))
                    for i, v in enumerate(value))
     out = value
     for slot, item, sub, where in entries:

@@ -26,7 +26,7 @@ from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _norm_work,
-                    _work_rows, lp_norm, lq_of_lp, sequence_norm,
+                    _work_rows, besov_norm, lp_norm, lq_of_lp, sequence_norm,
                     triebel_norm)
 from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
                           _split_product, _support_radius)
@@ -348,10 +348,9 @@ def nikolskii_scaling(grid, p, q, gammas=NIKOLSKII_GAMMAS):
 # Lemma estimates (i)-(iv)
 
 
-def _besov_sup(blocks, s, p):
-    """||f|B^s_{p,inf}|| from f's block stack; a zero field is refused."""
-    spec = SpaceSpec("B", s, p, INF)
-    value = lq_of_lp(blocks, spec.s, spec.p, spec.q)
+def _besov_sup(f, s, p, sys):
+    """||f|B^s_{p,inf}|| (`besov_norm`); a zero field is refused."""
+    value = besov_norm(f, SpaceSpec("B", s, p, INF), sys)
     if value == 0.0:
         raise ValueError("zero field has no usable reference norm")
     return value
@@ -376,7 +375,7 @@ def check_qj_lp(f, s, p, sys, reference_bound=None, provenance="",
     ratio is the worst j; the growth of the normalized sequence over the top
     three j is recorded (and gated when trend_gate is given).
     """
-    base = _besov_sup(decompose(f, sys), s, p)
+    base = _besov_sup(f, s, p, sys)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     ratio_seq = seq / base
@@ -396,7 +395,7 @@ def qj_lp_flatness(f, s, p, sys, label=""):
     """s < 0 calibration: eps_j-normalized low-pass norms flat within 4x."""
     if not s < 0.0:
         raise ValueError("flatness gate applies to s < 0")
-    base = _besov_sup(decompose(f, sys), s, p)
+    base = _besov_sup(f, s, p, sys)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     seq = seq[2:] / base
@@ -411,12 +410,11 @@ def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     """Block norms against ||Delta_j f||_t <= c 2^{(n/p-n/t-s)j} ||f|B^s_{p,inf}||."""
     if t != INF and not 0.0 < p <= t:
         raise ValueError("need p <= t")
-    blocks = decompose(f, sys)
-    base = _besov_sup(blocks, s, p)
+    base = _besov_sup(f, s, p, sys)
     n = f.grid.n
     it = 0.0 if t == INF else 1.0 / t
     worst = 0.0
-    for j, b in enumerate(blocks):
+    for j, b in enumerate(decompose(f, sys)):
         rhs = 2.0 ** ((n / p - n * it - s) * j) * base
         worst = max(worst, lp_norm(b, t) / rhs)
     return _make_record(
@@ -450,7 +448,7 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     (j+1)^{1/min(1,t)}.
     """
     at_endpoint = _qj_lt_at_endpoint(s, p, t, f.grid.n)
-    base = _besov_sup(decompose(f, sys), s, p)
+    base = _besov_sup(f, s, p, sys)
     worst = 0.0
     for j, qn in enumerate(_qj_norms(f, t, sys)):
         if at_endpoint:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys as _sys
+import tempfile
 
 from . import fldio
 from .audit import RATIO_SLACK, _num, lemma_suite, run_audit_manifest
@@ -62,13 +63,15 @@ def _check_out(path):
 
 def _check_out_dir(path):
     """Refuse, as an I/O error and before any work, an output directory
-    that is a file or lies under one; nothing is created."""
+    that is a file or lies under one; nothing is created.  Returns the
+    nearest directory that exists at or above path."""
     folder = path
     while folder and not os.path.exists(folder):
         folder = os.path.dirname(folder)
     if folder and not os.path.isdir(folder):
         raise NotADirectoryError("cannot write %s: %s is not a directory"
                                  % (path, folder))
+    return folder or os.curdir
 
 
 def _build(args):
@@ -273,19 +276,23 @@ def cmd_gen(args):
     if not jobs:
         raise ConfigError("gen needs --bank, --spec FILE, or --wave K")
 
-    index = []
-    for stem, spec, system in jobs:
-        fname = stem + ".fld"
-        field = materialize(spec, system)  # refused as built: no directory
+    # each field is written as it is built, and moved into --out once every
+    # spec is built: a spec refused as it is built leaves --out as it was
+    with tempfile.TemporaryDirectory(prefix=".paraflux-gen-",
+                                     dir=_check_out_dir(args.out)) as staged:
+        index = []
+        for stem, spec, system in jobs:
+            fname = stem + ".fld"
+            fldio.write_field(os.path.join(staged, fname),
+                              materialize(spec, system))
+            index.append({"file": fname, "spec": json.loads(spec.to_json())})
+        with open(os.path.join(staged, "index.json"), "w") as fh:
+            json.dump(index, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         os.makedirs(args.out, exist_ok=True)
-        # generators are defined by their coefficients; storing the
-        # spectral side keeps the file exactly rematerializable
-        fldio.write_field(os.path.join(args.out, fname), field,
-                          domain="spectral")
-        index.append({"file": fname, "spec": json.loads(spec.to_json())})
-    with open(os.path.join(args.out, "index.json"), "w") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        for name in os.listdir(staged):
+            os.replace(os.path.join(staged, name),
+                       os.path.join(args.out, name))
     _emit("wrote %d fields to %s\n" % (len(index), args.out), None)
     return 0
 

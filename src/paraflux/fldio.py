@@ -9,9 +9,12 @@ Layout, all little-endian:
     u8           domain tag: 0 = physical samples, 1 = spectral coefficients
     c128 * prod  samples, row-major
 
-Physical samples are stored in grid order.  Spectral coefficients are stored
-row-major over the centered lattice, i.e. ascending integer wavenumber
--size/2 .. size/2-1 per axis (an fftshift of the in-memory FFT order).
+`write_field` stores the spectrum, a field's one stored form: it keeps a
+generated field exactly rematerializable, and computes no samples.  It is
+stored row-major over the centered lattice, i.e. ascending integer
+wavenumber -size/2 .. size/2-1 per axis (an fftshift of the in-memory FFT
+order).  `read_field` also reads physical samples in grid order (tag 0),
+as files written before may hold them.
 """
 
 from __future__ import annotations
@@ -30,20 +33,14 @@ DOMAIN_SPECTRAL = 1
 __all__ = ["read_field", "write_field", "MAGIC"]
 
 
-def write_field(path, field, domain="physical"):
-    """Write a Field to an FLD1 file in the requested domain."""
-    if domain == "physical":
-        tag, data = DOMAIN_PHYSICAL, field.physical
-    elif domain == "spectral":
-        tag, data = DOMAIN_SPECTRAL, np.fft.fftshift(field.spectral)
-    else:
-        raise ValueError("domain must be 'physical' or 'spectral', got %r"
-                         % (domain,))
+def write_field(path, field):
+    """Write a Field's spectrum to an FLD1 file (tag 1)."""
     g = field.grid
     header = struct.pack("<4sI", MAGIC, g.n)
     header += struct.pack("<%dI" % g.n, *g.sizes)
-    header += struct.pack("<dB", g.period, tag)
-    payload = np.ascontiguousarray(data, dtype="<c16").tobytes()
+    header += struct.pack("<dB", g.period, DOMAIN_SPECTRAL)
+    payload = np.ascontiguousarray(np.fft.fftshift(field.spectral),
+                                   dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

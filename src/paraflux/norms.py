@@ -11,10 +11,11 @@ Exponent conventions used throughout:
 Every norm is evaluated by one kernel, `_band_norms`, in one pass over a
 field's blocks, lowest band first: the slices of a block stack as
 `dyadic.decompose` gives it, or bands streamed one at a time through one
-grid-sized array, with None for a band that is exactly zero.  Fields are
-streamed by `dyadic._bands`, and in the embedding audit a random-band
-recipe by its generator (`testbank._item_bands`), whose blocks agree with
-`decompose` to rounding.
+grid-sized array, with None for a band that is exactly zero.  A field's
+norms are one pass of bands streamed by `dyadic._bands` (`space_norms`),
+bitwise the stack kernels `lq_of_lp`, `lp_of_lq` on `decompose`; in the
+embedding audit a random-band recipe is streamed by its generator
+(`testbank._item_bands`), whose blocks agree with `decompose` to rounding.
 
 Two shortcuts keep the kernels off numpy's generic pow:
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _bands, decompose
+from .dyadic import _bands
 from .grid import Field
 
 INF = math.inf
@@ -156,8 +157,10 @@ def lp_norm(f, p):
     return _lp(a, p, out=a)
 
 
+@np.errstate(over="ignore")  # an overflow is refused, not warned
 def sequence_norm(a, s, q):
-    """Weighted sequence norm (sum_j 2^{jsq} |a_j|^q)^(1/q), sup for q=inf."""
+    """Weighted sequence norm (sum_j 2^{jsq} |a_j|^q)^(1/q), sup for q=inf;
+    ValueError if the sum overflows, or is 0 for a nonzero sequence."""
     q = _check_exponent(q, "q")
     a = np.abs(np.asarray(a, dtype=float).ravel())
     if a.size == 0:
@@ -165,7 +168,12 @@ def sequence_norm(a, s, q):
     wa = _weights(s, a.size) * a
     if q == INF:
         return float(wa.max())
-    return float(np.sum(wa ** q) ** (1.0 / q))
+    total = np.sum(wa ** q)
+    if total == INF or total == 0.0 and a.any():
+        fault = "overflows" if total else "is 0 for a nonzero sequence"
+        raise ValueError("sequence norm at q = %g leaves the floats: the sum "
+                         "of (2^(js) |a_j|)^q %s" % (q, fault))
+    return float(total ** (1.0 / q))
 
 
 def _weights(s, count):
@@ -198,6 +206,7 @@ def _norm_work(specs, shape):
     return np.empty((_work_rows(specs),) + tuple(shape))
 
 
+@np.errstate(over="ignore")  # an overflow is refused, not warned
 def _band_norms(bands, specs, count, work=None):
     """Every quasi-norm in specs, in order, from one pass over bands.
 
@@ -213,6 +222,8 @@ def _band_norms(bands, specs, count, work=None):
     sums is refused with ValueError.  The sums are bitwise np.sum over the
     band axis of the whole stack (its maximum at q = inf), and a None band
     gives the bits of its zero samples: an L_p of 0.0, and nothing added.
+    An F value that overflows to inf is refused with ValueError, and so is
+    a B value `sequence_norm` refuses.
     """
     keys = _lq_keys(specs)
     if work is not None and len(work) < 2 + len(keys):
@@ -250,9 +261,14 @@ def _band_norms(bands, specs, count, work=None):
     inner = {(s, q): total if q == INF
              else _kernel_power(total, 1.0 / q, out=total, scratch=scratch)
              for (s, q), total in zip(keys, work[2:] if live else ())}
-    return [sequence_norm(band_lps[spec.p], spec.s, spec.q) if _as_b(spec)
-            else _lp(inner[spec.s, spec.q], spec.p, out=work[1]) if live
-            else 0.0 for spec in specs]
+    values = [sequence_norm(band_lps[spec.p], spec.s, spec.q) if _as_b(spec)
+              else _lp(inner[spec.s, spec.q], spec.p, out=work[1]) if live
+              else 0.0 for spec in specs]
+    for spec, value in zip(specs, values):
+        if value == INF and not _as_b(spec):
+            raise ValueError("%s norm leaves the floats: its weighted sum "
+                             "overflows at q = %g" % (spec.label(), spec.q))
+    return values
 
 
 def lp_of_lq(blocks, s, p, q):
@@ -279,7 +295,7 @@ def besov_norm(f, spec, sys):
     """The B^s_{p,q} quasi-norm of a field: l^s_q of the block L_p norms."""
     if spec.family != "B":
         raise ValueError("besov_norm needs a 'B' spec, got %s" % spec.label())
-    return lq_of_lp(decompose(f, sys), spec.s, spec.p, spec.q)
+    return space_norms(f, [spec], sys)[0]
 
 
 def triebel_norm(f, spec, sys):
@@ -287,16 +303,16 @@ def triebel_norm(f, spec, sys):
     if spec.family != "F":
         raise ValueError("triebel_norm needs an 'F' spec, got %s"
                          % spec.label())
-    return lp_of_lq(decompose(f, sys), spec.s, spec.p, spec.q)
+    return space_norms(f, [spec], sys)[0]
 
 
 def space_norms(f, specs, sys):
     """Every quasi-norm in specs of one field, in one pass over its blocks.
 
-    Returns one value per spec, in order, each bitwise equal to what
-    besov_norm or triebel_norm gives for that spec.  The blocks are made
-    one at a time in one grid-sized array (`dyadic._bands`), and a band
-    with no content is neither transformed nor measured (`_band_norms`).
+    Returns one value per spec, in order, bitwise `lq_of_lp` (B) or
+    `lp_of_lq` (F) of `decompose(f, sys)`.  The blocks are made one at a
+    time in one grid-sized array (`dyadic._bands`), and a band with no
+    content is neither transformed nor measured (`_band_norms`).
     """
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
     return _band_norms(_bands(f, sys, band), specs, sys.jmax + 1)

@@ -8,8 +8,9 @@ windows, where exactly one window equals 1 and its neighbors vanish; that
 makes their Besov/Triebel norms available in closed form.
 
 A recipe (`GeneratorSpec`) is plain data, read along the tables
-`_inputs.SPEC` and `_inputs.PARAMS`; `materialize` builds its field.  The
-bank (`bank_specs`) and each multiplication tuple (`tuple_specs`) are
+`_inputs.SPEC` and `_inputs.PARAMS`; `materialize` builds its field, a
+bump or step included (`spec_for("gaussian-bump", grid, width=0.4)`).
+The bank (`bank_specs`) and each multiplication tuple (`tuple_specs`) are
 lists of recipes, and the audits take an item's blocks from this module
 only (`_item_bands`, `_item_stack`).
 """
@@ -30,9 +31,8 @@ from .norms import _power, sequence_norm
 
 __all__ = [
     "GeneratorSpec", "materialize", "plateau_frequency", "lacunary_field",
-    "LacunaryField", "random_band_field", "gaussian_bump", "smoothed_step",
-    "pure_wave", "constant_field", "bank_specs", "band_limit",
-    "tuple_fields",
+    "LacunaryField", "random_band_field", "pure_wave", "constant_field",
+    "bank_specs", "band_limit", "tuple_fields",
 ]
 
 DEFAULT_MAX_ARITY = 3
@@ -292,18 +292,19 @@ def _real_samples(grid, kind, params, out=None):
     """The samples of a gaussian-bump or smoothed-step recipe with params,
     band-limited (`_truncate_real`), written into out and returned.
 
-    out is a C-contiguous complex array of the grid's shape, or None for a
-    new one; its contents are not read.  The audits build in a buffer
-    they hold and keep the forward transform only (`_item_field`); the
-    public generators hand a new array to `Field.from_physical`, which
-    keeps it as the field's samples.
+    A bump is the periodized Gaussian of sigma width about center, snapped
+    to the lattice; a step is the Gaussian-smoothed indicator of [period/4,
+    3 period/4] along axis 1.  `check_spec` has refused a width that is not
+    positive.  out is a C-contiguous complex array of the grid's shape, or
+    None for a new one; its contents are not read.  The audits build in a
+    buffer they hold and keep the forward transform only (`_item_field`);
+    `materialize` hands a new array to `Field.from_physical`, which keeps
+    it as the field's samples.
     """
     if out is None:
         out = np.empty(grid.sizes, dtype=np.complex128)
     if kind == "gaussian-bump":
         width = float(params.get("width", 0.5))
-        if not width > 0.0:
-            raise ValueError("width must be positive")
         center = params.get("center")
         if center is None:
             center = (grid.period / 2.0,) * grid.n
@@ -323,8 +324,6 @@ def _real_samples(grid, kind, params, out=None):
         np.exp(r2, out=r2)
     else:
         w = float(params.get("edge_width", 0.25))
-        if not w > 0.0:
-            raise ValueError("edge width must be positive")
         P = grid.period
         a, b = P / 4.0, 3.0 * P / 4.0
         x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
@@ -337,30 +336,6 @@ def _real_samples(grid, kind, params, out=None):
     out.imag = 0.0
     _truncate_real(grid, out, params.get("m_max", DEFAULT_MAX_ARITY))
     return out
-
-
-def gaussian_bump(grid, center=None, width=0.5, m_max=DEFAULT_MAX_ARITY):
-    """Periodized Gaussian bump, band-limited, max value 1.
-
-    The center snaps to the nearest lattice point so the sampled field is
-    exactly symmetric about it.  width is the Gaussian sigma in physical
-    units.
-    """
-    return Field.from_physical(grid, _real_samples(
-        grid, "gaussian-bump",
-        {"center": center, "width": width, "m_max": m_max}))
-
-
-def smoothed_step(grid, edge_width=0.25, m_max=DEFAULT_MAX_ARITY):
-    """Gaussian-smoothed indicator of the middle half along axis 1.
-
-    Built from periodized erf differences, so it is analytic with spectrum
-    decaying like exp(-(xi*w)^2/2); at the default width the band-limit
-    truncation is numerically inert.  Values lie in [0, 1], rising across
-    x = period/4 and falling across x = 3*period/4.
-    """
-    return Field.from_physical(grid, _real_samples(
-        grid, "smoothed-step", {"edge_width": edge_width, "m_max": m_max}))
 
 
 def pure_wave(grid, kvec):

@@ -267,15 +267,17 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
             rhs = 2.0 ** ((g.n / p - g.n * it - s) * j) * base
             worst = max(worst, lp_norm(b, t) / rhs)
         want.append(worst)
+    # one stack for the block norms, and one streamed pass for the B-norm
     calls = []
-    for mod in (paraflux.audit, paraflux.norms):
-        monkeypatch.setattr(mod, "decompose",
-                            lambda f, s, real=mod.decompose:
-                            calls.append(1) or real(f, s))
+    for mod, name in ((paraflux.audit, "decompose"),
+                      (paraflux.norms, "_bands")):
+        monkeypatch.setattr(mod, name,
+                            lambda *a, _name=name, _real=getattr(mod, name):
+                            calls.append(_name) or _real(*a))
     got = [check_delta_lt(bank[name], s, p, t, sys).lhs
            for s, p, t, name in combos]
     assert got == want
-    assert len(calls) == len(combos)
+    assert calls == ["_bands", "decompose"] * len(combos)
     with pytest.raises(ValueError, match="zero field"):
         check_delta_lt(Field.zeros(g), 1.0, 2.0, 2.0, sys)
 
@@ -714,7 +716,7 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
 
     events, built, banks = [], [], []
     for module, name, tag in (
-            (paraflux.norms, "decompose", "decompose"),
+            (paraflux.norms, "_bands", "decompose"),
             (paraflux.audit, "_decompose_into", "decompose"),
             (paraflux.audit, "_bands", "decompose"),
             (paraflux.testbank, "_decompose_into", "decompose"),

@@ -1,12 +1,13 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from paraflux import (SpaceSpec, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, materialize, pure_wave,
-                      read_field, triebel_norm, write_field)
+                      read_field, spec_for, triebel_norm, write_field)
 from paraflux.cli import main
 
 
@@ -518,6 +519,60 @@ def test_gen_spec_missing_parameter_exit_2(tmp_path, capsys, kind, params,
     assert not out.exists()
 
 
+def test_gen_spec_refused_as_built_leaves_out_as_it_was(tmp_path, capsys):
+    # the constant passes the spec check and is built; the wave at k = 100
+    # passes it too, and is refused only as it is built on 32 points
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"kind": "constant", "params": {},
+                             "grid": {"n": 1, "sizes": [32]}}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"kind": "pure-wave", "params": {"k": 100},
+                             "grid": {"n": 1, "sizes": [32]}}))
+    run = ["gen", "--spec", str(a), "--spec", str(b), "--out"]
+    out = tmp_path / "out"
+    assert main(run + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "wavenumber 100" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]
+    # an --out that holds files keeps them, bytes and names
+    out.mkdir()
+    (out / "a.fld").write_bytes(b"earlier")
+    (out / "notes.txt").write_text("kept")
+    assert main(run + [str(out)]) == 2
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "out"]
+    assert sorted(os.listdir(out)) == ["a.fld", "notes.txt"]
+    assert (out / "a.fld").read_bytes() == b"earlier"
+    # without the wave, the run writes into --out and leaves nothing beside
+    assert main(run[:3] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "out"]
+    assert sorted(os.listdir(out)) == ["a.fld", "index.json", "notes.txt"]
+    assert read_field(str(out / "a.fld")).spectral.tobytes() == \
+        materialize(spec_for("constant", build_grid(1, 32))).spectral.tobytes()
+
+
+@pytest.mark.parametrize("out", ["file/fields", "file"],
+                         ids=["under-a-file", "a-file"])
+def test_gen_unwritable_out_is_refused_before_any_field(tmp_path, capsys,
+                                                        monkeypatch, out):
+    # exit 3, with no traceback, before any field is built, and nothing is
+    # created
+    import paraflux.cli
+
+    calls = []
+    monkeypatch.setattr(paraflux.cli, "materialize",
+                        lambda *a: calls.append("materialize"))
+    (tmp_path / "file").write_text("")
+    assert main(["gen", "--grid", "32", "--bank", "--out",
+                 str(tmp_path / out)]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: cannot write")
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_gen_spec_missing_grid_key_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "constant", "grid": {"n": 1}}))
@@ -666,14 +721,22 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
         {"mode": "positive", "params": [[0.4, 2.0], [1.0, -0.0]]}]},
      "manifest.multiplications[0].params[1].p: expected a positive number"),
     ({"n": 2 ** 70, "resolutions": [64]}, "manifest.n: expected 1, 2 or 3"),
+    # a target norm whose weighted sum leaves the floats: no inf rows
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5, q=2 ** 70)}]},
+     "sequence norm at q = 1.18059e+21 leaves the floats"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(manifest))
-    assert main(["audit", "--manifest", str(mpath)]) == 2
+    # one error line, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--manifest", str(mpath)]) == 2
     err = capsys.readouterr().err
     assert path in err
     assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _ONE_SET = {"mode": "positive", "params": [[0.4, 2.0], [1.0, 2.0]],
@@ -719,7 +782,7 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
 
     calls = []
     for module, name in ((paraflux.audit, "build_dyadic_system"),
-                         (paraflux.norms, "decompose"),
+                         (paraflux.norms, "_bands"),
                          (paraflux.audit, "_decompose_into"),
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),

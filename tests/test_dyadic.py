@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from paraflux import (Field, bank_specs, build_dyadic_system, build_grid,
-                      decompose, delta_j, gaussian_bump, lacunary_field,
-                      materialize, pure_wave, q_j, random_band_field,
-                      smooth_cutoff)
+                      decompose, delta_j, lacunary_field, materialize,
+                      pure_wave, q_j, random_band_field, smooth_cutoff,
+                      spec_for)
 from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn
 from paraflux.grid import Grid
 
@@ -137,7 +137,8 @@ def test_low_pass_is_partial_sum():
 def test_top_low_pass_reproduces_bandlimited_field():
     g = build_grid(1, 128)
     sys = build_dyadic_system(g)
-    f = gaussian_bump(g)  # band-limited well inside 2^jmax
+    # a bump is band-limited well inside 2^jmax
+    f = materialize(spec_for("gaussian-bump", g))
     qf = q_j(f, sys.jmax, sys)
     assert (qf - f).l2() <= 1e-12 * f.l2()
 
@@ -145,7 +146,7 @@ def test_top_low_pass_reproduces_bandlimited_field():
 def test_block_count_and_band_limits():
     g = build_grid(1, 128)
     sys = build_dyadic_system(g)
-    f = gaussian_bump(g)
+    f = materialize(spec_for("gaussian-bump", g))
     blocks = decompose(f, sys)
     assert len(blocks) == sys.jmax + 1
     for j, b in enumerate(blocks):
@@ -201,7 +202,7 @@ def test_bands_are_the_batched_stack(n, size):
     sys = build_dyadic_system(g)
     out = np.empty(g.sizes, dtype=np.complex128)
     empty = 0
-    for f in (gaussian_bump(g, width=0.4),
+    for f in (materialize(spec_for("gaussian-bump", g, width=0.4)),
               random_band_field(g, 0.5, 2.0, 7, sys),
               lacunary_field(g, {0: 1.0, 2: 0.5}, sys)):
         stack = decompose(f, sys)
@@ -353,7 +354,6 @@ def test_multi_axis_transforms_take_confined_passes(n, size, monkeypatch):
     # 1-D bands, generator bands, truncations and windowed blocks of a
     # product run np.fft.ifftn; 2-D and 3-D ones run the confined passes,
     # on the grid's lattice and on a padded one
-    from paraflux import smoothed_step
     from paraflux.paraproduct import _transformed_sources
     from paraflux.testbank import _unit_bands
 
@@ -361,8 +361,8 @@ def test_multi_axis_transforms_take_confined_passes(n, size, monkeypatch):
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     out = np.empty(g.sizes, dtype=np.complex128)
-    f = gaussian_bump(g, width=0.4)
-    smoothed_step(g)
+    f = materialize(spec_for("gaussian-bump", g, width=0.4))
+    materialize(spec_for("smoothed-step", g))
     truncations = len(calls)
     assert sum(b is not None for b in _bands(f, sys, out)) > 1
     bands = len(calls) - truncations
@@ -439,7 +439,7 @@ def test_block_operator_linearity():
 def test_band_index_validation():
     g = build_grid(1, 64)
     sys = build_dyadic_system(g)
-    f = gaussian_bump(g)
+    f = materialize(spec_for("gaussian-bump", g))
     with pytest.raises(ValueError):
         delta_j(f, sys.jmax + 1, sys)
     with pytest.raises(ValueError):

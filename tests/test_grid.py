@@ -109,15 +109,32 @@ def test_pointwise_field_product_refused():
         f * f
 
 
+def _fld1_bytes(grid, tag, data):
+    # an FLD1 file made byte by byte from the layout: magic, n, the sizes,
+    # the period, the domain tag, then the values row-major
+    import struct
+
+    return (b"FLD1" + struct.pack("<I", grid.n)
+            + struct.pack("<%dI" % grid.n, *grid.sizes)
+            + struct.pack("<dB", grid.period, tag)
+            + np.asarray(data, dtype="<c16").tobytes())
+
+
 def test_fld_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     for n, size in ((1, 64), (2, 16)):
         g = build_grid(n, size)
         vals = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
         f = Field.from_physical(g, vals)
-        for domain in ("physical", "spectral"):
-            path = tmp_path / ("t_%d_%s.fld" % (n, domain))
-            write_field(str(path), f, domain)
+        # the writer stores the centered spectrum (tag 1); a file of samples
+        # (tag 0), as files written before were, is made here and still read
+        files = {domain: tmp_path / ("t_%d_%s.fld" % (n, domain))
+                 for domain in ("physical", "spectral")}
+        write_field(str(files["spectral"]), f)
+        assert files["spectral"].read_bytes() == _fld1_bytes(
+            g, 1, np.fft.fftshift(f.spectral))
+        files["physical"].write_bytes(_fld1_bytes(g, 0, f.physical))
+        for domain, path in files.items():
             back = read_field(str(path))
             assert back.grid.compatible(g)
             assert np.array_equal(back.physical, f.physical) or np.allclose(
@@ -143,7 +160,7 @@ def test_fld_header_layout(tmp_path):
     assert size == 16
     period, = struct.unpack("<d", raw[12:20])
     assert period == pytest.approx(2 * math.pi)
-    assert raw[20] == 0  # physical tag
+    assert raw[20] == 1  # spectral tag: writers store the spectrum
     assert len(raw) == 21 + 16 * 16
 
 

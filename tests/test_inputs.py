@@ -162,8 +162,7 @@ def test_fuzzed_fld1_header_reads_or_raises_value_error(tmp_path_factory,
     folder = tmp_path_factory.mktemp("f")
     path = str(folder / "f.fld")
     write_field(path, materialize(spec_for("random-band", build_grid(1, 32),
-                                           s=0.5, p=2.0, seed=1)),
-                domain="spectral")
+                                           s=0.5, p=2.0, seed=1)))
     raw = bytearray(open(path, "rb").read())
     offset, fmt, value = edit
     if offset is None:

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, Field, SpaceSpec, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, decompose,
@@ -25,6 +27,41 @@ def test_sequence_norm_values():
     assert sequence_norm([3.0, 4.0], 0.0, INF) == 4.0
     with pytest.raises(ValueError):
         sequence_norm([1.0], 0.0, 0.0)
+
+
+def test_sequence_norm_refuses_a_sum_that_leaves_the_floats():
+    # a sum that overflows, or a nonzero sequence whose sum underflows to 0,
+    # is refused with the exponent named and no numpy warning; a finite sum
+    # keeps the bits of the formula
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, fault in (([2.0, 1.0], "overflows"),
+                         ([0.5, 0.25], "is 0 for a nonzero sequence")):
+            with pytest.raises(ValueError, match=r"q = 1\.18059e\+21 .*"
+                               + fault):
+                sequence_norm(a, 0.0, 2.0 ** 70)
+        assert sequence_norm([0.0, 0.0], 0.0, 2.0 ** 70) == 0.0
+    for a, s, q in (([3.0, 0.5, 1e-3], 0.5, 2.0), ([1.0, 2.0], -1.0, 0.5),
+                    ([1e-200, 1e-100], 0.0, 1.5)):
+        wa = 2.0 ** (s * np.arange(len(a))) * np.array(a)
+        assert sequence_norm(a, s, q) == float(np.sum(wa ** q) ** (1.0 / q))
+
+
+def test_f_norm_refuses_a_sum_that_overflows(setup128):
+    # the pointwise sum of an F-norm overflows at q = 2^70 wherever a
+    # weighted block exceeds 1: refused, with no numpy warning
+    g, sys = setup128
+    f = lacunary_field(g, {0: 1.0, 3: 2.0}, sys)
+    spec = SpaceSpec("F", 0.5, 2.0, 2.0 ** 70)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (lambda: triebel_norm(f, spec, sys),
+                        lambda: space_norms(f, [spec], sys),
+                        lambda: lp_of_lq(decompose(f, sys), spec.s, spec.p,
+                                         spec.q)):
+            with pytest.raises(ValueError,
+                               match=r"overflows at q = 1\.18059e\+21"):
+                measure()
 
 
 def test_space_spec_validation():
@@ -216,8 +253,12 @@ def test_space_norms_match_single_norms(monkeypatch):
         bank = [materialize(spec, sys) for _, spec in bank_specs(g)]
         bank += [lacunary_field(g, {0: 1.0, 2: 0.5}, sys), Field.zeros(g)]
         assert not np.any(bank[-2].spectral * sys.window(1))
-        expected = [[(besov_norm if spec.family == "B" else triebel_norm)(
-            f, spec, sys) for spec in specs] for f in bank]
+        # the stack kernels on each field's block stack are the reference
+        expected = [[(lq_of_lp if spec.family == "B" else lp_of_lq)(
+            blocks, spec.s, spec.p, spec.q) for spec in specs]
+            for blocks in (decompose(f, sys) for f in bank)]
+        assert [[(besov_norm if spec.family == "B" else triebel_norm)(
+            f, spec, sys) for spec in specs] for f in bank] == expected
         calls = []
         # one pass over each field's blocks, band by band
         monkeypatch.setattr(paraflux.norms, "_bands",
@@ -571,3 +612,58 @@ def test_band_norms_refuses_a_work_array_without_its_sums():
         _band_norms(stack, [b_like], 3)
     with pytest.raises(ValueError, match="2 rows for 1 sums"):
         _band_norms(stack, [f], 3, work)
+
+
+# Properties of every field norm on random spectra over 32-point grids, 1-D
+# and 2-D: each example draws a dimension and a seed for the coefficients,
+# which decay like (1 + |xi|)^-decay
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40)
+_PROPERTY_SYSTEMS = {n: build_dyadic_system(build_grid(n, 32))
+                     for n in (1, 2)}
+_SMOOTHNESS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+_EXPONENT = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+
+
+@st.composite
+def _random_fields(draw):
+    sys = _PROPERTY_SYSTEMS[draw(st.sampled_from([1, 2]))]
+    g = sys.grid
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
+    decay = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    return Field.from_spectral(g, coeffs * (1.0 + g.xi) ** -decay), sys
+
+
+@PROPERTY
+@given(field=_random_fields(), s=_SMOOTHNESS, p=_EXPONENT,
+       q=st.sampled_from([0.5, 1.0, 2.0, 3.0, INF]),
+       scale=st.sampled_from([-3.0, 1e-3, 0.7, 2.0 + 1.0j, 1e5]))
+def test_every_field_norm_is_absolutely_homogeneous(field, s, p, q, scale):
+    f, sys = field
+    specs = [SpaceSpec("B", s, p, q), SpaceSpec("F", s, p, q),
+             SpaceSpec("B", s, INF, q)]
+    for spec, base, scaled in zip(specs, space_norms(f, specs, sys),
+                                  space_norms(scale * f, specs, sys)):
+        assert base > 0.0
+        assert scaled == pytest.approx(abs(scale) * base, rel=1e-12), spec
+
+
+@PROPERTY
+@given(field=_random_fields(), s=_SMOOTHNESS, p=_EXPONENT)
+def test_besov_equals_triebel_at_p_equal_q_bitwise(field, s, p):
+    f, sys = field
+    b = besov_norm(f, SpaceSpec("B", s, p, p), sys)
+    assert triebel_norm(f, SpaceSpec("F", s, p, p), sys) == b
+    assert lp_of_lq(decompose(f, sys), s, p, p) == b
+
+
+@PROPERTY
+@given(field=_random_fields())
+def test_each_block_keeps_parseval(field):
+    # the L_2 of block j from its samples is the l_2 of phi_j times the
+    # coefficients
+    f, sys = field
+    for j, block in enumerate(decompose(f, sys)):
+        want = math.sqrt(np.sum(np.abs(sys.window(j) * f.spectral) ** 2))
+        assert lp_norm(block, 2.0) == pytest.approx(want, rel=1e-14), j

@@ -8,7 +8,7 @@ from paraflux import (Field, build_dyadic_system, build_grid,
                       dealiased_product, decompose_product,
                       dump_decomposition, enumerate_pi2_direct, min_gap,
                       pure_wave, random_band_field, read_field,
-                      smoothed_step, tuple_fields, verify_supports)
+                      tuple_fields, verify_supports)
 from paraflux.dyadic import decompose, delta_j, q_j
 from paraflux import paraproduct
 from paraflux.paraproduct import (_embed, _extract, _padded_sizes,

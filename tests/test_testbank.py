@@ -6,10 +6,10 @@ import pytest
 
 from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, constant_field,
-                      decompose, delta_j, gaussian_bump, lacunary_field,
-                      lp_norm, materialize, plateau_frequency, pure_wave,
-                      random_band_field, smoothed_step, spec_for,
-                      triebel_norm, tuple_fields, tuple_specs)
+                      decompose, delta_j, lacunary_field, lp_norm,
+                      materialize, plateau_frequency, pure_wave,
+                      random_band_field, spec_for, triebel_norm,
+                      tuple_fields, tuple_specs)
 from paraflux.testbank import (GeneratorSpec, _band_scales, _item_bands,
                                _item_stack, _unit_bands)
 
@@ -337,7 +337,7 @@ def test_band_limit_respected(setup128):
 
 def test_gaussian_bump_shape(setup128):
     g, _ = setup128
-    f = gaussian_bump(g, width=0.5)
+    f = materialize(spec_for("gaussian-bump", g, width=0.5))
     vals = f.physical
     assert np.abs(vals.imag).max() <= 1e-12
     assert vals.real.max() == pytest.approx(1.0, abs=1e-9)
@@ -374,7 +374,8 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
                         or real(grid, a, m_max))
     for center, width in (((1.0, 5.5, 0.3), 0.4), (None, 0.8)):
         center = None if center is None else center[:n]
-        f = gaussian_bump(g, center, width)
+        f = materialize(spec_for("gaussian-bump", g, center=center,
+                                 width=width))
         want = _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n if center is None else center, width)
         assert seen[-1].shape == g.sizes
@@ -385,6 +386,21 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
         real(g, samples, 3)
         assert f.spectral.tobytes() == Field.from_physical(
             g, samples).spectral.tobytes()
+
+
+def _erf_step_samples(grid, edge_width):
+    # the step's samples from the periodized erf differences along axis 1
+    from paraflux.testbank import _erf
+
+    period, scale = grid.period, math.sqrt(2.0) * edge_width
+    x = np.arange(grid.sizes[0]) * (period / grid.sizes[0])
+    values = np.zeros(grid.sizes[0])
+    for wrap in range(-2, 3):
+        shift = wrap * period
+        values += 0.5 * (_erf((x - period / 4.0 + shift) / scale)
+                         - _erf((x - 3.0 * period / 4.0 + shift) / scale))
+    return np.broadcast_to(values.reshape((-1,) + (1,) * (grid.n - 1)),
+                           grid.sizes)
 
 
 def _copying_truncation(grid, values, m_max=3):
@@ -412,12 +428,12 @@ def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
     for width in (0.4, 0.8):
         want = _copying_truncation(g, _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n, width))
-        got = gaussian_bump(g, width=width)
+        got = materialize(spec_for("gaussian-bump", g, width=width))
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
         fields.append(got)
     for width in (0.25, 0.5):
-        got = smoothed_step(g, width)
+        got = materialize(spec_for("smoothed-step", g, edge_width=width))
         want = _copying_truncation(g, seen[-1][1].real)
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
@@ -464,7 +480,7 @@ def test_band_sizes_reuse_one_scratch(monkeypatch):
 
 def test_bump_width_raises_smoothness_cost(setup128):
     g, sys = setup128
-    norms = [besov_norm(gaussian_bump(g, width=w),
+    norms = [besov_norm(materialize(spec_for("gaussian-bump", g, width=w)),
                         SpaceSpec("B", 1.0, 2.0, INF), sys)
              for w in (0.8, 0.4, 0.2)]
     assert norms[0] < norms[1] < norms[2]
@@ -472,7 +488,7 @@ def test_bump_width_raises_smoothness_cost(setup128):
 
 def test_smoothed_step_shape(setup128):
     g, _ = setup128
-    f = smoothed_step(g)
+    f = materialize(spec_for("smoothed-step", g))
     v = f.physical.real
     assert np.abs(f.physical.imag).max() <= 1e-12
     assert v.min() >= -1e-6
@@ -536,7 +552,7 @@ def test_tuple_bank_determinism(setup128):
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.spectral, fb.spectral)
     # first tuple carries the deterministic step factor
-    s = smoothed_step(g)
+    s = materialize(spec_for("smoothed-step", g))
     assert np.array_equal(t1[0][1].spectral, s.spectral)
 
 
@@ -550,7 +566,7 @@ def _tuple_bank_reference(grid, sys, params, seed, count):
             fields.append(random_band_field(
                 grid, s, p_eff, seed * 1000 + t * 10 + i, sys))
         if t == 0 and len(params) >= 2:
-            fields[1] = smoothed_step(grid)
+            fields[1] = materialize(spec_for("smoothed-step", grid))
         tuples.append(tuple(fields))
     return tuples
 
@@ -583,7 +599,8 @@ def test_tuple_specs_build_tuple_fields():
 
 def _standard_bank_reference(grid, sys, m_max=3, seed=811):
     # the standard bank as it was when each entry was also a direct
-    # generator call: [(name, field, spec JSON)]
+    # generator call, bumps and steps made from their sample formulas by
+    # the copying truncation: [(name, field, spec JSON)]
     cap = band_limit(grid, m_max)
     jtop = max(j for j in range(sys.jmax + 1)
                if plateau_frequency(j) <= cap)
@@ -613,12 +630,15 @@ def _standard_bank_reference(grid, sys, m_max=3, seed=811):
                      m_max=m_max)))
     for width in (0.4, 0.8):
         entries.append(("gaussian-bump[w=%g]" % width,
-                        gaussian_bump(grid, None, width, m_max),
+                        _copying_truncation(grid, _meshgrid_bump_samples(
+                            grid, (grid.period / 2.0,) * grid.n, width),
+                            m_max),
                         spec_for("gaussian-bump", grid, width=width,
                                  m_max=m_max)))
     for width in (0.25, 0.5):
         entries.append(("smoothed-step[w=%g]" % width,
-                        smoothed_step(grid, width, m_max),
+                        _copying_truncation(grid, _erf_step_samples(
+                            grid, width), m_max),
                         spec_for("smoothed-step", grid, edge_width=width,
                                  m_max=m_max)))
     for k in (1, 4):
@@ -673,8 +693,9 @@ def test_lacunary_refuses_an_off_plateau_frequency(setup128, monkeypatch):
     assert sorted(f.amplitudes) == list(range(sys.jmax + 1))
 
 
-@pytest.mark.parametrize("build", [gaussian_bump, smoothed_step])
-def test_bump_and_step_build_in_two_lattice_arrays(build):
+@pytest.mark.parametrize("kind", ["gaussian-bump", "smoothed-step"],
+                         ids=["gaussian_bump", "smoothed_step"])
+def test_bump_and_step_build_in_two_lattice_arrays(kind):
     # a 64^3 bump or step is built in the complex array that becomes its
     # samples, and the spectrum is the only other lattice-sized array: the
     # build peaks at two complex lattice arrays plus 1 MiB
@@ -684,7 +705,7 @@ def test_bump_and_step_build_in_two_lattice_arrays(build):
     lattice = 16 * g.npoints
     tracemalloc.start()
     try:
-        f = build(g)
+        f = materialize(spec_for(kind, g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
