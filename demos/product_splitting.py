@@ -27,7 +27,7 @@ print("residual vs direct enumeration: %.3g"
       % ((pd.pi2 - direct).l2() / pd.pi2.l2()))
 
 # every band term of the low-high pieces stays inside its annulus
-report = verify_supports(pd, sys, tol=1e-12)
+report = verify_supports(pd, sys)
 nonempty = [e for e in report.band_entries if not e["empty"]]
 claimed = sum(e["claimed"] for e in nonempty)
 print("\nsupport check: hard annulus %s on %d terms, tight annulus %d/%d"

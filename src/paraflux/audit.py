@@ -10,7 +10,9 @@ order and formatting, so identical configurations produce identical bytes.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -26,8 +28,7 @@ from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _norm_work,
-                    _work_rows, besov_norm, lp_norm, lq_of_lp, sequence_norm,
-                    triebel_norm)
+                    _work_rows, lp_norm, lq_of_lp, sequence_norm, triebel_norm)
 from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
                           _split_product, _support_radius)
 from .testbank import (_item_bands, _item_stack, bank_specs, materialize,
@@ -122,15 +123,12 @@ class SweepResult:
         return [r for r in self.records if r.verdict == "fail"]
 
     def to_csv(self):
-        lines = ["name,params,lhs,rhs_core,ratio,bound,verdict"]
-        for r in self.records:
-            cells = []
-            for cell in r.row():
-                if any(ch in cell for ch in ",\""):
-                    cell = '"%s"' % cell.replace('"', '""')
-                cells.append(cell)
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        text = io.StringIO()
+        rows = csv.writer(text, lineterminator="\n")
+        rows.writerow(("name", "params", "lhs", "rhs_core", "ratio", "bound",
+                       "verdict"))
+        rows.writerows(r.row() for r in self.records)
+        return text.getvalue()
 
     def to_json(self):
         payload = {
@@ -164,7 +162,7 @@ def hardy_bound(gamma, q):
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    tau = 1.0 if q == INF else min(1.0, float(q))
+    tau = min(1.0, float(q))
     return (1.0 - gamma ** tau) ** (-1.0 / tau)
 
 
@@ -260,20 +258,17 @@ def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
 # Nikolskii inequality
 
 
-def check_nikolskii(f, p, q, gamma, tol=1e-12):
+def check_nikolskii(f, p, q, gamma):
     """ratio = ||f||_q / (gamma^{n(1/p-1/q)} ||f||_p), informational."""
-    if not (0.0 < p <= q or (q == INF and p > 0.0)):
+    if not 0.0 < p <= q:
         raise ValueError("need 0 < p <= q")
-    radii = _support_radius(f, tol)
+    radii = _support_radius(f)
     radius = 0.0 if radii is None else radii[1]
     if radius > gamma * (1.0 + 1e-9):
         raise ValueError("spectral support radius %g exceeds gamma=%g"
                          % (radius, gamma))
-    n = f.grid.n
-    ip = 0.0 if p == INF else 1.0 / p
-    iq = 0.0 if q == INF else 1.0 / q
     lhs = lp_norm(f, q)
-    rhs = gamma ** (n * (ip - iq)) * lp_norm(f, p)
+    rhs = gamma ** (f.grid.n * (1.0 / p - 1.0 / q)) * lp_norm(f, p)
     return _make_record(
         "nikolskii[p=%g,q=%g,g=%g]" % (p, q, gamma),
         {"p": p, "q": _ex_json(q), "gamma": gamma,
@@ -307,22 +302,22 @@ def _skipped(name, inputs, reason):
                        float("nan"), verdict="skipped")
 
 
-def nikolskii_scaling(grid, p, q, gammas=NIKOLSKII_GAMMAS):
+def nikolskii_scaling(grid, p, q):
     """Envelope-dilation stability of the Nikolskii ratio.
 
-    One informational record per gamma plus one derived pass/fail record per
-    consecutive pair: the ratio of ratios must stay within 5%.  A gamma
-    above nyquist/2 is skipped, with every pair that uses it, and each skip
-    is recorded with its reason: there |f|^q of the envelope can have a
-    degree beyond the lattice size (q = 4 at gamma = nyquist reaches twice
-    it), so the mean of the samples is not the torus integral and the
-    grid's L_q is not the field's.
+    One informational record per gamma of NIKOLSKII_GAMMAS plus one derived
+    pass/fail record per consecutive pair: the ratio of ratios must stay
+    within 5%.  A gamma above nyquist/2 is skipped, with every pair that
+    uses it, and each skip is recorded with its reason: there |f|^q of the
+    envelope can have a degree beyond the lattice size (q = 4 at gamma =
+    nyquist reaches twice it), so the mean of the samples is not the torus
+    integral and the grid's L_q is not the field's.
     """
     top = grid.nyquist / 2.0
     reason = "gamma above nyquist/2 = %g" % top
     records = []
     ratios = {}
-    for gamma in gammas:
+    for gamma in NIKOLSKII_GAMMAS:
         if gamma > top:
             records.append(_skipped(
                 "nikolskii[p=%g,q=%g,g=%g]" % (p, q, gamma),
@@ -331,7 +326,7 @@ def nikolskii_scaling(grid, p, q, gammas=NIKOLSKII_GAMMAS):
         rec = check_nikolskii(envelope_field(grid, gamma), p, q, gamma)
         records.append(rec)
         ratios[gamma] = rec.ratio
-    for ga, gb in zip(gammas, gammas[1:]):
+    for ga, gb in zip(NIKOLSKII_GAMMAS, NIKOLSKII_GAMMAS[1:]):
         name = "nikolskii-scaling[p=%g,q=%g,g=%g->%g]" % (p, q, ga, gb)
         inputs = {"p": p, "q": _ex_json(q), "gammas": [ga, gb]}
         if ga not in ratios or gb not in ratios:
@@ -348,9 +343,11 @@ def nikolskii_scaling(grid, p, q, gammas=NIKOLSKII_GAMMAS):
 # Lemma estimates (i)-(iv)
 
 
-def _besov_sup(f, s, p, sys):
-    """||f|B^s_{p,inf}|| (`besov_norm`); a zero field is refused."""
-    value = besov_norm(f, SpaceSpec("B", s, p, INF), sys)
+def _besov_sup(blocks, s, p):
+    """||f|B^s_{p,inf}|| from the blocks of f, its `decompose` stack or its
+    bands as `dyadic._bands` streams them, bitwise `besov_norm`; a zero
+    field is refused."""
+    value = lq_of_lp(blocks, s, p, INF)
     if value == 0.0:
         raise ValueError("zero field has no usable reference norm")
     return value
@@ -375,7 +372,7 @@ def check_qj_lp(f, s, p, sys, reference_bound=None, provenance="",
     ratio is the worst j; the growth of the normalized sequence over the top
     three j is recorded (and gated when trend_gate is given).
     """
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     ratio_seq = seq / base
@@ -395,7 +392,7 @@ def qj_lp_flatness(f, s, p, sys, label=""):
     """s < 0 calibration: eps_j-normalized low-pass norms flat within 4x."""
     if not s < 0.0:
         raise ValueError("flatness gate applies to s < 0")
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
     seq = np.array([qn / _eps_qj(s, p, j)
                     for j, qn in enumerate(_qj_norms(f, p, sys))])
     seq = seq[2:] / base
@@ -408,14 +405,14 @@ def qj_lp_flatness(f, s, p, sys, label=""):
 def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
                    label=""):
     """Block norms against ||Delta_j f||_t <= c 2^{(n/p-n/t-s)j} ||f|B^s_{p,inf}||."""
-    if t != INF and not 0.0 < p <= t:
+    if not 0.0 < p <= t:
         raise ValueError("need p <= t")
-    base = _besov_sup(f, s, p, sys)
+    stack = decompose(f, sys)
+    base = _besov_sup(stack, s, p)
     n = f.grid.n
-    it = 0.0 if t == INF else 1.0 / t
     worst = 0.0
-    for j, b in enumerate(decompose(f, sys)):
-        rhs = 2.0 ** ((n / p - n * it - s) * j) * base
+    for j, b in enumerate(stack):
+        rhs = 2.0 ** ((n / p - n * (1.0 / t) - s) * j) * base
         worst = max(worst, lp_norm(b, t) / rhs)
     return _make_record(
         "delta_lt[s=%g,p=%g,t=%g]%s" % (s, p, t, label),
@@ -448,11 +445,11 @@ def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
     (j+1)^{1/min(1,t)}.
     """
     at_endpoint = _qj_lt_at_endpoint(s, p, t, f.grid.n)
-    base = _besov_sup(f, s, p, sys)
+    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
     worst = 0.0
     for j, qn in enumerate(_qj_norms(f, t, sys)):
         if at_endpoint:
-            eps = (j + 1.0) ** (1.0 / min(1.0, 1.0 if t == INF else t))
+            eps = (j + 1.0) ** (1.0 / min(1.0, t))
         else:
             eps = 1.0
         worst = max(worst, qn / (eps * base))

@@ -20,7 +20,8 @@ from .audit import RATIO_SLACK, _num, lemma_suite, run_audit_manifest
 from .dyadic import build_dyadic_system
 from .grid import build_grid
 from .norms import SpaceSpec, _ex_json, space_norms
-from .paraproduct import _checked_gap, decompose_product, dump_decomposition
+from .paraproduct import (_checked_gap, _enum_refusal, decompose_product,
+                          dump_decomposition)
 from .testbank import (GeneratorSpec, bank_specs, materialize, pure_wave,
                        spec_for, tuple_fields)
 
@@ -188,11 +189,15 @@ def cmd_decompose(args):
 
     recon = pd.pi1_total() + pd.pi2 - pd.product
     drift = recon.l2() / pd.product.l2() if pd.product.l2() > 0 else 0.0
+    # whether the support report's Pi_2 entries were enumerated
+    refusal = _enum_refusal(pd.m, sys_.jmax)
+    enumeration = "ran" if refusal is None else "not run (%s)" % refusal
     summary = {
         "m": pd.m, "gap": pd.gap,
         "reconstruction_rel_l2": drift,
         "hard_annulus_pass": report.hard_all_pass,
         "claimed_annulus_rate": report.claimed_pass_rate,
+        "pi2_enumeration": enumeration,
         "out": args.out,
     }
     if args.json:
@@ -206,6 +211,7 @@ def cmd_decompose(args):
             % ("pass" if report.hard_all_pass else "FAIL"),
             "claimed annulus [2^(j-1), 2^(j+1)] rate: %s"
             % _num(report.claimed_pass_rate),
+            "Pi_2 direct enumeration: %s" % enumeration,
         ]
         _emit("\n".join(lines) + "\n", None)
     if not report.hard_all_pass or drift > 1e-10:

@@ -60,7 +60,10 @@ def read_field(path):
         raise ValueError("%s: truncated header" % (path,))
     sizes = struct.unpack_from("<%dI" % n, raw, 8)
     period, tag = struct.unpack_from("<dB", raw, 8 + 4 * n)
-    # check the length the header implies before Grid allocates its meshes
+    # check the tag and the length the header implies before Grid
+    # allocates its meshes
+    if tag not in (DOMAIN_PHYSICAL, DOMAIN_SPECTRAL):
+        raise ValueError("%s: unknown domain tag %d" % (path, tag))
     count = math.prod(sizes)
     expected = off + 16 * count
     if len(raw) != expected:
@@ -71,6 +74,4 @@ def read_field(path):
     data = data.reshape(sizes).astype(np.complex128)
     if tag == DOMAIN_PHYSICAL:
         return Field.from_physical(grid, data)
-    if tag == DOMAIN_SPECTRAL:
-        return Field.from_spectral(grid, np.fft.ifftshift(data))
-    raise ValueError("%s: unknown domain tag %d" % (path, tag))
+    return Field.from_spectral(grid, np.fft.ifftshift(data))

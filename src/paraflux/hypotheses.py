@@ -25,10 +25,6 @@ __all__ = [
 _EQ_TOL = 1e-12
 
 
-def _inv(p):
-    return 0.0 if p == INF else 1.0 / p
-
-
 def _diffdim_eq(a, b):
     return abs(a - b) <= _EQ_TOL
 
@@ -91,8 +87,8 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
     if mode not in ("same-family", "franke-jawerth"):
         raise ValueError("unknown mode %r" % (mode,))
 
-    d0 = spec0.s - n * _inv(spec0.p)
-    d1 = spec1.s - n * _inv(spec1.p)
+    d0 = spec0.s - n * (1.0 / spec0.p)
+    d1 = spec1.s - n * (1.0 / spec1.p)
     derived = {"mode": mode, "diffdim": (d0, d1)}
     conds = []
 
@@ -172,7 +168,7 @@ def check_theorem_hypotheses(params, q, n, mode):
     1/p intersects (0, 1).  derived holds the h_i ranges and the admissible
     1/p interval (open left, closed right, capped strictly below 1).
     """
-    params = [(float(s), (INF if p == INF else float(p))) for s, p in params]
+    params = [(float(s), float(p)) for s, p in params]
     m = len(params)
     if m < 2:
         raise ValueError("need at least two factors, got %d" % m)
@@ -199,7 +195,7 @@ def check_theorem_hypotheses(params, q, n, mode):
     conds.append((
         "q-range",
         "0 < q=%g <= inf" % q,
-        (q == INF) or (0.0 < q < INF),
+        0.0 < q <= INF,
     ))
 
     tail_sorted = all(s[i] <= s[i + 1] for i in range(1, m - 1))
@@ -211,8 +207,8 @@ def check_theorem_hypotheses(params, q, n, mode):
         ))
         conds.append((
             "s1-subcritical",
-            "s1=%g < n/p1=%g" % (s[0], n * _inv(p[0])),
-            s[0] < n * _inv(p[0]),
+            "s1=%g < n/p1=%g" % (s[0], n * (1.0 / p[0])),
+            s[0] < n * (1.0 / p[0]),
         ))
     else:
         conds.append((
@@ -230,8 +226,8 @@ def check_theorem_hypotheses(params, q, n, mode):
     h_ranges = []
     factor_ok = True
     for si, pi in params[1:]:
-        lo = max(_inv(pi) - si / n, 0.0)
-        hi = _inv(pi)
+        lo = max(1.0 / pi - si / n, 0.0)
+        hi = 1.0 / pi
         h_ranges.append((lo, hi))
         factor_ok = factor_ok and lo < hi
     conds.append((
@@ -241,8 +237,8 @@ def check_theorem_hypotheses(params, q, n, mode):
         factor_ok,
     ))
 
-    lo_p = _inv(p[0]) + sum(lo for lo, _ in h_ranges)
-    hi_p = _inv(p[0]) + sum(hi for _, hi in h_ranges)
+    lo_p = 1.0 / p[0] + sum(lo for lo, _ in h_ranges)
+    hi_p = 1.0 / p[0] + sum(hi for _, hi in h_ranges)
     hi_eff = min(hi_p, 1.0)
     interval_ok = lo_p < hi_eff  # (lo, hi] intersected with (0, 1) nonempty
     conds.append((

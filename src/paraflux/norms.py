@@ -56,9 +56,7 @@ _FAMILY_ALIASES = {
 def _check_exponent(value, name):
     """value as a float in (0, inf]; the string 'inf' is infinity."""
     value = float(value)
-    if value == INF:
-        return INF
-    if not value > 0.0 or not math.isfinite(value):
+    if not value > 0.0:  # nan included
         raise ValueError("%s must satisfy 0 < %s <= inf, got %r"
                          % (name, name, value))
     return value
@@ -147,14 +145,34 @@ def _lp(a, p, out=None):
     return float(np.mean(_kernel_power(a, p, out=out)) ** (1.0 / p))
 
 
+def _lp_fault(value, samples):
+    """How an L_p norm of samples left the floats, or None if it did not:
+    it overflowed to inf, or it is 0 though a sample is nonzero (the
+    samples are read only then)."""
+    if value == INF:
+        return "overflows"
+    if value == 0.0 and samples.any():
+        return "reads 0 for nonzero samples"
+    return None
+
+
+@np.errstate(over="ignore")  # an overflow is refused, not warned
 def lp_norm(f, p):
     """(mean |f|^p)^(1/p) over the grid, max |f| for p = inf.
 
     Accepts a Field or a bare sample array; absolutely homogeneous in f.
+    A value that leaves the floats (`_lp_fault`) is refused with
+    ValueError.
     """
     p = _check_exponent(p, "p")
-    a = np.abs(f.physical if isinstance(f, Field) else np.asarray(f))
-    return _lp(a, p, out=a)
+    samples = f.physical if isinstance(f, Field) else np.asarray(f)
+    a = np.abs(samples)
+    value = _lp(a, p, out=a)
+    fault = _lp_fault(value, samples)
+    if fault is not None:
+        raise ValueError("L_p norm leaves the floats at p = %g: it %s"
+                         % (p, fault))
+    return value
 
 
 @np.errstate(over="ignore")  # an overflow is refused, not warned
@@ -222,8 +240,13 @@ def _band_norms(bands, specs, count, work=None):
     sums is refused with ValueError.  The sums are bitwise np.sum over the
     band axis of the whole stack (its maximum at q = inf), and a None band
     gives the bits of its zero samples: an L_p of 0.0, and nothing added.
-    An F value that overflows to inf is refused with ValueError, and so is
-    a B value `sequence_norm` refuses.
+
+    A value that leaves the floats is refused with ValueError naming the
+    spec and p: a band L_p that `_lp_fault` refuses, a B value that
+    `sequence_norm` refuses, and an F value that overflows or is 0 for a
+    field with content.  A band's samples are searched for content only
+    where its L_p is 0 and, for F specs that no B spec accompanies, until
+    a band with content is met.
     """
     keys = _lq_keys(specs)
     if work is not None and len(work) < 2 + len(keys):
@@ -232,7 +255,7 @@ def _band_norms(bands, specs, count, work=None):
     weights = [_weights(s, count) for s, _ in keys]
     scratch = None
     band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
-    live = False  # whether a band so far had samples
+    live = False  # whether a band so far had content
     for j, block in enumerate(bands):
         if block is None:
             for norms in band_lps.values():
@@ -245,8 +268,14 @@ def _band_norms(bands, specs, count, work=None):
         mags, term = np.abs(block, out=work[0]), work[1]
         for p, norms in band_lps.items():
             norms.append(_lp(mags, p, out=term))
+            fault = _lp_fault(norms[-1], mags)
+            if fault is not None:
+                spec = next(b for b in specs if _as_b(b) and b.p == p)
+                raise ValueError("%s norm leaves the floats at p = %g: the "
+                                 "L_p norm of band %d %s"
+                                 % (spec.label(), p, j, fault))
         for (_, q), w, total in zip(keys, weights, work[2:]):
-            # the first band with samples starts the sum: the zero bands
+            # the first band with content starts the sum: the zero bands
             # before it would add exactly nothing
             out = term if live else total
             np.multiply(mags, w[j], out=out)
@@ -257,7 +286,10 @@ def _band_norms(bands, specs, count, work=None):
             _kernel_power(out, q, out=out, scratch=scratch)
             if live:
                 total += term
-        live = True
+        if keys and not live:
+            # a band L_p norm is 0 only for a band without content
+            live = (any(norms[-1] for norms in band_lps.values())
+                    if band_lps else bool(mags.any()))
     inner = {(s, q): total if q == INF
              else _kernel_power(total, 1.0 / q, out=total, scratch=scratch)
              for (s, q), total in zip(keys, work[2:] if live else ())}
@@ -265,9 +297,10 @@ def _band_norms(bands, specs, count, work=None):
               else _lp(inner[spec.s, spec.q], spec.p, out=work[1]) if live
               else 0.0 for spec in specs]
     for spec, value in zip(specs, values):
-        if value == INF and not _as_b(spec):
-            raise ValueError("%s norm leaves the floats: its weighted sum "
-                             "overflows at q = %g" % (spec.label(), spec.q))
+        if not _as_b(spec) and (value == INF or value == 0.0 and live):
+            fault = "overflows" if value else "underflows to 0"
+            raise ValueError("%s norm leaves the floats at p = %g: it %s at "
+                             "q = %g" % (spec.label(), spec.p, fault, spec.q))
     return values
 
 

@@ -64,6 +64,10 @@ __all__ = [
     "verify_supports", "SupportReport", "dump_decomposition",
 ]
 
+# coefficients at or below SUPPORT_TOL times a term's largest modulus lie
+# outside its measured support
+SUPPORT_TOL = 1e-12
+
 
 def min_gap(m):
     """Smallest natural number strictly greater than 1 + log2(3(m-1))."""
@@ -410,11 +414,13 @@ def _collected_by_pi1(tup, N):
     return all(v <= j - N for v in rest)
 
 
-def _enum_guard(m, jmax):
+def _enum_refusal(m, jmax):
+    """Why Pi_2 of an m-fold product up to band jmax is not enumerated
+    directly (m > 3 or jmax > 7), or None when it is."""
     if m > 3 or jmax > 7:
-        raise ValueError(
-            "direct enumeration is guarded to m <= 3 and jmax <= 7, "
-            "got m=%d, jmax=%d" % (m, jmax))
+        return ("guarded to m <= 3 and jmax <= 7, got m=%d, jmax=%d"
+                % (m, jmax))
+    return None
 
 
 def pi2_direct_terms(fields, sys, N=None):
@@ -429,7 +435,9 @@ def pi2_direct_terms(fields, sys, N=None):
     grid = _common_grid(fields)
     m = len(fields)
     N = _checked_gap(m, N, sys.jmax)
-    _enum_guard(m, sys.jmax)
+    reason = _enum_refusal(m, sys.jmax)
+    if reason is not None:
+        raise ValueError("direct enumeration is " + reason)
 
     # the tuples run in lexicographic order, so block (0, k0) is read only
     # while k0 is the outer index: factor 0's blocks are made one at a time
@@ -468,15 +476,15 @@ def enumerate_pi2_direct(fields, sys, N=None):
                Field.zeros(_common_grid(fields)))
 
 
-def _support_radius(field, tol):
-    """(min, max) of |xi| over coefficients above tol times the largest
-    modulus, or None for a zero field; |xi| is read at those points only,
-    so the grid's lattice `xi` is not made."""
+def _support_radius(field):
+    """(min, max) of |xi| over coefficients above SUPPORT_TOL times the
+    largest modulus, or None for a zero field; |xi| is read at those points
+    only, so the grid's lattice `xi` is not made."""
     mag = np.abs(field.spectral)
     top = mag.max()
     if top == 0.0:
         return None
-    xi = field.grid._xi_at(np.nonzero(mag > tol * top))
+    xi = field.grid._xi_at(np.nonzero(mag > SUPPORT_TOL * top))
     return float(xi.min()), float(xi.max())
 
 
@@ -504,13 +512,14 @@ class SupportReport:
 _SLACK = 1.0 + 1e-9
 
 
-def verify_supports(pd, sys, tol=1e-12):
+def verify_supports(pd, sys):
     """Scan every stored term's spectrum against its support annulus.
 
     The derived annulus [2^(j-2), 2^(j+1)] is a hard verdict; the tighter
     lower edge 2^(j-1) claimed for the continuous construction and the
-    residual bound |xi| <= 2^(j+N-2) are reported informationally.  Zero
-    terms pass vacuously.
+    residual bound |xi| <= 2^(j+N-2) are reported informationally, for
+    the instances small enough to enumerate Pi_2 directly.  Zero terms pass
+    vacuously.
     """
     band_entries = []
     hard_all = True
@@ -518,7 +527,7 @@ def verify_supports(pd, sys, tol=1e-12):
     claimed_total = 0
     for (k, j) in sorted(pd.pi1_bands):
         term = pd.pi1_bands[(k, j)]
-        radius = _support_radius(term, tol)
+        radius = _support_radius(term)
         if radius is None:
             entry = {"k": k + 1, "j": j, "empty": True,
                      "hard": True, "claimed": True}
@@ -537,13 +546,10 @@ def verify_supports(pd, sys, tol=1e-12):
         band_entries.append(entry)
 
     pi2_entries = []
-    try:
+    if _enum_refusal(pd.m, sys.jmax) is None:
         terms = pi2_direct_terms(pd.factors, sys, pd.gap)
-    except ValueError:
-        terms = None
-    if terms is not None:
         for j in sorted(terms):
-            radius = _support_radius(terms[j], tol)
+            radius = _support_radius(terms[j])
             if radius is None:
                 pi2_entries.append({"j": j, "empty": True, "claimed": True})
             else:
@@ -553,12 +559,12 @@ def verify_supports(pd, sys, tol=1e-12):
                                     "claimed": ok})
 
     rate = claimed_hits / claimed_total if claimed_total else 1.0
-    return SupportReport(tol=tol, band_entries=band_entries,
+    return SupportReport(tol=SUPPORT_TOL, band_entries=band_entries,
                          pi2_entries=pi2_entries, hard_all_pass=hard_all,
                          claimed_pass_rate=rate)
 
 
-def dump_decomposition(pd, sys, directory, tol=1e-12, bands=True):
+def dump_decomposition(pd, sys, directory, bands=True):
     """Write the decomposition as FLD1 files plus a JSON manifest.
 
     Files: product.fld, pi2.fld, pi1_k{K}.fld and, when bands is set, the
@@ -575,7 +581,7 @@ def dump_decomposition(pd, sys, directory, tol=1e-12, bands=True):
         for (k, j), term in sorted(pd.pi1_bands.items()):
             fldio.write_field(
                 os.path.join(directory, "pi1_k%d_j%d.fld" % (k + 1, j)), term)
-    report = verify_supports(pd, sys, tol)
+    report = verify_supports(pd, sys)
     grid = pd.product.grid
     manifest = {
         "m": pd.m,

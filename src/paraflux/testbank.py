@@ -505,15 +505,16 @@ def _item_stack(item, sys, cache, new_stack, scratch):
     return field, units, scales
 
 
-def bank_specs(grid, m_max=DEFAULT_MAX_ARITY, seed=811):
+def bank_specs(grid, seed=811):
     """The recipes of the standard bank, in bank order: [(name, spec)].
 
     Lacunary families with three amplitude laws, random-band fields across
     smoothness/integrability targets (seeds seed, seed + 1, ...), bumps,
     steps, waves, and the constant; all respect the band limit for
-    m_max-fold products.  A recipe is plain data, so a caller builds each
-    field with `materialize` only when it needs it.
+    products of DEFAULT_MAX_ARITY factors.  A recipe is plain data, so a
+    caller builds each field with `materialize` only when it needs it.
     """
+    m_max = DEFAULT_MAX_ARITY
     cap = band_limit(grid, m_max)
     jtop = max(j for j in range(grid.jmax + 1)
                if plateau_frequency(j) <= cap)

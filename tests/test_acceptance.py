@@ -164,7 +164,7 @@ def test_criterion_06_support_safety():
     claimed_total = 0
     for a, b in pairs:
         pd = decompose_product([bank[a], bank[b]], sys)
-        report = verify_supports(pd, sys, tol=1e-12)
+        report = verify_supports(pd, sys)
         assert report.hard_all_pass, (a, b)
         nonempty = [e for e in report.band_entries if not e["empty"]]
         terms += len(report.band_entries)

@@ -201,8 +201,7 @@ def test_support_radius_reads_xi_at_its_points(n, size):
         assert g._xi is None
         mag = np.abs(f.spectral)
         want = xi[mag > 1e-12 * mag.max()]
-        assert _support_radius(f, 1e-12) == (float(want.min()),
-                                              float(want.max()))
+        assert _support_radius(f) == (float(want.min()), float(want.max()))
         assert rec.inputs["support_radius"] == float(want.max())
         assert g._xi is None
 
@@ -267,7 +266,7 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
             rhs = 2.0 ** ((g.n / p - g.n * it - s) * j) * base
             worst = max(worst, lp_norm(b, t) / rhs)
         want.append(worst)
-    # one stack for the block norms, and one streamed pass for the B-norm
+    # one stack serves the block norms and the B-norm
     calls = []
     for mod, name in ((paraflux.audit, "decompose"),
                       (paraflux.norms, "_bands")):
@@ -277,7 +276,7 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
     got = [check_delta_lt(bank[name], s, p, t, sys).lhs
            for s, p, t, name in combos]
     assert got == want
-    assert calls == ["_bands", "decompose"] * len(combos)
+    assert calls == ["decompose"] * len(combos)
     with pytest.raises(ValueError, match="zero field"):
         check_delta_lt(Field.zeros(g), 1.0, 2.0, 2.0, sys)
 
@@ -394,6 +393,14 @@ def test_sweep_serialization(setup128):
     # regenerating is byte-identical
     again = lemma_suite(g, sys, only="hardy")
     assert again.to_csv() == csv
+
+
+def test_sweep_csv_quotes_only_cells_with_commas_or_quotes():
+    from paraflux.audit import AuditRecord, SweepResult
+
+    rec = AuditRecord("x[a,b]", {"k": "v"}, 1.0, 2.0, 0.5)
+    assert SweepResult([rec]).to_csv().splitlines()[1] == \
+        '"x[a,b]","{""k"":""v""}",1,2,0.5,,informational'
 
 
 def test_audit_embedding_identity(setup128):

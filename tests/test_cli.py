@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from paraflux import (SpaceSpec, bank_specs, besov_norm,
-                      build_dyadic_system, build_grid, materialize, pure_wave,
-                      read_field, spec_for, triebel_norm, write_field)
+                      build_dyadic_system, build_grid, lacunary_field,
+                      materialize, pure_wave, read_field, spec_for,
+                      triebel_norm, write_field)
 from paraflux.cli import main
 
 
@@ -358,6 +359,58 @@ def test_decompose_from_files(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["m"] == 2
+
+
+def test_decompose_json_keys(tmp_path, capsys):
+    out = tmp_path / "dec"
+    assert main(["decompose", "--grid", "64", "--m", "2", "--out", str(out),
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["claimed_annulus_rate", "gap",
+                           "hard_annulus_pass", "m", "out",
+                           "pi2_enumeration", "reconstruction_rel_l2"]
+    assert (doc["m"], doc["gap"], doc["out"]) == (2, 3, str(out))
+    assert doc["hard_annulus_pass"] is True
+    assert doc["reconstruction_rel_l2"] < 1e-10
+    assert doc["pi2_enumeration"] == "ran"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["support_report"]["pi2_entries"]
+
+
+def test_decompose_says_when_pi2_is_not_enumerated(tmp_path, capsys):
+    # m = 4 lies beyond the direct enumeration's guard: the run passes, its
+    # support report has no Pi_2 entries, and its output says why
+    out = tmp_path / "dec"
+    argv = ["decompose", "--dim", "1", "--grid", "128", "--m", "4",
+            "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("Pi_2 direct enumeration: not run (guarded to "
+                         "m <= 3 and jmax <= 7, got m=4, jmax=5)")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["support_report"]["pi2_entries"] == []
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pi2_enumeration"] == lines[-1].split(": ", 1)[1]
+
+
+def test_decompose_refuses_too_few_factors_and_foreign_files(tmp_path,
+                                                            capsys):
+    g = build_grid(1, 64)
+    files = {}
+    for name, grid in (("a", g), ("c", build_grid(1, 32))):
+        files[name] = str(tmp_path / ("%s.fld" % name))
+        write_field(files[name], pure_wave(grid, 1))
+    out = str(tmp_path / "dec")
+    for argv, message in (
+            (["--m", "1"], "--m must be at least 2"),
+            (["--in", files["a"]], "at least two --in files"),
+            (["--in", files["a"], "--in", files["c"]], "expected")):
+        assert main(["decompose", "--grid", "64", "--out", out]
+                    + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -725,6 +778,11 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
     ({"n": 1, "resolutions": [64], "embeddings": [
         {"source": _SPACE, "target": dict(_SPACE, s=0.5, q=2 ** 70)}]},
      "sequence norm at q = 1.18059e+21 leaves the floats"),
+    # a target whose band L_p norms leave the floats: no inf or 0 rows
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5, p=2 ** 70,
+                                          q="inf")}]},
+     "B^0.5_{1.18059e+21,inf} norm leaves the floats at p = 1.18059e+21"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"
@@ -754,6 +812,65 @@ def _audit_sizes(tmp_path, capsys, manifest, *flags):
     rows = out.read_text().splitlines()[1:]
     return sorted({int(r.split("[size=")[1].split("]")[0])
                    for r in rows if "[size=" in r})
+
+
+def test_audit_resolutions_flag_must_list_integers(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"n": 1, "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5)}]}))
+    assert main(["audit", "--manifest", str(mpath),
+                 "--resolutions", "64,x"]) == 2
+    assert "--resolutions wants a comma list" in capsys.readouterr().err
+
+
+def test_audit_seed_flag_is_the_manifest_seed(tmp_path, capsys):
+    manifest = {"n": 1, "resolutions": [32], "seed": 811, "embeddings": [
+        {"source": _SPACE, "target": dict(_SPACE, s=0.5)}]}
+    flagged, seeded = tmp_path / "flag.json", tmp_path / "seed.json"
+    flagged.write_text(json.dumps(manifest))
+    seeded.write_text(json.dumps(dict(manifest, seed=5)))
+    outs = [tmp_path / "flag.csv", tmp_path / "seed.csv",
+            tmp_path / "811.csv"]
+    for path, extra, out in ((flagged, ["--seed", "5"], outs[0]),
+                             (seeded, [], outs[1]), (flagged, [], outs[2])):
+        assert main(["audit", "--manifest", str(path), "--out", str(out)]
+                    + extra) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() != outs[2].read_bytes()
+
+
+_HUGE = "1180591620717411303424"  # 2^70
+
+
+@pytest.mark.parametrize("scale, family, p, q", [
+    (1.0, "F", "2", _HUGE), (1.0, "B", _HUGE, "2"), (1.0, "F", _HUGE, "2"),
+    (3.0, "B", _HUGE, "inf"), (3.0, "B", _HUGE, "2")])
+def test_norm_that_leaves_the_floats_exits_2(tmp_path, capsys, scale,
+                                             family, p, q):
+    g = build_grid(1, 64)
+    f = scale * lacunary_field(g, {0: 0.5, 2: 0.25}, build_dyadic_system(g))
+    path = str(tmp_path / "f.fld")
+    write_field(path, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--in", path, "--space", family, "--s", "0",
+                     "--p", p, "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s^0_{" % family)
+    assert "at p = %g" % float(p) in captured.err
+
+
+def test_norm_of_a_file_with_an_unknown_domain_tag_exits_2(tmp_path,
+                                                         capsys):
+    path = tmp_path / "t.fld"
+    write_field(str(path), pure_wave(build_grid(1, 16), 1))
+    raw = bytearray(path.read_bytes())
+    raw[20] = 7  # the tag of a 1-D file follows n, the size and the period
+    path.write_bytes(bytes(raw))
+    assert main(["norm", "--in", str(path), "--s", "1", "--p", "2"]) == 2
+    assert "unknown domain tag 7" in capsys.readouterr().err
 
 
 def test_audit_manifest_without_resolutions_runs_default(tmp_path, capsys):

@@ -145,6 +145,23 @@ def test_fld_roundtrip(tmp_path):
                 assert np.array_equal(back.spectral, f.spectral)
 
 
+def test_fld_unknown_domain_tag_is_refused_before_any_grid(tmp_path,
+                                                          monkeypatch):
+    # the tag is read with the header: no Grid is built for a file whose
+    # payload no reader takes
+    import paraflux.fldio
+
+    g = build_grid(1, 16)
+    path = tmp_path / "t7.fld"
+    path.write_bytes(_fld1_bytes(g, 7, np.zeros(16)))
+    built = []
+    monkeypatch.setattr(paraflux.fldio, "Grid",
+                        lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="unknown domain tag 7"):
+        read_field(str(path))
+    assert built == []
+
+
 def test_fld_header_layout(tmp_path):
     import struct
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -62,6 +63,63 @@ def test_f_norm_refuses_a_sum_that_overflows(setup128):
             with pytest.raises(ValueError,
                                match=r"overflows at q = 1\.18059e\+21"):
                 measure()
+
+
+_HUGE = 2.0 ** 70  # an exponent that sends any |value| != 1 out of the floats
+
+
+@pytest.mark.parametrize("scale, spec", [
+    (1.0, SpaceSpec("F", 0.0, 2.0, _HUGE)),    # the pointwise sum reads 0
+    (1.0, SpaceSpec("B", 0.0, _HUGE, 2.0)),    # each band L_p reads 0
+    (1.0, SpaceSpec("F", 0.0, _HUGE, 2.0)),    # the outer L_p reads 0
+    (3.0, SpaceSpec("B", 0.0, _HUGE, INF)),    # a band L_p overflows
+    (3.0, SpaceSpec("B", 0.0, _HUGE, 2.0)),    # the same, not the q-sum
+], ids=["F-2-huge", "B-huge-2", "F-huge-2", "3f-B-huge-inf", "3f-B-huge-2"])
+def test_norms_that_leave_the_floats_are_refused_naming_p(scale, spec):
+    # the 1-D lacunary field with 0.5 at j = 0 and 0.25 at j = 2: every
+    # path refuses the value, naming the spec and p, with no numpy warning
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    f = scale * lacunary_field(g, {0: 0.5, 2: 0.25}, sys)
+    kernel = lq_of_lp if spec.family == "B" else lp_of_lq
+    norm = besov_norm if spec.family == "B" else triebel_norm
+    named = r"^%s norm .* at p = %s" % (re.escape(spec.label()),
+                                         re.escape("%g" % spec.p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (lambda: space_norms(f, [spec], sys),
+                        lambda: norm(f, spec, sys),
+                        lambda: kernel(decompose(f, sys), spec.s, spec.p,
+                                       spec.q)):
+            with pytest.raises(ValueError, match=named):
+                measure()
+
+
+def test_lp_norm_refuses_values_that_leave_the_floats():
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    f = lacunary_field(g, {0: 0.5, 2: 0.25}, sys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, fault in ((f, "reads 0"), (3.0 * f, "overflows")):
+            with pytest.raises(ValueError,
+                               match=r"p = 1\.18059e\+21: it " + fault):
+                lp_norm(x, _HUGE)
+        # zero samples read 0, and a finite value keeps the formula's bits
+        assert lp_norm(Field.zeros(g), _HUGE) == 0.0
+        x = np.abs(f.physical)
+        assert lp_norm(f, 3.0) == float(np.mean(x * x * x) ** (1.0 / 3.0))
+
+
+def test_norms_of_a_zero_stack_are_zero():
+    # a stack of zero blocks has no content: its norms read 0, unrefused,
+    # at ordinary and at extreme exponents alike
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    stack = decompose(Field.zeros(g), sys)
+    for p, q in ((2.0, 3.0), (_HUGE, 2.0), (2.0, _HUGE)):
+        assert lq_of_lp(stack, 0.5, p, q) == 0.0
+        assert lp_of_lq(stack, 0.5, p, q) == 0.0
 
 
 def test_space_spec_validation():

@@ -479,6 +479,27 @@ def test_hard_support_annulus(setup128):
     assert d["hard_all_pass"] is True
 
 
+def test_support_check_enumerates_pi2_by_the_guard_only(setup128):
+    # the guard decides whether Pi_2 is enumerated: past it the report
+    # has no Pi_2 entries, and inside it a gap or factor error propagates
+    # instead of emptying them
+    import dataclasses
+
+    g, sys = setup128
+    fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 55, 0))
+    pd = decompose_product(fields, sys)
+    report = verify_supports(pd, sys)
+    assert report.tol == 1e-12
+    big = decompose_product(fields + fields[:2], sys)
+    assert big.m == 4 and verify_supports(big, sys).pi2_entries == []
+    for bad, error in ((dataclasses.replace(pd, gap=1), "below the minimum"),
+                       (dataclasses.replace(pd, factors=[
+                           fields[0], pure_wave(build_grid(1, 64), 1)]),
+                        "incompatible grids")):
+        with pytest.raises(ValueError, match=error):
+            verify_supports(bad, sys)
+
+
 def test_dump_and_reload(tmp_path, setup128):
     g, sys = setup128
     fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 3, 0))
