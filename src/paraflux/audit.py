@@ -23,7 +23,7 @@ import numpy as np
 from ._inputs import MANIFEST, read
 from ._parallel import map_ordered, per_worker
 from .dyadic import (_axis_bounds, _bands, _box_views, _decompose_into,
-                     build_dyadic_system, decompose, q_j, smooth_cutoff)
+                     _lows, build_dyadic_system, smooth_cutoff)
 from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
@@ -47,6 +47,10 @@ CALIBRATION_GATE = 4.0  # frozen from the calibration run on the fixed bank
 TREND_GATE = 1.10
 SCALING_GATE = 1.05
 NIKOLSKII_GAMMAS = (8.0, 16.0, 32.0)
+# the Hardy trials of the search, the sweep and the suite: decay rates,
+# exponents, the search's sequence entries and the sweep's longest length
+HARDY = {"gammas": (0.3, 0.5, 0.9), "qs": (0.5, 1.0, 2.0, INF),
+         "lattice": (0.0, 0.25, 0.5, 1.0, 2.0), "sweep_len": 64}
 STABILITY_FACTOR = 4.0
 
 
@@ -121,6 +125,19 @@ class SweepResult:
 
     def failures(self):
         return [r for r in self.records if r.verdict == "fail"]
+
+    def summarize(self):
+        """Write into meta the count of records per verdict ("verdicts")
+        and, in record order, the name and reason of each skipped record
+        ("skipped"): its inputs' "skipped", or that both sides are 0."""
+        verdicts = [r.verdict for r in self.records]
+        self.meta["verdicts"] = {
+            v: verdicts.count(v)
+            for v in ("pass", "fail", "informational", "skipped")}
+        self.meta["skipped"] = [
+            {"name": r.name, "reason": r.inputs.get(
+                "skipped", "lhs and rhs_core are both 0")}
+            for r in self.records if r.verdict == "skipped"]
 
     def to_csv(self):
         text = io.StringIO()
@@ -198,10 +215,9 @@ def _seq_norms(matrix, q):
     return np.sum(matrix ** q, axis=-1) ** (1.0 / q)
 
 
-def hardy_exhaustive_search(max_len=6, lattice=(0.0, 0.25, 0.5, 1.0, 2.0),
-                            qs=(0.5, 1.0, 2.0, INF),
-                            gammas=(0.3, 0.5, 0.9)):
-    """Worst ratio/bound margin over every lattice sequence up to max_len.
+def hardy_exhaustive_search(max_len=6):
+    """Worst ratio/bound margin over every sequence up to max_len whose
+    entries come from HARDY["lattice"], at each gamma and q of HARDY.
 
     Returns (worst_margin, sweep) where margin = ratio - bound; validates
     the closed-form bound before it is trusted anywhere else.
@@ -211,11 +227,11 @@ def hardy_exhaustive_search(max_len=6, lattice=(0.0, 0.25, 0.5, 1.0, 2.0),
     worst = -INF
     records = []
     for L in range(1, max_len + 1):
-        block = np.array(list(itertools.product(lattice, repeat=L)))
+        block = np.array(list(itertools.product(HARDY["lattice"], repeat=L)))
         block = block[block.sum(axis=1) > 0.0]
-        for gamma in gammas:
+        for gamma in HARDY["gammas"]:
             delta = _hardy_transform(block, gamma)
-            for q in qs:
+            for q in HARDY["qs"]:
                 ratios = _seq_norms(delta, q) / _seq_norms(block, q)
                 bound = hardy_bound(gamma, q)
                 top = float(ratios.max())
@@ -229,9 +245,10 @@ def hardy_exhaustive_search(max_len=6, lattice=(0.0, 0.25, 0.5, 1.0, 2.0),
     return worst, sweep
 
 
-def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
-                       gammas=(0.3, 0.5, 0.9), seed=811):
-    """Random-sequence stress of the Hardy bound; one record per (q, gamma)."""
+def hardy_random_sweep(count=10000, seed=811):
+    """Random-sequence stress of the Hardy bound, on sequences of up to
+    HARDY["sweep_len"] entries; one record per (gamma, q) of HARDY."""
+    max_len = HARDY["sweep_len"]
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, max_len + 1, size=count)
     eps = np.abs(rng.standard_normal((count, max_len)))
@@ -241,9 +258,9 @@ def hardy_random_sweep(count=10000, max_len=64, qs=(0.5, 1.0, 2.0, INF),
     mask = np.arange(max_len)[None, :] < lengths[:, None]
     eps *= mask
     records = []
-    for gamma in gammas:
+    for gamma in HARDY["gammas"]:
         delta = _hardy_transform(eps, gamma)
-        for q in qs:
+        for q in HARDY["qs"]:
             ratios = _seq_norms(delta, q) / _seq_norms(eps, q)
             records.append(_make_record(
                 "hardy-random[g=%g,q=%g]" % (gamma, q),
@@ -353,8 +370,19 @@ def _besov_sup(blocks, s, p):
     return value
 
 
-def _qj_norms(f, p, sys):
-    return [lp_norm(q_j(f, j, sys), p) for j in range(sys.jmax + 1)]
+def _calibrated(name, inputs, ratio):
+    """The record of a lemma estimate's worst ratio, gated by
+    CALIBRATION_GATE."""
+    return _make_record(name, inputs, ratio, 1.0, CALIBRATION_GATE,
+                        "derived: calibration-frozen")
+
+
+def _qj_norms(f, s, p, t, sys):
+    """(||f|B^s_{p,inf}||, [||Q_j f||_t for j = 0..jmax]), both read
+    through one grid-sized array (`dyadic._bands`, `dyadic._lows`)."""
+    out = np.empty_like(f.spectral)
+    base = _besov_sup(_bands(f, sys, out), s, p)
+    return base, [lp_norm(low, t) for low in _lows(f, sys, out)]
 
 
 def _eps_qj(s, p, j):
@@ -365,22 +393,27 @@ def _eps_qj(s, p, j):
     return (j + 1.0) ** (1.0 / min(1.0, p))
 
 
-def check_qj_lp(f, s, p, sys, reference_bound=None, provenance="",
-                trend_gate=None, label=""):
+def _qj_lp_sequence(f, s, p, sys):
+    """(||f|B^s_{p,inf}||, the eps_j-normalized ||Q_j f||_p for j =
+    0..jmax as an array)."""
+    base, norms = _qj_norms(f, s, p, p, sys)
+    return base, np.array([qn / _eps_qj(s, p, j)
+                           for j, qn in enumerate(norms)])
+
+
+def check_qj_lp(f, s, p, sys, trend_gate=None, label=""):
     """Lemma estimate for low-pass norms: ||Q_j f||_p <= c eps_j ||f|B^s_{p,inf}||.
 
-    ratio is the worst j; the growth of the normalized sequence over the top
-    three j is recorded (and gated when trend_gate is given).
+    ratio is the worst j, gated by CALIBRATION_GATE; the growth of the
+    normalized sequence over the top three j is recorded (and gated when
+    trend_gate is given).
     """
-    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
-    seq = np.array([qn / _eps_qj(s, p, j)
-                    for j, qn in enumerate(_qj_norms(f, p, sys))])
+    base, seq = _qj_lp_sequence(f, s, p, sys)
     ratio_seq = seq / base
     growth = float(max(seq[-3:]) / seq[-3]) if len(seq) >= 3 else 1.0
     inputs = {"s": s, "p": p, "field": label, "trend_growth": growth}
-    rec = _make_record("qj_lp[s=%g,p=%g]%s" % (s, p, label), inputs,
-                       float(ratio_seq.max()), 1.0, reference_bound,
-                       provenance)
+    rec = _calibrated("qj_lp[s=%g,p=%g]%s" % (s, p, label), inputs,
+                      float(ratio_seq.max()))
     if trend_gate is not None and rec.verdict != "fail":
         if growth > trend_gate + RATIO_SLACK:
             rec.verdict = "fail"
@@ -392,32 +425,38 @@ def qj_lp_flatness(f, s, p, sys, label=""):
     """s < 0 calibration: eps_j-normalized low-pass norms flat within 4x."""
     if not s < 0.0:
         raise ValueError("flatness gate applies to s < 0")
-    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
-    seq = np.array([qn / _eps_qj(s, p, j)
-                    for j, qn in enumerate(_qj_norms(f, p, sys))])
+    base, seq = _qj_lp_sequence(f, s, p, sys)
     seq = seq[2:] / base
     value = float(seq.max() / seq.min())
-    return _make_record("qj_lp-flatness[s=%g,p=%g]%s" % (s, p, label),
-                        {"s": s, "p": p, "field": label}, value, 1.0,
-                        CALIBRATION_GATE, "derived: calibration-frozen")
+    return _calibrated("qj_lp-flatness[s=%g,p=%g]%s" % (s, p, label),
+                       {"s": s, "p": p, "field": label}, value)
 
 
-def check_delta_lt(f, s, p, t, sys, reference_bound=None, provenance="",
-                   label=""):
-    """Block norms against ||Delta_j f||_t <= c 2^{(n/p-n/t-s)j} ||f|B^s_{p,inf}||."""
+def check_delta_lt(f, s, p, t, sys, label=""):
+    """Block norms against ||Delta_j f||_t <= c 2^{(n/p-n/t-s)j} ||f|B^s_{p,inf}||,
+    the worst j gated by CALIBRATION_GATE.
+
+    Each block's L_t is read as `dyadic._bands` hands the block to the
+    reference norm, in one grid-sized array; an all-zero block reads 0.
+    """
     if not 0.0 < p <= t:
         raise ValueError("need p <= t")
-    stack = decompose(f, sys)
-    base = _besov_sup(stack, s, p)
+    lts = []
+
+    def blocks():
+        for block in _bands(f, sys, np.empty_like(f.spectral)):
+            lts.append(0.0 if block is None else lp_norm(block, t))
+            yield block
+
+    base = _besov_sup(blocks(), s, p)
     n = f.grid.n
     worst = 0.0
-    for j, b in enumerate(stack):
+    for j, lt in enumerate(lts):
         rhs = 2.0 ** ((n / p - n * (1.0 / t) - s) * j) * base
-        worst = max(worst, lp_norm(b, t) / rhs)
-    return _make_record(
-        "delta_lt[s=%g,p=%g,t=%g]%s" % (s, p, t, label),
-        {"s": s, "p": p, "t": _ex_json(t), "field": label},
-        worst, 1.0, reference_bound, provenance)
+        worst = max(worst, lt / rhs)
+    return _calibrated("delta_lt[s=%g,p=%g,t=%g]%s" % (s, p, t, label),
+                       {"s": s, "p": p, "t": _ex_json(t), "field": label},
+                       worst)
 
 
 def qj_lt_endpoint(s, p, n):
@@ -437,37 +476,42 @@ def _qj_lt_at_endpoint(s, p, t, n):
     return (t == tstar) or (t != INF and abs(t - tstar) <= 1e-12)
 
 
-def check_qj_lt(f, s, p, t, sys, reference_bound=None, provenance="",
-                label=""):
-    """Cross-norm low-pass estimate with its endpoint-sensitive eps_j.
+def check_qj_lt(f, s, p, t, sys, label=""):
+    """Cross-norm low-pass estimate with its endpoint-sensitive eps_j, the
+    worst j gated by CALIBRATION_GATE.
 
     Strictly inside p < t < endpoint, eps_j = 1; at t = endpoint, eps_j =
     (j+1)^{1/min(1,t)}.
     """
     at_endpoint = _qj_lt_at_endpoint(s, p, t, f.grid.n)
-    base = _besov_sup(_bands(f, sys, np.empty_like(f.spectral)), s, p)
+    base, norms = _qj_norms(f, s, p, t, sys)
     worst = 0.0
-    for j, qn in enumerate(_qj_norms(f, t, sys)):
-        if at_endpoint:
-            eps = (j + 1.0) ** (1.0 / min(1.0, t))
-        else:
-            eps = 1.0
+    for j, qn in enumerate(norms):
+        eps = (j + 1.0) ** (1.0 / min(1.0, t)) if at_endpoint else 1.0
         worst = max(worst, qn / (eps * base))
-    return _make_record(
+    return _calibrated(
         "qj_lt[s=%g,p=%g,t=%g,%s]%s"
         % (s, p, t, "endpoint" if at_endpoint else "strict", label),
         {"s": s, "p": p, "t": _ex_json(t),
-         "endpoint": at_endpoint, "field": label},
-        worst, 1.0, reference_bound, provenance)
+         "endpoint": at_endpoint, "field": label}, worst)
+
+
+def _qsup(f, sys):
+    """sup_j |Q_j f|, a running maximum over the levels read through one
+    grid-sized array (`dyadic._lows`): bitwise the maximum of the stack."""
+    lows = _lows(f, sys, np.empty_like(f.spectral))
+    top = np.abs(next(lows))
+    mags = np.empty_like(top)
+    for low in lows:
+        np.maximum(top, np.abs(low, out=mags), out=top)
+    return top
 
 
 def check_maximal_qsup(f, p, sys, label=""):
     """Maximal low-pass bound: ||sup_j |Q_j f|||_p <= c ||f|F^0_{p,2}||."""
     if not 0.0 < p < INF:
         raise ValueError("need 0 < p < inf")
-    stack = np.stack([np.abs(q_j(f, j, sys).physical)
-                      for j in range(sys.jmax + 1)])
-    lhs = lp_norm(stack.max(axis=0), p)
+    lhs = lp_norm(_qsup(f, sys), p)
     rhs = triebel_norm(f, SpaceSpec("F", 0.0, p, 2.0), sys)
     return _make_record("maximal_qsup[p=%g]%s" % (p, label),
                         {"p": p, "field": label}, lhs, rhs)
@@ -493,7 +537,8 @@ def lemma_suite(grid, sys, only=None, seed=811):
 
     An unknown section, qj_lt exponents the dimension does not admit, or a
     nikolskii section whose grid measures no gamma pair, is refused with
-    ValueError before any section runs.
+    ValueError before any section runs.  meta holds the verdict counts and
+    the skipped records (`SweepResult.summarize`).
     """
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
@@ -528,8 +573,8 @@ def lemma_suite(grid, sys, only=None, seed=811):
     if want("hardy"):
         rng = np.random.default_rng([seed, 97])
         eps = np.abs(rng.standard_normal(48))
-        for gamma in (0.3, 0.5, 0.9):
-            for q in (0.5, 1.0, 2.0, INF):
+        for gamma in HARDY["gammas"]:
+            for q in HARDY["qs"]:
                 result.records.append(check_hardy(eps, gamma, q))
 
     if want("nikolskii"):
@@ -553,9 +598,8 @@ def lemma_suite(grid, sys, only=None, seed=811):
             (-1.0, 1.0, "random-band[s=-1,p=1]", TREND_GATE),
         ]
         for s, p, name, gate in combos:
-            result.records.append(check_qj_lp(
-                bank(name), s, p, sys, CALIBRATION_GATE,
-                "derived: calibration-frozen", trend_gate=gate, label=name))
+            result.records.append(check_qj_lp(bank(name), s, p, sys,
+                                              trend_gate=gate, label=name))
         for s, p, name in ((-1.0, 2.0, "random-band[s=-1,p=2]"),
                            (-1.0, 1.0, "random-band[s=-1,p=1]")):
             result.records.append(qj_lp_flatness(bank(name), s, p, sys,
@@ -570,16 +614,15 @@ def lemma_suite(grid, sys, only=None, seed=811):
             (1.0, 2.0, 2.0, "lacunary-geometric"),
         ]
         for s, p, t, name in combos:
-            result.records.append(check_delta_lt(
-                bank(name), s, p, t, sys, CALIBRATION_GATE,
-                "derived: calibration-frozen", label=name))
+            result.records.append(check_delta_lt(bank(name), s, p, t, sys,
+                                                 label=name))
 
     if want("qj_lt"):
         for s, p, t, name in _QJ_LT_COMBOS:
-            result.records.append(check_qj_lt(
-                bank(name), s, p, t, sys, CALIBRATION_GATE,
-                "derived: calibration-frozen", label=name))
+            result.records.append(check_qj_lt(bank(name), s, p, t, sys,
+                                              label=name))
 
+    result.summarize()
     return result
 
 
@@ -885,8 +928,8 @@ def run_audit_manifest(manifest):
     gates on each max ratio.  Every table, hypothesis, admissible p and gap
     is checked before any dyadic system or field is built, and a refusal is
     a ValueError naming the path.  Records keep the order embedding by
-    embedding, then set by set, resolution by resolution; meta["verdicts"]
-    counts them per verdict.
+    embedding, then set by set, resolution by resolution; meta holds their
+    verdict counts and skipped records (`SweepResult.summarize`).
     """
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
@@ -950,10 +993,7 @@ def run_audit_manifest(manifest):
         combined.records.append(_stability_record(
             name, dict(inputs, resolutions=resolutions), maxima))
 
-    verdicts = [r.verdict for r in combined.records]
-    combined.meta["verdicts"] = {
-        v: verdicts.count(v)
-        for v in ("pass", "fail", "informational", "skipped")}
+    combined.summarize()
     return combined
 
 

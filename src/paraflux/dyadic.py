@@ -281,12 +281,21 @@ def _bands(f, sys, out):
     be read before the next; an all-zero block is yielded as None,
     untransformed, with out holding its zeros.  Given a stack for out,
     block j goes to out[j]."""
-    if not sys.grid.compatible(f.grid):
-        raise ValueError("field grid does not match the dyadic system")
+    _check_band(sys, f, 0)
     for j, (bounds, window) in enumerate(zip(sys._reach, sys._windows)):
         values = out[j] if out.ndim > f.grid.n else out
-        yield _confined_ifftn(values, bounds, "forward") \
+        yield _confined_ifftn(values, bounds) \
             if _windowed(f.spectral, bounds, window, values) else None
+
+
+def _lows(f, sys, out):
+    """The samples of Q_j f level by level, lowest first, each written
+    into out, a complex array of the grid's shape, and yielded to be read
+    before the next: bitwise `q_j(f, j, sys).physical`."""
+    _check_band(sys, f, 0)
+    for j, bounds in enumerate(sys._reach):
+        _windowed(f.spectral, bounds, sys._low(j), out)
+        yield _confined_ifftn(out, bounds)
 
 
 def _axis_bounds(grid, radius, closed):
@@ -306,9 +315,10 @@ def _axis_bounds(grid, radius, closed):
     return tuple(bounds)
 
 
-def _confined_ifftn(values, bounds, norm):
-    """`np.fft.ifftn(values, out=values, norm=norm)`, bit for bit, for
-    values that vanish outside the corner box |k_a| <= bounds[a].
+def _confined_ifftn(values, bounds):
+    """`np.fft.ifftn(values, out=values, norm="forward")`, bit for bit, for
+    values that vanish outside the corner box |k_a| <= bounds[a]: the
+    samples of the coefficients held in values.
 
     The pass over axis a runs on the 2^a corner views [0, b] and
     [size - b, size) of the axes before it; the last axis's bound is not
@@ -318,13 +328,13 @@ def _confined_ifftn(values, bounds, norm):
     """
     whole = [2 * b + 2 >= size for b, size in zip(bounds, values.shape[:-1])]
     if all(whole):
-        return np.fft.ifftn(values, out=values, norm=norm)
+        return np.fft.ifftn(values, out=values, norm="forward")
     spans = [(slice(None),) if w
              else (slice(0, b + 1),) + ((slice(size - b, size),) if b else ())
              for w, b, size in zip(whole, bounds, values.shape)]
     for axis in reversed(range(values.ndim)):
         for corner in itertools.product(*spans[:axis]):
             view = values[corner]
-            np.fft.ifft(view, axis=axis, out=view, norm=norm)
+            np.fft.ifft(view, axis=axis, out=view, norm="forward")
     return values
 

@@ -20,6 +20,7 @@ as files written before may hold them.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -47,31 +48,40 @@ def write_field(path, field):
 
 
 def read_field(path):
-    """Read an FLD1 file back into a Field."""
+    """Read an FLD1 file back into a Field.
+
+    The header is read and checked first, and the length it implies is
+    compared with the file's size before the payload is read, once, into
+    its own array: a refused file costs no payload-sized memory, and a
+    valid one holds at most two payload-sized arrays at once, the payload
+    and the field's spectrum or samples made from it.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise ValueError("%s: not an FLD1 file" % (path,))
-    (n,) = struct.unpack_from("<I", raw, 4)
-    if n < 1 or n > 3:
-        raise ValueError("%s: bad dimension %d" % (path, n))
-    off = 8 + 4 * n + 9
-    if len(raw) < off:
-        raise ValueError("%s: truncated header" % (path,))
-    sizes = struct.unpack_from("<%dI" % n, raw, 8)
-    period, tag = struct.unpack_from("<dB", raw, 8 + 4 * n)
-    # check the tag and the length the header implies before Grid
-    # allocates its meshes
-    if tag not in (DOMAIN_PHYSICAL, DOMAIN_SPECTRAL):
-        raise ValueError("%s: unknown domain tag %d" % (path, tag))
-    count = math.prod(sizes)
-    expected = off + 16 * count
-    if len(raw) != expected:
-        raise ValueError("%s: expected %d bytes, found %d"
-                         % (path, expected, len(raw)))
-    grid = Grid(n, sizes, period)
-    data = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-    data = data.reshape(sizes).astype(np.complex128)
+        raw = fh.read(8)
+        if len(raw) < 8 or raw[:4] != MAGIC:
+            raise ValueError("%s: not an FLD1 file" % (path,))
+        (n,) = struct.unpack_from("<I", raw, 4)
+        if n < 1 or n > 3:
+            raise ValueError("%s: bad dimension %d" % (path, n))
+        off = 8 + 4 * n + 9
+        raw += fh.read(off - 8)
+        if len(raw) < off:
+            raise ValueError("%s: truncated header" % (path,))
+        sizes = struct.unpack_from("<%dI" % n, raw, 8)
+        period, tag = struct.unpack_from("<dB", raw, 8 + 4 * n)
+        # check the tag and the length the header implies before Grid
+        # allocates its meshes
+        if tag not in (DOMAIN_PHYSICAL, DOMAIN_SPECTRAL):
+            raise ValueError("%s: unknown domain tag %d" % (path, tag))
+        count = math.prod(sizes)
+        expected = off + 16 * count
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise ValueError("%s: expected %d bytes, found %d"
+                             % (path, expected, found))
+        grid = Grid(n, sizes, period)
+        data = np.fromfile(fh, dtype="<c16", count=count)
+    data = data.reshape(sizes).astype(np.complex128, copy=False)
     if tag == DOMAIN_PHYSICAL:
         return Field.from_physical(grid, data)
     return Field.from_spectral(grid, np.fft.ifftshift(data))

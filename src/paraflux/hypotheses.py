@@ -13,6 +13,7 @@ uses a 1e-12 absolute tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .norms import INF
@@ -180,6 +181,8 @@ def check_theorem_hypotheses(params, q, n, mode):
 
     s = [si for si, _ in params]
     p = [pi for _, pi in params]
+    # 1/p_i, NaN at p_i = 0: every condition that reads it then fails
+    inv = [1.0 / v if v else math.nan for v in p]
     conds = []
 
     conds.append((
@@ -207,8 +210,8 @@ def check_theorem_hypotheses(params, q, n, mode):
         ))
         conds.append((
             "s1-subcritical",
-            "s1=%g < n/p1=%g" % (s[0], n * (1.0 / p[0])),
-            s[0] < n * (1.0 / p[0]),
+            "s1=%g < n/p1=%g" % (s[0], n * inv[0]),
+            s[0] < n * inv[0],
         ))
     else:
         conds.append((
@@ -225,9 +228,8 @@ def check_theorem_hypotheses(params, q, n, mode):
     # per-factor h_i range: (1/p_i - s_i/n)_+ < 1/h_i <= 1/p_i
     h_ranges = []
     factor_ok = True
-    for si, pi in params[1:]:
-        lo = max(1.0 / pi - si / n, 0.0)
-        hi = 1.0 / pi
+    for si, hi in zip(s[1:], inv[1:]):
+        lo = max(hi - si / n, 0.0)
         h_ranges.append((lo, hi))
         factor_ok = factor_ok and lo < hi
     conds.append((
@@ -237,8 +239,8 @@ def check_theorem_hypotheses(params, q, n, mode):
         factor_ok,
     ))
 
-    lo_p = 1.0 / p[0] + sum(lo for lo, _ in h_ranges)
-    hi_p = 1.0 / p[0] + sum(hi for _, hi in h_ranges)
+    lo_p = inv[0] + sum(lo for lo, _ in h_ranges)
+    hi_p = inv[0] + sum(hi for _, hi in h_ranges)
     hi_eff = min(hi_p, 1.0)
     interval_ok = lo_p < hi_eff  # (lo, hi] intersected with (0, 1) nonempty
     conds.append((
@@ -258,18 +260,10 @@ def check_theorem_hypotheses(params, q, n, mode):
     return _finish(conds, derived)
 
 
-def pick_admissible_p(report, position=0.5):
-    """A p inside the report's admissible interval for 1/p.
-
-    position slides from just above the open left end (0) to the right end
-    (1).  Raises if the report's interval is empty.
-    """
-    lo, hi, closed = report.derived["inv_p_interval_capped"]
+def pick_admissible_p(report):
+    """The p whose 1/p is the midpoint of the report's admissible interval
+    for 1/p.  Raises if that interval is empty."""
+    lo, hi, _ = report.derived["inv_p_interval_capped"]
     if not lo < hi:
         raise ValueError("admissible interval for 1/p is empty")
-    if not 0.0 < position <= 1.0:
-        raise ValueError("position must lie in (0, 1]")
-    if position == 1.0 and not closed:
-        position = 0.999
-    inv = lo + (hi - lo) * position
-    return 1.0 / inv
+    return 1.0 / (lo + (hi - lo) * 0.5)

@@ -303,12 +303,12 @@ def _transformed_sources(fields, sys, big):
         if not _windowed(fields[k].spectral, sys._reach[j], sys._windows[j],
                          out):
             return None
-        return _confined_ifftn(out, sys._reach[j], "forward")
+        return _confined_ifftn(out, sys._reach[j])
 
     def low(i, l):
         out = np.empty(big, dtype=np.complex128)
         _windowed(fields[i].spectral, sys._reach[l], sys._low(l), out)
-        return _confined_ifftn(out, sys._reach[l], "forward")
+        return _confined_ifftn(out, sys._reach[l])
 
     return block, low
 

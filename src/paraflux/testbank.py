@@ -138,11 +138,11 @@ def _unit_bands(grid, seed, sys, m_max, out):
     Yields (points, phases, samples) for j = 0..jmax: the flat indices of
     band j's plateau points under the band limit, the unit-modulus
     coefficients placed there (phases from the PCG64 stream [seed, j]), and
-    U_j, the inverse transform of that content times npoints.  A band
-    without plateau points yields (None, None, zeros).  The samples are
-    out[j] for a stack out, or else one array for every band (out, or one
-    made here if None), read before the next band.  The stream depends on
-    the grid, seed and m_max only, not on the targets (s, p) of a field.
+    U_j, the samples of that content.  A band without plateau points
+    yields (None, None, zeros).  The samples are out[j] for a stack out, or
+    else one array for every band (out, or one made here if None), read
+    before the next band.  The stream depends on the grid, seed and m_max
+    only, not on the targets (s, p) of a field.
     """
     cap = band_limit(grid, m_max)
     if out is None:
@@ -157,9 +157,7 @@ def _unit_bands(grid, seed, sys, m_max, out):
         rng = np.random.default_rng([int(seed), j])
         phases = np.exp(2j * np.pi * rng.random(points.size))
         np.put(values, points, phases)
-        _confined_ifftn(values, sys._reach[j], None)
-        values *= grid.npoints
-        yield points, phases, values
+        yield points, phases, _confined_ifftn(values, sys._reach[j])
 
 
 def _band_size(mags, p):
@@ -261,14 +259,17 @@ def _truncate_real(grid, a, m_max):
     to max 1, in place.
 
     a is a C-contiguous complex array of the grid's shape with zero
-    imaginary part: it is transformed, truncated, transformed back and
-    normalised where it is, and its imaginary part is zeroed again.  The
+    imaginary part: it is transformed to its coefficients, truncated,
+    transformed back and normalised where it is, and its imaginary part is
+    zeroed again.  Every transform here has the coefficient normalization
+    of `Field`; on power-of-two sizes (`Grid`) its 1/npoints scaling is
+    exact, so the bits are those of numpy's default pair.  The
     cut reads |xi| on the box |k_a| <= b_a that holds the band limit only;
     every point off it lies beyond.  A field's spectrum is the forward
     transform of the real part of the truncated samples, so it carries
     rounding residue beyond the band limit.
     """
-    np.fft.fftn(a, out=a)
+    np.fft.fftn(a, out=a, norm="forward")
     cap = band_limit(grid, m_max)
     bounds = _axis_bounds(grid, cap, closed=True)
     for axis, (b, size) in enumerate(zip(bounds, grid.sizes)):
@@ -276,7 +277,7 @@ def _truncate_real(grid, a, m_max):
     for _, lattice in _box_views(bounds, grid.sizes):
         part = a[lattice]
         part[grid.xi_box(lattice) > cap] = 0.0
-    _confined_ifftn(a, bounds, None)
+    _confined_ifftn(a, bounds)
     real = a.real
     top = max(real.max(), -real.min())
     if top == 0.0:

@@ -246,6 +246,7 @@ def test_delta_lt_validation(setup128):
 
 def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
     import paraflux.audit
+    import paraflux.dyadic
     import paraflux.norms
 
     g, sys = setup128
@@ -266,9 +267,13 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
             rhs = 2.0 ** ((g.n / p - g.n * it - s) * j) * base
             worst = max(worst, lp_norm(b, t) / rhs)
         want.append(worst)
-    # one stack serves the block norms and the B-norm
+    # one pass of streamed bands serves the block norms and the B-norm:
+    # no stack is made
     calls = []
-    for mod, name in ((paraflux.audit, "decompose"),
+    for mod, name in ((paraflux.dyadic, "decompose"),
+                      (paraflux.dyadic, "_decompose_into"),
+                      (paraflux.audit, "_decompose_into"),
+                      (paraflux.audit, "_bands"),
                       (paraflux.norms, "_bands")):
         monkeypatch.setattr(mod, name,
                             lambda *a, _name=name, _real=getattr(mod, name):
@@ -276,9 +281,41 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
     got = [check_delta_lt(bank[name], s, p, t, sys).lhs
            for s, p, t, name in combos]
     assert got == want
-    assert calls == ["decompose"] * len(combos)
+    assert calls == ["_bands"] * len(combos)
     with pytest.raises(ValueError, match="zero field"):
         check_delta_lt(Field.zeros(g), 1.0, 2.0, 2.0, sys)
+
+
+def test_delta_lt_holds_no_block_stack():
+    # at 3-D 64 the check reads its blocks one at a time: its traced peak
+    # stays below the (jmax+1) complex lattice arrays of a block stack
+    import tracemalloc
+
+    g = build_grid(3, 64)
+    sys = build_dyadic_system(g)
+    f = materialize(dict(bank_specs(g))["random-band[s=0.5,p=2]"], sys)
+    tracemalloc.start()
+    try:
+        rec = check_delta_lt(f, 0.5, 2.0, INF, sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.verdict == "pass"
+    assert peak < (sys.jmax + 1) * 16 * g.npoints
+
+
+def test_maximal_qsup_is_the_stack_maximum(setup128):
+    # the running maximum of |Q_j f| gives the bits of the maximum over
+    # the stack of low-pass samples
+    from paraflux.audit import _qsup
+    from paraflux.dyadic import q_j
+
+    g, sys = setup128
+    for name, spec in bank_specs(g):
+        f = materialize(spec, sys)
+        want = np.stack([np.abs(q_j(f, j, sys).physical)
+                         for j in range(sys.jmax + 1)]).max(axis=0)
+        assert _qsup(f, sys).tobytes() == want.tobytes(), name
 
 
 def test_qj_lt_endpoint_arithmetic():
@@ -330,6 +367,40 @@ def test_lemma_suite_all_gates_pass(setup128):
             "qj_lp", "qj_lp-flatness", "delta_lt", "qj_lt"} <= names
 
 
+def test_meta_lists_the_skipped_records_with_their_reasons():
+    # one place writes the verdict counts and the skipped records, in
+    # record order, for the lemma suite and the audits; the CSV keeps its
+    # bytes
+    from paraflux.audit import SweepResult, _make_record
+
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    result = lemma_suite(g, sys, only="nikolskii")
+    reason = "gamma above nyquist/2 = 16"
+    assert result.meta["skipped"] == [
+        {"name": name, "reason": reason}
+        for name in ("nikolskii[p=1,q=inf,g=32]",
+                     "nikolskii-scaling[p=1,q=inf,g=16->32]",
+                     "nikolskii[p=2,q=4,g=32]",
+                     "nikolskii-scaling[p=2,q=4,g=16->32]")]
+    assert result.meta["verdicts"] == {"pass": 2, "fail": 0,
+                                       "informational": 4, "skipped": 4}
+    meta = json.loads(result.to_json())["meta"]
+    assert meta["skipped"] == result.meta["skipped"]
+    assert "skipped" not in result.to_csv().splitlines()[0]
+    # a record whose two sides are 0 is skipped as it is made
+    sweep = SweepResult([check_hardy(np.ones(4), 0.5, 2.0),
+                         _make_record("zero", {"field": "z"}, 0.0, 0.0)])
+    sweep.summarize()
+    assert sweep.meta == {
+        "verdicts": {"pass": 1, "fail": 0, "informational": 0,
+                     "skipped": 1},
+        "skipped": [{"name": "zero",
+                     "reason": "lhs and rhs_core are both 0"}]}
+    assert run_audit_manifest({"n": 1, "resolutions": [32]}).meta[
+        "skipped"] == []
+
+
 @pytest.mark.parametrize("n, size", [(2, 64), (3, 32)])
 def test_lemma_suite_refuses_qj_lt_before_any_section(n, size, monkeypatch):
     # the qj_lt exponents hold at n = 1 only: above it the suite is refused
@@ -341,8 +412,11 @@ def test_lemma_suite_refuses_qj_lt_before_any_section(n, size, monkeypatch):
     ran = []
     for name in ("check_hardy", "nikolskii_scaling", "check_maximal_qsup",
                  "check_qj_lp", "check_delta_lt", "check_qj_lt"):
+        # a stub's record is counted in the suite's meta
         monkeypatch.setattr(paraflux.audit, name,
-                            lambda *a, _name=name, **k: ran.append(_name))
+                            lambda *a, _name=name, **k: ran.append(_name)
+                            or paraflux.audit.AuditRecord(_name, {}, 0.0,
+                                                          1.0, 0.0))
     for only in (None, "qj_lt"):
         with pytest.raises(ValueError, match=r"need p < t <= 2\.66667"
                            if n == 2 else r"need p < t <= "):

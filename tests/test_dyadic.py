@@ -5,7 +5,7 @@ from paraflux import (Field, bank_specs, build_dyadic_system, build_grid,
                       decompose, delta_j, lacunary_field, materialize,
                       pure_wave, q_j, random_band_field, smooth_cutoff,
                       spec_for)
-from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn
+from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn, _lows
 from paraflux.grid import Grid
 
 
@@ -251,7 +251,7 @@ def _count_ifft(monkeypatch):
 @pytest.mark.parametrize("shape", [(64,), (32, 64), (32, 32, 32),
                                    (16, 32, 64), (64, 16, 32), (192, 128),
                                    (256, 128)])
-@pytest.mark.parametrize("norm", [None, "forward"])
+@pytest.mark.parametrize("norm", ["forward"])  # the one it transforms with
 def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
     # bitwise np.fft.ifftn for content inside the box, from bound 0 to
     # size/2 - 2, with zeros of either sign outside, on a grid's lattice or
@@ -269,7 +269,7 @@ def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
         for signed_zeros in (False, True):
             values = _box_content(shape, bounds, rng, signed_zeros)
             want = np.fft.ifftn(values, norm=norm)
-            got = _confined_ifftn(values, bounds, norm)
+            got = _confined_ifftn(values, bounds)
             assert got is values
             assert got.tobytes() == want.tobytes()
     assert bool(calls) == (len(shape) > 1)
@@ -278,8 +278,7 @@ def test_confined_ifftn_is_numpys_ifftn(shape, norm, monkeypatch):
                                                             shape)):
         values = _box_content(shape, bounds, rng)
         want = np.fft.ifftn(values, norm=norm)
-        assert _confined_ifftn(values, bounds, norm).tobytes() == \
-            want.tobytes()
+        assert _confined_ifftn(values, bounds).tobytes() == want.tobytes()
     assert not calls
 
 
@@ -289,11 +288,11 @@ def test_confined_ifftn_bound_one_too_small_changes_the_bits():
     rng = np.random.default_rng(7)
     shape, bounds = (16, 32, 64), (3, 5, 7)
     values = _box_content(shape, bounds, rng)
-    want = np.fft.ifftn(values)
+    want = np.fft.ifftn(values, norm="forward")
     for short in ((2, 5, 7), (3, 4, 7)):
-        got = _confined_ifftn(values.copy(), short, None)
+        got = _confined_ifftn(values.copy(), short)
         assert got.tobytes() != want.tobytes()
-    assert _confined_ifftn(values.copy(), (3, 5, 0), None).tobytes() == \
+    assert _confined_ifftn(values.copy(), (3, 5, 0)).tobytes() == \
         want.tobytes()
 
 
@@ -334,8 +333,7 @@ def test_geometry_bounds_hold_the_content(grid):
         assert all(np.any(phi[on]) for on in _on_bound(bounds, grid.sizes))
         values = spectrum * phi
         want = np.fft.ifftn(values, norm="forward")
-        assert _confined_ifftn(values, bounds, "forward").tobytes() == \
-            want.tobytes()
+        assert _confined_ifftn(values, bounds).tobytes() == want.tobytes()
     for m_max in (2, 3):
         cap = grid.nyquist / m_max
         bounds = _axis_bounds(grid, cap, closed=True)
@@ -344,9 +342,8 @@ def test_geometry_bounds_hold_the_content(grid):
         assert all(np.any(inside[on]) for on in _on_bound(bounds,
                                                            grid.sizes))
         values = np.where(inside, spectrum, 0.0)
-        want = np.fft.ifftn(values)
-        assert _confined_ifftn(values, bounds, None).tobytes() == \
-            want.tobytes()
+        want = np.fft.ifftn(values, norm="forward")
+        assert _confined_ifftn(values, bounds).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
@@ -456,3 +453,25 @@ def test_window_read_at_a_point_is_the_spread_window(sizes):
         w = sys.window(j)
         got = np.array([sys._at(j, idx) for idx in np.ndindex(*sizes)])
         assert got.reshape(sizes).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_lows_are_the_low_pass_samples(n, size):
+    # level by level, in the one array handed in, the bits of the samples
+    # of q_j, on bank fields of every kind
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    out = np.empty(g.sizes, dtype=np.complex128)
+    kinds = set()
+    for name, spec in bank_specs(g):
+        if spec.kind in kinds and spec.kind != "random-band":
+            continue
+        kinds.add(spec.kind)
+        f = materialize(spec, sys)
+        levels = 0
+        for j, low in enumerate(_lows(f, sys, out)):
+            assert low is out
+            assert low.tobytes() == q_j(f, j, sys).physical.tobytes(), name
+            levels += 1
+        assert levels == sys.jmax + 1
+    assert len(kinds) == 6

@@ -206,6 +206,65 @@ def test_fld_header_checked_before_allocation(tmp_path):
     assert peak < 2 ** 20
 
 
+def _traced_read(path):
+    # (the field or the refusal message, the traced peak) of one read
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        try:
+            got = read_field(str(path))
+        except ValueError as exc:
+            got = str(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak
+
+
+def test_fld_large_files_are_refused_before_their_payload(tmp_path):
+    import os
+    import struct
+
+    # sparse 200 MiB files (no disk blocks): a bad magic, and a good
+    # header whose length disagrees with the file's size, are refused from
+    # their headers, with the messages of a whole-file read
+    bad = tmp_path / "bad.fld"
+    bad.write_bytes(b"XXXX")
+    wrong = tmp_path / "wrong.fld"
+    wrong.write_bytes(struct.pack("<4sI3IdB", b"FLD1", 3, 64, 64, 64,
+                                  2 * math.pi, 1))
+    for path in (bad, wrong):
+        os.truncate(path, 200 * 2 ** 20)
+    got, peak = _traced_read(bad)
+    assert got == "%s: not an FLD1 file" % bad
+    assert peak < 2 ** 20
+    got, peak = _traced_read(wrong)
+    assert got == "%s: expected %d bytes, found %d" % (
+        wrong, 29 + 16 * 64 ** 3, 200 * 2 ** 20)
+    assert peak < 2 ** 20
+
+
+def test_fld_read_holds_two_payloads_at_most(tmp_path):
+    # a 3-D 64^3 file, of either tag, reads back bit for bit, and the read
+    # holds the payload and the field made from it; the slack covers the
+    # header, the grid's axes and numpy's index objects
+    g = build_grid(3, 64)
+    rng = np.random.default_rng(12)
+    f = Field.from_spectral(g, rng.standard_normal(g.sizes)
+                            + 1j * rng.standard_normal(g.sizes))
+    payload = 16 * g.npoints
+    spectral, physical = tmp_path / "s.fld", tmp_path / "p.fld"
+    write_field(str(spectral), f)
+    physical.write_bytes(_fld1_bytes(g, 0, f.physical))
+    back, peak = _traced_read(spectral)
+    assert back.spectral.tobytes() == f.spectral.tobytes()
+    assert peak <= 2 * payload + 2 ** 16
+    back, peak = _traced_read(physical)
+    assert back.physical.tobytes() == f.physical.tobytes()
+    assert peak <= 2 * payload + 2 ** 16
+
+
 def test_fld_truncated_header(tmp_path):
     path = tmp_path / "short.fld"
     path.write_bytes(b"FLD1" + (2).to_bytes(4, "little") + b"\x00" * 6)

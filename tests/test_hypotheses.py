@@ -165,6 +165,27 @@ def test_p1_range_checked_in_both_modes():
     assert "p1-range" in rep.failed()
 
 
+def test_zero_integrability_is_reported_not_divided():
+    # p_i = 0 or p_1 = 0 has no 1/p: the conditions that read it fail, and
+    # the checker returns a report instead of raising ZeroDivisionError
+    rep = check_theorem_hypotheses([(0.4, 2.0), (1.0, 0.0)], 2.0, 1,
+                                   "positive")
+    assert not rep.satisfied
+    assert rep.failed() == ["pi-range", "h-feasible", "p-interval"]
+    rep = check_theorem_hypotheses([(0.4, 0.0), (1.0, 2.0)], 2.0, 1,
+                                   "positive")
+    assert not rep.satisfied
+    assert rep.failed() == ["p1-range", "s1-subcritical", "p-interval"]
+    with pytest.raises(ValueError, match="empty"):
+        pick_admissible_p(rep)
+    # a negative p_i still divides, and its report is unchanged
+    rep = check_theorem_hypotheses([(0.4, 2.0), (1.0, -2.0)], 2.0, 1,
+                                   "positive")
+    assert rep.failed() == ["pi-range", "h-feasible", "p-interval"]
+    assert rep.derived["h_ranges"] == [(0.0, -0.5)]
+    assert rep.derived["inv_p_interval_capped"] == (0.5, 0.0, True)
+
+
 def test_infinite_secondary_p_is_infeasible():
     # p_i = inf makes (.., 1/p_i] = (.., 0] empty
     rep = check_theorem_hypotheses([(0.4, 2.0), (1.0, INF)], 2.0, 1,
@@ -188,7 +209,10 @@ def test_admissible_interval_closed_right_end():
     assert lo == pytest.approx(2.0 / 3.0)
     assert hi == pytest.approx(11.0 / 12.0)
     assert closed
-    assert 1.0 / pick_admissible_p(rep, 1.0) == pytest.approx(11.0 / 12.0)
+    # p is taken at the midpoint of the interval, closed or not
+    assert 1.0 / pick_admissible_p(rep) == pytest.approx(
+        (2.0 / 3.0 + 11.0 / 12.0) / 2.0)
+    assert pick_admissible_p(rep) == 1.0 / (lo + (hi - lo) * 0.5)
 
 
 def test_interval_empty_when_subcriticality_eats_it():

@@ -246,9 +246,9 @@ def test_decompose_product_pads_the_step_axis_only(monkeypatch):
         lattices.add(tuple(big_sizes))
         return padded_values(coeffs, big_sizes)
 
-    def confined_spy(values, bounds, norm):
+    def confined_spy(values, bounds):
         lattices.add(values.shape)
-        return confined_ifftn(values, bounds, norm)
+        return confined_ifftn(values, bounds)
 
     monkeypatch.setattr(paraproduct, "_padded_values", spy)
     monkeypatch.setattr(paraproduct, "_confined_ifftn", confined_spy)

@@ -411,6 +411,55 @@ def _copying_truncation(grid, values, m_max=3):
     return Field.from_physical(grid, out / np.abs(out).max())
 
 
+def _backward_unit_bands(grid, seed, sys, m_max):
+    # the unit band samples U_j as they were made with numpy's default
+    # pair: the backward transform of each band's content, times npoints
+    cap = band_limit(grid, m_max)
+    for j in range(sys.jmax + 1):
+        values = np.zeros(grid.sizes, dtype=np.complex128)
+        points = sys._plateau(j, cap)
+        if points.size:
+            rng = np.random.default_rng([int(seed), j])
+            phases = np.exp(2j * np.pi * rng.random(points.size))
+            np.put(values, points, phases)
+            values = np.fft.ifftn(values)
+            values *= grid.npoints
+        yield values
+
+
+@pytest.mark.parametrize("n, size", [(1, 128), (2, 64), (3, 32)])
+def test_bank_keeps_the_bits_of_the_backward_transforms(n, size):
+    # every transform has the coefficient normalization, whose 1/npoints is
+    # exact on a power-of-two lattice: each random-band stream and each
+    # bump and step of the bank has the bits of numpy's default pair
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    kinds = []
+    for name, spec in bank_specs(g):
+        params = spec.params
+        if spec.kind == "random-band":
+            bands = _unit_bands(g, params["seed"], sys, params["m_max"],
+                                None)
+            for (_, _, got), want in zip(bands, _backward_unit_bands(
+                    g, params["seed"], sys, params["m_max"]), strict=True):
+                assert got.tobytes() == want.tobytes(), name
+        elif spec.kind in ("gaussian-bump", "smoothed-step"):
+            samples = _meshgrid_bump_samples(
+                g, (g.period / 2.0,) * n, params["width"]) \
+                if spec.kind == "gaussian-bump" \
+                else _erf_step_samples(g, params["edge_width"])
+            want = _copying_truncation(g, samples)
+            got = materialize(spec, sys)
+            assert got.spectral.tobytes() == want.spectral.tobytes(), name
+            assert got.physical.tobytes() == want.physical.tobytes(), name
+        else:
+            continue
+        kinds.append(spec.kind)
+    assert sorted(set(kinds)) == ["gaussian-bump", "random-band",
+                                  "smoothed-step"]
+    assert len(kinds) == 16
+
+
 @pytest.mark.parametrize("n, size", [(1, 64), (2, 64), (2, 128), (3, 32),
                                      (3, 64)])
 def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
