@@ -3,7 +3,8 @@
 Every command is a pure function of its flags (plus the PARAFLUX_THREADS
 worker cap, which never changes values, only scheduling), so two runs with
 the same flags write byte-identical output.  Exit codes: 0 clean, 1 a hard
-numerical assertion failed, 2 invalid configuration, 3 I/O trouble.
+numerical assertion failed, 2 invalid configuration (a grid that does not
+fit in memory included), 3 I/O trouble.
 """
 
 from __future__ import annotations
@@ -406,6 +407,11 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         _sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except MemoryError as exc:
+        # the grid does not fit: a configuration error, not a numerical one
+        _sys.stderr.write("error: out of memory: %s; use a smaller --grid\n"
+                          % (str(exc) or "allocation failed"))
         return 2
     except OSError as exc:
         _sys.stderr.write("i/o error: %s\n" % exc)

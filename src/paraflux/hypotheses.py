@@ -181,8 +181,8 @@ def check_theorem_hypotheses(params, q, n, mode):
 
     s = [si for si, _ in params]
     p = [pi for _, pi in params]
-    # 1/p_i, NaN at p_i = 0: every condition that reads it then fails
-    inv = [1.0 / v if v else math.nan for v in p]
+    # 1/p_i, NaN at p_i <= 0: every condition that reads it then fails
+    inv = [1.0 / v if v > 0 else math.nan for v in p]
     conds = []
 
     conds.append((

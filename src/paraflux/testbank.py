@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -132,6 +133,81 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
                         _unit_bands(grid, seed, sys, m_max, None))[0]
 
 
+_M32 = (1 << 32) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _seed_hash(const, mult):
+    """SeedSequence's 32-bit hash, whose constant advances by mult on
+    every call (hashmix from (0x43b0d7e5, 0x931e8875), the output hash of
+    generate_state from (0x8b51f9dd, 0x58f38ded))."""
+    def hash_word(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _pcg64_uniform(entropy, n):
+    """n doubles in [0, 1), bitwise np.random.default_rng(entropy).random(n),
+    without importing numpy.random.
+
+    entropy is a nonnegative int or a sequence of them, as SeedSequence
+    takes it: each is split into 32-bit words, least significant first,
+    hashed into a pool of 4 words and expanded into 4 64-bit words, which
+    seed PCG64 (O'Neill 2014: a 128-bit LCG with XSL-RR output).  A double
+    is the top 53 bits of one output times 2^-53.
+    """
+    words = []
+    for word in (entropy if isinstance(entropy, (list, tuple))
+                 else [entropy]):
+        word = operator.index(word)
+        if word < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(word & _M32)
+        while word > _M32:
+            word >>= 32
+            words.append(word & _M32)
+
+    def mix(x, y):
+        result = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+        return result ^ result >> 16
+
+    hashmix = _seed_hash(0x43b0d7e5, 0x931e8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): 8 words from the pool, paired little-endian
+    out = _seed_hash(0x8b51f9dd, 0x58f38ded)
+    state_words = [out(pool[i % 4]) for i in range(8)]
+    seed = [state_words[2 * k] | state_words[2 * k + 1] << 32
+            for k in range(4)]
+
+    # set_seed: state 0, inc = 2 seq + 1, step, add the seed state, step
+    inc = ((seed[2] << 64 | seed[3]) << 1 | 1) & _M128
+    state = (inc + (seed[0] << 64 | seed[1])) & _M128
+    state = (state * _PCG_MULT + inc) & _M128
+    states = bytearray()
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        states += state.to_bytes(16, "little")
+    # XSL-RR: the xor of the two halves rotated right by the top 6 bits
+    low, high = np.frombuffer(states, dtype="<u8").reshape(-1, 2).T
+    rot = high >> np.uint64(58)
+    x = low ^ high
+    x = x >> rot | x << (-rot & np.uint64(63))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 def _unit_bands(grid, seed, sys, m_max, out):
     """The unit band samples of the random-band stream `seed`, band by band.
 
@@ -154,8 +230,8 @@ def _unit_bands(grid, seed, sys, m_max, out):
         if points.size == 0:
             yield None, None, values
             continue
-        rng = np.random.default_rng([int(seed), j])
-        phases = np.exp(2j * np.pi * rng.random(points.size))
+        phases = np.exp(2j * np.pi * _pcg64_uniform([int(seed), j],
+                                                    points.size))
         np.put(values, points, phases)
         yield points, phases, _confined_ifftn(values, sys._reach[j])
 

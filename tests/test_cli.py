@@ -974,3 +974,59 @@ def test_cli_run_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path):
+    # random-band phases come from testbank's own PCG64 stream, so these
+    # commands never import numpy.random, nor the hashing and OpenSSL
+    # modules it pulls in
+    import subprocess
+    import sys
+
+    import paraflux
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "n": 2, "resolutions": [64], "seed": 811,
+        "embeddings": [{"source": _SPACE, "target": dict(_SPACE, s=0.5)}],
+        "multiplications": [{"mode": "positive",
+                             "params": [[0.4, 2.0], [1.0, 2.0]],
+                             "q": 2.0, "tuples": 2}]}))
+    runs = [["audit", "--manifest", str(manifest),
+             "--out", str(tmp_path / "a.csv")],
+            ["gen", "--dim", "2", "--grid", "32", "--bank",
+             "--out", str(tmp_path / "bank")],
+            ["decompose", "--dim", "2", "--grid", "64", "--m", "3",
+             "--out", str(tmp_path / "dec")],
+            ["norm", "--wave", "4", "--s", "1", "--p", "2"]]
+    src = os.path.dirname(os.path.dirname(paraflux.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, paraflux.cli\n"
+            "for argv in %r:\n"
+            "    rc = paraflux.cli.main(argv)\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib')"
+            " if m in sys.modules))\n" % (runs,))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_memory_error_is_one_error_line_and_exit_2(capsys, monkeypatch):
+    import paraflux.cli
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 3.36 GiB for an array with "
+                          "shape (767, 767, 767) and data type float64")
+
+    monkeypatch.setattr(paraflux.cli, "build_grid", no_memory)
+    for argv in (["norm", "--dim", "3", "--grid", "1024", "--wave", "1",
+                  "--s", "1", "--p", "2"],
+                 ["decompose", "--dim", "3", "--grid", "512", "--m", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: out of memory: Unable to allocate 3.36 GiB for an array"
+            " with shape (767, 767, 767) and data type float64; use a"
+            " smaller --grid\n")

@@ -178,12 +178,18 @@ def test_zero_integrability_is_reported_not_divided():
     assert rep.failed() == ["p1-range", "s1-subcritical", "p-interval"]
     with pytest.raises(ValueError, match="empty"):
         pick_admissible_p(rep)
-    # a negative p_i still divides, and its report is unchanged
+    # a negative p_i has no 1/p either: its reciprocal is NaN, so a wider
+    # third factor cannot carry p-interval
     rep = check_theorem_hypotheses([(0.4, 2.0), (1.0, -2.0)], 2.0, 1,
                                    "positive")
     assert rep.failed() == ["pi-range", "h-feasible", "p-interval"]
-    assert rep.derived["h_ranges"] == [(0.0, -0.5)]
-    assert rep.derived["inv_p_interval_capped"] == (0.5, 0.0, True)
+    assert all(math.isnan(v) for v in rep.derived["h_ranges"][0])
+    rep = check_theorem_hypotheses([(0.4, 2.0), (1.0, -2.0), (1.0, 1.0)],
+                                   2.0, 1, "positive")
+    assert not rep.satisfied
+    assert rep.failed() == ["pi-range", "h-feasible", "p-interval"]
+    with pytest.raises(ValueError, match="empty"):
+        pick_admissible_p(rep)
 
 
 def test_infinite_secondary_p_is_infeasible():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       build_dyadic_system, build_grid, constant_field,
@@ -11,7 +12,7 @@ from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       random_band_field, spec_for, triebel_norm,
                       tuple_fields, tuple_specs)
 from paraflux.testbank import (GeneratorSpec, _band_scales, _item_bands,
-                               _item_stack, _unit_bands)
+                               _item_stack, _pcg64_uniform, _unit_bands)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,35 @@ def test_random_band_determinism(setup128):
     assert np.array_equal(a.spectral, b.spectral)
     c = random_band_field(g, 0.5, 2.0, 8, sys)
     assert (a - c).l2() > 0.0
+
+
+# An int and lists of words: a zero word, words past 2^32 and 2^64 (each
+# split into several 32-bit words) and more words than the pool of 4
+_ENTROPIES = [[811, 0], [0, 0], 811, [2 ** 32, 5], [2 ** 64 + 3, 7],
+              [3, 1, 4, 1, 5, 9]]
+
+
+@pytest.mark.parametrize("entropy", _ENTROPIES, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_pcg64_uniform_is_numpys_stream(entropy, n):
+    got = _pcg64_uniform(entropy, n)
+    want = np.random.default_rng(entropy).random(n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(entropy=st.lists(st.integers(0, 2 ** 80 - 1), min_size=1,
+                        max_size=6),
+       n=st.integers(0, 2000))
+def test_pcg64_uniform_matches_numpy_on_any_entropy(entropy, n):
+    assert np.array_equal(_pcg64_uniform(entropy, n),
+                          np.random.default_rng(entropy).random(n))
+
+
+def test_pcg64_uniform_refuses_a_negative_word():
+    for entropy in (-1, [811, -1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            _pcg64_uniform(entropy, 3)
 
 
 def _random_band_reference(grid, s, p, seed, sys):
