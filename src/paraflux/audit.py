@@ -520,108 +520,116 @@ def check_maximal_qsup(f, p, sys, label=""):
 # ---------------------------------------------------------------------------
 # The frozen lemma suite (what `lemmas` runs)
 
-LEMMA_SECTIONS = ("hardy", "nikolskii", "maximal", "qj_lp", "delta_lt",
-                  "qj_lt")
+class Lemma(NamedTuple):
+    """One record family of the lemma suite: its section, the bank entry
+    its check reads (None: a hardy row reads the suite's sequence, a
+    nikolskii row the grid), the check, and the exponents passed after
+    the field."""
 
-# (s, p, t, bank entry) of the qj_lt section; they hold at n = 1 only
-_QJ_LT_COMBOS = (
-    (0.25, 2.0, 3.0, "random-band[s=0.5,p=2]"),   # strict interior
-    (0.25, 2.0, 4.0, "random-band[s=0.5,p=2]"),   # endpoint t = 4
-    (1.0, 2.0, 8.0, "random-band[s=1,p=2]"),      # strict, t* = inf
-    (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),    # endpoint t = inf
+    section: str
+    entry: object
+    check: object
+    exponents: tuple
+
+
+_TRENDED = functools.partial(check_qj_lp, trend_gate=TREND_GATE)
+_BAND = "random-band[s=%g,p=%g]"
+
+# the suite in record order; a qj_lp or delta_lt row reads the random-band
+# entry of its own (s, p).  Exponents are floats, as the params JSON
+# writes them.
+LEMMAS = (
+    *(Lemma("hardy", None, check_hardy, (gamma, q))
+      for gamma in HARDY["gammas"] for q in HARDY["qs"]),
+    *(Lemma("nikolskii", None, nikolskii_scaling, pq)
+      for pq in ((1.0, INF), (2.0, 4.0))),
+    *(Lemma("maximal", name, check_maximal_qsup, (p,))
+      for name in ("lacunary-geometric", _BAND % (1, 2),
+                   "smoothed-step[w=0.25]") for p in (1.0, 2.0)),
+    Lemma("qj_lp", "lacunary-geometric", check_qj_lp, (1.0, 2.0)),
+    *(Lemma("qj_lp", _BAND % sp, _TRENDED, sp) for sp in (
+        (1.0, 2.0), (-1.0, 2.0), (0.0, 2.0), (0.0, 1.0), (-1.0, 1.0))),
+    *(Lemma("qj_lp", _BAND % sp, qj_lp_flatness, sp)
+      for sp in ((-1.0, 2.0), (-1.0, 1.0))),
+    *(Lemma("delta_lt", _BAND % spt[:2], check_delta_lt, spt) for spt in (
+        (1.0, 1.0, 2.0), (0.5, 2.0, INF), (-1.0, 2.0, 4.0), (0.5, 0.5, 1.0))),
+    Lemma("delta_lt", "lacunary-geometric", check_delta_lt, (1.0, 2.0, 2.0)),
+    # the qj_lt exponents hold at n = 1 only
+    Lemma("qj_lt", _BAND % (0.5, 2), check_qj_lt, (0.25, 2.0, 3.0)),  # strict
+    Lemma("qj_lt", _BAND % (0.5, 2), check_qj_lt, (0.25, 2.0, 4.0)),  # t = t*
+    Lemma("qj_lt", _BAND % (1, 2), check_qj_lt, (1.0, 2.0, 8.0)),  # t* = inf
+    Lemma("qj_lt", _BAND % (0.5, 2), check_qj_lt, (0.5, 2.0, INF)),  # t = t*
 )
+LEMMA_SECTIONS = tuple(dict.fromkeys(row.section for row in LEMMAS))
+
+
+def _qj_lt_refusal(grid, s, p, t):
+    try:
+        _qj_lt_at_endpoint(s, p, t, grid.n)
+    except ValueError as exc:
+        return "qj_lt[s=%g,p=%g,t=%g]: %s at n = %d" % (s, p, t, exc, grid.n)
+
+
+def _nikolskii_refusal(grid, p, q):
+    need = NIKOLSKII_GAMMAS[1]  # every pair is skipped below it
+    if grid.nyquist / 2.0 < need:
+        size = min(grid.sizes) * 2 ** math.ceil(math.log2(
+            2.0 * need / grid.nyquist))
+        return ("nikolskii[p=%g,q=%g]: the nikolskii section measures no "
+                "gamma pair on this grid: gamma %g lies above nyquist/2 = "
+                "%g; use %d points per axis or more"
+                % (p, q, need, grid.nyquist / 2.0, size))
+
+
+# why a row cannot run on a grid (None if it can), by section, in the
+# order the rules are checked
+_REFUSALS = {"qj_lt": _qj_lt_refusal, "nikolskii": _nikolskii_refusal}
 
 
 def lemma_suite(grid, sys, only=None, seed=811):
-    """Hardy, Nikolskii, and estimates (i)-(iv) on the bank entries read.
+    """Run the rows of `LEMMAS` in section only (every row when None).
 
     An unknown section, qj_lt exponents the dimension does not admit, or a
-    nikolskii section whose grid measures no gamma pair, is refused with
-    ValueError before any section runs.  meta holds the verdict counts and
-    the skipped records (`SweepResult.summarize`).
+    nikolskii row whose grid measures no gamma pair, is refused with
+    ValueError before any row runs, naming the section and the row.  Each
+    bank entry the rows read is built once and kept as its spectrum only
+    (no check reads the samples), serves every row that reads it, and is
+    released before the next is built; records come out in table order.
+    meta holds the verdict counts and the skipped records
+    (`SweepResult.summarize`).
     """
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
                          % (only, ", ".join(LEMMA_SECTIONS)))
-    if only in (None, "qj_lt"):
-        for s, p, t, _ in _QJ_LT_COMBOS:
-            _qj_lt_at_endpoint(s, p, t, grid.n)
-    need = NIKOLSKII_GAMMAS[1]  # every pair is skipped below it
-    if only in (None, "nikolskii") and grid.nyquist / 2.0 < need:
-        size = min(grid.sizes) * 2 ** math.ceil(math.log2(
-            2.0 * need / grid.nyquist))
-        raise ValueError("the nikolskii section measures no gamma pair on "
-                         "this grid: gamma %g lies above nyquist/2 = %g; use"
-                         " %d points per axis or more"
-                         % (need, grid.nyquist / 2.0, size))
+    rows = [row for row in LEMMAS if only in (None, row.section)]
+    for section, refusal in _REFUSALS.items():
+        for row in rows:
+            reason = row.section == section and refusal(grid, *row.exponents)
+            if reason:
+                raise ValueError("lemmas section %s, row %s"
+                                 % (section, reason))
     recipes = dict(bank_specs(grid, seed=seed))
-
-    @functools.cache
-    def bank(name):
-        return materialize(recipes[name], sys)
-
-    result = SweepResult(meta={
+    sources = {"hardy": lambda: np.abs(
+                   np.random.default_rng([seed, 97]).standard_normal(48)),
+               "nikolskii": lambda: grid}
+    keys = [row.entry or row.section for row in rows]
+    slots = [()] * len(rows)
+    for key in dict.fromkeys(keys):
+        subject = (sources[key]() if key in sources else Field.from_spectral(
+            grid, materialize(recipes[key], sys).spectral))
+        for i, row in enumerate(rows):
+            if keys[i] == key:
+                out = (row.check(subject, *row.exponents) if row.entry is None
+                       else row.check(subject, *row.exponents, sys,
+                                      label=row.entry))
+                slots[i] = out if isinstance(out, list) else [out]
+        del subject
+    result = SweepResult([rec for out in slots for rec in out], meta={
         "kind": "lemma-suite",
         "grid": {"n": grid.n, "sizes": list(grid.sizes),
                  "period": grid.period},
         "seed": seed, "only": only or "all",
     })
-
-    def want(section):
-        return only is None or only == section
-
-    if want("hardy"):
-        rng = np.random.default_rng([seed, 97])
-        eps = np.abs(rng.standard_normal(48))
-        for gamma in HARDY["gammas"]:
-            for q in HARDY["qs"]:
-                result.records.append(check_hardy(eps, gamma, q))
-
-    if want("nikolskii"):
-        for p, q in ((1.0, INF), (2.0, 4.0)):
-            result.extend(nikolskii_scaling(grid, p, q))
-
-    if want("maximal"):
-        for name in ("lacunary-geometric", "random-band[s=1,p=2]",
-                     "smoothed-step[w=0.25]"):
-            for p in (1.0, 2.0):
-                result.records.append(
-                    check_maximal_qsup(bank(name), p, sys, label=name))
-
-    if want("qj_lp"):
-        combos = [
-            (1.0, 2.0, "lacunary-geometric", None),
-            (1.0, 2.0, "random-band[s=1,p=2]", TREND_GATE),
-            (-1.0, 2.0, "random-band[s=-1,p=2]", TREND_GATE),
-            (0.0, 2.0, "random-band[s=0,p=2]", TREND_GATE),
-            (0.0, 1.0, "random-band[s=0,p=1]", TREND_GATE),
-            (-1.0, 1.0, "random-band[s=-1,p=1]", TREND_GATE),
-        ]
-        for s, p, name, gate in combos:
-            result.records.append(check_qj_lp(bank(name), s, p, sys,
-                                              trend_gate=gate, label=name))
-        for s, p, name in ((-1.0, 2.0, "random-band[s=-1,p=2]"),
-                           (-1.0, 1.0, "random-band[s=-1,p=1]")):
-            result.records.append(qj_lp_flatness(bank(name), s, p, sys,
-                                                 label=name))
-
-    if want("delta_lt"):
-        combos = [
-            (1.0, 1.0, 2.0, "random-band[s=1,p=1]"),
-            (0.5, 2.0, INF, "random-band[s=0.5,p=2]"),
-            (-1.0, 2.0, 4.0, "random-band[s=-1,p=2]"),
-            (0.5, 0.5, 1.0, "random-band[s=0.5,p=0.5]"),
-            (1.0, 2.0, 2.0, "lacunary-geometric"),
-        ]
-        for s, p, t, name in combos:
-            result.records.append(check_delta_lt(bank(name), s, p, t, sys,
-                                                 label=name))
-
-    if want("qj_lt"):
-        for s, p, t, name in _QJ_LT_COMBOS:
-            result.records.append(check_qj_lt(bank(name), s, p, t, sys,
-                                              label=name))
-
     result.summarize()
     return result
 

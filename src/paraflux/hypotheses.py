@@ -6,15 +6,17 @@ inequality rendered numerically), the conjunction, and derived quantities
 such as the admissible interval for 1/p.  Checkers report, they never throw
 on unsatisfied hypotheses.
 
-Comparisons are plain float comparisons on the given exponents; the one
-derived quantity compared for equality, the differential dimension s - n/p,
-uses a 1e-12 absolute tolerance.
+Every condition is decided in exact arithmetic on the decimal each
+exponent is written as, `Fraction(repr(x))`, with inf kept apart: s1 = 0.6
+is not below n/p1 = 3/5 at n = 3, p1 = 5, though 3 * (1/5.0) rounds above
+0.6.  The rendered inequalities and the derived quantities are floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .norms import INF
 
@@ -23,11 +25,20 @@ __all__ = [
     "check_theorem_hypotheses", "pick_admissible_p",
 ]
 
-_EQ_TOL = 1e-12
+
+def _exact(x):
+    """The float x as the decimal it is written as, exactly; inf and NaN
+    stay floats, which a Fraction compares with as a float would."""
+    x = float(x)
+    return Fraction(repr(x)) if math.isfinite(x) else x
 
 
-def _diffdim_eq(a, b):
-    return abs(a - b) <= _EQ_TOL
+def _exact_inv(p):
+    """1/p of an `_exact` value: 0 at p = inf, NaN at p <= 0 (and at NaN),
+    so that every condition that reads it fails."""
+    if p == INF:
+        return Fraction(0)
+    return 1 / p if p > 0 else math.nan
 
 
 @dataclass
@@ -92,6 +103,9 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
     d1 = spec1.s - n * (1.0 / spec1.p)
     derived = {"mode": mode, "diffdim": (d0, d1)}
     conds = []
+    s0, p0, q0 = (_exact(x) for x in (spec0.s, spec0.p, spec0.q))
+    s1, p1, q1 = (_exact(x) for x in (spec1.s, spec1.p, spec1.q))
+    same_diffdim = s0 - n * _exact_inv(p0) == s1 - n * _exact_inv(p1)
 
     if mode == "same-family":
         conds.append((
@@ -99,10 +113,10 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
             "%s vs %s" % (spec0.family, spec1.family),
             spec0.family == spec1.family,
         ))
-        strict = spec0.s > spec1.s and spec0.p == spec1.p
-        line = spec0.s >= spec1.s and _diffdim_eq(d0, d1)
+        strict = s0 > s1 and p0 == p1
+        line = s0 >= s1 and same_diffdim
         if spec0.family == "B" == spec1.family:
-            line = line and spec0.q <= spec1.q
+            line = line and q0 <= q1
             line_desc = ("s0>=s1, s0-n/p0 = %g = %g = s1-n/p1, q0<=q1"
                          % (d0, d1))
         else:
@@ -133,22 +147,22 @@ def check_embedding_hypotheses(spec0, spec1, n, mode=None):
     conds.append((
         "diffdim",
         "s0-n/p0 = %g vs s1-n/p1 = %g" % (d0, d1),
-        _diffdim_eq(d0, d1),
+        same_diffdim,
     ))
     if pair_ok:
         if spec0.family == "B":
             # B^{s0}_{p0,q0} -> F^{s}_{p,q}
+            strict = s0 > s1 and q0 <= p1
+            equal = s0 == s1 and q0 <= min(p1, q1)
             s, p, q = spec1.s, spec1.p, spec1.q
-            strict = spec0.s > s and spec0.q <= p
-            equal = spec0.s == s and spec0.q <= min(p, q)
             rendered = ("(s0=%g > s=%g and q0=%g <= p=%g) or "
                         "(s0=s and q0 <= min(p,q)=%g)"
                         % (spec0.s, s, spec0.q, p, min(p, q)))
         else:
             # F^{s}_{p,q} -> B^{s1}_{p1,q1}
+            strict = s0 > s1 and q1 >= p0
+            equal = s0 == s1 and q1 >= max(p0, q0)
             s, p, q = spec0.s, spec0.p, spec0.q
-            strict = s > spec1.s and spec1.q >= p
-            equal = s == spec1.s and spec1.q >= max(p, q)
             rendered = ("(s=%g > s1=%g and q1=%g >= p=%g) or "
                         "(s=s1 and q1 >= max(p,q)=%g)"
                         % (s, spec1.s, spec1.q, p, max(p, q)))
@@ -183,66 +197,70 @@ def check_theorem_hypotheses(params, q, n, mode):
     p = [pi for _, pi in params]
     # 1/p_i, NaN at p_i <= 0: every condition that reads it then fails
     inv = [1.0 / v if v > 0 else math.nan for v in p]
+    # the same, exactly, for the verdicts
+    xs = [_exact(v) for v in s]
+    xp = [_exact(v) for v in p]
+    xinv = [_exact_inv(v) for v in xp]
     conds = []
 
     conds.append((
         "p1-range",
         "1 <= p1=%g < inf" % p[0],
-        1.0 <= p[0] < INF,
+        1 <= xp[0] < INF,
     ))
     conds.append((
         "pi-range",
         "0 < p_i <= inf for i>=2: %s" % ", ".join("%g" % v for v in p[1:]),
-        all(v > 0 for v in p[1:]),
+        all(v > 0 for v in xp[1:]),
     ))
     conds.append((
         "q-range",
         "0 < q=%g <= inf" % q,
-        0.0 < q <= INF,
+        0 < _exact(q) <= INF,
     ))
 
-    tail_sorted = all(s[i] <= s[i + 1] for i in range(1, m - 1))
+    tail_sorted = all(xs[i] <= xs[i + 1] for i in range(1, m - 1))
     if mode == "positive":
         conds.append((
             "ordering",
             "0 < s1=%g < s2=%g <= ... <= s_m" % (s[0], s[1]),
-            0.0 < s[0] < s[1] and tail_sorted,
+            0 < xs[0] < xs[1] and tail_sorted,
         ))
         conds.append((
             "s1-subcritical",
             "s1=%g < n/p1=%g" % (s[0], n * inv[0]),
-            s[0] < n * inv[0],
+            xs[0] < n * xinv[0],
         ))
     else:
         conds.append((
             "ordering",
             "s1=%g <= 0 < s2=%g <= ... <= s_m" % (s[0], s[1]),
-            s[0] <= 0.0 < s[1] and tail_sorted,
+            xs[0] <= 0 < xs[1] and tail_sorted,
         ))
         conds.append((
             "s1-plus-s2",
             "s1+s2 = %g > 0" % (s[0] + s[1]),
-            s[0] + s[1] > 0.0,
+            xs[0] + xs[1] > 0,
         ))
 
     # per-factor h_i range: (1/p_i - s_i/n)_+ < 1/h_i <= 1/p_i
-    h_ranges = []
-    factor_ok = True
-    for si, hi in zip(s[1:], inv[1:]):
-        lo = max(hi - si / n, 0.0)
-        h_ranges.append((lo, hi))
-        factor_ok = factor_ok and lo < hi
+    h_ranges = [(max(hi - si / n, 0.0), hi)
+                for si, hi in zip(s[1:], inv[1:])]
+    exact = [(max(hi - si / n, Fraction(0)), hi)
+             for si, hi in zip(xs[1:], xinv[1:])]
     conds.append((
         "h-feasible",
         "(1/p_i - s_i/n)_+ < 1/p_i per factor: %s"
         % ", ".join("(%g, %g]" % r for r in h_ranges),
-        factor_ok,
+        all(lo < hi for lo, hi in exact),
     ))
 
     lo_p = inv[0] + sum(lo for lo, _ in h_ranges)
     hi_p = inv[0] + sum(hi for _, hi in h_ranges)
     hi_eff = min(hi_p, 1.0)
-    interval_ok = lo_p < hi_eff  # (lo, hi] intersected with (0, 1) nonempty
+    # (lo, hi] intersected with (0, 1) nonempty
+    interval_ok = xinv[0] + sum(lo for lo, _ in exact) < min(
+        xinv[0] + sum(hi for _, hi in exact), 1)
     conds.append((
         "p-interval",
         "1/p in (%g, %g%s with 1/p < 1" % (

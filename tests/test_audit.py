@@ -402,28 +402,24 @@ def test_meta_lists_the_skipped_records_with_their_reasons():
 
 
 @pytest.mark.parametrize("n, size", [(2, 64), (3, 32)])
-def test_lemma_suite_refuses_qj_lt_before_any_section(n, size, monkeypatch):
+def test_lemma_suite_refuses_qj_lt_before_any_section(n, size,
+                                                     stub_lemma_checks):
     # the qj_lt exponents hold at n = 1 only: above it the suite is refused
-    # with the message of check_qj_lt, and no section has run
-    import paraflux.audit
-
+    # with the message of check_qj_lt, naming the section and the row, and
+    # no row has run
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
-    ran = []
-    for name in ("check_hardy", "nikolskii_scaling", "check_maximal_qsup",
-                 "check_qj_lp", "check_delta_lt", "check_qj_lt"):
-        # a stub's record is counted in the suite's meta
-        monkeypatch.setattr(paraflux.audit, name,
-                            lambda *a, _name=name, **k: ran.append(_name)
-                            or paraflux.audit.AuditRecord(_name, {}, 0.0,
-                                                          1.0, 0.0))
+    ran = stub_lemma_checks()
     for only in (None, "qj_lt"):
         with pytest.raises(ValueError, match=r"need p < t <= 2\.66667"
-                           if n == 2 else r"need p < t <= "):
+                           if n == 2 else r"need p < t <= ") as info:
             lemma_suite(g, sys, only=only)
+        assert str(info.value).startswith(
+            "lemmas section qj_lt, row qj_lt[s=0.25,p=2,t=3]: ")
+        assert str(info.value).endswith(" at n = %d" % n)
     assert ran == []
     lemma_suite(g, sys, only="hardy")
-    assert ran and set(ran) == {"check_hardy"}
+    assert ran and set(ran) == {"hardy"}
 
 
 def test_lemma_suite_builds_only_the_entries_it_reads(setup128,
@@ -452,6 +448,47 @@ def test_lemma_suite_builds_only_the_entries_it_reads(setup128,
                 "qj_lt")}
     assert len(built) == len(set(built))
     assert {names[text] for text in built} == read
+
+
+def test_lemma_suite_holds_one_bank_field_at_a_time(setup128,
+                                                    monkeypatch):
+    # each bank field is released before the next one is built, and the
+    # records come out in table order, section by section
+    import gc
+    import weakref
+
+    import paraflux.audit
+    from paraflux.audit import LEMMA_SECTIONS, LEMMAS
+
+    g, sys = setup128
+    real = paraflux.audit.materialize
+    built = []
+
+    def tracked(spec, s):
+        # a Field takes no weak reference (__slots__): watch its arrays
+        gc.collect()
+        assert all(ref() is None for arrays in built for ref in arrays)
+        field = real(spec, s)
+        built.append([weakref.ref(a) for a in (field.spectral,
+                                               field._physical)
+                      if a is not None])
+        return field
+
+    monkeypatch.setattr(paraflux.audit, "materialize", tracked)
+    records = lemma_suite(g, sys).records
+    assert len(built) == len({row.entry for row in LEMMAS} - {None})
+    sections = [next(section for section in LEMMA_SECTIONS
+                     if rec.name.startswith(section)) for rec in records]
+    assert sections == sorted(sections, key=LEMMA_SECTIONS.index)
+    assert list(dict.fromkeys(sections)) == list(LEMMA_SECTIONS)
+    assert [rec.name.split("]", 1)[1] for rec in records
+            if rec.name.split("[", 1)[0] not in ("hardy", "nikolskii",
+                                                 "nikolskii-scaling")] \
+        == [row.entry for row in LEMMAS if row.entry is not None]
+    monkeypatch.undo()
+    assert [rec.name for rec in records] == [
+        rec.name for section in LEMMA_SECTIONS
+        for rec in lemma_suite(g, sys, only=section).records]
 
 
 def test_sweep_serialization(setup128):

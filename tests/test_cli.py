@@ -455,21 +455,22 @@ def test_decompose_unwritable_out_is_refused_before_any_factor(
     assert (tmp_path / "file").read_text() == ""
 
 
-def test_lemmas_exit_codes_on_small_and_multi_dimensional_grids(capsys,
-                                                                 monkeypatch):
+def test_lemmas_exit_codes_on_small_and_multi_dimensional_grids(
+        capsys, stub_lemma_checks):
     # 64 points: the Nikolskii gammas above nyquist/2 are skipped and every
     # gate passes; n = 2: the qj_lt exponents are refused before any
     # section runs, with exit 2
-    import paraflux.audit
-
     assert main(["lemmas", "--grid", "64"]) == 0
     text = capsys.readouterr().out
     assert ",fail" not in text and ",skipped" in text
-    monkeypatch.setattr(paraflux.audit, "check_hardy", None)
+    ran = stub_lemma_checks()
     assert main(["lemmas", "--dim", "2", "--grid", "64"]) == 2
+    assert ran == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: need p < t <= 2.66667\n"
+    assert captured.err == ("error: lemmas section qj_lt, row "
+                            "qj_lt[s=0.25,p=2,t=3]: need p < t <= 2.66667 "
+                            "at n = 2\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -477,19 +478,18 @@ def test_lemmas_exit_codes_on_small_and_multi_dimensional_grids(capsys,
     ["--grid", "32", "--only", "nikolskii"],
     ["--dim", "3", "--grid", "32", "--only", "nikolskii"]])
 def test_lemmas_refuse_a_nikolskii_section_that_measures_no_pair(
-        capsys, monkeypatch, flags):
+        capsys, stub_lemma_checks, flags):
     # at 32 points every gamma pair would be skipped (nyquist/2 = 8 < 16):
     # the section is refused before any section runs, naming the size
     # that runs it
-    import paraflux.audit
-
-    monkeypatch.setattr(paraflux.audit, "check_hardy", None)
-    monkeypatch.setattr(paraflux.audit, "nikolskii_scaling", None)
+    ran = stub_lemma_checks()
     assert main(["lemmas", *flags]) == 2
+    assert ran == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the nikolskii section measures no gamma pair on this "
+        "error: lemmas section nikolskii, row nikolskii[p=1,q=inf]: the "
+        "nikolskii section measures no gamma pair on this "
         "grid: gamma 16 lies above nyquist/2 = 8; use 64 points per axis "
         "or more\n")
 
@@ -716,6 +716,7 @@ def test_norm_nan_smoothness_exit_2(capsys):
 
 
 _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
+_HUGE_P = dict(_SPACE, s=0.5, p=2 ** 70, q="inf")
 
 
 @pytest.mark.parametrize("manifest,path", [
@@ -778,11 +779,23 @@ _SPACE = {"family": "B", "s": 1.0, "p": 2.0, "q": 2.0}
     ({"n": 1, "resolutions": [64], "embeddings": [
         {"source": _SPACE, "target": dict(_SPACE, s=0.5, q=2 ** 70)}]},
      "sequence norm at q = 1.18059e+21 leaves the floats"),
-    # a target whose band L_p norms leave the floats: no inf or 0 rows
+    # a spec whose band L_p norms leave the floats: no inf or 0 rows
     ({"n": 1, "resolutions": [64], "embeddings": [
-        {"source": _SPACE, "target": dict(_SPACE, s=0.5, p=2 ** 70,
-                                          q="inf")}]},
+        {"source": _HUGE_P, "target": _HUGE_P}]},
      "B^0.5_{1.18059e+21,inf} norm leaves the floats at p = 1.18059e+21"),
+    # the exact hypotheses: s0 - 1/p0 = 1/2 and s1 - 1/p1 = 1/2 - 2^-70
+    # differ, though in floats both read 0.5
+    ({"n": 1, "resolutions": [64], "embeddings": [
+        {"source": _SPACE, "target": _HUGE_P}]},
+     "embedding hypotheses unsatisfied: monotone-or-diffdim"),
+    # and s1 = n/p1 = 3/5 at n = 3 fails s1 < n/p1, though 3 * (1/5.0)
+    # rounds above 0.6
+    ({"n": 3, "resolutions": [32], "multiplications": [
+        {"mode": "positive", "params": [[0.6, 5.0], [2.0, 4.0]]}]},
+     "theorem hypotheses unsatisfied: s1-subcritical"),
+    ({"n": 3, "resolutions": [32], "multiplications": [
+        {"mode": "positive", "params": [[0.7, 5.0], [2.0, 4.0]]}]},
+     "theorem hypotheses unsatisfied: s1-subcritical"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"

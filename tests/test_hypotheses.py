@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, SpaceSpec, check_embedding_hypotheses,
                       check_theorem_hypotheses, pick_admissible_p)
@@ -249,3 +251,92 @@ def test_report_rendering():
     assert ok and "0.4" in rendered
     with pytest.raises(KeyError):
         rep.condition("nope")
+
+
+# --- exact arithmetic --------------------------------------------------------
+
+
+@pytest.mark.parametrize("params, n, mode, failed", [
+    # s1 = n/p1 = 3/5 exactly, though 3 * (1/5.0) rounds above 0.6
+    ([(0.6, 5.0), (2.0, 4.0)], 3, "positive", ["s1-subcritical"]),
+    # 1/p in (1, 11/6]: empty once capped below 1, though the float left
+    # end is 0.9999999999999999
+    ([(-0.2, 6.0), (0.9, 1.5), (1.6, 1.0)], 3, "negative", ["p-interval"]),
+    ([(1.2, 2.5), (1.3, 8.0), (1.3, 1.25)], 3, "positive",
+     ["s1-subcritical"]),
+    ([(0.6, 5.0), (1.6, 1.5)], 3, "positive", ["s1-subcritical"]),
+    # the left end 1/6 + 5/6 + 0 of 1/p is 1; in floats 0.9999999999999999
+    ([(-0.3, 6.0), (-0.5, 3.0), (1.5, 1.5)], 1, "negative",
+     ["ordering", "s1-plus-s2", "h-feasible", "p-interval"]),
+    # the left end 1/3 + 37/60 + 1/20 of 1/p is 1; in floats below it
+    ([(-0.4, 3.0), (0.1, 1.5), (0.4, 4.0)], 2, "positive",
+     ["ordering", "p-interval"]),
+])
+def test_theorem_boundaries_are_decided_exactly(params, n, mode, failed):
+    # rows where a float evaluation of the conditions disagrees with the
+    # exact one on the decimals as written
+    rep = check_theorem_hypotheses(params, 2.0, n, mode)
+    assert rep.failed() == failed
+    assert not rep.satisfied
+
+
+def test_embedding_diffdim_is_compared_exactly():
+    # s - n/p equal as written (0.6 - 3/5 = 0 - 0) though the float
+    # difference is -1.1e-16, and unequal by 1e-13 though within the old
+    # absolute tolerance of 1e-12
+    rep = check_embedding_hypotheses(B(0.6, 5.0, 1.0), B(0.0, INF, 2.0), 3)
+    assert rep.satisfied and rep.derived["branch"] == "diffdim"
+    rep = check_embedding_hypotheses(B(1.0, 1.0, 1.0),
+                                     F(0.5 + 1e-13, 2.0, 2.0), 1)
+    assert rep.failed() == ["diffdim"]
+
+
+_TENTHS = st.integers(-10, 20)
+_PS = st.sampled_from(["1", "1.25", "1.5", "2", "2.5", "3", "4", "5", "6",
+                       "8", "10", "inf"])
+
+
+def _reference_failed(params, n, mode):
+    """The conditions of check_theorem_hypotheses, in its order, decided
+    in Fractions on the decimals as written; params holds (tenths of s,
+    p as text)."""
+    s = [Fraction(k, 10) for k, _ in params]
+    inv = [Fraction(0) if p == "inf" else 1 / Fraction(p) for _, p in params]
+    ranges = [(max(i - si / n, Fraction(0)), i)
+              for si, i in zip(s[1:], inv[1:])]
+    tail = all(a <= b for a, b in zip(s[1:], s[2:]))
+    conds = [("p1-range", params[0][1] != "inf" and inv[0] <= 1),
+             ("pi-range", True), ("q-range", True)]
+    if mode == "positive":
+        conds += [("ordering", 0 < s[0] < s[1] and tail),
+                  ("s1-subcritical", s[0] < n * inv[0])]
+    else:
+        conds += [("ordering", s[0] <= 0 < s[1] and tail),
+                  ("s1-plus-s2", s[0] + s[1] > 0)]
+    lo = inv[0] + sum(a for a, _ in ranges)
+    hi = inv[0] + sum(b for _, b in ranges)
+    conds += [("h-feasible", all(a < b for a, b in ranges)),
+              ("p-interval", lo < min(hi, 1))]
+    return [name for name, ok in conds if not ok]
+
+
+@st.composite
+def _theorem_draws(draw):
+    """(params, n) as `_reference_failed` reads them; half the time s1
+    sits on its boundary n/p1 when that is a tenth."""
+    n = draw(st.integers(1, 3))
+    params = draw(st.lists(st.tuples(_TENTHS, _PS), min_size=2, max_size=3))
+    p1 = params[0][1]
+    if p1 != "inf" and (10 * n / Fraction(p1)).denominator == 1 \
+            and draw(st.booleans()):
+        params[0] = (int(10 * n / Fraction(p1)), p1)
+    return params, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=_theorem_draws(), mode=st.sampled_from(["positive", "negative"]))
+def test_theorem_verdicts_match_a_fraction_reference(draw, mode):
+    params, n = draw
+    floats = [(k / 10, float(p)) for k, p in params]
+    rep = check_theorem_hypotheses(floats, 2.0, n, mode)
+    assert rep.failed() == _reference_failed(params, n, mode)
