@@ -105,9 +105,11 @@ class DyadicSystem:
         # evaluated on the transition shells 2^j < |xi| < 3*2^(j-1) only:
         # 1 - 0 on 3*2^(j-2) <= |xi| <= 2^j (|xi| <= 1 for j = 0),
         # psi(2^-j xi) - 0 on shell j, 1 - psi(2^-j+1 xi) on shell j - 1,
-        # and 1 - 1 or 0 - 0 elsewhere
+        # and 1 - 1 or 0 - 0 elsewhere; the largest box, level jmax's, is
+        # built first, so a grid too large for memory fails before any
+        # other box is filled
         windows = []
-        for j, bounds in enumerate(self._reach):
+        for j, bounds in reversed(tuple(enumerate(self._reach))):
             top = 2.0 ** j
             w = np.zeros(tuple(2 * b + 1 for b in bounds))
             for box, lattice in _box_views(bounds, grid.sizes):
@@ -120,7 +122,7 @@ class DyadicSystem:
                     part[shell] = 1.0 - _transition(r[shell]
                                                     * (0.5 ** (j - 1)))
             windows.append(_freeze(w))
-        self._windows = tuple(windows)
+        self._windows = tuple(reversed(windows))
         self._cutoffs = {}
         self._plateaus = {}
 

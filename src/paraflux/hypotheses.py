@@ -9,7 +9,9 @@ on unsatisfied hypotheses.
 Every condition is decided in exact arithmetic on the decimal each
 exponent is written as, `Fraction(repr(x))`, with inf kept apart: s1 = 0.6
 is not below n/p1 = 3/5 at n = 3, p1 = 5, though 3 * (1/5.0) rounds above
-0.6.  The rendered inequalities and the derived quantities are floats.
+0.6.  The rendered inequalities and the derived quantities are floats,
+each rounded once from its exact value; rounding is monotone, so the
+derived interval for 1/p is empty whenever `p-interval` fails.
 """
 
 from __future__ import annotations
@@ -195,11 +197,9 @@ def check_theorem_hypotheses(params, q, n, mode):
 
     s = [si for si, _ in params]
     p = [pi for _, pi in params]
-    # 1/p_i, NaN at p_i <= 0: every condition that reads it then fails
-    inv = [1.0 / v if v > 0 else math.nan for v in p]
-    # the same, exactly, for the verdicts
     xs = [_exact(v) for v in s]
     xp = [_exact(v) for v in p]
+    # 1/p_i, NaN at p_i <= 0: every condition that reads it then fails
     xinv = [_exact_inv(v) for v in xp]
     conds = []
 
@@ -228,7 +228,7 @@ def check_theorem_hypotheses(params, q, n, mode):
         ))
         conds.append((
             "s1-subcritical",
-            "s1=%g < n/p1=%g" % (s[0], n * inv[0]),
+            "s1=%g < n/p1=%g" % (s[0], n * xinv[0]),
             xs[0] < n * xinv[0],
         ))
     else:
@@ -244,10 +244,9 @@ def check_theorem_hypotheses(params, q, n, mode):
         ))
 
     # per-factor h_i range: (1/p_i - s_i/n)_+ < 1/h_i <= 1/p_i
-    h_ranges = [(max(hi - si / n, 0.0), hi)
-                for si, hi in zip(s[1:], inv[1:])]
     exact = [(max(hi - si / n, Fraction(0)), hi)
              for si, hi in zip(xs[1:], xinv[1:])]
+    h_ranges = [(float(lo), float(hi)) for lo, hi in exact]
     conds.append((
         "h-feasible",
         "(1/p_i - s_i/n)_+ < 1/p_i per factor: %s"
@@ -255,17 +254,15 @@ def check_theorem_hypotheses(params, q, n, mode):
         all(lo < hi for lo, hi in exact),
     ))
 
-    lo_p = inv[0] + sum(lo for lo, _ in h_ranges)
-    hi_p = inv[0] + sum(hi for _, hi in h_ranges)
-    hi_eff = min(hi_p, 1.0)
-    # (lo, hi] intersected with (0, 1) nonempty
-    interval_ok = xinv[0] + sum(lo for lo, _ in exact) < min(
-        xinv[0] + sum(hi for _, hi in exact), 1)
+    lo = xinv[0] + sum(a for a, _ in exact)
+    hi = xinv[0] + sum(b for _, b in exact)
+    lo_p, hi_p = float(lo), float(hi)
     conds.append((
         "p-interval",
         "1/p in (%g, %g%s with 1/p < 1" % (
             lo_p, hi_p, "]" if hi_p < 1.0 else ") after capping at 1"),
-        interval_ok,
+        # (lo, hi] intersected with (0, 1) nonempty
+        lo < min(hi, 1),
     ))
 
     derived = {
@@ -273,7 +270,7 @@ def check_theorem_hypotheses(params, q, n, mode):
         "m": m,
         "h_ranges": h_ranges,
         "inv_p_interval": (lo_p, hi_p),
-        "inv_p_interval_capped": (lo_p, hi_eff, hi_p < 1.0),
+        "inv_p_interval_capped": (lo_p, min(hi_p, 1.0), hi_p < 1.0),
     }
     return _finish(conds, derived)
 

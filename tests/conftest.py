@@ -1,4 +1,28 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """A function that runs `python *args` in a fresh interpreter that
+    imports the package from this checkout's src/, with the variables of
+    env added to the environment; it returns the finished process, its
+    output as text."""
+
+    def run(*args, env=None):
+        path = os.pathsep.join(filter(None, (SRC,
+                                             os.environ.get("PYTHONPATH"))))
+        environ = dict(os.environ, PYTHONPATH=path, **(env or {}))
+        return subprocess.run([sys.executable, *args], env=environ,
+                              capture_output=True, text=True)
+
+    return run
 
 
 @pytest.fixture

@@ -50,6 +50,25 @@ def test_norm_accepts_inf_and_reads_files(tmp_path, capsys):
     assert lines[0].split()[-1] == "16"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_gives_f_at_p_equal_to_q_the_b_value(tmp_path, capsys, n):
+    # F at p = q is evaluated as B: both families print the same value at
+    # p = q = 2 and 4, on a 1-D wave and on the bank's random-band field
+    # with s = 1.5, p = 4 read from a 2-D or 3-D file
+    source = ["--grid", "64", "--wave", "4"]
+    if n > 1:
+        g = build_grid(n, 32)
+        source = ["--in", str(tmp_path / "f.fld")]
+        write_field(source[1], materialize(dict(bank_specs(g))[
+            "random-band[s=1.5,p=4]"], build_dyadic_system(g)))
+    assert main(["norm", *source, "--s", "0.5", "--p", "2", "--p", "4",
+                 "--q", "2", "--q", "4", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["norms"]
+    values = {(r["family"], r["p"]): r["value"] for r in rows}
+    assert len(rows) == 4
+    assert all(values["B", p] == values["F", p] for p in (2.0, 4.0))
+
+
 def test_norm_decomposes_once_and_matches_single_norms(tmp_path, capsys,
                                                        monkeypatch):
     import paraflux.norms
@@ -131,6 +150,8 @@ def test_resolved_waves_are_those_where_the_cutoff_is_one(n, size):
     waves = range(-(size // 2), size // 2)
     want = [k for k in waves if axis[k % size] == 1.0]
     assert 0 < len(want) < size
+    # the partition region ends at |xi| = 2^jmax: 32 at 128^3
+    assert max(want) == -min(want) == 2 ** sys.jmax
     accepted = []
     for k in waves:
         try:
@@ -345,6 +366,13 @@ def test_decompose_artifacts(tmp_path, capsys):
     assert list(out.glob("pi1_k*_j*.fld"))
     prod = read_field(str(out / "product.fld"))
     assert prod.grid.sizes == (64,)
+    # writers store the spectrum: every file carries domain tag 1, which
+    # follows the magic, n, the sizes and the period, and reads back
+    for path in out.glob("*.fld"):
+        raw = path.read_bytes()
+        n = int.from_bytes(raw[4:8], "little")
+        assert raw[8 + 4 * n + 8] == 1, path.name
+        read_field(str(path))
 
 
 def test_decompose_from_files(tmp_path, capsys):
@@ -886,6 +914,15 @@ def test_norm_of_a_file_with_an_unknown_domain_tag_exits_2(tmp_path,
     assert "unknown domain tag 7" in capsys.readouterr().err
 
 
+def test_norm_of_a_file_that_is_not_fld1_exits_2(tmp_path, capsys):
+    path = tmp_path / "plain.txt"
+    path.write_text("not a field\n")
+    assert main(["norm", "--in", str(path), "--s", "1", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: not an FLD1 file\n" % path
+
+
 def test_audit_manifest_without_resolutions_runs_default(tmp_path, capsys):
     sizes = _audit_sizes(tmp_path, capsys,
                          {"n": 1, "multiplications": [_ONE_SET]})
@@ -969,35 +1006,23 @@ def test_audit_checks_every_gap_before_any_work(tmp_path, capsys,
     assert "gap 2 below the minimum 3 for m=2" in err
 
 
-def test_cli_run_loads_no_scipy():
-    import os
-    import subprocess
-    import sys
-
-    import paraflux
-
-    src = os.path.dirname(os.path.dirname(paraflux.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+def test_cli_run_loads_no_scipy(fresh_python):
     code = ("import sys, paraflux.cli\n"
             "rc = paraflux.cli.main(['norm', '--grid', '64', '--wave', '4',"
             " '--s', '1', '--p', '2'])\n"
             "assert rc == 0, rc\n"
             "print(sorted(m for m in sys.modules"
             " if m == 'scipy' or m.startswith('scipy.')))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path):
+def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path,
+                                                           fresh_python):
     # random-band phases come from testbank's own PCG64 stream, so these
     # commands never import numpy.random, nor the hashing and OpenSSL
     # modules it pulls in
-    import subprocess
-    import sys
-
-    import paraflux
-
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
         "n": 2, "resolutions": [64], "seed": 811,
@@ -1012,16 +1037,14 @@ def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path):
             ["decompose", "--dim", "2", "--grid", "64", "--m", "3",
              "--out", str(tmp_path / "dec")],
             ["norm", "--wave", "4", "--s", "1", "--p", "2"]]
-    src = os.path.dirname(os.path.dirname(paraflux.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, paraflux.cli\n"
             "for argv in %r:\n"
             "    rc = paraflux.cli.main(argv)\n"
             "    assert rc == 0, (argv, rc)\n"
             "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib')"
             " if m in sys.modules))\n" % (runs,))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, SpaceSpec, check_embedding_hypotheses,
@@ -278,6 +280,11 @@ def test_theorem_boundaries_are_decided_exactly(params, n, mode, failed):
     rep = check_theorem_hypotheses(params, 2.0, n, mode)
     assert rep.failed() == failed
     assert not rep.satisfied
+    if "p-interval" in failed:
+        # the derived interval is rounded from the exact ends, so it is
+        # empty as well and no p is picked from it
+        with pytest.raises(ValueError, match="interval for 1/p is empty"):
+            pick_admissible_p(rep)
 
 
 def test_embedding_diffdim_is_compared_exactly():

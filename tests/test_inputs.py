@@ -8,6 +8,9 @@ import os
 import re
 import struct
 
+import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from paraflux._inputs import GRID, MANIFEST, PARAMS, SPEC, Key, List, Map, Pair

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, Field, SpaceSpec, bank_specs, besov_norm,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
