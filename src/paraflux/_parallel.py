@@ -4,14 +4,15 @@ Sweeps map a pure function over an item list; results are reassembled in
 input order, so output is bitwise independent of scheduling.  The default
 is sequential (PARAFLUX_THREADS unset or 1).  Work buffers that a mapped
 function reuses across items come from `per_worker`, so no two workers
-write to the same array.
+write to the same array.  The pool's module, `concurrent.futures`, is
+imported only when more than one worker runs: it pulls in `logging`,
+`queue` and more, which a sequential run never uses.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["worker_count", "map_ordered", "per_worker"]
 
@@ -30,6 +31,8 @@ def map_ordered(fn, items):
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

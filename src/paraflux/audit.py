@@ -22,13 +22,14 @@ import numpy as np
 
 from ._inputs import MANIFEST, read
 from ._parallel import map_ordered, per_worker
-from .dyadic import (_axis_bounds, _bands, _box_views, _decompose_into,
-                     _lows, build_dyadic_system, smooth_cutoff)
+from .dyadic import (_axis_bounds, _bands, _box_views, _lows,
+                     build_dyadic_system, smooth_cutoff)
 from .grid import Field, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
-from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _norm_work,
-                    _work_rows, lp_norm, lq_of_lp, sequence_norm, triebel_norm)
+from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _lockstep_rows,
+                    _norm_work, _NormAccumulator, _work_rows, lp_norm,
+                    lq_of_lp, sequence_norm, triebel_norm)
 from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
                           _split_product, _support_radius)
 from .testbank import (_item_bands, _item_stack, bank_specs, materialize,
@@ -761,16 +762,19 @@ def _multiplication_sweep(sets, sys):
     calls this once per resolution.  Set k's tuple t is sets[k].tuples[t].
 
     The worker that takes index t serves every set that has a tuple t, and
-    each distinct item of those tuples gets one stack in the worker's
-    buffers, with band scales that give its blocks in one form, Delta_j f
-    = scales[j] stack[j] (`testbank._item_stack`).  A random-band recipe's
-    stack holds the unit band samples U_j of the stream it draws from,
-    built once for every set, and each set takes the field and the band
-    scales c_j of its own targets (s, p); any other item is built and
-    decomposed once, with scales 1.0 and 0.0.  A block is written only
-    where it is read, band by band into the norms' and the split's work
-    arrays (`paraproduct._stack_sources`).  Each set's tuple then runs its
-    two passes, f1 and 1000 f1, in `_tuple_records`.  With Fields the
+    builds each distinct item of those tuples once (`testbank._item_stack`).
+    A random-band recipe gets a stack in the worker's buffers that holds
+    the unit band samples U_j of the stream it draws from, built once for
+    every set, and each set takes the field and the band scales c_j of its
+    own targets (s, p), with Delta_j f = c_j U_j.  Any other item gets a
+    stack, its blocks with scales 1.0 and 0.0, only when a tuple that holds
+    it splits on an unpadded lattice, the one place a stack of it is read
+    (`paraproduct._stack_sources`); otherwise its blocks are streamed where
+    they are measured (`dyadic._bands`).  A block is written only where it
+    is read, band by band into the norms' and the split's work arrays.
+    Each set's tuple then runs its two passes, f1 and 1000 f1, in
+    `_tuple_records`, which streams the product side through the norm
+    accumulators, so no stack of the product is held.  With Fields the
     values are those of `decompose_product` with `triebel_norm` and
     `besov_norm`: bitwise for the product and the right side of the first
     pass, at rounding level for Pi_1, Pi_2 and the second pass; random-band
@@ -778,21 +782,20 @@ def _multiplication_sweep(sets, sys):
     generator's blocks (`testbank._item_bands`).
     """
     m_top = max(len(mset.params) for mset in sets)
-    # a set's two F specs share one key (s1, q), which either may need:
-    # an F spec at p = q has none
-    f_rows = max(_work_rows([SpaceSpec("F", mset.params[0][0], p, mset.q)
-                             for p in (mset.p, mset.params[0][1])])
+    # the work of `norms._band_norms` for the right side's F spec, or of
+    # the product side's three accumulators, which share one key (s1, q)
+    # with it; an F spec at p = q has none
+    f_rows = max(max(_work_rows([_f_spec(mset, mset.params[0][1])]),
+                     _work_rows([_f_spec(mset, mset.p)], 3))
                  for mset in sets)
     grid = sys.grid
     stack = (sys.jmax + 1,) + grid.sizes
 
     def buffers():
-        # items: one stack per distinct item of a tuple index, grown on
-        # demand; product holds the product's blocks, then Pi_2's;
-        # rest holds the samples of f2..fm on an unpadded lattice; f_work is
-        # the work array of `norms._band_norms` for any one F spec
+        # items: the stacks of a tuple index, grown on demand; rest holds
+        # the samples of f2..fm on an unpadded lattice; f_work is the work
+        # array of the F-norms
         return {"items": [],
-                "product": np.empty(stack, dtype=np.complex128),
                 "rest": [np.empty(grid.sizes, dtype=np.complex128)
                          for _ in range(m_top - 1)],
                 "f_work": np.empty((f_rows,) + grid.sizes),
@@ -804,18 +807,24 @@ def _multiplication_sweep(sets, sys):
     def run(t):
         buf = workspace()
         cache = {}
+        handed = 0  # stacks handed out for index t
 
         def new_stack():
-            used = len(cache)
-            if used == len(buf["items"]):
+            nonlocal handed
+            if handed == len(buf["items"]):
                 buf["items"].append(np.empty(stack, dtype=np.complex128))
-            return buf["items"][used]
+            handed += 1
+            return buf["items"][handed - 1]
 
-        # f_work is free until the tuple's records are made
-        return [_tuple_records(mset, t, [
-            _item_stack(item, sys, cache, new_stack, buf["f_work"][0])
-            for item in mset.tuples[t]], buf, sys)
-            if t < len(mset.tuples) else [] for mset in sets]
+        def factor(item, stacked):
+            # f_work and work are free until a tuple's norms and split run,
+            # so an unstacked bump or step is built in work[0]
+            return _item_stack(item, sys, cache, new_stack,
+                               buf["f_work"][0],
+                               None if stacked else buf["work"][0])
+
+        return [_tuple_records(mset, t, factor, buf, sys)
+                if t < len(mset.tuples) else [] for mset in sets]
 
     nested = map_ordered(run, range(max(len(mset.tuples) for mset in sets)))
     return [SweepResult([r for group in nested for r in group[k]], {
@@ -826,75 +835,92 @@ def _multiplication_sweep(sets, sys):
     }) for k, mset in enumerate(sets)]
 
 
-def _tuple_records(mset, t, factors, buf, sys):
+def _f_spec(mset, p):
+    """The F spec (s1, p, q) of the `_MultSet` mset."""
+    return SpaceSpec("F", mset.params[0][0], p, mset.q)
+
+
+def _tuple_records(mset, t, factor, buf, sys):
     """The four records of tuple t of the `_MultSet` mset, made in the
     worker buffers buf of `_multiplication_sweep`.
 
-    factors holds (field, stack, scales) per slot, as the sweep made them,
-    with Delta_j f_i = scales[j] stack[j] (`testbank._item_stack`).
+    factor(item, stacked) gives (field, stack, scales) of an item of the
+    tuple (`testbank._item_stack`), with Delta_j f_i = scales[j] stack[j];
+    a non-random item has a stack only if stacked, or if another set's
+    tuple t stacked it before, and its blocks are streamed by
+    `dyadic._bands` otherwise.  The fields come first, for the product lattice
+    (`paraproduct._product_sizes`); only an unpadded one stacks them.
 
     The tuple runs twice, with f1 and with 1000 f1, and both passes read
     one set of facts about the factors: the B-norms of f2..fm, the product
-    lattice (1000 f1 has the nonzero coefficients of f1, so
-    `paraproduct._product_sizes` runs once) and, on an unpadded lattice,
-    the samples of f2..fm, transformed once into the worker's buffers.  A
-    padded split transforms them in each pass, so that no padded samples
-    are held through a band loop.  Each pass hands its first factor a f1,
-    a = 1 or 1000, to the F-norm of the right side and to
-    `paraproduct._split_product` as f1's own stack with the scales a c_j,
-    so no pass decomposes or copies a first factor; the split forms the
-    product from the samples of the pass's first factor times those of
-    f2..fm.  The product is decomposed into the worker's product stack,
-    and Pi_1 band by band (`dyadic._bands`), each of its blocks taken from
-    the product's, which leaves Pi_2's stack.  The scaling check compares
-    the ratios of the two passes.  Since 1000 is not a power of two, the
-    scaled blocks and the product of 1000 f1 round apart from 1000 times
-    those of f1, so the drift is a real rounding residue of the pipeline,
-    not zero by construction.
+    lattice (1000 f1 has the nonzero coefficients of f1, so the lattice is
+    found once) and, on an unpadded lattice, the samples of f2..fm,
+    transformed once into the worker's buffers.  A padded split transforms
+    them in each pass, so that no padded samples are held through a band
+    loop.  Each pass hands its first factor a f1, a = 1 or 1000, to the
+    F-norm of the right side and to `paraproduct._split_product`, as f1's
+    own stack with the scales a c_j where it has one, so no pass decomposes
+    or copies a first factor; the split forms the product from the samples
+    of the pass's first factor times those of f2..fm.  Then one band loop
+    windows and transforms Delta_j P of the product P into work[0] and
+    Delta_j Pi_1 into work[1] (`dyadic._bands`), feeds both to their
+    accumulators, and forms Delta_j Pi_2 = Delta_j P - Delta_j Pi_1 in
+    place for the third (`norms._NormAccumulator`), so the product side
+    holds no block stack.  The scaling check compares the ratios of the two
+    passes.  Since 1000 is not a power of two, the scaled blocks and the
+    product of 1000 f1 round apart from 1000 times those of f1, so the
+    drift is a real rounding residue of the pipeline, not zero by
+    construction.
     """
-    params, q, mode, _, N, p = mset
+    params, q, mode, tuples, N, p = mset
     m = len(params)
-    f_spec = SpaceSpec("F", params[0][0], p, q)
-    f1_spec = SpaceSpec("F", params[0][0], params[0][1], q)
-    fields, stacks, scales = (list(part) for part in zip(*factors))
-    f1_scales = scales[0]
-    product_stack, work = buf["product"], buf["work"][:m + 2]
+    f_spec, f1_spec = _f_spec(mset, p), _f_spec(mset, params[0][1])
+    facts = [factor(item, False) for item in tuples[t]]
+    big = _product_sizes([fact[0] for fact in facts])
+    stacked = big == sys.grid.sizes
+    fields, stacks, scales = (list(part) for part in zip(*(
+        factor(item, True) if stacked and fact[1] is None else fact
+        for item, fact in zip(tuples[t], facts))))
+    work = buf["work"][:m + 2]
 
-    def f_norm(blocks, spec):
-        return _band_norms(blocks, [spec], sys.jmax + 1, buf["f_work"])[0]
-
-    def blocks(i):
-        # Delta_j f_i band by band, in one work array
-        return (np.multiply(u, c, out=work[0])
+    def blocks(i, scale=1.0):
+        # Delta_j (scale f_i) band by band, in one work array
+        if stacks[i] is None:
+            return (b if b is None or scale == 1.0
+                    else np.multiply(b, scale, out=b)
+                    for b in _bands(fields[i], sys, work[0]))
+        return (np.multiply(u, scale * c, out=work[0])
                 for u, c in zip(stacks[i], scales[i]))
-
-    def pi1_blocks(pi1, total):
-        # Delta_j Pi_1 band by band, each taken from total[j] first, so
-        # that total ends as Pi_2's stack; an all-zero band takes nothing
-        for block, part in zip(total, _bands(pi1, sys, work[0])):
-            if part is not None:
-                block -= part
-            yield part
 
     b_norms = [lq_of_lp(blocks(i), s, pi, INF)
                for i, (s, pi) in enumerate(params[1:], 1)]
-    big = _product_sizes(fields)
     rest = None  # transformed in each pass
-    if big == sys.grid.sizes:
+    if stacked:
         rest = [_padded_values(f.spectral, big, out)
                 for f, out in zip(fields[1:], buf["rest"])]
 
     def ratios(first, scale):
-        scales[0] = [scale * c for c in f1_scales]
-        rhs = f_norm(blocks(0), f1_spec)
+        rhs = _band_norms(blocks(0, scale), [f1_spec], sys.jmax + 1,
+                          buf["f_work"])[0]
         for b in b_norms:
             rhs *= b
+        split_scales = list(scales)
+        if stacked:
+            split_scales[0] = [scale * c for c in scales[0]]
         product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,
-                                      scales, work, big, rest)
-        total = _decompose_into(product, sys, product_stack)
-        lhs_total = f_norm(total, f_spec)
-        lhs_pi1 = f_norm(pi1_blocks(pi1, total), f_spec)
-        return rhs, lhs_total, lhs_pi1, f_norm(total, f_spec)
+                                      split_scales, work, big, rest)
+        # the accumulators of P, Pi_1 and Pi_2
+        sides = [_NormAccumulator([f_spec], sys.jmax + 1, rows)
+                 for rows in _lockstep_rows(buf["f_work"], [f_spec], 3)]
+        for block, pi1_block in zip(_bands(product, sys, work[0]),
+                                    _bands(pi1, sys, work[1])):
+            sides[0].add(block)
+            sides[1].add(pi1_block)
+            if pi1_block is not None:
+                # work[0] holds Delta_j P, zeros where block is None
+                block = np.subtract(work[0], pi1_block, out=work[0])
+            sides[2].add(block)
+        return (rhs,) + tuple(side.values()[0] for side in sides)
 
     rhs, lhs_total, lhs_pi1, lhs_pi2 = ratios(fields[0], 1.0)
     base = {"tuple": t, "mode": mode, "q": _ex_json(q), "p": p,

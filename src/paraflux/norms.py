@@ -8,14 +8,20 @@ Exponent conventions used throughout:
 * q = inf and p = inf take suprema;
 * sums over the band index stop at jmax, which is exact for grid fields.
 
-Every norm is evaluated by one kernel, `_band_norms`, in one pass over a
-field's blocks, lowest band first: the slices of a block stack as
-`dyadic.decompose` gives it, or bands streamed one at a time through one
-grid-sized array, with None for a band that is exactly zero.  A field's
-norms are one pass of bands streamed by `dyadic._bands` (`space_norms`),
-bitwise the stack kernels `lq_of_lp`, `lp_of_lq` on `decompose`; in the
-embedding audit a random-band recipe is streamed by its generator
-(`testbank._item_bands`), whose blocks agree with `decompose` to rounding.
+Every norm is evaluated by one kernel, `_NormAccumulator`, fed a field's
+blocks one at a time, lowest band first: the slices of a block stack as
+`dyadic.decompose` gives it, or bands streamed through one grid-sized
+array, with None for a band that is exactly zero.  `_band_norms` feeds it
+one iterable of bands; a caller that makes the bands of several fields in
+one loop feeds one accumulator per field, and accumulators fed in
+lockstep share all their work rows but the sums (`_lockstep_rows`).  A
+field's norms are one pass of bands streamed by `dyadic._bands`
+(`space_norms`), bitwise the stack kernels `lq_of_lp`, `lp_of_lq` on
+`decompose`; in the embedding audit a random-band recipe is streamed by
+its generator (`testbank._item_bands`), whose blocks agree with
+`decompose` to rounding.  The multiplication audit streams each tuple's
+product, Pi_1 and Pi_2 through three accumulators in one band loop
+(`audit._tuple_records`), so no block stack of the product is held.
 
 Two shortcuts keep the kernels off numpy's generic pow:
 
@@ -210,12 +216,14 @@ def _lq_keys(specs):
                               if not _as_b(spec)))
 
 
-def _work_rows(specs):
-    """The rows of a `_band_norms` work array for specs: a band's
-    magnitudes, their powers, one sum per key of `_lq_keys(specs)`, and a
-    scratch row when a key's q or 1/q is one of _SCRATCH_POWERS."""
+def _work_rows(specs, copies=1):
+    """The rows of a `_band_norms` work array for specs, or of one shared
+    by `copies` accumulators of specs fed in lockstep (`_lockstep_rows`): a
+    band's magnitudes, their powers, one sum per key of `_lq_keys(specs)`
+    and copy, and a scratch row when a key's q or 1/q is one of
+    _SCRATCH_POWERS."""
     keys = _lq_keys(specs)
-    return 2 + len(keys) + any(
+    return 2 + copies * len(keys) + any(
         q in _SCRATCH_POWERS or 1.0 / q in _SCRATCH_POWERS for _, q in keys)
 
 
@@ -224,57 +232,83 @@ def _norm_work(specs, shape):
     return np.empty((_work_rows(specs),) + tuple(shape))
 
 
-@np.errstate(over="ignore")  # an overflow is refused, not warned
-def _band_norms(bands, specs, count, work=None):
-    """Every quasi-norm in specs, in order, from one pass over bands.
+def _lockstep_rows(work, specs, copies):
+    """The work of `copies` accumulators of specs that are fed in lockstep,
+    as lists of the rows of work, an array of at least `_work_rows(specs,
+    copies)` rows: each copy has sums of its own and shares the magnitude,
+    power and scratch rows, which one `add` or `values` call reads only
+    while it runs."""
+    k = len(_lq_keys(specs))
+    head, tail = work[:2], work[2 + copies * k:3 + copies * k]
+    return [[*head, *work[2 + c * k:2 + (c + 1) * k], *tail]
+            for c in range(copies)]
 
-    bands yields each band's samples (complex blocks or their magnitudes,
-    not written), lowest first, or None for a band that is exactly zero;
-    F specs weight them by the band count.  B specs with the same p share
-    one list of per-band L_p norms, and so do F specs at p = q.  Other F
-    specs with the same (s, q) share one pointwise l_q, summed band by band
-    into work[2 + k] for the k-th of `_lq_keys(specs)`, with each band's
-    magnitudes in work[0], their powers in work[1], and the scratch of the
-    in-place powers in the row after the sums (`_norm_work`, made here if
-    None), so no band allocates; a work array with too few rows for the
-    sums is refused with ValueError.  The sums are bitwise np.sum over the
-    band axis of the whole stack (its maximum at q = inf), and a None band
-    gives the bits of its zero samples: an L_p of 0.0, and nothing added.
+
+class _NormAccumulator:
+    """Every quasi-norm in specs, in order, from bands fed one at a time:
+    `add` each band, lowest first, then read `values`.
+
+    A band is its samples (complex blocks or their magnitudes, not
+    written) or None for a band that is exactly zero; F specs weight them
+    by the band count.  B specs with the same p share one list of per-band
+    L_p norms, and so do F specs at p = q.  Other F specs with the same
+    (s, q) share one pointwise l_q, summed band by band into work[2 + k]
+    for the k-th of `_lq_keys(specs)`, with each band's magnitudes in
+    work[0], their powers in work[1], and the scratch of the in-place
+    powers in the row after the sums (`_norm_work`, made at the first band
+    with samples if None), so no band allocates; a work array with too few
+    rows for the sums is refused with ValueError.  The sums are bitwise
+    np.sum over the band axis of the whole stack (its maximum at q = inf),
+    and a None band gives the bits of its zero samples: an L_p of 0.0, and
+    nothing added.
 
     A value that leaves the floats is refused with ValueError naming the
-    spec and p: a band L_p that `_lp_fault` refuses, a B value that
-    `sequence_norm` refuses, and an F value that overflows or is 0 for a
-    field with content.  A band's samples are searched for content only
-    where its L_p is 0 and, for F specs that no B spec accompanies, until
-    a band with content is met.
+    spec and p: a band L_p that `_lp_fault` refuses (by `add`), a B value
+    that `sequence_norm` refuses, and an F value that overflows or is 0 for
+    a field with content (by `values`).  A band's samples are searched for
+    content only where its L_p is 0 and, for F specs that no B spec
+    accompanies, until a band with content is met.
     """
-    keys = _lq_keys(specs)
-    if work is not None and len(work) < 2 + len(keys):
-        raise ValueError("a work array of %d rows for %d sums"
-                         % (len(work), len(keys)))
-    weights = [_weights(s, count) for s, _ in keys]
-    scratch = None
-    band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
-    live = False  # whether a band so far had content
-    for j, block in enumerate(bands):
+
+    def __init__(self, specs, count, work=None):
+        self.specs, self.keys = specs, _lq_keys(specs)
+        if work is not None and len(work) < 2 + len(self.keys):
+            raise ValueError("a work array of %d rows for %d sums"
+                             % (len(work), len(self.keys)))
+        self.work = work
+        self.weights = [_weights(s, count) for s, _ in self.keys]
+        self.band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
+        self.live = False  # whether a band so far had content
+        self.j = 0
+
+    def _scratch(self):
+        """The row after the sums in the work array, or None."""
+        rows = 2 + len(self.keys)
+        return self.work[rows] if len(self.work) > rows else None
+
+    @np.errstate(over="ignore")  # an overflow is refused, not warned
+    def add(self, block):
+        """Take the next band's samples, or None for an all-zero band."""
+        j, self.j = self.j, self.j + 1
         if block is None:
-            for norms in band_lps.values():
+            for norms in self.band_lps.values():
                 norms.append(0.0)
-            continue
-        if work is None:
-            work = _norm_work(specs, np.shape(block))
-        if len(work) > 2 + len(keys):
-            scratch = work[2 + len(keys)]
+            return
+        keys, band_lps = self.keys, self.band_lps
+        if self.work is None:
+            self.work = _norm_work(self.specs, np.shape(block))
+        work, scratch = self.work, self._scratch()
         mags, term = np.abs(block, out=work[0]), work[1]
         for p, norms in band_lps.items():
             norms.append(_lp(mags, p, out=term))
             fault = _lp_fault(norms[-1], mags)
             if fault is not None:
-                spec = next(b for b in specs if _as_b(b) and b.p == p)
+                spec = next(b for b in self.specs if _as_b(b) and b.p == p)
                 raise ValueError("%s norm leaves the floats at p = %g: the "
                                  "L_p norm of band %d %s"
                                  % (spec.label(), p, j, fault))
-        for (_, q), w, total in zip(keys, weights, work[2:]):
+        live = self.live
+        for (_, q), w, total in zip(keys, self.weights, work[2:]):
             # the first band with content starts the sum: the zero bands
             # before it would add exactly nothing
             out = term if live else total
@@ -288,20 +322,40 @@ def _band_norms(bands, specs, count, work=None):
                 total += term
         if keys and not live:
             # a band L_p norm is 0 only for a band without content
-            live = (any(norms[-1] for norms in band_lps.values())
-                    if band_lps else bool(mags.any()))
-    inner = {(s, q): total if q == INF
-             else _kernel_power(total, 1.0 / q, out=total, scratch=scratch)
-             for (s, q), total in zip(keys, work[2:] if live else ())}
-    values = [sequence_norm(band_lps[spec.p], spec.s, spec.q) if _as_b(spec)
-              else _lp(inner[spec.s, spec.q], spec.p, out=work[1]) if live
-              else 0.0 for spec in specs]
-    for spec, value in zip(specs, values):
-        if not _as_b(spec) and (value == INF or value == 0.0 and live):
-            fault = "overflows" if value else "underflows to 0"
-            raise ValueError("%s norm leaves the floats at p = %g: it %s at "
-                             "q = %g" % (spec.label(), spec.p, fault, spec.q))
-    return values
+            self.live = (any(norms[-1] for norms in band_lps.values())
+                         if band_lps else bool(mags.any()))
+
+    @np.errstate(over="ignore")  # an overflow is refused, not warned
+    def values(self):
+        """The norms of the bands added, one per spec; the sums are read
+        once, so a second call is not supported."""
+        specs, keys, work, live = self.specs, self.keys, self.work, self.live
+        scratch = self._scratch() if live else None
+        inner = {(s, q): total if q == INF
+                 else _kernel_power(total, 1.0 / q, out=total,
+                                    scratch=scratch)
+                 for (s, q), total in zip(keys, work[2:] if live else ())}
+        values = [sequence_norm(self.band_lps[spec.p], spec.s, spec.q)
+                  if _as_b(spec)
+                  else _lp(inner[spec.s, spec.q], spec.p, out=work[1])
+                  if live else 0.0 for spec in specs]
+        for spec, value in zip(specs, values):
+            if not _as_b(spec) and (value == INF or value == 0.0 and live):
+                fault = "overflows" if value else "underflows to 0"
+                raise ValueError("%s norm leaves the floats at p = %g: it %s "
+                                 "at q = %g" % (spec.label(), spec.p, fault,
+                                                spec.q))
+        return values
+
+
+def _band_norms(bands, specs, count, work=None):
+    """Every quasi-norm in specs, in order, from one pass over bands, each
+    band's samples or None for a band that is exactly zero, lowest first:
+    a `_NormAccumulator` fed band by band."""
+    acc = _NormAccumulator(specs, count, work)
+    for block in bands:
+        acc.add(block)
+    return acc.values()
 
 
 def lp_of_lq(blocks, s, p, q):

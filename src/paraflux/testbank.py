@@ -537,33 +537,43 @@ def _item_bands(item, sys, out, scratch):
         raise ValueError(_NO_PLATEAU)
 
 
-def _item_stack(item, sys, cache, new_stack, scratch):
+def _item_stack(item, sys, cache, new_stack, scratch, out=None):
     """(field, stack, scales) of an audit item on sys, with Delta_j f =
-    scales[j] stack[j] for every item.  A random-band recipe's stack holds
-    the unit samples U_j of its stream (seed, m_max) and its scales are
-    c_j; any other item's field is decomposed into its stack, and its
-    scales are 1.0 on a band with content and 0.0 on an exactly-zero band,
-    read as the field is decomposed.  Either way a block is zero exactly
-    when its scale is.  A bump or step is built in stack[0] (`_item_field`)
-    before the blocks overwrite it.
+    scales[j] stack[j] for every item given a stack.  A random-band
+    recipe's stack holds the unit samples U_j of its stream (seed, m_max)
+    and its scales are c_j; any other item's field is decomposed into its
+    stack, and its scales are 1.0 on a band with content and 0.0 on an
+    exactly-zero band, read as the field is decomposed.  Either way a block
+    is zero exactly when its scale is.  A bump or step is built in stack[0]
+    (`_item_field`) before the blocks overwrite it.
+
+    Given out, a complex array of the grid's shape, a non-random item is
+    not decomposed: its field is built (a bump or step in out) and its
+    stack and scales are None, for a caller that streams its blocks
+    (`dyadic._bands`); a later call without out decomposes it into a stack
+    then, and an item stacked before keeps its stack.
 
     cache maps a stream to its units, its `_unit_bands` items and the band
     sizes L_p(U_j) of each p drawn so far (measured in scratch, a real
     array of the grid's shape), and another recipe (by its JSON) or a Field
-    (by its id, the entry keeping it alive) to its result.  A new entry's
-    stack is new_stack(), so recipes that differ only in their targets
-    (s, p) share one set of transforms, and those that share p one set of
-    sizes.  The field is bitwise that of `materialize`.
+    (by its id, the entry keeping it alive) to its result.  A new stack is
+    new_stack(), so recipes that differ only in their targets (s, p) share
+    one set of transforms, and those that share p one set of sizes.  The
+    field is bitwise that of `materialize`.
     """
     recipe = isinstance(item, GeneratorSpec)
     if not recipe or item.kind != "random-band":
         key = item.to_json() if recipe else id(item)
-        if key not in cache:
+        field, stack, scales = cache.get(key, (None, None, None))
+        if stack is None and out is None:
             stack = new_stack()
-            field = _item_field(item, sys, stack[0])
-            cache[key] = field, stack, [
-                1.0 if block.any() else 0.0
-                for block in _decompose_into(field, sys, stack)]
+            if field is None:
+                field = _item_field(item, sys, stack[0])
+            scales = [1.0 if block.any() else 0.0
+                      for block in _decompose_into(field, sys, stack)]
+        elif field is None:
+            field = _item_field(item, sys, out)
+        cache[key] = field, stack, scales
         return cache[key]
     grid = _spec_grid(item, sys)
     params = item.params

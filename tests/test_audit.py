@@ -272,7 +272,6 @@ def test_delta_lt_decomposes_each_field_once(setup128, monkeypatch):
     calls = []
     for mod, name in ((paraflux.dyadic, "decompose"),
                       (paraflux.dyadic, "_decompose_into"),
-                      (paraflux.audit, "_decompose_into"),
                       (paraflux.audit, "_bands"),
                       (paraflux.norms, "_bands")):
         monkeypatch.setattr(mod, name,
@@ -556,37 +555,48 @@ def test_audit_multiplication_constant_tuple(setup128):
 def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     import paraflux.audit
     import paraflux.testbank
+    from paraflux.paraproduct import _product_sizes
 
     g, sys = setup128
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
+    m = len(params)
     tuples = [tuple_fields(g, sys, params, 3, t) for t in range(2)]
-    calls, stacks = [], []
+    # tuple 0 carries the step, whose residue pads the lattice
+    padded = [_product_sizes(list(fields)) != g.sizes for fields in tuples]
+    assert padded == [True, False]
+    calls, made = [], []
     real_norm = paraflux.audit.lq_of_lp
     monkeypatch.setattr(paraflux.audit, "lq_of_lp",
                         lambda *a: calls.append(1) or real_norm(*a))
     # a decomposition into a stack, or one read band by band
-    for module, name in ((paraflux.audit, "_decompose_into"),
-                         (paraflux.audit, "_bands"),
+    for module, name in ((paraflux.audit, "_bands"),
                          (paraflux.testbank, "_decompose_into")):
         monkeypatch.setattr(module, name,
-                            lambda *a, _fn=getattr(module, name):
-                            stacks.append(1) or _fn(*a))
+                            lambda *a, _fn=getattr(module, name), _tag=name:
+                            made.append(_tag) or _fn(*a))
     sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
     # slots 2..m once per tuple: scaling slot 1 leaves their norms unchanged
-    assert len(calls) == len(tuples) * (len(params) - 1)
-    # per tuple, f1..fm once; per pass, the product and Pi_1: the second
-    # pass takes the blocks of 1000 f1 as 1000 times those of f1
-    assert len(stacks) == len(tuples) * (len(params) + 2 * 2)
+    assert len(calls) == len(tuples) * (m - 1)
+    # per tuple, f1..fm once into a stack on an unpadded lattice; on a
+    # padded one no stack, f2..fm streamed once and f1 once per pass; per
+    # pass, the product and Pi_1 streamed: the second pass takes the
+    # blocks of 1000 f1 as 1000 times those of f1
+    assert made.count("_decompose_into") == m * padded.count(False)
+    assert made.count("_bands") == (len(tuples) * 2 * 2
+                                    + (m + 1) * padded.count(True))
     assert all(r.verdict == "pass" for r in sweep.records
                if "scaling" in r.name)
 
 
 def test_scaling_passes_share_the_factor_facts(monkeypatch):
-    # per tuple: one product lattice, f2..fm transformed once, and no
-    # decomposition but the two products'; tuple 0 carries the step, whose
-    # residue pads the lattice, and tuples 1-3 are random-band only
+    # per tuple: one product lattice, f2..fm transformed once, no stack of
+    # a factor but the random-band units, and no block stream but the two
+    # products' and Pi_1s' and, on a padded lattice, the later factors'
+    # for their B-norms; tuple 0 carries the step, whose residue pads the
+    # lattice, and tuples 1-3 are random-band only
     import paraflux.audit as audit
     import paraflux.paraproduct as paraproduct
+    import paraflux.testbank as testbank
 
     manifest = {"n": 2, "resolutions": [64], "seed": 5, "multiplications": [
         {"mode": "positive", "params": [[0.4, 2.0], [0.9, 3.0], [1.1, 3.0]],
@@ -609,7 +619,8 @@ def test_scaling_passes_share_the_factor_facts(monkeypatch):
 
     spy(audit, "_tuple_records", "tuple", before=True)
     spy(audit, "_split_product", "split")
-    spy(audit, "_decompose_into", "decompose")
+    spy(audit, "_bands", "bands")
+    spy(testbank, "_decompose_into", "stack")
     for module in (audit, paraproduct):
         spy(module, "_product_sizes", "lattice")
         spy(module, "_padded_values", "transform")
@@ -628,14 +639,17 @@ def test_scaling_passes_share_the_factor_facts(monkeypatch):
         # both passes split with the same f2..fm, on one lattice
         assert all(a is b for a, b in zip(rest, splits[1][1][0][1:]))
         assert tags.count("lattice") == 1
-        # the products are decomposed, never a first factor
-        products = [out[0] for _, _, out in splits]
-        decomposed = [args[0] for tag, args, _ in events[lo:hi]
-                      if tag == "decompose"]
-        assert len(decomposed) == 2
-        assert all(a is b for a, b in zip(decomposed, products))
-        assert not any(f is first for f in decomposed for first in firsts)
+        assert tags.count("stack") == 0
+        # each pass streams its product and then its Pi_1, never a first
+        # factor; tuple 0's step is streamed once before, for its B-norm
+        streamed = [args[0] for tag, args, _ in events[lo:hi]
+                    if tag == "bands"]
+        sides = [f for _, _, out in splits for f in out]
+        assert len(streamed) == len(sides) + (t == 0)
+        assert all(a is b for a, b in zip(streamed[t == 0:], sides))
+        assert not any(f is first for f in streamed for first in firsts)
         if t == 0:
+            assert streamed[0] is rest[0]
             continue
         # unpadded: f1 and 1000 f1 once each, f2..fm once for both passes
         spectra = [args[0] for tag, args, _ in events[lo:hi]
@@ -643,6 +657,36 @@ def test_scaling_passes_share_the_factor_facts(monkeypatch):
         assert len(spectra) == m + 1
         for f in firsts + list(rest):
             assert sum(s is f.spectral for s in spectra) == 1
+
+
+def test_step_tuple_holds_no_product_or_step_stack(monkeypatch):
+    # tuple 0 of a 3-fold set at 2-D 128^2 splits on a padded lattice (the
+    # step's residue), so the step's blocks are streamed, and the product
+    # side is streamed through the norm accumulators: on one worker the
+    # traced peak stays below 44 complex lattice arrays (11 MiB); holding
+    # the product's and the step's block stacks, (jmax + 1) = 6 arrays
+    # each, peaked at 49.8 arrays, and the streams at 38.8
+    import tracemalloc
+
+    from paraflux.paraproduct import _product_sizes
+
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    g = build_grid(2, 128)
+    sys = build_dyadic_system(g)
+    params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
+    tuples = [tuple_specs(g, params, 811, 0)]
+    fields = [materialize(spec, sys) for spec in tuples[0]]
+    assert _product_sizes(fields) != g.sizes
+    del fields
+    tracemalloc.start()
+    try:
+        sweep = audit_multiplication(params, 2.0, "positive", tuples, sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.verdict == "pass" for r in sweep.records
+               if "scaling" in r.name)
+    assert peak < 44 * 16 * g.npoints
 
 
 def test_scaling_check_is_not_vacuous():
@@ -835,7 +879,6 @@ def test_manifest_decomposes_each_field_once(monkeypatch):
     events, built, banks = [], [], []
     for module, name, tag in (
             (paraflux.norms, "_bands", "decompose"),
-            (paraflux.audit, "_decompose_into", "decompose"),
             (paraflux.audit, "_bands", "decompose"),
             (paraflux.testbank, "_decompose_into", "decompose"),
             (paraflux.testbank, "_bands", "decompose"),

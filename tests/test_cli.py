@@ -950,7 +950,7 @@ def _audit_refused_before_any_work(tmp_path, capsys, monkeypatch,
     calls = []
     for module, name in ((paraflux.audit, "build_dyadic_system"),
                          (paraflux.norms, "_bands"),
-                         (paraflux.audit, "_decompose_into"),
+                         (paraflux.audit, "_bands"),
                          (paraflux.audit, "bank_specs"),
                          (paraflux.audit, "materialize"),
                          (paraflux.audit, "tuple_specs"),
@@ -1022,7 +1022,8 @@ def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path,
                                                            fresh_python):
     # random-band phases come from testbank's own PCG64 stream, so these
     # commands never import numpy.random, nor the hashing and OpenSSL
-    # modules it pulls in
+    # modules it pulls in; on one worker no pool runs, so they never import
+    # concurrent.futures either
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
         "n": 2, "resolutions": [64], "seed": 811,
@@ -1041,9 +1042,9 @@ def test_audit_gen_decompose_and_norm_load_no_numpy_random(tmp_path,
             "for argv in %r:\n"
             "    rc = paraflux.cli.main(argv)\n"
             "    assert rc == 0, (argv, rc)\n"
-            "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib')"
-            " if m in sys.modules))\n" % (runs,))
-    out = fresh_python("-c", code)
+            "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib',"
+            " 'concurrent.futures') if m in sys.modules))\n" % (runs,))
+    out = fresh_python("-c", code, env={"PARAFLUX_THREADS": "1"})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
 

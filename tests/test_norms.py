@@ -727,3 +727,51 @@ def test_each_block_keeps_parseval(field):
     for j, block in enumerate(decompose(f, sys)):
         want = math.sqrt(np.sum(np.abs(sys.window(j) * f.spectral) ** 2))
         assert lp_norm(block, 2.0) == pytest.approx(want, rel=1e-14), j
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(32,), (8, 16)]), count=st.integers(1, 6),
+       s=_SMOOTHNESS, p=_EXPONENT,
+       q=st.sampled_from([1.0 / 3.0, 0.4, 2.0 / 3.0, 1.0, 1.5, 2.0, 2.5,
+                          3.0, INF]),
+       at_p=st.booleans(), companion=st.booleans(),
+       absent=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_lockstep_accumulators_give_the_bits_of_separate_passes(
+        seed, shape, count, s, p, q, at_p, companion, absent):
+    # three streams fed band by band to three accumulators that share one
+    # work array, as the multiplication audit feeds P, Pi_1 and Pi_2, give
+    # the bits of three separate `_band_norms` passes: with None bands, at
+    # q = inf, at p = q (the B path), for an F spec with and without a B
+    # companion, and where q or 1/q is a scratch power (1.5, 2.5, 3)
+    from paraflux.norms import (_band_norms, _lockstep_rows,
+                                _NormAccumulator, _work_rows)
+
+    q = p if at_p else q
+    specs = [SpaceSpec("F", s, p, q)] + [SpaceSpec("B", s, p, q)] * companion
+    rng = np.random.default_rng(seed)
+    full = (3, count) + shape
+    stacks = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+    stacks *= (2.0 ** -np.arange(count)).reshape(
+        (1, -1) + (1,) * len(shape))
+    gone = rng.random((3, count)) < absent
+
+    def stream(k):
+        band = np.empty(shape, dtype=np.complex128)
+        for block, none in zip(stacks[k], gone[k]):
+            if none:
+                yield None
+            else:
+                np.copyto(band, block)
+                yield band
+
+    want = [_band_norms(stream(k), specs, count) for k in range(3)]
+    work = np.empty((_work_rows(specs, 3),) + shape)
+    accs = [_NormAccumulator(specs, count, rows)
+            for rows in _lockstep_rows(work, specs, 3)]
+    for blocks in zip(*(stream(k) for k in range(3))):
+        for acc, block in zip(accs, blocks):
+            acc.add(block)
+    got = [acc.values() for acc in accs]
+    assert [[v.hex() for v in values] for values in got] == \
+        [[v.hex() for v in values] for values in want]

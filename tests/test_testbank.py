@@ -208,8 +208,10 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
     # its field: bitwise for a Field and a bump, step or lacunary recipe,
     # a bump or step built in the band buffer or the first slice of its
     # stack, within 1e-15 of the largest sample for a random-band recipe,
-    # whose blocks its generator makes; each item takes one stack, which a
-    # second call reuses, and its blocks are scales[j] stack[j]
+    # whose blocks its generator makes; each item takes at most one stack,
+    # which later calls reuse, and its blocks are scales[j] stack[j]; a
+    # non-random item asked for its field only takes none until a later
+    # call asks for its stack
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     step = spec_for("smoothed-step", g, edge_width=0.25, m_max=3)
@@ -218,40 +220,53 @@ def test_item_sources_give_the_decomposed_blocks(n, size):
     # content on bands 0..2 only: the top bands are exactly zero
     lacunary = spec_for("lacunary", g, amplitudes={
         "0": (1.0, 0.0), "1": (0.5, 0.0), "2": (0.0, -0.25)})
-    made, cache = [], {}
-
-    def new_stack():
-        made.append(np.full((sys.jmax + 1,) + g.sizes, np.nan,
-                            dtype=np.complex128))
-        return made[-1]
-
+    items = ((materialize(step, sys),) * 2,
+             (step, materialize(step, sys)),
+             (bump, materialize(bump, sys)),
+             (lacunary, materialize(lacunary, sys)),
+             (drawn, materialize(drawn, sys)))
     band = np.full(g.sizes, np.nan, dtype=np.complex128)
-    for item, field in ((materialize(step, sys),) * 2,
-                        (step, materialize(step, sys)),
-                        (bump, materialize(bump, sys)),
-                        (lacunary, materialize(lacunary, sys)),
-                        (drawn, materialize(drawn, sys))):
-        want = decompose(field, sys)
-        # out holds a None band's zeros
-        streamed = np.stack([band.copy() for _ in _item_bands(
-            item, sys, band, np.empty(g.sizes))])
-        got, stack, scales = _item_stack(item, sys, cache, new_stack,
-                                         np.empty(g.sizes))
-        assert got.spectral.tobytes() == field.spectral.tobytes()
-        assert _item_stack(item, sys, cache, new_stack,
-                           np.empty(g.sizes))[1] is stack
-        blocks = np.stack([u * c for u, c in zip(stack, scales)])
-        if item is drawn:
-            _assert_stack_close(streamed, want)
-            _assert_stack_close(blocks, want)
-        else:
-            assert scales == [1.0 if np.any(b) else 0.0 for b in want]
-            assert streamed.tobytes() == want.tobytes()
-            assert stack.tobytes() == want.tobytes()
-            assert np.array_equal(blocks, want)
-        if item is lacunary:
-            assert scales[-1] == 0.0 and scales[0] == 1.0
-    assert len(made) == 5
+    for field_first in (False, True):
+        made, cache = [], {}
+
+        def new_stack():
+            made.append(np.full((sys.jmax + 1,) + g.sizes, np.nan,
+                                dtype=np.complex128))
+            return made[-1]
+
+        def stacked(item, out=None):
+            return _item_stack(item, sys, cache, new_stack,
+                               np.empty(g.sizes), out)
+
+        for item, field in items:
+            want = decompose(field, sys)
+            # out holds a None band's zeros
+            streamed = np.stack([band.copy() for _ in _item_bands(
+                item, sys, band, np.empty(g.sizes))])
+            before = len(made)
+            if field_first:
+                got, stack, scales = stacked(item, band)
+                assert got.spectral.tobytes() == field.spectral.tobytes()
+                if item is not drawn:
+                    assert stack is None and scales is None
+                    assert len(made) == before
+            got, stack, scales = stacked(item)
+            assert got.spectral.tobytes() == field.spectral.tobytes()
+            assert len(made) == before + 1
+            assert stacked(item)[1] is stack
+            assert stacked(item, band)[1] is stack
+            blocks = np.stack([u * c for u, c in zip(stack, scales)])
+            if item is drawn:
+                _assert_stack_close(streamed, want)
+                _assert_stack_close(blocks, want)
+            else:
+                assert scales == [1.0 if np.any(b) else 0.0 for b in want]
+                assert streamed.tobytes() == want.tobytes()
+                assert stack.tobytes() == want.tobytes()
+                assert np.array_equal(blocks, want)
+            if item is lacunary:
+                assert scales[-1] == 0.0 and scales[0] == 1.0
+        assert len(made) == 5
 
 
 @pytest.mark.parametrize("kind", ["gaussian-bump", "smoothed-step"])
