@@ -30,7 +30,7 @@ from .hypotheses import (check_embedding_hypotheses,
 from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _lockstep_rows,
                     _norm_work, _NormAccumulator, _work_rows, lp_norm,
                     lq_of_lp, sequence_norm, triebel_norm)
-from .paraproduct import (_checked_gap, _padded_values, _product_sizes,
+from .paraproduct import (_checked_gap, _padded_values, _product_lattice,
                           _split_product, _support_radius)
 from .testbank import (_item_bands, _item_stack, bank_specs, materialize,
                        tuple_specs)
@@ -818,7 +818,7 @@ def _multiplication_sweep(sets, sys):
 
         def factor(item, stacked):
             # f_work and work are free until a tuple's norms and split run,
-            # so an unstacked bump or step is built in work[0]
+            # so an unstacked bump is built in work[0]
             return _item_stack(item, sys, cache, new_stack,
                                buf["f_work"][0],
                                None if stacked else buf["work"][0])
@@ -848,8 +848,10 @@ def _tuple_records(mset, t, factor, buf, sys):
     tuple (`testbank._item_stack`), with Delta_j f_i = scales[j] stack[j];
     a non-random item has a stack only if stacked, or if another set's
     tuple t stacked it before, and its blocks are streamed by
-    `dyadic._bands` otherwise.  The fields come first, for the product lattice
-    (`paraproduct._product_sizes`); only an unpadded one stacks them.
+    `dyadic._bands` otherwise.  The fields come first, for the product
+    lattice and the factors on the k_2 = ... = k_n = 0 line, which take one
+    1-D transform per block (`paraproduct._product_lattice`); only an
+    unpadded lattice stacks them.
 
     The tuple runs twice, with f1 and with 1000 f1, and both passes read
     one set of facts about the factors: the B-norms of f2..fm, the product
@@ -876,7 +878,7 @@ def _tuple_records(mset, t, factor, buf, sys):
     m = len(params)
     f_spec, f1_spec = _f_spec(mset, p), _f_spec(mset, params[0][1])
     facts = [factor(item, False) for item in tuples[t]]
-    big = _product_sizes([fact[0] for fact in facts])
+    big, lines = _product_lattice([fact[0] for fact in facts])
     stacked = big == sys.grid.sizes
     fields, stacks, scales = (list(part) for part in zip(*(
         factor(item, True) if stacked and fact[1] is None else fact
@@ -888,7 +890,7 @@ def _tuple_records(mset, t, factor, buf, sys):
         if stacks[i] is None:
             return (b if b is None or scale == 1.0
                     else np.multiply(b, scale, out=b)
-                    for b in _bands(fields[i], sys, work[0]))
+                    for b in _bands(fields[i], sys, work[0], lines[i]))
         return (np.multiply(u, scale * c, out=work[0])
                 for u, c in zip(stacks[i], scales[i]))
 
@@ -896,8 +898,8 @@ def _tuple_records(mset, t, factor, buf, sys):
                for i, (s, pi) in enumerate(params[1:], 1)]
     rest = None  # transformed in each pass
     if stacked:
-        rest = [_padded_values(f.spectral, big, out)
-                for f, out in zip(fields[1:], buf["rest"])]
+        rest = [_padded_values(f.spectral, big, out, line)
+                for f, out, line in zip(fields[1:], buf["rest"], lines[1:])]
 
     def ratios(first, scale):
         rhs = _band_norms(blocks(0, scale), [f1_spec], sys.jmax + 1,
@@ -908,7 +910,7 @@ def _tuple_records(mset, t, factor, buf, sys):
         if stacked:
             split_scales[0] = [scale * c for c in scales[0]]
         product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,
-                                      split_scales, work, big, rest)
+                                      split_scales, work, big, rest, lines)
         # the accumulators of P, Pi_1 and Pi_2
         sides = [_NormAccumulator([f_spec], sys.jmax + 1, rows)
                  for rows in _lockstep_rows(buf["f_work"], [f_spec], 3)]

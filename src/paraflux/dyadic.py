@@ -25,6 +25,10 @@ zeros transforms to zeros, so `_confined_ifftn` transforms content in such
 a box on a lattice of two or three axes, the grid's own or a padded one,
 bitwise as numpy does, with each pass run only on the lines whose indices
 on the axes not yet transformed lie in the box.
+
+A spectrum on the k_2 = ... = k_n = 0 line, a field that varies along x_1
+only, takes one 1-D transform instead (`_line_samples`); its caller knows
+it from the field's recipe or extents, and no spectrum is scanned for it.
 """
 
 from __future__ import annotations
@@ -227,6 +231,50 @@ def _windowed(spec, bounds, values, out):
     return nonzero
 
 
+def _line_samples(spec, bounds, values, out):
+    """`_windowed` then `_confined_ifftn` (unwindowed when values is None:
+    `paraproduct._embed` then `np.fft.ifftn`) for a spec whose content
+    lies on its k_2 = ... = k_n = 0 line, with one `np.fft.ifft` of the
+    windowed line broadcast along the other axes; False, out holding
+    zeros, for a zero product.
+
+    numpy's passes over the later axes turn a line holding only its k = 0
+    coefficient into a constant line (Van Loan, *Computational Frameworks
+    for the FFT*, 1992), so the bits agree, but for the sign of an
+    exactly-zero sample: those passes take a coefficient -0 to +0 at all
+    points but one.
+    """
+    line = spec[(slice(None),) + (0,) * (spec.ndim - 1)]
+    size = out.shape[0]
+    coeffs = np.zeros(size, dtype=np.complex128)
+    if values is None:
+        half = line.size // 2
+        coeffs[:half] = line[:half]
+        coeffs[size - line.size + half:] = line[half:]
+    else:
+        symbol = values[(slice(None),) + (0,) * (values.ndim - 1)]
+        for box, small, big in _box_views(bounds[:1], line.shape, (size,)):
+            np.multiply(line[small], symbol[box], out=coeffs[big])
+    if not coeffs.any():
+        out.fill(0.0)
+        return False
+    np.fft.ifft(coeffs, out=coeffs, norm="forward")
+    out[...] = coeffs.reshape((size,) + (1,) * (out.ndim - 1))
+    return True
+
+
+def _symbol_samples(spec, bounds, values, out, line):
+    """out holding the samples of spec times the symbol with box values
+    `values` (`_windowed`), or None where that product is zero, out then
+    holding zeros: a line spectrum (line true) takes one 1-D transform
+    (`_line_samples`), any other the confined passes (`_confined_ifftn`)."""
+    if line:
+        return out if _line_samples(spec, bounds, values, out) else None
+    if not _windowed(spec, bounds, values, out):
+        return None
+    return _confined_ifftn(out, bounds)
+
+
 def _check_band(sys, f, j):
     if not sys.grid.compatible(f.grid):
         raise ValueError("field grid does not match the dyadic system")
@@ -269,35 +317,47 @@ def decompose(f, sys):
         (sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)))
 
 
-def _decompose_into(f, sys, out):
+def _decompose_into(f, sys, out, line=False):
     """`decompose` written into out, a writable complex array of the stack's
-    shape, which it returns."""
-    for _ in _bands(f, sys, out):
+    shape, which it returns; line as for `_bands`."""
+    for _ in _bands(f, sys, out, line):
         pass
     return out
 
 
-def _bands(f, sys, out):
+def _bands(f, sys, out, line=False):
     """The slices of `decompose(f, sys)` band by band, lowest first, each
     written into out, a complex array of the grid's shape, and yielded to
     be read before the next; an all-zero block is yielded as None,
     untransformed, with out holding its zeros.  Given a stack for out,
-    block j goes to out[j]."""
+    block j goes to out[j].  line says that the spectrum of f lies on the
+    k_2 = ... = k_n = 0 line, whose blocks take one 1-D transform each
+    (`_symbol_samples`)."""
     _check_band(sys, f, 0)
     for j, (bounds, window) in enumerate(zip(sys._reach, sys._windows)):
         values = out[j] if out.ndim > f.grid.n else out
-        yield _confined_ifftn(values, bounds) \
-            if _windowed(f.spectral, bounds, window, values) else None
+        yield _symbol_samples(f.spectral, bounds, window, values, line)
 
 
-def _lows(f, sys, out):
+def _lows(f, sys, out, line=False):
     """The samples of Q_j f level by level, lowest first, each written
     into out, a complex array of the grid's shape, and yielded to be read
-    before the next: bitwise `q_j(f, j, sys).physical`."""
+    before the next: bitwise `q_j(f, j, sys).physical`, on a line (line
+    as for `_bands`) but for the sign of an exactly-zero sample."""
     _check_band(sys, f, 0)
     for j, bounds in enumerate(sys._reach):
-        _windowed(f.spectral, bounds, sys._low(j), out)
-        yield _confined_ifftn(out, bounds)
+        yield _low_samples(f.spectral, bounds, sys._low(j), out, line)
+
+
+def _low_samples(spec, bounds, values, out, line):
+    """out holding the samples of spec times the low-pass symbol with box
+    values `values`, as `_symbol_samples` writes them, a zero product
+    included: off a line it is transformed as any other."""
+    if line:
+        _line_samples(spec, bounds, values, out)
+        return out
+    _windowed(spec, bounds, values, out)
+    return _confined_ifftn(out, bounds)
 
 
 def _axis_bounds(grid, radius, closed):

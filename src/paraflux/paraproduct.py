@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fldio
-from .dyadic import _confined_ifftn, _windowed
+from .dyadic import _line_samples, _low_samples, _symbol_samples
 from .grid import Field
 
 __all__ = [
@@ -109,17 +109,26 @@ def _product_sizes(fields):
     in [-S/2, S/2 - 1] and is padded to (m+1)S/2 otherwise; see the module
     docstring for the proof.
     """
+    return _product_lattice(fields)[0]
+
+
+def _product_lattice(fields):
+    """(sizes, lines): `_product_sizes(fields)`, and per factor whether its
+    spectrum lies on the k_2 = ... = k_n = 0 line of a grid of two or
+    three axes (`dyadic._line_samples`), both read from the extents."""
     sizes = fields[0].grid.sizes
     extents = [_extents(f.spectral) for f in fields]
+    lines = [e is not None and len(e) > 1
+             and all(ends == (0, 0) for ends in e[1:]) for e in extents]
     if None in extents:
-        return sizes
+        return sizes, lines
     padded = _padded_sizes(sizes, len(fields))
     out = []
     for a, s in enumerate(sizes):
         lo = sum(e[a][0] for e in extents)
         hi = sum(e[a][1] for e in extents)
         out.append(s if -(s // 2) <= lo and hi <= s // 2 - 1 else padded[a])
-    return tuple(out)
+    return tuple(out), lines
 
 
 def _corners(small, big):
@@ -161,11 +170,17 @@ def _common_grid(fields):
     return grid
 
 
-def _padded_values(coeffs, big_sizes, out=None):
+def _padded_values(coeffs, big_sizes, out=None, line=False):
     """Physical samples on the padded lattice of the coefficient block, in
     out (an array of shape big_sizes) or a fresh array.  On the block's own
     lattice the block is transformed straight into it, with no zero fill
-    and no corner copies."""
+    and no corner copies.  A block on the k_2 = ... = k_n = 0 line (line
+    true) takes one 1-D transform (`dyadic._line_samples`)."""
+    if line:
+        if out is None:
+            out = np.empty(big_sizes, dtype=np.complex128)
+        _line_samples(coeffs, None, None, out)
+        return out
     if coeffs.shape != tuple(big_sizes):
         coeffs = _embed(coeffs, big_sizes)
         if out is None:
@@ -188,13 +203,16 @@ def _retained_field(grid, values):
     return Field.from_spectral(grid, coeffs)
 
 
-def _padded_product(fields, big_sizes, rest=None):
+def _padded_product(fields, big_sizes, rest=None, lines=None):
     """Samples of prod(fields) on the lattice of big_sizes points per axis:
     those of fields[0] times those of each later factor in turn, which rest
-    holds when given."""
-    prod = _padded_values(fields[0].spectral, big_sizes)
+    holds when given; lines says which factors lie on the k_2 = ... = k_n
+    = 0 line (`_product_lattice`), none when None."""
+    lines = lines or [False] * len(fields)
+    prod = _padded_values(fields[0].spectral, big_sizes, None, lines[0])
     if rest is None:
-        rest = (_padded_values(f.spectral, big_sizes) for f in fields[1:])
+        rest = (_padded_values(f.spectral, big_sizes, None, line)
+                for f, line in zip(fields[1:], lines[1:]))
     for values in rest:
         prod *= values
     return prod
@@ -216,8 +234,8 @@ def dealiased_product(fields):
     grid = _common_grid(fields)
     if len(fields) == 1:
         return fields[0]
-    return _retained_field(grid,
-                           _padded_product(fields, _product_sizes(fields)))
+    big, lines = _product_lattice(fields)
+    return _retained_field(grid, _padded_product(fields, big, lines=lines))
 
 
 @dataclass
@@ -291,24 +309,24 @@ def _band_products(m, N, jmax, block, low):
             yield k, j, values
 
 
-def _transformed_sources(fields, sys, big):
+def _transformed_sources(fields, sys, big, lines=None):
     """block and low for `_band_products` that transform each windowed or
     low-passed spectrum of the factors onto the lattice of `big` points per
     axis: the symbol's box goes to the lattice's corners
     (`dyadic._windowed`), and only the lines through it are transformed
-    (`dyadic._confined_ifftn`)."""
+    (`dyadic._confined_ifftn`); a factor on the k_2 = ... = k_n = 0 line
+    (lines, from `_product_lattice`; none when None) takes one 1-D
+    transform (`dyadic._line_samples`)."""
+    lines = lines or [False] * len(fields)
 
     def block(k, j):
-        out = np.empty(big, dtype=np.complex128)
-        if not _windowed(fields[k].spectral, sys._reach[j], sys._windows[j],
-                         out):
-            return None
-        return _confined_ifftn(out, sys._reach[j])
+        return _symbol_samples(fields[k].spectral, sys._reach[j],
+                               sys._windows[j],
+                               np.empty(big, dtype=np.complex128), lines[k])
 
     def low(i, l):
-        out = np.empty(big, dtype=np.complex128)
-        _windowed(fields[i].spectral, sys._reach[l], sys._low(l), out)
-        return _confined_ifftn(out, sys._reach[l])
+        return _low_samples(fields[i].spectral, sys._reach[l], sys._low(l),
+                            np.empty(big, dtype=np.complex128), lines[i])
 
     return block, low
 
@@ -352,13 +370,14 @@ def decompose_product(fields, sys, N=None):
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    big = _product_sizes(fields)
-    product = _retained_field(grid, _padded_product(fields, big))
+    big, lines = _product_lattice(fields)
+    product = _retained_field(grid,
+                              _padded_product(fields, big, lines=lines))
     zero = Field.zeros(grid)
     levels = range(N, sys.jmax + 1)
     bands = {(k, j): zero for k in range(m) for j in levels}  # k-major
     for k, j, values in _band_products(
-            m, N, sys.jmax, *_transformed_sources(fields, sys, big)):
+            m, N, sys.jmax, *_transformed_sources(fields, sys, big, lines)):
         bands[(k, j)] = _retained_field(grid, values)
     pi1 = [sum((bands[(k, j)] for j in levels), zero) for k in range(m)]
 
@@ -367,7 +386,8 @@ def decompose_product(fields, sys, N=None):
                                 pi2=pi2, product=product, factors=list(fields))
 
 
-def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
+def _split_product(fields, sys, N, stacks, scales, work, big, rest=None,
+                   lines=None):
     """(product, Pi_1) of prod(fields), without the per-band fields; Pi_2 is
     their difference, which a caller forms if it needs it.
 
@@ -375,9 +395,10 @@ def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
     sum_k Pi_{1,k} agrees with it at rounding level.  stacks and scales
     give the factors' blocks, Delta_j f_k = scales[k][j] stacks[k][j], as
     `_stack_sources` reads them, and work is m + 2 writable complex arrays
-    of the grid's shape.  big is the
-    lattice `_product_sizes(fields)` and rest the samples of fields[1:] on
-    it (`_padded_values`), found here when None: a caller that splits the
+    of the grid's shape.  big and lines are `_product_lattice(fields)`
+    (lines None: no factor on the k_2 = ... = k_n = 0 line), and rest the
+    samples of fields[1:] on big (`_padded_values`), found here when None:
+    a caller that splits the
     products of f1 and 1000 f1 with the same later factors finds both once,
     since the two first factors have the same nonzero coefficients.  On an
     unpadded lattice the band terms read Delta_j f_k and Q_{j-N} f_i from
@@ -389,12 +410,13 @@ def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    product = _retained_field(grid, _padded_product(fields, big, rest))
+    product = _retained_field(grid, _padded_product(fields, big, rest,
+                                                    lines))
     acc = np.empty(big, dtype=np.complex128)
     if big == grid.sizes:
         sources = _stack_sources(stacks, scales, work)
     else:
-        sources = _transformed_sources(fields, sys, big)
+        sources = _transformed_sources(fields, sys, big, lines)
     terms = 0
     for _, _, values in _band_products(m, N, sys.jmax, *sources):
         if terms:
@@ -441,7 +463,8 @@ def pi2_direct_terms(fields, sys, N=None):
 
     # the tuples run in lexicographic order, so block (0, k0) is read only
     # while k0 is the outer index: factor 0's blocks are made one at a time
-    block, _ = _transformed_sources(fields, sys, _product_sizes(fields))
+    block, _ = _transformed_sources(fields, sys,
+                                    *_product_lattice(fields))
     levels = range(sys.jmax + 1)
     others = [[block(i, k) for k in levels] for i in range(1, m)]
 

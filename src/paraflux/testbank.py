@@ -59,6 +59,9 @@ def plateau_frequency(j, grid=None):
 
 
 def _wave_index(grid, kvec):
+    if len(kvec) != grid.n:
+        raise ValueError("wavenumber vector %r has %d entries on a grid of "
+                         "%d axes" % (tuple(kvec), len(kvec), grid.n))
     idx = []
     for k, size in zip(kvec, grid.sizes):
         k = int(k)
@@ -330,9 +333,9 @@ def _erf(x):
     return np.array([_erf_scalar(v) for v in x.tolist()])
 
 
-def _truncate_real(grid, a, m_max):
-    """Band-limit the real samples held in a radially and renormalize them
-    to max 1, in place.
+def _truncate_real(grid, a, cap):
+    """Band-limit the real samples held in a to |xi| <= cap radially and
+    renormalize them to max 1, in place.
 
     a is a C-contiguous complex array of the grid's shape with zero
     imaginary part: it is transformed to its coefficients, truncated,
@@ -346,7 +349,6 @@ def _truncate_real(grid, a, m_max):
     rounding residue beyond the band limit.
     """
     np.fft.fftn(a, out=a, norm="forward")
-    cap = band_limit(grid, m_max)
     bounds = _axis_bounds(grid, cap, closed=True)
     for axis, (b, size) in enumerate(zip(bounds, grid.sizes)):
         a[(slice(None),) * axis + (slice(b + 1, size - b),)] = 0.0
@@ -362,57 +364,84 @@ def _truncate_real(grid, a, m_max):
     a.imag = 0.0
 
 
-_REAL_KINDS = ("gaussian-bump", "smoothed-step")
-
-
-def _real_samples(grid, kind, params, out=None):
-    """The samples of a gaussian-bump or smoothed-step recipe with params,
-    band-limited (`_truncate_real`), written into out and returned.
+def _bump_samples(grid, params, out=None):
+    """The samples of a gaussian-bump recipe with params, band-limited
+    (`_truncate_real`), written into out and returned.
 
     A bump is the periodized Gaussian of sigma width about center, snapped
-    to the lattice; a step is the Gaussian-smoothed indicator of [period/4,
-    3 period/4] along axis 1.  `check_spec` has refused a width that is not
-    positive.  out is a C-contiguous complex array of the grid's shape, or
-    None for a new one; its contents are not read.  The audits build in a
-    buffer they hold and keep the forward transform only (`_item_field`);
+    to the lattice; `check_spec` has refused a width that is not positive.
+    out is a C-contiguous complex array of the grid's shape, or None for a
+    new one; its contents are not read.  The audits build in a buffer they
+    hold and keep the forward transform only (`_item_field`);
     `materialize` hands a new array to `Field.from_physical`, which keeps
     it as the field's samples.
     """
     if out is None:
         out = np.empty(grid.sizes, dtype=np.complex128)
-    if kind == "gaussian-bump":
-        width = float(params.get("width", 0.5))
-        center = params.get("center")
-        if center is None:
-            center = (grid.period / 2.0,) * grid.n
-        center = [round(float(c) / h) * h
-                  for c, h in zip(np.atleast_1d(center), grid.spacing)]
-        # r2 summed over the axes in order, each axis broadcast; the last
-        # sum, and exp(-r2 / (2 width^2)) in place, go into the real part
-        r2 = 0.0
-        for axis, (size, c) in enumerate(zip(grid.sizes, center)):
-            x = np.arange(size) * (grid.period / size)
-            d = (np.mod(x - c + grid.period / 2.0, grid.period)
-                 - grid.period / 2.0)
-            d2 = (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
-            r2 = np.add(r2, d2, out=out.real if axis == grid.n - 1 else None)
-        np.negative(r2, out=r2)
-        r2 /= 2.0 * width ** 2
-        np.exp(r2, out=r2)
-    else:
-        w = float(params.get("edge_width", 0.25))
-        P = grid.period
-        a, b = P / 4.0, 3.0 * P / 4.0
-        x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
-        values = np.zeros(grid.sizes[0])
-        for wrap in range(-2, 3):
-            shift = wrap * P
-            values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
-                             - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
-        out.real = values.reshape((-1,) + (1,) * (grid.n - 1))
+    width = float(params.get("width", 0.5))
+    center = params.get("center")
+    if center is None:
+        center = (grid.period / 2.0,) * grid.n
+    center = [round(float(c) / h) * h
+              for c, h in zip(np.atleast_1d(center), grid.spacing)]
+    # r2 summed over the axes in order, each axis broadcast; the last sum,
+    # and exp(-r2 / (2 width^2)) in place, go into the real part
+    r2 = 0.0
+    for axis, (size, c) in enumerate(zip(grid.sizes, center)):
+        x = np.arange(size) * (grid.period / size)
+        d = (np.mod(x - c + grid.period / 2.0, grid.period)
+             - grid.period / 2.0)
+        d2 = (d * d).reshape((-1,) + (1,) * (grid.n - 1 - axis))
+        r2 = np.add(r2, d2, out=out.real if axis == grid.n - 1 else None)
+    np.negative(r2, out=r2)
+    r2 /= 2.0 * width ** 2
+    np.exp(r2, out=r2)
     out.imag = 0.0
-    _truncate_real(grid, out, params.get("m_max", DEFAULT_MAX_ARITY))
+    _truncate_real(grid, out, band_limit(
+        grid, params.get("m_max", DEFAULT_MAX_ARITY)))
     return out
+
+
+def _step_field(grid, params, samples=True):
+    """The field of a smoothed-step recipe with params, the
+    Gaussian-smoothed indicator of [period/4, 3 period/4] along axis 1,
+    bitwise its build on the whole lattice: its samples along axis 1 are
+    band-limited (`_truncate_real`) on a 1-D grid of that axis's size and
+    period under the band limit of grid, and its spectrum is one 1-D
+    transform of them on the k_2 = ... = k_n = 0 line.  The field keeps
+    their broadcast as its samples when samples is set (`materialize`).
+    """
+    w = float(params.get("edge_width", 0.25))
+    P = grid.period
+    a, b = P / 4.0, 3.0 * P / 4.0
+    x = np.arange(grid.sizes[0]) * (P / grid.sizes[0])  # the x_1 axis
+    values = np.zeros(grid.sizes[0])
+    for wrap in range(-2, 3):
+        shift = wrap * P
+        values += 0.5 * (_erf((x - a + shift) / (math.sqrt(2.0) * w))
+                         - _erf((x - b + shift) / (math.sqrt(2.0) * w)))
+    line = values.astype(np.complex128)
+    _truncate_real(Grid(1, grid.sizes[:1], P), line, band_limit(
+        grid, params.get("m_max", DEFAULT_MAX_ARITY)))
+    coeffs = np.zeros(grid.sizes, dtype=np.complex128)
+    coeffs[(slice(None),) + (0,) * (grid.n - 1)] = np.fft.fft(
+        line, norm="forward")
+    lifted = line.reshape((-1,) + (1,) * (grid.n - 1))
+    return Field(grid, coeffs,
+                 np.broadcast_to(lifted, grid.sizes) if samples else None)
+
+
+def _on_line(item, grid):
+    """Whether the field of an audit item lies on the k_2 = ... = k_n = 0
+    line of a grid of two or three axes, read from its recipe: a lacunary
+    sum, a constant, a step, or a wave whose k has no component past the
+    first; a Field or any other recipe is taken as not."""
+    if grid.n == 1 or not isinstance(item, GeneratorSpec):
+        return False
+    if item.kind == "pure-wave":
+        k = item.params["k"]
+        return np.isscalar(k) or not any(k[1:])
+    return item.kind in ("lacunary", "constant", "smoothed-step")
 
 
 def pure_wave(grid, kvec):
@@ -488,8 +517,10 @@ def materialize(spec, sys=None):
         amps = {int(j): complex(re, im)
                 for j, (re, im) in params["amplitudes"].items()}
         return lacunary_field(grid, amps, sys)
-    if kind in _REAL_KINDS:
-        return Field.from_physical(grid, _real_samples(grid, kind, params))
+    if kind == "gaussian-bump":
+        return Field.from_physical(grid, _bump_samples(grid, params))
+    if kind == "smoothed-step":
+        return _step_field(grid, params)
     if kind == "pure-wave":
         return pure_wave(grid, params["k"])
     return constant_field(grid, params.get("value", 1.0))
@@ -497,17 +528,20 @@ def materialize(spec, sys=None):
 
 def _item_field(item, sys, out):
     """The field of an audit item other than a random-band recipe, with
-    the spectrum of `materialize`: a Field as it is; a bump or step recipe
-    built in out (`_real_samples`), a complex array of the grid's shape
-    that the caller overwrites next, so the field keeps its spectrum only;
-    any other recipe materialized."""
+    the spectrum of `materialize`: a Field as it is; a bump recipe built
+    in out (`_bump_samples`), a complex array of the grid's shape that the
+    caller overwrites next, and a step recipe from its samples along axis
+    1 (`_step_field`), so either field keeps its spectrum only; any other
+    recipe materialized."""
     if not isinstance(item, GeneratorSpec):
         return item
-    if item.kind not in _REAL_KINDS:
+    if item.kind == "smoothed-step":
+        return _step_field(_spec_grid(item, sys), item.params, False)
+    if item.kind != "gaussian-bump":
         return materialize(item, sys)
     grid = _spec_grid(item, sys)
-    return Field(grid, _transform(np.fft.fftn, _real_samples(
-        grid, item.kind, item.params, out)))
+    return Field(grid, _transform(np.fft.fftn, _bump_samples(
+        grid, item.params, out)))
 
 
 def _item_bands(item, sys, out, scratch):
@@ -515,10 +549,12 @@ def _item_bands(item, sys, out, scratch):
     yields a field's into out: a random-band recipe's c_j U_j from its
     generator, without building the field, each band's magnitudes taken
     into scratch, a real array of the grid's shape; any other item's
-    windowed from its field (`_item_field`), a bump or step built in out
-    before its bands overwrite it."""
+    windowed from its field (`_item_field`), a bump built in out before
+    its bands overwrite it, and a field on the k_2 = ... = k_n = 0 line
+    (`_on_line`) taking one 1-D transform per band."""
     if not isinstance(item, GeneratorSpec) or item.kind != "random-band":
-        yield from _bands(_item_field(item, sys, out), sys, out)
+        yield from _bands(_item_field(item, sys, out), sys, out,
+                          _on_line(item, sys.grid))
         return
     grid = _spec_grid(item, sys)
     params = item.params
@@ -544,11 +580,13 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None):
     and its scales are c_j; any other item's field is decomposed into its
     stack, and its scales are 1.0 on a band with content and 0.0 on an
     exactly-zero band, read as the field is decomposed.  Either way a block
-    is zero exactly when its scale is.  A bump or step is built in stack[0]
-    (`_item_field`) before the blocks overwrite it.
+    is zero exactly when its scale is.  A bump is built in stack[0]
+    (`_item_field`) before the blocks overwrite it, and a field on the
+    k_2 = ... = k_n = 0 line (`_on_line`) takes one 1-D transform per
+    block.
 
     Given out, a complex array of the grid's shape, a non-random item is
-    not decomposed: its field is built (a bump or step in out) and its
+    not decomposed: its field is built (a bump in out) and its
     stack and scales are None, for a caller that streams its blocks
     (`dyadic._bands`); a later call without out decomposes it into a stack
     then, and an item stacked before keeps its stack.
@@ -570,7 +608,8 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None):
             if field is None:
                 field = _item_field(item, sys, stack[0])
             scales = [1.0 if block.any() else 0.0
-                      for block in _decompose_into(field, sys, stack)]
+                      for block in _decompose_into(
+                          field, sys, stack, _on_line(item, sys.grid))]
         elif field is None:
             field = _item_field(item, sys, out)
         cache[key] = field, stack, scales

@@ -622,7 +622,7 @@ def test_scaling_passes_share_the_factor_facts(monkeypatch):
     spy(audit, "_bands", "bands")
     spy(testbank, "_decompose_into", "stack")
     for module in (audit, paraproduct):
-        spy(module, "_product_sizes", "lattice")
+        spy(module, "_product_lattice", "lattice")
         spy(module, "_padded_values", "transform")
     sweep = run_audit_manifest(manifest)
     assert all(r.verdict == "pass" for r in sweep.records

@@ -475,3 +475,105 @@ def test_lows_are_the_low_pass_samples(n, size):
             levels += 1
         assert levels == sys.jmax + 1
     assert len(kinds) == 6
+
+
+def _line_spectrum(grid, seed, density, real):
+    # a spectrum on the k_2 = ... = k_n = 0 line, with a share density of
+    # its coefficients nonzero, real or complex
+    rng = np.random.default_rng(seed)
+    size = grid.sizes[0]
+    line = rng.standard_normal(size)
+    if not real:
+        line = line + 1j * rng.standard_normal(size)
+    line[rng.random(size) >= density] = 0.0
+    spec = np.zeros(grid.sizes, dtype=np.complex128)
+    spec[(slice(None),) + (0,) * (grid.n - 1)] = line
+    return spec
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from paraflux.dyadic import _line_samples, _windowed  # noqa: E402
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.sampled_from([2, 3]), size=st.sampled_from([16, 32]),
+       pad=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.3, 1.0]), real=st.booleans())
+def test_line_samples_are_the_confined_transform(n, size, pad, seed,
+                                                 density, real):
+    # on lattices of S, 3S/2 and 2S points on axis 0, at every level, for
+    # windows and cutoffs alike, the line's one 1-D transform gives the
+    # values of the windowed spectrum's confined transform and the same
+    # zero bands; the bits are the same too, but for the sign of an exactly
+    # zero sample, which numpy's passes over the later axes can flip
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    spec = _line_spectrum(g, seed, density, real)
+    big = (pad * size // 2,) + g.sizes[1:]
+    for j, bounds in enumerate(sys._reach):
+        for values in (sys._windows[j], sys._low(j)):
+            want = np.empty(big, dtype=np.complex128)
+            got = np.full(big, np.nan, dtype=np.complex128)
+            nonzero = _windowed(spec, bounds, values, want)
+            if nonzero:
+                _confined_ifftn(want, bounds)
+            assert _line_samples(spec, bounds, values, got) == nonzero
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            if want.view(np.float64).all():
+                assert got.tobytes() == want.tobytes()
+    # unwindowed, as `paraproduct._padded_values` transforms a factor
+    from paraflux.paraproduct import _padded_values
+
+    want = _padded_values(spec, big)
+    got = _padded_values(spec, big, None, True)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    if want.view(np.float64).all():
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_line_bands_and_lows_are_the_lattice_ones(n):
+    # a dense complex line: every block and low-pass of `_bands` and `_lows`
+    # on the line path has the bits of the confined path
+    g = build_grid(n, 32)
+    sys = build_dyadic_system(g)
+    f = Field.from_spectral(g, _line_spectrum(g, 7, 1.0, False))
+    for stream in (_bands, _lows):
+        a, b = (np.empty(g.sizes, dtype=np.complex128) for _ in range(2))
+        for want, got in zip(stream(f, sys, a), stream(f, sys, b, True),
+                             strict=True):
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_line_items_transform_only_along_axis_one(monkeypatch):
+    # in the embedding sweep of the bank at 3-D 32, the eight items that
+    # vary along x_1 only (lacunary sums, steps, waves, the constant) make
+    # length-S transforms along axis 0 and nothing else, while a bump still
+    # takes the confined passes over the lattice
+    from paraflux import SpaceSpec
+    from paraflux.audit import _embedding_sweeps
+
+    monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
+    g = build_grid(3, 32)
+    sys = build_dyadic_system(g)
+    calls = []
+    for name in ("ifftn", "ifft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, real=real, **kw:
+                            calls.append(np.shape(a)) or real(a, *args, **kw))
+    pairs = [(SpaceSpec("B", 1.0, 2.0, 2.0), SpaceSpec("B", 0.5, 2.0, 2.0))]
+    kinds = []
+    for name, spec in bank_specs(g):
+        del calls[:]
+        _embedding_sweeps(pairs, [(name, spec)], sys)
+        if spec.kind in ("lacunary", "smoothed-step", "pure-wave",
+                         "constant"):
+            assert calls and set(calls) == {(32,)}, name
+            kinds.append(spec.kind)
+        elif spec.kind == "gaussian-bump":
+            assert any(len(shape) == 3 for shape in calls), name
+    assert len(kinds) == 8

@@ -340,7 +340,8 @@ def _theorem_draws(draw):
     return params, n
 
 
-@settings(max_examples=400, deadline=None)
+@settings(derandomize=True, database=None, deadline=None,
+          max_examples=400)
 @given(draw=_theorem_draws(), mode=st.sampled_from(["positive", "negative"]))
 def test_theorem_verdicts_match_a_fraction_reference(draw, mode):
     params, n = draw

@@ -233,25 +233,34 @@ def test_decompose_product_pads_the_step_axis_only(monkeypatch):
     # m = 3 on 64^2 with the step in slot 2: axis 0 is padded to 2S, axis 1
     # keeps S, and every padded array of the product path uses that lattice,
     # whole factors (`_padded_values`) and windowed or low-passed ones
-    # (`_confined_ifftn`) alike
+    # (`dyadic._confined_ifftn`, and `dyadic._line_samples` for the step,
+    # which varies along x_1 only) alike
+    import paraflux.dyadic as dyadic
+
     g = build_grid(2, 64)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)]
     fields = list(tuple_fields(g, sys, params, 63, 0))
     lattices = set()
     padded_values = paraproduct._padded_values
-    confined_ifftn = paraproduct._confined_ifftn
+    confined_ifftn = dyadic._confined_ifftn
+    line_samples = dyadic._line_samples
 
-    def spy(coeffs, big_sizes):
+    def spy(coeffs, big_sizes, *rest):
         lattices.add(tuple(big_sizes))
-        return padded_values(coeffs, big_sizes)
+        return padded_values(coeffs, big_sizes, *rest)
 
     def confined_spy(values, bounds):
         lattices.add(values.shape)
         return confined_ifftn(values, bounds)
 
+    def line_spy(spec, bounds, values, out):
+        lattices.add(out.shape)
+        return line_samples(spec, bounds, values, out)
+
     monkeypatch.setattr(paraproduct, "_padded_values", spy)
-    monkeypatch.setattr(paraproduct, "_confined_ifftn", confined_spy)
+    monkeypatch.setattr(dyadic, "_confined_ifftn", confined_spy)
+    monkeypatch.setattr(dyadic, "_line_samples", line_spy)
     pd = decompose_product(fields, sys)
     assert lattices == {(128, 64)}
     lattices.clear()
@@ -293,10 +302,14 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
     g = build_grid(n, size)
     sys = build_dyadic_system(g)
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
+    import paraflux.dyadic as dyadic
+
     transforms = []
-    for name in ("_padded_values", "_confined_ifftn"):
-        real = getattr(paraproduct, name)
-        monkeypatch.setattr(paraproduct, name, lambda *a, real=real:
+    for module, name in ((paraproduct, "_padded_values"),
+                         (dyadic, "_confined_ifftn"),
+                         (dyadic, "_line_samples")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real:
                             transforms.append(1) or real(*a))
     for t in range(2):
         fields = tuple_fields(g, sys, params, 40 + m, t)

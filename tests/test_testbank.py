@@ -13,8 +13,10 @@ from paraflux import (INF, Field, SpaceSpec, band_limit, bank_specs, besov_norm,
                       materialize, plateau_frequency, pure_wave,
                       random_band_field, spec_for, triebel_norm,
                       tuple_fields, tuple_specs)
+from paraflux.grid import Grid
 from paraflux.testbank import (GeneratorSpec, _band_scales, _item_bands,
-                               _item_stack, _pcg64_uniform, _unit_bands)
+                               _item_field, _item_stack, _pcg64_uniform,
+                               _unit_bands)
 
 
 @pytest.fixture(scope="module")
@@ -417,8 +419,8 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
     seen = []
     real = paraflux.testbank._truncate_real
     monkeypatch.setattr(paraflux.testbank, "_truncate_real",
-                        lambda grid, a, m_max: seen.append(np.array(a))
-                        or real(grid, a, m_max))
+                        lambda grid, a, cap: seen.append(np.array(a))
+                        or real(grid, a, cap))
     for center, width in (((1.0, 5.5, 0.3), 0.4), (None, 0.8)):
         center = None if center is None else center[:n]
         f = materialize(spec_for("gaussian-bump", g, center=center,
@@ -430,7 +432,7 @@ def test_gaussian_bump_is_the_meshgrid_formula(n, size, monkeypatch):
         assert seen[-1].imag.tobytes() == bytes(seen[-1].imag.nbytes)
         # the truncation band-limits the samples it is handed in place
         samples = want.astype(np.complex128)
-        real(g, samples, 3)
+        real(g, samples, band_limit(g, 3))
         assert f.spectral.tobytes() == Field.from_physical(
             g, samples).spectral.tobytes()
 
@@ -512,15 +514,17 @@ def test_bank_keeps_the_bits_of_the_backward_transforms(n, size):
 def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
     # the in-place truncation gives the bits of the copying one, residue
     # beyond the band limit included; the samples are handed over in a
-    # complex array with a zero imaginary part, which becomes the field's
+    # complex array with a zero imaginary part, which becomes the field's:
+    # a bump's on the lattice, and a step's along axis 1 on a 1-D grid, the
+    # field's samples being their broadcast along the later axes
     import paraflux.testbank
 
     g = build_grid(n, size)
     seen, fields = [], []
     real = paraflux.testbank._truncate_real
     monkeypatch.setattr(paraflux.testbank, "_truncate_real",
-                        lambda grid, a, m_max: seen.append((a, np.array(a)))
-                        or real(grid, a, m_max))
+                        lambda grid, a, cap: seen.append((a, np.array(a)))
+                        or real(grid, a, cap))
     for width in (0.4, 0.8):
         want = _copying_truncation(g, _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n, width))
@@ -530,14 +534,22 @@ def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
         fields.append(got)
     for width in (0.25, 0.5):
         got = materialize(spec_for("smoothed-step", g, edge_width=width))
-        want = _copying_truncation(g, seen[-1][1].real)
+        samples = _erf_step_samples(g, width)
+        assert seen[-1][1].shape == g.sizes[:1]
+        assert seen[-1][1].real.tobytes() == samples[
+            (slice(None),) + (0,) * (n - 1)].tobytes()
+        want = _copying_truncation(g, samples)
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
         fields.append(got)
     assert len(seen) == len(fields)
-    for (a, before), f in zip(seen, fields):
+    for i, ((a, before), f) in enumerate(zip(seen, fields)):
         assert before.imag.tobytes() == bytes(before.imag.nbytes)
-        assert f.physical is a
+        if i < 2:  # the bumps
+            assert f.physical is a
+        else:
+            assert f.physical.tobytes() == np.broadcast_to(
+                a.reshape((-1,) + (1,) * (n - 1)), g.sizes).tobytes()
 
 
 def test_band_sizes_reuse_one_scratch(monkeypatch):
@@ -605,6 +617,38 @@ def test_pure_wave_and_constant(setup128):
     assert np.allclose(c.physical, 2.0, atol=1e-13)
     with pytest.raises(ValueError):
         pure_wave(g, 200)  # off the lattice
+
+
+@pytest.mark.parametrize("n, k", [(3, [1]), (3, [1, 0]), (3, [1, 0, 0, 0]),
+                                  (2, [1, 0, 0]), (1, [1, 0])])
+def test_pure_wave_refuses_a_vector_of_another_length(n, k):
+    # k is one wavenumber per axis; a shorter vector used to fill a whole
+    # plane of the lattice, and a longer one was cut short
+    with pytest.raises(ValueError, match="entries on a grid of %d axes" % n):
+        pure_wave(build_grid(n, 32), k)
+    w = pure_wave(build_grid(n, 32), [1] + [0] * (n - 1))
+    assert np.count_nonzero(w.spectral) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.sampled_from([2, 3]),
+       sizes=st.lists(st.sampled_from([16, 32, 64]), min_size=3, max_size=3),
+       edge_width=st.floats(0.05, 1.5),
+       m_max=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]))
+def test_lifted_step_is_the_lattice_build(n, sizes, edge_width, m_max):
+    # the step built along axis 1 and broadcast has the samples and the
+    # spectrum of the copying truncation on the whole lattice, whatever
+    # the sizes of the later axes, whose band limit it takes
+    g = Grid(n, sizes[:n])
+    got = materialize(spec_for("smoothed-step", g, edge_width=edge_width,
+                               m_max=m_max))
+    want = _copying_truncation(g, _erf_step_samples(g, edge_width), m_max)
+    assert got.spectral.tobytes() == want.spectral.tobytes()
+    assert got.physical.tobytes() == want.physical.tobytes()
+    # an audit's build keeps the spectrum only, with the same bits
+    item = spec_for("smoothed-step", g, edge_width=edge_width, m_max=m_max)
+    field = _item_field(item, build_dyadic_system(g), None)
+    assert field.spectral.tobytes() == want.spectral.tobytes()
 
 
 def test_standard_bank_composition(setup128):
