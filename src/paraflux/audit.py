@@ -816,12 +816,12 @@ def _multiplication_sweep(sets, sys):
             handed += 1
             return buf["items"][handed - 1]
 
-        def factor(item, stacked):
+        def factor(item, stacked, line=False):
             # f_work and work are free until a tuple's norms and split run,
             # so an unstacked bump is built in work[0]
             return _item_stack(item, sys, cache, new_stack,
                                buf["f_work"][0],
-                               None if stacked else buf["work"][0])
+                               None if stacked else buf["work"][0], line)
 
         return [_tuple_records(mset, t, factor, buf, sys)
                 if t < len(mset.tuples) else [] for mset in sets]
@@ -844,14 +844,15 @@ def _tuple_records(mset, t, factor, buf, sys):
     """The four records of tuple t of the `_MultSet` mset, made in the
     worker buffers buf of `_multiplication_sweep`.
 
-    factor(item, stacked) gives (field, stack, scales) of an item of the
-    tuple (`testbank._item_stack`), with Delta_j f_i = scales[j] stack[j];
-    a non-random item has a stack only if stacked, or if another set's
-    tuple t stacked it before, and its blocks are streamed by
+    factor(item, stacked, line) gives (field, stack, scales) of an item of
+    the tuple (`testbank._item_stack`), with Delta_j f_i = scales[j]
+    stack[j]; a non-random item has a stack only if stacked, or if another
+    set's tuple t stacked it before, and its blocks are streamed by
     `dyadic._bands` otherwise.  The fields come first, for the product
     lattice and the factors on the k_2 = ... = k_n = 0 line, which take one
-    1-D transform per block (`paraproduct._product_lattice`); only an
-    unpadded lattice stacks them.
+    1-D transform per block, stacked or streamed
+    (`paraproduct._product_lattice`); only an unpadded lattice stacks
+    them.
 
     The tuple runs twice, with f1 and with 1000 f1, and both passes read
     one set of facts about the factors: the B-norms of f2..fm, the product
@@ -881,8 +882,8 @@ def _tuple_records(mset, t, factor, buf, sys):
     big, lines = _product_lattice([fact[0] for fact in facts])
     stacked = big == sys.grid.sizes
     fields, stacks, scales = (list(part) for part in zip(*(
-        factor(item, True) if stacked and fact[1] is None else fact
-        for item, fact in zip(tuples[t], facts))))
+        factor(item, True, line) if stacked and fact[1] is None else fact
+        for item, fact, line in zip(tuples[t], facts, lines))))
     work = buf["work"][:m + 2]
 
     def blocks(i, scale=1.0):
@@ -910,7 +911,7 @@ def _tuple_records(mset, t, factor, buf, sys):
         if stacked:
             split_scales[0] = [scale * c for c in scales[0]]
         product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,
-                                      split_scales, work, big, rest, lines)
+                                      split_scales, work, big, lines, rest)
         # the accumulators of P, Pi_1 and Pi_2
         sides = [_NormAccumulator([f_spec], sys.jmax + 1, rows)
                  for rows in _lockstep_rows(buf["f_work"], [f_spec], 3)]

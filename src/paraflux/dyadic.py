@@ -339,14 +339,14 @@ def _bands(f, sys, out, line=False):
         yield _symbol_samples(f.spectral, bounds, window, values, line)
 
 
-def _lows(f, sys, out, line=False):
+def _lows(f, sys, out):
     """The samples of Q_j f level by level, lowest first, each written
     into out, a complex array of the grid's shape, and yielded to be read
-    before the next: bitwise `q_j(f, j, sys).physical`, on a line (line
-    as for `_bands`) but for the sign of an exactly-zero sample."""
+    before the next: bitwise `q_j(f, j, sys).physical`."""
     _check_band(sys, f, 0)
     for j, bounds in enumerate(sys._reach):
-        yield _low_samples(f.spectral, bounds, sys._low(j), out, line)
+        _windowed(f.spectral, bounds, sys._low(j), out)
+        yield _confined_ifftn(out, bounds)
 
 
 def _low_samples(spec, bounds, values, out, line):

@@ -102,20 +102,16 @@ def _extents(coeffs):
     return out
 
 
-def _product_sizes(fields):
-    """Points per axis on which the product of `fields` is exact.
+def _product_lattice(fields):
+    """(sizes, lines): the points per axis on which the product of
+    `fields` is exact, and per factor whether its spectrum lies on the
+    k_2 = ... = k_n = 0 line of a grid of two or three axes
+    (`dyadic._line_samples`), both read from the extents.
 
     An axis keeps its S points when the summed extents of the factors stay
     in [-S/2, S/2 - 1] and is padded to (m+1)S/2 otherwise; see the module
     docstring for the proof.
     """
-    return _product_lattice(fields)[0]
-
-
-def _product_lattice(fields):
-    """(sizes, lines): `_product_sizes(fields)`, and per factor whether its
-    spectrum lies on the k_2 = ... = k_n = 0 line of a grid of two or
-    three axes (`dyadic._line_samples`), both read from the extents."""
     sizes = fields[0].grid.sizes
     extents = [_extents(f.spectral) for f in fields]
     lines = [e is not None and len(e) > 1
@@ -203,12 +199,11 @@ def _retained_field(grid, values):
     return Field.from_spectral(grid, coeffs)
 
 
-def _padded_product(fields, big_sizes, rest=None, lines=None):
+def _padded_product(fields, big_sizes, lines, rest=None):
     """Samples of prod(fields) on the lattice of big_sizes points per axis:
     those of fields[0] times those of each later factor in turn, which rest
     holds when given; lines says which factors lie on the k_2 = ... = k_n
-    = 0 line (`_product_lattice`), none when None."""
-    lines = lines or [False] * len(fields)
+    = 0 line (`_product_lattice`)."""
     prod = _padded_values(fields[0].spectral, big_sizes, None, lines[0])
     if rest is None:
         rest = (_padded_values(f.spectral, big_sizes, None, line)
@@ -234,8 +229,8 @@ def dealiased_product(fields):
     grid = _common_grid(fields)
     if len(fields) == 1:
         return fields[0]
-    big, lines = _product_lattice(fields)
-    return _retained_field(grid, _padded_product(fields, big, lines=lines))
+    return _retained_field(grid,
+                           _padded_product(fields, *_product_lattice(fields)))
 
 
 @dataclass
@@ -309,15 +304,14 @@ def _band_products(m, N, jmax, block, low):
             yield k, j, values
 
 
-def _transformed_sources(fields, sys, big, lines=None):
+def _transformed_sources(fields, sys, big, lines):
     """block and low for `_band_products` that transform each windowed or
     low-passed spectrum of the factors onto the lattice of `big` points per
     axis: the symbol's box goes to the lattice's corners
     (`dyadic._windowed`), and only the lines through it are transformed
     (`dyadic._confined_ifftn`); a factor on the k_2 = ... = k_n = 0 line
-    (lines, from `_product_lattice`; none when None) takes one 1-D
-    transform (`dyadic._line_samples`)."""
-    lines = lines or [False] * len(fields)
+    (lines, from `_product_lattice`) takes one 1-D transform
+    (`dyadic._line_samples`)."""
 
     def block(k, j):
         return _symbol_samples(fields[k].spectral, sys._reach[j],
@@ -371,8 +365,7 @@ def decompose_product(fields, sys, N=None):
     m = len(fields)
 
     big, lines = _product_lattice(fields)
-    product = _retained_field(grid,
-                              _padded_product(fields, big, lines=lines))
+    product = _retained_field(grid, _padded_product(fields, big, lines))
     zero = Field.zeros(grid)
     levels = range(N, sys.jmax + 1)
     bands = {(k, j): zero for k in range(m) for j in levels}  # k-major
@@ -386,8 +379,8 @@ def decompose_product(fields, sys, N=None):
                                 pi2=pi2, product=product, factors=list(fields))
 
 
-def _split_product(fields, sys, N, stacks, scales, work, big, rest=None,
-                   lines=None):
+def _split_product(fields, sys, N, stacks, scales, work, big, lines,
+                   rest=None):
     """(product, Pi_1) of prod(fields), without the per-band fields; Pi_2 is
     their difference, which a caller forms if it needs it.
 
@@ -395,23 +388,21 @@ def _split_product(fields, sys, N, stacks, scales, work, big, rest=None,
     sum_k Pi_{1,k} agrees with it at rounding level.  stacks and scales
     give the factors' blocks, Delta_j f_k = scales[k][j] stacks[k][j], as
     `_stack_sources` reads them, and work is m + 2 writable complex arrays
-    of the grid's shape.  big and lines are `_product_lattice(fields)`
-    (lines None: no factor on the k_2 = ... = k_n = 0 line), and rest the
-    samples of fields[1:] on big (`_padded_values`), found here when None:
-    a caller that splits the
-    products of f1 and 1000 f1 with the same later factors finds both once,
-    since the two first factors have the same nonzero coefficients.  On an
-    unpadded lattice the band terms read Delta_j f_k and Q_{j-N} f_i from
-    the stacks, so no factor is transformed again; on a padded one each
-    block is transformed as in `decompose_product`.
-    Either way the band samples are summed on the lattice and Pi_1 takes
-    one forward transform.
+    of the grid's shape.  big and lines are `_product_lattice(fields)`, and
+    rest the samples of fields[1:] on big (`_padded_values`), found here
+    when None: a caller that splits the products of f1 and 1000 f1 with
+    the same later factors finds both once, since the two first factors
+    have the same nonzero coefficients.  On an unpadded lattice the band
+    terms read Delta_j f_k and Q_{j-N} f_i from the stacks, so no factor
+    is transformed again; on a padded one each block is transformed as in
+    `decompose_product`.  Either way the band samples are summed on the
+    lattice and Pi_1 takes one forward transform.
     """
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    product = _retained_field(grid, _padded_product(fields, big, rest,
-                                                    lines))
+    product = _retained_field(grid, _padded_product(fields, big, lines,
+                                                    rest))
     acc = np.empty(big, dtype=np.complex128)
     if big == grid.sizes:
         sources = _stack_sources(stacks, scales, work)

@@ -408,8 +408,10 @@ def _step_field(grid, params, samples=True):
     bitwise its build on the whole lattice: its samples along axis 1 are
     band-limited (`_truncate_real`) on a 1-D grid of that axis's size and
     period under the band limit of grid, and its spectrum is one 1-D
-    transform of them on the k_2 = ... = k_n = 0 line.  The field keeps
-    their broadcast as its samples when samples is set (`materialize`).
+    transform of them on the k_2 = ... = k_n = 0 line.  When samples is set
+    (`materialize`) the field keeps them as its samples, on a grid of two
+    or three axes written along the later axes into one new C-contiguous
+    lattice array.
     """
     w = float(params.get("edge_width", 0.25))
     P = grid.period
@@ -426,16 +428,21 @@ def _step_field(grid, params, samples=True):
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     coeffs[(slice(None),) + (0,) * (grid.n - 1)] = np.fft.fft(
         line, norm="forward")
-    lifted = line.reshape((-1,) + (1,) * (grid.n - 1))
-    return Field(grid, coeffs,
-                 np.broadcast_to(lifted, grid.sizes) if samples else None)
+    if not samples:
+        return Field(grid, coeffs)
+    lifted = line
+    if grid.n > 1:
+        lifted = np.empty(grid.sizes, dtype=np.complex128)
+        lifted[...] = line.reshape((-1,) + (1,) * (grid.n - 1))
+    return Field(grid, coeffs, lifted)
 
 
 def _on_line(item, grid):
-    """Whether the field of an audit item lies on the k_2 = ... = k_n = 0
-    line of a grid of two or three axes, read from its recipe: a lacunary
-    sum, a constant, a step, or a wave whose k has no component past the
-    first; a Field or any other recipe is taken as not."""
+    """Whether the field of an embedding audit's item lies on the
+    k_2 = ... = k_n = 0 line of a grid of two or three axes, read from its
+    recipe, so that no spectrum is scanned while a bump's is alive: a
+    lacunary sum, a constant, a step, or a wave whose k has no component
+    past the first; a Field or any other recipe is taken as not."""
     if grid.n == 1 or not isinstance(item, GeneratorSpec):
         return False
     if item.kind == "pure-wave":
@@ -573,7 +580,8 @@ def _item_bands(item, sys, out, scratch):
         raise ValueError(_NO_PLATEAU)
 
 
-def _item_stack(item, sys, cache, new_stack, scratch, out=None):
+def _item_stack(item, sys, cache, new_stack, scratch, out=None,
+                line=False):
     """(field, stack, scales) of an audit item on sys, with Delta_j f =
     scales[j] stack[j] for every item given a stack.  A random-band
     recipe's stack holds the unit samples U_j of its stream (seed, m_max)
@@ -582,8 +590,8 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None):
     exactly-zero band, read as the field is decomposed.  Either way a block
     is zero exactly when its scale is.  A bump is built in stack[0]
     (`_item_field`) before the blocks overwrite it, and a field on the
-    k_2 = ... = k_n = 0 line (`_on_line`) takes one 1-D transform per
-    block.
+    k_2 = ... = k_n = 0 line (line true, as the caller read it from the
+    extents) takes one 1-D transform per block.
 
     Given out, a complex array of the grid's shape, a non-random item is
     not decomposed: its field is built (a bump in out) and its
@@ -608,8 +616,7 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None):
             if field is None:
                 field = _item_field(item, sys, stack[0])
             scales = [1.0 if block.any() else 0.0
-                      for block in _decompose_into(
-                          field, sys, stack, _on_line(item, sys.grid))]
+                      for block in _decompose_into(field, sys, stack, line)]
         elif field is None:
             field = _item_field(item, sys, out)
         cache[key] = field, stack, scales

@@ -555,14 +555,15 @@ def test_audit_multiplication_constant_tuple(setup128):
 def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     import paraflux.audit
     import paraflux.testbank
-    from paraflux.paraproduct import _product_sizes
+    from paraflux.paraproduct import _product_lattice
 
     g, sys = setup128
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
     m = len(params)
     tuples = [tuple_fields(g, sys, params, 3, t) for t in range(2)]
     # tuple 0 carries the step, whose residue pads the lattice
-    padded = [_product_sizes(list(fields)) != g.sizes for fields in tuples]
+    padded = [_product_lattice(list(fields))[0] != g.sizes
+              for fields in tuples]
     assert padded == [True, False]
     calls, made = [], []
     real_norm = paraflux.audit.lq_of_lp
@@ -668,7 +669,7 @@ def test_step_tuple_holds_no_product_or_step_stack(monkeypatch):
     # each, peaked at 49.8 arrays, and the streams at 38.8
     import tracemalloc
 
-    from paraflux.paraproduct import _product_sizes
+    from paraflux.paraproduct import _product_lattice
 
     monkeypatch.delenv("PARAFLUX_THREADS", raising=False)
     g = build_grid(2, 128)
@@ -676,7 +677,7 @@ def test_step_tuple_holds_no_product_or_step_stack(monkeypatch):
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
     tuples = [tuple_specs(g, params, 811, 0)]
     fields = [materialize(spec, sys) for spec in tuples[0]]
-    assert _product_sizes(fields) != g.sizes
+    assert _product_lattice(fields)[0] != g.sizes
     del fields
     tracemalloc.start()
     try:
@@ -1130,7 +1131,7 @@ def _per_set_values(params, q, p, count, build, sys):
     # norms kept for both passes, and the second pass's first-factor blocks
     # taken as 1000 times the first's; per tuple (rhs, total, pi1, pi2) of
     # each pass
-    from paraflux.paraproduct import _product_sizes, _split_product
+    from paraflux.paraproduct import _product_lattice, _split_product
 
     m = len(params)
     s1, p1 = params[0]
@@ -1160,7 +1161,7 @@ def _per_set_values(params, q, p, count, build, sys):
                       for stack in stacks]
             product, pi1 = _split_product(fields, sys, None, stacks,
                                           scales, work,
-                                          _product_sizes(fields))
+                                          *_product_lattice(fields))
             total, part = decompose(product, sys), decompose(pi1, sys)
             passes.append((rhs, lp_of_lq(total, s1, p, q),
                            lp_of_lq(part, s1, p, q),

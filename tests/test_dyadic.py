@@ -366,7 +366,7 @@ def test_multi_axis_transforms_take_confined_passes(n, size, monkeypatch):
     assert sum(p is not None for p, _, _ in _unit_bands(g, 3, sys, 3, None))
     units = len(calls) - truncations - bands
     big = tuple(3 * s // 2 for s in g.sizes)
-    block, low = _transformed_sources([f, f], sys, big)
+    block, low = _transformed_sources([f, f], sys, big, [False, False])
     assert block(0, 2).shape == low(1, 2).shape == big
     padded = len(calls) - truncations - bands - units
     if n == 1:
@@ -534,19 +534,33 @@ def test_line_samples_are_the_confined_transform(n, size, pad, seed,
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_line_bands_and_lows_are_the_lattice_ones(n):
-    # a dense complex line: every block and low-pass of `_bands` and `_lows`
-    # on the line path has the bits of the confined path
+def test_line_bands_and_sources_are_the_lattice_ones(n):
+    # a dense complex line: every block of `_bands`, and every block and
+    # low-pass the product path transforms onto the grid's lattice or a
+    # padded one (`paraproduct._transformed_sources`), has on the line path
+    # the bits of the confined path
+    from paraflux.paraproduct import _transformed_sources
+
     g = build_grid(n, 32)
     sys = build_dyadic_system(g)
     f = Field.from_spectral(g, _line_spectrum(g, 7, 1.0, False))
-    for stream in (_bands, _lows):
-        a, b = (np.empty(g.sizes, dtype=np.complex128) for _ in range(2))
-        for want, got in zip(stream(f, sys, a), stream(f, sys, b, True),
-                             strict=True):
-            assert (want is None) == (got is None)
-            if want is not None:
-                assert got.tobytes() == want.tobytes()
+    a, b = (np.empty(g.sizes, dtype=np.complex128) for _ in range(2))
+    for want, got in zip(_bands(f, sys, a), _bands(f, sys, b, True),
+                         strict=True):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+    for big in (g.sizes, (48,) + g.sizes[1:]):
+        confined = _transformed_sources([f], sys, big, [False])
+        line = _transformed_sources([f], sys, big, [True])
+        for j in range(sys.jmax + 1):
+            for want, got in zip(*(
+                    (block(0, j), low(0, j)) for block, low in (confined,
+                                                                line))):
+                assert (want is None) == (got is None)
+                if want is not None:
+                    assert got.shape == big
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_line_items_transform_only_along_axis_one(monkeypatch):

@@ -515,16 +515,24 @@ def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
     # the in-place truncation gives the bits of the copying one, residue
     # beyond the band limit included; the samples are handed over in a
     # complex array with a zero imaginary part, which becomes the field's:
-    # a bump's on the lattice, and a step's along axis 1 on a 1-D grid, the
-    # field's samples being their broadcast along the later axes
+    # a bump's on the lattice, and a step's along axis 1 on a 1-D grid,
+    # written along the later axes into the one array the field keeps
     import paraflux.testbank
 
     g = build_grid(n, size)
-    seen, fields = [], []
+    seen, fields, handed = [], [], []
     real = paraflux.testbank._truncate_real
     monkeypatch.setattr(paraflux.testbank, "_truncate_real",
                         lambda grid, a, cap: seen.append((a, np.array(a)))
                         or real(grid, a, cap))
+
+    class HandedField(Field):
+        # the samples array testbank hands to each field it makes
+        def __init__(self, grid, spectral, physical=None):
+            handed.append(physical)
+            super().__init__(grid, spectral, physical)
+
+    monkeypatch.setattr(paraflux.testbank, "Field", HandedField)
     for width in (0.4, 0.8):
         want = _copying_truncation(g, _meshgrid_bump_samples(
             g, (g.period / 2.0,) * n, width))
@@ -542,13 +550,15 @@ def test_bump_and_step_are_the_copying_truncation(n, size, monkeypatch):
         assert got.spectral.tobytes() == want.spectral.tobytes()
         assert got.physical.tobytes() == want.physical.tobytes()
         fields.append(got)
-    assert len(seen) == len(fields)
-    for i, ((a, before), f) in enumerate(zip(seen, fields)):
+    assert len(seen) == len(fields) == len(handed)
+    for i, ((a, before), f, h) in enumerate(zip(seen, fields, handed)):
         assert before.imag.tobytes() == bytes(before.imag.nbytes)
-        if i < 2:  # the bumps
+        assert f.physical is h
+        if i < 2 or n == 1:  # the bumps, and a step on a 1-D grid
             assert f.physical is a
         else:
-            assert f.physical.tobytes() == np.broadcast_to(
+            assert h.shape == g.sizes and h.flags.c_contiguous
+            assert h.tobytes() == np.broadcast_to(
                 a.reshape((-1,) + (1,) * (n - 1)), g.sizes).tobytes()
 
 
