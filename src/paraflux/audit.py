@@ -499,7 +499,10 @@ def check_qj_lt(f, s, p, t, sys, label=""):
 
 def _qsup(f, sys):
     """sup_j |Q_j f|, a running maximum over the levels read through one
-    grid-sized array (`dyadic._lows`): bitwise the maximum of the stack."""
+    grid-sized array (`dyadic._lows`): bitwise the maximum of
+    |q_j(f, j, sys).physical| over j, since a magnitude does not read the
+    sign of an exactly-zero sample, the one bit in which the line path's
+    samples can differ (`dyadic._line_samples`)."""
     lows = _lows(f, sys, np.empty_like(f.spectral))
     top = np.abs(next(lows))
     mags = np.empty_like(top)
@@ -816,12 +819,12 @@ def _multiplication_sweep(sets, sys):
             handed += 1
             return buf["items"][handed - 1]
 
-        def factor(item, stacked, line=False):
+        def factor(item, stacked):
             # f_work and work are free until a tuple's norms and split run,
             # so an unstacked bump is built in work[0]
             return _item_stack(item, sys, cache, new_stack,
                                buf["f_work"][0],
-                               None if stacked else buf["work"][0], line)
+                               None if stacked else buf["work"][0])
 
         return [_tuple_records(mset, t, factor, buf, sys)
                 if t < len(mset.tuples) else [] for mset in sets]
@@ -844,15 +847,13 @@ def _tuple_records(mset, t, factor, buf, sys):
     """The four records of tuple t of the `_MultSet` mset, made in the
     worker buffers buf of `_multiplication_sweep`.
 
-    factor(item, stacked, line) gives (field, stack, scales) of an item of
-    the tuple (`testbank._item_stack`), with Delta_j f_i = scales[j]
-    stack[j]; a non-random item has a stack only if stacked, or if another
-    set's tuple t stacked it before, and its blocks are streamed by
+    factor(item, stacked) gives (field, stack, scales) of an item of the
+    tuple (`testbank._item_stack`), with Delta_j f_i = scales[j] stack[j];
+    a non-random item has a stack only if stacked, or if another set's
+    tuple t stacked it before, and its blocks are streamed by
     `dyadic._bands` otherwise.  The fields come first, for the product
-    lattice and the factors on the k_2 = ... = k_n = 0 line, which take one
-    1-D transform per block, stacked or streamed
-    (`paraproduct._product_lattice`); only an unpadded lattice stacks
-    them.
+    lattice (`paraproduct._product_lattice`); only an unpadded lattice
+    stacks them.
 
     The tuple runs twice, with f1 and with 1000 f1, and both passes read
     one set of facts about the factors: the B-norms of f2..fm, the product
@@ -879,11 +880,11 @@ def _tuple_records(mset, t, factor, buf, sys):
     m = len(params)
     f_spec, f1_spec = _f_spec(mset, p), _f_spec(mset, params[0][1])
     facts = [factor(item, False) for item in tuples[t]]
-    big, lines = _product_lattice([fact[0] for fact in facts])
+    big = _product_lattice([fact[0] for fact in facts])
     stacked = big == sys.grid.sizes
     fields, stacks, scales = (list(part) for part in zip(*(
-        factor(item, True, line) if stacked and fact[1] is None else fact
-        for item, fact, line in zip(tuples[t], facts, lines))))
+        factor(item, True) if stacked and fact[1] is None else fact
+        for item, fact in zip(tuples[t], facts))))
     work = buf["work"][:m + 2]
 
     def blocks(i, scale=1.0):
@@ -891,7 +892,7 @@ def _tuple_records(mset, t, factor, buf, sys):
         if stacks[i] is None:
             return (b if b is None or scale == 1.0
                     else np.multiply(b, scale, out=b)
-                    for b in _bands(fields[i], sys, work[0], lines[i]))
+                    for b in _bands(fields[i], sys, work[0]))
         return (np.multiply(u, scale * c, out=work[0])
                 for u, c in zip(stacks[i], scales[i]))
 
@@ -899,8 +900,8 @@ def _tuple_records(mset, t, factor, buf, sys):
                for i, (s, pi) in enumerate(params[1:], 1)]
     rest = None  # transformed in each pass
     if stacked:
-        rest = [_padded_values(f.spectral, big, out, line)
-                for f, out, line in zip(fields[1:], buf["rest"], lines[1:])]
+        rest = [_padded_values(f.spectral, big, out)
+                for f, out in zip(fields[1:], buf["rest"])]
 
     def ratios(first, scale):
         rhs = _band_norms(blocks(0, scale), [f1_spec], sys.jmax + 1,
@@ -911,7 +912,7 @@ def _tuple_records(mset, t, factor, buf, sys):
         if stacked:
             split_scales[0] = [scale * c for c in scales[0]]
         product, pi1 = _split_product([first] + fields[1:], sys, N, stacks,
-                                      split_scales, work, big, lines, rest)
+                                      split_scales, work, big, rest)
         # the accumulators of P, Pi_1 and Pi_2
         sides = [_NormAccumulator([f_spec], sys.jmax + 1, rows)
                  for rows in _lockstep_rows(buf["f_work"], [f_spec], 3)]

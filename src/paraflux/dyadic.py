@@ -27,8 +27,9 @@ bitwise as numpy does, with each pass run only on the lines whose indices
 on the axes not yet transformed lie in the box.
 
 A spectrum on the k_2 = ... = k_n = 0 line, a field that varies along x_1
-only, takes one 1-D transform instead (`_line_samples`); its caller knows
-it from the field's recipe or extents, and no spectrum is scanned for it.
+only, takes one 1-D transform instead (`_line_samples`).  Whether a
+spectrum lies on that line is read from the spectrum itself, once per
+field by each routine that makes its samples (`_on_line`).
 """
 
 from __future__ import annotations
@@ -263,16 +264,44 @@ def _line_samples(spec, bounds, values, out):
     return True
 
 
-def _symbol_samples(spec, bounds, values, out, line):
-    """out holding the samples of spec times the symbol with box values
-    `values` (`_windowed`), or None where that product is zero, out then
-    holding zeros: a line spectrum (line true) takes one 1-D transform
-    (`_line_samples`), any other the confined passes (`_confined_ifftn`)."""
-    if line:
-        return out if _line_samples(spec, bounds, values, out) else None
-    if not _windowed(spec, bounds, values, out):
-        return None
-    return _confined_ifftn(out, bounds)
+def _on_line(spec):
+    """Whether spec, a spectrum of two or three axes with a nonzero
+    coefficient, has all of them on its k_2 = ... = k_n = 0 line: the
+    spectrum of a field that varies along x_1 only.  A zero spectrum and a
+    1-D one are not on it.  The nonzero coefficients are counted in place,
+    with no lattice-sized temporary."""
+    if spec.ndim == 1:
+        return False
+    line = np.count_nonzero(spec[(slice(None),) + (0,) * (spec.ndim - 1)])
+    return line > 0 and np.count_nonzero(spec) == line
+
+
+def _samplers(spec):
+    """(block, low) for spec, each called as (bounds, values, out) to write
+    into out the samples of spec times the symbol with box values `values`:
+    block returns None for a zero product, out then holding zeros, and low
+    returns out, a zero product included.  Whether spec lies on the
+    k_2 = ... = k_n = 0 line is read here, once (`_on_line`).  A line
+    spectrum's samples are written whole by one 1-D transform
+    (`_line_samples`); any other is windowed (`_windowed`) and then takes
+    the confined passes (`_confined_ifftn`), which low runs on a zero
+    product too.
+    """
+    if _on_line(spec):
+        write, transform = _line_samples, lambda out, bounds: out
+    else:
+        write, transform = _windowed, _confined_ifftn
+
+    def block(bounds, values, out):
+        if not write(spec, bounds, values, out):
+            return None
+        return transform(out, bounds)
+
+    def low(bounds, values, out):
+        write(spec, bounds, values, out)
+        return transform(out, bounds)
+
+    return block, low
 
 
 def _check_band(sys, f, j):
@@ -311,53 +340,45 @@ def decompose(f, sys):
     holds the samples of Delta_j f; summing over the first axis gives back
     the samples of a field band-limited to the partition region.  A block
     whose windowed spectrum has no nonzero coefficient is not transformed:
-    its samples are exactly zero.
+    its samples are exactly zero.  Slice j is `delta_j(f, j, sys).physical`
+    bit for bit, but for the sign of an exactly-zero sample of a field on
+    the k_2 = ... = k_n = 0 line (`_line_samples`), which no norm reads.
     """
     return _freeze(_decompose_into(f, sys, np.empty(
         (sys.jmax + 1,) + sys.grid.sizes, dtype=np.complex128)))
 
 
-def _decompose_into(f, sys, out, line=False):
+def _decompose_into(f, sys, out):
     """`decompose` written into out, a writable complex array of the stack's
-    shape, which it returns; line as for `_bands`."""
-    for _ in _bands(f, sys, out, line):
+    shape, which it returns."""
+    for _ in _bands(f, sys, out):
         pass
     return out
 
 
-def _bands(f, sys, out, line=False):
+def _bands(f, sys, out):
     """The slices of `decompose(f, sys)` band by band, lowest first, each
     written into out, a complex array of the grid's shape, and yielded to
     be read before the next; an all-zero block is yielded as None,
     untransformed, with out holding its zeros.  Given a stack for out,
-    block j goes to out[j].  line says that the spectrum of f lies on the
-    k_2 = ... = k_n = 0 line, whose blocks take one 1-D transform each
-    (`_symbol_samples`)."""
+    block j goes to out[j].  The spectrum of f is scanned once, before the
+    first block is written (`_samplers`)."""
     _check_band(sys, f, 0)
+    block, _ = _samplers(f.spectral)
     for j, (bounds, window) in enumerate(zip(sys._reach, sys._windows)):
-        values = out[j] if out.ndim > f.grid.n else out
-        yield _symbol_samples(f.spectral, bounds, window, values, line)
+        yield block(bounds, window, out[j] if out.ndim > f.grid.n else out)
 
 
 def _lows(f, sys, out):
     """The samples of Q_j f level by level, lowest first, each written
     into out, a complex array of the grid's shape, and yielded to be read
-    before the next: bitwise `q_j(f, j, sys).physical`."""
+    before the next: `q_j(f, j, sys).physical` bit for bit, but for the
+    sign of an exactly-zero sample of a field on the k_2 = ... = k_n = 0
+    line (`_samplers`), which no norm reads."""
     _check_band(sys, f, 0)
+    _, low = _samplers(f.spectral)
     for j, bounds in enumerate(sys._reach):
-        _windowed(f.spectral, bounds, sys._low(j), out)
-        yield _confined_ifftn(out, bounds)
-
-
-def _low_samples(spec, bounds, values, out, line):
-    """out holding the samples of spec times the low-pass symbol with box
-    values `values`, as `_symbol_samples` writes them, a zero product
-    included: off a line it is transformed as any other."""
-    if line:
-        _line_samples(spec, bounds, values, out)
-        return out
-    _windowed(spec, bounds, values, out)
-    return _confined_ifftn(out, bounds)
+        yield low(bounds, sys._low(j), out)
 
 
 def _axis_bounds(grid, radius, closed):

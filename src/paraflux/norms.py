@@ -399,7 +399,10 @@ def space_norms(f, specs, sys):
     Returns one value per spec, in order, bitwise `lq_of_lp` (B) or
     `lp_of_lq` (F) of `decompose(f, sys)`.  The blocks are made one at a
     time in one grid-sized array (`dyadic._bands`), and a band with no
-    content is neither transformed nor measured (`_band_norms`).
+    content is neither transformed nor measured (`_band_norms`).  The
+    blocks of a field on the k_2 = ... = k_n = 0 line are those of
+    `delta_j(f, j, sys).physical` but for the sign of an exactly-zero
+    sample (`dyadic._line_samples`), which no norm reads.
     """
     band = np.empty(sys.grid.sizes, dtype=np.complex128)
     return _band_norms(_bands(f, sys, band), specs, sys.jmax + 1)

@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fldio
-from .dyadic import _line_samples, _low_samples, _symbol_samples
+from .dyadic import _line_samples, _on_line, _samplers
 from .grid import Field
 
 __all__ = [
@@ -103,10 +103,8 @@ def _extents(coeffs):
 
 
 def _product_lattice(fields):
-    """(sizes, lines): the points per axis on which the product of
-    `fields` is exact, and per factor whether its spectrum lies on the
-    k_2 = ... = k_n = 0 line of a grid of two or three axes
-    (`dyadic._line_samples`), both read from the extents.
+    """The points per axis on which the product of `fields` is exact, read
+    from the extents of their spectra.
 
     An axis keeps its S points when the summed extents of the factors stay
     in [-S/2, S/2 - 1] and is padded to (m+1)S/2 otherwise; see the module
@@ -114,17 +112,15 @@ def _product_lattice(fields):
     """
     sizes = fields[0].grid.sizes
     extents = [_extents(f.spectral) for f in fields]
-    lines = [e is not None and len(e) > 1
-             and all(ends == (0, 0) for ends in e[1:]) for e in extents]
     if None in extents:
-        return sizes, lines
+        return sizes
     padded = _padded_sizes(sizes, len(fields))
     out = []
     for a, s in enumerate(sizes):
         lo = sum(e[a][0] for e in extents)
         hi = sum(e[a][1] for e in extents)
         out.append(s if -(s // 2) <= lo and hi <= s // 2 - 1 else padded[a])
-    return tuple(out), lines
+    return tuple(out)
 
 
 def _corners(small, big):
@@ -166,13 +162,15 @@ def _common_grid(fields):
     return grid
 
 
-def _padded_values(coeffs, big_sizes, out=None, line=False):
+def _padded_values(coeffs, big_sizes, out=None):
     """Physical samples on the padded lattice of the coefficient block, in
     out (an array of shape big_sizes) or a fresh array.  On the block's own
     lattice the block is transformed straight into it, with no zero fill
-    and no corner copies.  A block on the k_2 = ... = k_n = 0 line (line
-    true) takes one 1-D transform (`dyadic._line_samples`)."""
-    if line:
+    and no corner copies.  A block on the k_2 = ... = k_n = 0 line
+    (`dyadic._on_line`, read here) takes one 1-D transform
+    (`dyadic._line_samples`); its samples are those of the whole transform
+    but for the sign of an exactly-zero one."""
+    if _on_line(coeffs):
         if out is None:
             out = np.empty(big_sizes, dtype=np.complex128)
         _line_samples(coeffs, None, None, out)
@@ -199,15 +197,13 @@ def _retained_field(grid, values):
     return Field.from_spectral(grid, coeffs)
 
 
-def _padded_product(fields, big_sizes, lines, rest=None):
+def _padded_product(fields, big_sizes, rest=None):
     """Samples of prod(fields) on the lattice of big_sizes points per axis:
-    those of fields[0] times those of each later factor in turn, which rest
-    holds when given; lines says which factors lie on the k_2 = ... = k_n
-    = 0 line (`_product_lattice`)."""
-    prod = _padded_values(fields[0].spectral, big_sizes, None, lines[0])
+    those of fields[0] times those of each later factor in turn
+    (`_padded_values`), which rest holds when given."""
+    prod = _padded_values(fields[0].spectral, big_sizes)
     if rest is None:
-        rest = (_padded_values(f.spectral, big_sizes, None, line)
-                for f, line in zip(fields[1:], lines[1:]))
+        rest = (_padded_values(f.spectral, big_sizes) for f in fields[1:])
     for values in rest:
         prod *= values
     return prod
@@ -230,7 +226,7 @@ def dealiased_product(fields):
     if len(fields) == 1:
         return fields[0]
     return _retained_field(grid,
-                           _padded_product(fields, *_product_lattice(fields)))
+                           _padded_product(fields, _product_lattice(fields)))
 
 
 @dataclass
@@ -304,23 +300,23 @@ def _band_products(m, N, jmax, block, low):
             yield k, j, values
 
 
-def _transformed_sources(fields, sys, big, lines):
+def _transformed_sources(fields, sys, big):
     """block and low for `_band_products` that transform each windowed or
     low-passed spectrum of the factors onto the lattice of `big` points per
     axis: the symbol's box goes to the lattice's corners
     (`dyadic._windowed`), and only the lines through it are transformed
     (`dyadic._confined_ifftn`); a factor on the k_2 = ... = k_n = 0 line
-    (lines, from `_product_lattice`) takes one 1-D transform
-    (`dyadic._line_samples`)."""
+    takes one 1-D transform (`dyadic._line_samples`).  Each factor's
+    spectrum is scanned for that line once per call (`dyadic._samplers`)."""
+    blocks, lows = zip(*(_samplers(f.spectral) for f in fields))
 
     def block(k, j):
-        return _symbol_samples(fields[k].spectral, sys._reach[j],
-                               sys._windows[j],
-                               np.empty(big, dtype=np.complex128), lines[k])
+        return blocks[k](sys._reach[j], sys._windows[j],
+                         np.empty(big, dtype=np.complex128))
 
     def low(i, l):
-        return _low_samples(fields[i].spectral, sys._reach[l], sys._low(l),
-                            np.empty(big, dtype=np.complex128), lines[i])
+        return lows[i](sys._reach[l], sys._low(l),
+                       np.empty(big, dtype=np.complex128))
 
     return block, low
 
@@ -364,13 +360,13 @@ def decompose_product(fields, sys, N=None):
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    big, lines = _product_lattice(fields)
-    product = _retained_field(grid, _padded_product(fields, big, lines))
+    big = _product_lattice(fields)
+    product = _retained_field(grid, _padded_product(fields, big))
     zero = Field.zeros(grid)
     levels = range(N, sys.jmax + 1)
     bands = {(k, j): zero for k in range(m) for j in levels}  # k-major
     for k, j, values in _band_products(
-            m, N, sys.jmax, *_transformed_sources(fields, sys, big, lines)):
+            m, N, sys.jmax, *_transformed_sources(fields, sys, big)):
         bands[(k, j)] = _retained_field(grid, values)
     pi1 = [sum((bands[(k, j)] for j in levels), zero) for k in range(m)]
 
@@ -379,8 +375,7 @@ def decompose_product(fields, sys, N=None):
                                 pi2=pi2, product=product, factors=list(fields))
 
 
-def _split_product(fields, sys, N, stacks, scales, work, big, lines,
-                   rest=None):
+def _split_product(fields, sys, N, stacks, scales, work, big, rest=None):
     """(product, Pi_1) of prod(fields), without the per-band fields; Pi_2 is
     their difference, which a caller forms if it needs it.
 
@@ -388,11 +383,11 @@ def _split_product(fields, sys, N, stacks, scales, work, big, lines,
     sum_k Pi_{1,k} agrees with it at rounding level.  stacks and scales
     give the factors' blocks, Delta_j f_k = scales[k][j] stacks[k][j], as
     `_stack_sources` reads them, and work is m + 2 writable complex arrays
-    of the grid's shape.  big and lines are `_product_lattice(fields)`, and
-    rest the samples of fields[1:] on big (`_padded_values`), found here
-    when None: a caller that splits the products of f1 and 1000 f1 with
-    the same later factors finds both once, since the two first factors
-    have the same nonzero coefficients.  On an unpadded lattice the band
+    of the grid's shape.  big is `_product_lattice(fields)`, and rest the
+    samples of fields[1:] on big (`_padded_values`), found here when None:
+    a caller that splits the products of f1 and 1000 f1 with the same
+    later factors finds both once, since the two first factors have the
+    same nonzero coefficients.  On an unpadded lattice the band
     terms read Delta_j f_k and Q_{j-N} f_i from the stacks, so no factor
     is transformed again; on a padded one each block is transformed as in
     `decompose_product`.  Either way the band samples are summed on the
@@ -401,13 +396,12 @@ def _split_product(fields, sys, N, stacks, scales, work, big, lines,
     grid, N = _checked_split(fields, sys, N)
     m = len(fields)
 
-    product = _retained_field(grid, _padded_product(fields, big, lines,
-                                                    rest))
+    product = _retained_field(grid, _padded_product(fields, big, rest))
     acc = np.empty(big, dtype=np.complex128)
     if big == grid.sizes:
         sources = _stack_sources(stacks, scales, work)
     else:
-        sources = _transformed_sources(fields, sys, big, lines)
+        sources = _transformed_sources(fields, sys, big)
     terms = 0
     for _, _, values in _band_products(m, N, sys.jmax, *sources):
         if terms:
@@ -454,8 +448,7 @@ def pi2_direct_terms(fields, sys, N=None):
 
     # the tuples run in lexicographic order, so block (0, k0) is read only
     # while k0 is the outer index: factor 0's blocks are made one at a time
-    block, _ = _transformed_sources(fields, sys,
-                                    *_product_lattice(fields))
+    block, _ = _transformed_sources(fields, sys, _product_lattice(fields))
     levels = range(sys.jmax + 1)
     others = [[block(i, k) for k in levels] for i in range(1, m)]
 

@@ -437,20 +437,6 @@ def _step_field(grid, params, samples=True):
     return Field(grid, coeffs, lifted)
 
 
-def _on_line(item, grid):
-    """Whether the field of an embedding audit's item lies on the
-    k_2 = ... = k_n = 0 line of a grid of two or three axes, read from its
-    recipe, so that no spectrum is scanned while a bump's is alive: a
-    lacunary sum, a constant, a step, or a wave whose k has no component
-    past the first; a Field or any other recipe is taken as not."""
-    if grid.n == 1 or not isinstance(item, GeneratorSpec):
-        return False
-    if item.kind == "pure-wave":
-        k = item.params["k"]
-        return np.isscalar(k) or not any(k[1:])
-    return item.kind in ("lacunary", "constant", "smoothed-step")
-
-
 def pure_wave(grid, kvec):
     """exp(i k.x) for an integer wavenumber vector."""
     if np.isscalar(kvec):
@@ -558,10 +544,9 @@ def _item_bands(item, sys, out, scratch):
     into scratch, a real array of the grid's shape; any other item's
     windowed from its field (`_item_field`), a bump built in out before
     its bands overwrite it, and a field on the k_2 = ... = k_n = 0 line
-    (`_on_line`) taking one 1-D transform per band."""
+    transformed in 1-D, as `dyadic._bands` finds it from the spectrum."""
     if not isinstance(item, GeneratorSpec) or item.kind != "random-band":
-        yield from _bands(_item_field(item, sys, out), sys, out,
-                          _on_line(item, sys.grid))
+        yield from _bands(_item_field(item, sys, out), sys, out)
         return
     grid = _spec_grid(item, sys)
     params = item.params
@@ -580,8 +565,7 @@ def _item_bands(item, sys, out, scratch):
         raise ValueError(_NO_PLATEAU)
 
 
-def _item_stack(item, sys, cache, new_stack, scratch, out=None,
-                line=False):
+def _item_stack(item, sys, cache, new_stack, scratch, out=None):
     """(field, stack, scales) of an audit item on sys, with Delta_j f =
     scales[j] stack[j] for every item given a stack.  A random-band
     recipe's stack holds the unit samples U_j of its stream (seed, m_max)
@@ -589,9 +573,7 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None,
     stack, and its scales are 1.0 on a band with content and 0.0 on an
     exactly-zero band, read as the field is decomposed.  Either way a block
     is zero exactly when its scale is.  A bump is built in stack[0]
-    (`_item_field`) before the blocks overwrite it, and a field on the
-    k_2 = ... = k_n = 0 line (line true, as the caller read it from the
-    extents) takes one 1-D transform per block.
+    (`_item_field`) before the blocks overwrite it (`dyadic._bands`).
 
     Given out, a complex array of the grid's shape, a non-random item is
     not decomposed: its field is built (a bump in out) and its
@@ -616,7 +598,7 @@ def _item_stack(item, sys, cache, new_stack, scratch, out=None,
             if field is None:
                 field = _item_field(item, sys, stack[0])
             scales = [1.0 if block.any() else 0.0
-                      for block in _decompose_into(field, sys, stack, line)]
+                      for block in _decompose_into(field, sys, stack)]
         elif field is None:
             field = _item_field(item, sys, out)
         cache[key] = field, stack, scales

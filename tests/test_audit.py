@@ -562,7 +562,7 @@ def test_scaling_check_reuses_besov_norms(setup128, monkeypatch):
     m = len(params)
     tuples = [tuple_fields(g, sys, params, 3, t) for t in range(2)]
     # tuple 0 carries the step, whose residue pads the lattice
-    padded = [_product_lattice(list(fields))[0] != g.sizes
+    padded = [_product_lattice(list(fields)) != g.sizes
               for fields in tuples]
     assert padded == [True, False]
     calls, made = [], []
@@ -677,7 +677,7 @@ def test_step_tuple_holds_no_product_or_step_stack(monkeypatch):
     params = [(0.4, 2.0), (0.9, 3.0), (1.1, 3.0)]
     tuples = [tuple_specs(g, params, 811, 0)]
     fields = [materialize(spec, sys) for spec in tuples[0]]
-    assert _product_lattice(fields)[0] != g.sizes
+    assert _product_lattice(fields) != g.sizes
     del fields
     tracemalloc.start()
     try:
@@ -1161,7 +1161,7 @@ def _per_set_values(params, q, p, count, build, sys):
                       for stack in stacks]
             product, pi1 = _split_product(fields, sys, None, stacks,
                                           scales, work,
-                                          *_product_lattice(fields))
+                                          _product_lattice(fields))
             total, part = decompose(product, sys), decompose(pi1, sys)
             passes.append((rhs, lp_of_lq(total, s1, p, q),
                            lp_of_lq(part, s1, p, q),

@@ -366,7 +366,7 @@ def test_multi_axis_transforms_take_confined_passes(n, size, monkeypatch):
     assert sum(p is not None for p, _, _ in _unit_bands(g, 3, sys, 3, None))
     units = len(calls) - truncations - bands
     big = tuple(3 * s // 2 for s in g.sizes)
-    block, low = _transformed_sources([f, f], sys, big, [False, False])
+    block, low = _transformed_sources([f, f], sys, big)
     assert block(0, 2).shape == low(1, 2).shape == big
     padded = len(calls) - truncations - bands - units
     if n == 1:
@@ -477,6 +477,58 @@ def test_lows_are_the_low_pass_samples(n, size):
     assert len(kinds) == 6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size", [16, 32, 64, 128])
+def test_line_rule_reads_the_recipes_off_the_spectrum(n, size):
+    # the one line rule, read from a spectrum, holds exactly for the
+    # non-random bank kinds that vary along x_1 only (lacunary sums, the
+    # steps, the constant) and for waves whose k has no component past the
+    # first, and never on a 1-D grid; a zero field is off the line, and so
+    # is a line field with one off-line coefficient, however small
+    import itertools
+
+    from paraflux.dyadic import _on_line
+
+    g = build_grid(n, size)
+    sys = build_dyadic_system(g)
+    kinds = set()
+    for name, spec in bank_specs(g):
+        if spec.kind == "random-band":
+            continue
+        kinds.add(spec.kind)
+        want = n > 1 and spec.kind in ("lacunary", "constant",
+                                       "smoothed-step", "pure-wave")
+        assert _on_line(materialize(spec, sys).spectral) == want, name
+    assert kinds == {"lacunary", "gaussian-bump", "smoothed-step",
+                     "pure-wave", "constant"}
+    for k in itertools.product((-3, 0, 2), repeat=n):
+        wave = pure_wave(g, list(k)).spectral
+        assert _on_line(wave) == (n > 1 and not any(k[1:])), k
+    assert not _on_line(Field.zeros(g).spectral)
+    if n > 1:
+        spec = materialize(spec_for("constant", g), sys).spectral.copy()
+        spec[(0,) * (n - 1) + (1,)] = 5e-324
+        assert not _on_line(spec)
+
+
+def test_line_rule_allocates_no_lattice():
+    # on a 3-D 64^3 bump the rule counts in place: its traced peak stays
+    # under 1 KiB, where one boolean lattice would take 256 KiB
+    import tracemalloc
+
+    from paraflux.dyadic import _on_line
+
+    g = build_grid(3, 64)
+    spec = materialize(spec_for("gaussian-bump", g, width=0.4)).spectral
+    tracemalloc.start()
+    try:
+        assert not _on_line(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
 def _line_spectrum(grid, seed, density, real):
     # a spectrum on the k_2 = ... = k_n = 0 line, with a share density of
     # its coefficients nonzero, real or complex
@@ -523,36 +575,44 @@ def test_line_samples_are_the_confined_transform(n, size, pad, seed,
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
             if want.view(np.float64).all():
                 assert got.tobytes() == want.tobytes()
-    # unwindowed, as `paraproduct._padded_values` transforms a factor
-    from paraflux.paraproduct import _padded_values
+    # unwindowed, as `paraproduct._padded_values` transforms a factor, off
+    # the line by embedding it and running `np.fft.ifftn`
+    from paraflux.paraproduct import _embed, _padded_values
 
-    want = _padded_values(spec, big)
-    got = _padded_values(spec, big, None, True)
+    want = np.fft.ifftn(_embed(spec, big), norm="forward")
+    got = _padded_values(spec, big)
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
     if want.view(np.float64).all():
         assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_line_bands_and_sources_are_the_lattice_ones(n):
+def test_line_bands_and_sources_are_the_lattice_ones(n, monkeypatch):
     # a dense complex line: every block of `_bands`, and every block and
     # low-pass the product path transforms onto the grid's lattice or a
     # padded one (`paraproduct._transformed_sources`), has on the line path
-    # the bits of the confined path
+    # the bits of the confined path, which the spectrum takes when the line
+    # rule is switched off
+    import paraflux.dyadic as dyadic
     from paraflux.paraproduct import _transformed_sources
 
     g = build_grid(n, 32)
     sys = build_dyadic_system(g)
     f = Field.from_spectral(g, _line_spectrum(g, 7, 1.0, False))
+    assert dyadic._on_line(f.spectral)
     a, b = (np.empty(g.sizes, dtype=np.complex128) for _ in range(2))
-    for want, got in zip(_bands(f, sys, a), _bands(f, sys, b, True),
-                         strict=True):
+    bigs = (g.sizes, (48,) + g.sizes[1:])
+    with monkeypatch.context() as off:
+        off.setattr(dyadic, "_on_line", lambda spec: False)
+        wanted = [None if want is None else want.copy()
+                  for want in _bands(f, sys, a)]
+        sources = [_transformed_sources([f], sys, big) for big in bigs]
+    for want, got in zip(wanted, _bands(f, sys, b), strict=True):
         assert (want is None) == (got is None)
         if want is not None:
             assert got.tobytes() == want.tobytes()
-    for big in (g.sizes, (48,) + g.sizes[1:]):
-        confined = _transformed_sources([f], sys, big, [False])
-        line = _transformed_sources([f], sys, big, [True])
+    for big, confined in zip(bigs, sources):
+        line = _transformed_sources([f], sys, big)
         for j in range(sys.jmax + 1):
             for want, got in zip(*(
                     (block(0, j), low(0, j)) for block, low in (confined,
@@ -591,3 +651,34 @@ def test_line_items_transform_only_along_axis_one(monkeypatch):
         elif spec.kind == "gaussian-bump":
             assert any(len(shape) == 3 for shape in calls), name
     assert len(kinds) == 8
+
+
+@pytest.mark.parametrize("only", ["maximal", "delta_lt"])
+def test_lemma_line_rows_transform_only_along_axis_one(only, monkeypatch):
+    # the lemma suite reads a Field, not a recipe: its line entries (the
+    # lacunary sum and the step) make length-S transforms along axis 0 and
+    # nothing else, while a random-band entry takes the passes over the
+    # lattice
+    import paraflux.audit as audit
+
+    g = build_grid(3, 32)
+    sys = build_dyadic_system(g)
+    calls = []
+    for name in ("fft", "fftn", "ifft", "ifftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, real=real, **kw:
+                            calls.append(np.shape(a)) or real(a, *args, **kw))
+    real_materialize = audit.materialize
+    monkeypatch.setattr(audit, "materialize", lambda spec, *a: calls.append(
+        spec.kind) or real_materialize(spec, *a))
+    audit.lemma_suite(g, sys, only=only)
+    entries = [i for i, c in enumerate(calls) if isinstance(c, str)]
+    shapes = {}
+    for lo, hi in zip(entries, entries[1:] + [len(calls)]):
+        shapes.setdefault(calls[lo], set()).update(calls[lo + 1:hi])
+    lines = {"lacunary", "smoothed-step"} if only == "maximal" \
+        else {"lacunary"}
+    assert set(shapes) == lines | {"random-band"}
+    assert any(len(shape) == 3 for shape in shapes["random-band"])
+    for kind in lines:
+        assert shapes[kind] == {(32,)}, kind

@@ -135,7 +135,7 @@ def test_bank_tuples_need_no_padding_off_the_step_axis(n, size, m):
     params = [(1.0, 2.0), (0.5, 2.0), (0.8, 2.0)][:m]
     for t in range(3):
         fields = tuple_fields(g, sys, params, 40 + m, t)
-        sizes = _product_lattice(list(fields))[0]
+        sizes = _product_lattice(list(fields))
         skip = 1 if t == 0 else 0  # the step may pad axis 0
         assert sizes[skip:] == g.sizes[skip:]
         want = _direct_convolution([_coeff_dict(f) for f in fields])
@@ -166,7 +166,7 @@ def test_lattice_pads_only_the_axis_that_can_wrap(extra, padded):
     rng = np.random.default_rng(7)
     fa = _box_field(g, rng, (-4, -2), (4, 2))
     fb = _box_field(g, rng, (-4, -3), (3, 3), extra)
-    assert _product_lattice([fa, fb])[0] == padded
+    assert _product_lattice([fa, fb]) == padded
     want = _direct_convolution([_coeff_dict(fa), _coeff_dict(fb)])
     scale = max(abs(v) for v in want.values())
     prod = dealiased_product([fa, fb])
@@ -213,17 +213,17 @@ def test_scaled_first_factor_keeps_the_product_lattice():
     for t in range(2):
         fields = tuple_fields(g, sys, params, 5, t)
         fields = list(fields)
-        sizes = _product_lattice(fields)[0]
+        sizes = _product_lattice(fields)
         assert (sizes == g.sizes) == (t == 1)
         scaled = [1000.0 * fields[0]] + fields[1:]
-        assert _product_lattice(scaled)[0] == sizes
+        assert _product_lattice(scaled) == sizes
 
 
 def test_zero_factor_gives_zero_product(setup128):
     g, sys = setup128
     fields = list(tuple_fields(g, sys, [(1.0, 2.0), (0.5, 2.0)], 17, 0))
     zero = Field.zeros(g)
-    assert _product_lattice([fields[0], zero])[0] == g.sizes
+    assert _product_lattice([fields[0], zero]) == g.sizes
     assert not np.any(dealiased_product([fields[0], zero]).spectral)
     pd = decompose_product([zero, fields[1]], sys)
     for part in [pd.product, pd.pi2] + pd.pi1:
@@ -255,16 +255,20 @@ def test_line_factors_split_as_the_confined_path(n, size, monkeypatch):
     tuples = [[cosine, low, wave], [cosine, high, low]]
     if n == 3:
         tuples = [t[:2] for t in tuples]
-    real = paraproduct._product_lattice
+    import paraflux.dyadic as dyadic
+
     for fields, padded in zip(tuples, (False, True)):
-        big, lines = real(fields)
+        big = _product_lattice(fields)
+        lines = [dyadic._on_line(f.spectral) for f in fields]
         assert (big != g.sizes) == padded
         assert lines == [f is not wave for f in fields]
         got = decompose_product(fields, sys)
-        monkeypatch.setattr(paraproduct, "_product_lattice",
-                            lambda fs: (real(fs)[0], [False] * len(fs)))
-        want = decompose_product(fields, sys)
-        monkeypatch.setattr(paraproduct, "_product_lattice", real)
+        with monkeypatch.context() as off:
+            # the line rule switched off: every factor takes the confined
+            # passes
+            for module in (dyadic, paraproduct):
+                off.setattr(module, "_on_line", lambda spec: False)
+            want = decompose_product(fields, sys)
         for a, b in [(got.product, want.product), (got.pi2, want.pi2)] + \
                 list(zip(got.pi1, want.pi1)) + \
                 [(got.pi1_bands[key], want.pi1_bands[key])
@@ -356,14 +360,14 @@ def test_split_matches_decompose_product(n, size, m, monkeypatch):
                             transforms.append(1) or real(*a))
     for t in range(2):
         fields = tuple_fields(g, sys, params, 40 + m, t)
-        assert (_product_lattice(fields)[0] == g.sizes) == (t == 1)
+        assert (_product_lattice(fields) == g.sizes) == (t == 1)
         pd = decompose_product(fields, sys)
         stacks = [decompose(f, sys) for f in fields]
         work = [np.empty(g.sizes, dtype=np.complex128) for _ in range(m + 2)]
         transforms.clear()
         product, pi1 = _split_product(fields, sys, None, stacks,
                                       [_block_scales(st) for st in stacks],
-                                      work, *_product_lattice(fields))
+                                      work, _product_lattice(fields))
         pi2 = product - pi1
         assert product.spectral.tobytes() == pd.product.spectral.tobytes()
         tol = 1e-15 * pd.product.l2()
@@ -487,7 +491,7 @@ def test_enumeration_guard():
 def _pi2_terms_unskipped(fields, sys, N):
     # every uncollected tuple multiplied, all-zero blocks included
     grid = fields[0].grid
-    big = _product_lattice(fields)[0]
+    big = _product_lattice(fields)
     blocks = [[_padded_values(f.spectral * sys.window(j), big)
                for j in range(sys.jmax + 1)] for f in fields]
     acc = {}
@@ -648,7 +652,7 @@ def test_pi2_terms_hold_one_block_of_the_first_factor():
     g = build_grid(3, 64)
     sys = build_dyadic_system(g)
     fields = tuple_fields(g, sys, [(1.0, 2.0)] * 2, 811, 0)
-    big = _product_lattice(fields)[0]
+    big = _product_lattice(fields)
     assert big == (96, 64, 64)
     padded = 16 * int(np.prod(big))
     levels = sys.jmax + 1
