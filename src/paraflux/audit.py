@@ -24,7 +24,7 @@ from ._inputs import MANIFEST, read
 from ._parallel import map_ordered, per_worker
 from .dyadic import (_axis_bounds, _bands, _box_views, _lows,
                      build_dyadic_system, smooth_cutoff)
-from .grid import Field, build_grid
+from .grid import Field, _lattice, build_grid
 from .hypotheses import (check_embedding_hypotheses,
                          check_theorem_hypotheses, pick_admissible_p)
 from .norms import (INF, SpaceSpec, _band_norms, _ex_json, _lockstep_rows,
@@ -381,7 +381,7 @@ def _calibrated(name, inputs, ratio):
 def _qj_norms(f, s, p, t, sys):
     """(||f|B^s_{p,inf}||, [||Q_j f||_t for j = 0..jmax]), both read
     through one grid-sized array (`dyadic._bands`, `dyadic._lows`)."""
-    out = np.empty_like(f.spectral)
+    out = _lattice(f.grid.sizes)
     base = _besov_sup(_bands(f, sys, out), s, p)
     return base, [lp_norm(low, t) for low in _lows(f, sys, out)]
 
@@ -445,7 +445,7 @@ def check_delta_lt(f, s, p, t, sys, label=""):
     lts = []
 
     def blocks():
-        for block in _bands(f, sys, np.empty_like(f.spectral)):
+        for block in _bands(f, sys, _lattice(f.grid.sizes)):
             lts.append(0.0 if block is None else lp_norm(block, t))
             yield block
 
@@ -503,7 +503,7 @@ def _qsup(f, sys):
     |q_j(f, j, sys).physical| over j, since a magnitude does not read the
     sign of an exactly-zero sample, the one bit in which the line path's
     samples can differ (`dyadic._line_samples`)."""
-    lows = _lows(f, sys, np.empty_like(f.spectral))
+    lows = _lows(f, sys, _lattice(f.grid.sizes))
     top = np.abs(next(lows))
     mags = np.empty_like(top)
     for low in lows:
@@ -656,13 +656,13 @@ def _embedding_sweeps(pairs, bank, sys):
     An item, a recipe or a Field, is streamed band by band by the worker
     that measures it (`testbank._item_bands`) through one pass of
     `norms._band_norms`, for every distinct spec of every pair, in its own
-    grid-sized buffers; no block stack is made.
+    grid-sized buffers, the band's a work lattice (`grid._lattice`); no
+    block stack is made.
     """
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     n = sys.grid.n
     workspace = per_worker(lambda: (
-        np.empty(sys.grid.sizes, dtype=np.complex128),
-        _norm_work(specs, sys.grid.sizes)))
+        _lattice(sys.grid.sizes), _norm_work(specs, sys.grid.sizes)))
 
     def run(entry):
         name, item = entry
@@ -792,18 +792,18 @@ def _multiplication_sweep(sets, sys):
                      _work_rows([_f_spec(mset, mset.p)], 3))
                  for mset in sets)
     grid = sys.grid
-    stack = (sys.jmax + 1,) + grid.sizes
 
     def buffers():
         # items: the stacks of a tuple index, grown on demand; rest holds
         # the samples of f2..fm on an unpadded lattice; f_work is the work
-        # array of the F-norms
+        # array of the F-norms, which they reduce, so it stays C-contiguous;
+        # items and work take transforms in place, as work lattices
+        # (`grid._lattice`)
         return {"items": [],
                 "rest": [np.empty(grid.sizes, dtype=np.complex128)
                          for _ in range(m_top - 1)],
                 "f_work": np.empty((f_rows,) + grid.sizes),
-                "work": [np.empty(grid.sizes, dtype=np.complex128)
-                         for _ in range(m_top + 2)]}
+                "work": [_lattice(grid.sizes) for _ in range(m_top + 2)]}
 
     workspace = per_worker(buffers)
 
@@ -815,7 +815,7 @@ def _multiplication_sweep(sets, sys):
         def new_stack():
             nonlocal handed
             if handed == len(buf["items"]):
-                buf["items"].append(np.empty(stack, dtype=np.complex128))
+                buf["items"].append(_lattice(grid.sizes, sys.jmax + 1))
             handed += 1
             return buf["items"][handed - 1]
 

@@ -269,11 +269,14 @@ def _on_line(spec):
     coefficient, has all of them on its k_2 = ... = k_n = 0 line: the
     spectrum of a field that varies along x_1 only.  A zero spectrum and a
     1-D one are not on it.  The nonzero coefficients are counted in place,
-    with no lattice-sized temporary."""
+    with no lattice-sized temporary, and a spectrum with content on its
+    k_2 = 1 slab, as every spectrum spread over the lattice has, is off the
+    line before the whole lattice is counted."""
     if spec.ndim == 1:
         return False
     line = np.count_nonzero(spec[(slice(None),) + (0,) * (spec.ndim - 1)])
-    return line > 0 and np.count_nonzero(spec) == line
+    return (line > 0 and not np.count_nonzero(spec[:, 1])
+            and np.count_nonzero(spec) == line)
 
 
 def _samplers(spec):

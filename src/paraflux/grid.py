@@ -148,6 +148,27 @@ def _freeze(a):
     return a
 
 
+def _lattice(sizes, count=None):
+    """A new complex work array for in-place transforms, of the lattice
+    shape `sizes`, or a stack of `count` of them.
+
+    On three axes it is the view of the first S_last points of each row of
+    an array whose rows are one point longer, so that no axis before the
+    last has a power-of-two byte stride: on a C-contiguous 64^3 array a
+    pass along axis 0 reads its lines 64 KiB apart, every point of a line
+    on one cache set.  numpy transforms line by line, so the view gives the
+    bits of a C-contiguous array, but a sum over it groups its terms by
+    row: reductions read magnitudes taken into a contiguous array, and a
+    Field is handed a C-contiguous one.  On one or two axes it is
+    `np.empty`.
+    """
+    head = () if count is None else (count,)
+    if len(sizes) < 3:
+        return np.empty(head + sizes, dtype=np.complex128)
+    rows = np.empty(head + sizes[:-1] + (sizes[-1] + 1,), dtype=np.complex128)
+    return rows[..., :sizes[-1]]
+
+
 def _transform(fft, values):
     """fft(values, norm="forward") written into one new array."""
     return fft(values, out=np.empty(values.shape, dtype=np.complex128),

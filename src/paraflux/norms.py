@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import _bands
-from .grid import Field
+from .grid import Field, _lattice
 
 INF = math.inf
 
@@ -404,5 +404,5 @@ def space_norms(f, specs, sys):
     `delta_j(f, j, sys).physical` but for the sign of an exactly-zero
     sample (`dyadic._line_samples`), which no norm reads.
     """
-    band = np.empty(sys.grid.sizes, dtype=np.complex128)
+    band = _lattice(sys.grid.sizes)
     return _band_norms(_bands(f, sys, band), specs, sys.jmax + 1)

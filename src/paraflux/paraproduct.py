@@ -56,7 +56,7 @@ import numpy as np
 
 from . import fldio
 from .dyadic import _line_samples, _on_line, _samplers
-from .grid import Field
+from .grid import Field, _lattice
 
 __all__ = [
     "min_gap", "dealiased_product", "ProductDecomposition",
@@ -189,7 +189,8 @@ def _retained_field(grid, values):
 
     Overwrites `values`.  On the grid's own lattice the field keeps them
     as its spectrum, with no corner copies, so values must be the caller's
-    to give away.
+    to give away; a work lattice (`grid._lattice`) is copied into a
+    C-contiguous spectrum.
     """
     coeffs = np.fft.fftn(values, out=values, norm="forward")
     if coeffs.shape != grid.sizes:
@@ -307,16 +308,15 @@ def _transformed_sources(fields, sys, big):
     (`dyadic._windowed`), and only the lines through it are transformed
     (`dyadic._confined_ifftn`); a factor on the k_2 = ... = k_n = 0 line
     takes one 1-D transform (`dyadic._line_samples`).  Each factor's
-    spectrum is scanned for that line once per call (`dyadic._samplers`)."""
+    spectrum is scanned for that line once per call (`dyadic._samplers`).
+    Each block and low-pass is a new work lattice (`grid._lattice`)."""
     blocks, lows = zip(*(_samplers(f.spectral) for f in fields))
 
     def block(k, j):
-        return blocks[k](sys._reach[j], sys._windows[j],
-                         np.empty(big, dtype=np.complex128))
+        return blocks[k](sys._reach[j], sys._windows[j], _lattice(big))
 
     def low(i, l):
-        return lows[i](sys._reach[l], sys._low(l),
-                       np.empty(big, dtype=np.complex128))
+        return lows[i](sys._reach[l], sys._low(l), _lattice(big))
 
     return block, low
 

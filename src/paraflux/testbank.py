@@ -27,7 +27,7 @@ import numpy as np
 from ._inputs import check_spec
 from .dyadic import (DyadicSystem, _axis_bounds, _bands, _box_views,
                      _confined_ifftn, _decompose_into)
-from .grid import Field, Grid, _transform
+from .grid import Field, Grid, _lattice, _transform
 from .norms import _power, sequence_norm
 
 __all__ = [
@@ -219,13 +219,14 @@ def _unit_bands(grid, seed, sys, m_max, out):
     coefficients placed there (phases from the PCG64 stream [seed, j]), and
     U_j, the samples of that content.  A band without plateau points
     yields (None, None, zeros).  The samples are out[j] for a stack out, or
-    else one array for every band (out, or one made here if None), read
-    before the next band.  The stream depends on the grid, seed and m_max
-    only, not on the targets (s, p) of a field.
+    else one array for every band (out, or a work lattice made here if
+    None), read before the next band; the phases are placed by index, with
+    no copy of a work lattice's padded rows.  The stream depends on the
+    grid, seed and m_max only, not on the targets (s, p) of a field.
     """
     cap = band_limit(grid, m_max)
     if out is None:
-        out = np.empty(grid.sizes, dtype=np.complex128)
+        out = _lattice(grid.sizes)
     for j in range(sys.jmax + 1):
         values = out if out.shape == grid.sizes else out[j]
         values[...] = 0.0
@@ -235,7 +236,7 @@ def _unit_bands(grid, seed, sys, m_max, out):
             continue
         phases = np.exp(2j * np.pi * _pcg64_uniform([int(seed), j],
                                                     points.size))
-        np.put(values, points, phases)
+        values[np.unravel_index(points, grid.sizes)] = phases
         yield points, phases, _confined_ifftn(values, sys._reach[j])
 
 
@@ -337,16 +338,16 @@ def _truncate_real(grid, a, cap):
     """Band-limit the real samples held in a to |xi| <= cap radially and
     renormalize them to max 1, in place.
 
-    a is a C-contiguous complex array of the grid's shape with zero
-    imaginary part: it is transformed to its coefficients, truncated,
-    transformed back and normalised where it is, and its imaginary part is
-    zeroed again.  Every transform here has the coefficient normalization
-    of `Field`; on power-of-two sizes (`Grid`) its 1/npoints scaling is
-    exact, so the bits are those of numpy's default pair.  The
-    cut reads |xi| on the box |k_a| <= b_a that holds the band limit only;
-    every point off it lies beyond.  A field's spectrum is the forward
-    transform of the real part of the truncated samples, so it carries
-    rounding residue beyond the band limit.
+    a is a complex array of the grid's shape with zero imaginary part,
+    C-contiguous or a work lattice (`grid._lattice`): it is transformed to
+    its coefficients, truncated, transformed back and normalised where it
+    is, and its imaginary part is zeroed again.  Every transform here has
+    the coefficient normalization of `Field`; on power-of-two sizes
+    (`Grid`) its 1/npoints scaling is exact, so the bits are those of
+    numpy's default pair.  The cut reads |xi| on the box |k_a| <= b_a that
+    holds the band limit only; every point off it lies beyond.  A field's
+    spectrum is the forward transform of the real part of the truncated
+    samples, so it carries rounding residue beyond the band limit.
     """
     np.fft.fftn(a, out=a, norm="forward")
     bounds = _axis_bounds(grid, cap, closed=True)
@@ -370,9 +371,10 @@ def _bump_samples(grid, params, out=None):
 
     A bump is the periodized Gaussian of sigma width about center, snapped
     to the lattice; `check_spec` has refused a width that is not positive.
-    out is a C-contiguous complex array of the grid's shape, or None for a
-    new one; its contents are not read.  The audits build in a buffer they
-    hold and keep the forward transform only (`_item_field`);
+    out is a complex array of the grid's shape, C-contiguous or a work
+    lattice (`grid._lattice`), or None for a new C-contiguous one; its
+    contents are not read.  The audits build in a buffer they hold and
+    keep the forward transform only (`_item_field`);
     `materialize` hands a new array to `Field.from_physical`, which keeps
     it as the field's samples.
     """

@@ -10,6 +10,7 @@ numpy only, so a job without scipy or hypothesis runs it.
 import glob
 import json
 import os
+import pathlib
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +19,9 @@ from functools import partial
 import pytest
 
 CLI = ("-m", "paraflux.cli")
-DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "demos", "*.py")))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+REFERENCE = pathlib.Path(ROOT, "tests", "reference")
 
 
 def _together(*calls):
@@ -104,9 +106,6 @@ def test_rerun_writes_the_same_bytes(fresh_python, tmp_path, argv):
     assert first and _tree(outs[1]) == first
 
 
-_SPACE = {"family": "B", "s": 1.5, "p": 1.0, "q": 1.0}
-
-
 @pytest.mark.parametrize("manifest", [
     # an embedding and three multiplication sets; the third set has fewer
     # tuples than the sweep over the sets' shared streams
@@ -122,16 +121,9 @@ _SPACE = {"family": "B", "s": 1.5, "p": 1.0, "q": 1.0}
          "tuples": 2}]},
     # B with p = 1 and p = 4, F with q = 2, 1 and "inf", on blocks
     # streamed from the random-band generator, and on bumps and steps
-    # built in each worker's band buffer, at 32^3 and 64^3
-    {"n": 3, "resolutions": [32, 64], "seed": 811, "embeddings": [
-        {"source": _SPACE,
-         "target": {"family": "F", "s": 0.0, "p": 2.0, "q": 2.0}},
-        {"source": {"family": "F", "s": 1.0, "p": 2.0, "q": 2.0},
-         "target": {"family": "B", "s": 0.25, "p": 4.0, "q": 4.0}},
-        {"source": _SPACE,
-         "target": {"family": "F", "s": 0.0, "p": 2.0, "q": 1.0}},
-        {"source": _SPACE,
-         "target": {"family": "F", "s": 0.0, "p": 2.0, "q": "inf"}}]},
+    # built in each worker's band buffer, at 32^3 and 64^3; its outputs
+    # are stored (test_lemma_reference.py)
+    json.loads((REFERENCE / "audit-3d-embedding.manifest.json").read_text()),
 ], ids=["mixed-2d", "embedding-3d"])
 def test_audit_csv_is_the_same_on_one_two_and_three_workers(
         fresh_python, tmp_path, manifest):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from paraflux import (Field, bank_specs, build_dyadic_system, build_grid,
-                      decompose, delta_j, lacunary_field, materialize,
-                      pure_wave, q_j, random_band_field, smooth_cutoff,
-                      spec_for)
+                      dealiased_product, decompose, delta_j, lacunary_field,
+                      materialize, pure_wave, q_j, random_band_field,
+                      smooth_cutoff, spec_for)
 from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn, _lows
 from paraflux.grid import Grid
 
@@ -479,7 +479,7 @@ def test_lows_are_the_low_pass_samples(n, size):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("size", [16, 32, 64, 128])
-def test_line_rule_reads_the_recipes_off_the_spectrum(n, size):
+def test_line_rule_reads_the_recipes_off_the_spectrum(n, size, monkeypatch):
     # the one line rule, read from a spectrum, holds exactly for the
     # non-random bank kinds that vary along x_1 only (lacunary sums, the
     # steps, the constant) and for waves whose k has no component past the
@@ -505,10 +505,47 @@ def test_line_rule_reads_the_recipes_off_the_spectrum(n, size):
         wave = pure_wave(g, list(k)).spectral
         assert _on_line(wave) == (n > 1 and not any(k[1:])), k
     assert not _on_line(Field.zeros(g).spectral)
-    if n > 1:
-        spec = materialize(spec_for("constant", g), sys).spectral.copy()
-        spec[(0,) * (n - 1) + (1,)] = 5e-324
-        assert not _on_line(spec)
+    if n == 1:
+        return
+    spec = materialize(spec_for("constant", g), sys).spectral.copy()
+    spec[(0,) * (n - 1) + (1,)] = 5e-324
+    assert not _on_line(spec)
+
+    # sparse spectra with 0..2 points on the line, on the k_2 = 1 slab and
+    # off both, in every combination, valued 1, the least subnormal or -0:
+    # the rule is the one that counts the whole spectrum
+    rng = np.random.default_rng(n * size)
+    places = [lambda k: (k[0],) + (0,) * (n - 1),
+              lambda k: (k[0], 1) + k[2:],
+              lambda k: k if any(k[1:]) and k[1] != 1 else (k[0], 2) + k[2:]]
+    for counts in itertools.product(range(3), repeat=3):
+        spec = np.zeros(g.sizes, dtype=np.complex128)
+        for place, count in zip(places, counts):
+            for _ in range(count):
+                k = tuple(int(i) for i in rng.integers(0, size, n))
+                spec[place(k)] = rng.choice([1.0, 5e-324, 5e-324j, -0.0])
+        assert _on_line(spec) == _counted_line_rule(spec), counts
+
+    # a product of random-band fields is off the line, found so without
+    # counting its whole lattice
+    randoms = [spec for _, spec in bank_specs(g) if spec.kind == "random-band"]
+    product = dealiased_product([materialize(spec, sys)
+                                 for spec in randoms[:2]]).spectral
+    counted = []
+    real = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a, *args, **kw:
+                        counted.append(np.size(a)) or real(a, *args, **kw))
+    assert not _on_line(product)
+    assert counted and max(counted) < g.npoints
+
+
+def _counted_line_rule(spec):
+    # the line rule that counts the whole spectrum when its line has
+    # content, with no early exit
+    if spec.ndim == 1:
+        return False
+    line = np.count_nonzero(spec[(slice(None),) + (0,) * (spec.ndim - 1)])
+    return line > 0 and np.count_nonzero(spec) == line
 
 
 def test_line_rule_allocates_no_lattice():
@@ -544,7 +581,7 @@ def _line_spectrum(grid, seed, density, real):
 
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from paraflux.dyadic import _line_samples, _windowed  # noqa: E402
 
@@ -584,6 +621,62 @@ def test_line_samples_are_the_confined_transform(n, size, pad, seed,
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
     if want.view(np.float64).all():
         assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(sizes=st.tuples(*[st.sampled_from([16, 32, 64])] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(sizes=(64, 64, 64), seed=811)  # levels 0..4
+def test_work_lattice_views_give_the_bits_of_contiguous_arrays(sizes, seed):
+    # on the padded rows of a 3-D work lattice (`grid._lattice`), at every
+    # level's bounds, the windowed and confined transforms and the line
+    # transform, the blocks streamed into one array and into a stack, the
+    # generator's unit bands and the norm accumulators fed the blocks give
+    # the bits they give on C-contiguous arrays
+    from paraflux import INF, SpaceSpec
+    from paraflux.dyadic import _decompose_into
+    from paraflux.grid import _lattice
+    from paraflux.norms import _NormAccumulator
+    from paraflux.testbank import _unit_bands
+
+    g = Grid(3, sizes)
+    sys = build_dyadic_system(g)
+    rng = np.random.default_rng(seed)
+    spec = rng.standard_normal(sizes) + 1j * rng.standard_normal(sizes)
+    line = _line_spectrum(g, seed, 1.0, False)
+    want, got = np.empty(sizes, dtype=np.complex128), _lattice(sizes)
+    for j, bounds in enumerate(sys._reach):
+        for values in (sys._windows[j], sys._low(j)):
+            for out in (want, got):
+                _windowed(spec, bounds, values, out)
+                _confined_ifftn(out, bounds)
+            assert got.tobytes() == want.tobytes()
+            for out in (want, got):
+                _line_samples(line, bounds, values, out)
+            assert got.tobytes() == want.tobytes()
+
+    f = Field.from_spectral(g, spec)
+    count = sys.jmax + 1
+    stacks = [_decompose_into(f, sys, stack) for stack in (
+        np.empty((count,) + sizes, dtype=np.complex128),
+        _lattice(sizes, count))]
+    assert stacks[1].tobytes() == stacks[0].tobytes()
+    specs = [SpaceSpec("B", 0.5, 1.0, 2.0), SpaceSpec("F", 0.3, 1.5, 1.0),
+             SpaceSpec("F", 0.0, 2.0, INF), SpaceSpec("F", 0.5, 2.0, 3.0)]
+    accs = [_NormAccumulator(specs, count) for _ in range(2)]
+    for a, b in zip(_bands(f, sys, want), _bands(f, sys, got), strict=True):
+        assert b.tobytes() == a.tobytes()
+        accs[0].add(a)
+        accs[1].add(b)
+    assert accs[1].values() == accs[0].values()
+
+    for a, b in zip(*(_unit_bands(g, seed, sys, 3, out)
+                      for out in (want, got)), strict=True):
+        assert (a[0] is None) == (b[0] is None)
+        assert b[2].tobytes() == a[2].tobytes()
+    for stack in stacks:
+        list(_unit_bands(g, seed, sys, 3, stack))
+    assert stacks[1].tobytes() == stacks[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])

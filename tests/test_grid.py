@@ -373,3 +373,32 @@ def test_transforms_match_out_of_place_numpy(sizes):
     h = Field.from_spectral(g, coeffs.copy())
     assert h.physical.tobytes() == np.fft.ifftn(coeffs,
                                                 norm="forward").tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (64, 64, 64), (16, 32, 64),
+                                   (128, 64, 32)])
+@pytest.mark.parametrize("count", [None, 5])
+def test_3d_work_lattices_have_no_power_of_two_stride(sizes, count):
+    # a 3-D work array, or a stack of them, is the lattice-shaped view of
+    # rows one point longer: its rows are contiguous and no other axis has
+    # a power-of-two byte stride, so a pass along axis 0 does not read its
+    # lines onto one cache set
+    from paraflux.grid import _lattice
+
+    a = _lattice(sizes, count)
+    assert a.shape == (() if count is None else (count,)) + sizes
+    assert a.dtype == np.complex128 and a.flags.writeable
+    assert a.strides[-1] == a.itemsize
+    for stride in a.strides[:-1]:
+        assert stride & (stride - 1), a.strides
+
+
+@pytest.mark.parametrize("sizes", [(64,), (32, 16), (128, 128)])
+@pytest.mark.parametrize("count", [None, 3])
+def test_1d_and_2d_work_lattices_are_c_contiguous(sizes, count):
+    from paraflux.grid import _lattice
+
+    a = _lattice(sizes, count)
+    assert a.shape == (() if count is None else (count,)) + sizes
+    assert a.dtype == np.complex128
+    assert a.flags.c_contiguous and a.base is None

@@ -359,6 +359,28 @@ def test_plateau_points_are_cached_flat_indices():
         sys._plateau(1, cap)
 
 
+def test_unit_bands_place_their_phases_without_a_lattice_temporary():
+    # the phases go straight into the padded rows of a 3-D work lattice,
+    # where np.put would copy the whole lattice and write it back: the
+    # traced peak stays under one byte per lattice point
+    import tracemalloc
+
+    from paraflux.grid import _lattice
+
+    g = build_grid(3, 64)
+    sys = build_dyadic_system(g)
+    out = _lattice(g.sizes)
+    list(_unit_bands(g, 811, sys, 3, out))  # the plateau points, cached
+    tracemalloc.start()
+    try:
+        for *_, samples in _unit_bands(g, 811, sys, 3, out):
+            assert samples is out
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.npoints
+
+
 @pytest.mark.parametrize("kind, params, missing", [
     ("random-band", {"p": 2.0, "seed": 1}, "'s'"),
     ("lacunary", {}, "'amplitudes'"),
