@@ -600,8 +600,9 @@ def lemma_suite(grid, sys, only=None, seed=811):
     (no check reads the samples), serves every row that reads it, and is
     released before the next is built; records come out in table order.
     meta holds the verdict counts and the skipped records
-    (`SweepResult.summarize`).
+    (`SweepResult.summarize`).  A system on another grid is refused first.
     """
+    sys.check_grid(grid)
     if only is not None and only not in LEMMA_SECTIONS:
         raise ValueError("unknown section %r (have %s)"
                          % (only, ", ".join(LEMMA_SECTIONS)))

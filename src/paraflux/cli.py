@@ -127,6 +127,10 @@ def cmd_norm(args):
     s_list = widen(s_list, "--s")
     p_list = widen(p_list, "--p")
     q_list = widen(q_list, "--q", fallback=math.inf)
+    # the two-family table skips F at p = inf; --space F there is refused
+    families = args.space or "BF"
+    specs = [SpaceSpec(fam, s, p, q) for s, p, q in zip(s_list, p_list, q_list)
+             for fam in families if args.space or fam == "B" or p < math.inf]
 
     if args.infile is not None:
         field = _load_field(args.infile)
@@ -141,10 +145,6 @@ def cmd_norm(args):
     else:
         raise ConfigError("norm needs --in FILE or --wave K")
 
-    families = ["B", "F"] if args.space is None else [args.space]
-    specs = [SpaceSpec(fam, s, p, q)
-             for s, p, q in zip(s_list, p_list, q_list)
-             for fam in families if not (fam == "F" and p == math.inf)]
     rows = list(zip(specs, space_norms(field, specs, sys_)))
 
     if args.json:

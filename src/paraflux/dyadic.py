@@ -131,6 +131,15 @@ class DyadicSystem:
         self._cutoffs = {}
         self._plateaus = {}
 
+    def check_grid(self, grid):
+        """This system's grid, given one that equals it (`Grid.compatible`);
+        any other is refused with ValueError, since a system serves its own
+        grid only."""
+        if not self.grid.compatible(grid):
+            raise ValueError("%r does not match the dyadic system on %r"
+                             % (grid, self.grid))
+        return self.grid
+
     def _check_level(self, j):
         if not 0 <= j <= self.jmax:
             raise ValueError("level %d outside 0..%d" % (j, self.jmax))
@@ -307,18 +316,13 @@ def _samplers(spec):
     return block, low
 
 
-def _check_band(sys, f, j):
-    if not sys.grid.compatible(f.grid):
-        raise ValueError("field grid does not match the dyadic system")
-    sys._check_level(j)
-
-
 def delta_j(f, j, sys):
     """Frequency block: multiply the spectrum by the sampled window phi_j.
 
     Coefficients outside supp phi_j come out exactly zero.
     """
-    _check_band(sys, f, j)
+    sys.check_grid(f.grid)
+    sys._check_level(j)
     out = np.empty(f.grid.sizes, dtype=np.complex128)
     _windowed(f.spectral, sys._reach[j], sys._windows[j], out)
     return Field.from_spectral(f.grid, out)
@@ -330,7 +334,8 @@ def q_j(f, j, sys):
     Identical to the running sum of the blocks, q_j = sum_{k<=j} delta_k,
     because the windows are stored as telescoping differences.
     """
-    _check_band(sys, f, j)
+    sys.check_grid(f.grid)
+    sys._check_level(j)
     out = np.empty(f.grid.sizes, dtype=np.complex128)
     _windowed(f.spectral, sys._reach[j], sys._low(j), out)
     return Field.from_spectral(f.grid, out)
@@ -366,7 +371,7 @@ def _bands(f, sys, out):
     untransformed, with out holding its zeros.  Given a stack for out,
     block j goes to out[j].  The spectrum of f is scanned once, before the
     first block is written (`_samplers`)."""
-    _check_band(sys, f, 0)
+    sys.check_grid(f.grid)
     block, _ = _samplers(f.spectral)
     for j, (bounds, window) in enumerate(zip(sys._reach, sys._windows)):
         yield block(bounds, window, out[j] if out.ndim > f.grid.n else out)
@@ -378,7 +383,7 @@ def _lows(f, sys, out):
     before the next: `q_j(f, j, sys).physical` bit for bit, but for the
     sign of an exactly-zero sample of a field on the k_2 = ... = k_n = 0
     line (`_samplers`), which no norm reads."""
-    _check_band(sys, f, 0)
+    sys.check_grid(f.grid)
     _, low = _samplers(f.spectral)
     for j, bounds in enumerate(sys._reach):
         yield low(bounds, sys._low(j), out)

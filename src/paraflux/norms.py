@@ -76,7 +76,8 @@ def _ex_json(v):
 @dataclass(frozen=True)
 class SpaceSpec:
     """Identifies one quasi-norm: family 'B' or 'F', smoothness s, and the
-    integrability/fine exponents p, q (0 < p,q <= inf; 'F' needs p < inf)."""
+    integrability/fine exponents p, q (0 < p,q <= inf; 'F' needs p < inf).
+    Its str is its label, B^s_{p,q}."""
 
     family: str
     s: float
@@ -100,6 +101,8 @@ class SpaceSpec:
 
     def label(self):
         return "%s^%g_{%g,%g}" % (self.family, self.s, self.p, self.q)
+
+    __str__ = label
 
 
 def _power(a, p, out=None):
@@ -151,15 +154,22 @@ def _lp(a, p, out=None):
     return float(np.mean(_kernel_power(a, p, out=out)) ** (1.0 / p))
 
 
-def _lp_fault(value, samples):
-    """How an L_p norm of samples left the floats, or None if it did not:
-    it overflowed to inf, or it is 0 though a sample is nonzero (the
-    samples are read only then)."""
+def _finite(value, content, message, *args):
+    """value, or ValueError if it left the floats: if it is inf, if it is
+    NaN, or if it reads 0 though content, the array or truth value it was
+    measured from, has content (read only then).  The message is
+    message.format(*args, fault=how it left them).  This is the module's
+    one finiteness rule, which every value a norm returns passes, whatever
+    its exponents, s included."""
     if value == INF:
-        return "overflows"
-    if value == 0.0 and samples.any():
-        return "reads 0 for nonzero samples"
-    return None
+        fault = "overflows"
+    elif value != value:
+        fault = "is NaN"
+    elif value == 0.0 and np.any(content):
+        fault = "reads 0 for an input with content"
+    else:
+        return value
+    raise ValueError(message.format(*args, fault=fault))
 
 
 @np.errstate(over="ignore")  # an overflow is refused, not warned
@@ -167,39 +177,37 @@ def lp_norm(f, p):
     """(mean |f|^p)^(1/p) over the grid, max |f| for p = inf.
 
     Accepts a Field or a bare sample array; absolutely homogeneous in f.
-    A value that leaves the floats (`_lp_fault`) is refused with
-    ValueError.
+    A value that leaves the floats is refused (`_finite`).
     """
     p = _check_exponent(p, "p")
     samples = f.physical if isinstance(f, Field) else np.asarray(f)
     a = np.abs(samples)
-    value = _lp(a, p, out=a)
-    fault = _lp_fault(value, samples)
-    if fault is not None:
-        raise ValueError("L_p norm leaves the floats at p = %g: it %s"
-                         % (p, fault))
-    return value
+    return _finite(_lp(a, p, out=a), samples,
+                   "L_p norm leaves the floats at p = {:g}: it {fault}", p)
 
 
 @np.errstate(over="ignore")  # an overflow is refused, not warned
 def sequence_norm(a, s, q):
     """Weighted sequence norm (sum_j 2^{jsq} |a_j|^q)^(1/q), sup for q=inf;
-    ValueError if the sum overflows, or is 0 for a nonzero sequence."""
+    a value that leaves the floats is refused (`_finite`)."""
     q = _check_exponent(q, "q")
     a = np.abs(np.asarray(a, dtype=float).ravel())
-    if a.size == 0:
-        return 0.0
-    wa = _weights(s, a.size) * a
+    return _finite(_sequence(a, s, q), a, "sequence norm at q = {:g} leaves "
+                   "the floats: it {fault}", q)
+
+
+def _sequence(a, s, q):
+    """`sequence_norm` of the magnitudes a, a float array, unchecked.  A
+    zero entry takes no weight, so a weight 2^(js) that overflows meets
+    only entries with content."""
+    wa = np.multiply(_weights(s, a.size), a, where=a != 0.0,
+                     out=np.zeros_like(a))
     if q == INF:
-        return float(wa.max())
-    total = np.sum(wa ** q)
-    if total == INF or total == 0.0 and a.any():
-        fault = "overflows" if total else "is 0 for a nonzero sequence"
-        raise ValueError("sequence norm at q = %g leaves the floats: the sum "
-                         "of (2^(js) |a_j|)^q %s" % (q, fault))
-    return float(total ** (1.0 / q))
+        return float(wa.max(initial=0.0))
+    return float(np.sum(wa ** q) ** (1.0 / q))
 
 
+@np.errstate(over="ignore")  # a weight that overflows is inf
 def _weights(s, count):
     """The band weights 2^(js), j = 0..count-1, of the weighted sums."""
     return 2.0 ** (float(s) * np.arange(count))
@@ -262,12 +270,12 @@ class _NormAccumulator:
     and a None band gives the bits of its zero samples: an L_p of 0.0, and
     nothing added.
 
-    A value that leaves the floats is refused with ValueError naming the
-    spec and p: a band L_p that `_lp_fault` refuses (by `add`), a B value
-    that `sequence_norm` refuses, and an F value that overflows or is 0 for
-    a field with content (by `values`).  A band's samples are searched for
-    content only where its L_p is 0 and, for F specs that no B spec
-    accompanies, until a band with content is met.
+    A value that leaves the floats (`_finite`) is refused with ValueError
+    naming the spec and p: a band L_p (by `add`), and a B or F value (by
+    `values`).  A band's samples are searched for content only where its
+    L_p is 0 and, for F specs that no B spec accompanies, until a band
+    with content is met.  A zero sample takes no weight, so a weight
+    2^(js) that overflows meets only samples with content.
     """
 
     def __init__(self, specs, count, work=None):
@@ -278,6 +286,8 @@ class _NormAccumulator:
         self.work = work
         self.weights = [_weights(s, count) for s, _ in self.keys]
         self.band_lps = {spec.p: [] for spec in specs if _as_b(spec)}
+        # the spec a band L_p refusal names: the first with that p
+        self.named = {spec.p: spec for spec in specs[::-1] if _as_b(spec)}
         self.live = False  # whether a band so far had content
         self.j = 0
 
@@ -286,7 +296,7 @@ class _NormAccumulator:
         rows = 2 + len(self.keys)
         return self.work[rows] if len(self.work) > rows else None
 
-    @np.errstate(over="ignore")  # an overflow is refused, not warned
+    @np.errstate(over="ignore", invalid="ignore")  # refused, not warned
     def add(self, block):
         """Take the next band's samples, or None for an all-zero band."""
         j, self.j = self.j, self.j + 1
@@ -300,19 +310,18 @@ class _NormAccumulator:
         work, scratch = self.work, self._scratch()
         mags, term = np.abs(block, out=work[0]), work[1]
         for p, norms in band_lps.items():
-            norms.append(_lp(mags, p, out=term))
-            fault = _lp_fault(norms[-1], mags)
-            if fault is not None:
-                spec = next(b for b in self.specs if _as_b(b) and b.p == p)
-                raise ValueError("%s norm leaves the floats at p = %g: the "
-                                 "L_p norm of band %d %s"
-                                 % (spec.label(), p, j, fault))
+            norms.append(_finite(_lp(mags, p, out=term), mags,
+                                 "{} norm leaves the floats at p = {:g}: the "
+                                 "L_p norm of band {} {fault}",
+                                 self.named[p], p, j))
         live = self.live
         for (_, q), w, total in zip(keys, self.weights, work[2:]):
             # the first band with content starts the sum: the zero bands
             # before it would add exactly nothing
             out = term if live else total
             np.multiply(mags, w[j], out=out)
+            if w[j] == INF:
+                out[mags == 0.0] = 0.0
             if q == INF:
                 if live:
                     np.maximum(total, term, out=total)
@@ -335,16 +344,15 @@ class _NormAccumulator:
                  else _kernel_power(total, 1.0 / q, out=total,
                                     scratch=scratch)
                  for (s, q), total in zip(keys, work[2:] if live else ())}
-        values = [sequence_norm(self.band_lps[spec.p], spec.s, spec.q)
-                  if _as_b(spec)
-                  else _lp(inner[spec.s, spec.q], spec.p, out=work[1])
-                  if live else 0.0 for spec in specs]
-        for spec, value in zip(specs, values):
-            if not _as_b(spec) and (value == INF or value == 0.0 and live):
-                fault = "overflows" if value else "underflows to 0"
-                raise ValueError("%s norm leaves the floats at p = %g: it %s "
-                                 "at q = %g" % (spec.label(), spec.p, fault,
-                                                spec.q))
+        values = []
+        for spec in specs:
+            content = self.band_lps[spec.p] if _as_b(spec) else live
+            value = (_sequence(np.array(content), spec.s, spec.q)
+                     if _as_b(spec) else 0.0 if not live
+                     else _lp(inner[spec.s, spec.q], spec.p, out=work[1]))
+            values.append(_finite(value, content, "{} norm leaves the floats "
+                                  "at p = {:g}: it {fault} at q = {:g}",
+                                  spec, spec.p, spec.q))
         return values
 
 

@@ -268,11 +268,10 @@ def _checked_gap(m, N, jmax):
 
 
 def _checked_split(fields, sys, N):
-    """The common grid and the checked gap of a split of prod(fields)."""
-    grid = _common_grid(fields)
-    if not grid.compatible(sys.grid):
-        raise ValueError("fields and dyadic system use different grids")
-    return grid, _checked_gap(len(fields), N, sys.jmax)
+    """The grid of a split of prod(fields), sys's own, and the checked
+    gap."""
+    return (sys.check_grid(_common_grid(fields)),
+            _checked_gap(len(fields), N, sys.jmax))
 
 
 def _band_products(m, N, jmax, block, low):
@@ -439,9 +438,8 @@ def pi2_direct_terms(fields, sys, N=None):
     uncollected tuples all have one still gets its (zero) entry.  Small
     instances only.
     """
-    grid = _common_grid(fields)
+    grid, N = _checked_split(fields, sys, N)
     m = len(fields)
-    N = _checked_gap(m, N, sys.jmax)
     reason = _enum_refusal(m, sys.jmax)
     if reason is not None:
         raise ValueError("direct enumeration is " + reason)
@@ -479,8 +477,7 @@ def pi2_direct_terms(fields, sys, N=None):
 def enumerate_pi2_direct(fields, sys, N=None):
     """Direct enumeration of the residual; must match the residual Pi_2."""
     terms = pi2_direct_terms(fields, sys, N)
-    return sum((terms[j] for j in sorted(terms)),
-               Field.zeros(_common_grid(fields)))
+    return sum((terms[j] for j in sorted(terms)), Field.zeros(sys.grid))
 
 
 def _support_radius(field):
@@ -526,8 +523,9 @@ def verify_supports(pd, sys):
     lower edge 2^(j-1) claimed for the continuous construction and the
     residual bound |xi| <= 2^(j+N-2) are reported informationally, for
     the instances small enough to enumerate Pi_2 directly.  Zero terms pass
-    vacuously.
+    vacuously.  A system on another grid than pd's is refused.
     """
+    sys.check_grid(pd.product.grid)
     band_entries = []
     hard_all = True
     claimed_hits = 0

@@ -100,15 +100,16 @@ def lacunary_field(grid, amplitudes, sys):
     exactly at the chosen frequency and the neighbor windows must vanish
     there; otherwise the frequency is off-plateau and the closed-form oracle
     would lie.  Amplitudes may also be given as a sequence starting at j=0.
+    A system on another grid is refused.
     """
+    sys.check_grid(grid)
     if not isinstance(amplitudes, dict):
         amplitudes = {j: a for j, a in enumerate(amplitudes)}
     amplitudes = {int(j): complex(a) for j, a in amplitudes.items()
                   if a != 0}
     coeffs = np.zeros(grid.sizes, dtype=np.complex128)
     for j, amp in amplitudes.items():
-        if not 0 <= j <= sys.jmax:
-            raise ValueError("band %d outside 0..%d" % (j, sys.jmax))
+        sys._check_level(j)
         k = plateau_frequency(j, grid)
         idx = _wave_index(grid, (k,) + (0,) * (grid.n - 1))
         if sys._at(j, idx) != 1.0:
@@ -131,7 +132,9 @@ def random_band_field(grid, s, p, seed, sys, m_max=DEFAULT_MAX_ARITY):
     unit-modulus coefficients with phases from a per-band PCG64 stream, then
     the band is rescaled to hit the target block norm exactly.  Since all
     content sits on plateaus, besov_norm(f; s, p, inf) = 1 by construction.
+    A system on another grid is refused.
     """
+    sys.check_grid(grid)
     return _band_scales(grid, s, p,
                         _unit_bands(grid, seed, sys, m_max, None))[0]
 
@@ -487,12 +490,8 @@ def _spec_grid(spec, sys):
     which must match the spec's, or without a dyadic system a new Grid."""
     check_spec({"kind": spec.kind, "grid": spec.grid, "params": spec.params})
     g = spec.grid
-    shape = (g["n"], tuple(g["sizes"]), g.get("period", 2.0 * np.pi))
-    if sys is None:
-        return Grid(*shape)
-    if shape != (sys.grid.n, sys.grid.sizes, sys.grid.period):
-        raise ValueError("provided dyadic system does not match spec grid")
-    return sys.grid
+    grid = Grid(g["n"], g["sizes"], g.get("period", 2.0 * np.pi))
+    return grid if sys is None else sys.check_grid(grid)
 
 
 def materialize(spec, sys=None):

@@ -111,6 +111,20 @@ def test_norm_config_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_norm_refuses_the_f_family_alone_at_p_inf(capsys, flags):
+    # F needs p < inf: asked for alone at p = inf, the run would measure
+    # nothing, so it is refused; the two-family table skips F there
+    argv = ["norm", "--grid", "64", "--wave", "3", "--s", "1", "--p", "inf",
+            *flags]
+    assert main(argv + ["--space", "F"]) == 2
+    assert capsys.readouterr() == ("", "error: the F family requires p < "
+                                       "inf\n")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "B^1_{inf,inf}" in out and "F^" not in out
+
+
 def test_norm_refuses_a_wave_beyond_the_partition_region(capsys):
     # at 64 points the windows sum to 1 on |xi| <= 2^jmax = 16 and taper
     # to 0 at 24, where a wave's norms would read 8 or 0: exactly the waves
@@ -806,7 +820,8 @@ _HUGE_P = dict(_SPACE, s=0.5, p=2 ** 70, q="inf")
     # a target norm whose weighted sum leaves the floats: no inf rows
     ({"n": 1, "resolutions": [64], "embeddings": [
         {"source": _SPACE, "target": dict(_SPACE, s=0.5, q=2 ** 70)}]},
-     "sequence norm at q = 1.18059e+21 leaves the floats"),
+     "B^0.5_{2,1.18059e+21} norm leaves the floats at p = 2: it overflows "
+     "at q = 1.18059e+21"),
     # a spec whose band L_p norms leave the floats: no inf or 0 rows
     ({"n": 1, "resolutions": [64], "embeddings": [
         {"source": _HUGE_P, "target": _HUGE_P}]},
@@ -824,6 +839,13 @@ _HUGE_P = dict(_SPACE, s=0.5, p=2 ** 70, q="inf")
     ({"n": 3, "resolutions": [32], "multiplications": [
         {"mode": "positive", "params": [[0.7, 5.0], [2.0, 4.0]]}]},
      "theorem hypotheses unsatisfied: s1-subcritical"),
+    # band weights 2^(400 j) beyond the floats: no inf or NaN ratios, and
+    # no stability row that passes on them
+    ({"n": 1, "resolutions": [64, 128], "embeddings": [
+        {"source": dict(_SPACE, s=400, q="inf"),
+         "target": dict(_SPACE, s=300, q="inf")}]},
+     "B^400_{2,inf} norm leaves the floats at p = 2: it overflows at q = "
+     "inf"),
 ])
 def test_audit_malformed_manifest_exit_2(tmp_path, capsys, manifest, path):
     mpath = tmp_path / "m.json"

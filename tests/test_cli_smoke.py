@@ -85,6 +85,17 @@ def test_3d_lemma_sections_pass_without_scipy(fresh_python, section):
     assert not [m for m in imported if re.match(r"scipy(\.|$)", m)]
 
 
+def test_a_norm_near_the_top_of_the_floats_prints_no_warning(fresh_python):
+    # the band weights 2^(400 j) of the empty bands 3 and 4 overflow, and
+    # take no part: the value 2^800 is printed, and nothing on stderr
+    run = fresh_python(*CLI, "norm", "--wave", "3", "--s", "400", "--p", "2",
+                       "--space", "B")
+    assert run.returncode == 0
+    assert run.stderr == ""
+    label, value = run.stdout.split()
+    assert label == "B^400_{2,inf}" and float(value) == 2.0 ** 800
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
 def test_demo_prints_the_same_bytes_on_a_rerun(fresh_python, demo):
     first, again = _together(*[partial(fresh_python, demo)] * 2)

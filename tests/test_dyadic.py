@@ -5,8 +5,11 @@ from paraflux import (Field, bank_specs, build_dyadic_system, build_grid,
                       dealiased_product, decompose, delta_j, lacunary_field,
                       materialize, pure_wave, q_j, random_band_field,
                       smooth_cutoff, spec_for)
+from paraflux.audit import lemma_suite
 from paraflux.dyadic import _axis_bounds, _bands, _confined_ifftn, _lows
 from paraflux.grid import Grid
+from paraflux.paraproduct import (decompose_product, enumerate_pi2_direct,
+                                  pi2_direct_terms, verify_supports)
 
 
 def test_cutoff_plateaus_exact():
@@ -222,6 +225,42 @@ def test_bands_are_the_batched_stack(n, size):
     assert empty > 0
     with pytest.raises(ValueError, match="does not match"):
         next(_bands(Field.zeros(build_grid(n, 2 * size)), sys, out))
+
+
+def _pair(g):
+    return [pure_wave(g, 1), pure_wave(g, 2)]
+
+
+# each takes 64-point fields or a 64-point grid, and a dyadic system
+_FOREIGN = {
+    "delta_j": lambda g, sys: delta_j(pure_wave(g, 1), 1, sys),
+    "decompose_product": lambda g, sys: decompose_product(_pair(g), sys),
+    "pi2_direct_terms": lambda g, sys: pi2_direct_terms(_pair(g), sys),
+    "enumerate_pi2_direct": lambda g, sys: enumerate_pi2_direct(_pair(g),
+                                                                sys),
+    "verify_supports": lambda g, sys: verify_supports(
+        decompose_product(_pair(g), build_dyadic_system(g)), sys),
+    "materialize": lambda g, sys: materialize(
+        spec_for("constant", g, value=1.0), sys),
+    "lacunary_field": lambda g, sys: lacunary_field(g, {2: 1.0}, sys),
+    "random_band_field": lambda g, sys: random_band_field(g, 1.0, 2.0, 3,
+                                                          sys),
+    "lemma_suite": lambda g, sys: lemma_suite(g, sys),
+}
+
+
+@pytest.mark.parametrize("call", _FOREIGN.values(), ids=_FOREIGN.keys())
+def test_a_system_serves_its_own_grid_only(call, stub_lemma_checks):
+    # a 128-point system refuses 64-point fields and grids by one check;
+    # the lemma suite refuses before any row runs
+    ran = stub_lemma_checks()
+    sys = build_dyadic_system(build_grid(1, 128))
+    with pytest.raises(ValueError, match="^Grid\\(n=1, sizes=\\(64,\\), .*\\) "
+                       "does not match the dyadic system on Grid\\(n=1, "
+                       "sizes=\\(128,\\)"):
+        call(build_grid(1, 64), sys)
+    assert ran == []
+    assert sys.check_grid(build_grid(1, 128)) is sys.grid
 
 
 def _box_content(shape, bounds, rng, signed_zeros=False):

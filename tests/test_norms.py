@@ -39,7 +39,7 @@ def test_sequence_norm_refuses_a_sum_that_leaves_the_floats():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, fault in (([2.0, 1.0], "overflows"),
-                         ([0.5, 0.25], "is 0 for a nonzero sequence")):
+                         ([0.5, 0.25], "reads 0 for an input with content")):
             with pytest.raises(ValueError, match=r"q = 1\.18059e\+21 .*"
                                + fault):
                 sequence_norm(a, 0.0, 2.0 ** 70)
@@ -122,6 +122,48 @@ def test_norms_of_a_zero_stack_are_zero():
     for p, q in ((2.0, 3.0), (_HUGE, 2.0), (2.0, _HUGE)):
         assert lq_of_lp(stack, 0.5, p, q) == 0.0
         assert lp_of_lq(stack, 0.5, p, q) == 0.0
+
+
+def test_a_weight_that_overflows_meets_only_bands_with_content():
+    # on 64 points the wave k = 3 fills band 2 only; the weights 2^(400 j)
+    # of bands 3 and 4 overflow, but a zero band takes no weight, so the
+    # B value is 2^800 exactly, with no numpy warning
+    g = build_grid(1, 64)
+    sys = build_dyadic_system(g)
+    f = pure_wave(g, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert besov_norm(f, SpaceSpec("B", 400, 2, INF), sys) == 2.0 ** 800
+        for q in (1.0, INF):
+            assert sequence_norm([0.0, 0.0, 1.0], 400, q) == 2.0 ** 800
+        # the F kernel reads the stack's zero bands too, and no zero
+        # sample takes an infinite weight: both paths give 2^800
+        spec = SpaceSpec("F", 400, 1, INF)
+        assert triebel_norm(f, spec, sys) == 2.0 ** 800
+        assert lp_of_lq(decompose(f, sys), 400, 1, INF) == 2.0 ** 800
+        # at q = 2 the sum of squares leaves the floats
+        with pytest.raises(ValueError, match=r"^B\^400_\{2,2\} norm leaves "
+                           r"the floats at p = 2: it overflows at q = 2$"):
+            besov_norm(f, SpaceSpec("B", 400, 2, 2), sys)
+
+
+@pytest.mark.parametrize("a, s, q, fault", [
+    ([1.0, 1.0], 2000, INF, "overflows"),      # q = inf is checked too
+    ([1e308, 1e308], 0.0, 0.5, "overflows"),   # a finite sum, an inf root
+    ([0.0, 1.0], -2000, INF, "reads 0"),       # a weight that underflows
+    ([1.0, np.nan], 0.0, 2.0, "is NaN"),
+])
+def test_sequence_norm_refuses_every_value_that_leaves_the_floats(a, s, q,
+                                                                  fault):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leaves the floats: it " + fault):
+            sequence_norm(a, s, q)
+
+
+def test_lp_norm_refuses_a_nan():
+    with pytest.raises(ValueError, match="p = 2: it is NaN"):
+        lp_norm(np.array([1.0, np.nan]), 2.0)
 
 
 def test_space_spec_validation():
